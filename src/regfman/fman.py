@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +27,11 @@ from .errors import (
 from .jets import (
     DEFAULT_ORDER,
     Jet,
+    JetArray,
     JetMatrix,
     JetSpace,
     JetVector,
+    contract,
     jet_space,
     lie_bracket,
 )
@@ -65,6 +68,23 @@ class FManifoldModel:
         self.space: JetSpace = sp
         self.blocks = blocks
 
+    @cached_property
+    def _compact_structure(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients and effective orders of the structure tensor, built
+        on first use without the coefficient columns it never uses (one,
+        for constant multiplication)."""
+        full = JetArray.from_jets(self.mult)
+        used = np.flatnonzero(full.coeffs.reshape(-1, self.space.size).any(axis=0))
+        return full.coeffs[..., : used[-1] + 1 if used.size else 1].copy(), full.eff
+
+    @property
+    def structure(self) -> JetArray:
+        """The structure tensor, structure[i, j, k] = c_ij^k."""
+        compact, eff = self._compact_structure
+        coeffs = np.zeros(eff.shape + (self.space.size,), dtype=np.complex128)
+        coeffs[..., : compact.shape[-1]] = compact
+        return JetArray._raw(self.space, coeffs, eff)
+
     # -- basic machinery ----------------------------------------------------
 
     def basis_field(self, i: int) -> JetVector:
@@ -78,40 +98,21 @@ class FManifoldModel:
 
     def multiply(self, x: JetVector, y: JetVector) -> JetVector:
         """(X o Y)^k = sum_{i,j} X^i Y^j c_ij^k."""
-        out = [self.space.zero() for _ in range(self.dim)]
-        for i in range(self.dim):
-            if x[i].is_zero():
-                continue
-            for j in range(self.dim):
-                if y[j].is_zero():
-                    continue
-                f = x[i] * y[j]
-                if f.is_zero():
-                    continue
-                vec = self.mult[i][j]
-                for k in range(self.dim):
-                    if not vec[k].is_zero():
-                        out[k] = out[k] + f * vec[k]
-        return JetVector(out)
+        xy = contract(
+            "i,j->ij",
+            JetArray.from_jets(x).exact_zeros(),
+            JetArray.from_jets(y).exact_zeros(),
+        )
+        return contract("ij,ijk->k", xy.exact_zeros(), self.structure.exact_zeros()).to_vector()
 
     def is_constant_multiplication(self, tol: float = 0.0) -> bool:
-        for row in self.mult:
-            for vec in row:
-                for c in vec:
-                    if np.abs(c.coeffs[1:]).max(initial=0.0) > tol:
-                        return False
-        return True
+        return np.abs(self._compact_structure[0][..., 1:]).max(initial=0.0) <= tol
 
     def constant_structure(self) -> np.ndarray:
         """Structure constants c[i][j][k] for constant multiplication."""
         if not self.is_constant_multiplication(tol=0.0):
             raise ScopeError("multiplication is not constant in these coordinates")
-        c = np.zeros((self.dim, self.dim, self.dim), dtype=np.complex128)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    c[i, j, k] = self.mult[i][j][k].value0
-        return c
+        return self._compact_structure[0][..., 0].copy()
 
     def mult_matrices(self) -> list[np.ndarray]:
         """Constant matrices of multiplication by each coordinate field,
@@ -259,106 +260,96 @@ def lie_derivative_of_mult(model: FManifoldModel, x: JetVector, c: int, d: int) 
     return t1 - t2 - t3
 
 
+def _vector_bracket(x: JetArray, y: JetArray) -> JetArray:
+    """[X, Y]^k = X(Y^k) - Y(X^k) for one field X (shape (n,)) and a batch
+    of fields Y (shape (b, n))."""
+    return contract("v,vbk->bk", x, y.grad()) - contract("bv,vk->bk", y, x.grad())
+
+
 def check_fmanifold(model: FManifoldModel) -> ResidualReport:
     """Residuals of commutativity, associativity, the unit law, the
     integrability condition and the Euler condition, maximized over
     coordinate-field tuples.
 
     Identities involving one Lie derivative are evaluated one order below
-    the ambient jet order.
+    the ambient jet order.  Products in which the loop form of an identity
+    would skip a vanishing factor skip it here too (exact zeros); the
+    residual tensors are formed one leading index at a time.
     """
     m = model.dim
     k_order = model.space.order
+    c = model.structure
+    cx = c.exact_zeros()
+    strict = np.triu(np.ones((m, m), dtype=bool), 1)
 
-    commut = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            commut = max(commut, (model.mult[i][j] - model.mult[j][i]).residual_norm())
+    commut = (c - c.transpose(1, 0, 2)).residual_norms().max(axis=-1)[strict].max(initial=0.0)
 
-    assoc = 0.0
+    # [E, d_a] for every coordinate field d_a
+    basis = JetArray.constant(model.space, np.eye(m))
+    euler = JetArray.from_jets(model.euler)
+    euler_brackets = _vector_bracket(euler, basis).exact_zeros()
+
+    assoc = euler_res = 0.0
     for a in range(m):
-        for b in range(a, m):
-            ab = model.mult[a][b]
-            for c in range(m):
-                lhs = model.multiply(ab, model.basis_field(c))
-                rhs = model.multiply(model.basis_field(a), model.mult[b][c])
-                assoc = max(assoc, (lhs - rhs).residual_norm())
+        # (d_a o d_b) o d_c - d_a o (d_b o d_c) over b >= a
+        lhs = contract("bi,ick->bck", cx[a], cx)
+        rhs = contract("bcj,jk->bck", cx, cx[a])
+        assoc = max(assoc, (lhs - rhs)[a:].residual_norm())
+        # L_E(o)(d_a, d_b) - d_a o d_b
+        lie = (
+            _vector_bracket(euler, c[a])
+            - contract("i,ibk->bk", euler_brackets[a], cx)
+            - contract("bj,jk->bk", euler_brackets, cx[a])
+        )
+        euler_res = max(euler_res, (lie - c[a])[a:].residual_norm())
 
-    unit_res = 0.0
-    for b in range(m):
-        diff = model.multiply(model.unit, model.basis_field(b)) - model.basis_field(b)
-        unit_res = max(unit_res, diff.residual_norm())
-
-    # integrability: L_{da o db}(o)(dc, dd) = da o L_{db}(o)(dc, dd)
-    #                                        + db o L_{da}(o)(dc, dd)
-    partial_c = [
-        [[JetVector([model.mult[c][d][l].partial(v) for l in range(m)]) for d in range(m)] for c in range(m)]
-        for v in range(m)
-    ]
-    integr = 0.0
-    for a in range(m):
-        for b in range(a, m):
-            w = model.mult[a][b]
-            for c in range(m):
-                for d in range(c, m):
-                    ccd = model.mult[c][d]
-                    lhs = [model.space.zero(k_order - 1) for _ in range(m)]
-                    for l in range(m):
-                        acc = model.space.zero(k_order - 1)
-                        for i in range(m):
-                            if not w[i].is_zero():
-                                acc = acc + w[i] * partial_c[i][c][d][l]
-                            if not ccd[i].is_zero():
-                                acc = acc - ccd[i] * partial_c[i][a][b][l]
-                        lhs[l] = acc
-                    for i in range(m):
-                        dw_c = partial_c[c][a][b][i]
-                        dw_d = partial_c[d][a][b][i]
-                        if not dw_c.is_zero():
-                            vec = model.mult[i][d]
-                            for l in range(m):
-                                if not vec[l].is_zero():
-                                    lhs[l] = lhs[l] + dw_c * vec[l]
-                        if not dw_d.is_zero():
-                            vec = model.mult[c][i]
-                            for l in range(m):
-                                if not vec[l].is_zero():
-                                    lhs[l] = lhs[l] + dw_d * vec[l]
-                    rhs = model.multiply(
-                        model.basis_field(a), partial_vector(model, b, c, d)
-                    ) + model.multiply(model.basis_field(b), partial_vector(model, a, c, d))
-                    res = JetVector(lhs) - rhs
-                    integr = max(integr, res.residual_norm())
-
-    euler_res = 0.0
-    for a in range(m):
-        for b in range(a, m):
-            lhs = lie_derivative_of_mult(model, model.euler, a, b)
-            diff = lhs - model.mult[a][b]
-            euler_res = max(euler_res, diff.residual_norm())
+    unit = contract("i,ibk->bk", JetArray.from_jets(model.unit).exact_zeros(), cx)
+    unit_res = (unit - basis).residual_norm()
 
     return report_from(
         [
             ("commutativity", commut, k_order),
             ("associativity", assoc, k_order),
             ("unit", unit_res, k_order),
-            ("integrability", integr, k_order - 1),
+            ("integrability", _integrability_residual(model), k_order - 1),
             ("euler", euler_res, k_order - 1),
         ]
     )
 
 
-def partial_vector(model: FManifoldModel, v: int, c: int, d: int) -> JetVector:
-    """L_{d_v}(o)(d_c, d_d) = d_v(c_cd^k) d_k for coordinate fields."""
-    return JetVector([model.mult[c][d][l].partial(v) for l in range(model.dim)])
+def _integrability_residual(model: FManifoldModel) -> float:
+    """L_{da o db}(o)(dc, dd) - da o L_{db}(o)(dc, dd) - db o L_{da}(o)(dc, dd)
+    over a <= b and c <= d.  Every term carries a derivative of the
+    structure tensor, so constant multiplication gives an exact zero."""
+    if model.is_constant_multiplication():
+        return 0.0
+    m = model.dim
+    c = model.structure
+    cx = c.exact_zeros()
+    dc = c.grad()  # dc[v, i, j, k] = d_v c_ij^k
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    worst = 0.0
+    for a in range(m):
+        for b in range(a, m):
+            dab = dc[:, a, b]  # dab[v, k] = d_v c_ab^k
+            dabx = dab.exact_zeros()
+            lhs = (
+                contract("i,icdl->cdl", cx[a, b], dc)
+                - contract("cdi,il->cdl", cx, dab)
+                + contract("ci,idl->cdl", dabx, cx)
+                + contract("di,cil->cdl", dabx, cx)
+            )
+            rhs = contract("cdj,jl->cdl", dc[b].exact_zeros(), cx[a]) + contract(
+                "cdj,jl->cdl", dc[a].exact_zeros(), cx[b]
+            )
+            worst = max(worst, (lhs - rhs).residual_norms().max(axis=-1)[upper].max())
+    return float(worst)
 
 
 def mult_by_euler(model: FManifoldModel) -> JetMatrix:
     """Jet matrix of X -> E o X in the coordinate frame (columns are E o d_j)."""
-    cols = [model.multiply(model.euler, model.basis_field(j)) for j in range(model.dim)]
-    return JetMatrix(
-        [[cols[j][k] for j in range(model.dim)] for k in range(model.dim)]
-    )
+    euler = JetArray.from_jets(model.euler).exact_zeros()
+    return contract("i,ijk->kj", euler, model.structure.exact_zeros()).to_matrix()
 
 
 def canonical_frame(model: FManifoldModel, check_regular: bool = True) -> CanonicalFrame:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, ScopeError, ShapeError
 from .fman import FManifoldModel
-from .jets import DEFAULT_ORDER, Jet, JetMatrix, JetSpace, JetVector, commutator, jet_space
+from .jets import DEFAULT_ORDER, Jet, JetArray, JetMatrix, JetSpace, JetVector, contract, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
 
 
@@ -400,38 +400,28 @@ def _gamma_single_block(psi: OneForm, beta: OneForm) -> JetMatrix:
 
 
 def _gamma_general(psi: OneForm, beta: OneForm, model: FManifoldModel) -> JetMatrix:
-    n = model.dim
     sp = psi.space
-    eps = epsilon_gram(psi.blocks)
-    eps_inv = np.linalg.inv(eps)
+    eps_inv = np.linalg.inv(epsilon_gram(psi.blocks))
     c = model.constant_structure()  # c[i, f, t]
     # cotangent structure constants c_i^{st} = eps^{sf} c_{if}^t
     cot = np.einsum("sf,ift->ist", eps_inv, c)
-    flat_psi = psi.flat()
-    flat_beta = beta.flat()
     # w[k][t] = sum_{i,s} eps^{ik} c_i^{st} beta_s
-    w = [[sp.zero() for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for t in range(n):
-            acc = sp.zero()
-            for i in range(n):
-                if eps_inv[i, k] == 0:
-                    continue
-                for s in range(n):
-                    coef = eps_inv[i, k] * cot[i, s, t]
-                    if coef != 0:
-                        acc = acc + flat_beta[s].scale(coef)
-            w[k][t] = acc
-    entries = [[sp.zero(sp.order - 1) for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        dpsi_j = [flat_psi[j].partial(k) for k in range(n)]
-        for t in range(n):
-            acc = sp.zero(sp.order - 1)
-            for k in range(n):
-                if not w[k][t].is_zero():
-                    acc = acc + dpsi_j[k] * w[k][t]
-            entries[t][j] = acc
-    return JetMatrix(entries)
+    coef = JetArray.constant(sp, np.einsum("ik,ist->kts", eps_inv, cot)).exact_zeros()
+    w = contract("kts,s->kt", coef, JetArray.from_jets(beta.flat()))
+    # gamma_{tj} = sum_k d_k(psi_j) w[k][t], trusted one order below K
+    dpsi = JetArray.from_jets(psi.flat()).grad()  # dpsi[k, j] = d_k psi_j
+    return contract("kj,kt->tj", dpsi, w.exact_zeros()).capped(sp.order - 1).to_matrix()
+
+
+def _structure_matrices(model: FManifoldModel, space: JetSpace) -> JetArray:
+    """The constant matrices C_i of :meth:`FManifoldModel.mult_matrices`,
+    stacked as cm[i, k, j]."""
+    return JetArray.constant(space, np.stack(model.mult_matrices()))
+
+
+def _brackets(x: JetArray, ys: JetArray) -> JetArray:
+    """[x, y_j] for one jet matrix x (r, c) and a batch ys (j, r, c)."""
+    return contract("rx,jxc->jrc", x, ys) - contract("jrx,xc->jrc", ys, x)
 
 
 def check_gamma(
@@ -441,31 +431,22 @@ def check_gamma(
     derivative law d_i(psi_j) = (psi [C_i, gamma])_j."""
     sp = psi.space
     n = model.dim
-    g = gamma.matrix
-    eps = JetMatrix.from_constant(sp, gamma.epsilon)
-    sym = (eps @ g - g.T @ eps).residual_norm()
-    sym_order = g.eff_order()
+    g = JetArray.from_jets(gamma.matrix)
+    eps = JetArray.constant(sp, gamma.epsilon)
+    sym = (contract("ik,kj->ij", eps, g) - contract("ki,kj->ij", g, eps)).residual_norm()
 
     norm_jet = psi_epsilon_norm(psi)
     norm_res = max(norm_jet.partial(v).residual_norm() for v in range(n))
 
-    flat_psi = psi.flat()
-    cmats = model.mult_matrices()
-    worst = 0.0
-    for i in range(n):
-        ci = JetMatrix.from_constant(sp, cmats[i])
-        br = commutator(ci, g)
-        for j in range(n):
-            acc = sp.zero(sp.order - 1)
-            for k in range(n):
-                if not br[k, j].is_zero():
-                    acc = acc + flat_psi[k] * br[k, j]
-            worst = max(worst, (flat_psi[j].partial(i) - acc).residual_norm())
+    flat_psi = JetArray.from_jets(psi.flat())
+    cm = _structure_matrices(model, sp)
+    br = -_brackets(g, cm)  # br[i] = [C_i, gamma]
+    law = flat_psi.grad() - contract("k,ikj->ij", flat_psi, br.exact_zeros())
     return report_from(
         [
-            ("epsilon_symmetry", sym, sym_order),
+            ("epsilon_symmetry", sym, g.eff_order()),
             ("psi_norm_constant", norm_res, norm_jet.eff_order - 1),
-            ("necesitate", worst, sp.order - 1),
+            ("necesitate", law.residual_norm(), sp.order - 1),
         ]
     )
 
@@ -487,13 +468,10 @@ def gamma_annihilates_dual(gamma: RotationOperator, psi: OneForm) -> float:
     return out.residual_norm()
 
 
-def darboux_egoroff_residual(
-    gamma: RotationOperator, model: FManifoldModel
-) -> ResidualReport:
-    """Generalized Darboux-Egoroff residuals
-    [C_i, d_j gamma] - [C_j, d_i gamma] - [[C_i, gamma], [C_j, gamma]]
-    over index pairs; diagonal entries vanish identically and are reported
-    as exact zeros.
+class _DarbouxEgoroff:
+    """The generalized Darboux-Egoroff matrices
+    DE_ij = [C_i, d_j gamma] - [C_j, d_i gamma] - [[C_i, gamma], [C_j, gamma]],
+    formed one leading index i at a time.
 
     The relative sign between the derivative terms and the quadratic
     commutator is pinned by two independent cross-checks: the classical
@@ -503,41 +481,46 @@ def darboux_egoroff_residual(
     derivative law d_i(psi_j) = (psi [C_i, gamma])_j, flatness corresponds
     to the minus sign used here.
     """
+
+    def __init__(self, gamma: RotationOperator, model: FManifoldModel):
+        g = JetArray.from_jets(gamma.matrix)
+        self.cm = _structure_matrices(model, g.space)
+        self.dg = g.grad()
+        self.br = -_brackets(g, self.cm)  # br[i] = [C_i, gamma]
+        self.order = self.dg.eff_order()
+
+    def row(self, i: int, js: slice) -> JetArray:
+        """DE_ij for every j in ``js``, shape (j, r, c)."""
+        cm, dg, br = self.cm, self.dg, self.br
+        return (
+            _brackets(cm[i], dg[js]) + _brackets(dg[i], cm[js]) - _brackets(br[i], br[js])
+        )
+
+
+def darboux_egoroff_residual(
+    gamma: RotationOperator, model: FManifoldModel
+) -> ResidualReport:
+    """Generalized Darboux-Egoroff residuals over index pairs i < j (see
+    :class:`_DarbouxEgoroff`); diagonal entries vanish identically and are
+    reported as exact zeros."""
     if not model.is_constant_multiplication():
         raise ScopeError("Darboux-Egoroff residuals require constant multiplication")
     n = model.dim
-    sp = gamma.matrix.space
-    g = gamma.matrix
-    cmats = [JetMatrix.from_constant(sp, m) for m in model.mult_matrices()]
-    dgamma = [g.partial(v) for v in range(n)]
-    cbr = [commutator(cmats[i], g) for i in range(n)]
-    order = min(d.eff_order() for d in dgamma)
+    de = _DarbouxEgoroff(gamma, model)
     entries = []
     for i in range(n):
-        entries.append((f"de_{i}_{i}", 0.0, order))
-        for j in range(i + 1, n):
-            mat = (
-                commutator(cmats[i], dgamma[j])
-                - commutator(cmats[j], dgamma[i])
-                - commutator(cbr[i], cbr[j])
-            )
-            entries.append((f"de_{i}_{j}", mat.residual_norm(), order))
+        entries.append((f"de_{i}_{i}", 0.0, de.order))
+        norms = de.row(i, slice(i + 1, n)).residual_norms().max(axis=(1, 2), initial=0.0)
+        entries.extend((f"de_{i}_{j}", v, de.order) for j, v in enumerate(norms, i + 1))
     return report_from(entries)
 
 
 def darboux_egoroff_matrix(
     gamma: RotationOperator, model: FManifoldModel, i: int, j: int
 ) -> JetMatrix:
-    """The full Darboux-Egoroff matrix for one index pair (same sign
-    conventions as :func:`darboux_egoroff_residual`)."""
-    sp = gamma.matrix.space
-    cmats = [JetMatrix.from_constant(sp, m) for m in model.mult_matrices()]
-    g = gamma.matrix
-    return (
-        commutator(cmats[i], g.partial(j))
-        - commutator(cmats[j], g.partial(i))
-        - commutator(commutator(cmats[i], g), commutator(cmats[j], g))
-    )
+    """The full Darboux-Egoroff matrix for one index pair: a slice of the
+    contraction behind :func:`darboux_egoroff_residual`."""
+    return _DarbouxEgoroff(gamma, model).row(i, slice(j, j + 1))[0].to_matrix()
 
 
 # -- Levi-Civita curvature oracle ----------------------------------------------
@@ -545,7 +528,7 @@ def darboux_egoroff_matrix(
 
 @dataclass(frozen=True)
 class CurvatureResult:
-    christoffel: list
+    christoffel: JetArray  # christoffel[i][j][l] = Gamma^l_ij
     curvature: Residual
     unit_parallel: Residual
 
@@ -566,64 +549,41 @@ def levi_civita_curvature(gram, unit: JetVector) -> CurvatureResult:
     """
     if isinstance(gram, InvariantMetric):
         gram = gram.gram()
-    n = gram.rows
-    sp = gram.space
-    eff = gram.eff_order()
+    g = JetArray.from_jets(gram)
+    n = len(g)
+    eff = g.eff_order()
     if eff < 2:
         raise ShapeError("curvature requires effective order >= 2")
-    ginv = gram.inverse()
-    dg = [gram.partial(v) for v in range(n)]
+    ginv = g.inverse()
+    dg = g.grad()  # dg[v, j, k] = d_v g_jk
     # first kind: G_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
-    first = [
-        [
-            [
-                (dg[i][j, k] + dg[j][i, k] - dg[k][i, j]).scale(0.5)
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    chris = [
-        [
-            [
-                _contract(ginv, first[i][j], l)
-                for l in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    # chris[i][j][l] = Gamma^l_{ij}
+    first = (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)).scale(0.5)
+    chris = contract("lk,ijk->ijl", ginv, first)
+    # R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik
+    #             + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik, over i < j
     worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(n):
-                    r = chris[j][k][l].partial(i) - chris[i][k][l].partial(j)
-                    for m in range(n):
-                        r = r + chris[i][m][l] * chris[j][k][m] - chris[j][m][l] * chris[i][k][m]
-                    worst = max(worst, r.residual_norm())
+    for i in range(n - 1):
+        js = slice(i + 1, n)
+        r = (
+            chris[js].partial(i)
+            - chris[i].grad()[js]
+            + contract("ml,jkm->jkl", chris[i], chris[js])
+            - contract("jml,km->jkl", chris[js], chris[i])
+        )
+        worst = max(worst, r.residual_norm())
     curv = Residual(worst, eff - 2)
 
-    worst_u = 0.0
-    for i in range(n):
-        for k in range(n):
-            acc = unit[k].partial(i)
-            for j in range(n):
-                if not unit[j].is_zero():
-                    acc = acc + chris[i][j][k] * unit[j]
-            worst_u = max(worst_u, acc.residual_norm())
-    unit_res = Residual(worst_u, eff - 1)
+    u = JetArray.from_jets(unit)
+    parallel = u.grad() + contract("ijk,j->ik", chris, u.exact_zeros())
+    unit_res = Residual(parallel.residual_norm(), eff - 1)
     return CurvatureResult(chris, curv, unit_res)
 
 
-def _contract(ginv: JetMatrix, row, l: int) -> Jet:
-    acc = None
-    for k in range(len(row)):
-        term = ginv[l, k] * row[k]
-        acc = term if acc is None else acc + term
-    return acc
+def euler_derivative(christoffel: JetArray, euler: JetVector) -> JetArray:
+    """Levi-Civita derivative of the Euler field from Christoffel symbols:
+    nabla[k, j] = d_j E^k + sum_l Gamma^k_jl E^l."""
+    e = JetArray.from_jets(euler)
+    return e.grad().transpose(1, 0) + contract("jlk,l->kj", christoffel, e)
 
 
 # -- assembled verdict -----------------------------------------------------------

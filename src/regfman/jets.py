@@ -13,11 +13,24 @@ A fresh jet has effective order ``K``; a partial derivative lowers it by
 one (the top coefficients of the result would need unknown order-``K+1``
 data, so they are stored as zeros and excluded from residual norms).
 Binary operations propagate the minimum of the operands' effective orders.
+
+A :class:`JetArray` holds a whole batch of jets as one coefficient array of
+shape ``(*batch, size)`` with a per-entry array of effective orders, and
+:func:`contract` multiplies two of them in einsum notation over the batch
+axes, with the Cauchy product on the coefficient axis.  Each output entry
+gets exactly the effective order and truncation of the same sum of
+``Jet`` products.  The kernel prunes the work without thresholds: pairs
+with an identically zero entry are skipped, a constant entry scales its
+partner, and the remaining Cauchy products run only over the coefficient
+pairs in the union of the supports of the entries involved.  Identities
+that a loop would evaluate entry by entry (associativity, Darboux-Egoroff,
+curvature) are written as a few contractions.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,24 +77,6 @@ class JetSpace:
         }
         self.degrees = np.array([sum(e) for e in exponents], dtype=np.int64)
 
-        # Cauchy product table: all ordered index pairs whose degrees fit,
-        # grouped by target index for np.add.reduceat.
-        ii, jj, kk = [], [], []
-        for i, ei in enumerate(exponents):
-            di = self.degrees[i]
-            for j, ej in enumerate(exponents):
-                if di + self.degrees[j] > order:
-                    continue
-                ii.append(i)
-                jj.append(j)
-                kk.append(self.index_of[tuple(a + b for a, b in zip(ei, ej))])
-        kk_arr = np.array(kk, dtype=np.int64)
-        sort = np.argsort(kk_arr, kind="stable")
-        self._mul_ii = np.array(ii, dtype=np.int64)[sort]
-        self._mul_jj = np.array(jj, dtype=np.int64)[sort]
-        kk_sorted = kk_arr[sort]
-        self._mul_out, self._mul_starts = np.unique(kk_sorted, return_index=True)
-
         # Per-variable derivative, integration and shift tables.
         self._diff: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._shift: list[tuple[np.ndarray, np.ndarray]] = []
@@ -112,6 +107,33 @@ class JetSpace:
             )
 
         self._trunc_masks = [self.degrees <= d for d in range(order + 1)]
+        self._degree_ends = np.cumsum(np.bincount(self.degrees, minlength=order + 1))
+
+    @cached_property
+    def _cauchy(self) -> tuple[np.ndarray, ...]:
+        """Cauchy product table, built on first use: all ordered index pairs
+        ``(ii, jj)`` whose degrees fit, sorted by their target index ``kk``,
+        plus the distinct targets and where each group starts."""
+        ii, jj, kk = [], [], []
+        for i, ei in enumerate(self.exponents):
+            di = self.degrees[i]
+            for j, ej in enumerate(self.exponents):
+                if di + self.degrees[j] > self.order:
+                    continue
+                ii.append(i)
+                jj.append(j)
+                kk.append(self.index_of[tuple(a + b for a, b in zip(ei, ej))])
+        kk_arr = np.array(kk, dtype=np.int64)
+        sort = np.argsort(kk_arr, kind="stable")
+        kk_sorted = kk_arr[sort]
+        out, starts = np.unique(kk_sorted, return_index=True)
+        return (
+            np.array(ii, dtype=np.int64)[sort],
+            np.array(jj, dtype=np.int64)[sort],
+            kk_sorted,
+            out,
+            starts,
+        )
 
     # -- constructors -----------------------------------------------------
 
@@ -260,9 +282,10 @@ class Jet:
             return sp._wrap(b * a[0], eff)
         if other.is_constant():
             return sp._wrap(a * b[0], eff)
-        prod = a[sp._mul_ii] * b[sp._mul_jj]
+        ii, jj, _, targets, starts = sp._cauchy
+        prod = a[ii] * b[jj]
         out = np.zeros(sp.size, dtype=np.complex128)
-        out[sp._mul_out] = np.add.reduceat(prod, sp._mul_starts)
+        out[targets] = np.add.reduceat(prod, starts)
         return sp._wrap(out, eff)
 
     def __rmul__(self, other):
@@ -688,18 +711,7 @@ class JetMatrix:
         """Inverse via the constant-term inverse plus Newton iteration."""
         if self.rows != self.cols:
             raise ShapeError("inverse requires a square matrix")
-        a0 = self.constant_term()
-        if not np.all(np.isfinite(a0)) or np.linalg.cond(a0) > cond_limit:
-            raise SingularInputError("matrix is singular at the base point")
-        sp = self.space
-        x = JetMatrix.from_constant(sp, np.linalg.inv(a0))
-        ident = JetMatrix.identity(sp, self.rows)
-        correct = 0
-        while correct < sp.order:
-            x = x @ (ident.scale(2.0) - self @ x)
-            correct = 2 * correct + 1
-        eff = self.eff_order()
-        return JetMatrix([[e.space._wrap(e.coeffs.copy(), eff) for e in r] for r in x.entries])
+        return JetArray.from_jets(self).inverse(cond_limit).to_matrix()
 
     def power(self, n: int) -> "JetMatrix":
         if n < 0:
@@ -726,3 +738,329 @@ def _dot(row: Sequence[Jet], col: Sequence[Jet]) -> Jet:
 
 def commutator(a: JetMatrix, b: JetMatrix) -> JetMatrix:
     return a @ b - b @ a
+
+
+# -- jet arrays ----------------------------------------------------------------
+
+# Effective order of an exact zero: above any jet order, and still above it
+# after any number of partial derivatives.
+_EXACT = 1 << 40
+
+# Complex entries per temporary of the contraction kernel.
+_CHUNK = 1 << 14
+
+
+class JetArray:
+    """A batch of jets in one space: coefficients of shape ``(*batch, size)``
+    and one effective order per entry, shape ``batch``.
+
+    Entries follow the rules of :class:`Jet`: every operation propagates the
+    minimum effective order entry by entry, and an entry is truncated above
+    its effective order.  An entry whose effective order exceeds the jet
+    order is an *exact zero* (see :meth:`exact_zeros`): it vanishes
+    identically, so a product with it contributes neither coefficients nor
+    an effective order.  Indexing down to a single entry returns a
+    :class:`Jet`.
+    """
+
+    __slots__ = ("space", "coeffs", "eff")
+
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, eff):
+        """Takes ownership of ``coeffs`` and truncates it in place."""
+        eff = np.asarray(eff, dtype=np.int64)
+        if coeffs.shape != eff.shape + (space.size,):
+            raise ShapeError(
+                f"coefficients {coeffs.shape} do not match orders {eff.shape} in {space}"
+            )
+        low = eff < space.order
+        if low.any():
+            # coefficients are graded, so degrees above e form a tail
+            for e in set(eff[low].tolist()):
+                coeffs[eff == e, space._degree_ends[max(e, 0)] :] = 0.0
+        self._set(space, coeffs, eff)
+
+    def _set(self, space, coeffs, eff):
+        coeffs.setflags(write=False)
+        self.space = space
+        self.coeffs = coeffs
+        self.eff = eff
+
+    @classmethod
+    def _raw(cls, space, coeffs, eff) -> "JetArray":
+        """Wrap arrays that already satisfy the truncation rule."""
+        out = cls.__new__(cls)
+        out._set(space, coeffs, eff)
+        return out
+
+    @classmethod
+    def from_jets(cls, entries) -> "JetArray":
+        """Stack a nested sequence of jets (lists, a :class:`JetVector` or a
+        :class:`JetMatrix`) into one array."""
+        flat, shape = _flatten_jets(entries)
+        space = flat[0].space
+        for j in flat[1:]:
+            if j.space is not space:
+                raise ShapeError("jet array entries must share one space")
+        coeffs = np.array([j.coeffs for j in flat]).reshape(shape + (space.size,))
+        eff = np.array([j.eff_order for j in flat], dtype=np.int64).reshape(shape)
+        return cls._raw(space, coeffs, eff)
+
+    @classmethod
+    def constant(cls, space: JetSpace, values) -> "JetArray":
+        """Constant jets of full effective order with the given values."""
+        v = np.asarray(values, dtype=np.complex128)
+        coeffs = np.zeros(v.shape + (space.size,), dtype=np.complex128)
+        coeffs[..., 0] = v
+        return cls._raw(space, coeffs, np.full(v.shape, space.order, dtype=np.int64))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.eff.shape
+
+    def __len__(self):
+        return len(self.eff)
+
+    def __getitem__(self, idx):
+        eff = self.eff[idx]
+        if eff.ndim == 0:
+            return Jet(self.space, self.coeffs[idx], min(int(eff), self.space.order))
+        return JetArray._raw(self.space, self.coeffs[idx], eff)
+
+    def transpose(self, *axes: int) -> "JetArray":
+        return JetArray._raw(
+            self.space, self.coeffs.transpose(*axes, len(axes)), self.eff.transpose(*axes)
+        )
+
+    def to_vector(self) -> JetVector:
+        return JetVector(self[i] for i in range(len(self)))
+
+    def to_matrix(self) -> JetMatrix:
+        rows, cols = self.shape
+        return JetMatrix([[self[i, j] for j in range(cols)] for i in range(rows)])
+
+    # -- entrywise operations ------------------------------------------------
+
+    def _check(self, other: "JetArray") -> JetSpace:
+        Jet._check_compatible(self, other)
+        if self.shape != other.shape:
+            raise ShapeError(f"jet array shapes differ: {self.shape} vs {other.shape}")
+        return self.space
+
+    def __add__(self, other: "JetArray") -> "JetArray":
+        sp = self._check(other)
+        return JetArray(sp, self.coeffs + other.coeffs, np.minimum(self.eff, other.eff))
+
+    def __sub__(self, other: "JetArray") -> "JetArray":
+        sp = self._check(other)
+        return JetArray(sp, self.coeffs - other.coeffs, np.minimum(self.eff, other.eff))
+
+    def __neg__(self) -> "JetArray":
+        return JetArray._raw(self.space, -self.coeffs, self.eff)
+
+    def scale(self, c: complex) -> "JetArray":
+        return JetArray._raw(self.space, self.coeffs * complex(c), self.eff)
+
+    def capped(self, eff_order: int) -> "JetArray":
+        """Lower every effective order to at most ``eff_order``."""
+        return JetArray(self.space, self.coeffs.copy(), np.minimum(self.eff, eff_order))
+
+    def exact_zeros(self) -> "JetArray":
+        """Mark the identically zero entries as exact zeros, so that
+        contractions skip them the way a loop that tests ``is_zero`` does."""
+        eff = np.where(self.coeffs.any(axis=-1), self.eff, _EXACT)
+        return JetArray._raw(self.space, self.coeffs, eff)
+
+    def partial(self, v: int) -> "JetArray":
+        """Partial derivative of every entry; lowers effective orders by one."""
+        sp = self.space
+        if not 0 <= v < sp.num_vars:
+            raise ShapeError(f"variable index {v} out of range")
+        src, dst, fac = sp._diff[v]
+        out = np.zeros_like(self.coeffs)
+        out[..., dst] = self.coeffs[..., src] * fac
+        # the derivative of a truncated entry is truncated one order lower
+        return JetArray._raw(sp, out, np.maximum(self.eff - 1, -1))
+
+    def grad(self) -> "JetArray":
+        """All partial derivatives, stacked along a new leading axis."""
+        sp = self.space
+        out = np.zeros((sp.num_vars,) + self.coeffs.shape, dtype=np.complex128)
+        if self.coeffs[..., 1:].any():
+            for v, (src, dst, fac) in enumerate(sp._diff):
+                out_v = out[v]
+                out_v[..., dst] = self.coeffs[..., src] * fac
+        eff = np.broadcast_to(np.maximum(self.eff - 1, -1), out.shape[:-1])
+        return JetArray._raw(sp, out, eff)
+
+    # -- reporting -------------------------------------------------------------
+
+    def residual_norms(self) -> np.ndarray:
+        """Max coefficient modulus of every entry over its trustworthy degrees."""
+        if (self.eff < 0).any():
+            raise ValueError("jet has no trustworthy coefficients (eff_order < 0)")
+        return np.abs(self.coeffs).max(axis=-1, initial=0.0)
+
+    def residual_norm(self) -> float:
+        return float(self.residual_norms().max(initial=0.0))
+
+    def eff_order(self) -> int:
+        return int(min(self.eff.min(initial=self.space.order), self.space.order))
+
+    def constant_term(self) -> np.ndarray:
+        return self.coeffs[..., 0].copy()
+
+    def inverse(self, cond_limit: float = 1e12) -> "JetArray":
+        """Inverse of a square jet matrix: the constant-term inverse refined
+        by Newton iteration, trusted to the lowest effective order."""
+        if self.coeffs.ndim != 3 or self.shape[0] != self.shape[1]:
+            raise ShapeError("inverse requires a square matrix")
+        a0 = self.constant_term()
+        if not np.all(np.isfinite(a0)) or np.linalg.cond(a0) > cond_limit:
+            raise SingularInputError("matrix is singular at the base point")
+        sp = self.space
+        x = JetArray.constant(sp, np.linalg.inv(a0))
+        two = JetArray.constant(sp, 2.0 * np.eye(len(self)))
+        correct = 0
+        while correct < sp.order:
+            x = contract("ik,kj->ij", x, two - contract("ik,kj->ij", self, x))
+            correct = 2 * correct + 1
+        return JetArray(sp, x.coeffs.copy(), np.full(self.shape, self.eff_order()))
+
+    def __repr__(self):
+        return f"JetArray(shape={self.shape}, K={self.space.order})"
+
+
+def _flatten_jets(entries) -> tuple[list[Jet], tuple[int, ...]]:
+    if isinstance(entries, Jet):
+        return [entries], ()
+    if isinstance(entries, JetMatrix):
+        entries = entries.entries
+    parts = [_flatten_jets(e) for e in entries]
+    if not parts:
+        raise ShapeError("jet array must be non-empty")
+    shape = parts[0][1]
+    if any(p[1] != shape for p in parts):
+        raise ShapeError("jet array entries must form a rectangular array")
+    return [j for p in parts for j in p[0]], (len(parts),) + shape
+
+
+@lru_cache(maxsize=None)
+def _plan(spec: str, shape_a: tuple[int, ...], shape_b: tuple[int, ...]):
+    """Axis bookkeeping of one contraction: the labels shared by both
+    operands and the output (g), of ``a`` only (m), summed (s) and of ``b``
+    only (n); operands are permuted to (g, m, s) and (g, s, n)."""
+    try:
+        inputs, out = spec.replace(" ", "").split("->")
+        la, lb = inputs.split(",")
+    except ValueError:
+        raise ShapeError(f"malformed contraction spec {spec!r}") from None
+    if (len(la), len(lb)) != (len(shape_a), len(shape_b)):
+        raise ShapeError(f"spec {spec!r} does not match shapes {shape_a}, {shape_b}")
+    if any(len(set(x)) != len(x) for x in (la, lb, out)):
+        raise ShapeError(f"repeated label within one operand of {spec!r}")
+    dims: dict[str, int] = {}
+    for label, d in zip(la + lb, shape_a + shape_b):
+        if dims.setdefault(label, d) != d:
+            raise ShapeError(f"label {label!r} has sizes {dims[label]} and {d}")
+    if any(x not in dims for x in out) or any(
+        x not in out and not (x in la and x in lb) for x in dims
+    ):
+        raise ShapeError(f"spec {spec!r} must sum only labels shared by both operands")
+    g = [x for x in out if x in la and x in lb]
+    m = [x for x in out if x in la and x not in lb]
+    n = [x for x in out if x in lb and x not in la]
+    s = [x for x in la if x not in out]
+    gmn = g + m + n
+    return (
+        tuple(la.index(x) for x in g + m + s),
+        tuple(lb.index(x) for x in g + s + n),
+        tuple(math.prod(dims[x] for x in part) for part in (g, m, s, n)),
+        tuple(dims[x] for x in gmn),
+        tuple(gmn.index(x) for x in out),
+    )
+
+
+def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
+    """Two-operand contraction in einsum notation over the batch axes, with
+    the Cauchy product on the coefficient axis:
+    ``contract("ik,kj->ij", a, b)`` is the jet-matrix product.
+
+    Every output entry equals the sum of ``Jet`` products it names, in the
+    same order, with the same effective order and truncation.  Pairs with
+    an identically zero entry are skipped; a pair with a constant entry is
+    a scaling; the remaining pairs take Cauchy products over the
+    coefficient pairs in the union of the supports of their entries.
+    """
+    sp = a.space
+    Jet._check_compatible(a, b)
+    perm_a, perm_b, (G, M, S, N), gmn, perm_out = _plan(spec, a.shape, b.shape)
+    size = sp.size
+    ca = a.coeffs.transpose(perm_a + (len(perm_a),)).reshape(G * M * S, size)
+    cb = b.coeffs.transpose(perm_b + (len(perm_b),)).reshape(G * S * N, size)
+    eff = _contract_eff(
+        a.eff.transpose(perm_a).reshape(G, M, S),
+        b.eff.transpose(perm_b).reshape(G, S, N),
+        sp.order,
+    )
+    nz_a = ca.any(axis=1).reshape(G, M, 1, S)
+    nz_b = cb.any(axis=1).reshape(G, S, N).transpose(0, 2, 1)[:, None]
+    g, m, n, s = np.nonzero(nz_a & nz_b)  # grouped by output entry, s ascending
+    out = np.zeros((G * M * N, size), dtype=np.complex128)
+    if g.size:
+        _accumulate(sp, ca, cb, (g * M + m) * S + s, (g * S + s) * N + n, (g * M + m) * N + n, out)
+    out = out.reshape(gmn + (size,)).transpose(perm_out + (len(perm_out),))
+    return JetArray(sp, out, eff.reshape(gmn).transpose(perm_out))
+
+
+def _contract_eff(ea: np.ndarray, eb: np.ndarray, order: int) -> np.ndarray:
+    """Minimum effective order over the summed pairs, (g, m, s) x (g, s, n)
+    -> (g, m, n); pairs with an exact zero do not count."""
+    exact_a, exact_b = ea > order, eb > order
+    if exact_a.any() or exact_b.any():
+        pair = np.minimum(ea[:, :, :, None], eb[:, None, :, :])
+        pair[exact_a[:, :, :, None] | exact_b[:, None, :, :]] = _EXACT
+        eff = pair.min(axis=2)
+    else:
+        eff = np.minimum(ea.min(axis=2)[:, :, None], eb.min(axis=1)[:, None, :])
+    return np.minimum(eff, order)
+
+
+def _accumulate(sp, ca, cb, ia, ib, io, out):
+    """out[io] += ca[ia] * cb[ib] over entry pairs grouped by output, in
+    chunks that bound the temporaries."""
+    const_a = ~ca[:, 1:].any(axis=1)
+    const_b = ~cb[:, 1:].any(axis=1)
+    step = max(1, _CHUNK // sp.size)
+    for lo in range(0, len(io), step):
+        pa, pb, po = ia[lo : lo + step], ib[lo : lo + step], io[lo : lo + step]
+        prod = np.empty((len(po), sp.size), dtype=np.complex128)
+        ka, kb = const_a[pa], const_b[pb]
+        if ka.any():
+            prod[ka] = ca[pa[ka], :1] * cb[pb[ka]]
+        kb &= ~ka
+        if kb.any():
+            prod[kb] = ca[pa[kb]] * cb[pb[kb], :1]
+        full = ~(ka | kb)
+        if full.any():
+            prod[full] = _cauchy_rows(sp, ca[pa[full]], cb[pb[full]])
+        starts = np.flatnonzero(np.concatenate(([True], po[1:] != po[:-1])))
+        out[po[starts]] += np.add.reduceat(prod, starts, axis=0)
+
+
+def _cauchy_rows(sp, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise Cauchy products of (rows, size) arrays, over the coefficient
+    pairs whose positions lie in the union of the rows' supports."""
+    ii, jj, kk, _, _ = sp._cauchy
+    keep = x.any(axis=0)[ii] & y.any(axis=0)[jj]
+    ii, jj, kk = ii[keep], jj[keep], kk[keep]
+    out = np.zeros_like(x)
+    if not ii.size:
+        return out
+    starts = np.flatnonzero(np.concatenate(([True], kk[1:] != kk[:-1])))
+    targets = kk[starts]
+    step = max(1, _CHUNK // ii.size)
+    for lo in range(0, len(x), step):
+        prod = x[lo : lo + step, ii]
+        prod *= y[lo : lo + step, jj]
+        out[lo : lo + step, targets] = np.add.reduceat(prod, starts, axis=1)
+    return out

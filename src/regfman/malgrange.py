@@ -29,7 +29,7 @@ from .fman import (
     mult_by_euler,
     standard_model,
 )
-from .frob import FrobeniusVerdict, InvariantMetric, frobenius_verdict, levi_civita_curvature
+from .frob import FrobeniusVerdict, InvariantMetric, euler_derivative, frobenius_verdict
 from .jets import DEFAULT_ORDER, Jet, JetMatrix, JetVector, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
 from .saito import BirkhoffConnection, SaitoBundle, check_saito_axioms, check_saito_metric_axioms
@@ -428,16 +428,7 @@ def initial_condition_extend(
     )
 
     # Euler-derivative law at the origin
-    chris = levi_civita_curvature(metric, model.unit).christoffel
-    euler = model.euler
-    nabla0 = np.zeros((n, n), dtype=np.complex128)
-    e_vals = euler.constant_terms()
-    for j in range(n):
-        for k in range(n):
-            acc = euler[k].partial(j).value0
-            for l in range(n):
-                acc += chris[j][l][k].value0 * e_vals[l]
-            nabla0[k, j] = acc
+    nabla0 = euler_derivative(verdict.oracle.christoffel, model.euler).constant_term()
     expected_nabla = p @ binf @ pinv + (data.weight / 2.0) * np.eye(n)
     euler_law_res = float(np.max(np.abs(nabla0 - expected_nabla)))
 

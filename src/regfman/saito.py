@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .fman import FManifoldModel, mult_by_euler
-from .frob import levi_civita_curvature
+from .frob import euler_derivative, levi_civita_curvature
 from .jets import JetMatrix, JetSpace, commutator
 from .reports import ResidualReport, report_from
 
@@ -319,15 +319,7 @@ def frobenius_from_saito(
 
     # Levi-Civita derivative of the Euler field vs the transported residue
     chris = levi_civita_curvature(gram, model.unit).christoffel
-    euler = model.euler
-    nabla_e = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(n):
-            acc = euler[k].partial(j)
-            for l in range(n):
-                acc = acc + chris[j][l][k] * euler[l]
-            nabla_e[k][j] = acc
-    nabla_mat = JetMatrix(nabla_e)
+    nabla_mat = euler_derivative(chris, model.euler).to_matrix()
     expected = iso_inv @ JetMatrix.from_constant(sp, bundle.rinf) @ iso
     expected = expected + JetMatrix.from_constant(
         sp, (1.0 - complex(weight_q)) * np.eye(n)

@@ -1,0 +1,371 @@
+"""The JetArray contraction kernel against sums built from Jet products, and
+the contraction-form checks against their nested-loop references."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import loop_oracles
+from regfman import frob
+from regfman.fman import FManifoldModel, check_fmanifold, mult_by_euler, standard_block, standard_model
+from regfman.frob import (
+    InvariantMetric,
+    check_gamma,
+    darboux_egoroff_matrix,
+    darboux_egoroff_residual,
+    frobenius_verdict,
+    gamma_operator,
+    invert_oneform,
+    levi_civita_curvature,
+    psi_from_metric,
+)
+from regfman.jets import Jet, JetArray, JetMatrix, JetSpace, JetVector, contract, jet_space
+from regfman.malgrange import DeformationSpec, fmanifold_on_chart, integrate_chart
+from regfman.regend import jordan_block
+from regfman.reports import DEFAULT_TOLERANCE
+
+# every contraction spec that fman and frob use
+SPECS = (
+    "i,j->ij",
+    "ij,ijk->k",
+    "i,ijk->kj",
+    "v,vbk->bk",
+    "bv,vk->bk",
+    "bi,ick->bck",
+    "bcj,jk->bck",
+    "i,ibk->bk",
+    "bj,jk->bk",
+    "i,icdl->cdl",
+    "cdi,il->cdl",
+    "ci,idl->cdl",
+    "di,cil->cdl",
+    "cdj,jl->cdl",
+    "kts,s->kt",
+    "kj,kt->tj",
+    "rx,jxc->jrc",
+    "jrx,xc->jrc",
+    "ik,kj->ij",
+    "ki,kj->ij",
+    "k,ikj->ij",
+    "lk,ijk->ijl",
+    "ml,jkm->jkl",
+    "jml,km->jkl",
+    "ijk,j->ik",
+    "jlk,l->kj",
+)
+
+
+# -- random operands ------------------------------------------------------------
+
+
+def _random_jet(sp, rng) -> Jet:
+    """A zero, constant, single-variable or dense jet with a random
+    effective order, sometimes below K - 1."""
+    kind = rng.integers(4)
+    c = np.zeros(sp.size, dtype=np.complex128)
+    if kind == 1:
+        c[0] = rng.standard_normal() + 1j * rng.standard_normal()
+    elif kind == 2:
+        v = rng.integers(sp.num_vars)
+        for idx, e in enumerate(sp.exponents):
+            if sum(e) == e[v]:
+                c[idx] = rng.standard_normal()
+    elif kind == 3:
+        c = rng.standard_normal(sp.size) + 1j * rng.standard_normal(sp.size)
+    return sp.from_coeffs(c, int(rng.integers(-1, sp.order + 1)))
+
+
+def _random_operand(sp, shape, rng):
+    jets = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        jets[idx] = _random_jet(sp, rng)
+    return jets, JetArray.from_jets(jets.tolist())
+
+
+def _reference(spec, a, b, sp, skip_zeros):
+    """The contraction as a sum of Jet products, in loop order; with
+    ``skip_zeros`` a vanishing factor drops its term."""
+    inputs, out = spec.split("->")
+    la, lb = inputs.split(",")
+    dims = dict(zip(la, a.shape)) | dict(zip(lb, b.shape))
+    summed = [x for x in la if x not in out]
+    result = np.empty(tuple(dims[x] for x in out), dtype=object)
+    for o in np.ndindex(*result.shape):
+        at = dict(zip(out, o))
+        acc = None
+        for s in itertools.product(*(range(dims[x]) for x in summed)):
+            at.update(zip(summed, s))
+            x, y = a[tuple(at[q] for q in la)], b[tuple(at[q] for q in lb)]
+            if skip_zeros and (x.is_zero() or y.is_zero()):
+                continue
+            term = x * y
+            acc = term if acc is None else acc + term
+        result[o] = sp.zero() if acc is None else acc
+    return result
+
+
+def _assert_same_jets(got: JetArray, want, scale=1.0):
+    assert got.shape == want.shape
+    for idx in np.ndindex(*want.shape):
+        g, w = got[idx], want[idx]
+        assert isinstance(g, Jet)
+        assert g.eff_order == w.eff_order, idx
+        # truncation: the same coefficients vanish above the effective order
+        top = g.space.degrees > max(g.eff_order, 0)
+        assert not g.coeffs[top].any() and not w.coeffs[top].any()
+        assert np.abs(g.coeffs - w.coeffs).max() <= 1e-12 * scale, idx
+
+
+class TestKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS),
+        num_vars=st.integers(1, 3),
+        order=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        exact=st.booleans(),
+    )
+    def test_contract_matches_jet_sums(self, spec, num_vars, order, seed, exact):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        labels = sorted(set(spec) - set(",->"))
+        dims = {x: int(rng.integers(1, 4)) for x in labels}
+        la, lb = spec.split("->")[0].split(",")
+        a_jets, a = _random_operand(sp, tuple(dims[x] for x in la), rng)
+        b_jets, b = _random_operand(sp, tuple(dims[x] for x in lb), rng)
+        if exact:
+            a, b = a.exact_zeros(), b.exact_zeros()
+        want = _reference(spec, a_jets, b_jets, sp, skip_zeros=exact)
+        scale = max(1.0, float(np.abs(a.coeffs).max()) * float(np.abs(b.coeffs).max()))
+        _assert_same_jets(contract(spec, a, b), want, scale * sp.size)
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_vars=st.integers(1, 3), order=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_entrywise_operations(self, num_vars, order, seed):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        x_jets, x = _random_operand(sp, (2, 3), rng)
+        y_jets, y = _random_operand(sp, (2, 3), rng)
+        _assert_same_jets(x + y, x_jets + y_jets)
+        _assert_same_jets(x - y, x_jets - y_jets)
+        _assert_same_jets(-x, -x_jets)
+        _assert_same_jets(x.scale(0.5j), np.vectorize(lambda j: j.scale(0.5j), otypes=[object])(x_jets))
+        grad = x.grad()
+        for v in range(num_vars):
+            want = np.vectorize(lambda j: j.partial(v), otypes=[object])(x_jets)
+            _assert_same_jets(x.partial(v), want)
+            _assert_same_jets(grad[v], want)
+        if (x.eff < 0).any():
+            with pytest.raises(ValueError):
+                x.residual_norm()
+        else:
+            assert x.residual_norm() == max(j.residual_norm() for j in x_jets.flat)
+
+    def test_inverse_matches_jet_matrix(self):
+        rng = np.random.default_rng(3)
+        sp = jet_space(3, 4)
+        entries = [[_random_jet(sp, rng) for _ in range(3)] for _ in range(3)]
+        for i in range(3):
+            entries[i][i] = entries[i][i] + 4.0
+        mat = JetMatrix(entries)
+        _assert_same_jets(JetArray.from_jets(mat).inverse(), np.array(mat.inverse().entries, dtype=object), 10.0)
+
+    def test_pair_table_is_built_lazily(self):
+        sp = JetSpace(5, 3)
+        assert "_cauchy" not in vars(sp)
+        a = JetArray.from_jets([sp.variable(0) + 1.0, sp.variable(1)])
+        contract("i,j->ij", a, a)
+        assert "_cauchy" in vars(sp)
+
+    def test_full_index_returns_jet_and_exact_zeros_are_skipped(self):
+        sp = jet_space(2, 3)
+        low = sp.zero(1)
+        arr = JetArray.from_jets([[low, sp.one()], [sp.one(), sp.variable(0)]])
+        assert isinstance(arr[0][1], Jet) and isinstance(arr[0, 1], Jet)
+        ones = JetArray.from_jets([sp.one(), sp.one()])
+        # a zero trusted to order 1 lowers the product's order ...
+        assert contract("ij,j->i", arr, ones)[0].eff_order == 1
+        # ... unless it is an exact zero
+        assert contract("ij,j->i", arr.exact_zeros(), ones)[0].eff_order == sp.order
+
+
+# -- the checks against their loop references ---------------------------------------
+
+PATTERNS = ((2, 2), (3, 2), (2, 2, 1), (2, 2, 2), (3, 3), (4, 3))
+
+
+def _binomial(sp, var, alpha, s):
+    t = sp.variable(var).scale(s)
+    out, term, c = sp.one(), sp.one(), 1.0
+    for k in range(1, sp.order + 1):
+        c *= (alpha - k + 1) / k
+        term = term * t
+        out = out + term.scale(c)
+    return out
+
+
+def _verify_case(sizes, positive, seed):
+    """A multi-block standard model at K = 4 with a Frobenius metric built
+    from per-block families, or that metric with one top entry perturbed
+    by a cross-block coordinate."""
+    rng = np.random.default_rng(seed)
+    spectrum = [(float(i) * 1.5 + rng.uniform(-0.2, 0.2), m) for i, m in enumerate(sizes)]
+    model = standard_model(spectrum, 4)
+    sizes = [m for _, m in model.blocks]
+    sp = model.space
+    offsets = np.cumsum([0] + sizes[:-1])
+    eta = []
+    for b, (off, m) in enumerate(zip(offsets, sizes)):
+        s = float(rng.uniform(0.3, 1.0))
+        if m == 2:
+            family = [sp.constant(rng.uniform(-0.5, 0.5)), _binomial(sp, off + 1, (1.0, -1.0, 0.5)[b % 3], s)]
+        elif m == 3:
+            family = [sp.zero(), sp.zero(), _binomial(sp, off + 2, -2.0, s)]
+        else:
+            family = [sp.constant(x) for x in rng.uniform(-0.5, 0.5, m - 1)] + [sp.constant(1.2)]
+        eta.append(family)
+    if not positive:
+        var = int(offsets[1]) + int(rng.integers(sizes[1]))
+        eta[0][-1] = eta[0][-1] + sp.variable(var).scale(0.6)
+    return model, InvariantMetric(sizes, eta)
+
+
+def _dense_case():
+    """Blocks [4, 3] at K = 4 with every eta entry dense in all seven
+    coordinates: no entry is zero or constant, so nothing is pruned."""
+    rng = np.random.default_rng(11)
+    model = standard_model([(0.0, 4), (1.3, 3)], 4)
+    sp = model.space
+    eta = []
+    for m in (4, 3):
+        family = []
+        for i in range(m):
+            c = 0.05 * (rng.standard_normal(sp.size) + 1j * rng.standard_normal(sp.size))
+            c[0] += 1.0 if i == m - 1 else 0.0
+            family.append(sp.from_coeffs(c))
+        eta.append(family)
+    return model, InvariantMetric([4, 3], eta)
+
+
+def _assert_reports_match(got, want, scale):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].order == want[name].order, name
+        assert abs(got[name].value - want[name].value) <= 1e-12 * max(1.0, scale), name
+        assert got.passes(DEFAULT_TOLERANCE) == want.passes(DEFAULT_TOLERANCE)
+
+
+def _compare_frobenius_chain(model, metric):
+    psi = psi_from_metric(metric)
+    beta = invert_oneform(psi)
+    gamma = gamma_operator(psi, beta, model, method="general")
+    want_gamma = loop_oracles.gamma_general(psi, beta, model)
+    scale = max(1.0, max(np.abs(j.coeffs).max() for row in want_gamma.entries for j in row))
+    _assert_same_jets(
+        JetArray.from_jets(gamma.matrix), np.array(want_gamma.entries, dtype=object), scale
+    )
+    _assert_reports_match(check_gamma(gamma, psi, model), loop_oracles.check_gamma(gamma, psi, model), scale**2)
+    _assert_reports_match(
+        darboux_egoroff_residual(gamma, model),
+        loop_oracles.darboux_egoroff_residual(gamma, model),
+        scale**2,
+    )
+
+    gram = metric.gram()
+    chris, want = loop_oracles.levi_civita_curvature(gram, model.unit)
+    got = levi_civita_curvature(metric, model.unit)
+    scale = max(1.0, max(np.abs(j.coeffs).max() for plane in chris for row in plane for j in row))
+    _assert_same_jets(got.christoffel, np.array(chris, dtype=object), scale)
+    _assert_reports_match(got.report(), want, scale**2)
+    return gamma
+
+
+@pytest.mark.parametrize("sizes", PATTERNS)
+@pytest.mark.parametrize("positive", [True, False])
+def test_verify_patterns_match_loops(sizes, positive):
+    model, metric = _verify_case(sizes, positive, seed=len(sizes) * 10 + sizes[0])
+    _assert_reports_match(check_fmanifold(model), loop_oracles.check_fmanifold(model), 1.0)
+    _compare_frobenius_chain(model, metric)
+    verdict = frobenius_verdict(metric, model, run_oracle=True)
+    assert verdict.passed == positive
+
+
+def test_dense_metric_matches_loops():
+    model, metric = _dense_case()
+    gamma = _compare_frobenius_chain(model, metric)
+    for i, j in ((0, 6), (5, 2)):
+        want = loop_oracles.darboux_egoroff_matrix(gamma, model, i, j)
+        _assert_same_jets(
+            JetArray.from_jets(darboux_egoroff_matrix(gamma, model, i, j)),
+            np.array(want.entries, dtype=object),
+            10.0,
+        )
+
+
+def _forged_models():
+    base3 = standard_block(0.0, 3)
+    mult = [list(row) for row in base3.mult]
+    bad = list(mult[1][2].components)
+    bad[0] = bad[0] + 0.1
+    mult[1][2] = mult[2][1] = JetVector(bad)
+    yield FManifoldModel(mult, base3.unit, base3.euler, blocks=base3.blocks)
+
+    base2 = standard_block(0.0, 2)
+    sp = base2.space
+    mult = [list(row) for row in base2.mult]
+    bad = list(mult[1][1].components)
+    bad[1] = bad[1] + sp.variable(1).scale(0.1)
+    mult[1][1] = JetVector(bad)
+    yield FManifoldModel(mult, base2.unit, base2.euler, blocks=base2.blocks)
+
+    mult = [list(row) for row in base2.mult]
+    bad = list(mult[1][1].components)
+    bad[1] = bad[1] + 0.1
+    mult[1][1] = JetVector(bad)
+    yield FManifoldModel(mult, base2.unit, base2.euler)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        *_forged_models(),
+        fmanifold_on_chart(integrate_chart(DeformationSpec(jordan_block(0.0, 2), np.zeros((2, 2))), 4)),
+        fmanifold_on_chart(
+            integrate_chart(DeformationSpec(jordan_block(1.0, 3), np.diag([0.1, 0.0, -0.2])), 3)
+        ),
+    ],
+)
+def test_models_without_constant_multiplication_match_loops(model):
+    scale = float(np.abs(model.structure.coeffs).max())
+    _assert_reports_match(check_fmanifold(model), loop_oracles.check_fmanifold(model), scale**2)
+    x, y = model.euler, loop_oracles.multiply(model, model.euler, model.unit)
+    _assert_same_jets(
+        JetArray.from_jets(model.multiply(x, y)),
+        np.array(list(loop_oracles.multiply(model, x, y)), dtype=object),
+        scale**3,
+    )
+    cols = [loop_oracles.multiply(model, model.euler, loop_oracles.basis_field(model, j)) for j in range(model.dim)]
+    want = np.array([[cols[j][k] for j in range(model.dim)] for k in range(model.dim)], dtype=object)
+    _assert_same_jets(JetArray.from_jets(mult_by_euler(model)), want, scale**2)
+
+
+def test_extension_reuses_the_verdict_oracle(monkeypatch):
+    from regfman.malgrange import InitialData, initial_condition_extend
+
+    calls = []
+    original = frob.levi_civita_curvature
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frob, "levi_civita_curvature", counted)
+    # the nilpotent 2-block at weight 3: eta_0 = 0, eta_1 = 1 + t1
+    model = standard_block(0.0, 2, order=3)
+    gram = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    result = initial_condition_extend(InitialData(model, gram, np.diag([-0.5, 0.5]) + 0.0j, 3.0))
+    assert result.verdict.passed
+    assert result.report["euler_derivative_origin"].value < 1e-7
+    assert len(calls) == 1
