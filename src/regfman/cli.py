@@ -503,7 +503,7 @@ def _run_malgrange_chart(payload, settings):
     spec_model = regend.jordan_spectrum(fman.mult_by_euler(model).constant_term())
     spec_seed = regend.jordan_spectrum(-b0o)
     spectra_match = spec_model.matches(spec_seed, tol=1e-6)
-    _, iso_rep = malgrange.check_universality_isomorphism(chart)
+    _, iso_rep = malgrange.check_universality_isomorphism(chart, model)
     rep = (
         integral.merged(flat, prefix="connection_")
         .merged(axioms, prefix="model_")

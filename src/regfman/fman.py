@@ -31,6 +31,7 @@ from .jets import (
     JetMatrix,
     JetSpace,
     JetVector,
+    Substitution,
     contract,
     jet_space,
     lie_bracket,
@@ -577,11 +578,12 @@ def check_symmetry_brackets(m: int, order: int = DEFAULT_ORDER) -> ResidualRepor
 # -- germ isomorphisms ---------------------------------------------------------
 
 
-def _jacobian(psi: JetVector) -> JetMatrix:
-    sp = psi.space
-    return JetMatrix(
-        [[psi[k].partial(j) for j in range(sp.num_vars)] for k in range(len(psi))]
-    )
+def _transport_defect(
+    sub: Substitution, jac: JetArray, fields_a: JetArray, fields_b: JetArray
+) -> JetArray:
+    """Y_i o psi - (Jacobian psi) X_i for stacked fields X_i of A and Y_i of
+    B, shape (i, n); ``jac[v, k]`` is d_v psi^k and ``sub`` composes with psi."""
+    return sub(fields_b) - contract("vk,iv->ik", jac, fields_a)
 
 
 def germ_isomorphism(
@@ -595,7 +597,9 @@ def germ_isomorphism(
     Solved order by order from (Jacobian psi) X_i = Y_i o psi; the linear
     part sends the frame of A at the origin to the frame of B.  Returns the
     map (components as jets, psi(0) = 0) plus residuals of frame transport,
-    multiplicativity and transport of Euler-field powers.
+    multiplicativity and transport of Euler-field powers.  Each step builds
+    one substitution table for the current psi and composes the whole frame
+    of B through it; the residuals share one more table.
     """
     if model_a.dim != model_b.dim:
         raise NoIsomorphismError("models have different dimensions")
@@ -614,81 +618,43 @@ def germ_isomorphism(
             "origin multiplications by the Euler fields are not conjugate"
         )
 
+    # Euler powers X_i = E^i o e of A and Y_i of B; the first n are the
+    # canonical frames
     frame_a = canonical_frame(model_a)
     frame_b = canonical_frame(model_b)
-    xa0 = frame_a.constant_matrix()
-    xinv = np.linalg.inv(xa0)
+    xinv = np.linalg.inv(frame_a.constant_matrix())
+    pow_a, pow_b = list(frame_a.fields), list(frame_b.fields)
+    while len(pow_a) < k_order + 1:
+        pow_a.append(model_a.multiply(model_a.euler, pow_a[-1]))
+        pow_b.append(model_b.multiply(model_b.euler, pow_b[-1]))
+    pow_a, pow_b = JetArray.from_jets(pow_a), JetArray.from_jets(pow_b)
+    xa, xb = pow_a[:n], pow_b[:n]
 
-    psi = [sp.zero() for _ in range(n)]
+    psi = np.zeros((n, sp.size), dtype=np.complex128)
     for d in range(k_order):
-        psi_vec = JetVector(psi)
-        jac = _jacobian(psi_vec)
-        resid = []
-        for i in range(n):
-            composed = JetVector([frame_b[i][k].compose(list(psi_vec)) for k in range(n)])
-            pushed = jac @ frame_a[i]
-            resid.append(composed - pushed)
+        psi_d = JetArray(sp, psi.copy(), np.full(n, k_order))
+        resid = _transport_defect(Substitution(sp, psi_d), psi_d.grad(), xa, xb)
         # degree-d part determines the Jacobian of the degree-(d+1) correction
-        correction = [sp.zero() for _ in range(n)]
-        for k in range(n):
-            for j in range(n):
-                entry = sp.zero()
-                for i in range(n):
-                    c = xinv[i, j]
-                    if c != 0:
-                        entry = entry + resid[i][k].degree_part(d).scale(c)
-                if not entry.is_zero():
-                    correction[k] = correction[k] + entry.shift(j).scale(1.0 / (d + 1))
-        psi = [p + c for p, c in zip(psi, correction)]
+        part = np.where(sp.degrees == d, resid.coeffs, 0.0)
+        entry = sum(np.multiply.outer(xinv[i], part[i]) for i in range(n))  # (j, k, size)
+        for j, (src, dst) in enumerate(sp._shift):
+            psi[:, dst] += entry[j][:, src] * (1.0 / (d + 1))
 
-    psi_vec = JetVector([sp._wrap(p.coeffs.copy(), k_order) for p in psi])
-    jac = _jacobian(psi_vec)
+    psi_arr = JetArray(sp, psi, np.full(n, k_order))
+    sub = Substitution(sp, psi_arr)
+    jac = psi_arr.grad()
 
-    entries = []
-    for i in range(n):
-        composed = JetVector([frame_b[i][k].compose(list(psi_vec)) for k in range(n)])
-        pushed = jac @ frame_a[i]
-        entries.append(
-            (f"frame_transport_{i}", (composed - pushed).residual_norm(), k_order - 1)
-        )
+    transport = _transport_defect(sub, jac, pow_a, pow_b).residual_norms().max(axis=1)
+    entries = [(f"frame_transport_{i}", transport[i], k_order - 1) for i in range(n)]
 
-    mult_res = 0.0
-    cols = [jac @ model_a.basis_field(j) for j in range(n)]
-    comp_mult = [
-        [
-            JetVector([model_b.mult[i][j][k].compose(list(psi_vec)) for k in range(n)])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    for a in range(n):
-        for b in range(a, n):
-            lhs = jac @ model_a.mult[a][b]
-            rhs = [sp.zero() for _ in range(n)]
-            for i in range(n):
-                if cols[a][i].is_zero():
-                    continue
-                for j in range(n):
-                    if cols[b][j].is_zero():
-                        continue
-                    f = cols[a][i] * cols[b][j]
-                    for k in range(n):
-                        if not comp_mult[i][j][k].is_zero():
-                            rhs[k] = rhs[k] + f * comp_mult[i][j][k]
-            mult_res = max(mult_res, (lhs - JetVector(rhs)).residual_norm())
+    # (Jacobian psi)(d_a o d_b) against (Jacobian psi) d_a o (Jacobian psi) d_b at psi
+    jacx = jac.exact_zeros()
+    lhs = contract("jk,abj->abk", jac, model_a.structure)
+    half = contract("bj,ijk->ibk", jacx, sub(model_b.structure).exact_zeros())
+    rhs = contract("ai,ibk->abk", jacx, half.exact_zeros())
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    mult_res = (lhs - rhs).residual_norms().max(axis=-1)[upper].max()
     entries.append(("multiplicativity", mult_res, k_order - 1))
 
-    ea = model_a.euler
-    eb = model_b.euler
-    pow_a = model_a.unit
-    pow_b = model_b.unit
-    for i in range(k_order + 1):
-        pushed = jac @ pow_a
-        composed = JetVector([pow_b[k].compose(list(psi_vec)) for k in range(n)])
-        entries.append(
-            (f"euler_power_{i}", (composed - pushed).residual_norm(), k_order - 1)
-        )
-        pow_a = model_a.multiply(ea, pow_a)
-        pow_b = model_b.multiply(eb, pow_b)
-
-    return psi_vec, report_from(entries)
+    entries += [(f"euler_power_{i}", transport[i], k_order - 1) for i in range(k_order + 1)]
+    return psi_arr.to_vector(), report_from(entries)

@@ -19,12 +19,15 @@ shape ``(*batch, size)`` with a per-entry array of effective orders, and
 :func:`contract` multiplies two of them in einsum notation over the batch
 axes, with the Cauchy product on the coefficient axis.  Each output entry
 gets exactly the effective order and truncation of the same sum of
-``Jet`` products.  The kernel prunes the work without thresholds: pairs
-with an identically zero entry are skipped, a constant entry scales its
-partner, and the remaining Cauchy products run only over the coefficient
-pairs in the union of the supports of the entries involved.  Identities
-that a loop would evaluate entry by entry (associativity, Darboux-Egoroff,
-curvature) are written as a few contractions.
+``Jet`` products, and its coefficients equal that sum up to round-off
+(bit-equal when nothing is pruned).  The kernel prunes the work without
+thresholds: pairs with an identically zero entry are skipped, a constant
+entry scales its partner, and the remaining Cauchy products run only over
+the coefficient pairs in the union of the supports of the entries
+involved.  Identities that a loop would evaluate entry by entry
+(associativity, Darboux-Egoroff, curvature) are written as a few
+contractions.  A :class:`Substitution` composes jets with one fixed
+substitution through a monomial table built once.
 """
 
 from __future__ import annotations
@@ -134,6 +137,18 @@ class JetSpace:
             out,
             starts,
         )
+
+    @cached_property
+    def _factors(self) -> tuple[tuple[int, int], ...]:
+        """For each monomial past the constant one, its first variable ``v``
+        and the index of the monomial divided by ``t_v``."""
+        out = []
+        for e in self.exponents[1:]:
+            v = next(k for k, x in enumerate(e) if x > 0)
+            low = list(e)
+            low[v] -= 1
+            out.append((v, self.index_of[tuple(low)]))
+        return tuple(out)
 
     # -- constructors -----------------------------------------------------
 
@@ -323,30 +338,6 @@ class Jet:
         out[dst] = self.coeffs[src] * fac
         return sp._wrap(out, max(self.eff_order - 1, -1))
 
-    def integrate(self, v: int) -> "Jet":
-        """Antiderivative in variable ``v`` vanishing at the origin.
-
-        The output is trusted one order higher than the input (capped at K);
-        coefficients that would exceed the order are dropped.
-        """
-        sp = self.space
-        src, dst, fac = sp._diff[v]
-        out = np.zeros(sp.size, dtype=np.complex128)
-        out[src] = self.coeffs[dst] / fac
-        return sp._wrap(out, self.eff_order + 1)
-
-    def shift(self, v: int) -> "Jet":
-        """Multiply by the coordinate ``t_v`` (degree-raising shift).
-
-        Degree-g output coefficients come from degree-(g-1) input, so the
-        result is trustworthy one order beyond the input.
-        """
-        sp = self.space
-        src, dst = sp._shift[v]
-        out = np.zeros(sp.size, dtype=np.complex128)
-        out[dst] = self.coeffs[src]
-        return sp._wrap(out, self.eff_order + 1)
-
     def invert(self, tol: float = 1e-12) -> "Jet":
         """Multiplicative inverse; requires a non-vanishing constant term."""
         sp = self.space
@@ -386,39 +377,8 @@ class Jet:
         return sp._wrap(s.coeffs, min(self.eff_order, sp.order))
 
     def compose(self, subs: Sequence["Jet"]) -> "Jet":
-        """Substitute ``subs[i]`` for variable ``i`` (exact polynomial
-        substitution, truncated at the target order).
-
-        Constant terms of the substitutions are substituted exactly, so the
-        composition re-centers the expansion point.
-        """
-        if len(subs) != self.space.num_vars:
-            raise ShapeError(
-                f"expected {self.space.num_vars} substitutions, got {len(subs)}"
-            )
-        target = subs[0].space
-        for s in subs[1:]:
-            if s.space is not target:
-                raise ShapeError("substitution jets must share one space")
-        eff = min([self.eff_order] + [s.eff_order for s in subs])
-        src = self.space
-        monomials: list[Jet | None] = [None] * src.size
-        monomials[0] = target.one()
-        out = target.zero().coeffs.copy()
-        for i, e in enumerate(src.exponents):
-            if i == 0:
-                mono = monomials[0]
-            else:
-                v = next(k for k, x in enumerate(e) if x > 0)
-                low = list(e)
-                low[v] -= 1
-                prev = monomials[src.index_of[tuple(low)]]
-                mono = prev * subs[v]
-                monomials[i] = mono
-            c = self.coeffs[i]
-            if c != 0:
-                out = out + mono.coeffs * c
-        return target._wrap(out, eff)
+        """Substitute ``subs[i]`` for variable ``i`` (see :class:`Substitution`)."""
+        return Substitution(self.space, subs)(self)
 
     # -- reporting ----------------------------------------------------------
 
@@ -437,57 +397,12 @@ class Jet:
             if self.coeffs[i] != 0
         }
 
-    def homogeneous_part(self, degree: int) -> np.ndarray:
-        """Coefficients of total degree ``degree`` (in graded-lex order)."""
-        mask = self.space.degrees == degree
-        return self.coeffs[mask]
-
-    def degree_part(self, degree: int) -> "Jet":
-        """Jet keeping only the total-degree-``degree`` coefficients."""
-        out = np.where(self.space.degrees == degree, self.coeffs, 0.0)
-        return self.space._wrap(out, self.eff_order)
-
     def __repr__(self):
         body = ", ".join(
             f"{e}:{c:.4g}" for e, c in list(self.terms().items())[:6]
         )
         more = "..." if len(self.terms()) > 6 else ""
         return f"Jet({self.space.num_vars}v,K={self.space.order},eff={self.eff_order}; {body}{more})"
-
-
-# -- spec-level functional surface ------------------------------------------
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_scale(a: Jet, c: complex) -> Jet:
-    return a.scale(c)
-
-
-def jet_partial(a: Jet, v: int) -> Jet:
-    return a.partial(v)
-
-
-def jet_invert(a: Jet) -> Jet:
-    return a.invert()
-
-
-def jet_sqrt(a: Jet, branch_anchor: complex | None = None) -> Jet:
-    return a.sqrt(branch_anchor)
-
-
-def jet_compose(a: Jet, subs: Sequence[Jet]) -> Jet:
-    return a.compose(subs)
-
-
-def jet_residual_norm(a: Jet) -> float:
-    return a.residual_norm()
 
 
 # -- jet vectors -------------------------------------------------------------
@@ -723,7 +638,7 @@ class JetMatrix:
         return result
 
     def compose(self, subs: Sequence[Jet]) -> "JetMatrix":
-        return JetMatrix([[a.compose(subs) for a in r] for r in self.entries])
+        return Substitution(self.space, subs)(JetArray.from_jets(self)).to_matrix()
 
     def __repr__(self):
         return f"JetMatrix({self.rows}x{self.cols}, K={self.space.order})"
@@ -813,9 +728,24 @@ class JetArray:
         coeffs[..., 0] = v
         return cls._raw(space, coeffs, np.full(v.shape, space.order, dtype=np.int64))
 
+    @classmethod
+    def stack(cls, arrays: Sequence["JetArray"]) -> "JetArray":
+        """Stack arrays of one shape along a new leading axis."""
+        space = arrays[0].space
+        if any(a.space is not space for a in arrays):
+            raise ShapeError("stacked jet arrays must share one space")
+        return cls._raw(
+            space, np.stack([a.coeffs for a in arrays]), np.stack([a.eff for a in arrays])
+        )
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.eff.shape
+
+    def reshape(self, *shape: int) -> "JetArray":
+        return JetArray._raw(
+            self.space, self.coeffs.reshape(shape + (self.space.size,)), self.eff.reshape(shape)
+        )
 
     def __len__(self):
         return len(self.eff)
@@ -880,6 +810,15 @@ class JetArray:
         out[..., dst] = self.coeffs[..., src] * fac
         # the derivative of a truncated entry is truncated one order lower
         return JetArray._raw(sp, out, np.maximum(self.eff - 1, -1))
+
+    def integrate(self, v: int) -> "JetArray":
+        """Antiderivative of every entry in variable ``v`` vanishing at the
+        origin, trusted one order higher (capped at the jet order)."""
+        sp = self.space
+        src, dst, fac = sp._diff[v]
+        out = np.zeros_like(self.coeffs)
+        out[..., src] = self.coeffs[..., dst] / fac
+        return JetArray._raw(sp, out, np.minimum(self.eff + 1, sp.order))
 
     def grad(self) -> "JetArray":
         """All partial derivatives, stacked along a new leading axis."""
@@ -985,11 +924,14 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
     the Cauchy product on the coefficient axis:
     ``contract("ik,kj->ij", a, b)`` is the jet-matrix product.
 
-    Every output entry equals the sum of ``Jet`` products it names, in the
-    same order, with the same effective order and truncation.  Pairs with
-    an identically zero entry are skipped; a pair with a constant entry is
-    a scaling; the remaining pairs take Cauchy products over the
-    coefficient pairs in the union of the supports of their entries.
+    Every output entry has the effective order and truncation of the sum
+    of ``Jet`` products it names, and equals that sum up to round-off;
+    it is bit-equal when nothing is pruned.  Pairs with an identically zero
+    entry are skipped; a pair with a constant entry is a scaling; the
+    remaining pairs take Cauchy products over the coefficient pairs in the
+    union of the supports of their entries.  Pruned zero pairs change how
+    numpy's pairwise summation groups the remaining terms, which is where
+    the round-off comes from.
     """
     sp = a.space
     Jet._check_compatible(a, b)
@@ -1064,3 +1006,52 @@ def _cauchy_rows(sp, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         prod *= y[lo : lo + step, jj]
         out[lo : lo + step, targets] = np.add.reduceat(prod, starts, axis=1)
     return out
+
+
+# -- substitutions -----------------------------------------------------------------
+
+
+class Substitution:
+    """The map ``f -> f(subs[0], ..., subs[n-1])`` from jets in ``source``
+    to jets in the space of the substitutions: exact polynomial
+    substitution, truncated at the target order.
+
+    Constant terms of the substitutions are substituted exactly, so the
+    composition re-centers the expansion point.  The monomial table,
+    ``table[i]`` the target coefficients of the i-th source monomial, is
+    built once with the ``Jet`` products ``prev * subs[v]``; applying it to
+    a jet or to a whole :class:`JetArray` adds ``table[i] * c_i`` in
+    source-index order, so every composition with one substitution gives
+    the same bits as composing a single jet.
+    """
+
+    __slots__ = ("source", "target", "table", "eff_order")
+
+    def __init__(self, source: JetSpace, subs: Sequence[Jet]):
+        if len(subs) != source.num_vars:
+            raise ShapeError(f"expected {source.num_vars} substitutions, got {len(subs)}")
+        target = subs[0].space
+        if any(s.space is not target for s in subs):
+            raise ShapeError("substitution jets must share one space")
+        monomials = [target.one()]
+        for v, low in source._factors:
+            monomials.append(monomials[low] * subs[v])
+        self.source = source
+        self.target = target
+        self.table = np.array([m.coeffs for m in monomials])
+        self.eff_order = min(s.eff_order for s in subs)
+
+    def __call__(self, f):
+        """Compose a :class:`Jet` or every entry of a :class:`JetArray`."""
+        if (f.space.num_vars, f.space.order) != (self.source.num_vars, self.source.order):
+            raise ShapeError(f"cannot substitute into {f.space}: the source is {self.source}")
+        src = f.coeffs.reshape(-1, self.source.size)
+        out = np.zeros((len(src), self.target.size), dtype=np.complex128)
+        for i in np.flatnonzero(src.any(axis=0)):
+            # one jet scales by a scalar, as a single composition does:
+            # numpy may round a 1x1 broadcast product differently
+            out += self.table[i] * (src[0, i] if len(src) == 1 else src[:, i, None])
+        if isinstance(f, Jet):
+            return self.target._wrap(out[0], min(f.eff_order, self.eff_order))
+        eff = np.minimum(f.eff, min(self.eff_order, self.target.order))
+        return JetArray(self.target, out.reshape(f.shape + (self.target.size,)), eff)

@@ -29,8 +29,17 @@ from .fman import (
     mult_by_euler,
     standard_model,
 )
-from .frob import FrobeniusVerdict, InvariantMetric, euler_derivative, frobenius_verdict
-from .jets import DEFAULT_ORDER, Jet, JetMatrix, JetVector, jet_space
+from .frob import FrobeniusVerdict, InvariantMetric, _offsets, euler_derivative, frobenius_verdict
+from .jets import (
+    DEFAULT_ORDER,
+    Jet,
+    JetArray,
+    JetMatrix,
+    JetVector,
+    Substitution,
+    contract,
+    jet_space,
+)
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
 from .saito import BirkhoffConnection, SaitoBundle, check_saito_axioms, check_saito_metric_axioms
 
@@ -67,19 +76,26 @@ class MalgrangeChart:
     order: int
 
 
-def b0_at(spec: DeformationSpec, gamma: JetMatrix) -> JetMatrix:
-    """B0o - Gamma + [Binf, Gamma], entrywise in jets."""
+def _b0(spec: DeformationSpec, gamma: JetArray) -> JetArray:
+    """:func:`b0_at` on a jet array."""
     sp = gamma.space
-    binf = JetMatrix.from_constant(sp, spec.binf)
-    return (
-        JetMatrix.from_constant(sp, spec.b0o)
-        - gamma
-        + (binf @ gamma - gamma @ binf)
+    binf = JetArray.constant(sp, spec.binf)
+    return (JetArray.constant(sp, spec.b0o) - gamma) + (
+        contract("ab,bc->ac", binf, gamma) - contract("ab,bc->ac", gamma, binf)
     )
 
 
-def _integrate_matrix(mat: JetMatrix, v: int) -> JetMatrix:
-    return JetMatrix([[e.integrate(v) for e in row] for row in mat.entries])
+def b0_at(spec: DeformationSpec, gamma: JetMatrix) -> JetMatrix:
+    """B0o - Gamma + [Binf, Gamma], entrywise in jets."""
+    return _b0(spec, JetArray.from_jets(gamma)).to_matrix()
+
+
+def _powers(b: JetArray, count: int) -> list[JetArray]:
+    """Matrix powers b**0, ..., b**(count - 1)."""
+    out = [JetArray.constant(b.space, np.eye(len(b)))]
+    for _ in range(count - 1):
+        out.append(contract("ab,bc->ac", out[-1], b))
+    return out
 
 
 def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> MalgrangeChart:
@@ -92,13 +108,12 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
     """
     n = spec.dim
     sp = jet_space(n, order)
-    gamma = JetMatrix.zero(sp, n, n)
+    gamma = JetArray.constant(sp, np.zeros((n, n)))
     for i in range(n):
-        prev = gamma
-        current = prev
+        prev = current = gamma
         for _ in range(order + 1):
-            field = b0_at(spec, current).power(i)
-            current = prev + _integrate_matrix(field, i)
+            field = _powers(_b0(spec, current), i + 1)[i]
+            current = prev + field.integrate(i)
         gamma = current
     frame0 = np.column_stack(
         [np.linalg.matrix_power(spec.b0o, j).reshape(-1) for j in range(n)]
@@ -106,76 +121,64 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
     cond = np.linalg.cond(frame0)
     if not np.isfinite(cond) or cond > 1e10:
         raise ChartDegeneracyError(f"spanning frame degenerate at zero (cond {cond:.2e})")
-    return MalgrangeChart(spec=spec, gamma=gamma, order=order)
+    return MalgrangeChart(spec=spec, gamma=gamma.to_matrix(), order=order)
+
+
+def expand_in_frame(frame: JetArray, rhs: JetArray) -> tuple[JetArray, np.ndarray]:
+    """Coefficients f[r, k] with sum_k f[r, k] frame[k] = rhs[r] for a stack
+    of right-hand sides, frame (nf, a, b) and rhs (R, a, b), solved order by
+    order against the constant terms of the frame: least squares per degree
+    through one pseudo-inverse, and one contraction per degree for the part
+    already solved.  Returns the coefficient jets, shape (R, nf), and the
+    final residual of each right-hand side."""
+    sp = frame.space
+    nf, count = len(frame), len(rhs)
+    pinv = np.linalg.pinv(frame.constant_term().reshape(nf, -1).T)
+    solved = np.zeros((count, nf, sp.size), dtype=np.complex128)
+    full = np.full((count, nf), sp.order)
+    for deg in range(sp.order + 1):
+        acc = contract("rk,kab->rab", JetArray(sp, solved.copy(), full).exact_zeros(), frame)
+        resid = (rhs - acc).coeffs.reshape(count, -1, sp.size)
+        idx = np.flatnonzero(sp.degrees == deg)
+        solved[:, :, idx] = pinv @ resid[:, :, idx]
+    eff = np.minimum(rhs.eff.reshape(count, -1).min(axis=1), frame.eff_order())
+    coeffs = JetArray(sp, solved, np.broadcast_to(eff[:, None], (count, nf)).copy())
+    final = contract("rk,kab->rab", coeffs.exact_zeros(), frame)
+    return coeffs, (rhs - final).residual_norms().reshape(count, -1).max(axis=1)
 
 
 def expand_in_matrix_frame(
     frame: list[JetMatrix], rhs: JetMatrix
 ) -> tuple[list[Jet], float]:
-    """Coefficients f^k with sum_k f^k frame[k] = rhs, solved order by order
-    against the constant terms of the frame (least squares per degree);
-    returns the coefficient jets and the final residual."""
-    sp = rhs.space
-    nf = len(frame)
-    r, c = rhs.rows, rhs.cols
-    m0 = np.column_stack([f.constant_term().reshape(-1) for f in frame])
-    pinv = np.linalg.pinv(m0)
-    eff = min([rhs.eff_order()] + [f.eff_order() for f in frame])
-    coeff_arrays = [np.zeros(sp.size, dtype=np.complex128) for _ in range(nf)]
-    for deg in range(sp.order + 1):
-        partial = [sp.from_coeffs(arr) for arr in coeff_arrays]
-        acc = JetMatrix.zero(sp, r, c)
-        for k in range(nf):
-            if partial[k].is_zero():
-                continue
-            acc = acc + frame[k].scale(partial[k])
-        resid = rhs - acc
-        for idx in np.nonzero(sp.degrees == deg)[0]:
-            vec = np.array(
-                [resid.entries[i][j].coeffs[idx] for i in range(r) for j in range(c)]
-            )
-            if not vec.any():
-                continue
-            sol = pinv @ vec
-            for k in range(nf):
-                coeff_arrays[k][idx] = sol[k]
-    coeffs = [sp.from_coeffs(arr, eff_order=eff) for arr in coeff_arrays]
-    final = JetMatrix.zero(sp, r, c)
-    for k in range(nf):
-        if not coeffs[k].is_zero():
-            final = final + frame[k].scale(coeffs[k])
-    return coeffs, (rhs - final).residual_norm()
+    """:func:`expand_in_frame` for one right-hand side and a frame given as
+    jet matrices; returns the coefficient jets and the final residual."""
+    coeffs, res = expand_in_frame(JetArray.from_jets(frame), JetArray.from_jets([rhs]))
+    return list(coeffs[0].to_vector()), float(res[0])
 
 
-def _power_frame(chart: MalgrangeChart) -> list[JetMatrix]:
-    b0 = b0_at(chart.spec, chart.gamma)
-    n = chart.spec.dim
-    out = [JetMatrix.identity(chart.gamma.space, n)]
-    for _ in range(n - 1):
-        out.append(out[-1] @ b0)
-    return out
+def _tangent(chart: MalgrangeChart) -> JetArray:
+    """Tangent matrices d_i Gamma, shape (n, n, n)."""
+    return JetArray.from_jets(chart.gamma).grad()
 
 
-def _tangent_frame(chart: MalgrangeChart) -> list[JetMatrix]:
-    return [chart.gamma.partial(i) for i in range(chart.spec.dim)]
+def _products(tangent: JetArray) -> JetArray:
+    """Matrix products of tangent matrices, [i, j] = d_i Gamma d_j Gamma."""
+    return contract("iab,jbc->ijac", tangent, tangent)
 
 
 def check_integrality(chart: MalgrangeChart) -> ResidualReport:
     """Tangency of each coordinate direction to the power span, and
     closure of tangent products in the tangent frame."""
     n = chart.spec.dim
-    power = _power_frame(chart)
-    tangent = _tangent_frame(chart)
-    entries = []
-    ord_t = min(t.eff_order() for t in tangent)
-    for i in range(n):
-        _, res = expand_in_matrix_frame(power, tangent[i])
-        entries.append((f"tangency_{i}", res, ord_t))
-    for i in range(n):
-        for j in range(i, n):
-            prod = tangent[i] @ tangent[j]
-            _, res = expand_in_matrix_frame(tangent, prod)
-            entries.append((f"closure_{i}_{j}", res, ord_t))
+    tangent = _tangent(chart)
+    power = JetArray.stack(_powers(_b0(chart.spec, JetArray.from_jets(chart.gamma)), n))
+    ord_t = tangent.eff_order()
+    _, tangency = expand_in_frame(power, tangent)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    products = _products(tangent)
+    _, closure = expand_in_frame(tangent, JetArray.stack([products[i, j] for i, j in pairs]))
+    entries = [(f"tangency_{i}", tangency[i], ord_t) for i in range(n)]
+    entries += [(f"closure_{i}_{j}", res, ord_t) for (i, j), res in zip(pairs, closure)]
     return report_from(entries)
 
 
@@ -185,7 +188,7 @@ def canonical_connection(chart: MalgrangeChart) -> BirkhoffConnection:
     return BirkhoffConnection(
         b0_at(chart.spec, chart.gamma),
         chart.spec.binf,
-        _tangent_frame(chart),
+        [t.to_matrix() for t in _tangent(chart)],
     )
 
 
@@ -194,35 +197,34 @@ def fmanifold_on_chart(
 ) -> FManifoldModel:
     """Matrix multiplication of tangent matrices expanded back in the
     tangent frame, with unit = expansion of the identity matrix and Euler
-    field = expansion of minus the polar residue."""
+    field = expansion of minus the polar residue.  All n*n + 2 right-hand
+    sides are expanded in one solve."""
     n = chart.spec.dim
-    tangent = _tangent_frame(chart)
-    sp = chart.gamma.space
-    mult = []
-    worst = 0.0
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs, res = expand_in_matrix_frame(tangent, tangent[i] @ tangent[j])
-            worst = max(worst, res)
-            row.append(JetVector(coeffs))
-        mult.append(row)
-    unit_c, res_u = expand_in_matrix_frame(tangent, JetMatrix.identity(sp, n))
-    euler_c, res_e = expand_in_matrix_frame(tangent, -b0_at(chart.spec, chart.gamma))
-    worst = max(worst, res_u, res_e)
+    gamma = JetArray.from_jets(chart.gamma)
+    tangent = gamma.grad()
+    sp = tangent.space
+    rhs = JetArray.stack(
+        [
+            *_products(tangent).reshape(n * n, n, n),
+            JetArray.constant(sp, np.eye(n)),
+            -_b0(chart.spec, gamma),
+        ]
+    )
+    coeffs, res = expand_in_frame(tangent, rhs)
+    worst = float(res.max())
     if worst > residual_limit:
         raise ChartDegeneracyError(
             f"tangent-frame expansion residual {worst:.3e} exceeds {residual_limit:.1e}"
         )
-    return FManifoldModel(mult, JetVector(unit_c), JetVector(euler_c))
+    mult = [[coeffs[i * n + j].to_vector() for j in range(n)] for i in range(n)]
+    return FManifoldModel(mult, coeffs[n * n].to_vector(), coeffs[n * n + 1].to_vector())
 
 
 def check_universality_isomorphism(
-    chart: MalgrangeChart,
+    chart: MalgrangeChart, model: FManifoldModel
 ) -> tuple[JetVector, ResidualReport]:
-    """Germ isomorphism from the chart model to the standard model of the
-    spectrum of minus the seed residue."""
-    model = fmanifold_on_chart(chart)
+    """Germ isomorphism from the chart model (``fmanifold_on_chart(chart)``)
+    to the standard model of the spectrum of minus the seed residue."""
     spec = regend.jordan_spectrum(-chart.spec.b0o)
     target = standard_model(spec, order=chart.order)
     return germ_isomorphism(model, target)
@@ -381,41 +383,37 @@ def initial_condition_extend(
     g0 = np.array([[val.moments[i + j] for j in range(n)] for i in range(n)])
 
     chart = integrate_chart(DeformationSpec(-b0o, -binf), order)
-    sp = chart.gamma.space
-    tangent = _tangent_frame(chart)
-    r0 = b0_at(chart.spec, chart.gamma)
-    bundle = SaitoBundle(phi=tangent, r0=r0, rinf=binf, metric=g0)
+    gamma = JetArray.from_jets(chart.gamma)
+    sp = gamma.space
+    tangent = gamma.grad()
+    r0 = _b0(chart.spec, gamma)
+    bundle = SaitoBundle(
+        phi=[t.to_matrix() for t in tangent], r0=r0.to_matrix(), rinf=binf, metric=g0
+    )
     saito_rep = check_saito_axioms(bundle)
     saito_metric_rep = check_saito_metric_axioms(bundle)
 
-    # metric on the chart through the primitive constant section
-    section = np.zeros(n, dtype=np.complex128)
-    section[0] = 1.0
-    cols = [bundle.phi[i].apply(section) for i in range(n)]
-    iso = JetMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
-    gram_chart = iso.T @ JetMatrix.from_constant(sp, g0) @ iso
+    # metric on the chart through the primitive constant section:
+    # cols[i, k] = (phi_i e_0)^k
+    g0_jet = JetArray.constant(sp, g0)
+    cols = tangent[:, :, 0]
+    gram_chart = contract("al,bl->ab", contract("ak,kl->al", cols, g0_jet), cols)
 
     chart_model = fmanifold_on_chart(chart)
     psi, iso_rep = germ_isomorphism(model, chart_model)
-    jac = JetMatrix(
-        [[psi[k].partial(j) for j in range(n)] for k in range(n)]
-    )
-    composed = gram_chart.compose(list(psi))
-    gram_model = jac.T @ composed @ jac
+    jac = JetArray.from_jets(psi).grad()  # jac[a, k] = d_a psi^k
+    composed = Substitution(sp, psi)(gram_chart)
+    gram_model = contract("al,bl->ab", contract("ak,kl->al", jac, composed), jac)
 
     if model.blocks is None:
         raise ShapeError("target model must carry block structure")
     sizes = [m for _, m in model.blocks]
-    offsets = []
-    at = 0
-    for m in sizes:
-        offsets.append(at)
-        at += m
-    eta = []
-    for off, m in zip(offsets, sizes):
-        eta.append([gram_model[off, off + i] for i in range(m)])
+    eta = [
+        [gram_model[off, off + i] for i in range(m)]
+        for off, m in zip(_offsets(sizes), sizes)
+    ]
     metric = InvariantMetric(sizes, eta)
-    structure_res = (metric.gram() - gram_model).residual_norm()
+    structure_res = (JetArray.from_jets(metric.gram()) - gram_model).residual_norm()
 
     # the pairing is complex-bilinear: the frame change uses plain transposes
     p, u0 = _origin_frame(model)
@@ -432,8 +430,9 @@ def initial_condition_extend(
     expected_nabla = p @ binf @ pinv + (data.weight / 2.0) * np.eye(n)
     euler_law_res = float(np.max(np.abs(nabla0 - expected_nabla)))
 
-    g0_jet = JetMatrix.from_constant(sp, g0)
-    member_res = (chart.gamma.T @ g0_jet - g0_jet @ chart.gamma).residual_norm()
+    member_res = (
+        contract("ba,bc->ac", gamma, g0_jet) - contract("ab,bc->ac", g0_jet, gamma)
+    ).residual_norm()
     b0o_sym = float(np.max(np.abs(b0o.T @ g0 - g0 @ b0o)))
     binf_skew = float(np.max(np.abs(binf.T @ g0 + g0 @ binf)))
 
@@ -460,7 +459,7 @@ def initial_condition_extend(
         )
     return ExtensionResult(
         metric=metric,
-        gram_jets=gram_model,
+        gram_jets=gram_model.to_matrix(),
         chart=chart,
         chart_map=psi,
         verdict=verdict,

@@ -3,10 +3,14 @@
 These are the per-entry ``Jet`` loops that ``check_fmanifold``,
 ``check_gamma``, the general rotation operator, the Darboux-Egoroff
 residuals and the Levi-Civita curvature oracle used before they were
-written as ``JetArray`` contractions.  They are kept, for tests only, as
-independent references: they read the model through ``model.mult`` and use
-only the object kernel (``Jet``, ``JetVector``, ``JetMatrix``).
+written as ``JetArray`` contractions, plus the per-call composition loop
+that ``Substitution`` replaced and the one-right-hand-side frame expansion
+that ``malgrange.expand_in_frame`` batches.  They are kept, for tests only,
+as independent references: they read the model through ``model.mult`` and
+use only the object kernel (``Jet``, ``JetVector``, ``JetMatrix``).
 """
+
+from typing import Sequence
 
 import numpy as np
 
@@ -261,3 +265,64 @@ def _contract(ginv, row, l):
         term = ginv[l, k] * row[k]
         acc = term if acc is None else acc + term
     return acc
+
+
+def compose(jet, subs):
+    """Substitute ``subs[i]`` for variable ``i``, building every monomial of
+    the substitution on each call."""
+    target = subs[0].space
+    eff = min([jet.eff_order] + [s.eff_order for s in subs])
+    src = jet.space
+    monomials = [None] * src.size
+    monomials[0] = target.one()
+    out = target.zero().coeffs.copy()
+    for i, e in enumerate(src.exponents):
+        if i == 0:
+            mono = monomials[0]
+        else:
+            v = next(k for k, x in enumerate(e) if x > 0)
+            low = list(e)
+            low[v] -= 1
+            prev = monomials[src.index_of[tuple(low)]]
+            mono = prev * subs[v]
+            monomials[i] = mono
+        c = jet.coeffs[i]
+        if c != 0:
+            out = out + mono.coeffs * c
+    return target._wrap(out, eff)
+
+
+def expand_in_matrix_frame(frame: Sequence[JetMatrix], rhs: JetMatrix):
+    """Coefficients f^k with sum_k f^k frame[k] = rhs, solved order by order
+    against the constant terms of the frame, one right-hand side at a time;
+    returns the coefficient jets and the final residual."""
+    sp = rhs.space
+    nf = len(frame)
+    r, c = rhs.rows, rhs.cols
+    m0 = np.column_stack([f.constant_term().reshape(-1) for f in frame])
+    pinv = np.linalg.pinv(m0)
+    eff = min([rhs.eff_order()] + [f.eff_order() for f in frame])
+    coeff_arrays = [np.zeros(sp.size, dtype=np.complex128) for _ in range(nf)]
+    for deg in range(sp.order + 1):
+        partial = [sp.from_coeffs(arr) for arr in coeff_arrays]
+        acc = JetMatrix.zero(sp, r, c)
+        for k in range(nf):
+            if partial[k].is_zero():
+                continue
+            acc = acc + frame[k].scale(partial[k])
+        resid = rhs - acc
+        for idx in np.nonzero(sp.degrees == deg)[0]:
+            vec = np.array(
+                [resid.entries[i][j].coeffs[idx] for i in range(r) for j in range(c)]
+            )
+            if not vec.any():
+                continue
+            sol = pinv @ vec
+            for k in range(nf):
+                coeff_arrays[k][idx] = sol[k]
+    coeffs = [sp.from_coeffs(arr, eff_order=eff) for arr in coeff_arrays]
+    final = JetMatrix.zero(sp, r, c)
+    for k in range(nf):
+        if not coeffs[k].is_zero():
+            final = final + frame[k].scale(coeffs[k])
+    return coeffs, (rhs - final).residual_norm()

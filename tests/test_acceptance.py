@@ -505,7 +505,7 @@ def test_criterion_8_deformation_pipeline():
         worst["axioms"] = max(worst["axioms"], check_fmanifold(model).max_value())
         spec_model = jordan_spectrum(mult_by_euler(model).constant_term())
         spectra_ok = spectra_ok and spec_model.matches(jordan_spectrum(-b0o), tol=1e-6)
-        _, iso_rep = check_universality_isomorphism(chart)
+        _, iso_rep = check_universality_isomorphism(chart, model)
         worst["iso"] = max(worst["iso"], iso_rep.max_value())
     elapsed = time.time() - start
     ok = (

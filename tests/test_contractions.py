@@ -369,3 +369,83 @@ def test_extension_reuses_the_verdict_oracle(monkeypatch):
     assert result.verdict.passed
     assert result.report["euler_derivative_origin"].value < 1e-7
     assert len(calls) == 1
+
+
+# -- parity of pruned contractions ------------------------------------------------
+
+
+def test_contract_is_bit_equal_without_pruning_and_close_with_it():
+    """``contract`` prunes coefficient pairs outside the supports of its
+    operands.  Dense operands prune nothing, so the result is the ``Jet``
+    product bit for bit; a sparse operand prunes pairs, which regroups
+    numpy's pairwise summation, so the result agrees to round-off."""
+    sp = jet_space(4, 4)
+    rng = np.random.default_rng(11)
+
+    def dense():
+        return sp.from_coeffs(rng.standard_normal(sp.size) + 1j * rng.standard_normal(sp.size))
+
+    c = sp.from_coeffs(np.where(sp.degrees <= 2, dense().coeffs, 0))
+    for _ in range(20):
+        a, b = dense(), dense()
+        got = contract("k,k->", JetArray.from_jets([a]), JetArray.from_jets([b]))[()]
+        assert np.array_equal(got.coeffs, (a * b).coeffs)
+        want = a * c
+        got = contract("k,k->", JetArray.from_jets([a]), JetArray.from_jets([c]))[()]
+        assert got.eff_order == want.eff_order
+        assert np.abs(got.coeffs - want.coeffs).max() <= 1e-13 * np.abs(want.coeffs).max()
+
+
+# -- the extension pipeline on the array kernel ---------------------------------------
+
+
+_CHART_SPECS = [
+    (jordan_block(0.0, 2), np.zeros((2, 2)), 4),
+    (jordan_block(1.0, 3), np.diag([0.1, 0.0, -0.2]), 3),
+]
+
+
+@pytest.mark.parametrize("b0o, binf, order", _CHART_SPECS)
+def test_batched_chart_expansion_matches_the_loop(b0o, binf, order):
+    from regfman.malgrange import _products, _tangent, b0_at, expand_in_frame
+
+    chart = integrate_chart(DeformationSpec(b0o, binf), order)
+    n = chart.spec.dim
+    tangent = _tangent(chart)
+    frame = [t.to_matrix() for t in tangent]
+    products = _products(tangent)
+    rhs = [products[i, j].to_matrix() for i in range(n) for j in range(n)]
+    rhs += [JetMatrix.identity(tangent.space, n), -b0_at(chart.spec, chart.gamma)]
+    coeffs, res = expand_in_frame(tangent, JetArray.from_jets(rhs))
+    scale = float(np.abs(tangent.coeffs).max())
+    for r, mat in enumerate(rhs):
+        want, want_res = loop_oracles.expand_in_matrix_frame(frame, mat)
+        _assert_same_jets(coeffs[r], np.array(want, dtype=object), scale**2)
+        assert abs(res[r] - want_res) <= 1e-12 * scale**2
+    # the model is built from the same solve
+    model = fmanifold_on_chart(chart)
+    for i in range(n):
+        for j in range(n):
+            want = np.array(list(coeffs[i * n + j].to_vector()), dtype=object)
+            _assert_same_jets(JetArray.from_jets(model.mult[i][j]), want)
+
+
+def test_germ_isomorphism_builds_one_table_per_order(monkeypatch):
+    from regfman import jets
+    from regfman.fman import germ_isomorphism
+
+    built = []
+    original = jets.Substitution.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(jets.Substitution, "__init__", counted)
+    for order in (3, 4):
+        chart = integrate_chart(DeformationSpec(jordan_block(1.0, 3), np.diag([0.1, 0.0, -0.2])), order)
+        model = fmanifold_on_chart(chart)
+        built.clear()
+        psi, rep = germ_isomorphism(model, standard_model([(-1.0, 3)], order))
+        assert rep.passes(1e-8), rep.worst()
+        assert 0 < len(built) <= order + 1

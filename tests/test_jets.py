@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loop_oracles
+
 from regfman.errors import InvalidAnchorError, ShapeError, SingularInputError
 from regfman.jets import (
+    JetArray,
     JetMatrix,
     JetVector,
+    Substitution,
     commutator,
-    jet_add,
-    jet_compose,
-    jet_invert,
-    jet_mul,
-    jet_partial,
-    jet_residual_norm,
-    jet_scale,
     jet_space,
-    jet_sqrt,
     lie_bracket,
 )
 
@@ -48,26 +44,26 @@ class TestBasics:
     def test_additive_identity(self):
         sp = jet_space(2, 3)
         a = sp.from_terms({(1, 0): 2.0, (0, 2): 1j})
-        assert (jet_add(a, sp.zero()) - a).residual_norm() == 0.0
+        assert ((a + sp.zero()) - a).residual_norm() == 0.0
 
     def test_truncation_drops_top_degree(self):
         sp = jet_space(2, 1)
         t0, t1 = sp.variables()
-        assert jet_mul(t0, t1).residual_norm() == 0.0
+        assert (t0 * t1).residual_norm() == 0.0
 
     def test_scale(self):
         sp = jet_space(1, 2)
         t = sp.variable(0)
-        assert (jet_scale(t, 3j) - t.scale(3j)).residual_norm() == 0.0
+        assert (t.scale(3j) - t.scale(3j)).residual_norm() == 0.0
 
     def test_incompatible_shapes(self):
         a = jet_space(1, 2).variable(0)
         b = jet_space(2, 2).variable(0)
         with pytest.raises(ShapeError):
-            jet_add(a, b)
+            a + b
         c = jet_space(1, 3).variable(0)
         with pytest.raises(ShapeError):
-            jet_mul(a, c)
+            a * c
 
     def test_coercion(self):
         sp2 = jet_space(1, 2)
@@ -83,16 +79,16 @@ class TestPartial:
     def test_product_rule_example(self):
         sp = jet_space(2, 3)
         t0, t1 = sp.variables()
-        assert (jet_partial(t0 * t1, 0) - t1).residual_norm() == 0.0
+        assert ((t0 * t1).partial(0) - t1).residual_norm() == 0.0
 
     def test_constant(self):
         sp = jet_space(2, 3)
-        assert jet_partial(sp.constant(5.0), 1).residual_norm() == 0.0
+        assert sp.constant(5.0).partial(1).residual_norm() == 0.0
 
     def test_polynomial(self):
         sp = jet_space(1, 3)
         t = sp.variable(0)
-        d = jet_partial(t * t + t.scale(3.0), 0)
+        d = (t * t + t.scale(3.0)).partial(0)
         assert (d - (t.scale(2.0) + 3)).residual_norm() < 1e-15
 
     def test_order_reduction_flagged(self):
@@ -109,26 +105,26 @@ class TestInvert:
     def test_geometric_series(self):
         sp = jet_space(1, 2)
         t = sp.variable(0)
-        inv = jet_invert(1 + t)
+        inv = (1 + t).invert()
         expected = geometric_series_coeffs(2)
         for k, c in enumerate(expected):
             assert inv.terms().get((k,), 0) == pytest.approx(c, abs=1e-14)
 
     def test_constant(self):
         sp = jet_space(1, 4)
-        assert jet_invert(sp.constant(2.0)).value0 == pytest.approx(0.5)
+        assert sp.constant(2.0).invert().value0 == pytest.approx(0.5)
 
     def test_singular(self):
         sp = jet_space(1, 3)
         with pytest.raises(SingularInputError):
-            jet_invert(sp.variable(0))
+            sp.variable(0).invert()
 
 
 class TestSqrt:
     def test_binomial_series(self):
         sp = jet_space(1, 2)
         t = sp.variable(0)
-        s = jet_sqrt(1 + t.scale(2.0), branch_anchor=1.0)
+        s = (1 + t.scale(2.0)).sqrt(branch_anchor=1.0)
         expected = binomial_sqrt_coeffs(2.0, 2)  # 1 + t - t^2/2
         assert expected == pytest.approx([1.0, 1.0, -0.5])
         for k, c in enumerate(expected):
@@ -136,18 +132,18 @@ class TestSqrt:
 
     def test_constant_chosen_branch(self):
         sp = jet_space(1, 3)
-        s = jet_sqrt(sp.constant(4.0), branch_anchor=-2.0)
+        s = sp.constant(4.0).sqrt(branch_anchor=-2.0)
         assert s.value0 == pytest.approx(-2.0)
 
     def test_singular(self):
         sp = jet_space(1, 3)
         with pytest.raises(SingularInputError):
-            jet_sqrt(sp.variable(0), branch_anchor=1.0)
+            sp.variable(0).sqrt(branch_anchor=1.0)
 
     def test_bad_anchor(self):
         sp = jet_space(1, 3)
         with pytest.raises(InvalidAnchorError):
-            jet_sqrt(sp.constant(4.0), branch_anchor=1.0)
+            sp.constant(4.0).sqrt(branch_anchor=1.0)
 
 
 class TestCompose:
@@ -156,39 +152,39 @@ class TestCompose:
         tgt = jet_space(1, 2)
         t = src.variable(0)
         u = tgt.variable(0)
-        got = jet_compose(t * t, [u + 1])
+        got = (t * t).compose([u + 1])
         assert (got - (1 + u.scale(2.0) + u * u)).residual_norm() < 1e-15
 
     def test_identity_substitution(self):
         sp = jet_space(2, 3)
         a = sp.from_terms({(1, 2): 1.5, (0, 1): -2j, (3, 0): 0.25})
-        assert (jet_compose(a, sp.variables()) - a).residual_norm() < 1e-15
+        assert (a.compose(sp.variables()) - a).residual_norm() < 1e-15
 
     def test_collapse_variables(self):
         src = jet_space(2, 2)
         tgt = jet_space(1, 2)
         t0, t1 = src.variables()
         u = tgt.variable(0)
-        got = jet_compose(t0 + t1, [u, u * u])
+        got = (t0 + t1).compose([u, u * u])
         assert (got - (u + u * u)).residual_norm() < 1e-15
 
     def test_arity_mismatch(self):
         src = jet_space(2, 2)
         with pytest.raises(ShapeError):
-            jet_compose(src.variable(0), [jet_space(1, 2).variable(0)])
+            src.variable(0).compose([jet_space(1, 2).variable(0)])
 
 
 class TestResidualNorm:
     def test_zero(self):
-        assert jet_residual_norm(jet_space(3, 2).zero()) == 0.0
+        assert jet_space(3, 2).zero().residual_norm() == 0.0
 
     def test_complex_constant(self):
-        assert jet_residual_norm(jet_space(1, 2).constant(3 + 4j)) == pytest.approx(5.0)
+        assert jet_space(1, 2).constant(3 + 4j).residual_norm() == pytest.approx(5.0)
 
     def test_linear(self):
         sp = jet_space(2, 2)
         a = sp.variable(0) - sp.variable(1).scale(2.0)
-        assert jet_residual_norm(a) == pytest.approx(2.0)
+        assert a.residual_norm() == pytest.approx(2.0)
 
     def test_masks_untrusted_orders(self):
         sp = jet_space(1, 2)
@@ -371,5 +367,74 @@ class TestVectorsMatrices:
     def test_integrate_inverts_partial(self):
         sp = jet_space(2, 4)
         t0, t1 = sp.variables()
-        f = t0 * t1 + t0 * t0 * t1
+        f = JetArray.from_jets([t0 * t1 + t0 * t0 * t1])
         assert (f.partial(0).integrate(0) - f).residual_norm() < 1e-15
+
+
+# -- substitution tables ------------------------------------------------------
+
+
+def _random_sub_jet(sp, rng, kind):
+    """A substitution jet: zero, a nonzero constant plus a random tail
+    (re-centering), or a tail without constant term; random effective order."""
+    c = np.zeros(sp.size, dtype=np.complex128)
+    if kind != "zero":
+        c[1:] = (rng.standard_normal(sp.size - 1) + 1j * rng.standard_normal(sp.size - 1)) * 0.5
+        c[1:] *= rng.random(sp.size - 1) < 0.6
+    if kind == "recenter":
+        c[0] = rng.standard_normal() + 1j * rng.standard_normal()
+    return sp.from_coeffs(c, int(rng.integers(0, sp.order + 1)))
+
+
+class TestSubstitution:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        src_vars=st.integers(1, 3),
+        src_order=st.integers(0, 4),
+        tgt_vars=st.integers(1, 3),
+        tgt_order=st.integers(0, 4),
+        kinds=st.lists(st.sampled_from(["zero", "recenter", "tail"]), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_loop_bit_for_bit(self, src_vars, src_order, tgt_vars, tgt_order, kinds, seed):
+        rng = np.random.default_rng(seed)
+        src, tgt = jet_space(src_vars, src_order), jet_space(tgt_vars, tgt_order)
+        subs = [_random_sub_jet(tgt, rng, kinds[v]) for v in range(src_vars)]
+        jets = [
+            src.from_coeffs(
+                (rng.standard_normal(src.size) + 1j * rng.standard_normal(src.size))
+                * (rng.random(src.size) < 0.7),
+                int(rng.integers(-1, src_order + 1)),
+            )
+            for _ in range(4)
+        ] + [src.zero()]
+        sub = Substitution(src, subs)
+        want = [loop_oracles.compose(j, subs) for j in jets]
+        for j, w in zip(jets, want):
+            got = sub(j)
+            assert got.space is tgt and got.eff_order == w.eff_order
+            assert np.array_equal(got.coeffs, w.coeffs)
+            assert np.array_equal(j.compose(subs).coeffs, w.coeffs)
+        batch = sub(JetArray.from_jets([jets[:2], jets[2:4]]))
+        for idx, w in zip([(0, 0), (0, 1), (1, 0), (1, 1)], want):
+            assert batch[idx].eff_order == w.eff_order
+            assert np.array_equal(batch[idx].coeffs, w.coeffs)
+        mat = JetMatrix([jets[:2], jets[2:4]]).compose(subs)
+        assert np.array_equal(mat[1, 0].coeffs, want[2].coeffs)
+
+    def test_restriction_by_zero_substitution(self):
+
+        src, tgt = jet_space(3, 3), jet_space(2, 3)
+        t0, t1, t2 = src.variables()
+        subs = tgt.variables() + [tgt.zero()]
+        got = Substitution(src, subs)(t0 * t1 + t2 + t2 * t0 + 2.0)
+        u0, u1 = tgt.variables()
+        assert (got - (u0 * u1 + 2.0)).residual_norm() == 0.0
+
+    def test_substitutions_must_share_one_space(self):
+
+        src = jet_space(2, 2)
+        with pytest.raises(ShapeError):
+            Substitution(src, [jet_space(1, 2).variable(0), jet_space(1, 3).variable(0)])
+        with pytest.raises(ShapeError):
+            Substitution(src, jet_space(2, 2).variables())(jet_space(2, 3).one())

@@ -180,7 +180,7 @@ class TestFManifoldOnChart:
 class TestUniversality:
     def test_n1_alignment(self):
         chart = integrate_chart(DeformationSpec(np.array([[-1.5]]), np.array([[0.0]])), order=3)
-        psi, rep = check_universality_isomorphism(chart)
+        psi, rep = check_universality_isomorphism(chart, fmanifold_on_chart(chart))
         assert rep.passes(1e-8), rep.worst()
         sp = psi.space
         assert (psi[0] - sp.variable(0)).residual_norm() < 1e-10
@@ -188,7 +188,7 @@ class TestUniversality:
     def test_n2_nilpotent(self):
         spec = DeformationSpec(jordan_block(0.0, 2), np.array([[0.0, 0.3], [0.0, 0.0]]))
         chart = integrate_chart(spec, order=3)
-        psi, rep = check_universality_isomorphism(chart)
+        psi, rep = check_universality_isomorphism(chart, fmanifold_on_chart(chart))
         assert rep.passes(1e-7), rep.worst()
 
     def test_wrong_spectrum_is_impossible_by_construction(self):
