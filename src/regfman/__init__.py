@@ -19,7 +19,6 @@ from .jets import (
     JetMatrix,
     JetSpace,
     JetVector,
-    commutator,
     jet_space,
     lie_bracket,
 )

@@ -543,9 +543,9 @@ def levi_civita_curvature(gram, unit: JetVector) -> CurvatureResult:
     residual of a jet metric, computed independently of the
     Darboux-Egoroff chain.
 
-    ``gram`` may be an :class:`InvariantMetric` or a symmetric
-    :class:`JetMatrix`.  Curvature is certified at two orders below the
-    metric's effective order.
+    ``gram`` may be an :class:`InvariantMetric` or a symmetric jet matrix
+    (:class:`JetMatrix` or :class:`JetArray`).  Curvature is certified at
+    two orders below the metric's effective order.
     """
     if isinstance(gram, InvariantMetric):
         gram = gram.gram()

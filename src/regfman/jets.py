@@ -516,10 +516,6 @@ class JetMatrix:
     def identity(cls, space: JetSpace, n: int) -> "JetMatrix":
         return cls.from_constant(space, np.eye(n))
 
-    @classmethod
-    def zero(cls, space: JetSpace, rows: int, cols: int, eff_order: int | None = None) -> "JetMatrix":
-        return cls([[space.zero(eff_order) for _ in range(cols)] for _ in range(rows)])
-
     def __getitem__(self, idx):
         i, j = idx
         return self.entries[i][j]
@@ -576,20 +572,6 @@ class JetMatrix:
                 _dot(self.entries[i], other.components) for i in range(self.rows)
             )
         return NotImplemented
-
-    def apply(self, vector: np.ndarray) -> JetVector:
-        """Apply to a constant coordinate vector."""
-        v = np.asarray(vector, dtype=np.complex128)
-        if v.shape != (self.cols,):
-            raise ShapeError("vector length does not match matrix columns")
-        out = []
-        for i in range(self.rows):
-            acc = self.space.zero()
-            for j in range(self.cols):
-                if v[j] != 0:
-                    acc = acc + self.entries[i][j].scale(v[j])
-            out.append(acc)
-        return JetVector(out)
 
     def transpose(self) -> "JetMatrix":
         return JetMatrix(
@@ -651,10 +633,6 @@ def _dot(row: Sequence[Jet], col: Sequence[Jet]) -> Jet:
     return acc
 
 
-def commutator(a: JetMatrix, b: JetMatrix) -> JetMatrix:
-    return a @ b - b @ a
-
-
 # -- jet arrays ----------------------------------------------------------------
 
 # Effective order of an exact zero: above any jet order, and still above it
@@ -710,7 +688,10 @@ class JetArray:
     @classmethod
     def from_jets(cls, entries) -> "JetArray":
         """Stack a nested sequence of jets (lists, a :class:`JetVector` or a
-        :class:`JetMatrix`) into one array."""
+        :class:`JetMatrix`) into one array; a jet array is returned as it
+        is."""
+        if isinstance(entries, JetArray):
+            return entries
         flat, shape = _flatten_jets(entries)
         space = flat[0].space
         for j in flat[1:]:

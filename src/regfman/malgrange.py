@@ -32,7 +32,6 @@ from .fman import (
 from .frob import FrobeniusVerdict, InvariantMetric, _offsets, euler_derivative, frobenius_verdict
 from .jets import (
     DEFAULT_ORDER,
-    Jet,
     JetArray,
     JetMatrix,
     JetVector,
@@ -71,9 +70,15 @@ class DeformationSpec:
 
 @dataclass(frozen=True)
 class MalgrangeChart:
+    """The chart Gamma of the leaf through zero, an (n, n) jet array in n
+    variables (a :class:`JetMatrix` is converted once)."""
+
     spec: DeformationSpec
-    gamma: JetMatrix
+    gamma: JetArray
     order: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", JetArray.from_jets(self.gamma))
 
 
 def _b0(spec: DeformationSpec, gamma: JetArray) -> JetArray:
@@ -121,7 +126,7 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
     cond = np.linalg.cond(frame0)
     if not np.isfinite(cond) or cond > 1e10:
         raise ChartDegeneracyError(f"spanning frame degenerate at zero (cond {cond:.2e})")
-    return MalgrangeChart(spec=spec, gamma=gamma.to_matrix(), order=order)
+    return MalgrangeChart(spec=spec, gamma=gamma, order=order)
 
 
 def expand_in_frame(frame: JetArray, rhs: JetArray) -> tuple[JetArray, np.ndarray]:
@@ -147,18 +152,9 @@ def expand_in_frame(frame: JetArray, rhs: JetArray) -> tuple[JetArray, np.ndarra
     return coeffs, (rhs - final).residual_norms().reshape(count, -1).max(axis=1)
 
 
-def expand_in_matrix_frame(
-    frame: list[JetMatrix], rhs: JetMatrix
-) -> tuple[list[Jet], float]:
-    """:func:`expand_in_frame` for one right-hand side and a frame given as
-    jet matrices; returns the coefficient jets and the final residual."""
-    coeffs, res = expand_in_frame(JetArray.from_jets(frame), JetArray.from_jets([rhs]))
-    return list(coeffs[0].to_vector()), float(res[0])
-
-
 def _tangent(chart: MalgrangeChart) -> JetArray:
     """Tangent matrices d_i Gamma, shape (n, n, n)."""
-    return JetArray.from_jets(chart.gamma).grad()
+    return chart.gamma.grad()
 
 
 def _products(tangent: JetArray) -> JetArray:
@@ -171,7 +167,7 @@ def check_integrality(chart: MalgrangeChart) -> ResidualReport:
     closure of tangent products in the tangent frame."""
     n = chart.spec.dim
     tangent = _tangent(chart)
-    power = JetArray.stack(_powers(_b0(chart.spec, JetArray.from_jets(chart.gamma)), n))
+    power = JetArray.stack(_powers(_b0(chart.spec, chart.gamma), n))
     ord_t = tangent.eff_order()
     _, tangency = expand_in_frame(power, tangent)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -185,11 +181,7 @@ def check_integrality(chart: MalgrangeChart) -> ResidualReport:
 def canonical_connection(chart: MalgrangeChart) -> BirkhoffConnection:
     """Connection data on the chart: polar residue B0 at Gamma, constant
     Binf, and the tangent matrices acting as the Higgs field."""
-    return BirkhoffConnection(
-        b0_at(chart.spec, chart.gamma),
-        chart.spec.binf,
-        [t.to_matrix() for t in _tangent(chart)],
-    )
+    return BirkhoffConnection(_b0(chart.spec, chart.gamma), chart.spec.binf, _tangent(chart))
 
 
 def fmanifold_on_chart(
@@ -200,7 +192,7 @@ def fmanifold_on_chart(
     field = expansion of minus the polar residue.  All n*n + 2 right-hand
     sides are expanded in one solve."""
     n = chart.spec.dim
-    gamma = JetArray.from_jets(chart.gamma)
+    gamma = chart.gamma
     tangent = gamma.grad()
     sp = tangent.space
     rhs = JetArray.stack(
@@ -383,13 +375,10 @@ def initial_condition_extend(
     g0 = np.array([[val.moments[i + j] for j in range(n)] for i in range(n)])
 
     chart = integrate_chart(DeformationSpec(-b0o, -binf), order)
-    gamma = JetArray.from_jets(chart.gamma)
+    gamma = chart.gamma
     sp = gamma.space
     tangent = gamma.grad()
-    r0 = _b0(chart.spec, gamma)
-    bundle = SaitoBundle(
-        phi=[t.to_matrix() for t in tangent], r0=r0.to_matrix(), rinf=binf, metric=g0
-    )
+    bundle = SaitoBundle(phi=tangent, r0=_b0(chart.spec, gamma), rinf=binf, metric=g0)
     saito_rep = check_saito_axioms(bundle)
     saito_metric_rep = check_saito_metric_axioms(bundle)
 

@@ -1,7 +1,8 @@
 """Saito bundles and meromorphic connections in Birkhoff normal form.
 
 Bundles are presented in a fixed global frame over the germ: connection
-data are coefficient matrices of jets.  A Birkhoff-form connection
+data are coefficient matrices of jets, held as :class:`JetArray` stacks.  A
+Birkhoff-form connection
 
     (B0(x)/tau + Binf) dtau/tau + C_i(x) dx^i / tau
 
@@ -9,9 +10,17 @@ is flat precisely when four groups of coefficient identities hold; the same
 identities are the Saito-bundle axioms of the induced tuple
 (flat frame connection, C, B0, -Binf), which serves as the structural
 cross-check for the expansion.
+
+A bundle stacks its matrices (the Higgs field, the residues, the frame
+connection and the metric) once and forms all their pairwise products in
+one contraction, which both axiom checks read; commutators, curls and
+covariant derivatives are slices and gradients of that product table.  The
+flatness check of a connection does the same with its own matrices.
 """
 
 from __future__ import annotations
+
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,92 +32,103 @@ from .errors import (
 )
 from .fman import FManifoldModel, mult_by_euler
 from .frob import euler_derivative, levi_civita_curvature
-from .jets import JetMatrix, JetSpace, commutator
+from .jets import JetArray, JetSpace, contract
 from .reports import ResidualReport, report_from
+
+
+def _checked(values, shape, name: str, space: JetSpace | None = None):
+    """Jet matrices (lists of :class:`JetMatrix` or a :class:`JetArray`) in
+    ``space`` as one array, or constants when ``space`` is None, of the
+    given shape."""
+    out = np.asarray(values, dtype=np.complex128) if space is None else JetArray.from_jets(values)
+    if out.shape != shape or (space is not None and out.space is not space):
+        raise ShapeError(f"{name} must have shape {shape}" + (f" in {space}" if space else ""))
+    return out
+
+
+def _higgs(entries, name: str) -> JetArray:
+    """Square jet matrices, one per base variable, as one array."""
+    out = JetArray.from_jets(entries)
+    m = out.space.num_vars
+    if len(out.shape) != 3 or out.shape[0] != m or out.shape[1] != out.shape[2]:
+        raise ShapeError(f"{name} needs one square jet matrix per base variable")
+    return out
 
 
 class SaitoBundle:
     """Frame presentation of a Saito bundle.
 
-    ``frame_connection`` holds the coefficient matrices of the connection in
-    the frame (``None`` means the canonical flat connection with zero
-    coefficients); ``phi`` the Higgs-field matrices, one per base variable;
-    ``r0`` a jet matrix and ``rinf`` a constant matrix.  ``metric`` is an
-    optional constant symmetric Gram matrix in the frame.
+    ``phi`` holds the Higgs-field matrices, shape (base_dim, rank, rank);
+    ``frame_connection`` the coefficient matrices of the connection in the
+    frame, of the same shape (``None`` means the canonical flat connection
+    with zero coefficients); ``r0`` a jet matrix and ``rinf`` a constant
+    matrix.  ``metric`` is an optional constant symmetric Gram matrix in
+    the frame.  Jet-matrix arguments may be lists of :class:`JetMatrix` or
+    :class:`JetArray` stacks; they are converted once.
     """
 
-    def __init__(self, phi, r0: JetMatrix, rinf, frame_connection=None, metric=None):
-        self.phi = list(phi)
-        if not self.phi:
-            raise ShapeError("need at least one base direction")
-        self.space: JetSpace = self.phi[0].space
-        self.base_dim = len(self.phi)
-        self.rank = self.phi[0].rows
-        for p in self.phi:
-            if p.space is not self.space or p.rows != self.rank or p.cols != self.rank:
-                raise ShapeError("phi matrices must be square and uniform")
-        if self.space.num_vars != self.base_dim:
-            raise ShapeError("number of phi matrices must match the base variables")
-        if r0.rows != self.rank or r0.cols != self.rank:
-            raise ShapeError("r0 shape does not match the rank")
-        self.r0 = r0
-        self.rinf = np.asarray(rinf, dtype=np.complex128)
-        if self.rinf.shape != (self.rank, self.rank):
-            raise ShapeError("rinf shape does not match the rank")
-        self.frame_connection = list(frame_connection) if frame_connection else None
-        if self.frame_connection is not None:
-            if len(self.frame_connection) != self.base_dim:
-                raise ShapeError("one frame-connection matrix per base variable")
-            for o in self.frame_connection:
-                if o.rows != self.rank or o.cols != self.rank:
-                    raise ShapeError("frame-connection shape mismatch")
-        self.metric = None if metric is None else np.asarray(metric, dtype=np.complex128)
-        if self.metric is not None:
-            if self.metric.shape != (self.rank, self.rank):
-                raise ShapeError("metric shape does not match the rank")
-            if np.linalg.cond(self.metric) > 1e12:
-                raise ShapeError("bundle metric must be invertible")
+    def __init__(self, phi, r0, rinf, frame_connection=None, metric=None):
+        self.phi = _higgs(phi, "phi")
+        self.space: JetSpace = self.phi.space
+        self.base_dim, self.rank = self.phi.shape[:2]
+        square = (self.rank, self.rank)
+        self.r0 = _checked(r0, square, "r0", self.space)
+        self.rinf = _checked(rinf, square, "rinf")
+        self.frame_connection = None
+        if frame_connection is not None and len(frame_connection):
+            self.frame_connection = _checked(
+                frame_connection, self.phi.shape, "frame_connection", self.space
+            )
+        self.metric = None if metric is None else _checked(metric, square, "metric")
+        if self.metric is not None and np.linalg.cond(self.metric) > 1e12:
+            raise ShapeError("bundle metric must be invertible")
 
-    def omega(self, i: int) -> JetMatrix | None:
-        return None if self.frame_connection is None else self.frame_connection[i]
+    @cached_property
+    def _table(self) -> tuple[JetArray, JetArray]:
+        """Products and gradient (see :func:`_product_table`) of
+        [Phi_0.., R0, Rinf, Omega_0.., g, g^T], with Omega and the metric
+        only when present; built on first use, so the data must not be
+        reassigned afterwards."""
+        parts = [*self.phi, self.r0, JetArray.constant(self.space, self.rinf)]
+        if self.frame_connection is not None:
+            parts += [*self.frame_connection]
+        if self.metric is not None:
+            parts += [*JetArray.constant(self.space, np.stack([self.metric, self.metric.T]))]
+        return _product_table(parts)
 
     def __repr__(self):
         return f"SaitoBundle(base={self.base_dim}, rank={self.rank}, metric={self.metric is not None})"
 
 
 class BirkhoffConnection:
-    """Matrix data of a rank-one-pole connection in Birkhoff normal form."""
+    """Matrix data of a rank-one-pole connection in Birkhoff normal form:
+    ``b0`` a jet matrix, ``binf`` a constant matrix and ``c`` the matrices
+    C_i, shape (base_dim, rank, rank)."""
 
-    def __init__(self, b0: JetMatrix, binf, c):
-        self.c = list(c)
-        if not self.c:
-            raise ShapeError("need at least one base direction")
-        self.space: JetSpace = b0.space
-        self.rank = b0.rows
-        if b0.cols != self.rank:
-            raise ShapeError("b0 must be square")
-        self.b0 = b0
-        self.binf = np.asarray(binf, dtype=np.complex128)
-        if self.binf.shape != (self.rank, self.rank):
-            raise ShapeError("binf shape does not match the rank")
-        self.base_dim = len(self.c)
-        if self.space.num_vars != self.base_dim:
-            raise ShapeError("number of C matrices must match the base variables")
-        for m in self.c:
-            if m.space is not self.space or m.rows != self.rank or m.cols != self.rank:
-                raise ShapeError("C matrices must be square and uniform")
+    def __init__(self, b0, binf, c):
+        self.c = _higgs(c, "C")
+        self.space: JetSpace = self.c.space
+        self.base_dim, self.rank = self.c.shape[:2]
+        square = (self.rank, self.rank)
+        self.b0 = _checked(b0, square, "b0", self.space)
+        self.binf = _checked(binf, square, "binf")
 
     def __repr__(self):
         return f"BirkhoffConnection(base={self.base_dim}, rank={self.rank})"
 
 
-def _cov_endo(omega: JetMatrix | None, i: int, mat: JetMatrix) -> JetMatrix:
-    """Covariant derivative of an endomorphism in the frame:
-    (nabla_i R) = d_i R + [Omega_i, R]."""
-    out = mat.partial(i)
-    if omega is not None:
-        out = out + commutator(omega, mat)
-    return out
+def _product_table(parts: list[JetArray]) -> tuple[JetArray, JetArray]:
+    """Stack the matrices ``parts`` as S and return all products
+    prod[i, j] = S_i S_j, from one contraction, and the gradient
+    grad[v, i] = d_v S_i."""
+    stack = JetArray.stack(parts)
+    return contract("iab,jbc->ijac", stack, stack), stack.grad()
+
+
+@lru_cache(maxsize=None)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of the base directions."""
+    return np.triu_indices(m, 1)
 
 
 def check_saito_axioms(bundle: SaitoBundle) -> ResidualReport:
@@ -117,46 +137,34 @@ def check_saito_axioms(bundle: SaitoBundle) -> ResidualReport:
     with the Higgs field, the closedness of the Higgs field, the mixed
     condition nabla(R0) + Phi = [Phi, Rinf], and flatness of Rinf."""
     m = bundle.base_dim
-    sp = bundle.space
-    order = sp.order
+    order = bundle.space.order
+    prod, grad = bundle._table
+    phi, r0, rinf, o = slice(0, m), m, m + 1, m + 2
+    i, j = _pairs(m)
 
-    curvature = 0.0
-    d_nabla_phi = 0.0
-    phi_wedge = 0.0
-    r0_phi = 0.0
-    nabla_r0 = 0.0
-    nabla_rinf = 0.0
-    rinf_mat = JetMatrix.from_constant(sp, bundle.rinf)
-    for i in range(m):
-        omi = bundle.omega(i)
-        for j in range(i + 1, m):
-            omj = bundle.omega(j)
-            if omi is not None or omj is not None:
-                zi = omi if omi is not None else JetMatrix.zero(sp, bundle.rank, bundle.rank)
-                zj = omj if omj is not None else JetMatrix.zero(sp, bundle.rank, bundle.rank)
-                curv = zj.partial(i) - zi.partial(j) + commutator(zi, zj)
-                curvature = max(curvature, curv.residual_norm())
-            dphi = _cov_endo(omi, i, bundle.phi[j]) - _cov_endo(omj, j, bundle.phi[i])
-            d_nabla_phi = max(d_nabla_phi, dphi.residual_norm())
-            phi_wedge = max(
-                phi_wedge, commutator(bundle.phi[i], bundle.phi[j]).residual_norm()
-            )
-        r0_phi = max(r0_phi, commutator(bundle.r0, bundle.phi[i]).residual_norm())
-        mixed = (
-            _cov_endo(omi, i, bundle.r0)
-            + bundle.phi[i]
-            - commutator(bundle.phi[i], rinf_mat)
+    d_nabla_phi = grad[i, j] - grad[j, i]
+    phi_wedge = prod[i, j] - prod[j, i]
+    r0_phi = prod[r0, phi] - prod[phi, r0]
+    nabla_r0 = (grad[:, r0] + bundle.phi) - (prod[phi, rinf] - prod[rinf, phi])
+    curvature = nabla_rinf = 0.0
+    if bundle.frame_connection is not None:
+        omega = slice(o, o + m)
+        curvature = (
+            (grad[i, o + j] - grad[j, o + i]) + (prod[o + i, o + j] - prod[o + j, o + i])
+        ).residual_norm()
+        # [Omega_i, Phi_j] - [Omega_j, Phi_i]
+        d_nabla_phi = d_nabla_phi + (
+            (prod[o + i, j] - prod[j, o + i]) - (prod[o + j, i] - prod[i, o + j])
         )
-        nabla_r0 = max(nabla_r0, mixed.residual_norm())
-        if omi is not None:
-            nabla_rinf = max(nabla_rinf, commutator(omi, rinf_mat).residual_norm())
+        nabla_r0 = nabla_r0 + (prod[omega, r0] - prod[r0, omega])
+        nabla_rinf = (prod[omega, rinf] - prod[rinf, omega]).residual_norm()
     return report_from(
         [
             ("curvature", curvature, order - 1),
-            ("phi_wedge_phi", phi_wedge, order),
-            ("r0_phi_commute", r0_phi, order),
-            ("d_nabla_phi", d_nabla_phi, order - 1),
-            ("nabla_r0", nabla_r0, order - 1),
+            ("phi_wedge_phi", phi_wedge.residual_norm(), order),
+            ("r0_phi_commute", r0_phi.residual_norm(), order),
+            ("d_nabla_phi", d_nabla_phi.residual_norm(), order - 1),
+            ("nabla_r0", nabla_r0.residual_norm(), order - 1),
             ("nabla_rinf", nabla_rinf, order),
         ]
     )
@@ -169,22 +177,24 @@ def check_saito_metric_axioms(bundle: SaitoBundle) -> ResidualReport:
     if bundle.metric is None:
         raise ShapeError("bundle has no metric")
     g = bundle.metric
-    sp = bundle.space
-    gm = JetMatrix.from_constant(sp, g)
+    m = bundle.base_dim
+    prod, _ = bundle._table
+    # the table ends with g and g^T: g S_i and S_i^T g = (g^T S_i)^T
+    right = prod[-2]
+    left = prod[-1].transpose(0, 2, 1)
     nabla_metric = 0.0
     if bundle.frame_connection is not None:
-        for om in bundle.frame_connection:
-            res = om.T @ gm + gm @ om
-            nabla_metric = max(nabla_metric, res.residual_norm())
+        omega = slice(m + 2, 2 * m + 2)
+        nabla_metric = (left[omega] + right[omega]).residual_norm()
     rinf_skew = float(np.max(np.abs(bundle.rinf.T @ g + g @ bundle.rinf)))
-    r0_sym = (bundle.r0.T @ gm - gm @ bundle.r0).residual_norm()
-    phi_sym = max((p.T @ gm - gm @ p).residual_norm() for p in bundle.phi)
+    sym = left[: m + 1] - right[: m + 1]
+    order = bundle.space.order
     return report_from(
         [
-            ("nabla_metric", nabla_metric, sp.order),
-            ("rinf_skew", rinf_skew, sp.order),
-            ("r0_symmetric", r0_sym, sp.order),
-            ("phi_symmetric", phi_sym, sp.order),
+            ("nabla_metric", nabla_metric, order),
+            ("rinf_skew", rinf_skew, order),
+            ("r0_symmetric", sym[m].residual_norm(), order),
+            ("phi_symmetric", sym[:m].residual_norm(), order),
         ]
     )
 
@@ -203,26 +213,17 @@ def birkhoff_flatness(connection: BirkhoffConnection) -> ResidualReport:
     """
     m = connection.base_dim
     sp = connection.space
-    binf_mat = JetMatrix.from_constant(sp, connection.binf)
-    c_commute = 0.0
-    c_curl = 0.0
-    b0_c = 0.0
-    b0_mixed = 0.0
-    for i in range(m):
-        ci = connection.c[i]
-        for j in range(i + 1, m):
-            cj = connection.c[j]
-            c_commute = max(c_commute, commutator(ci, cj).residual_norm())
-            c_curl = max(c_curl, (cj.partial(i) - ci.partial(j)).residual_norm())
-        b0_c = max(b0_c, commutator(connection.b0, ci).residual_norm())
-        mixed = connection.b0.partial(i) + ci - commutator(binf_mat, ci)
-        b0_mixed = max(b0_mixed, mixed.residual_norm())
+    # stacked as [C_0..C_{m-1}, B0, Binf]
+    c, b0, binf = slice(0, m), m, m + 1
+    prod, grad = _product_table([*connection.c, connection.b0, JetArray.constant(sp, connection.binf)])
+    i, j = _pairs(m)
+    mixed = (grad[:, b0] + connection.c) - (prod[binf, c] - prod[c, binf])
     return report_from(
         [
-            ("c_commute", c_commute, sp.order),
-            ("c_curl", c_curl, sp.order - 1),
-            ("b0_c_commute", b0_c, sp.order),
-            ("b0_mixed", b0_mixed, sp.order - 1),
+            ("c_commute", (prod[i, j] - prod[j, i]).residual_norm(), sp.order),
+            ("c_curl", (grad[i, j] - grad[j, i]).residual_norm(), sp.order - 1),
+            ("b0_c_commute", (prod[b0, c] - prod[c, b0]).residual_norm(), sp.order),
+            ("b0_mixed", mixed.residual_norm(), sp.order - 1),
         ]
     )
 
@@ -230,12 +231,51 @@ def birkhoff_flatness(connection: BirkhoffConnection) -> ResidualReport:
 def birkhoff_to_saito(connection: BirkhoffConnection) -> SaitoBundle:
     """The induced Saito data: flat frame connection, Phi = C, R0 = B0 and
     Rinf = -Binf."""
-    return SaitoBundle(
-        phi=connection.c,
-        r0=connection.b0,
-        rinf=-connection.binf,
-        frame_connection=None,
+    return SaitoBundle(phi=connection.c, r0=connection.b0, rinf=-connection.binf)
+
+
+def _section(bundle: SaitoBundle, section) -> tuple[np.ndarray, JetArray]:
+    s = np.asarray(section, dtype=np.complex128)
+    if s.shape != (bundle.rank,):
+        raise ShapeError("section must be a constant vector of rank length")
+    # zero components drop out, as in a product with a constant vector
+    return s, JetArray.constant(bundle.space, s).exact_zeros()
+
+
+def _induced(
+    bundle: SaitoBundle, section: JetArray, tol: float
+) -> tuple[FManifoldModel, dict, JetArray, JetArray]:
+    """:func:`fmanifold_from_saito` plus the frame iso[a, i] = (Phi_i s)^a
+    and its inverse."""
+    if bundle.base_dim != bundle.rank:
+        raise ShapeError("a primitive section needs base dimension equal to the rank")
+    iso = contract("iab,b->ai", bundle.phi, section)
+    if np.linalg.cond(iso.constant_term()) > 1.0 / max(tol, 1e-300):
+        raise NotPrimitiveError("section is not primitive: I(0) is singular")
+    iso_inv = iso.inverse()
+
+    # mult[i, j] = I^-1 Phi_i I(d_j), unit = I^-1 s, euler = -I^-1 R0 s
+    mult = contract("ka,ija->ijk", iso_inv, contract("iab,bj->ija", bundle.phi, iso))
+    unit = contract("ka,a->k", iso_inv, section)
+    euler = -contract("ka,a->k", iso_inv, contract("ab,b->a", bundle.r0, section))
+    n = bundle.rank
+    model = FManifoldModel(
+        [[mult[i, j].to_vector() for j in range(n)] for i in range(n)],
+        unit.to_vector(),
+        euler.to_vector(),
     )
+
+    u_model = JetArray.from_jets(mult_by_euler(model))
+    u_expected = -contract("ka,ab->kb", contract("ka,ab->kb", iso_inv, bundle.r0), iso)
+    spec_u = regend.jordan_spectrum(u_model.constant_term())
+    spec_r = regend.jordan_spectrum(-bundle.r0.constant_term())
+    info = {
+        "u_matches_conjugated_residue": (u_model - u_expected).residual_norm(),
+        "origin_spectrum": spec_u,
+        "residue_spectrum": spec_r,
+        "spectra_match": spec_u.matches(spec_r),
+    }
+    return model, info, iso, iso_inv
 
 
 def fmanifold_from_saito(
@@ -248,42 +288,8 @@ def fmanifold_from_saito(
     The report verifies that multiplication by the Euler field matches the
     conjugated residue and that their origin spectra agree.
     """
-    if bundle.base_dim != bundle.rank:
-        raise ShapeError("a primitive section needs base dimension equal to the rank")
-    s = np.asarray(section, dtype=np.complex128)
-    if s.shape != (bundle.rank,):
-        raise ShapeError("section must be a constant vector of rank length")
-    sp = bundle.space
-    n = bundle.rank
-    cols = [bundle.phi[i].apply(s) for i in range(n)]
-    iso = JetMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
-    i0 = iso.constant_term()
-    if np.linalg.cond(i0) > 1.0 / max(tol, 1e-300):
-        raise NotPrimitiveError("section is not primitive: I(0) is singular")
-    iso_inv = iso.inverse()
-
-    mult = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            rhs = bundle.phi[i] @ cols[j]
-            row.append(iso_inv @ rhs)
-        mult.append(row)
-    unit = iso_inv.apply(s)
-    euler = iso_inv @ (-bundle.r0.apply(s))
-    model = FManifoldModel(mult, unit, euler)
-
-    u_model = mult_by_euler(model)
-    u_expected = -(iso_inv @ bundle.r0 @ iso)
-    conj_res = (u_model - u_expected).residual_norm()
-    spec_u = regend.jordan_spectrum(u_model.constant_term())
-    spec_r = regend.jordan_spectrum(-bundle.r0.constant_term())
-    return model, {
-        "u_matches_conjugated_residue": conj_res,
-        "origin_spectrum": spec_u,
-        "residue_spectrum": spec_r,
-        "spectra_match": spec_u.matches(spec_r),
-    }
+    model, info, _, _ = _induced(bundle, _section(bundle, section)[1], tol)
+    return model, info
 
 
 def frobenius_from_saito(
@@ -291,45 +297,40 @@ def frobenius_from_saito(
     section,
     weight_q: complex,
     tol: float = 1e-8,
-) -> tuple[JetMatrix, ResidualReport]:
+) -> tuple[JetArray, ResidualReport]:
     """Metric induced by a flat homogeneous primitive section, plus the
     residual of the Euler-derivative law
     nabla(E) = I^{-1} Rinf I + (1 - q) Id."""
     if bundle.metric is None:
         raise ShapeError("bundle has no metric")
-    s = np.asarray(section, dtype=np.complex128)
+    s, s_jet = _section(bundle, section)
     flat_res = 0.0
     if bundle.frame_connection is not None:
-        for om in bundle.frame_connection:
-            flat_res = max(flat_res, float(np.max(np.abs(om.apply(s).constant_terms()))))
-            flat_res = max(flat_res, om.apply(s).residual_norm())
+        flat_res = contract("iab,b->ia", bundle.frame_connection, s_jet).residual_norm()
     hom = float(np.max(np.abs(bundle.rinf @ s - complex(weight_q) * s)))
     if hom > tol * max(1.0, float(np.max(np.abs(s)))):
         raise HomogeneityError(
             f"section is not homogeneous of weight {weight_q}: residual {hom:.3e}"
         )
 
-    model, _ = fmanifold_from_saito(bundle, s)
+    model, _, iso, iso_inv = _induced(bundle, s_jet, 1e-10)
     sp = bundle.space
     n = bundle.rank
-    cols = [bundle.phi[i].apply(s) for i in range(n)]
-    iso = JetMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
-    iso_inv = iso.inverse()
-    gram = iso.T @ JetMatrix.from_constant(sp, bundle.metric) @ iso
+    gram = contract(
+        "al,lb->ab", contract("ka,kl->al", iso, JetArray.constant(sp, bundle.metric)), iso
+    )
 
     # Levi-Civita derivative of the Euler field vs the transported residue
     chris = levi_civita_curvature(gram, model.unit).christoffel
-    nabla_mat = euler_derivative(chris, model.euler).to_matrix()
-    expected = iso_inv @ JetMatrix.from_constant(sp, bundle.rinf) @ iso
-    expected = expected + JetMatrix.from_constant(
-        sp, (1.0 - complex(weight_q)) * np.eye(n)
-    )
-    res = (nabla_mat - expected).residual_norm()
+    nabla = euler_derivative(chris, model.euler)
+    expected = contract(
+        "ka,ab->kb", contract("ka,ab->kb", iso_inv, JetArray.constant(sp, bundle.rinf)), iso
+    ) + JetArray.constant(sp, (1.0 - complex(weight_q)) * np.eye(n))
     rep = report_from(
         [
             ("section_flat", flat_res, sp.order),
             ("section_homogeneous", hom, sp.order),
-            ("euler_derivative", res, sp.order - 1),
+            ("euler_derivative", (nabla - expected).residual_norm(), sp.order - 1),
         ]
     )
     return gram, rep

@@ -4,19 +4,45 @@ These are the per-entry ``Jet`` loops that ``check_fmanifold``,
 ``check_gamma``, the general rotation operator, the Darboux-Egoroff
 residuals and the Levi-Civita curvature oracle used before they were
 written as ``JetArray`` contractions, plus the per-call composition loop
-that ``Substitution`` replaced and the one-right-hand-side frame expansion
-that ``malgrange.expand_in_frame`` batches.  They are kept, for tests only,
-as independent references: they read the model through ``model.mult`` and
-use only the object kernel (``Jet``, ``JetVector``, ``JetMatrix``).
+that ``Substitution`` replaced, the one-right-hand-side frame expansion
+that ``malgrange.expand_in_frame`` batches, and the per-pair loops of the
+Saito-bundle and Birkhoff-connection checks.  They are kept, for tests
+only, as independent references: they read the model through
+``model.mult``, convert bundle and connection data to lists of
+``JetMatrix`` and use only the object kernel (``Jet``, ``JetVector``,
+``JetMatrix``).
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from regfman.frob import epsilon_gram, psi_epsilon_norm
-from regfman.jets import JetMatrix, JetVector, commutator, lie_bracket
+from regfman import regend
+from regfman.errors import HomogeneityError, NotPrimitiveError, ShapeError
+from regfman.fman import FManifoldModel, mult_by_euler
+from regfman.frob import epsilon_gram, euler_derivative, psi_epsilon_norm
+from regfman.frob import levi_civita_curvature as lc_curvature
+from regfman.jets import JetMatrix, JetVector, lie_bracket
 from regfman.reports import Residual, ResidualReport, report_from
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def apply(mat, vector):
+    """A jet matrix applied to a constant vector, skipping zero components."""
+    v = np.asarray(vector, dtype=np.complex128)
+    if v.shape != (mat.cols,):
+        raise ShapeError("vector length does not match matrix columns")
+    out = []
+    for i in range(mat.rows):
+        acc = mat.space.zero()
+        for j in range(mat.cols):
+            if v[j] != 0:
+                acc = acc + mat.entries[i][j].scale(v[j])
+        out.append(acc)
+    return JetVector(out)
 
 
 def basis_field(model, i):
@@ -305,7 +331,7 @@ def expand_in_matrix_frame(frame: Sequence[JetMatrix], rhs: JetMatrix):
     coeff_arrays = [np.zeros(sp.size, dtype=np.complex128) for _ in range(nf)]
     for deg in range(sp.order + 1):
         partial = [sp.from_coeffs(arr) for arr in coeff_arrays]
-        acc = JetMatrix.zero(sp, r, c)
+        acc = JetMatrix.from_constant(sp, np.zeros((r, c)))
         for k in range(nf):
             if partial[k].is_zero():
                 continue
@@ -321,8 +347,169 @@ def expand_in_matrix_frame(frame: Sequence[JetMatrix], rhs: JetMatrix):
             for k in range(nf):
                 coeff_arrays[k][idx] = sol[k]
     coeffs = [sp.from_coeffs(arr, eff_order=eff) for arr in coeff_arrays]
-    final = JetMatrix.zero(sp, r, c)
+    final = JetMatrix.from_constant(sp, np.zeros((r, c)))
     for k in range(nf):
         if not coeffs[k].is_zero():
             final = final + frame[k].scale(coeffs[k])
     return coeffs, (rhs - final).residual_norm()
+
+
+# -- Saito bundles and Birkhoff connections ------------------------------------------
+
+
+def _matrices(stack):
+    return [stack[i].to_matrix() for i in range(len(stack))]
+
+
+def _cov_endo(omega, i, mat):
+    """(nabla_i R) = d_i R + [Omega_i, R] in the frame."""
+    out = mat.partial(i)
+    if omega is not None:
+        out = out + commutator(omega, mat)
+    return out
+
+
+def check_saito_axioms(bundle):
+    m = bundle.base_dim
+    sp = bundle.space
+    order = sp.order
+    phi = _matrices(bundle.phi)
+    r0 = bundle.r0.to_matrix()
+    frame = None if bundle.frame_connection is None else _matrices(bundle.frame_connection)
+    curvature = d_nabla_phi = phi_wedge = r0_phi = nabla_r0 = nabla_rinf = 0.0
+    rinf_mat = JetMatrix.from_constant(sp, bundle.rinf)
+    for i in range(m):
+        omi = None if frame is None else frame[i]
+        for j in range(i + 1, m):
+            omj = None if frame is None else frame[j]
+            if omi is not None or omj is not None:
+                curv = omj.partial(i) - omi.partial(j) + commutator(omi, omj)
+                curvature = max(curvature, curv.residual_norm())
+            dphi = _cov_endo(omi, i, phi[j]) - _cov_endo(omj, j, phi[i])
+            d_nabla_phi = max(d_nabla_phi, dphi.residual_norm())
+            phi_wedge = max(phi_wedge, commutator(phi[i], phi[j]).residual_norm())
+        r0_phi = max(r0_phi, commutator(r0, phi[i]).residual_norm())
+        mixed = _cov_endo(omi, i, r0) + phi[i] - commutator(phi[i], rinf_mat)
+        nabla_r0 = max(nabla_r0, mixed.residual_norm())
+        if omi is not None:
+            nabla_rinf = max(nabla_rinf, commutator(omi, rinf_mat).residual_norm())
+    return report_from(
+        [
+            ("curvature", curvature, order - 1),
+            ("phi_wedge_phi", phi_wedge, order),
+            ("r0_phi_commute", r0_phi, order),
+            ("d_nabla_phi", d_nabla_phi, order - 1),
+            ("nabla_r0", nabla_r0, order - 1),
+            ("nabla_rinf", nabla_rinf, order),
+        ]
+    )
+
+
+def check_saito_metric_axioms(bundle):
+    if bundle.metric is None:
+        raise ShapeError("bundle has no metric")
+    g = bundle.metric
+    sp = bundle.space
+    gm = JetMatrix.from_constant(sp, g)
+    nabla_metric = 0.0
+    if bundle.frame_connection is not None:
+        for om in _matrices(bundle.frame_connection):
+            nabla_metric = max(nabla_metric, (om.T @ gm + gm @ om).residual_norm())
+    rinf_skew = float(np.max(np.abs(bundle.rinf.T @ g + g @ bundle.rinf)))
+    r0 = bundle.r0.to_matrix()
+    r0_sym = (r0.T @ gm - gm @ r0).residual_norm()
+    phi_sym = max((p.T @ gm - gm @ p).residual_norm() for p in _matrices(bundle.phi))
+    return report_from(
+        [
+            ("nabla_metric", nabla_metric, sp.order),
+            ("rinf_skew", rinf_skew, sp.order),
+            ("r0_symmetric", r0_sym, sp.order),
+            ("phi_symmetric", phi_sym, sp.order),
+        ]
+    )
+
+
+def birkhoff_flatness(connection):
+    m = connection.base_dim
+    sp = connection.space
+    c = _matrices(connection.c)
+    b0 = connection.b0.to_matrix()
+    binf_mat = JetMatrix.from_constant(sp, connection.binf)
+    c_commute = c_curl = b0_c = b0_mixed = 0.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            c_commute = max(c_commute, commutator(c[i], c[j]).residual_norm())
+            c_curl = max(c_curl, (c[j].partial(i) - c[i].partial(j)).residual_norm())
+        b0_c = max(b0_c, commutator(b0, c[i]).residual_norm())
+        mixed = b0.partial(i) + c[i] - commutator(binf_mat, c[i])
+        b0_mixed = max(b0_mixed, mixed.residual_norm())
+    return report_from(
+        [
+            ("c_commute", c_commute, sp.order),
+            ("c_curl", c_curl, sp.order - 1),
+            ("b0_c_commute", b0_c, sp.order),
+            ("b0_mixed", b0_mixed, sp.order - 1),
+        ]
+    )
+
+
+def fmanifold_from_saito(bundle, section, tol=1e-10):
+    if bundle.base_dim != bundle.rank:
+        raise ShapeError("a primitive section needs base dimension equal to the rank")
+    s = np.asarray(section, dtype=np.complex128)
+    n = bundle.rank
+    phi = _matrices(bundle.phi)
+    r0 = bundle.r0.to_matrix()
+    cols = [apply(phi[i], s) for i in range(n)]
+    iso = JetMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
+    if np.linalg.cond(iso.constant_term()) > 1.0 / max(tol, 1e-300):
+        raise NotPrimitiveError("section is not primitive: I(0) is singular")
+    iso_inv = iso.inverse()
+    mult = [[iso_inv @ (phi[i] @ cols[j]) for j in range(n)] for i in range(n)]
+    unit = apply(iso_inv, s)
+    euler = iso_inv @ (-apply(r0, s))
+    model = FManifoldModel(mult, unit, euler)
+    u_model = mult_by_euler(model)
+    conj_res = (u_model - -(iso_inv @ r0 @ iso)).residual_norm()
+    spec_u = regend.jordan_spectrum(u_model.constant_term())
+    spec_r = regend.jordan_spectrum(-r0.constant_term())
+    return model, {
+        "u_matches_conjugated_residue": conj_res,
+        "origin_spectrum": spec_u,
+        "residue_spectrum": spec_r,
+        "spectra_match": spec_u.matches(spec_r),
+    }
+
+
+def frobenius_from_saito(bundle, section, weight_q, tol=1e-8):
+    if bundle.metric is None:
+        raise ShapeError("bundle has no metric")
+    s = np.asarray(section, dtype=np.complex128)
+    sp = bundle.space
+    n = bundle.rank
+    flat_res = 0.0
+    if bundle.frame_connection is not None:
+        for om in _matrices(bundle.frame_connection):
+            flat_res = max(flat_res, float(np.max(np.abs(apply(om, s).constant_terms()))))
+            flat_res = max(flat_res, apply(om, s).residual_norm())
+    hom = float(np.max(np.abs(bundle.rinf @ s - complex(weight_q) * s)))
+    if hom > tol * max(1.0, float(np.max(np.abs(s)))):
+        raise HomogeneityError(f"section is not homogeneous of weight {weight_q}")
+    model, _ = fmanifold_from_saito(bundle, s)
+    phi = _matrices(bundle.phi)
+    cols = [apply(phi[i], s) for i in range(n)]
+    iso = JetMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
+    iso_inv = iso.inverse()
+    gram = iso.T @ JetMatrix.from_constant(sp, bundle.metric) @ iso
+    chris = lc_curvature(gram, model.unit).christoffel
+    nabla_mat = euler_derivative(chris, model.euler).to_matrix()
+    expected = iso_inv @ JetMatrix.from_constant(sp, bundle.rinf) @ iso
+    expected = expected + JetMatrix.from_constant(sp, (1.0 - complex(weight_q)) * np.eye(n))
+    rep = report_from(
+        [
+            ("section_flat", flat_res, sp.order),
+            ("section_homogeneous", hom, sp.order),
+            ("euler_derivative", (nabla_mat - expected).residual_norm(), sp.order - 1),
+        ]
+    )
+    return gram, rep

@@ -45,7 +45,7 @@ from regfman.frob import (
     RotationOperator,
     epsilon_gram,
 )
-from regfman.jets import JetMatrix, jet_space, lie_bracket
+from regfman.jets import JetArray, JetMatrix, Substitution, jet_space, lie_bracket
 from regfman.malgrange import (
     DeformationSpec,
     InitialData,
@@ -377,11 +377,9 @@ def _restrict_connection(conn, keep, order):
     ]
 
     def restrict(mat):
-        return mat.compose(subs)
+        return Substitution(conn.space, subs)(mat)
 
-    return BirkhoffConnection(
-        restrict(conn.b0), conn.binf, [restrict(conn.c[i]) for i in range(keep)]
-    )
+    return BirkhoffConnection(restrict(conn.b0), conn.binf, restrict(conn.c[:keep]))
 
 
 def _flat_connections(order=3):
@@ -433,7 +431,7 @@ def _perturbed(conn, rng):
         noise = rng.standard_normal((conn.rank, conn.rank)) * 0.1
         if which == 0:
             cand = BirkhoffConnection(
-                conn.b0 + JetMatrix.from_constant(sp, noise).scale(sp.variable(0)),
+                conn.b0 + JetArray.from_jets(JetMatrix.from_constant(sp, noise).scale(sp.variable(0))),
                 conn.binf,
                 conn.c,
             )
@@ -441,8 +439,8 @@ def _perturbed(conn, rng):
             cand = BirkhoffConnection(conn.b0, conn.binf + noise, conn.c)
         else:
             cs = list(conn.c)
-            cs[0] = cs[0] + JetMatrix.from_constant(sp, noise)
-            cand = BirkhoffConnection(conn.b0, conn.binf, cs)
+            cs[0] = cs[0] + JetArray.constant(sp, noise)
+            cand = BirkhoffConnection(conn.b0, conn.binf, JetArray.stack(cs))
         if birkhoff_flatness(cand).max_value() > 1e-6:
             return cand
     raise AssertionError("could not construct a non-flat perturbation")

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from regfman.cli import explain, main
+from regfman.jets import Jet, JetArray, JetMatrix
+from saito_cases import metric_gauged_bundle
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "tasks"
 
@@ -161,6 +163,49 @@ class TestRun:
         code, report = run_doc(tmp_path, doc)
         assert code == 0
         assert report["verdicts"]["frobenius"]["pass"] is True
+
+    def test_saito_check_with_frame_connection(self, tmp_path):
+        # built one order higher, so the Higgs field and the connection
+        # (derivatives of chart data) are exact at the document's order
+        bundle = metric_gauged_bundle(order=4)
+        order = 3
+
+        def jets(arr):
+            if isinstance(arr, Jet):
+                terms = sorted(arr.terms().items())
+                return [[list(e), [c.real, c.imag]] for e, c in terms if sum(e) <= order]
+            return [jets(arr[i]) for i in range(len(arr))]
+
+        def doc(frame):
+            return {
+                "schema": "regfman-doc/1",
+                "task": "saito-check",
+                "settings": {"order": order, "tolerance": 1e-9},
+                "payload": {
+                    "bundle": {
+                        "base_dim": bundle.base_dim,
+                        "phi": jets(bundle.phi),
+                        "r0": jets(bundle.r0),
+                        "rinf": [[[z.real, z.imag] for z in row] for row in bundle.rinf],
+                        "metric": [[[z.real, z.imag] for z in row] for row in bundle.metric],
+                        "frame_connection": jets(frame),
+                    }
+                },
+            }
+
+        code, report = run_doc(tmp_path, doc(bundle.frame_connection))
+        assert code == 0
+        assert report["pass"] is True
+        assert report["residuals"]["curvature"]["order"] == order - 1
+        assert "metric_nabla_metric" in report["residuals"]
+        # a non-closed scalar shift of Omega_0 breaks flatness and nothing else
+        sp = bundle.space
+        shift = JetArray.from_jets(JetMatrix.identity(sp, 2).scale(sp.variable(1)))
+        frame = JetArray.stack([bundle.frame_connection[0] + shift, bundle.frame_connection[1]])
+        code, report = run_doc(tmp_path, doc(frame), name="broken.json")
+        assert code == 1
+        broken = {name for name, v in report["verdicts"].items() if not v["pass"]}
+        assert broken == {"curvature", "metric_nabla_metric"}
 
     def test_germ_iso_mismatch_exits_2(self, tmp_path, capsys):
         doc = {

@@ -22,9 +22,19 @@ from regfman.frob import (
     psi_from_metric,
 )
 from regfman.jets import Jet, JetArray, JetMatrix, JetSpace, JetVector, contract, jet_space
-from regfman.malgrange import DeformationSpec, fmanifold_on_chart, integrate_chart
+from regfman.malgrange import DeformationSpec, canonical_connection, fmanifold_on_chart, integrate_chart
 from regfman.regend import jordan_block
 from regfman.reports import DEFAULT_TOLERANCE
+from regfman.saito import (
+    BirkhoffConnection,
+    SaitoBundle,
+    birkhoff_flatness,
+    birkhoff_to_saito,
+    check_saito_axioms,
+    check_saito_metric_axioms,
+    fmanifold_from_saito,
+    frobenius_from_saito,
+)
 
 # every contraction spec that fman and frob use
 SPECS = (
@@ -449,3 +459,130 @@ def test_germ_isomorphism_builds_one_table_per_order(monkeypatch):
         psi, rep = germ_isomorphism(model, standard_model([(-1.0, 3)], order))
         assert rep.passes(1e-8), rep.worst()
         assert 0 < len(built) <= order + 1
+
+
+# -- the Saito layer against its loop references --------------------------------------
+
+
+def _trusted_stack(sp, shape, rng) -> JetArray:
+    """:func:`_random_jet` entries trusted to a random order of at least
+    one, so that their derivatives stay trustworthy."""
+    jets = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        jets[idx] = sp.from_coeffs(_random_jet(sp, rng).coeffs, int(rng.integers(1, sp.order + 1)))
+    return JetArray.from_jets(jets.tolist())
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _reports_match_or_raise_alike(fast, loop, args, scale):
+    try:
+        want = loop(*args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fast(*args)
+        return
+    _assert_reports_match(fast(*args), want, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rank=st.integers(1, 4),
+    base=st.integers(1, 4),
+    order=st.integers(1, 5),
+    frame=st.booleans(),
+    metric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_saito_checks_match_loops(rank, base, order, frame, metric, seed):
+    rng = np.random.default_rng(seed)
+    sp = jet_space(base, order)
+    jets = [_trusted_stack(sp, (base, rank, rank), rng), _trusted_stack(sp, (rank, rank), rng)]
+    if frame:
+        jets.append(_trusted_stack(sp, (base, rank, rank), rng))
+    rinf = _complex(rng, (rank, rank))
+    g = None
+    if metric:
+        a = _complex(rng, (rank, rank))
+        g = a @ a.T + 2 * rank * np.eye(rank)
+    bundle = SaitoBundle(jets[0], jets[1], rinf, jets[2] if frame else None, g)
+    scale = max(
+        [1.0, float(np.abs(rinf).max())]
+        + [float(np.abs(j.coeffs).max()) for j in jets]
+        + ([float(np.abs(g).max())] if metric else [])
+    )
+    _reports_match_or_raise_alike(check_saito_axioms, loop_oracles.check_saito_axioms, (bundle,), scale**2)
+    if metric:
+        _assert_reports_match(
+            check_saito_metric_axioms(bundle), loop_oracles.check_saito_metric_axioms(bundle), scale**2
+        )
+    conn = BirkhoffConnection(bundle.r0, -bundle.rinf, bundle.phi)
+    _reports_match_or_raise_alike(birkhoff_flatness, loop_oracles.birkhoff_flatness, (conn,), scale**2)
+
+
+def test_saito_checks_raise_like_loops_on_untrusted_derivatives():
+    sp = jet_space(2, 3)
+    phi = [JetMatrix([[sp.from_coeffs(np.ones(sp.size), 0)]]), JetMatrix([[sp.variable(0)]])]
+    bundle = SaitoBundle(phi, JetMatrix([[sp.one()]]), np.zeros((1, 1)))
+    for check in (check_saito_axioms, loop_oracles.check_saito_axioms):
+        with pytest.raises(ValueError):
+            check(bundle)
+
+
+def _dense_stack(sp, shape, rng, constant):
+    """Dense jets with the given constant terms and small higher terms."""
+    coeffs = 0.2 * _complex(rng, shape + (sp.size,))
+    coeffs[..., 0] = constant
+    return JetArray(sp, coeffs, np.full(shape, sp.order))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 4), order=st.integers(2, 5), frame=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_induced_structures_match_loops(n, order, frame, seed):
+    rng = np.random.default_rng(seed)
+    sp = jet_space(n, order)
+    rinf = _complex(rng, (n, n))
+    q, vecs = np.linalg.eig(rinf)
+    s = vecs[:, 0]
+    # Phi_i(0) s is close to the i-th unit vector, so I(0) is well conditioned
+    phi0 = np.einsum("ai,b->iab", np.eye(n), s.conj()) / np.vdot(s, s) + 0.2 * _complex(rng, (n, n, n))
+    phi = _dense_stack(sp, (n, n, n), rng, phi0)
+    r0 = _dense_stack(sp, (n, n), rng, _complex(rng, (n, n)))
+    a = _complex(rng, (n, n))
+    frame_conn = _dense_stack(sp, (n, n, n), rng, _complex(rng, (n, n, n))) if frame else None
+    bundle = SaitoBundle(phi, r0, rinf, frame_conn, a @ a.T + 2 * n * np.eye(n))
+
+    model, info = fmanifold_from_saito(bundle, s)
+    want_model, want_info = loop_oracles.fmanifold_from_saito(bundle, s)
+    want = np.array([[list(want_model.mult[i][j]) for j in range(n)] for i in range(n)], dtype=object)
+    scale = max(1.0, max(np.abs(j.coeffs).max() for j in want.flat))
+    _assert_same_jets(JetArray.from_jets(model.mult), want, scale)
+    _assert_same_jets(JetArray.from_jets(model.unit), np.array(list(want_model.unit), dtype=object), scale)
+    _assert_same_jets(JetArray.from_jets(model.euler), np.array(list(want_model.euler), dtype=object), scale**2)
+    res = info["u_matches_conjugated_residue"]
+    assert abs(res - want_info["u_matches_conjugated_residue"]) <= 1e-12 * scale**2 * max(1.0, res)
+    assert info["spectra_match"] == want_info["spectra_match"]
+
+    gram, rep = frobenius_from_saito(bundle, s, q[0])
+    want_gram, want_rep = loop_oracles.frobenius_from_saito(bundle, s, q[0])
+    gscale = max(1.0, max(np.abs(j.coeffs).max() for row in want_gram.entries for j in row))
+    _assert_same_jets(gram, np.array(want_gram.entries, dtype=object), gscale)
+    assert list(rep) == list(want_rep)
+    for name in want_rep:
+        assert rep[name].order == want_rep[name].order
+        assert abs(rep[name].value - want_rep[name].value) <= 1e-12 * scale**2 * max(1.0, want_rep[name].value)
+
+
+def test_section_with_zero_components_matches_loop():
+    # zero components of the section drop out of I(X) = Phi_X(s), as the
+    # loop's skip does; the chart's Higgs field is trusted to order K - 1
+    chart = integrate_chart(DeformationSpec(jordan_block(1.0, 3), np.diag([0.1, 0.0, -0.2])), 3)
+    bundle = birkhoff_to_saito(canonical_connection(chart))
+    for s in ([1.0, 0.0, 0.0], [1.0, 0.0, 0.5]):
+        model, info = fmanifold_from_saito(bundle, s)
+        want, want_info = loop_oracles.fmanifold_from_saito(bundle, s)
+        assert info["spectra_match"] and want_info["spectra_match"]
+        for got_v, want_v in ((model.unit, want.unit), (model.euler, want.euler)):
+            _assert_same_jets(JetArray.from_jets(got_v), np.array(list(want_v), dtype=object), 10.0)

@@ -30,7 +30,9 @@ from regfman.frob import (
     psi_from_metric,
     unit_covector,
 )
-from regfman.jets import JetMatrix, JetVector, commutator, jet_space
+from regfman.jets import JetMatrix, JetVector, jet_space
+
+from loop_oracles import commutator
 
 
 def binom_jet(space, var, exponent, order):

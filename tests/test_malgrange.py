@@ -5,7 +5,7 @@ import pytest
 
 from regfman.errors import ValidationError
 from regfman.fman import check_fmanifold, mult_by_euler, standard_block, standard_model
-from regfman.jets import JetMatrix, jet_space
+from regfman.jets import JetArray, JetMatrix, jet_space
 from regfman.malgrange import (
     DeformationSpec,
     InitialData,
@@ -13,7 +13,7 @@ from regfman.malgrange import (
     canonical_connection,
     check_integrality,
     check_universality_isomorphism,
-    expand_in_matrix_frame,
+    expand_in_frame,
     fmanifold_on_chart,
     initial_condition_extend,
     integrate_chart,
@@ -27,7 +27,7 @@ class TestB0At:
     def test_gamma_zero(self):
         spec = DeformationSpec(np.diag([1.0, 2.0]), np.zeros((2, 2)))
         sp = jet_space(2, 3)
-        got = b0_at(spec, JetMatrix.zero(sp, 2, 2))
+        got = b0_at(spec, JetMatrix.from_constant(sp, np.zeros((2, 2))))
         assert np.allclose(got.constant_term(), np.diag([1.0, 2.0]))
 
     def test_scalar_case(self):
@@ -74,7 +74,7 @@ class TestIntegrateChart:
         ident = JetMatrix.identity(sp, 2)
         b0o_jet = JetMatrix.from_constant(sp, b0o)
         expected = b0o_jet + (ident.scale(u0) - b0o_jet).scale(exp_neg)
-        assert (chart.gamma - expected).residual_norm() < 1e-12
+        assert (chart.gamma - JetArray.from_jets(expected)).residual_norm() < 1e-12
 
 
 class TestIntegrality:
@@ -171,10 +171,10 @@ class TestFManifoldOnChart:
         f0 = sp.from_coeffs(rng.standard_normal(sp.size))
         f1 = sp.from_coeffs(rng.standard_normal(sp.size))
         rhs = frame[0].scale(f0) + frame[1].scale(f1)
-        coeffs, res = expand_in_matrix_frame(frame, rhs)
-        assert res < 1e-12
-        assert (coeffs[0] - f0).residual_norm() < 1e-12
-        assert (coeffs[1] - f1).residual_norm() < 1e-12
+        coeffs, res = expand_in_frame(JetArray.from_jets(frame), JetArray.from_jets([rhs]))
+        assert res[0] < 1e-12
+        assert (coeffs[0, 0] - f0).residual_norm() < 1e-12
+        assert (coeffs[0, 1] - f1).residual_norm() < 1e-12
 
 
 class TestUniversality:

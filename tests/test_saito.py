@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import loop_oracles
 from regfman.errors import HomogeneityError, NotPrimitiveError, ShapeError
 from regfman.fman import check_fmanifold, mult_by_euler
-from regfman.jets import JetMatrix, jet_space
+from regfman.jets import JetArray, JetMatrix, contract, jet_space
 from regfman.saito import (
     BirkhoffConnection,
     SaitoBundle,
@@ -16,6 +17,7 @@ from regfman.saito import (
     fmanifold_from_saito,
     frobenius_from_saito,
 )
+from saito_cases import admissible_bundle, metric_gauged_bundle, non_abelian_gauged_bundle
 
 
 def constant_connection(space, b0, binf, cs):
@@ -128,12 +130,12 @@ class TestSaitoAxioms:
                 binf = conn.binf.copy()
                 cs = list(conn.c)
                 if which == 0:
-                    b0 = b0 + JetMatrix.from_constant(sp, noise)
+                    b0 = b0 + JetArray.constant(sp, noise)
                 elif which == 1:
                     binf = binf + noise
                 else:
-                    cs = [cs[0] + JetMatrix.from_constant(sp, noise)]
-                cand = BirkhoffConnection(b0, binf, cs)
+                    cs = [cs[0] + JetArray.constant(sp, noise)]
+                cand = BirkhoffConnection(b0, binf, JetArray.stack(cs))
             flat = birkhoff_flatness(cand).max_value() <= 1e-8
             saito = check_saito_axioms(birkhoff_to_saito(cand)).max_value() <= 1e-8
             assert flat == saito
@@ -315,3 +317,100 @@ class TestFrobeniusFromSaito:
                         rhs = rhs + model.mult[b][c][k] * gram[a, k]
                     worst = max(worst, (lhs - rhs).residual_norm())
         assert worst < 1e-10
+
+
+# -- bundles with a frame connection ------------------------------------------------
+
+
+def failing(report, tol=1e-9):
+    return {name for name in report if report[name].value > tol}
+
+
+def perturbed(bundle, delta):
+    """The bundle with Omega_0 shifted by the jet matrix delta."""
+    omega = bundle.frame_connection
+    rest = [omega[i] for i in range(1, len(omega))]
+    shifted = JetArray.stack([omega[0] + JetArray.from_jets(delta), *rest])
+    return SaitoBundle(bundle.phi, bundle.r0, bundle.rinf, shifted, bundle.metric)
+
+
+class TestFrameConnection:
+    def test_admissible_bundle_is_flat_and_metric(self):
+        bundle = admissible_bundle()
+        assert bundle.frame_connection is None
+        assert check_saito_axioms(bundle).passes(1e-9)
+        assert check_saito_metric_axioms(bundle).passes(1e-9)
+
+    def test_gauge_transform_of_flat_bundle_passes(self):
+        bundle = non_abelian_gauged_bundle()
+        omega = bundle.frame_connection
+        bracket = contract("ab,bc->ac", omega[0], omega[1]) - contract("ab,bc->ac", omega[1], omega[0])
+        assert bracket.residual_norm() > 0.1
+        rep = check_saito_axioms(bundle)
+        assert rep.passes(1e-9), rep
+        _assert_matches_loops(bundle)
+
+    def test_metric_gauge_transform_passes(self):
+        bundle = metric_gauged_bundle()
+        assert np.abs(bundle.frame_connection.coeffs).max() > 0.1
+        assert check_saito_axioms(bundle).passes(1e-9), check_saito_axioms(bundle)
+        assert check_saito_metric_axioms(bundle).passes(1e-9), check_saito_metric_axioms(bundle)
+        _assert_matches_loops(bundle)
+
+    def test_non_closed_scalar_shift_breaks_only_curvature(self):
+        bundle = metric_gauged_bundle()
+        sp = bundle.space
+        # a scalar shift commutes with everything: only d(Omega) changes
+        broken = perturbed(bundle, JetMatrix.identity(sp, 2).scale(sp.variable(1)))
+        assert failing(check_saito_axioms(broken)) == {"curvature"}
+        assert failing(check_saito_metric_axioms(broken)) == {"nabla_metric"}
+        _assert_matches_loops(broken)
+
+    def test_closed_scalar_shift_breaks_only_metric_flatness(self):
+        bundle = metric_gauged_bundle()
+        sp = bundle.space
+        x0, x1 = sp.variable(0), sp.variable(1)
+        # Omega_i + d_i h Id with h = x0 x1 + 0.3 x0^2 stays flat, but not metric
+        omega = bundle.frame_connection
+        ident = JetMatrix.identity(sp, 2)
+        shifted = JetArray.stack(
+            [
+                omega[0] + JetArray.from_jets(ident.scale(x1 + x0.scale(0.6))),
+                omega[1] + JetArray.from_jets(ident.scale(x0)),
+            ]
+        )
+        broken = SaitoBundle(bundle.phi, bundle.r0, bundle.rinf, shifted, bundle.metric)
+        assert failing(check_saito_axioms(broken)) == set()
+        assert failing(check_saito_metric_axioms(broken)) == {"nabla_metric"}
+
+    def test_constant_shift_breaks_the_covariant_identities(self):
+        bundle = metric_gauged_bundle()
+        sp = bundle.space
+        # E12 commutes neither with Rinf, nor with Phi_1 or R0
+        broken = perturbed(bundle, JetMatrix.from_constant(sp, np.array([[0.0, 0.1], [0.0, 0.0]])))
+        rep = check_saito_axioms(broken)
+        assert {"nabla_rinf", "d_nabla_phi", "nabla_r0"} <= failing(rep), rep
+        assert "phi_wedge_phi" not in failing(rep) and "r0_phi_commute" not in failing(rep)
+        _assert_matches_loops(broken)
+
+    def test_flat_section_of_a_gauged_bundle(self):
+        # Rinf = diag(-1/2, 1/2): e_0 is homogeneous of weight -1/2, and the
+        # frame connection moves it, so section_flat measures Omega e_0
+        bundle = metric_gauged_bundle()
+        gram, rep = frobenius_from_saito(bundle, [1.0, 0.0], -0.5)
+        want_gram, want = loop_oracles.frobenius_from_saito(bundle, [1.0, 0.0], -0.5)
+        assert rep["section_flat"].value > 0.01
+        assert rep["section_flat"].value == pytest.approx(want["section_flat"].value, rel=1e-12)
+        assert (gram - JetArray.from_jets(want_gram)).residual_norm() < 1e-12
+
+
+def _assert_matches_loops(bundle):
+    checks = [(check_saito_axioms, loop_oracles.check_saito_axioms)]
+    if bundle.metric is not None:
+        checks.append((check_saito_metric_axioms, loop_oracles.check_saito_metric_axioms))
+    for fast, loop in checks:
+        got, want = fast(bundle), loop(bundle)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].order == want[name].order
+            assert abs(got[name].value - want[name].value) <= 1e-12 * max(1.0, want[name].value)
