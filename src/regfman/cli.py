@@ -71,6 +71,14 @@ def _complex_out(z: complex) -> list[float]:
 
 
 def _jet_in(space: JetSpace, data, field: str) -> Jet:
+    eff_order = space.order
+    if isinstance(data, dict):
+        if set(data) != {"terms", "eff_order"}:
+            _fail('expected {"terms": [...], "eff_order": e}', field)
+        eff_order = data["eff_order"]
+        if not isinstance(eff_order, int) or isinstance(eff_order, bool) or eff_order < 0:
+            _fail("eff_order must be a non-negative integer", f"{field}/eff_order")
+        data, field = data["terms"], f"{field}/terms"
     if not isinstance(data, list):
         _fail("expected a list of (multi-index, [re, im]) entries", field)
     terms = {}
@@ -88,7 +96,7 @@ def _jet_in(space: JetSpace, data, field: str) -> Jet:
         if sum(idx) > space.order:
             _fail(f"multi-index degree {sum(idx)} exceeds order {space.order}", here)
         terms[tuple(idx)] = terms.get(tuple(idx), 0.0) + _complex_in(val, here)
-    return space.from_terms(terms)
+    return space.from_coeffs(space.from_terms(terms).coeffs, eff_order)
 
 
 def _jet_out(jet: Jet) -> list:

@@ -19,15 +19,21 @@ shape ``(*batch, size)`` with a per-entry array of effective orders, and
 :func:`contract` multiplies two of them in einsum notation over the batch
 axes, with the Cauchy product on the coefficient axis.  Each output entry
 gets exactly the effective order and truncation of the same sum of
-``Jet`` products, and its coefficients equal that sum up to round-off
-(bit-equal when nothing is pruned).  The kernel prunes the work without
-thresholds: pairs with an identically zero entry are skipped, a constant
-entry scales its partner, and the remaining Cauchy products run only over
-the coefficient pairs in the union of the supports of the entries
-involved.  Identities that a loop would evaluate entry by entry
-(associativity, Darboux-Egoroff, curvature) are written as a few
-contractions.  A :class:`Substitution` composes jets with one fixed
-substitution through a monomial table built once.
+``Jet`` products, and its coefficients equal that sum up to round-off.
+The kernel's work follows the coefficients that are there, without
+thresholds: it finds once per call which coefficient positions each
+operand uses (its support); an operand whose entries are all constant
+scales the other one; otherwise only the Cauchy pairs inside the two
+supports are formed, from a pruned pair table that the space caches per
+pair of supports (a bounded number of them).  What stays bit-equal: a
+single product with nothing pruned is ``Jet.__mul__`` bit for bit.  A
+scaling sums its products in the loop's order, but numpy may round a
+complex product of two arrays differently from one by a scalar; a sum
+over the contracted axis rounds as ``matmul`` does.  Identities that a
+loop would evaluate entry by entry (associativity, Darboux-Egoroff,
+curvature) are written as a few contractions.  A :class:`Substitution`
+composes jets with one fixed substitution through a monomial table built
+once.
 """
 
 from __future__ import annotations
@@ -111,6 +117,7 @@ class JetSpace:
 
         self._trunc_masks = [self.degrees <= d for d in range(order + 1)]
         self._degree_ends = np.cumsum(np.bincount(self.degrees, minlength=order + 1))
+        self._pair_tables: dict[bytes, tuple[np.ndarray, ...]] = {}
 
     @cached_property
     def _cauchy(self) -> tuple[np.ndarray, ...]:
@@ -137,6 +144,24 @@ class JetSpace:
             out,
             starts,
         )
+
+    def _pairs(self, used_a: np.ndarray, used_b: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rows of :attr:`_cauchy` whose first index lies in the support
+        ``used_a`` and second in ``used_b`` (boolean masks over the
+        coefficients): the index pairs, their distinct targets and the
+        bounds of each target's group.  The last ``_PAIR_CACHE`` tables are
+        kept, keyed by the two masks."""
+        key = used_a.tobytes() + used_b.tobytes()
+        table = self._pair_tables.get(key)
+        if table is None:
+            ii, jj, kk, _, _ = self._cauchy
+            keep = used_a[ii] & used_b[jj]
+            ii, jj, kk = ii[keep], jj[keep], kk[keep]
+            targets, starts = np.unique(kk, return_index=True)
+            if len(self._pair_tables) >= _PAIR_CACHE:
+                del self._pair_tables[next(iter(self._pair_tables))]
+            table = self._pair_tables[key] = (ii, jj, targets, np.append(starts, len(ii)))
+        return table
 
     @cached_property
     def _factors(self) -> tuple[tuple[int, int], ...]:
@@ -642,6 +667,13 @@ _EXACT = 1 << 40
 # Complex entries per temporary of the contraction kernel.
 _CHUNK = 1 << 14
 
+# Pruned Cauchy pair tables kept per jet space.
+_PAIR_CACHE = 256
+
+# Output entries per coefficient above which the kernel sums each target's
+# products row-wise instead of with one ``reduceat``.
+_WIDE = 64
+
 
 class JetArray:
     """A batch of jets in one space: coefficients of shape ``(*batch, size)``
@@ -665,11 +697,8 @@ class JetArray:
             raise ShapeError(
                 f"coefficients {coeffs.shape} do not match orders {eff.shape} in {space}"
             )
-        low = eff < space.order
-        if low.any():
-            # coefficients are graded, so degrees above e form a tail
-            for e in set(eff[low].tolist()):
-                coeffs[eff == e, space._degree_ends[max(e, 0)] :] = 0.0
+        if (eff < space.order).any():
+            coeffs[space.degrees > np.maximum(eff, 0)[..., None]] = 0.0
         self._set(space, coeffs, eff)
 
     def _set(self, space, coeffs, eff):
@@ -758,12 +787,19 @@ class JetArray:
         return self.space
 
     def __add__(self, other: "JetArray") -> "JetArray":
-        sp = self._check(other)
-        return JetArray(sp, self.coeffs + other.coeffs, np.minimum(self.eff, other.eff))
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "JetArray") -> "JetArray":
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: "JetArray", op) -> "JetArray":
+        """Entrywise sum or difference: when the two effective orders agree,
+        the result is already truncated."""
         sp = self._check(other)
-        return JetArray(sp, self.coeffs - other.coeffs, np.minimum(self.eff, other.eff))
+        coeffs = op(self.coeffs, other.coeffs)
+        if np.array_equal(self.eff, other.eff):
+            return JetArray._raw(sp, coeffs, self.eff)
+        return JetArray(sp, coeffs, np.minimum(self.eff, other.eff))
 
     def __neg__(self) -> "JetArray":
         return JetArray._raw(self.space, -self.coeffs, self.eff)
@@ -906,33 +942,76 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
     ``contract("ik,kj->ij", a, b)`` is the jet-matrix product.
 
     Every output entry has the effective order and truncation of the sum
-    of ``Jet`` products it names, and equals that sum up to round-off;
-    it is bit-equal when nothing is pruned.  Pairs with an identically zero
-    entry are skipped; a pair with a constant entry is a scaling; the
-    remaining pairs take Cauchy products over the coefficient pairs in the
-    union of the supports of their entries.  Pruned zero pairs change how
-    numpy's pairwise summation groups the remaining terms, which is where
-    the round-off comes from.
+    of ``Jet`` products it names, and equals that sum up to round-off.
+    The work follows the coefficients that are there:
+
+    - each operand's *support*, the coefficient positions used by any of
+      its entries, is found once, and only the prefix of the coefficient
+      axis that holds it is copied;
+    - when every entry of one operand is constant, the other operand is
+      scaled, elementwise and summed in ascending order of the contracted
+      axis, the order of the loop's sum of ``Jet`` products;
+    - otherwise only the Cauchy pairs inside the two supports are formed,
+      from the table that :meth:`JetSpace._pairs` caches per pair of
+      supports.  Each operand is gathered once, the contracted axis is
+      summed by a batched ``matmul`` (by a plain product when it has one
+      term), and the pairs of each target coefficient by ``reduceat`` (by
+      row sums when the output block is wide), in chunks of whole target
+      groups that keep every temporary under ``_CHUNK`` entries.  A lone
+      product with nothing pruned is ``Jet.__mul__`` bit for bit; a sum
+      over the contracted axis rounds as ``matmul`` does.
+
+    The output is truncated above ``max(eff, 0)`` with one masked write,
+    over the degrees where a coefficient can be left to clear.
     """
     sp = a.space
     Jet._check_compatible(a, b)
     perm_a, perm_b, (G, M, S, N), gmn, perm_out = _plan(spec, a.shape, b.shape)
-    size = sp.size
-    ca = a.coeffs.transpose(perm_a + (len(perm_a),)).reshape(G * M * S, size)
-    cb = b.coeffs.transpose(perm_b + (len(perm_b),)).reshape(G * S * N, size)
     eff = _contract_eff(
         a.eff.transpose(perm_a).reshape(G, M, S),
         b.eff.transpose(perm_b).reshape(G, S, N),
         sp.order,
     )
-    nz_a = ca.any(axis=1).reshape(G, M, 1, S)
-    nz_b = cb.any(axis=1).reshape(G, S, N).transpose(0, 2, 1)[:, None]
-    g, m, n, s = np.nonzero(nz_a & nz_b)  # grouped by output entry, s ascending
-    out = np.zeros((G * M * N, size), dtype=np.complex128)
-    if g.size:
-        _accumulate(sp, ca, cb, (g * M + m) * S + s, (g * S + s) * N + n, (g * M + m) * N + n, out)
-    out = out.reshape(gmn + (size,)).transpose(perm_out + (len(perm_out),))
-    return JetArray(sp, out, eff.reshape(gmn).transpose(perm_out))
+    used_a, used_b = _support(a.coeffs), _support(b.coeffs)
+    wa, wb = _width(used_a), _width(used_b)
+    # coefficient axis first: out[k] is the (G, M, N) block of coefficient k
+    out = np.zeros((sp.size, G, M, N), dtype=np.complex128)
+    width = 0  # the coefficients past it stay zero
+    if wa and wb:
+        # the used prefixes, coefficient axis first: (wa, G, M, S), (wb, G, S, N)
+        at = a.coeffs[..., :wa].transpose((len(perm_a),) + perm_a).reshape(wa, G, M, S)
+        bt = b.coeffs[..., :wb].transpose((len(perm_b),) + perm_b).reshape(wb, G, S, N)
+        if wa == 1:
+            width = wb
+            _scale(at[0, :, :, :, None], bt[:, :, None], out[:width])
+        elif wb == 1:
+            width = wa
+            _scale(bt[0, :, None], at[..., None], out[:width])
+        else:
+            table = sp._pairs(used_a, used_b)
+            targets = table[2]
+            width = int(targets[-1]) + 1 if targets.size else 0
+            _cauchy_pairs(table, at, bt, out)
+    # truncate above max(eff, 0): only degrees above the lowest such order
+    # and below the width can hold a coefficient to clear
+    lim = np.maximum(eff, 0)
+    low = sp._degree_ends[lim.min(initial=sp.order)]
+    if low < width:
+        block = out[low:width]
+        block[sp.degrees[low:width, None, None, None] > lim] = 0.0
+    out = out.transpose(1, 2, 3, 0).reshape(gmn + (sp.size,)).transpose(perm_out + (len(perm_out),))
+    return JetArray._raw(sp, out, eff.reshape(gmn).transpose(perm_out))
+
+
+def _support(coeffs: np.ndarray) -> np.ndarray:
+    """The coefficient positions used by any entry of a batch."""
+    return coeffs.any(axis=tuple(range(coeffs.ndim - 1)))
+
+
+def _width(used: np.ndarray) -> int:
+    """Length of the shortest coefficient prefix that holds a support."""
+    nz = used.nonzero()[0]
+    return int(nz[-1]) + 1 if nz.size else 0
 
 
 def _contract_eff(ea: np.ndarray, eb: np.ndarray, order: int) -> np.ndarray:
@@ -948,45 +1027,43 @@ def _contract_eff(ea: np.ndarray, eb: np.ndarray, order: int) -> np.ndarray:
     return np.minimum(eff, order)
 
 
-def _accumulate(sp, ca, cb, ia, ib, io, out):
-    """out[io] += ca[ia] * cb[ib] over entry pairs grouped by output, in
-    chunks that bound the temporaries."""
-    const_a = ~ca[:, 1:].any(axis=1)
-    const_b = ~cb[:, 1:].any(axis=1)
-    step = max(1, _CHUNK // sp.size)
-    for lo in range(0, len(io), step):
-        pa, pb, po = ia[lo : lo + step], ib[lo : lo + step], io[lo : lo + step]
-        prod = np.empty((len(po), sp.size), dtype=np.complex128)
-        ka, kb = const_a[pa], const_b[pb]
-        if ka.any():
-            prod[ka] = ca[pa[ka], :1] * cb[pb[ka]]
-        kb &= ~ka
-        if kb.any():
-            prod[kb] = ca[pa[kb]] * cb[pb[kb], :1]
-        full = ~(ka | kb)
-        if full.any():
-            prod[full] = _cauchy_rows(sp, ca[pa[full]], cb[pb[full]])
-        starts = np.flatnonzero(np.concatenate(([True], po[1:] != po[:-1])))
-        out[po[starts]] += np.add.reduceat(prod, starts, axis=0)
+def _scale(c0: np.ndarray, x: np.ndarray, out: np.ndarray):
+    """out = sum over s of c0[..., s, :] * x[..., s, :], elementwise and in
+    ascending s: c0 broadcasts to (G, M, S, N) and x to (w, G, M, S, N),
+    and out is (w, G, M, N)."""
+    np.multiply(c0[..., 0, :], x[..., 0, :], out=out)
+    for s in range(1, x.shape[-2]):
+        out += c0[..., s, :] * x[..., s, :]
 
 
-def _cauchy_rows(sp, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise Cauchy products of (rows, size) arrays, over the coefficient
-    pairs whose positions lie in the union of the rows' supports."""
-    ii, jj, kk, _, _ = sp._cauchy
-    keep = x.any(axis=0)[ii] & y.any(axis=0)[jj]
-    ii, jj, kk = ii[keep], jj[keep], kk[keep]
-    out = np.zeros_like(x)
-    if not ii.size:
-        return out
-    starts = np.flatnonzero(np.concatenate(([True], kk[1:] != kk[:-1])))
-    targets = kk[starts]
-    step = max(1, _CHUNK // ii.size)
-    for lo in range(0, len(x), step):
-        prod = x[lo : lo + step, ii]
-        prod *= y[lo : lo + step, jj]
-        out[lo : lo + step, targets] = np.add.reduceat(prod, starts, axis=1)
-    return out
+def _cauchy_pairs(table, at: np.ndarray, bt: np.ndarray, out: np.ndarray):
+    """out[k] = sum over the pairs (i, j) of target k of at[i] @ bt[j], with
+    at of shape (wa, G, M, S), bt of shape (wb, G, S, N) and out of shape
+    (size, G, M, N).  Whole target groups are taken at a time, as many as
+    keep each temporary under ``_CHUNK`` entries."""
+    ii, jj, targets, bounds = table
+    _, G, M, S = at.shape
+    N = bt.shape[-1]
+    step = max(1, _CHUNK // (G * max(M * S, S * N, M * N)))
+    lo_group = 0
+    while lo_group < len(targets):
+        if bounds[-1] - bounds[lo_group] <= step:
+            hi_group = len(targets)
+        else:
+            hi_group = int(np.searchsorted(bounds, bounds[lo_group] + step, side="right")) - 1
+            hi_group = max(hi_group, lo_group + 1)
+        lo, hi = bounds[lo_group], bounds[hi_group]
+        x, y = at[ii[lo:hi]], bt[jj[lo:hi]]
+        # one term is a plain product: matmul would round it differently
+        prod = np.matmul(x, y) if S > 1 else x * y
+        if G * M * N < _WIDE:
+            out[targets[lo_group:hi_group]] = np.add.reduceat(prod, bounds[lo_group:hi_group] - lo, axis=0)
+        else:
+            # reduceat walks a wide block column by column; summing whole
+            # rows per target is several times faster
+            for k in range(lo_group, hi_group):
+                np.add.reduce(prod[bounds[k] - lo : bounds[k + 1] - lo], axis=0, out=out[targets[k]])
+        lo_group = hi_group
 
 
 # -- substitutions -----------------------------------------------------------------

@@ -190,7 +190,12 @@ def fmanifold_on_chart(
     """Matrix multiplication of tangent matrices expanded back in the
     tangent frame, with unit = expansion of the identity matrix and Euler
     field = expansion of minus the polar residue.  All n*n + 2 right-hand
-    sides are expanded in one solve."""
+    sides are expanded in one solve.
+
+    The expansion residual is a difference of jets of the size of the
+    right-hand sides, so its round-off grows with them: the worst residual
+    is held to ``residual_limit`` times the largest coefficient modulus of
+    the right-hand sides, and never to less than ``residual_limit``."""
     n = chart.spec.dim
     gamma = chart.gamma
     tangent = gamma.grad()
@@ -204,9 +209,11 @@ def fmanifold_on_chart(
     )
     coeffs, res = expand_in_frame(tangent, rhs)
     worst = float(res.max())
-    if worst > residual_limit:
+    scale = max(1.0, float(np.abs(rhs.coeffs).max()))
+    if worst > residual_limit * scale:
         raise ChartDegeneracyError(
-            f"tangent-frame expansion residual {worst:.3e} exceeds {residual_limit:.1e}"
+            f"tangent-frame expansion residual {worst:.3e}, or {worst / scale:.3e} relative to "
+            f"the largest right-hand-side coefficient {scale:.3e}, exceeds {residual_limit:.1e}"
         )
     mult = [[coeffs[i * n + j].to_vector() for j in range(n)] for i in range(n)]
     return FManifoldModel(mult, coeffs[n * n].to_vector(), coeffs[n * n + 1].to_vector())

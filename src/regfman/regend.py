@@ -133,6 +133,20 @@ def _probe_vectors(n: int, seed: int, probe_order: Sequence[str] | None = None):
     return [(name, named[name]) for name in probe_order if name in named]
 
 
+def _krylov_probes(a, tol: float, seed: int, probe_order: Sequence[str] | None):
+    """Krylov test of each probe vector in turn: yields the probe's name,
+    its unit vector, the condition number of its Krylov matrix (of the
+    matrix scaled to spectral norm at most one) and whether it is cyclic."""
+    m = _as_matrix(a)
+    n = m.shape[0]
+    scale = max(1.0, float(np.linalg.norm(m, 2)))
+    for name, v in _probe_vectors(n, seed, probe_order):
+        v = v / np.linalg.norm(v)
+        sv = np.linalg.svd(_krylov(m / scale, v, n), compute_uv=False)
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        yield name, v, cond, bool(sv[-1] > tol * sv[0])
+
+
 def is_regular(
     a,
     tol: float = 1e-8,
@@ -141,21 +155,15 @@ def is_regular(
 ) -> RegularityReport:
     """Cyclic-vector test over deterministic probes plus one seeded random
     probe.  Returns a report whose truth value is the verdict."""
-    m = _as_matrix(a)
-    n = m.shape[0]
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
     best_cond = np.inf
     best_probe = ""
     tried = []
-    for name, v in _probe_vectors(n, seed, probe_order):
+    for name, _, cond, cyclic in _krylov_probes(a, tol, seed, probe_order):
         tried.append(name)
-        k = _krylov(m / scale, v / np.linalg.norm(v), n)
-        sv = np.linalg.svd(k, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         if cond < best_cond:
             best_cond = cond
             best_probe = name
-        if sv[-1] > tol * sv[0]:
+        if cyclic:
             return RegularityReport(True, name, cond, tol, tuple(tried))
     return RegularityReport(False, best_probe, best_cond, tol, tuple(tried))
 
@@ -163,14 +171,8 @@ def is_regular(
 def cyclic_vector(
     a, tol: float = 1e-8, seed: int = 0, probe_order: Sequence[str] | None = None
 ) -> tuple[np.ndarray, str]:
-    m = _as_matrix(a)
-    n = m.shape[0]
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    for name, v in _probe_vectors(n, seed, probe_order):
-        v = v / np.linalg.norm(v)
-        k = _krylov(m / scale, v, n)
-        sv = np.linalg.svd(k, compute_uv=False)
-        if sv[-1] > tol * sv[0]:
+    for name, v, _, cyclic in _krylov_probes(a, tol, seed, probe_order):
+        if cyclic:
             return v, name
     raise RegularityError("no cyclic vector found; the matrix is not regular")
 

@@ -207,6 +207,49 @@ class TestRun:
         broken = {name for name, v in report["verdicts"].items() if not v["pass"]}
         assert broken == {"curvature", "metric_nabla_metric"}
 
+    def test_saito_check_at_its_own_order_with_declared_effective_order(self, tmp_path):
+        # the Higgs field holds derivatives of chart data, trusted to K - 1:
+        # read back as exact to K, its top degree breaks d_nabla(Phi) = 0
+        bundle = metric_gauged_bundle(order=4)
+        order = bundle.space.order
+
+        def jets(arr, declare):
+            if isinstance(arr, Jet):
+                terms = [[list(e), [c.real, c.imag]] for e, c in sorted(arr.terms().items())]
+                return {"terms": terms, "eff_order": order - 1} if declare else terms
+            return [jets(arr[i], declare) for i in range(len(arr))]
+
+        def doc(declare):
+            return {
+                "schema": "regfman-doc/1",
+                "task": "saito-check",
+                "settings": {"order": order, "tolerance": 1e-9},
+                "payload": {
+                    "bundle": {
+                        "base_dim": bundle.base_dim,
+                        "phi": jets(bundle.phi, declare),
+                        "r0": jets(bundle.r0, False),
+                        "rinf": [[[z.real, z.imag] for z in row] for row in bundle.rinf],
+                        "metric": [[[z.real, z.imag] for z in row] for row in bundle.metric],
+                        "frame_connection": jets(bundle.frame_connection, False),
+                    }
+                },
+            }
+
+        code, report = run_doc(tmp_path, doc(True))
+        assert code == 0 and report["pass"] is True
+        assert report["residuals"]["d_nabla_phi"]["order"] == order - 1
+        code, report = run_doc(tmp_path, doc(False), name="undeclared.json")
+        assert code == 1
+        assert report["residuals"]["d_nabla_phi"]["value"] > 0.1
+
+    @pytest.mark.parametrize("jet", [{"terms": []}, {"terms": [], "eff_order": -1}, {"terms": [], "eff_order": 1.5}])
+    def test_malformed_effective_order_exits_2(self, tmp_path, jet):
+        doc = json.loads((DOCS / "verify-frobenius.json").read_text(encoding="utf-8"))
+        doc["payload"]["eta"][0][0] = jet
+        code, report = run_doc(tmp_path, doc)
+        assert code == 2 and report is None
+
     def test_germ_iso_mismatch_exits_2(self, tmp_path, capsys):
         doc = {
             "schema": "regfman-doc/1",

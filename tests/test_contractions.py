@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_oracles
-from regfman import frob
+from regfman import frob, jets
 from regfman.fman import FManifoldModel, check_fmanifold, mult_by_euler, standard_block, standard_model
 from regfman.frob import (
     InvariantMetric,
@@ -70,27 +70,31 @@ SPECS = (
 # -- random operands ------------------------------------------------------------
 
 
-def _random_jet(sp, rng) -> Jet:
-    """A zero, constant, single-variable or dense jet with a random
-    effective order, sometimes below K - 1."""
-    kind = rng.integers(4)
+KINDS = ("zero", "constant", "linear", "dense")
+
+
+def _random_jet(sp, rng, kinds=KINDS, eff=None) -> Jet:
+    """A zero, constant, single-variable or dense jet (one of ``kinds``)
+    trusted to ``eff`` or to a random effective order, sometimes below
+    K - 1."""
+    kind = kinds[int(rng.integers(len(kinds)))]
     c = np.zeros(sp.size, dtype=np.complex128)
-    if kind == 1:
+    if kind == "constant":
         c[0] = rng.standard_normal() + 1j * rng.standard_normal()
-    elif kind == 2:
+    elif kind == "linear":
         v = rng.integers(sp.num_vars)
         for idx, e in enumerate(sp.exponents):
             if sum(e) == e[v]:
                 c[idx] = rng.standard_normal()
-    elif kind == 3:
+    elif kind == "dense":
         c = rng.standard_normal(sp.size) + 1j * rng.standard_normal(sp.size)
-    return sp.from_coeffs(c, int(rng.integers(-1, sp.order + 1)))
+    return sp.from_coeffs(c, int(rng.integers(-1, sp.order + 1)) if eff is None else eff)
 
 
-def _random_operand(sp, shape, rng):
+def _random_operand(sp, shape, rng, kinds=KINDS, eff=None):
     jets = np.empty(shape, dtype=object)
     for idx in np.ndindex(*shape):
-        jets[idx] = _random_jet(sp, rng)
+        jets[idx] = _random_jet(sp, rng, kinds, eff)
     return jets, JetArray.from_jets(jets.tolist())
 
 
@@ -128,6 +132,22 @@ def _assert_same_jets(got: JetArray, want, scale=1.0):
         assert np.abs(g.coeffs - w.coeffs).max() <= 1e-12 * scale, idx
 
 
+def _operands(spec, sp, rng, kinds_a, kinds_b, eff_a=None, eff_b=None):
+    dims = {x: int(rng.integers(1, 4)) for x in sorted(set(spec) - set(",->"))}
+    la, lb = spec.split("->")[0].split(",")
+    a_jets, a = _random_operand(sp, tuple(dims[x] for x in la), rng, kinds_a, eff_a)
+    b_jets, b = _random_operand(sp, tuple(dims[x] for x in lb), rng, kinds_b, eff_b)
+    return a_jets, a, b_jets, b
+
+
+def _check_against_jet_sums(spec, sp, a_jets, a, b_jets, b, exact=False):
+    if exact:
+        a, b = a.exact_zeros(), b.exact_zeros()
+    want = _reference(spec, a_jets, b_jets, sp, skip_zeros=exact)
+    scale = max(1.0, float(np.abs(a.coeffs).max()) * float(np.abs(b.coeffs).max()))
+    _assert_same_jets(contract(spec, a, b), want, scale * sp.size)
+
+
 class TestKernel:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -140,16 +160,7 @@ class TestKernel:
     def test_contract_matches_jet_sums(self, spec, num_vars, order, seed, exact):
         rng = np.random.default_rng(seed)
         sp = jet_space(num_vars, order)
-        labels = sorted(set(spec) - set(",->"))
-        dims = {x: int(rng.integers(1, 4)) for x in labels}
-        la, lb = spec.split("->")[0].split(",")
-        a_jets, a = _random_operand(sp, tuple(dims[x] for x in la), rng)
-        b_jets, b = _random_operand(sp, tuple(dims[x] for x in lb), rng)
-        if exact:
-            a, b = a.exact_zeros(), b.exact_zeros()
-        want = _reference(spec, a_jets, b_jets, sp, skip_zeros=exact)
-        scale = max(1.0, float(np.abs(a.coeffs).max()) * float(np.abs(b.coeffs).max()))
-        _assert_same_jets(contract(spec, a, b), want, scale * sp.size)
+        _check_against_jet_sums(spec, sp, *_operands(spec, sp, rng, KINDS, KINDS), exact)
 
     @settings(max_examples=40, deadline=None)
     @given(num_vars=st.integers(1, 3), order=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
@@ -199,6 +210,94 @@ class TestKernel:
         assert contract("ij,j->i", arr, ones)[0].eff_order == 1
         # ... unless it is an exact zero
         assert contract("ij,j->i", arr.exact_zeros(), ones)[0].eff_order == sp.order
+
+
+# -- the paths of the kernel ---------------------------------------------------------
+
+
+GENERAL = ("zero", "constant", "dense")
+
+
+class TestKernelPaths:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS),
+        num_vars=st.integers(1, 3),
+        order=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        side=st.sampled_from(("left", "right", "both")),
+        exact=st.booleans(),
+    )
+    def test_constant_operand_scales_its_partner(self, spec, num_vars, order, seed, side, exact):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        constant = ("zero", "constant")
+        kinds_a = GENERAL if side == "right" else constant
+        kinds_b = GENERAL if side == "left" else constant
+        _check_against_jet_sums(spec, sp, *_operands(spec, sp, rng, kinds_a, kinds_b), exact)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS),
+        num_vars=st.integers(1, 3),
+        order=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        exact=st.booleans(),
+    )
+    def test_mixed_constant_and_general_entries(self, spec, num_vars, order, seed, exact):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        _check_against_jet_sums(spec, sp, *_operands(spec, sp, rng, GENERAL, ("constant", "dense")), exact)
+
+    @pytest.mark.parametrize("eff", range(-1, 5))
+    def test_effective_orders_from_minus_one_to_the_order(self, eff):
+        # truncation keeps the constant term of an entry trusted to order -1
+        rng = np.random.default_rng(eff + 7)
+        sp = jet_space(2, 4)
+        for spec in ("ik,kj->ij", "i,ijk->kj", "bi,ick->bck", "k,k->"):
+            for kinds_a, kinds_b in ((("dense",), GENERAL), (("constant",), ("dense",)), (("dense",), ("constant",))):
+                for eff_b in (None, eff):
+                    _check_against_jet_sums(spec, sp, *_operands(spec, sp, rng, kinds_a, kinds_b, eff, eff_b))
+
+    @pytest.mark.parametrize("chunk", [1, 5, 40, 1 << 14])
+    @pytest.mark.parametrize("wide", [1, 1 << 20])
+    def test_chunks_of_target_groups(self, monkeypatch, chunk, wide):
+        # a budget of one entry takes one target group at a time; `wide`
+        # switches between row sums and reduceat for the pairs of a target
+        monkeypatch.setattr(jets, "_CHUNK", chunk)
+        monkeypatch.setattr(jets, "_WIDE", wide)
+        rng = np.random.default_rng(chunk)
+        sp = jet_space(3, 3)
+        for spec in ("ik,kj->ij", "iab,jbc->ijac", "i,j->ij", "k,k->", "ij,ijk->k"):
+            _check_against_jet_sums(spec, sp, *_operands(spec, sp, rng, ("dense",), ("dense",)))
+            _check_against_jet_sums(spec, sp, *_operands(spec, sp, rng, ("dense",), GENERAL), exact=True)
+
+    def test_repeated_call_reuses_the_pair_table(self):
+        sp = JetSpace(3, 3)
+        rng = np.random.default_rng(5)
+        a_jets, a = _random_operand(sp, (2, 3), rng, ("dense",), 3)
+        b_jets, b = _random_operand(sp, (3, 2), rng, ("dense",), 3)
+        first = contract("ik,kj->ij", a, b)
+        ((key, table),) = sp._pair_tables.items()
+        again = contract("ik,kj->ij", a, b)
+        assert np.array_equal(again.coeffs, first.coeffs)
+        # other values on the same supports use the same table
+        c_jets, c = _random_operand(sp, (2, 3), rng, ("dense",), 3)
+        _check_against_jet_sums("ik,kj->ij", sp, c_jets, c, b_jets, b)
+        assert list(sp._pair_tables) == [key] and sp._pair_tables[key] is table
+
+    def test_pair_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(jets, "_PAIR_CACHE", 3)
+        sp = JetSpace(3, 3)
+        linear = [sp.variable(v) + 1.0 for v in range(3)]
+        sizes = []
+        for u in range(3):
+            for v in range(3):
+                x, y = linear[u], linear[v] * linear[v]
+                got = contract("i,i->", JetArray.from_jets([x]), JetArray.from_jets([y]))[()]
+                assert np.abs(got.coeffs - (x * y).coeffs).max() <= 1e-14
+                sizes.append(len(sp._pair_tables))
+        assert max(sizes) == 3 and sizes[-1] == 3
 
 
 # -- the checks against their loop references ---------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from regfman.errors import ValidationError
+from regfman.errors import ChartDegeneracyError, ValidationError
 from regfman.fman import check_fmanifold, mult_by_euler, standard_block, standard_model
 from regfman.jets import JetArray, JetMatrix, jet_space
 from regfman.malgrange import (
@@ -160,6 +160,21 @@ class TestFManifoldOnChart:
         spec_model = jordan_spectrum(mult_by_euler(model).constant_term())
         spec_expected = jordan_spectrum(-b0o)
         assert spec_model.matches(spec_expected, tol=1e-6)
+
+    def test_limit_scales_with_large_chart_coefficients(self):
+        # eigenvalues {0, 0, 4, 4}: the chart's coefficients reach 1e7 and
+        # its right-hand sides 2e10, so the expansion residual (about 3e-5)
+        # is round-off of about 1e-15 relative to them
+        roots = [0.0, 0.0, 4.0, 4.0]
+        companion = np.zeros((4, 4), dtype=complex)
+        companion[1:, :-1] = np.eye(3)
+        companion[:, -1] = -np.poly(roots)[::-1][:-1]
+        chart = integrate_chart(DeformationSpec(-companion, -np.diag([-1.5, -0.5, 0.5, 1.5])), order=4)
+        assert np.abs(chart.gamma.coeffs).max() >= 1e6
+        model = fmanifold_on_chart(chart)
+        assert jordan_spectrum(mult_by_euler(model).constant_term()).matches(jordan_spectrum(companion), tol=1e-6)
+        with pytest.raises(ChartDegeneracyError, match=r"residual \S+, or \S+ relative to"):
+            fmanifold_on_chart(chart, residual_limit=1e-18)
 
     def test_expand_in_matrix_frame_roundtrip(self):
         sp = jet_space(2, 3)
