@@ -70,21 +70,10 @@ class FManifoldModel:
         self.blocks = blocks
 
     @cached_property
-    def _compact_structure(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients and effective orders of the structure tensor, built
-        on first use without the coefficient columns it never uses (one,
-        for constant multiplication)."""
-        full = JetArray.from_jets(self.mult)
-        used = np.flatnonzero(full.coeffs.reshape(-1, self.space.size).any(axis=0))
-        return full.coeffs[..., : used[-1] + 1 if used.size else 1].copy(), full.eff
-
-    @property
     def structure(self) -> JetArray:
-        """The structure tensor, structure[i, j, k] = c_ij^k."""
-        compact, eff = self._compact_structure
-        coeffs = np.zeros(eff.shape + (self.space.size,), dtype=np.complex128)
-        coeffs[..., : compact.shape[-1]] = compact
-        return JetArray._raw(self.space, coeffs, eff)
+        """The structure tensor, structure[i, j, k] = c_ij^k, built on first
+        use (one coefficient column wide for constant multiplication)."""
+        return JetArray.from_jets(self.mult)
 
     # -- basic machinery ----------------------------------------------------
 
@@ -107,13 +96,13 @@ class FManifoldModel:
         return contract("ij,ijk->k", xy.exact_zeros(), self.structure.exact_zeros()).to_vector()
 
     def is_constant_multiplication(self, tol: float = 0.0) -> bool:
-        return np.abs(self._compact_structure[0][..., 1:]).max(initial=0.0) <= tol
+        return np.abs(self.structure._stored[..., 1:]).max(initial=0.0) <= tol
 
     def constant_structure(self) -> np.ndarray:
         """Structure constants c[i][j][k] for constant multiplication."""
         if not self.is_constant_multiplication(tol=0.0):
             raise ScopeError("multiplication is not constant in these coordinates")
-        return self._compact_structure[0][..., 0].copy()
+        return self.structure.constant_term()
 
     def mult_matrices(self) -> list[np.ndarray]:
         """Constant matrices of multiplication by each coordinate field,

@@ -15,29 +15,30 @@ data, so they are stored as zeros and excluded from residual norms).
 Binary operations propagate the minimum of the operands' effective orders.
 
 A :class:`JetArray` holds a whole batch of jets as one coefficient array of
-shape ``(*batch, size)`` with a per-entry array of effective orders, and
-:func:`contract` multiplies two of them in einsum notation over the batch
-axes, with the Cauchy product on the coefficient axis.  Each output entry
-gets exactly the effective order and truncation of the same sum of
-``Jet`` products, and its coefficients equal that sum up to round-off.
-The kernel's work follows the coefficients that are there, without
-thresholds: it finds once per call which coefficient positions each
-operand uses (its support); an operand whose entries are all constant
-scales the other one; otherwise only the Cauchy pairs inside the two
-supports are formed, from a pruned pair table that the space caches per
+shape ``(*batch, size)`` with a per-entry array of effective orders; it
+stores only the prefix of the coefficient columns that can be nonzero, so a
+batch of constants is one column wide.  :func:`contract` multiplies two of
+them in einsum notation over the batch axes, with the Cauchy product on the
+coefficient axis.  Each output entry gets exactly the effective order and
+truncation of the same sum of ``Jet`` products, and its coefficients equal
+that sum up to round-off.  The kernel's work follows the coefficients that
+are there, without thresholds: it finds once per call which coefficient
+positions each operand uses (its support); an operand whose entries are all
+constant scales the other one; otherwise only the Cauchy pairs inside the
+two supports are formed, from a pruned pair table that the space caches per
 pair of supports (a bounded number of them).  What stays bit-equal: a
 single product with nothing pruned is ``Jet.__mul__`` bit for bit.  A
 scaling sums its products in the loop's order, but numpy may round a
-complex product of two arrays differently from one by a scalar; a sum
-over the contracted axis rounds as ``matmul`` does.  Identities that a
-loop would evaluate entry by entry (associativity, Darboux-Egoroff,
-curvature) are written as a few contractions.  A :class:`Substitution`
-composes jets with one fixed substitution through a monomial table built
-once.
+complex product of two arrays differently from one by a scalar; a sum over
+the contracted axis rounds as ``matmul`` does.  Identities that a loop
+would evaluate entry by entry (associativity, Darboux-Egoroff, curvature)
+are written as a few contractions.  A :class:`Substitution` composes jets
+with one fixed substitution through a monomial table built once.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -116,8 +117,9 @@ class JetSpace:
             )
 
         self._trunc_masks = [self.degrees <= d for d in range(order + 1)]
-        self._degree_ends = np.cumsum(np.bincount(self.degrees, minlength=order + 1))
-        self._pair_tables: dict[bytes, tuple[np.ndarray, ...]] = {}
+        # _degree_ends[d]: the number of monomials of degree at most d
+        self._degree_ends = np.cumsum(np.bincount(self.degrees, minlength=order + 1)).tolist()
+        self._pair_tables: dict[tuple[bytes, bytes], tuple[np.ndarray, ...]] = {}
 
     @cached_property
     def _cauchy(self) -> tuple[np.ndarray, ...]:
@@ -147,14 +149,16 @@ class JetSpace:
 
     def _pairs(self, used_a: np.ndarray, used_b: np.ndarray) -> tuple[np.ndarray, ...]:
         """The rows of :attr:`_cauchy` whose first index lies in the support
-        ``used_a`` and second in ``used_b`` (boolean masks over the
-        coefficients): the index pairs, their distinct targets and the
-        bounds of each target's group.  The last ``_PAIR_CACHE`` tables are
-        kept, keyed by the two masks."""
-        key = used_a.tobytes() + used_b.tobytes()
+        ``used_a`` and second in ``used_b`` (boolean masks over a prefix of
+        the coefficients each, ending at the last used position): the index
+        pairs, their distinct targets and the bounds of each target's group.
+        The last ``_PAIR_CACHE`` tables are kept, keyed by the two masks."""
+        key = (used_a.tobytes(), used_b.tobytes())
         table = self._pair_tables.get(key)
         if table is None:
             ii, jj, kk, _, _ = self._cauchy
+            keep = (ii < len(used_a)) & (jj < len(used_b))
+            ii, jj, kk = ii[keep], jj[keep], kk[keep]
             keep = used_a[ii] & used_b[jj]
             ii, jj, kk = ii[keep], jj[keep], kk[keep]
             targets, starts = np.unique(kk, return_index=True)
@@ -162,6 +166,21 @@ class JetSpace:
                 del self._pair_tables[next(iter(self._pair_tables))]
             table = self._pair_tables[key] = (ii, jj, targets, np.append(starts, len(ii)))
         return table
+
+    def _shifted_width(self, width: int, by: int) -> int:
+        """Columns that hold the degrees of a ``width``-column prefix raised
+        by ``by`` (capped at the order); at least one."""
+        d = bisect.bisect_left(self._degree_ends, width) + by
+        return self._degree_ends[min(d, self.order)] if d >= 0 else 1
+
+    def _diff_rows(self, v: int, width: int) -> tuple[np.ndarray, ...]:
+        """The rows of the derivative table of variable ``v`` whose source
+        column lies in a ``width``-column prefix (the sources ascend)."""
+        src, dst, fac = self._diff[v]
+        if width < self.size:
+            n = int(np.searchsorted(src, width))
+            src, dst, fac = src[:n], dst[:n], fac[:n]
+        return src, dst, fac
 
     @cached_property
     def _factors(self) -> tuple[tuple[int, int], ...]:
@@ -686,26 +705,37 @@ class JetArray:
     identically, so a product with it contributes neither coefficients nor
     an effective order.  Indexing down to a single entry returns a
     :class:`Jet`.
+
+    Width invariant: only a prefix of ``w`` coefficient columns is stored,
+    ``1 <= w <= size``, and every column at or beyond ``w`` is zero in every
+    entry.  Constants have ``w = 1``; every operation stores the prefix its
+    result can fill, so constant batches stay one column wide.  Only exact
+    zeros are left out, so the values are those of the full-width
+    computation.  :attr:`coeffs` is the full-width array, read-only, padded
+    on its first read and kept.
     """
 
-    __slots__ = ("space", "coeffs", "eff")
+    __slots__ = ("space", "_stored", "eff", "_full")
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray, eff):
-        """Takes ownership of ``coeffs`` and truncates it in place."""
+        """Takes ownership of ``coeffs``, a prefix of ``1`` to ``size``
+        coefficient columns, and truncates it in place."""
         eff = np.asarray(eff, dtype=np.int64)
-        if coeffs.shape != eff.shape + (space.size,):
+        width = coeffs.shape[-1] if coeffs.ndim else 0
+        if coeffs.shape[:-1] != eff.shape or not 1 <= width <= space.size:
             raise ShapeError(
                 f"coefficients {coeffs.shape} do not match orders {eff.shape} in {space}"
             )
         if (eff < space.order).any():
-            coeffs[space.degrees > np.maximum(eff, 0)[..., None]] = 0.0
+            coeffs[space.degrees[:width] > np.maximum(eff, 0)[..., None]] = 0.0
         self._set(space, coeffs, eff)
 
     def _set(self, space, coeffs, eff):
         coeffs.setflags(write=False)
         self.space = space
-        self.coeffs = coeffs
+        self._stored = coeffs
         self.eff = eff
+        self._full = None
 
     @classmethod
     def _raw(cls, space, coeffs, eff) -> "JetArray":
@@ -714,11 +744,29 @@ class JetArray:
         out._set(space, coeffs, eff)
         return out
 
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The coefficients at full width, shape ``(*batch, size)``."""
+        full = self._full
+        if full is None:
+            full = self._full = self._columns(self.space.size)
+            full.setflags(write=False)
+        return full
+
+    def _columns(self, width: int) -> np.ndarray:
+        """The stored prefix, padded with zeros to ``width`` columns."""
+        c = self._stored
+        if c.shape[-1] == width:
+            return c
+        out = np.zeros(c.shape[:-1] + (width,), dtype=np.complex128)
+        out[..., : c.shape[-1]] = c
+        return out
+
     @classmethod
     def from_jets(cls, entries) -> "JetArray":
         """Stack a nested sequence of jets (lists, a :class:`JetVector` or a
-        :class:`JetMatrix`) into one array; a jet array is returned as it
-        is."""
+        :class:`JetMatrix`) into one array, one column wide when every entry
+        is constant; a jet array is returned as it is."""
         if isinstance(entries, JetArray):
             return entries
         flat, shape = _flatten_jets(entries)
@@ -726,17 +774,17 @@ class JetArray:
         for j in flat[1:]:
             if j.space is not space:
                 raise ShapeError("jet array entries must share one space")
-        coeffs = np.array([j.coeffs for j in flat]).reshape(shape + (space.size,))
+        coeffs = np.array([j.coeffs for j in flat])
+        if not coeffs[:, 1:].any():
+            coeffs = coeffs[:, :1].copy()
         eff = np.array([j.eff_order for j in flat], dtype=np.int64).reshape(shape)
-        return cls._raw(space, coeffs, eff)
+        return cls._raw(space, coeffs.reshape(shape + coeffs.shape[-1:]), eff)
 
     @classmethod
     def constant(cls, space: JetSpace, values) -> "JetArray":
         """Constant jets of full effective order with the given values."""
-        v = np.asarray(values, dtype=np.complex128)
-        coeffs = np.zeros(v.shape + (space.size,), dtype=np.complex128)
-        coeffs[..., 0] = v
-        return cls._raw(space, coeffs, np.full(v.shape, space.order, dtype=np.int64))
+        v = np.array(values, dtype=np.complex128)
+        return cls._raw(space, v[..., None], np.full(v.shape, space.order, dtype=np.int64))
 
     @classmethod
     def stack(cls, arrays: Sequence["JetArray"]) -> "JetArray":
@@ -744,8 +792,9 @@ class JetArray:
         space = arrays[0].space
         if any(a.space is not space for a in arrays):
             raise ShapeError("stacked jet arrays must share one space")
+        width = max(a._stored.shape[-1] for a in arrays)
         return cls._raw(
-            space, np.stack([a.coeffs for a in arrays]), np.stack([a.eff for a in arrays])
+            space, np.stack([a._columns(width) for a in arrays]), np.stack([a.eff for a in arrays])
         )
 
     @property
@@ -753,9 +802,8 @@ class JetArray:
         return self.eff.shape
 
     def reshape(self, *shape: int) -> "JetArray":
-        return JetArray._raw(
-            self.space, self.coeffs.reshape(shape + (self.space.size,)), self.eff.reshape(shape)
-        )
+        c = self._stored
+        return JetArray._raw(self.space, c.reshape(shape + c.shape[-1:]), self.eff.reshape(shape))
 
     def __len__(self):
         return len(self.eff)
@@ -764,11 +812,11 @@ class JetArray:
         eff = self.eff[idx]
         if eff.ndim == 0:
             return Jet(self.space, self.coeffs[idx], min(int(eff), self.space.order))
-        return JetArray._raw(self.space, self.coeffs[idx], eff)
+        return JetArray._raw(self.space, self._stored[idx], eff)
 
     def transpose(self, *axes: int) -> "JetArray":
         return JetArray._raw(
-            self.space, self.coeffs.transpose(*axes, len(axes)), self.eff.transpose(*axes)
+            self.space, self._stored.transpose(*axes, len(axes)), self.eff.transpose(*axes)
         )
 
     def to_vector(self) -> JetVector:
@@ -793,38 +841,47 @@ class JetArray:
         return self._combine(other, np.subtract)
 
     def _combine(self, other: "JetArray", op) -> "JetArray":
-        """Entrywise sum or difference: when the two effective orders agree,
-        the result is already truncated."""
+        """Entrywise sum or difference at the wider of the two widths: when
+        the two effective orders agree, the result is already truncated."""
         sp = self._check(other)
-        coeffs = op(self.coeffs, other.coeffs)
+        a, b = self._stored, other._stored
+        if a.shape[-1] == b.shape[-1]:
+            coeffs = op(a, b)
+        else:
+            # the first operand padded to the wider width, combined in place
+            wb = b.shape[-1]
+            coeffs = np.zeros(a.shape[:-1] + (max(a.shape[-1], wb),), dtype=np.complex128)
+            coeffs[..., : a.shape[-1]] = a
+            op(coeffs[..., :wb], b, out=coeffs[..., :wb])
         if np.array_equal(self.eff, other.eff):
             return JetArray._raw(sp, coeffs, self.eff)
         return JetArray(sp, coeffs, np.minimum(self.eff, other.eff))
 
     def __neg__(self) -> "JetArray":
-        return JetArray._raw(self.space, -self.coeffs, self.eff)
+        return JetArray._raw(self.space, -self._stored, self.eff)
 
     def scale(self, c: complex) -> "JetArray":
-        return JetArray._raw(self.space, self.coeffs * complex(c), self.eff)
+        return JetArray._raw(self.space, self._stored * complex(c), self.eff)
 
     def capped(self, eff_order: int) -> "JetArray":
         """Lower every effective order to at most ``eff_order``."""
-        return JetArray(self.space, self.coeffs.copy(), np.minimum(self.eff, eff_order))
+        return JetArray(self.space, self._stored.copy(), np.minimum(self.eff, eff_order))
 
     def exact_zeros(self) -> "JetArray":
         """Mark the identically zero entries as exact zeros, so that
         contractions skip them the way a loop that tests ``is_zero`` does."""
-        eff = np.where(self.coeffs.any(axis=-1), self.eff, _EXACT)
-        return JetArray._raw(self.space, self.coeffs, eff)
+        eff = np.where(self._stored.any(axis=-1), self.eff, _EXACT)
+        return JetArray._raw(self.space, self._stored, eff)
 
     def partial(self, v: int) -> "JetArray":
         """Partial derivative of every entry; lowers effective orders by one."""
         sp = self.space
         if not 0 <= v < sp.num_vars:
             raise ShapeError(f"variable index {v} out of range")
-        src, dst, fac = sp._diff[v]
-        out = np.zeros_like(self.coeffs)
-        out[..., dst] = self.coeffs[..., src] * fac
+        c = self._stored
+        src, dst, fac = sp._diff_rows(v, c.shape[-1])
+        out = np.zeros(c.shape[:-1] + (sp._shifted_width(c.shape[-1], -1),), dtype=np.complex128)
+        out[..., dst] = c[..., src] * fac
         # the derivative of a truncated entry is truncated one order lower
         return JetArray._raw(sp, out, np.maximum(self.eff - 1, -1))
 
@@ -833,18 +890,25 @@ class JetArray:
         origin, trusted one order higher (capped at the jet order)."""
         sp = self.space
         src, dst, fac = sp._diff[v]
-        out = np.zeros_like(self.coeffs)
-        out[..., src] = self.coeffs[..., dst] / fac
+        c = self._stored
+        if c.shape[-1] < sp.size:
+            keep = dst < c.shape[-1]
+            src, dst, fac = src[keep], dst[keep], fac[keep]
+        out = np.zeros(c.shape[:-1] + (sp._shifted_width(c.shape[-1], 1),), dtype=np.complex128)
+        out[..., src] = c[..., dst] / fac
         return JetArray._raw(sp, out, np.minimum(self.eff + 1, sp.order))
 
     def grad(self) -> "JetArray":
         """All partial derivatives, stacked along a new leading axis."""
         sp = self.space
-        out = np.zeros((sp.num_vars,) + self.coeffs.shape, dtype=np.complex128)
-        if self.coeffs[..., 1:].any():
-            for v, (src, dst, fac) in enumerate(sp._diff):
-                out_v = out[v]
-                out_v[..., dst] = self.coeffs[..., src] * fac
+        c = self._stored
+        moving = c.shape[-1] > 1 and c[..., 1:].any()
+        width = sp._shifted_width(c.shape[-1], -1) if moving else 1
+        out = np.zeros((sp.num_vars,) + c.shape[:-1] + (width,), dtype=np.complex128)
+        if moving:
+            for v in range(sp.num_vars):
+                src, dst, fac = sp._diff_rows(v, c.shape[-1])
+                out[v][..., dst] = c[..., src] * fac
         eff = np.broadcast_to(np.maximum(self.eff - 1, -1), out.shape[:-1])
         return JetArray._raw(sp, out, eff)
 
@@ -854,7 +918,7 @@ class JetArray:
         """Max coefficient modulus of every entry over its trustworthy degrees."""
         if (self.eff < 0).any():
             raise ValueError("jet has no trustworthy coefficients (eff_order < 0)")
-        return np.abs(self.coeffs).max(axis=-1, initial=0.0)
+        return np.abs(self._stored).max(axis=-1, initial=0.0)
 
     def residual_norm(self) -> float:
         return float(self.residual_norms().max(initial=0.0))
@@ -863,12 +927,12 @@ class JetArray:
         return int(min(self.eff.min(initial=self.space.order), self.space.order))
 
     def constant_term(self) -> np.ndarray:
-        return self.coeffs[..., 0].copy()
+        return self._stored[..., 0].copy()
 
     def inverse(self, cond_limit: float = 1e12) -> "JetArray":
         """Inverse of a square jet matrix: the constant-term inverse refined
         by Newton iteration, trusted to the lowest effective order."""
-        if self.coeffs.ndim != 3 or self.shape[0] != self.shape[1]:
+        if self._stored.ndim != 3 or self.shape[0] != self.shape[1]:
             raise ShapeError("inverse requires a square matrix")
         a0 = self.constant_term()
         if not np.all(np.isfinite(a0)) or np.linalg.cond(a0) > cond_limit:
@@ -880,7 +944,7 @@ class JetArray:
         while correct < sp.order:
             x = contract("ik,kj->ij", x, two - contract("ik,kj->ij", self, x))
             correct = 2 * correct + 1
-        return JetArray(sp, x.coeffs.copy(), np.full(self.shape, self.eff_order()))
+        return JetArray(sp, x._stored.copy(), np.full(self.shape, self.eff_order()))
 
     def __repr__(self):
         return f"JetArray(shape={self.shape}, K={self.space.order})"
@@ -961,8 +1025,10 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
       product with nothing pruned is ``Jet.__mul__`` bit for bit; a sum
       over the contracted axis rounds as ``matmul`` does.
 
-    The output is truncated above ``max(eff, 0)`` with one masked write,
-    over the degrees where a coefficient can be left to clear.
+    The output is stored to the last column the products can reach
+    (the partner's width on a scaling, the last pair target otherwise)
+    and truncated above ``max(eff, 0)`` with one masked write, over the
+    degrees where a coefficient can be left to clear.
     """
     sp = a.space
     Jet._check_compatible(a, b)
@@ -972,25 +1038,30 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
         b.eff.transpose(perm_b).reshape(G, S, N),
         sp.order,
     )
-    used_a, used_b = _support(a.coeffs), _support(b.coeffs)
+    used_a, used_b = _support(a._stored), _support(b._stored)
     wa, wb = _width(used_a), _width(used_b)
-    # coefficient axis first: out[k] is the (G, M, N) block of coefficient k
-    out = np.zeros((sp.size, G, M, N), dtype=np.complex128)
-    width = 0  # the coefficients past it stay zero
+    # the columns the products can fill; the ones past it stay zero
+    width = 0
     if wa and wb:
-        # the used prefixes, coefficient axis first: (wa, G, M, S), (wb, G, S, N)
-        at = a.coeffs[..., :wa].transpose((len(perm_a),) + perm_a).reshape(wa, G, M, S)
-        bt = b.coeffs[..., :wb].transpose((len(perm_b),) + perm_b).reshape(wb, G, S, N)
         if wa == 1:
             width = wb
-            _scale(at[0, :, :, :, None], bt[:, :, None], out[:width])
         elif wb == 1:
             width = wa
-            _scale(bt[0, :, None], at[..., None], out[:width])
         else:
-            table = sp._pairs(used_a, used_b)
+            table = sp._pairs(used_a[:wa], used_b[:wb])
             targets = table[2]
             width = int(targets[-1]) + 1 if targets.size else 0
+    # coefficient axis first: out[k] is the (G, M, N) block of coefficient k
+    out = np.zeros((width or 1, G, M, N), dtype=np.complex128)
+    if width:
+        # the used prefixes, coefficient axis first: (wa, G, M, S), (wb, G, S, N)
+        at = a._stored[..., :wa].transpose((len(perm_a),) + perm_a).reshape(wa, G, M, S)
+        bt = b._stored[..., :wb].transpose((len(perm_b),) + perm_b).reshape(wb, G, S, N)
+        if wa == 1:
+            _scale(at[0, :, :, :, None], bt[:, :, None], out)
+        elif wb == 1:
+            _scale(bt[0, :, None], at[..., None], out)
+        else:
             _cauchy_pairs(table, at, bt, out)
     # truncate above max(eff, 0): only degrees above the lowest such order
     # and below the width can hold a coefficient to clear
@@ -999,7 +1070,7 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
     if low < width:
         block = out[low:width]
         block[sp.degrees[low:width, None, None, None] > lim] = 0.0
-    out = out.transpose(1, 2, 3, 0).reshape(gmn + (sp.size,)).transpose(perm_out + (len(perm_out),))
+    out = out.transpose(1, 2, 3, 0).reshape(gmn + (len(out),)).transpose(perm_out + (len(perm_out),))
     return JetArray._raw(sp, out, eff.reshape(gmn).transpose(perm_out))
 
 
@@ -1103,7 +1174,8 @@ class Substitution:
         """Compose a :class:`Jet` or every entry of a :class:`JetArray`."""
         if (f.space.num_vars, f.space.order) != (self.source.num_vars, self.source.order):
             raise ShapeError(f"cannot substitute into {f.space}: the source is {self.source}")
-        src = f.coeffs.reshape(-1, self.source.size)
+        c = f.coeffs if isinstance(f, Jet) else f._stored
+        src = c.reshape(-1, c.shape[-1])
         out = np.zeros((len(src), self.target.size), dtype=np.complex128)
         for i in np.flatnonzero(src.any(axis=0)):
             # one jet scales by a scalar, as a single composition does:

@@ -300,6 +300,171 @@ class TestKernelPaths:
         assert max(sizes) == 3 and sizes[-1] == 3
 
 
+# -- stored width ----------------------------------------------------------------------
+#
+# A jet array stores a prefix of its coefficient columns; the columns past it
+# are zero.  Every operation on narrow operands must give the values of the
+# same data stored at full width (equal as values, the sign of a zero aside).
+
+
+def _stored_width(x: JetArray) -> int:
+    return x._stored.shape[-1]
+
+
+def _narrow_operand(sp, shape, rng, kinds=("zero", "constant", "sparse", "dense"), exact=False):
+    """A jet array stored at a random width and its twin stored at full
+    width.  Each entry is zero, constant, or random on the stored prefix
+    (``sparse`` zeroes some of it), trusted to a random effective order."""
+    width = int(rng.integers(1, sp.size + 1))
+    full = np.zeros(shape + (sp.size,), dtype=np.complex128)
+    for idx in np.ndindex(*shape):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "constant":
+            full[idx][0] = _complex(rng, ())
+        elif kind in ("sparse", "dense"):
+            full[idx][:width] = _complex(rng, width) * (rng.random(width) < (0.6 if kind == "sparse" else 1.0))
+    eff = rng.integers(-1, sp.order + 1, size=shape)
+    narrow = JetArray(sp, full[..., :width].copy(), eff.copy())
+    padded = JetArray(sp, full, eff.copy())
+    assert _stored_width(narrow) == width and _stored_width(padded) == sp.size
+    if exact:
+        return narrow.exact_zeros(), padded.exact_zeros()
+    return narrow, padded
+
+
+def _assert_bit_equal(narrow, padded):
+    if isinstance(padded, Jet):
+        assert isinstance(narrow, Jet) and narrow.eff_order == padded.eff_order
+    else:
+        assert isinstance(narrow, JetArray) and narrow.shape == padded.shape
+        assert np.array_equal(narrow.eff, padded.eff)
+    assert narrow.coeffs.shape == padded.coeffs.shape
+    assert np.array_equal(narrow.coeffs, padded.coeffs)
+
+
+def _contract_operands(spec, sp, rng, path, exact):
+    dims = {x: int(rng.integers(1, 4)) for x in sorted(set(spec) - set(",->"))}
+    la, lb = spec.split("->")[0].split(",")
+    general = ("zero", "constant", "sparse", "dense")
+    kinds_a = ("zero", "constant") if path == "scaling" else general
+    a = _narrow_operand(sp, tuple(dims[x] for x in la), rng, kinds_a, exact)
+    b = _narrow_operand(sp, tuple(dims[x] for x in lb), rng, general, exact)
+    return a, b
+
+
+class TestStoredWidth:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS),
+        num_vars=st.integers(1, 3),
+        order=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        path=st.sampled_from(("scaling", "narrow pairs", "wide pairs")),
+        exact=st.booleans(),
+    )
+    def test_contract_paths_match_full_width(self, spec, num_vars, order, seed, path, exact):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        (a, a_full), (b, b_full) = _contract_operands(spec, sp, rng, path, exact)
+        with pytest.MonkeyPatch.context() as mp:
+            # every output block counts as wide, or none does
+            mp.setattr(jets, "_WIDE", 1 if path == "wide pairs" else 1 << 20)
+            want = contract(spec, a_full, b_full)
+            _assert_bit_equal(contract(spec, a, b), want)
+            _assert_bit_equal(contract(spec, a, b_full), want)
+            _assert_bit_equal(contract(spec, a_full, b), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(num_vars=st.integers(1, 3), order=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_entrywise_operations_match_full_width(self, num_vars, order, seed):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        x, x_full = _narrow_operand(sp, (2, 3), rng)
+        y, y_full = _narrow_operand(sp, (2, 3), rng)
+        _assert_bit_equal(x + y, x_full + y_full)
+        _assert_bit_equal(x - y, x_full - y_full)
+        _assert_bit_equal(y - x, y_full - x_full)
+        _assert_bit_equal(-x, -x_full)
+        _assert_bit_equal(x.scale(0.5j), x_full.scale(0.5j))
+        _assert_bit_equal(x.exact_zeros(), x_full.exact_zeros())
+        cap = int(rng.integers(-1, order + 1))
+        _assert_bit_equal(x.capped(cap), x_full.capped(cap))
+        _assert_bit_equal(x.grad(), x_full.grad())
+        for v in range(num_vars):
+            _assert_bit_equal(x.partial(v), x_full.partial(v))
+            _assert_bit_equal(x.integrate(v), x_full.integrate(v))
+        assert np.array_equal(x.constant_term(), x_full.constant_term())
+        if (x.eff >= 0).all():
+            assert np.array_equal(x.residual_norms(), x_full.residual_norms())
+        _assert_bit_equal(JetArray.stack([x, y, x]), JetArray.stack([x_full, y_full, x_full]))
+        _assert_bit_equal(x.reshape(3, 2), x_full.reshape(3, 2))
+        _assert_bit_equal(x.transpose(1, 0), x_full.transpose(1, 0))
+        _assert_bit_equal(x[1], x_full[1])
+        _assert_bit_equal(x[:, 1:], x_full[:, 1:])
+        _assert_bit_equal(x[1, 2], x_full[1, 2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_vars=st.integers(1, 3), order=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_constructors_match_full_width(self, num_vars, order, seed):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        # __init__ truncates the stored prefix as it truncates the full width
+        x, x_full = _narrow_operand(sp, (3,), rng)
+        width = _stored_width(x)
+        eff = rng.integers(-1, order + 1, size=3)
+        _assert_bit_equal(
+            JetArray(sp, x.coeffs[:, :width].copy(), eff.copy()), JetArray(sp, x.coeffs.copy(), eff.copy())
+        )
+        # from_jets stores constant entries one column wide
+        entries = [_random_jet(sp, rng) for _ in range(4)]
+        stacked = JetArray.from_jets(entries)
+        want = np.array([j.coeffs for j in entries])
+        assert _stored_width(stacked) == (sp.size if want[:, 1:].any() else 1)
+        _assert_bit_equal(stacked, JetArray(sp, want, np.array([j.eff_order for j in entries])))
+        values = _complex(rng, (2, 2))
+        full = np.zeros((2, 2, sp.size), dtype=np.complex128)
+        full[..., 0] = values
+        _assert_bit_equal(JetArray.constant(sp, values), JetArray(sp, full, np.full((2, 2), order)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(num_vars=st.integers(1, 3), order=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_and_substitution_match_full_width(self, num_vars, order, seed):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        x, x_full = _narrow_operand(sp, (3, 3), rng, ("zero", "constant", "sparse"))
+        shift = JetArray.constant(sp, 8.0 * np.eye(3))
+        _assert_bit_equal((x + shift).inverse(), (x_full + shift).inverse())
+        subs = [_random_jet(sp, rng, ("constant", "linear", "dense"), order) for _ in range(num_vars)]
+        sub = jets.Substitution(sp, subs)
+        _assert_bit_equal(sub(x), sub(x_full))
+
+    def test_coeffs_is_the_read_only_full_width_array(self):
+        rng = np.random.default_rng(11)
+        sp = jet_space(3, 3)
+        x = JetArray(sp, _complex(rng, (2, 2, 4)), np.full((2, 2), sp.order))
+        full = x.coeffs
+        assert full.shape == (2, 2, sp.size) and not full.flags.writeable
+        assert np.array_equal(full[..., :4], x._stored) and not full[..., 4:].any()
+        assert x.coeffs is full
+        entry = x[1, 0]
+        assert isinstance(entry, Jet) and entry.coeffs.shape == (sp.size,)
+        assert np.array_equal(entry.coeffs, full[1, 0])
+
+
+def test_constant_data_is_stored_one_column_wide():
+    model = standard_model([(0, 4), (1, 3)], 4)
+    sp = model.space
+    assert sp.size == 330
+    c = model.structure
+    assert _stored_width(c) == 1
+    constant = JetArray.constant(sp, np.eye(model.dim))
+    assert _stored_width(constant) == 1
+    assert _stored_width(constant.grad()) == 1
+    assert _stored_width(contract("ik,kj->ij", constant, constant)) == 1
+    assert _stored_width(contract("bi,ick->bck", c[0], c)) == 1
+    assert _stored_width(JetArray.from_jets(model.unit)) == 1
+
+
 # -- the checks against their loop references ---------------------------------------
 
 PATTERNS = ((2, 2), (3, 2), (2, 2, 1), (2, 2, 2), (3, 3), (4, 3))
