@@ -16,11 +16,10 @@ from .errors import RegfmanError
 from .jets import (
     DEFAULT_ORDER,
     Jet,
-    JetMatrix,
+    JetArray,
     JetSpace,
-    JetVector,
+    contract,
     jet_space,
-    lie_bracket,
 )
 from .regend import (
     EndoAnalysis,

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import fman, frob, malgrange, regend, saito
 from .errors import DocumentError, RegfmanError
-from .jets import Jet, JetMatrix, JetSpace, JetVector, jet_space
+from .jets import Jet, JetArray, JetSpace, jet_space
 from .regend import JordanSpectrum
 from .reports import ResidualReport
 
@@ -70,7 +70,9 @@ def _complex_out(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _jet_in(space: JetSpace, data, field: str) -> Jet:
+def _jet_in(space: JetSpace, data, field: str) -> tuple[np.ndarray, int]:
+    """The coefficients of one jet, in the space's monomial order, and the
+    order it is trusted to."""
     eff_order = space.order
     if isinstance(data, dict):
         if set(data) != {"terms", "eff_order"}:
@@ -81,7 +83,7 @@ def _jet_in(space: JetSpace, data, field: str) -> Jet:
         data, field = data["terms"], f"{field}/terms"
     if not isinstance(data, list):
         _fail("expected a list of (multi-index, [re, im]) entries", field)
-    terms = {}
+    coeffs = np.zeros(space.size, dtype=np.complex128)
     for k, item in enumerate(data):
         here = f"{field}[{k}]"
         if not (isinstance(item, list) and len(item) == 2):
@@ -95,8 +97,16 @@ def _jet_in(space: JetSpace, data, field: str) -> Jet:
             _fail("multi-index entries must be non-negative", here)
         if sum(idx) > space.order:
             _fail(f"multi-index degree {sum(idx)} exceeds order {space.order}", here)
-        terms[tuple(idx)] = terms.get(tuple(idx), 0.0) + _complex_in(val, here)
-    return space.from_coeffs(space.from_terms(terms).coeffs, eff_order)
+        coeffs[space.index_of[tuple(idx)]] += _complex_in(val, here)
+    return coeffs, min(eff_order, space.order)
+
+
+def _jet_array(space: JetSpace, jets: list, shape: tuple[int, ...] | None = None) -> JetArray:
+    """Decoded jets (see :func:`_jet_in`) as one array, of shape ``shape``
+    (one axis by default)."""
+    shape = (len(jets),) if shape is None else shape
+    coeffs = np.array([c for c, _ in jets]).reshape(shape + (space.size,))
+    return JetArray.from_coeffs(space, coeffs, np.array([e for _, e in jets]).reshape(shape))
 
 
 def _jet_out(jet: Jet) -> list:
@@ -124,15 +134,17 @@ def _matrix_out(m: np.ndarray) -> list:
     return [[_complex_out(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
 
 
-def _jet_matrix_in(space: JetSpace, data, field: str) -> JetMatrix:
+def _jet_matrix_in(space: JetSpace, data, field: str) -> JetArray:
     if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
         _fail("expected a row-major nested list of jets", field)
-    return JetMatrix(
-        [
-            [_jet_in(space, cell, f"{field}[{i}][{j}]") for j, cell in enumerate(row)]
-            for i, row in enumerate(data)
-        ]
-    )
+    if not data[0] or any(len(row) != len(data[0]) for row in data):
+        _fail("matrix rows must be non-empty and of equal length", field)
+    jets = [
+        _jet_in(space, cell, f"{field}[{i}][{j}]")
+        for i, row in enumerate(data)
+        for j, cell in enumerate(row)
+    ]
+    return _jet_array(space, jets, (len(data), len(data[0])))
 
 
 def _spectrum_in(data, field: str) -> JordanSpectrum:
@@ -179,8 +191,8 @@ def _model_in(payload: dict, order: int, field: str) -> fman.FManifoldModel:
     if dim < 1:
         _fail("model.dim must be positive", f"{field}/model/dim")
     sp = jet_space(dim, order)
-    zero_vec = [sp.zero() for _ in range(dim)]
-    mult = [[[sp.zero() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    mult = np.zeros((dim, dim, dim, sp.size), dtype=np.complex128)
+    mult_eff = np.full((dim, dim, dim), order)
     for k, item in enumerate(m.get("mult", [])):
         here = f"{field}/model/mult[{k}]"
         if not isinstance(item, dict):
@@ -191,30 +203,26 @@ def _model_in(payload: dict, order: int, field: str) -> fman.FManifoldModel:
             _fail("expected integer i, j, k", here)
         if not all(0 <= x < dim for x in (i, j, kk)):
             _fail("structure index out of range", here)
-        mult[i][j][kk] = _jet_in(sp, item.get("jet", []), f"{here}/jet")
+        mult[i, j, kk], mult_eff[i, j, kk] = _jet_in(sp, item.get("jet", []), f"{here}/jet")
     unit = m.get("unit")
     euler = m.get("euler")
     if unit is None or euler is None:
         _fail("model needs unit and euler component lists", f"{field}/model")
     if len(unit) != dim or len(euler) != dim:
         _fail("unit/euler must have dim components", f"{field}/model")
-    unit_v = JetVector([_jet_in(sp, c, f"{field}/model/unit[{i}]") for i, c in enumerate(unit)])
-    euler_v = JetVector([_jet_in(sp, c, f"{field}/model/euler[{i}]") for i, c in enumerate(euler)])
-    mult_vecs = [[JetVector(mult[i][j]) for j in range(dim)] for i in range(dim)]
-    return fman.FManifoldModel(mult_vecs, unit_v, euler_v)
+    unit_v = _jet_array(sp, [_jet_in(sp, c, f"{field}/model/unit[{i}]") for i, c in enumerate(unit)])
+    euler_v = _jet_array(sp, [_jet_in(sp, c, f"{field}/model/euler[{i}]") for i, c in enumerate(euler)])
+    return fman.FManifoldModel(JetArray.from_coeffs(sp, mult, mult_eff), unit_v, euler_v)
 
 
 def _model_out(model: fman.FManifoldModel) -> dict:
-    dim = model.dim
-    mult = []
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                jet = model.mult[i][j][k]
-                if not jet.is_zero():
-                    mult.append({"i": i, "j": j, "k": k, "jet": _jet_out(jet)})
+    c = model.structure
+    mult = [
+        {"i": int(i), "j": int(j), "k": int(k), "jet": _jet_out(c[i, j, k])}
+        for i, j, k in zip(*np.nonzero(c.coeffs.any(axis=-1)))
+    ]
     return {
-        "dim": dim,
+        "dim": model.dim,
         "order": model.space.order,
         "mult": mult,
         "unit": [_jet_out(c) for c in model.unit],
@@ -328,7 +336,7 @@ def _metric_in(payload, model, field):
     sizes = [m for _, m in model.blocks]
     sp = model.space
     if "potential" in payload:
-        pot = _jet_in(sp, payload["potential"], f"{field}/potential")
+        pot = _jet_array(sp, [_jet_in(sp, payload["potential"], f"{field}/potential")], ())
         return frob.metric_from_potential(pot, sizes)
     if "eta" not in payload:
         _fail("payload needs 'eta' (per block) or 'potential'", field)
@@ -339,8 +347,8 @@ def _metric_in(payload, model, field):
     for a, (m, fam) in enumerate(zip(sizes, eta_in)):
         if not (isinstance(fam, list) and len(fam) == m):
             _fail(f"eta family {a} must have {m} jets", f"{field}/eta[{a}]")
-        eta.append([_jet_in(sp, j, f"{field}/eta[{a}][{i}]") for i, j in enumerate(fam)])
-    return frob.InvariantMetric(sizes, eta)
+        eta += [_jet_in(sp, j, f"{field}/eta[{a}][{i}]") for i, j in enumerate(fam)]
+    return frob.InvariantMetric(sizes, _jet_array(sp, eta))
 
 
 def _run_verify_frobenius(payload, settings):

@@ -1,18 +1,18 @@
 """F-manifold models in jet coordinates.
 
-A model is a commutative multiplication on coordinate vector fields encoded
-by jet-valued structure data ``mult[i][j] = d_i o d_j``, together with a unit
-field and an Euler field, all expanded at the coordinate origin.  Canonical
-block models, their products, axiom verification, canonical frames, bracket
-identities, infinitesimal symmetries and order-by-order germ isomorphisms
-live here.
+A model is a commutative multiplication on coordinate vector fields, held
+as one jet array ``structure[i, j, k]`` = c_ij^k (d_i o d_j = c_ij^k d_k),
+with a unit field and an Euler field as (n,) jet arrays, all expanded at the
+coordinate origin.  Canonical block models, their products, axiom checks,
+canonical frames, bracket identities, infinitesimal symmetries and germ
+isomorphisms live here; fields are batched and brackets are contractions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -24,76 +24,49 @@ from .errors import (
     ScopeError,
     ShapeError,
 )
-from .jets import (
-    DEFAULT_ORDER,
-    Jet,
-    JetArray,
-    JetMatrix,
-    JetSpace,
-    JetVector,
-    Substitution,
-    contract,
-    jet_space,
-    lie_bracket,
-)
+from .jets import DEFAULT_ORDER, Jet, JetArray, JetSpace, Substitution, contract, jet_space
 from .regend import JordanSpectrum
 from .reports import ResidualReport, report_from
 
 
 class FManifoldModel:
-    """Jet-valued multiplication tensor, unit field and Euler field."""
+    """Jet-valued multiplication tensor, unit field and Euler field.
 
-    def __init__(
-        self,
-        mult: Sequence[Sequence[JetVector]],
-        unit: JetVector,
-        euler: JetVector,
-        blocks: tuple[tuple[complex, int], ...] | None = None,
-    ):
-        rows = tuple(tuple(r) for r in mult)
-        self.dim = len(rows)
-        sp = unit.space
-        if len(unit) != self.dim or len(euler) != self.dim:
-            raise ShapeError("unit/Euler components must match the dimension")
-        for r in rows:
-            if len(r) != self.dim:
-                raise ShapeError("structure tensor must be dim x dim")
-            for vec in r:
-                if vec.space is not sp or len(vec) != self.dim:
-                    raise ShapeError("structure tensor entries must be uniform")
-        if sp.num_vars != self.dim:
-            raise ShapeError("model dimension must equal the number of variables")
-        self.mult = rows
-        self.unit = unit
-        self.euler = euler
-        self.space: JetSpace = sp
+    ``structure[i, j, k]`` is c_ij^k, the k-th component of d_i o d_j, an
+    (n, n, n) jet array; ``unit`` and ``euler`` are (n,) jet arrays.  Each
+    may also be given as nested jets, which are stacked once.
+    """
+
+    def __init__(self, mult, unit, euler, blocks: tuple[tuple[complex, int], ...] | None = None):
+        self.structure = JetArray.from_jets(mult)
+        self.unit = JetArray.from_jets(unit)
+        self.euler = JetArray.from_jets(euler)
+        self.space: JetSpace = self.unit.space
+        self.dim = n = self.space.num_vars
+        if (self.structure.shape, self.unit.shape, self.euler.shape) != ((n, n, n), (n,), (n,)):
+            raise ShapeError("structure tensor, unit and Euler field must match the number of variables")
+        if self.structure.space is not self.space or self.euler.space is not self.space:
+            raise ShapeError("structure tensor, unit and Euler field must share one space")
         self.blocks = blocks
 
-    @cached_property
-    def structure(self) -> JetArray:
-        """The structure tensor, structure[i, j, k] = c_ij^k, built on first
-        use (one coefficient column wide for constant multiplication)."""
-        return JetArray.from_jets(self.mult)
+    @property
+    def mult(self) -> JetArray:
+        """The structure tensor: ``mult[i][j][k]`` is the jet c_ij^k."""
+        return self.structure
 
     # -- basic machinery ----------------------------------------------------
 
-    def basis_field(self, i: int) -> JetVector:
-        return JetVector(
-            self.space.constant(1.0) if k == i else self.space.zero()
-            for k in range(self.dim)
-        )
+    def basis_field(self, i: int) -> JetArray:
+        return JetArray.constant(self.space, np.eye(self.dim)[i])
 
-    def structure_jet(self, i: int, j: int, k: int) -> Jet:
-        return self.mult[i][j][k]
-
-    def multiply(self, x: JetVector, y: JetVector) -> JetVector:
+    def multiply(self, x, y) -> JetArray:
         """(X o Y)^k = sum_{i,j} X^i Y^j c_ij^k."""
         xy = contract(
             "i,j->ij",
             JetArray.from_jets(x).exact_zeros(),
             JetArray.from_jets(y).exact_zeros(),
         )
-        return contract("ij,ijk->k", xy.exact_zeros(), self.structure.exact_zeros()).to_vector()
+        return contract("ij,ijk->k", xy.exact_zeros(), self.structure.exact_zeros())
 
     def is_constant_multiplication(self, tol: float = 0.0) -> bool:
         return np.abs(self.structure._stored[..., 1:]).max(initial=0.0) <= tol
@@ -116,9 +89,10 @@ class FManifoldModel:
 
 @dataclass(frozen=True)
 class CanonicalFrame:
-    """Multiplicative powers of the Euler field, starting at the unit."""
+    """Multiplicative powers of the Euler field, starting at the unit:
+    ``fields[i]`` is X_i, an (n, n) jet array."""
 
-    fields: tuple[JetVector, ...]
+    fields: JetArray
 
     def __len__(self):
         return len(self.fields)
@@ -127,10 +101,20 @@ class CanonicalFrame:
         return self.fields[i]
 
     def constant_matrix(self) -> np.ndarray:
-        return np.column_stack([f.constant_terms() for f in self.fields])
+        return self.fields.constant_term().T
 
 
 # -- canonical models ---------------------------------------------------------
+
+
+def _affine(sp: JetSpace, const, lin) -> JetArray:
+    """The jets const[..., i] + sum_v lin[..., i, v] t_v."""
+    const = np.asarray(const, dtype=np.complex128)
+    coeffs = np.zeros(const.shape + (sp._degree_ends[min(sp.order, 1)],), dtype=np.complex128)
+    coeffs[..., 0] = const
+    if sp.order >= 1:
+        coeffs[..., [sp.index_of[tuple(e)] for e in np.eye(sp.num_vars, dtype=int)]] = lin
+    return JetArray(sp, coeffs, np.full(const.shape, sp.order))
 
 
 def standard_block(a: complex, m: int, order: int = DEFAULT_ORDER) -> FManifoldModel:
@@ -142,29 +126,19 @@ def standard_block(a: complex, m: int, order: int = DEFAULT_ORDER) -> FManifoldM
     if m < 1:
         raise ShapeError("block size must be positive")
     sp = jet_space(m, order)
-    zero_vec = JetVector([sp.zero() for _ in range(m)])
-
-    def basis_vec(k):
-        return JetVector(
-            [sp.constant(1.0) if i == k else sp.zero() for i in range(m)]
-        )
-
-    mult = [
-        [basis_vec(i + j) if i + j <= m - 1 else zero_vec for j in range(m)]
-        for i in range(m)
-    ]
-    unit = basis_vec(0)
-    euler_comps = []
-    for i in range(m):
-        t = sp.variable(i)
-        if i == 0:
-            euler_comps.append(t + complex(a))
-        elif i == 1:
-            euler_comps.append(t + 1.0)
-        else:
-            euler_comps.append(t)
-    euler = JetVector(euler_comps)
-    return FManifoldModel(mult, unit, euler, blocks=((complex(a), m),))
+    i, j = np.indices((m, m))
+    mult = np.zeros((m, m, m))
+    mult[i[i + j < m], j[i + j < m], (i + j)[i + j < m]] = 1.0
+    euler0 = np.zeros(m, dtype=np.complex128)
+    euler0[0] = a
+    if m > 1:
+        euler0[1] = 1.0
+    return FManifoldModel(
+        JetArray.constant(sp, mult),
+        JetArray.constant(sp, np.eye(m)[0]),
+        _affine(sp, euler0, np.eye(m)),
+        blocks=((complex(a), m),),
+    )
 
 
 def product_model(factors: Sequence[FManifoldModel]) -> FManifoldModel:
@@ -179,51 +153,21 @@ def product_model(factors: Sequence[FManifoldModel]) -> FManifoldModel:
         raise ShapeError("factors must share the jet order")
     dim = sum(f.dim for f in factors)
     sp = jet_space(dim, order)
-    offsets = []
+    ranks = (3, 1, 1)  # structure tensor, unit, Euler field
+    coeffs = [np.zeros((dim,) * r + (sp.size,), dtype=np.complex128) for r in ranks]
+    effs = [np.full((dim,) * r, order) for r in ranks]
     at = 0
     for f in factors:
-        offsets.append(at)
+        # the factor's monomials among those of the product's variables
+        pad = (0,) * at, (0,) * (dim - at - f.dim)
+        index = [sp.index_of[pad[0] + e + pad[1]] for e in f.space.exponents]
+        for c, eff, x, r in zip(coeffs, effs, (f.structure, f.unit, f.euler), ranks):
+            block = (slice(at, at + f.dim),) * r
+            c[block][..., index] = x.coeffs
+            eff[block] = x.eff
         at += f.dim
-
-    def embed_jet(j: Jet, offset: int, src: JetSpace) -> Jet:
-        terms = {}
-        for e, c in j.terms().items():
-            new = [0] * dim
-            for v, x in enumerate(e):
-                new[offset + v] = x
-            terms[tuple(new)] = c
-        out = sp.from_terms(terms)
-        return sp._wrap(out.coeffs.copy(), j.eff_order)
-
-    def embed_vec(vec: JetVector, offset: int, src_dim: int, src: JetSpace) -> list[Jet]:
-        comps = [sp.zero() for _ in range(dim)]
-        for k in range(src_dim):
-            comps[offset + k] = embed_jet(vec[k], offset, src)
-        return comps
-
-    zero_vec = JetVector([sp.zero() for _ in range(dim)])
-    mult = [[zero_vec for _ in range(dim)] for _ in range(dim)]
-    unit_comps = [sp.zero() for _ in range(dim)]
-    euler_comps = [sp.zero() for _ in range(dim)]
-    blocks: list[tuple[complex, int]] = []
-    for f, off in zip(factors, offsets):
-        for i in range(f.dim):
-            for j in range(f.dim):
-                mult[off + i][off + j] = JetVector(
-                    embed_vec(f.mult[i][j], off, f.dim, f.space)
-                )
-        u = embed_vec(f.unit, off, f.dim, f.space)
-        e = embed_vec(f.euler, off, f.dim, f.space)
-        for k in range(dim):
-            unit_comps[k] = unit_comps[k] + u[k]
-            euler_comps[k] = euler_comps[k] + e[k]
-        blocks.extend(f.blocks or [])
-    return FManifoldModel(
-        mult,
-        JetVector(unit_comps),
-        JetVector(euler_comps),
-        blocks=tuple(blocks) if blocks else None,
-    )
+    blocks = tuple(b for f in factors for b in f.blocks or ())
+    return FManifoldModel(*map(partial(JetArray.from_coeffs, sp), coeffs, effs), blocks=blocks or None)
 
 
 def standard_model(
@@ -240,14 +184,19 @@ def standard_model(
 # -- verification -------------------------------------------------------------
 
 
-def lie_derivative_of_mult(model: FManifoldModel, x: JetVector, c: int, d: int) -> JetVector:
-    """L_X(o)(d_c, d_d) = [X, d_c o d_d] - [X, d_c] o d_d - d_c o [X, d_d]."""
-    dc = model.basis_field(c)
-    dd = model.basis_field(d)
-    t1 = lie_bracket(x, model.mult[c][d])
-    t2 = model.multiply(lie_bracket(x, dc), dd)
-    t3 = model.multiply(dc, lie_bracket(x, dd))
-    return t1 - t2 - t3
+def lie_derivative_of_mult(model: FManifoldModel, x) -> JetArray:
+    """L_X(o)(d_a, d_b) = [X, d_a o d_b] - [X, d_a] o d_b - d_a o [X, d_b]
+    for every pair of coordinate fields, shape (n, n, n)."""
+    n = model.dim
+    x = JetArray.from_jets(x)
+    c = model.structure
+    cx = c.exact_zeros()
+    brackets = _vector_bracket(x, JetArray.constant(model.space, np.eye(n))).exact_zeros()  # [X, d_a]
+    return (
+        _vector_bracket(x, c.reshape(n * n, n)).reshape(n, n, n)
+        - contract("ai,ibk->abk", brackets, cx)
+        - contract("bj,ajk->abk", brackets, cx)
+    )
 
 
 def _vector_bracket(x: JetArray, y: JetArray) -> JetArray:
@@ -264,37 +213,29 @@ def check_fmanifold(model: FManifoldModel) -> ResidualReport:
     Identities involving one Lie derivative are evaluated one order below
     the ambient jet order.  Products in which the loop form of an identity
     would skip a vanishing factor skip it here too (exact zeros); the
-    residual tensors are formed one leading index at a time.
+    associativity residuals are formed one leading index at a time.
     """
     m = model.dim
     k_order = model.space.order
     c = model.structure
     cx = c.exact_zeros()
     strict = np.triu(np.ones((m, m), dtype=bool), 1)
+    upper = np.triu(np.ones((m, m), dtype=bool))
 
     commut = (c - c.transpose(1, 0, 2)).residual_norms().max(axis=-1)[strict].max(initial=0.0)
 
-    # [E, d_a] for every coordinate field d_a
-    basis = JetArray.constant(model.space, np.eye(m))
-    euler = JetArray.from_jets(model.euler)
-    euler_brackets = _vector_bracket(euler, basis).exact_zeros()
-
-    assoc = euler_res = 0.0
+    assoc = 0.0
     for a in range(m):
         # (d_a o d_b) o d_c - d_a o (d_b o d_c) over b >= a
         lhs = contract("bi,ick->bck", cx[a], cx)
         rhs = contract("bcj,jk->bck", cx, cx[a])
         assoc = max(assoc, (lhs - rhs)[a:].residual_norm())
-        # L_E(o)(d_a, d_b) - d_a o d_b
-        lie = (
-            _vector_bracket(euler, c[a])
-            - contract("i,ibk->bk", euler_brackets[a], cx)
-            - contract("bj,jk->bk", euler_brackets, cx[a])
-        )
-        euler_res = max(euler_res, (lie - c[a])[a:].residual_norm())
 
-    unit = contract("i,ibk->bk", JetArray.from_jets(model.unit).exact_zeros(), cx)
-    unit_res = (unit - basis).residual_norm()
+    # L_E(o)(d_a, d_b) - d_a o d_b over b >= a
+    euler_res = (lie_derivative_of_mult(model, model.euler) - c).residual_norms().max(axis=-1)[upper].max()
+
+    unit = contract("i,ibk->bk", model.unit.exact_zeros(), cx)
+    unit_res = (unit - JetArray.constant(model.space, np.eye(model.dim))).residual_norm()
 
     return report_from(
         [
@@ -336,10 +277,9 @@ def _integrability_residual(model: FManifoldModel) -> float:
     return float(worst)
 
 
-def mult_by_euler(model: FManifoldModel) -> JetMatrix:
+def mult_by_euler(model: FManifoldModel) -> JetArray:
     """Jet matrix of X -> E o X in the coordinate frame (columns are E o d_j)."""
-    euler = JetArray.from_jets(model.euler).exact_zeros()
-    return contract("i,ijk->kj", euler, model.structure.exact_zeros()).to_matrix()
+    return contract("i,ijk->kj", model.euler.exact_zeros(), model.structure.exact_zeros())
 
 
 def canonical_frame(model: FManifoldModel, check_regular: bool = True) -> CanonicalFrame:
@@ -350,12 +290,19 @@ def canonical_frame(model: FManifoldModel, check_regular: bool = True) -> Canoni
     fields = [model.unit]
     for _ in range(model.dim - 1):
         fields.append(model.multiply(model.euler, fields[-1]))
-    frame = CanonicalFrame(tuple(fields))
+    frame = CanonicalFrame(JetArray.stack(fields))
     if check_regular:
         c = np.linalg.cond(frame.constant_matrix())
         if not np.isfinite(c) or c > 1e10:
             raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
     return frame
+
+
+def _field_brackets(fields: JetArray) -> JetArray:
+    """[X_a, X_b] for every pair of a batch of fields (shape (b, n)), shape
+    (b, b, n): X_a(X_b^k) from one contraction, minus its transpose."""
+    xy = contract("av,vbk->abk", fields, fields.grad())
+    return xy - xy.transpose(1, 0, 2)
 
 
 # -- bracket constants and frame identities -----------------------------------
@@ -408,21 +355,26 @@ def bracket_constants(n: int, max_power: int | None = None) -> BracketConstants:
     return BracketConstants.build(n, max_power)
 
 
+def _eigenfunction(model: FManifoldModel) -> JetArray:
+    u = mult_by_euler(model)
+    trace = contract("ij,ij->", u, JetArray.constant(model.space, np.eye(model.dim)))
+    return trace.scale(1.0 / model.dim)
+
+
 def eigenfunction(model: FManifoldModel) -> Jet:
     """Eigenvalue function of multiplication by E on a single nilpotent
     block, extracted as trace(U)/n."""
-    u = mult_by_euler(model)
-    return u.trace().scale(1.0 / model.dim)
+    return _eigenfunction(model)[()]
 
 
-def _require_single_block(model: FManifoldModel, what: str):
-    u0 = mult_by_euler(model).constant_term()
-    spec = regend.jordan_spectrum(u0)
-    if len(spec.blocks) != 1:
-        raise ScopeError(
-            f"{what} applies to single nilpotent blocks; spectrum has "
-            f"{len(spec.blocks)} blocks"
-        )
+def _powers(a: JetArray, count: int) -> JetArray:
+    """a**0, ..., a**(count - 1) for one jet (a 0-dimensional array): the
+    monomial table of substituting ``a`` for the variable of one-variable
+    jets of order count - 1."""
+    table = Substitution(jet_space(1, count - 1), a.reshape(1)).table
+    eff = np.full(count, a.eff_order())
+    eff[0] = a.space.order
+    return JetArray(a.space, table, eff)
 
 
 def check_frame_brackets(
@@ -433,25 +385,26 @@ def check_frame_brackets(
     Always checks [X_i, X_j] = (j-i) X_{i+j-1} for i+j <= n.  On single
     nilpotent blocks additionally checks the unified bracket formula, the
     eigenfunction law X_i(a) = a^i and the minimal-polynomial identity
-    U^n + sum_k c_k^(0) a^{n-k} U^k = 0.
+    U^n + sum_k c_k^(0) a^{n-k} U^k = 0.  Each identity is one residual
+    tensor over all index pairs, with its right-hand side contracted from a
+    constant coefficient table.
     """
     n = model.dim
-    k_order = model.space.order
-    frame = canonical_frame(model)
-    entries: list[tuple[str, float, int]] = []
+    sp = model.space
+    k_order = sp.order
+    frame = canonical_frame(model).fields
+    brackets = _field_brackets(frame)  # brackets[i, j] = [X_i, X_j]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if i + j > n:
-                continue
-            br = lie_bracket(frame[i], frame[j])
-            expected = frame[i + j - 1].scale(float(j - i))
-            entries.append(
-                (f"hertling_{i}_{j}", (br - expected).residual_norm(), k_order - 1)
-            )
+    hertling = [(i, j) for i, j in pairs if i + j <= n]
+    coef = np.zeros((n, n, n))
+    for i, j in hertling:
+        coef[i, j, i + j - 1] = j - i
+    res = (brackets - contract("ijl,lk->ijk", JetArray.constant(sp, coef), frame)).residual_norms()
+    entries = [(f"hertling_{i}_{j}", res[i, j].max(), k_order - 1) for i, j in hertling]
 
-    u0 = mult_by_euler(model).constant_term()
-    spec = regend.jordan_spectrum(u0)
+    u = mult_by_euler(model)
+    spec = regend.jordan_spectrum(u.constant_term())
     single = len(spec.blocks) == 1
     if include_nilpotent is None:
         include_nilpotent = single
@@ -461,38 +414,36 @@ def check_frame_brackets(
                 "unified bracket and eigenfunction checks need a single nilpotent block"
             )
         consts = bracket_constants(n, max_power=2 * n)
-        a = eigenfunction(model)
-        powers = [model.space.one()]
-        for _ in range(2 * n):
-            powers.append(powers[-1] * a)
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = lie_bracket(frame[i], frame[j])
-                rhs = JetVector([model.space.zero() for _ in range(n)])
-                p = i + j - 1 - n
-                for k in range(n):
-                    coeff = consts.value(k, p)
-                    if coeff == 0.0:
-                        continue
-                    rhs = rhs + frame[k].scale(powers[i + j - 1 - k].scale(coeff * (i - j)))
-                entries.append(
-                    (f"unified_{i}_{j}", (br - rhs).residual_norm(), k_order - 1)
-                )
-        for i in range(n):
-            res = frame[i].apply_to(a) - powers[i]
-            entries.append((f"eigenfunction_{i}", res.residual_norm(), k_order - 1))
-        u = mult_by_euler(model)
-        acc_m = u.power(n)
-        for k in range(n):
-            acc_m = acc_m + u.power(k).scale(powers[n - k].scale(consts.value(k, 0)))
-        entries.append(("min_poly_identity", acc_m.residual_norm(), k_order))
+        a = _eigenfunction(model)
+        powers = _powers(a, 2 * n + 1)
+        # [X_i, X_j] = sum_k c_k^(i+j-1-n) (i-j) a^{i+j-1-k} X_k
+        coef = np.zeros((n, n, n, 2 * n + 1))
+        for i, j in pairs:
+            for k in range(n):
+                coef[i, j, k, i + j - 1 - k] = consts.value(k, i + j - 1 - n) * (i - j)
+        scaled = contract("q,kl->qkl", powers, frame)  # a^q X_k
+        rhs = contract("ijkq,qkl->ijl", JetArray.constant(sp, coef).exact_zeros(), scaled)
+        res = (brackets - rhs).residual_norms()
+        entries += [(f"unified_{i}_{j}", res[i, j].max(), k_order - 1) for i, j in pairs]
+        # X_i(a) = a^i
+        law = contract("iv,v->i", frame, a.grad()) - powers[:n]
+        entries += [(f"eigenfunction_{i}", v, k_order - 1) for i, v in enumerate(law.residual_norms())]
+        # U^0, ..., U^n and the identity's coefficients c_k^(0) a^{n-k}
+        u_powers = [JetArray.constant(sp, np.eye(n))]
+        for _ in range(n):
+            u_powers.append(contract("ij,jk->ik", u_powers[-1], u))
+        coef = np.zeros((n, 2 * n + 1))
+        coef[np.arange(n), n - np.arange(n)] = [consts.value(k, 0) for k in range(n)]
+        weights = contract("kq,q->k", JetArray.constant(sp, coef).exact_zeros(), powers)
+        identity = u_powers[n] + contract("k,kij->ij", weights, JetArray.stack(u_powers[:n]))
+        entries.append(("min_poly_identity", identity.residual_norm(), k_order))
     return report_from(entries)
 
 
 # -- infinitesimal symmetries --------------------------------------------------
 
 
-def symmetry_basis(m: int, order: int = DEFAULT_ORDER) -> list[JetVector]:
+def symmetry_basis(m: int, order: int = DEFAULT_ORDER) -> list[JetArray]:
     """Basis Y_1, ..., Y_{m-1} of the symmetry algebra of the standard block:
     Y_1 = (t1+1) d_1 + sum_{j>=2} j t^j d_j and Y_k = d_{k-1} o Y_1."""
     if m < 1:
@@ -500,49 +451,39 @@ def symmetry_basis(m: int, order: int = DEFAULT_ORDER) -> list[JetVector]:
     if m == 1:
         return []
     model = standard_block(0.0, m, order)
-    sp = model.space
-    comps = [sp.zero() for _ in range(m)]
-    comps[1] = sp.variable(1) + 1.0
-    for j in range(2, m):
-        comps[j] = sp.variable(j).scale(float(j))
-    y1 = JetVector(comps)
-    fields = [y1]
-    for k in range(2, m):
-        fields.append(model.multiply(model.basis_field(k - 1), y1))
-    return fields
+    y1 = _affine(model.space, np.eye(m)[1], np.diag(np.arange(m)))
+    # Y_k = d_{k-1} o Y_1 for k = 2, ..., m-1
+    rest = contract("j,ajl->al", y1.exact_zeros(), model.structure.exact_zeros()[1 : m - 1])
+    return [y1, *rest]
 
 
-def check_symmetry(model: FManifoldModel, x: JetVector) -> ResidualReport:
+def check_symmetry(model: FManifoldModel, x) -> ResidualReport:
     """Residuals of L_X(o), [X, E], and the coordinate reformulation of the
     multiplication-preservation condition (three named parts)."""
-    if len(x) != model.dim:
+    x = JetArray.from_jets(x)
+    if x.shape != (model.dim,):
         raise ShapeError("field dimension does not match the model")
     m = model.dim
     k_order = model.space.order
-    mult_res = 0.0
-    for a in range(m):
-        for b in range(a, m):
-            mult_res = max(
-                mult_res, lie_derivative_of_mult(model, x, a, b).residual_norm()
-            )
-    euler_res = lie_bracket(x, model.euler).residual_norm()
-
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    mult_res = lie_derivative_of_mult(model, x).residual_norms().max(axis=-1)[upper].max()
+    euler_res = _vector_bracket(x, model.euler.reshape(1, m)).residual_norm()
+    # [X, d_i] = -[d_i, X]; every residual below is linear in these
+    brackets = _vector_bracket(x, JetArray.constant(model.space, np.eye(model.dim)))
     entries = [
         ("mult_invariance", mult_res, k_order - 1),
         ("euler_commute", euler_res, k_order - 1),
+        ("circ_unit", brackets[0].residual_norm(), k_order - 1),
     ]
-    br0 = lie_bracket(model.basis_field(0), x)
-    entries.append(("circ_unit", br0.residual_norm(), k_order - 1))
     if m >= 2:
-        br1 = lie_bracket(model.basis_field(1), x)
-        top = model.multiply(br1, model.basis_field(m - 1))
+        cx = model.structure.exact_zeros()
+        br1 = brackets[1].exact_zeros()
+        top = contract("i,ik->k", br1, cx[:, m - 1])
         entries.append(("circ_top", top.residual_norm(), k_order - 1))
-        chain = 0.0
-        for i in range(2, m):
-            bri = lie_bracket(model.basis_field(i), x)
-            expected = model.multiply(model.basis_field(i - 1), br1).scale(float(i))
-            chain = max(chain, (bri - expected).residual_norm())
-        entries.append(("circ_chain", chain, k_order - 1))
+        # [d_i, X] - i d_{i-1} o [d_1, X] for i = 2, ..., m-1
+        expected = contract("j,ijk->ik", br1, cx[1 : m - 1])
+        expected = contract("i,ik->ik", JetArray.constant(model.space, np.arange(2, m)), expected)
+        entries.append(("circ_chain", (brackets[2:] - expected).residual_norm(), k_order - 1))
     return report_from(entries)
 
 
@@ -550,17 +491,17 @@ def check_symmetry_brackets(m: int, order: int = DEFAULT_ORDER) -> ResidualRepor
     """[Y_i, Y_j] = (i-j) Y_{i+j-1} for i+j <= m and zero above."""
     if m < 2:
         raise ShapeError("need at least two dimensions for a symmetry algebra")
-    fields = symmetry_basis(m, order)
-    entries = []
-    for i in range(1, m):
-        for j in range(i, m):
-            br = lie_bracket(fields[i - 1], fields[j - 1])
-            if i + j <= m:
-                expected = fields[i + j - 1 - 1].scale(float(i - j))
-                res = (br - expected).residual_norm()
-            else:
-                res = br.residual_norm()
-            entries.append((f"bracket_{i}_{j}", res, order - 1))
+    fields = JetArray.stack(symmetry_basis(m, order))
+    # 0-based: [Y_a, Y_b] = (a - b) Y_{a+b} while a + b <= m - 2
+    coef = np.zeros((m - 1,) * 3)
+    for a in range(m - 1):
+        for b in range(m - 1 - a):
+            coef[a, b, a + b] = a - b
+    expected = contract("abl,lk->abk", JetArray.constant(fields.space, coef), fields)
+    res = (_field_brackets(fields) - expected).residual_norms().max(axis=-1)
+    entries = [
+        (f"bracket_{i}_{j}", res[i - 1, j - 1], order - 1) for i in range(1, m) for j in range(i, m)
+    ]
     return report_from(entries)
 
 
@@ -579,13 +520,13 @@ def germ_isomorphism(
     model_a: FManifoldModel,
     model_b: FManifoldModel,
     order: int | None = None,
-) -> tuple[JetVector, ResidualReport]:
+) -> tuple[JetArray, ResidualReport]:
     """Coordinate map of the unique isomorphism sending the canonical frame
     of ``model_a`` to that of ``model_b``.
 
     Solved order by order from (Jacobian psi) X_i = Y_i o psi; the linear
     part sends the frame of A at the origin to the frame of B.  Returns the
-    map (components as jets, psi(0) = 0) plus residuals of frame transport,
+    map (an (n,) jet array, psi(0) = 0) plus residuals of frame transport,
     multiplicativity and transport of Euler-field powers.  Each step builds
     one substitution table for the current psi and composes the whole frame
     of B through it; the residuals share one more table.
@@ -616,7 +557,7 @@ def germ_isomorphism(
     while len(pow_a) < k_order + 1:
         pow_a.append(model_a.multiply(model_a.euler, pow_a[-1]))
         pow_b.append(model_b.multiply(model_b.euler, pow_b[-1]))
-    pow_a, pow_b = JetArray.from_jets(pow_a), JetArray.from_jets(pow_b)
+    pow_a, pow_b = JetArray.stack(pow_a), JetArray.stack(pow_b)
     xa, xb = pow_a[:n], pow_b[:n]
 
     psi = np.zeros((n, sp.size), dtype=np.complex128)
@@ -646,4 +587,4 @@ def germ_isomorphism(
     entries.append(("multiplicativity", mult_res, k_order - 1))
 
     entries += [(f"euler_power_{i}", transport[i], k_order - 1) for i in range(k_order + 1)]
-    return psi_arr.to_vector(), report_from(entries)
+    return psi_arr, report_from(entries)

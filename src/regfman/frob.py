@@ -2,7 +2,8 @@
 
 A multiplication-invariant metric on a product of canonical blocks is
 determined by jets eta_{i,alpha} (one family per block, vanishing cross
-terms).  This module implements the recovery chain
+terms), held with one-forms as one jet array of one jet per coordinate.
+This module implements the recovery chain
 
     metric -> invertible one-form psi -> inverse beta -> rotation operator
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, ScopeError, ShapeError
 from .fman import FManifoldModel
-from .jets import DEFAULT_ORDER, Jet, JetArray, JetMatrix, JetSpace, JetVector, contract, jet_space
+from .jets import DEFAULT_ORDER, Jet, JetArray, JetSpace, contract, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
 
 
@@ -40,7 +41,44 @@ def _offsets(sizes: tuple[int, ...]) -> list[int]:
     return out
 
 
-class InvariantMetric:
+def _tops(sizes) -> np.ndarray:
+    """Flat index of the top entry of every block."""
+    return np.cumsum(sizes) - 1
+
+
+class _BlockJets:
+    """One jet per coordinate in block coordinates: ``values``, an (n,) jet
+    array, read per block as ``families()[alpha][i]`` = values[off_alpha + i].
+    The values may also be given as one family of jets per block."""
+
+    def __init__(self, blocks, values):
+        self.blocks = tuple(int(m) for m in blocks)
+        if not isinstance(values, JetArray):
+            rows = [tuple(row) for row in values]
+            if len(rows) != len(self.blocks) or any(len(r) != m for m, r in zip(self.blocks, rows)):
+                raise ShapeError("one family per block, as long as the block, required")
+            values = JetArray.from_jets([j for row in rows for j in row])
+        if values.shape != (self.dim,):
+            raise ShapeError("one jet per coordinate required")
+        self.values = values
+        self.space: JetSpace = values.space
+
+    @property
+    def dim(self) -> int:
+        return sum(self.blocks)
+
+    def families(self) -> tuple[JetArray, ...]:
+        return tuple(self.values[off : off + m] for off, m in zip(_offsets(self.blocks), self.blocks))
+
+    def top_values(self) -> np.ndarray:
+        """The value at the origin of every block's top entry."""
+        return self.values.constant_term()[_tops(self.blocks)]
+
+    def __repr__(self):
+        return f"{type(self).__name__}(blocks={self.blocks}, order={self.space.order})"
+
+
+class InvariantMetric(_BlockJets):
     """Multiplication-invariant metric in block coordinates.
 
     ``eta[alpha][i]`` for 0 <= i <= m_alpha - 1; the Gram matrix is
@@ -49,81 +87,55 @@ class InvariantMetric:
     """
 
     def __init__(self, blocks, eta):
-        self.blocks = tuple(int(m) for m in blocks)
-        self.eta = tuple(tuple(row) for row in eta)
-        if len(self.eta) != len(self.blocks):
-            raise ShapeError("one eta family per block required")
-        sp = self.eta[0][0].space
-        for m, row in zip(self.blocks, self.eta):
-            if len(row) != m:
-                raise ShapeError("eta family length must equal the block size")
-            for j in row:
-                if j.space is not sp:
-                    raise ShapeError("eta jets must share one space")
-        if sp.num_vars != sum(self.blocks):
+        super().__init__(blocks, eta)
+        if self.space.num_vars != self.dim:
             raise ShapeError("metric variables must match the total dimension")
-        self.space: JetSpace = sp
 
     @property
-    def dim(self) -> int:
-        return sum(self.blocks)
+    def eta(self) -> tuple[JetArray, ...]:
+        return self.families()
 
-    def flat_eta(self) -> list[Jet]:
-        return [j for row in self.eta for j in row]
+    def flat_eta(self) -> JetArray:
+        return self.values
 
-    def gram(self) -> JetMatrix:
-        sp = self.space
+    def gram(self) -> JetArray:
+        """The Gram matrix, its zero entries of full effective order."""
         n = self.dim
-        entries = [[sp.zero() for _ in range(n)] for _ in range(n)]
-        for off, (m, row) in zip(_offsets(self.blocks), zip(self.blocks, self.eta)):
-            for i in range(m):
-                for j in range(m):
-                    if i + j < m:
-                        entries[off + i][off + j] = row[i + j]
-        return JetMatrix(entries)
+        source = np.full((n, n), n)  # n: a zero of full effective order
+        for off, m in zip(_offsets(self.blocks), self.blocks):
+            i, j = np.indices((m, m))
+            inside = i + j < m
+            source[off + i[inside], off + j[inside]] = off + (i + j)[inside]
+        v = self.values
+        coeffs = np.concatenate([v._stored, np.zeros((1, v._stored.shape[-1]))])[source]
+        return JetArray(self.space, coeffs, np.append(v.eff, self.space.order)[source])
 
     def nondegenerate_at_origin(self, tol: float = 1e-10) -> bool:
-        return all(abs(row[m - 1].value0) > tol for m, row in zip(self.blocks, self.eta))
-
-    def top_values(self) -> list[complex]:
-        return [row[m - 1].value0 for m, row in zip(self.blocks, self.eta)]
-
-    def __repr__(self):
-        return f"InvariantMetric(blocks={self.blocks}, order={self.space.order})"
+        return bool((np.abs(self.top_values()) > tol).all())
 
 
-class OneForm:
+class OneForm(_BlockJets):
     """Covector field in block coordinates; same storage layout as the
     metric's eta families."""
 
-    def __init__(self, blocks, comps):
-        self.blocks = tuple(int(m) for m in blocks)
-        self.comps = tuple(tuple(row) for row in comps)
-        if len(self.comps) != len(self.blocks):
-            raise ShapeError("one component family per block required")
-        sp = self.comps[0][0].space
-        for m, row in zip(self.blocks, self.comps):
-            if len(row) != m:
-                raise ShapeError("component family length must equal the block size")
-        self.space: JetSpace = sp
+    @property
+    def comps(self) -> tuple[JetArray, ...]:
+        return self.families()
 
-    def flat(self) -> list[Jet]:
-        return [j for row in self.comps for j in row]
+    def flat(self) -> JetArray:
+        return self.values
 
     def invertible_at_origin(self, tol: float = 1e-10) -> bool:
-        return all(abs(row[m - 1].value0) > tol for m, row in zip(self.blocks, self.comps))
-
-    def __repr__(self):
-        return f"OneForm(blocks={self.blocks}, order={self.space.order})"
+        return bool((np.abs(self.top_values()) > tol).all())
 
 
 @dataclass(frozen=True)
 class RotationOperator:
-    """Candidate rotation-coefficient endomorphism (jet matrix, column
-    convention) together with the constant pairing it should be symmetric
-    for."""
+    """Candidate rotation-coefficient endomorphism (an (n, n) jet array,
+    column convention) together with the constant pairing it should be
+    symmetric for."""
 
-    matrix: JetMatrix
+    matrix: JetArray
     epsilon: np.ndarray
 
 
@@ -144,20 +156,14 @@ def epsilon_metric(blocks_or_model, order: int | None = None) -> InvariantMetric
         sp = blocks_or_model.space
     else:
         sp = jet_space(sum(sizes), DEFAULT_ORDER if order is None else order)
-    eta = [
-        [sp.constant(1.0) if i == m - 1 else sp.zero() for i in range(m)]
-        for m in sizes
-    ]
-    return InvariantMetric(sizes, eta)
+    return InvariantMetric(sizes, unit_covector(sizes, sp).values)
 
 
-def metric_from_potential(potential: Jet, blocks_or_model) -> InvariantMetric:
-    """eta_{i,alpha} = d_{i,alpha}(potential); warns if degenerate at 0."""
+def metric_from_potential(potential, blocks_or_model) -> InvariantMetric:
+    """eta_{i,alpha} = d_{i,alpha}(potential) for a potential jet (a
+    :class:`Jet` or a 0-dimensional jet array); warns if degenerate at 0."""
     sizes = _sizes(blocks_or_model)
-    eta = []
-    for off, m in zip(_offsets(sizes), sizes):
-        eta.append([potential.partial(off + i) for i in range(m)])
-    metric = InvariantMetric(sizes, eta)
+    metric = InvariantMetric(sizes, JetArray.from_jets(potential).grad())
     if not metric.nondegenerate_at_origin():
         warnings.warn(
             "potential yields a metric degenerate at the origin", stacklevel=2
@@ -169,15 +175,15 @@ def metric_from_potential(potential: Jet, blocks_or_model) -> InvariantMetric:
 
 
 def check_coidentity_closed(metric: InvariantMetric) -> ResidualReport:
-    """Closedness of the coidentity one-form (existence of a potential)."""
-    flat = metric.flat_eta()
+    """Closedness of the coidentity one-form (existence of a potential):
+    d_h eta_g - d_g eta_h over g < h."""
     n = metric.dim
     worst = 0.0
-    order = min(j.eff_order for j in flat) - 1
-    for g in range(n):
-        for h in range(g + 1, n):
-            worst = max(worst, (flat[g].partial(h) - flat[h].partial(g)).residual_norm())
-    return report_from([("coidentity_closed", worst, order)])
+    if n > 1:
+        d = metric.values.grad()  # d[h, g] = d_h eta_g
+        strict = np.triu(np.ones((n, n), dtype=bool), 1)
+        worst = (d - d.transpose(1, 0)).residual_norms()[strict].max()
+    return report_from([("coidentity_closed", worst, metric.values.eff_order() - 1)])
 
 
 def unit_vector_indices(blocks) -> list[int]:
@@ -189,25 +195,21 @@ def check_unit_flat(metric: InvariantMetric) -> ResidualReport:
     """Flat unit: closed coidentity plus e(eta) = 0 for the unit field
     e = sum of the leading block directions."""
     closed = check_coidentity_closed(metric)["coidentity_closed"]
-    units = unit_vector_indices(metric.blocks)
-    worst = 0.0
-    order = min(j.eff_order for j in metric.flat_eta()) - 1
-    for eta_jet in metric.flat_eta():
-        d = None
-        for u in units:
-            d = eta_jet.partial(u) if d is None else d + eta_jet.partial(u)
-        worst = max(worst, d.residual_norm())
+    unit = np.zeros(metric.dim)
+    unit[unit_vector_indices(metric.blocks)] = 1.0
+    unit = JetArray.constant(metric.space, unit).exact_zeros()
+    derivative = contract("v,vk->k", unit, metric.values.grad())
     return ResidualReport(
         [
             ("coidentity_closed", closed),
-            ("unit_derivative", Residual(worst, order)),
+            ("unit_derivative", Residual(derivative.residual_norm(), metric.values.eff_order() - 1)),
         ]
     )
 
 
 def check_euler_rescaling(
     metric: InvariantMetric,
-    euler: JetVector,
+    euler,
     weight: complex | None = None,
 ) -> tuple[complex, ResidualReport]:
     """Residual of E(eta) = (D-2) eta.
@@ -215,18 +217,17 @@ def check_euler_rescaling(
     With ``weight`` (the rescaling constant D) given, measures it directly;
     otherwise returns the least-squares best weight and its residual.
     """
-    if len(euler) != metric.dim:
+    euler = JetArray.from_jets(euler)
+    if euler.shape != (metric.dim,):
         raise ShapeError("Euler field dimension does not match the metric")
-    flat = metric.flat_eta()
-    derivs = [euler.apply_to(j) for j in flat]
-    order = min(d.eff_order for d in derivs)
+    eta = metric.values
+    derivs = contract("v,vj->j", euler, eta.grad())  # E(eta_j)
+    order = derivs.eff_order()
     if weight is None:
         num = 0.0 + 0.0j
         den = 0.0
-        for j, d in zip(flat, derivs):
-            mask = j.space.degrees <= order
-            jc = j.coeffs[mask]
-            dc = d.coeffs[mask]
+        mask = metric.space.degrees <= order
+        for jc, dc in zip(eta.coeffs[:, mask], derivs.coeffs[:, mask]):
             num += np.vdot(jc, dc)
             den += float(np.vdot(jc, jc).real)
         w = num / den if den > 0 else 0.0
@@ -235,15 +236,59 @@ def check_euler_rescaling(
     else:
         weight_out = complex(weight)
         solved = False
-    w = weight_out - 2.0
-    worst = 0.0
-    for j, d in zip(flat, derivs):
-        worst = max(worst, (d - j.scale(w)).residual_norm())
+    worst = (derivs - eta.scale(weight_out - 2.0)).residual_norm()
     name = "euler_rescaling_solved" if solved else "euler_rescaling"
     return weight_out, report_from([(name, worst, order)])
 
 
 # -- the psi / beta / gamma chain ----------------------------------------------
+
+
+def _sum_into(count: int, targets, terms: JetArray) -> JetArray:
+    """out[t] = the sum of terms[p] over the p with targets[p] == t, in
+    ascending p, for t < count."""
+    select = np.zeros((count, len(terms)))
+    select[targets, np.arange(len(terms))] = 1.0
+    return contract("tp,p->t", JetArray.constant(terms.space, select).exact_zeros(), terms)
+
+
+def _product_pairs(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices (r, s, t) of the cotangent products
+    dt^r o dt^s = dt^t, t = r + s - (m-1), within each block."""
+    r, s, t = [], [], []
+    for off, m in zip(_offsets(blocks), blocks):
+        for i in range(m):
+            for j in range(m - 1 - i, m):
+                r.append(off + i)
+                s.append(off + j)
+                t.append(off + i + j - (m - 1))
+    return np.array(r), np.array(s), np.array(t)
+
+
+def _descend(blocks, x: JetArray, weight: JetArray, rhs: JetArray, y=None, inner: int = 0) -> JetArray:
+    """Fill a block-triangular system from the top of every block down:
+    x_q = (rhs_q - sum_{s=q+1}^{m-1-inner} x_s y_{m-1+q-s}) * weight_block,
+    where ``x`` holds each block's top already and ``y`` defaults to x.
+    One level (the same distance below every top) at a time: every entry
+    of a level has the same number of terms, subtracted in ascending s."""
+    offsets = _offsets(blocks)
+    for level in range(1, max(blocks)):
+        rows, block, left, right = [], [], [], []
+        for b, (off, m) in enumerate(zip(offsets, blocks)):
+            if m <= level:
+                continue
+            q = m - 1 - level
+            left += [off + s for s in range(q + 1, m - inner)]
+            right += [off + m - 1 + q - s for s in range(q + 1, m - inner)]
+            rows.append(off + q)
+            block.append(b)
+        value = rhs[rows]
+        if left:
+            terms = x[left] * (x if y is None else y)[right]
+            for term in terms.reshape(len(rows), -1).transpose(1, 0):
+                value = value - term
+        x = x.put(rows, value * weight[block])
+    return x
 
 
 def psi_from_metric(
@@ -261,20 +306,11 @@ def psi_from_metric(
         branch_anchors = [None] * len(metric.blocks)
     if len(branch_anchors) != len(metric.blocks):
         raise ShapeError("one branch anchor per block required")
-    comps = []
-    for m, row, anchor in zip(metric.blocks, metric.eta, branch_anchors):
-        psi = [None] * m
-        psi[m - 1] = row[m - 1].sqrt(anchor)
-        inv2top = psi[m - 1].scale(2.0).invert()
-        for k in range(m - 2, -1, -1):
-            acc = row[k]
-            for s in range(k + 1, m - 1):
-                t = (m - 1) + k - s
-                if k < t < m - 1:
-                    acc = acc - psi[s] * psi[t]
-            psi[k] = acc * inv2top
-        comps.append(psi)
-    return OneForm(metric.blocks, comps)
+    tops = _tops(metric.blocks)
+    eta = metric.values
+    root = eta[tops].sqrt(branch_anchors)
+    psi = _descend(metric.blocks, eta.put(tops, root), root.scale(2.0).invert(), eta, inner=1)
+    return OneForm(metric.blocks, psi)
 
 
 def metric_from_psi(psi: OneForm, model: FManifoldModel | None = None) -> InvariantMetric:
@@ -282,18 +318,7 @@ def metric_from_psi(psi: OneForm, model: FManifoldModel | None = None) -> Invari
     :func:`psi_from_metric`)."""
     if model is not None and not model.is_constant_multiplication():
         raise ScopeError("the pairing formula requires constant multiplication")
-    eta = []
-    for m, row in zip(psi.blocks, psi.comps):
-        family = []
-        for k in range(m):
-            acc = row[0].space.zero()
-            for s in range(m):
-                t = (m - 1) + k - s
-                if 0 <= t < m:
-                    acc = acc + row[s] * row[t]
-            family.append(acc)
-        eta.append(family)
-    return InvariantMetric(psi.blocks, eta)
+    return InvariantMetric(psi.blocks, covector_product(psi, psi).values)
 
 
 def invert_oneform(psi: OneForm) -> OneForm:
@@ -303,103 +328,44 @@ def invert_oneform(psi: OneForm) -> OneForm:
         raise DegenerateMetricError(
             "one-form is not invertible (top component vanishes at the origin)"
         )
-    comps = []
-    for m, row in zip(psi.blocks, psi.comps):
-        inv_top = row[m - 1].invert()
-        beta = [None] * m
-        beta[m - 1] = inv_top
-        for k in range(2 * (m - 1) - 1, m - 2, -1):
-            acc = None
-            for s in range(k - (m - 1) + 1, m):
-                r = k - s
-                if 0 <= r < m:
-                    term = beta[s] * row[r]
-                    acc = term if acc is None else acc + term
-            b = -(acc * inv_top) if acc is not None else row[0].space.zero()
-            beta[k - (m - 1)] = b
-        comps.append(beta)
-    return OneForm(psi.blocks, comps)
+    tops = _tops(psi.blocks)
+    inv_top = psi.values[tops].invert()
+    zero = JetArray.constant(psi.space, np.zeros(psi.dim))
+    return OneForm(psi.blocks, _descend(psi.blocks, zero.put(tops, inv_top), inv_top, zero, psi.values))
 
 
 def covector_product(a: OneForm, b: OneForm) -> OneForm:
     """Cotangent multiplication of two one-forms (per block)."""
-    comps = []
-    for m, ra, rb in zip(a.blocks, a.comps, b.comps):
-        out = []
-        for j in range(m):
-            acc = ra[0].space.zero()
-            for r in range(m):
-                s = (m - 1) + j - r
-                if 0 <= s < m:
-                    acc = acc + ra[r] * rb[s]
-            out.append(acc)
-        comps.append(out)
-    return OneForm(a.blocks, comps)
+    r, s, t = _product_pairs(a.blocks)
+    return OneForm(a.blocks, _sum_into(a.dim, t, a.values[r] * b.values[s]))
 
 
 def unit_covector(blocks, space: JetSpace) -> OneForm:
     sizes = _sizes(blocks)
-    return OneForm(
-        sizes,
-        [
-            [space.constant(1.0) if i == m - 1 else space.zero() for i in range(m)]
-            for m in sizes
-        ],
-    )
+    values = np.zeros(sum(sizes))
+    values[_tops(sizes)] = 1.0
+    return OneForm(sizes, JetArray.constant(space, values))
+
+
+def _epsilon_norm(psi: OneForm) -> JetArray:
+    # psi_i pairs with psi_{m-1-i} of its block
+    partner = np.repeat(2 * np.array(_offsets(psi.blocks)) + np.array(psi.blocks) - 1, psi.blocks)
+    terms = psi.values * psi.values[partner - np.arange(psi.dim)]
+    return _sum_into(1, np.zeros(psi.dim, dtype=np.int64), terms).reshape()
 
 
 def psi_epsilon_norm(psi: OneForm) -> Jet:
     """epsilon(psi, psi) = sum over blocks of sum_{i+j=m-1} psi_i psi_j."""
-    acc = psi.space.zero()
-    for m, row in zip(psi.blocks, psi.comps):
-        for i in range(m):
-            acc = acc + row[i] * row[m - 1 - i]
-    return acc
+    return _epsilon_norm(psi)[()]
 
 
-def gamma_operator(
-    psi: OneForm,
-    beta: OneForm,
-    model: FManifoldModel,
-    method: str = "auto",
-) -> RotationOperator:
-    """Rotation-operator candidate from the metric data.
-
-    The general constant-multiplication formula contracts the inverse
-    pairing with the cotangent structure constants:
-    gamma_{t j} = sum d_k(psi_j) beta_s eps^{ik} c_i^{st}.  For a single
-    block this reduces to a short explicit sum, kept as a fast path and
-    cross-checked against the general contraction in the tests.
-    """
+def gamma_operator(psi: OneForm, beta: OneForm, model: FManifoldModel) -> RotationOperator:
+    """Rotation-operator candidate from the metric data: the inverse
+    pairing contracted with the cotangent structure constants,
+    gamma_{t j} = sum d_k(psi_j) beta_s eps^{ik} c_i^{st} (constant
+    multiplication only)."""
     if not model.is_constant_multiplication():
         raise ScopeError("rotation operator requires constant multiplication")
-    if method not in ("auto", "general", "block"):
-        raise ShapeError(f"unknown method {method!r}")
-    if method == "block" or (method == "auto" and len(psi.blocks) == 1):
-        if len(psi.blocks) != 1:
-            raise ScopeError("block fast path requires a single block")
-        gamma = _gamma_single_block(psi, beta)
-    else:
-        gamma = _gamma_general(psi, beta, model)
-    return RotationOperator(gamma, epsilon_gram(psi.blocks))
-
-
-def _gamma_single_block(psi: OneForm, beta: OneForm) -> JetMatrix:
-    m = psi.blocks[0]
-    sp = psi.space
-    prow = psi.comps[0]
-    brow = beta.comps[0]
-    dpsi = [[prow[j].partial(k) for k in range(m)] for j in range(m)]
-    entries = [[sp.zero(sp.order - 1) for _ in range(m)] for _ in range(m)]
-    for j in range(m):
-        for s in range(m):
-            for i in range(s + 1):
-                t = m - 1 + i - s
-                entries[t][j] = entries[t][j] + brow[s] * dpsi[j][m - 1 - i]
-    return JetMatrix(entries)
-
-
-def _gamma_general(psi: OneForm, beta: OneForm, model: FManifoldModel) -> JetMatrix:
     sp = psi.space
     eps_inv = np.linalg.inv(epsilon_gram(psi.blocks))
     c = model.constant_structure()  # c[i, f, t]
@@ -407,10 +373,11 @@ def _gamma_general(psi: OneForm, beta: OneForm, model: FManifoldModel) -> JetMat
     cot = np.einsum("sf,ift->ist", eps_inv, c)
     # w[k][t] = sum_{i,s} eps^{ik} c_i^{st} beta_s
     coef = JetArray.constant(sp, np.einsum("ik,ist->kts", eps_inv, cot)).exact_zeros()
-    w = contract("kts,s->kt", coef, JetArray.from_jets(beta.flat()))
+    w = contract("kts,s->kt", coef, beta.values)
     # gamma_{tj} = sum_k d_k(psi_j) w[k][t], trusted one order below K
-    dpsi = JetArray.from_jets(psi.flat()).grad()  # dpsi[k, j] = d_k psi_j
-    return contract("kj,kt->tj", dpsi, w.exact_zeros()).capped(sp.order - 1).to_matrix()
+    dpsi = psi.values.grad()  # dpsi[k, j] = d_k psi_j
+    gamma = contract("kj,kt->tj", dpsi, w.exact_zeros()).capped(sp.order - 1)
+    return RotationOperator(gamma, epsilon_gram(psi.blocks))
 
 
 def _structure_matrices(model: FManifoldModel, space: JetSpace) -> JetArray:
@@ -430,22 +397,19 @@ def check_gamma(
     """Epsilon-symmetry of gamma, constancy of epsilon(psi, psi), and the
     derivative law d_i(psi_j) = (psi [C_i, gamma])_j."""
     sp = psi.space
-    n = model.dim
-    g = JetArray.from_jets(gamma.matrix)
+    g = gamma.matrix
     eps = JetArray.constant(sp, gamma.epsilon)
     sym = (contract("ik,kj->ij", eps, g) - contract("ki,kj->ij", g, eps)).residual_norm()
 
-    norm_jet = psi_epsilon_norm(psi)
-    norm_res = max(norm_jet.partial(v).residual_norm() for v in range(n))
-
-    flat_psi = JetArray.from_jets(psi.flat())
+    norm = _epsilon_norm(psi)
+    flat_psi = psi.values
     cm = _structure_matrices(model, sp)
     br = -_brackets(g, cm)  # br[i] = [C_i, gamma]
     law = flat_psi.grad() - contract("k,ikj->ij", flat_psi, br.exact_zeros())
     return report_from(
         [
             ("epsilon_symmetry", sym, g.eff_order()),
-            ("psi_norm_constant", norm_res, norm_jet.eff_order - 1),
+            ("psi_norm_constant", norm.grad().residual_norm(), norm.eff_order() - 1),
             ("necesitate", law.residual_norm(), sp.order - 1),
         ]
     )
@@ -454,18 +418,9 @@ def check_gamma(
 def gamma_annihilates_dual(gamma: RotationOperator, psi: OneForm) -> float:
     """Residual of gamma(T) = 0 for the epsilon-dual T of psi (holds when
     epsilon(psi, psi) is constant)."""
-    eps_inv = np.linalg.inv(gamma.epsilon)
-    flat = psi.flat()
-    n = len(flat)
-    t_field = []
-    for k in range(n):
-        acc = psi.space.zero()
-        for j in range(n):
-            if eps_inv[k, j] != 0:
-                acc = acc + flat[j].scale(eps_inv[k, j])
-        t_field.append(acc)
-    out = gamma.matrix @ JetVector(t_field)
-    return out.residual_norm()
+    eps_inv = JetArray.constant(psi.space, np.linalg.inv(gamma.epsilon)).exact_zeros()
+    t_field = contract("kj,j->k", eps_inv, psi.values)
+    return contract("ij,j->i", gamma.matrix, t_field).residual_norm()
 
 
 class _DarbouxEgoroff:
@@ -483,7 +438,7 @@ class _DarbouxEgoroff:
     """
 
     def __init__(self, gamma: RotationOperator, model: FManifoldModel):
-        g = JetArray.from_jets(gamma.matrix)
+        g = gamma.matrix
         self.cm = _structure_matrices(model, g.space)
         self.dg = g.grad()
         self.br = -_brackets(g, self.cm)  # br[i] = [C_i, gamma]
@@ -517,10 +472,10 @@ def darboux_egoroff_residual(
 
 def darboux_egoroff_matrix(
     gamma: RotationOperator, model: FManifoldModel, i: int, j: int
-) -> JetMatrix:
+) -> JetArray:
     """The full Darboux-Egoroff matrix for one index pair: a slice of the
     contraction behind :func:`darboux_egoroff_residual`."""
-    return _DarbouxEgoroff(gamma, model).row(i, slice(j, j + 1))[0].to_matrix()
+    return _DarbouxEgoroff(gamma, model).row(i, slice(j, j + 1))[0]
 
 
 # -- Levi-Civita curvature oracle ----------------------------------------------
@@ -538,14 +493,14 @@ class CurvatureResult:
         )
 
 
-def levi_civita_curvature(gram, unit: JetVector) -> CurvatureResult:
+def levi_civita_curvature(gram, unit) -> CurvatureResult:
     """Christoffel symbols, Riemann-tensor residual and unit-parallelism
     residual of a jet metric, computed independently of the
     Darboux-Egoroff chain.
 
     ``gram`` may be an :class:`InvariantMetric` or a symmetric jet matrix
-    (:class:`JetMatrix` or :class:`JetArray`).  Curvature is certified at
-    two orders below the metric's effective order.
+    (a :class:`JetArray` or nested jets), ``unit`` a field.  Curvature is
+    certified at two orders below the metric's effective order.
     """
     if isinstance(gram, InvariantMetric):
         gram = gram.gram()
@@ -579,7 +534,7 @@ def levi_civita_curvature(gram, unit: JetVector) -> CurvatureResult:
     return CurvatureResult(chris, curv, unit_res)
 
 
-def euler_derivative(christoffel: JetArray, euler: JetVector) -> JetArray:
+def euler_derivative(christoffel: JetArray, euler) -> JetArray:
     """Levi-Civita derivative of the Euler field from Christoffel symbols:
     nabla[k, j] = d_j E^k + sum_l Gamma^k_jl E^l."""
     e = JetArray.from_jets(euler)

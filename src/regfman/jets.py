@@ -14,34 +14,36 @@ one (the top coefficients of the result would need unknown order-``K+1``
 data, so they are stored as zeros and excluded from residual norms).
 Binary operations propagate the minimum of the operands' effective orders.
 
-A :class:`JetArray` holds a whole batch of jets as one coefficient array of
-shape ``(*batch, size)`` with a per-entry array of effective orders; it
-stores only the prefix of the coefficient columns that can be nonzero, so a
-batch of constants is one column wide.  :func:`contract` multiplies two of
-them in einsum notation over the batch axes, with the Cauchy product on the
-coefficient axis.  Each output entry gets exactly the effective order and
-truncation of the same sum of ``Jet`` products, and its coefficients equal
-that sum up to round-off.  The kernel's work follows the coefficients that
-are there, without thresholds: it finds once per call which coefficient
-positions each operand uses (its support); an operand whose entries are all
-constant scales the other one; otherwise only the Cauchy pairs inside the
-two supports are formed, from a pruned pair table that the space caches per
-pair of supports (a bounded number of them).  What stays bit-equal: a
-single product with nothing pruned is ``Jet.__mul__`` bit for bit.  A
-scaling sums its products in the loop's order, but numpy may round a
-complex product of two arrays differently from one by a scalar; a sum over
-the contracted axis rounds as ``matmul`` does.  Identities that a loop
-would evaluate entry by entry (associativity, Darboux-Egoroff, curvature)
-are written as a few contractions.  A :class:`Substitution` composes jets
-with one fixed substitution through a monomial table built once.
+:class:`JetArray` is the one container the package computes with: a batch
+of jets (a field, a one-form, a matrix, a structure tensor) as one array
+of shape ``(*batch, size)`` with a per-entry array of effective orders,
+stored only as wide as its coefficients can be nonzero.  Indexing down to
+one entry gives a :class:`Jet`, the read-only scalar that reports read.
+:func:`contract` multiplies two arrays in einsum notation over the batch
+axes, with the Cauchy product on the coefficient axis: each output entry
+gets the effective order and truncation of the same sum of ``Jet``
+products and equals that sum up to round-off (a lone product with nothing
+pruned bit for bit).  Its work follows the coefficients that are there: an
+operand whose entries are all constant scales the other one; otherwise
+only the Cauchy pairs inside the two operands' supports are formed, from a
+pair table the space caches.  Identities that a loop would evaluate entry
+by entry (brackets, associativity, Darboux-Egoroff, curvature, the one-form
+recursions) are written as a few contractions, and inverses and square
+roots as Newton iterations on whole arrays.  A :class:`Substitution`
+composes jets with one substitution through a monomial table built once.
+
+``Jet`` arithmetic and :class:`JetMatrix` are the object kernel the arrays
+replaced; no other module computes with them.  They remain for building
+inputs one jet at a time and for timing the two kernels against each other.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+import operator
+from functools import cached_property, lru_cache, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -383,42 +385,13 @@ class Jet:
         return sp._wrap(out, max(self.eff_order - 1, -1))
 
     def invert(self, tol: float = 1e-12) -> "Jet":
-        """Multiplicative inverse; requires a non-vanishing constant term."""
-        sp = self.space
-        c0 = self.coeffs[0]
-        if abs(c0) <= tol:
-            raise SingularInputError(
-                f"cannot invert jet with constant term {c0!r} (|c0| <= {tol})"
-            )
-        x = sp.constant(1.0 / c0)
-        correct = 0
-        while correct < sp.order:
-            x = x * (2.0 - self * x)
-            correct = 2 * correct + 1
-        return sp._wrap(x.coeffs, min(self.eff_order, sp.order))
+        """Multiplicative inverse (see :meth:`JetArray.invert`)."""
+        return JetArray.from_jets(self).invert(tol)[()]
 
     def sqrt(self, branch_anchor: complex | None = None, tol: float = 1e-9) -> "Jet":
-        """Square root with the branch fixed by ``branch_anchor``.
-
-        ``branch_anchor`` must square to the constant term; by default the
-        principal root (argument in (-pi/2, pi/2]) is used.
-        """
-        sp = self.space
-        c0 = self.coeffs[0]
-        if abs(c0) <= 1e-12:
-            raise SingularInputError("square root of a jet with vanishing constant term")
-        if branch_anchor is None:
-            branch_anchor = np.sqrt(complex(c0))
-        anchor = complex(branch_anchor)
-        if abs(anchor * anchor - c0) > tol * max(1.0, abs(c0)):
-            raise InvalidAnchorError(
-                f"anchor {anchor!r} does not square to the constant term {c0!r}"
-            )
-        s = sp.constant(anchor)
-        inv2a = 1.0 / (2.0 * anchor)
-        for _ in range(sp.order):
-            s = s + (self - s * s).scale(inv2a)
-        return sp._wrap(s.coeffs, min(self.eff_order, sp.order))
+        """Square root with the branch fixed by ``branch_anchor`` (see
+        :meth:`JetArray.sqrt`)."""
+        return JetArray.from_jets(self).sqrt([branch_anchor], tol)[()]
 
     def compose(self, subs: Sequence["Jet"]) -> "Jet":
         """Substitute ``subs[i]`` for variable ``i`` (see :class:`Substitution`)."""
@@ -447,76 +420,6 @@ class Jet:
         )
         more = "..." if len(self.terms()) > 6 else ""
         return f"Jet({self.space.num_vars}v,K={self.space.order},eff={self.eff_order}; {body}{more})"
-
-
-# -- jet vectors -------------------------------------------------------------
-
-
-class JetVector:
-    """Ordered list of jets sharing one space; models a vector field in
-    coordinates."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Iterable[Jet]):
-        comp = tuple(components)
-        if not comp:
-            raise ShapeError("JetVector must be non-empty")
-        sp = comp[0].space
-        for c in comp[1:]:
-            if c.space is not sp:
-                raise ShapeError("JetVector components must share one space")
-        self.components = comp
-
-    @property
-    def space(self) -> JetSpace:
-        return self.components[0].space
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __add__(self, other: "JetVector") -> "JetVector":
-        return JetVector(a + b for a, b in zip(self.components, other.components))
-
-    def __sub__(self, other: "JetVector") -> "JetVector":
-        return JetVector(a - b for a, b in zip(self.components, other.components))
-
-    def __neg__(self):
-        return JetVector(-a for a in self.components)
-
-    def scale(self, f: "Jet | complex") -> "JetVector":
-        if isinstance(f, Jet):
-            return JetVector(a * f for a in self.components)
-        return JetVector(a.scale(f) for a in self.components)
-
-    def apply_to(self, f: Jet) -> Jet:
-        """Directional derivative X(f) = sum_i X^i d_i f."""
-        out = self.components[0] * f.partial(0)
-        for v in range(1, len(self.components)):
-            out = out + self.components[v] * f.partial(v)
-        return out
-
-    def constant_terms(self) -> np.ndarray:
-        return np.array([c.value0 for c in self.components], dtype=np.complex128)
-
-    def residual_norm(self) -> float:
-        return max(c.residual_norm() for c in self.components)
-
-    def __repr__(self):
-        return f"JetVector({list(self.components)!r})"
-
-
-def lie_bracket(x: JetVector, y: JetVector) -> JetVector:
-    """[X, Y]^k = X(Y^k) - Y(X^k), componentwise in jets."""
-    return JetVector(
-        x.apply_to(yk) - y.apply_to(xk) for xk, yk in zip(x.components, y.components)
-    )
 
 
 # -- jet matrices -------------------------------------------------------------
@@ -596,26 +499,15 @@ class JetMatrix:
                 f"matrix shapes differ: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __matmul__(self, other):
-        if isinstance(other, JetMatrix):
-            if self.cols != other.rows:
-                raise ShapeError("inner dimensions do not match")
-            return JetMatrix(
-                [
-                    [
-                        _dot(self.entries[i], [other.entries[k][j] for k in range(other.rows)])
-                        for j in range(other.cols)
-                    ]
-                    for i in range(self.rows)
-                ]
-            )
-        if isinstance(other, JetVector):
-            if self.cols != len(other):
-                raise ShapeError("inner dimensions do not match")
-            return JetVector(
-                _dot(self.entries[i], other.components) for i in range(self.rows)
-            )
-        return NotImplemented
+    def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
+        if not isinstance(other, JetMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ShapeError("inner dimensions do not match")
+        cols = list(zip(*other.entries))
+        return JetMatrix(
+            [[reduce(operator.add, map(operator.mul, row, col)) for col in cols] for row in self.entries]
+        )
 
     def transpose(self) -> "JetMatrix":
         return JetMatrix(
@@ -652,7 +544,7 @@ class JetMatrix:
         """Inverse via the constant-term inverse plus Newton iteration."""
         if self.rows != self.cols:
             raise ShapeError("inverse requires a square matrix")
-        return JetArray.from_jets(self).inverse(cond_limit).to_matrix()
+        return JetMatrix._of(JetArray.from_jets(self).inverse(cond_limit))
 
     def power(self, n: int) -> "JetMatrix":
         if n < 0:
@@ -664,17 +556,15 @@ class JetMatrix:
         return result
 
     def compose(self, subs: Sequence[Jet]) -> "JetMatrix":
-        return Substitution(self.space, subs)(JetArray.from_jets(self)).to_matrix()
+        return JetMatrix._of(Substitution(self.space, subs)(JetArray.from_jets(self)))
+
+    @classmethod
+    def _of(cls, array: "JetArray") -> "JetMatrix":
+        rows, cols = array.shape
+        return cls([[array[i, j] for j in range(cols)] for i in range(rows)])
 
     def __repr__(self):
         return f"JetMatrix({self.rows}x{self.cols}, K={self.space.order})"
-
-
-def _dot(row: Sequence[Jet], col: Sequence[Jet]) -> Jet:
-    acc = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        acc = acc + a * b
-    return acc
 
 
 # -- jet arrays ----------------------------------------------------------------
@@ -764,21 +654,25 @@ class JetArray:
 
     @classmethod
     def from_jets(cls, entries) -> "JetArray":
-        """Stack a nested sequence of jets (lists, a :class:`JetVector` or a
-        :class:`JetMatrix`) into one array, one column wide when every entry
-        is constant; a jet array is returned as it is."""
+        """Stack a nested sequence of jets and jet arrays (lists, any
+        iterable of jets or a :class:`JetMatrix`) into one array; a jet
+        array is returned as it is, a single jet as a 0-dimensional array."""
         if isinstance(entries, JetArray):
             return entries
-        flat, shape = _flatten_jets(entries)
-        space = flat[0].space
-        for j in flat[1:]:
-            if j.space is not space:
-                raise ShapeError("jet array entries must share one space")
-        coeffs = np.array([j.coeffs for j in flat])
-        if not coeffs[:, 1:].any():
-            coeffs = coeffs[:, :1].copy()
-        eff = np.array([j.eff_order for j in flat], dtype=np.int64).reshape(shape)
-        return cls._raw(space, coeffs.reshape(shape + coeffs.shape[-1:]), eff)
+        space: list[JetSpace] = []
+        coeffs, eff = _gather(entries, space)
+        return cls.from_coeffs(space[0], coeffs, eff)
+
+    @classmethod
+    def from_coeffs(cls, space: JetSpace, coeffs, eff=None) -> "JetArray":
+        """Jets with the given coefficients, shape ``(*batch, size)``, and
+        effective orders (the jet order by default), truncated; one column
+        wide when every entry is constant."""
+        c = np.asarray(coeffs, dtype=np.complex128)
+        if c.ndim == 0 or c.shape[-1] != space.size:
+            raise ShapeError(f"expected {space.size} coefficients per jet, got {c.shape}")
+        c = c.copy() if c[..., 1:].any() else c[..., :1].copy()
+        return cls(space, c, np.full(c.shape[:-1], space.order) if eff is None else eff)
 
     @classmethod
     def constant(cls, space: JetSpace, values) -> "JetArray":
@@ -819,12 +713,14 @@ class JetArray:
             self.space, self._stored.transpose(*axes, len(axes)), self.eff.transpose(*axes)
         )
 
-    def to_vector(self) -> JetVector:
-        return JetVector(self[i] for i in range(len(self)))
-
-    def to_matrix(self) -> JetMatrix:
-        rows, cols = self.shape
-        return JetMatrix([[self[i, j] for j in range(cols)] for i in range(rows)])
+    def put(self, index, values: "JetArray") -> "JetArray":
+        """A copy with the entries at ``index`` of the leading axis replaced
+        by ``values``."""
+        width = max(self._stored.shape[-1], values._stored.shape[-1])
+        coeffs, eff = self._columns(width).copy(), self.eff.copy()
+        coeffs[index] = values._columns(width)
+        eff[index] = values.eff
+        return JetArray._raw(self.space, coeffs, eff)
 
     # -- entrywise operations ------------------------------------------------
 
@@ -839,6 +735,15 @@ class JetArray:
 
     def __sub__(self, other: "JetArray") -> "JetArray":
         return self._combine(other, np.subtract)
+
+    def __mul__(self, other: "JetArray") -> "JetArray":
+        """Entrywise product, with the bits of ``Jet.__mul__`` in every entry
+        (see :func:`_row_products`); :func:`contract` forms sums of them."""
+        sp = self._check(other)
+        eff = np.minimum(np.minimum(self.eff, other.eff), sp.order)
+        a, b = (x.coeffs.reshape(-1, sp.size) for x in (self, other))
+        rows = _row_products(sp, a, b, eff.ravel())
+        return JetArray.from_coeffs(sp, rows.reshape(self.coeffs.shape), eff)
 
     def _combine(self, other: "JetArray", op) -> "JetArray":
         """Entrywise sum or difference at the wider of the two widths: when
@@ -929,6 +834,60 @@ class JetArray:
     def constant_term(self) -> np.ndarray:
         return self._stored[..., 0].copy()
 
+    # kept for perfbench/workloads.py, which reads model.unit.constant_terms()
+    constant_terms = constant_term
+
+    def invert(self, tol: float = 1e-12) -> "JetArray":
+        """Entrywise multiplicative inverse by Newton iteration, with the
+        bits of the same iteration in ``Jet`` arithmetic; every entry needs
+        a constant term of modulus above ``tol``."""
+        sp = self.space
+        a = self.coeffs.reshape(-1, sp.size)
+        eff = np.minimum(self.eff, sp.order)
+        small = np.abs(a[:, 0]) <= tol
+        if small.any():
+            raise SingularInputError(
+                f"cannot invert jet with constant term {complex(a[small, 0][0])!r} (|c0| <= {tol})"
+            )
+        x = np.zeros_like(a)
+        x[:, 0] = 1.0 / a[:, 0]
+        correct = 0
+        while correct < sp.order:
+            # x (2 - a x)
+            y = -_row_products(sp, a, x, eff.ravel())
+            y[:, 0] += 2.0
+            x = _row_products(sp, x, y, eff.ravel())
+            correct = 2 * correct + 1
+        return JetArray.from_coeffs(sp, x.reshape(self.coeffs.shape), eff)
+
+    def sqrt(self, branch_anchors=None, tol: float = 1e-9) -> "JetArray":
+        """Entrywise square root by Newton iteration, with the bits of the
+        same iteration in ``Jet`` arithmetic and each branch fixed by its
+        anchor: ``branch_anchors`` lists one value per entry (in the order of
+        the flattened batch) that must square to the entry's constant term;
+        a missing list or a ``None`` anchor takes the principal root
+        (argument in (-pi/2, pi/2])."""
+        sp = self.space
+        a = self.coeffs.reshape(-1, sp.size)
+        eff = np.minimum(self.eff, sp.order)
+        c0 = a[:, 0]
+        if (np.abs(c0) <= 1e-12).any():
+            raise SingularInputError("square root of a jet with vanishing constant term")
+        anchors = [None] * len(c0) if branch_anchors is None else branch_anchors
+        anchor = np.array([np.sqrt(c) if x is None else complex(x) for c, x in zip(c0, anchors, strict=True)])
+        bad = np.abs(anchor * anchor - c0) > tol * np.maximum(1.0, np.abs(c0))
+        if bad.any():
+            raise InvalidAnchorError(
+                f"anchor {complex(anchor[bad][0])!r} does not square to the constant term "
+                f"{complex(c0[bad][0])!r}"
+            )
+        s = np.zeros_like(a)
+        s[:, 0] = anchor
+        inv2a = (1.0 / (2.0 * anchor))[:, None]
+        for _ in range(sp.order):
+            s = s + (a - _row_products(sp, s, s, eff.ravel())) * inv2a
+        return JetArray.from_coeffs(sp, s.reshape(self.coeffs.shape), eff)
+
     def inverse(self, cond_limit: float = 1e12) -> "JetArray":
         """Inverse of a square jet matrix: the constant-term inverse refined
         by Newton iteration, trusted to the lowest effective order."""
@@ -950,18 +909,25 @@ class JetArray:
         return f"JetArray(shape={self.shape}, K={self.space.order})"
 
 
-def _flatten_jets(entries) -> tuple[list[Jet], tuple[int, ...]]:
-    if isinstance(entries, Jet):
-        return [entries], ()
+def _gather(entries, space: list) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width coefficients and effective orders of a nested sequence of
+    jets and jet arrays; ``space`` collects the one space they share."""
+    if isinstance(entries, (Jet, JetArray)):
+        if not space:
+            space.append(entries.space)
+        elif entries.space is not space[0]:
+            raise ShapeError("jet array entries must share one space")
+        if isinstance(entries, Jet):
+            return entries.coeffs, np.asarray(entries.eff_order, dtype=np.int64)
+        return entries.coeffs, entries.eff
     if isinstance(entries, JetMatrix):
         entries = entries.entries
-    parts = [_flatten_jets(e) for e in entries]
+    parts = [_gather(e, space) for e in entries]
     if not parts:
         raise ShapeError("jet array must be non-empty")
-    shape = parts[0][1]
-    if any(p[1] != shape for p in parts):
+    if any(p[1].shape != parts[0][1].shape for p in parts):
         raise ShapeError("jet array entries must form a rectangular array")
-    return [j for p in parts for j in p[0]], (len(parts),) + shape
+    return np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])
 
 
 @lru_cache(maxsize=None)
@@ -1148,7 +1114,10 @@ class Substitution:
     Constant terms of the substitutions are substituted exactly, so the
     composition re-centers the expansion point.  The monomial table,
     ``table[i]`` the target coefficients of the i-th source monomial, is
-    built once with the ``Jet`` products ``prev * subs[v]``; applying it to
+    built once, one degree at a time: each monomial of degree d is a
+    monomial of degree d - 1 times one substitution, and the products of a
+    degree are formed together by :func:`_row_products`, which gives the
+    bits of the ``Jet`` products ``prev * subs[v]``.  Applying the table to
     a jet or to a whole :class:`JetArray` adds ``table[i] * c_i`` in
     source-index order, so every composition with one substitution gives
     the same bits as composing a single jet.
@@ -1156,19 +1125,29 @@ class Substitution:
 
     __slots__ = ("source", "target", "table", "eff_order")
 
-    def __init__(self, source: JetSpace, subs: Sequence[Jet]):
-        if len(subs) != source.num_vars:
-            raise ShapeError(f"expected {source.num_vars} substitutions, got {len(subs)}")
-        target = subs[0].space
-        if any(s.space is not target for s in subs):
-            raise ShapeError("substitution jets must share one space")
-        monomials = [target.one()]
-        for v, low in source._factors:
-            monomials.append(monomials[low] * subs[v])
+    def __init__(self, source: JetSpace, subs):
+        """``subs``: one jet per source variable, as a sequence of jets or
+        a jet array."""
+        subs = JetArray.from_jets(subs)
+        if subs.shape != (source.num_vars,):
+            raise ShapeError(f"expected {source.num_vars} substitutions, got shape {subs.shape}")
+        target = subs.space
+        coeffs, eff = subs.coeffs, np.minimum(subs.eff, target.order)
+        table = np.zeros((source.size, target.size), dtype=np.complex128)
+        table[0, 0] = 1.0
+        rows_eff = np.full(source.size, target.order)
+        v, low = np.array(source._factors, dtype=np.int64).reshape(-1, 2).T
+        ends = source._degree_ends
+        for d in range(1, source.order + 1):
+            # the monomials of degree d and their factors
+            new = slice(ends[d - 1], ends[d])
+            fv, fl = v[new.start - 1 : new.stop - 1], low[new.start - 1 : new.stop - 1]
+            rows_eff[new] = np.minimum(rows_eff[fl], eff[fv])
+            table[new] = _row_products(target, table[fl], coeffs[fv], rows_eff[new])
         self.source = source
         self.target = target
-        self.table = np.array([m.coeffs for m in monomials])
-        self.eff_order = min(s.eff_order for s in subs)
+        self.table = table
+        self.eff_order = subs.eff_order()
 
     def __call__(self, f):
         """Compose a :class:`Jet` or every entry of a :class:`JetArray`."""
@@ -1185,3 +1164,19 @@ class Substitution:
             return self.target._wrap(out[0], min(f.eff_order, self.eff_order))
         eff = np.minimum(f.eff, min(self.eff_order, self.target.order))
         return JetArray(self.target, out.reshape(f.shape + (self.target.size,)), eff)
+
+
+def _row_products(space: JetSpace, a: np.ndarray, b: np.ndarray, eff: np.ndarray) -> np.ndarray:
+    """The products ``a[r] * b[r]`` of rows of full-width coefficients,
+    truncated above ``eff[r]``, with the bits of ``Jet.__mul__`` up to the
+    sign of a zero: a constant row scales the other one, and any other pair
+    sums the whole Cauchy table of the space along the row."""
+    moving_a, moving_b = a[:, 1:].any(axis=1), b[:, 1:].any(axis=1)
+    out = np.where(moving_a[:, None], a * b[:, :1], b * a[:, :1])
+    full = np.flatnonzero(moving_a & moving_b)[:, None]
+    if len(full):
+        ii, jj, _, targets, starts = space._cauchy
+        out[full, targets] = np.add.reduceat(a[full, ii] * b[full, jj], starts, axis=1)
+    if eff.min(initial=space.order) < space.order:
+        out[space.degrees > np.maximum(eff, 0)[:, None]] = 0.0
+    return out

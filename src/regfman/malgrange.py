@@ -30,15 +30,7 @@ from .fman import (
     standard_model,
 )
 from .frob import FrobeniusVerdict, InvariantMetric, _offsets, euler_derivative, frobenius_verdict
-from .jets import (
-    DEFAULT_ORDER,
-    JetArray,
-    JetMatrix,
-    JetVector,
-    Substitution,
-    contract,
-    jet_space,
-)
+from .jets import DEFAULT_ORDER, JetArray, Substitution, contract, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
 from .saito import BirkhoffConnection, SaitoBundle, check_saito_axioms, check_saito_metric_axioms
 
@@ -71,7 +63,7 @@ class DeformationSpec:
 @dataclass(frozen=True)
 class MalgrangeChart:
     """The chart Gamma of the leaf through zero, an (n, n) jet array in n
-    variables (a :class:`JetMatrix` is converted once)."""
+    variables (nested jets are stacked once)."""
 
     spec: DeformationSpec
     gamma: JetArray
@@ -81,18 +73,14 @@ class MalgrangeChart:
         object.__setattr__(self, "gamma", JetArray.from_jets(self.gamma))
 
 
-def _b0(spec: DeformationSpec, gamma: JetArray) -> JetArray:
-    """:func:`b0_at` on a jet array."""
+def b0_at(spec: DeformationSpec, gamma) -> JetArray:
+    """B0o - Gamma + [Binf, Gamma], entrywise in jets."""
+    gamma = JetArray.from_jets(gamma)
     sp = gamma.space
     binf = JetArray.constant(sp, spec.binf)
     return (JetArray.constant(sp, spec.b0o) - gamma) + (
         contract("ab,bc->ac", binf, gamma) - contract("ab,bc->ac", gamma, binf)
     )
-
-
-def b0_at(spec: DeformationSpec, gamma: JetMatrix) -> JetMatrix:
-    """B0o - Gamma + [Binf, Gamma], entrywise in jets."""
-    return _b0(spec, JetArray.from_jets(gamma)).to_matrix()
 
 
 def _powers(b: JetArray, count: int) -> list[JetArray]:
@@ -117,7 +105,7 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
     for i in range(n):
         prev = current = gamma
         for _ in range(order + 1):
-            field = _powers(_b0(spec, current), i + 1)[i]
+            field = _powers(b0_at(spec, current), i + 1)[i]
             current = prev + field.integrate(i)
         gamma = current
     frame0 = np.column_stack(
@@ -167,7 +155,7 @@ def check_integrality(chart: MalgrangeChart) -> ResidualReport:
     closure of tangent products in the tangent frame."""
     n = chart.spec.dim
     tangent = _tangent(chart)
-    power = JetArray.stack(_powers(_b0(chart.spec, chart.gamma), n))
+    power = JetArray.stack(_powers(b0_at(chart.spec, chart.gamma), n))
     ord_t = tangent.eff_order()
     _, tangency = expand_in_frame(power, tangent)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -181,7 +169,7 @@ def check_integrality(chart: MalgrangeChart) -> ResidualReport:
 def canonical_connection(chart: MalgrangeChart) -> BirkhoffConnection:
     """Connection data on the chart: polar residue B0 at Gamma, constant
     Binf, and the tangent matrices acting as the Higgs field."""
-    return BirkhoffConnection(_b0(chart.spec, chart.gamma), chart.spec.binf, _tangent(chart))
+    return BirkhoffConnection(b0_at(chart.spec, chart.gamma), chart.spec.binf, _tangent(chart))
 
 
 def fmanifold_on_chart(
@@ -204,7 +192,7 @@ def fmanifold_on_chart(
         [
             *_products(tangent).reshape(n * n, n, n),
             JetArray.constant(sp, np.eye(n)),
-            -_b0(chart.spec, gamma),
+            -b0_at(chart.spec, gamma),
         ]
     )
     coeffs, res = expand_in_frame(tangent, rhs)
@@ -215,13 +203,12 @@ def fmanifold_on_chart(
             f"tangent-frame expansion residual {worst:.3e}, or {worst / scale:.3e} relative to "
             f"the largest right-hand-side coefficient {scale:.3e}, exceeds {residual_limit:.1e}"
         )
-    mult = [[coeffs[i * n + j].to_vector() for j in range(n)] for i in range(n)]
-    return FManifoldModel(mult, coeffs[n * n].to_vector(), coeffs[n * n + 1].to_vector())
+    return FManifoldModel(coeffs[: n * n].reshape(n, n, n), coeffs[n * n], coeffs[n * n + 1])
 
 
 def check_universality_isomorphism(
     chart: MalgrangeChart, model: FManifoldModel
-) -> tuple[JetVector, ResidualReport]:
+) -> tuple[JetArray, ResidualReport]:
     """Germ isomorphism from the chart model (``fmanifold_on_chart(chart)``)
     to the standard model of the spectrum of minus the seed residue."""
     spec = regend.jordan_spectrum(-chart.spec.b0o)
@@ -337,9 +324,9 @@ def validate_initial_data(data: InitialData) -> ValidationReport:
 @dataclass(frozen=True)
 class ExtensionResult:
     metric: InvariantMetric
-    gram_jets: JetMatrix
+    gram_jets: JetArray
     chart: MalgrangeChart
-    chart_map: JetVector
+    chart_map: JetArray
     verdict: FrobeniusVerdict
     validation: ValidationReport
     report: ResidualReport
@@ -385,7 +372,7 @@ def initial_condition_extend(
     gamma = chart.gamma
     sp = gamma.space
     tangent = gamma.grad()
-    bundle = SaitoBundle(phi=tangent, r0=_b0(chart.spec, gamma), rinf=binf, metric=g0)
+    bundle = SaitoBundle(phi=tangent, r0=b0_at(chart.spec, gamma), rinf=binf, metric=g0)
     saito_rep = check_saito_axioms(bundle)
     saito_metric_rep = check_saito_metric_axioms(bundle)
 
@@ -397,19 +384,17 @@ def initial_condition_extend(
 
     chart_model = fmanifold_on_chart(chart)
     psi, iso_rep = germ_isomorphism(model, chart_model)
-    jac = JetArray.from_jets(psi).grad()  # jac[a, k] = d_a psi^k
+    jac = psi.grad()  # jac[a, k] = d_a psi^k
     composed = Substitution(sp, psi)(gram_chart)
     gram_model = contract("al,bl->ab", contract("ak,kl->al", jac, composed), jac)
 
     if model.blocks is None:
         raise ShapeError("target model must carry block structure")
     sizes = [m for _, m in model.blocks]
-    eta = [
-        [gram_model[off, off + i] for i in range(m)]
-        for off, m in zip(_offsets(sizes), sizes)
-    ]
-    metric = InvariantMetric(sizes, eta)
-    structure_res = (JetArray.from_jets(metric.gram()) - gram_model).residual_norm()
+    # eta_{i, alpha} = g(d_{0, alpha}, d_{i, alpha})
+    rows = np.repeat(_offsets(sizes), sizes)
+    metric = InvariantMetric(sizes, gram_model[rows, np.arange(n)])
+    structure_res = (metric.gram() - gram_model).residual_norm()
 
     # the pairing is complex-bilinear: the frame change uses plain transposes
     p, u0 = _origin_frame(model)
@@ -455,7 +440,7 @@ def initial_condition_extend(
         )
     return ExtensionResult(
         metric=metric,
-        gram_jets=gram_model.to_matrix(),
+        gram_jets=gram_model,
         chart=chart,
         chart_map=psi,
         verdict=verdict,

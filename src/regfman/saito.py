@@ -37,7 +37,7 @@ from .reports import ResidualReport, report_from
 
 
 def _checked(values, shape, name: str, space: JetSpace | None = None):
-    """Jet matrices (lists of :class:`JetMatrix` or a :class:`JetArray`) in
+    """Jet matrices (a :class:`JetArray` or nested jets and jet arrays) in
     ``space`` as one array, or constants when ``space`` is None, of the
     given shape."""
     out = np.asarray(values, dtype=np.complex128) if space is None else JetArray.from_jets(values)
@@ -63,8 +63,8 @@ class SaitoBundle:
     frame, of the same shape (``None`` means the canonical flat connection
     with zero coefficients); ``r0`` a jet matrix and ``rinf`` a constant
     matrix.  ``metric`` is an optional constant symmetric Gram matrix in
-    the frame.  Jet-matrix arguments may be lists of :class:`JetMatrix` or
-    :class:`JetArray` stacks; they are converted once.
+    the frame.  Jet-matrix arguments may be :class:`JetArray` stacks or
+    nested jets and jet arrays; they are stacked once.
     """
 
     def __init__(self, phi, r0, rinf, frame_connection=None, metric=None):
@@ -258,14 +258,9 @@ def _induced(
     mult = contract("ka,ija->ijk", iso_inv, contract("iab,bj->ija", bundle.phi, iso))
     unit = contract("ka,a->k", iso_inv, section)
     euler = -contract("ka,a->k", iso_inv, contract("ab,b->a", bundle.r0, section))
-    n = bundle.rank
-    model = FManifoldModel(
-        [[mult[i, j].to_vector() for j in range(n)] for i in range(n)],
-        unit.to_vector(),
-        euler.to_vector(),
-    )
+    model = FManifoldModel(mult, unit, euler)
 
-    u_model = JetArray.from_jets(mult_by_euler(model))
+    u_model = mult_by_euler(model)
     u_expected = -contract("ka,ab->kb", contract("ka,ab->kb", iso_inv, bundle.r0), iso)
     spec_u = regend.jordan_spectrum(u_model.constant_term())
     spec_r = regend.jordan_spectrum(-bundle.r0.constant_term())

@@ -1,29 +1,127 @@
 """Nested-loop reference versions of the contraction-form checks.
 
-These are the per-entry ``Jet`` loops that ``check_fmanifold``,
-``check_gamma``, the general rotation operator, the Darboux-Egoroff
-residuals and the Levi-Civita curvature oracle used before they were
-written as ``JetArray`` contractions, plus the per-call composition loop
-that ``Substitution`` replaced, the one-right-hand-side frame expansion
-that ``malgrange.expand_in_frame`` batches, and the per-pair loops of the
-Saito-bundle and Birkhoff-connection checks.  They are kept, for tests
-only, as independent references: they read the model through
-``model.mult``, convert bundle and connection data to lists of
-``JetMatrix`` and use only the object kernel (``Jet``, ``JetVector``,
-``JetMatrix``).
+These are the per-entry ``Jet`` loops that the package's checks used before
+they were written as ``JetArray`` contractions: ``check_fmanifold``, the
+symmetry and canonical-frame bracket checks, ``check_gamma``, the rotation
+operator (general and single-block), the Darboux-Egoroff residuals, the
+one-form chain psi -> beta and its products, the unit and Euler laws of a
+metric and the Levi-Civita curvature oracle; plus the per-call composition
+loop that ``Substitution`` replaced, the one-right-hand-side frame
+expansion that ``malgrange.expand_in_frame`` batches, and the per-pair
+loops of the Saito-bundle and Birkhoff-connection checks.  They are kept,
+for tests only, as independent references: they read models, metrics and
+one-forms through ``Jet`` indexing, convert jet arrays to ``JetVector`` and
+``JetMatrix`` and use only the object kernel (``Jet`` arithmetic,
+``JetVector``, ``JetMatrix``).  ``JetVector`` and ``lie_bracket`` were the
+package's own vector-field containers before fields became jet arrays.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from regfman import regend
 from regfman.errors import HomogeneityError, NotPrimitiveError, ShapeError
-from regfman.fman import FManifoldModel, mult_by_euler
-from regfman.frob import epsilon_gram, euler_derivative, psi_epsilon_norm
+from regfman.fman import FManifoldModel, bracket_constants, mult_by_euler, standard_block
+from regfman.frob import epsilon_gram, euler_derivative, unit_vector_indices
 from regfman.frob import levi_civita_curvature as lc_curvature
-from regfman.jets import JetMatrix, JetVector, lie_bracket
+from regfman.jets import Jet, JetMatrix
 from regfman.reports import Residual, ResidualReport, report_from
+
+
+# -- the object kernel's vectors ------------------------------------------------
+
+
+class JetVector:
+    """Ordered list of jets sharing one space; models a vector field in
+    coordinates.  Built from any iterable of jets (a jet array included);
+    the binary operations accept any sequence of jets as the other operand."""
+
+    __slots__ = ("components",)
+
+    def __init__(self, components: Iterable[Jet]):
+        comp = tuple(components)
+        if not comp:
+            raise ShapeError("JetVector must be non-empty")
+        sp = comp[0].space
+        for c in comp[1:]:
+            if c.space is not sp:
+                raise ShapeError("JetVector components must share one space")
+        self.components = comp
+
+    @property
+    def space(self):
+        return self.components[0].space
+
+    def __len__(self):
+        return len(self.components)
+
+    def __getitem__(self, i):
+        return self.components[i]
+
+    def __iter__(self):
+        return iter(self.components)
+
+    def __add__(self, other) -> "JetVector":
+        return JetVector(a + b for a, b in zip(self.components, other))
+
+    def __sub__(self, other) -> "JetVector":
+        return JetVector(a - b for a, b in zip(self.components, other))
+
+    def __neg__(self):
+        return JetVector(-a for a in self.components)
+
+    def scale(self, f) -> "JetVector":
+        if isinstance(f, Jet):
+            return JetVector(a * f for a in self.components)
+        return JetVector(a.scale(f) for a in self.components)
+
+    def apply_to(self, f: Jet) -> Jet:
+        """Directional derivative X(f) = sum_i X^i d_i f."""
+        out = self.components[0] * f.partial(0)
+        for v in range(1, len(self.components)):
+            out = out + self.components[v] * f.partial(v)
+        return out
+
+    def constant_terms(self) -> np.ndarray:
+        return np.array([c.value0 for c in self.components], dtype=np.complex128)
+
+    def residual_norm(self) -> float:
+        return max(c.residual_norm() for c in self.components)
+
+    def __repr__(self):
+        return f"JetVector({list(self.components)!r})"
+
+
+def lie_bracket(x, y) -> JetVector:
+    """[X, Y]^k = X(Y^k) - Y(X^k), componentwise in jets."""
+    x, y = JetVector(x), JetVector(y)
+    return JetVector(
+        x.apply_to(yk) - y.apply_to(xk) for xk, yk in zip(x.components, y.components)
+    )
+
+
+def _dot(row: Sequence[Jet], col: Sequence[Jet]) -> Jet:
+    acc = row[0] * col[0]
+    for a, b in zip(row[1:], col[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def matvec(mat: JetMatrix, vec) -> JetVector:
+    """A jet matrix applied to a field."""
+    vec = JetVector(vec)
+    if mat.cols != len(vec):
+        raise ShapeError("inner dimensions do not match")
+    return JetVector(_dot(mat.entries[i], vec.components) for i in range(mat.rows))
+
+
+def to_matrix(mat) -> JetMatrix:
+    """A 2-dimensional jet array (or a jet matrix) as a :class:`JetMatrix`."""
+    if isinstance(mat, JetMatrix):
+        return mat
+    rows, cols = mat.shape
+    return JetMatrix([[mat[i, j] for j in range(cols)] for i in range(rows)])
 
 
 def commutator(a, b):
@@ -195,7 +293,7 @@ def gamma_general(psi, beta, model):
 def check_gamma(gamma, psi, model):
     sp = psi.space
     n = model.dim
-    g = gamma.matrix
+    g = to_matrix(gamma.matrix)
     eps = JetMatrix.from_constant(sp, gamma.epsilon)
     sym = (eps @ g - g.T @ eps).residual_norm()
     norm_jet = psi_epsilon_norm(psi)
@@ -220,9 +318,8 @@ def check_gamma(gamma, psi, model):
 
 
 def darboux_egoroff_matrix(gamma, model, i, j):
-    sp = gamma.matrix.space
-    cmats = [JetMatrix.from_constant(sp, m) for m in model.mult_matrices()]
-    g = gamma.matrix
+    g = to_matrix(gamma.matrix)
+    cmats = [JetMatrix.from_constant(g.space, m) for m in model.mult_matrices()]
     return (
         commutator(cmats[i], g.partial(j))
         - commutator(cmats[j], g.partial(i))
@@ -232,7 +329,7 @@ def darboux_egoroff_matrix(gamma, model, i, j):
 
 def darboux_egoroff_residual(gamma, model):
     n = model.dim
-    order = min(gamma.matrix.partial(v).eff_order() for v in range(n))
+    order = min(to_matrix(gamma.matrix).partial(v).eff_order() for v in range(n))
     entries = []
     for i in range(n):
         entries.append((f"de_{i}_{i}", 0.0, order))
@@ -244,6 +341,7 @@ def darboux_egoroff_residual(gamma, model):
 
 def levi_civita_curvature(gram, unit):
     """Returns (christoffel as nested lists, curvature report)."""
+    gram = to_matrix(gram)
     n = gram.rows
     eff = gram.eff_order()
     ginv = gram.inverse()
@@ -358,7 +456,7 @@ def expand_in_matrix_frame(frame: Sequence[JetMatrix], rhs: JetMatrix):
 
 
 def _matrices(stack):
-    return [stack[i].to_matrix() for i in range(len(stack))]
+    return [to_matrix(stack[i]) for i in range(len(stack))]
 
 
 def _cov_endo(omega, i, mat):
@@ -374,7 +472,7 @@ def check_saito_axioms(bundle):
     sp = bundle.space
     order = sp.order
     phi = _matrices(bundle.phi)
-    r0 = bundle.r0.to_matrix()
+    r0 = to_matrix(bundle.r0)
     frame = None if bundle.frame_connection is None else _matrices(bundle.frame_connection)
     curvature = d_nabla_phi = phi_wedge = r0_phi = nabla_r0 = nabla_rinf = 0.0
     rinf_mat = JetMatrix.from_constant(sp, bundle.rinf)
@@ -416,7 +514,7 @@ def check_saito_metric_axioms(bundle):
         for om in _matrices(bundle.frame_connection):
             nabla_metric = max(nabla_metric, (om.T @ gm + gm @ om).residual_norm())
     rinf_skew = float(np.max(np.abs(bundle.rinf.T @ g + g @ bundle.rinf)))
-    r0 = bundle.r0.to_matrix()
+    r0 = to_matrix(bundle.r0)
     r0_sym = (r0.T @ gm - gm @ r0).residual_norm()
     phi_sym = max((p.T @ gm - gm @ p).residual_norm() for p in _matrices(bundle.phi))
     return report_from(
@@ -433,7 +531,7 @@ def birkhoff_flatness(connection):
     m = connection.base_dim
     sp = connection.space
     c = _matrices(connection.c)
-    b0 = connection.b0.to_matrix()
+    b0 = to_matrix(connection.b0)
     binf_mat = JetMatrix.from_constant(sp, connection.binf)
     c_commute = c_curl = b0_c = b0_mixed = 0.0
     for i in range(m):
@@ -459,17 +557,17 @@ def fmanifold_from_saito(bundle, section, tol=1e-10):
     s = np.asarray(section, dtype=np.complex128)
     n = bundle.rank
     phi = _matrices(bundle.phi)
-    r0 = bundle.r0.to_matrix()
+    r0 = to_matrix(bundle.r0)
     cols = [apply(phi[i], s) for i in range(n)]
     iso = JetMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
     if np.linalg.cond(iso.constant_term()) > 1.0 / max(tol, 1e-300):
         raise NotPrimitiveError("section is not primitive: I(0) is singular")
     iso_inv = iso.inverse()
-    mult = [[iso_inv @ (phi[i] @ cols[j]) for j in range(n)] for i in range(n)]
+    mult = [[matvec(iso_inv, matvec(phi[i], cols[j])) for j in range(n)] for i in range(n)]
     unit = apply(iso_inv, s)
-    euler = iso_inv @ (-apply(r0, s))
+    euler = matvec(iso_inv, -apply(r0, s))
     model = FManifoldModel(mult, unit, euler)
-    u_model = mult_by_euler(model)
+    u_model = to_matrix(mult_by_euler(model))
     conj_res = (u_model - -(iso_inv @ r0 @ iso)).residual_norm()
     spec_u = regend.jordan_spectrum(u_model.constant_term())
     spec_r = regend.jordan_spectrum(-r0.constant_term())
@@ -502,7 +600,7 @@ def frobenius_from_saito(bundle, section, weight_q, tol=1e-8):
     iso_inv = iso.inverse()
     gram = iso.T @ JetMatrix.from_constant(sp, bundle.metric) @ iso
     chris = lc_curvature(gram, model.unit).christoffel
-    nabla_mat = euler_derivative(chris, model.euler).to_matrix()
+    nabla_mat = to_matrix(euler_derivative(chris, model.euler))
     expected = iso_inv @ JetMatrix.from_constant(sp, bundle.rinf) @ iso
     expected = expected + JetMatrix.from_constant(sp, (1.0 - complex(weight_q)) * np.eye(n))
     rep = report_from(
@@ -513,3 +611,300 @@ def frobenius_from_saito(bundle, section, weight_q, tol=1e-8):
         ]
     )
     return gram, rep
+
+
+# -- Newton iterations of a single jet ----------------------------------------------
+
+
+def invert(jet: Jet) -> Jet:
+    """Multiplicative inverse by Newton iteration in ``Jet`` arithmetic."""
+    sp = jet.space
+    x = sp.constant(1.0 / jet.coeffs[0])
+    correct = 0
+    while correct < sp.order:
+        x = x * (2.0 - jet * x)
+        correct = 2 * correct + 1
+    return sp._wrap(x.coeffs, min(jet.eff_order, sp.order))
+
+
+def sqrt(jet: Jet, branch_anchor=None) -> Jet:
+    """Square root by Newton iteration in ``Jet`` arithmetic, the branch
+    fixed by ``branch_anchor`` (principal root by default)."""
+    sp = jet.space
+    anchor = np.sqrt(complex(jet.coeffs[0])) if branch_anchor is None else complex(branch_anchor)
+    s = sp.constant(anchor)
+    inv2a = 1.0 / (2.0 * anchor)
+    for _ in range(sp.order):
+        s = s + (jet - s * s).scale(inv2a)
+    return sp._wrap(s.coeffs, min(jet.eff_order, sp.order))
+
+
+# -- canonical frames, brackets and symmetries ----------------------------------------
+
+
+def mult_by_euler_loop(model) -> JetMatrix:
+    """The matrix of X -> E o X, columns E o d_j."""
+    cols = [multiply(model, model.euler, basis_field(model, j)) for j in range(model.dim)]
+    return JetMatrix([[cols[j][k] for j in range(model.dim)] for k in range(model.dim)])
+
+
+def canonical_frame(model) -> list[JetVector]:
+    fields = [JetVector(model.unit)]
+    for _ in range(model.dim - 1):
+        fields.append(multiply(model, model.euler, fields[-1]))
+    return fields
+
+
+def check_frame_brackets(model):
+    n = model.dim
+    k_order = model.space.order
+    frame = canonical_frame(model)
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if i + j > n:
+                continue
+            br = lie_bracket(frame[i], frame[j])
+            expected = frame[i + j - 1].scale(float(j - i))
+            entries.append((f"hertling_{i}_{j}", (br - expected).residual_norm(), k_order - 1))
+    u = mult_by_euler_loop(model)
+    if len(regend.jordan_spectrum(u.constant_term()).blocks) == 1:
+        consts = bracket_constants(n, max_power=2 * n)
+        a = u.trace().scale(1.0 / n)
+        powers = [model.space.one()]
+        for _ in range(2 * n):
+            powers.append(powers[-1] * a)
+        for i in range(n):
+            for j in range(i + 1, n):
+                br = lie_bracket(frame[i], frame[j])
+                rhs = JetVector([model.space.zero() for _ in range(n)])
+                p = i + j - 1 - n
+                for k in range(n):
+                    coeff = consts.value(k, p)
+                    if coeff == 0.0:
+                        continue
+                    rhs = rhs + frame[k].scale(powers[i + j - 1 - k].scale(coeff * (i - j)))
+                entries.append((f"unified_{i}_{j}", (br - rhs).residual_norm(), k_order - 1))
+        for i in range(n):
+            res = frame[i].apply_to(a) - powers[i]
+            entries.append((f"eigenfunction_{i}", res.residual_norm(), k_order - 1))
+        acc_m = u.power(n)
+        for k in range(n):
+            acc_m = acc_m + u.power(k).scale(powers[n - k].scale(consts.value(k, 0)))
+        entries.append(("min_poly_identity", acc_m.residual_norm(), k_order))
+    return report_from(entries)
+
+
+def symmetry_basis(m, order):
+    if m == 1:
+        return []
+    model = standard_block(0.0, m, order)
+    sp = model.space
+    comps = [sp.zero() for _ in range(m)]
+    comps[1] = sp.variable(1) + 1.0
+    for j in range(2, m):
+        comps[j] = sp.variable(j).scale(float(j))
+    y1 = JetVector(comps)
+    return [y1] + [multiply(model, basis_field(model, k - 1), y1) for k in range(2, m)]
+
+
+def check_symmetry(model, x):
+    x = JetVector(x)
+    m = model.dim
+    k_order = model.space.order
+    mult_res = 0.0
+    for a in range(m):
+        for b in range(a, m):
+            mult_res = max(mult_res, lie_derivative_of_mult(model, x, a, b).residual_norm())
+    entries = [
+        ("mult_invariance", mult_res, k_order - 1),
+        ("euler_commute", lie_bracket(x, model.euler).residual_norm(), k_order - 1),
+        ("circ_unit", lie_bracket(basis_field(model, 0), x).residual_norm(), k_order - 1),
+    ]
+    if m >= 2:
+        br1 = lie_bracket(basis_field(model, 1), x)
+        top = multiply(model, br1, basis_field(model, m - 1))
+        entries.append(("circ_top", top.residual_norm(), k_order - 1))
+        chain = 0.0
+        for i in range(2, m):
+            bri = lie_bracket(basis_field(model, i), x)
+            expected = multiply(model, basis_field(model, i - 1), br1).scale(float(i))
+            chain = max(chain, (bri - expected).residual_norm())
+        entries.append(("circ_chain", chain, k_order - 1))
+    return report_from(entries)
+
+
+def check_symmetry_brackets(m, order):
+    fields = symmetry_basis(m, order)
+    entries = []
+    for i in range(1, m):
+        for j in range(i, m):
+            br = lie_bracket(fields[i - 1], fields[j - 1])
+            if i + j <= m:
+                res = (br - fields[i + j - 2].scale(float(i - j))).residual_norm()
+            else:
+                res = br.residual_norm()
+            entries.append((f"bracket_{i}_{j}", res, order - 1))
+    return report_from(entries)
+
+
+# -- the one-form chain, per block ----------------------------------------------------
+#
+# One-forms and metrics are read as one list of jets per block; the results
+# are returned in the same layout.
+
+
+def _families(x):
+    return [list(row) for row in x.families()]
+
+
+def psi_from_metric(metric, branch_anchors=None):
+    if branch_anchors is None:
+        branch_anchors = [None] * len(metric.blocks)
+    comps = []
+    for m, row, anchor in zip(metric.blocks, _families(metric), branch_anchors):
+        psi = [None] * m
+        psi[m - 1] = sqrt(row[m - 1], anchor)
+        inv2top = invert(psi[m - 1].scale(2.0))
+        for k in range(m - 2, -1, -1):
+            acc = row[k]
+            for s in range(k + 1, m - 1):
+                t = (m - 1) + k - s
+                if k < t < m - 1:
+                    acc = acc - psi[s] * psi[t]
+            psi[k] = acc * inv2top
+        comps.append(psi)
+    return comps
+
+
+def _pairing(blocks, ra_rows, rb_rows):
+    """out_j = sum_{r+s=(m-1)+j} a_r b_s per block."""
+    out = []
+    for m, ra, rb in zip(blocks, ra_rows, rb_rows):
+        family = []
+        for j in range(m):
+            acc = ra[0].space.zero()
+            for r in range(m):
+                s = (m - 1) + j - r
+                if 0 <= s < m:
+                    acc = acc + ra[r] * rb[s]
+            family.append(acc)
+        out.append(family)
+    return out
+
+
+def metric_from_psi(psi):
+    return _pairing(psi.blocks, _families(psi), _families(psi))
+
+
+def covector_product(a, b):
+    return _pairing(a.blocks, _families(a), _families(b))
+
+
+def invert_oneform(psi):
+    comps = []
+    for m, row in zip(psi.blocks, _families(psi)):
+        inv_top = invert(row[m - 1])
+        beta = [None] * m
+        beta[m - 1] = inv_top
+        for k in range(2 * (m - 1) - 1, m - 2, -1):
+            acc = None
+            for s in range(k - (m - 1) + 1, m):
+                r = k - s
+                if 0 <= r < m:
+                    term = beta[s] * row[r]
+                    acc = term if acc is None else acc + term
+            beta[k - (m - 1)] = -(acc * inv_top)
+        comps.append(beta)
+    return comps
+
+
+def psi_epsilon_norm(psi) -> Jet:
+    acc = psi.space.zero()
+    for m, row in zip(psi.blocks, _families(psi)):
+        for i in range(m):
+            acc = acc + row[i] * row[m - 1 - i]
+    return acc
+
+
+def gamma_single_block(psi, beta) -> JetMatrix:
+    """The rotation operator of a single block: the explicit sum the general
+    contraction reduces to."""
+    m = psi.blocks[0]
+    sp = psi.space
+    prow = list(psi.values)
+    brow = list(beta.values)
+    dpsi = [[prow[j].partial(k) for k in range(m)] for j in range(m)]
+    entries = [[sp.zero(sp.order - 1) for _ in range(m)] for _ in range(m)]
+    for j in range(m):
+        for s in range(m):
+            for i in range(s + 1):
+                t = m - 1 + i - s
+                entries[t][j] = entries[t][j] + brow[s] * dpsi[j][m - 1 - i]
+    return JetMatrix(entries)
+
+
+def gamma_annihilates_dual(gamma, psi) -> float:
+    eps_inv = np.linalg.inv(gamma.epsilon)
+    flat = list(psi.values)
+    n = len(flat)
+    t_field = []
+    for k in range(n):
+        acc = psi.space.zero()
+        for j in range(n):
+            if eps_inv[k, j] != 0:
+                acc = acc + flat[j].scale(eps_inv[k, j])
+        t_field.append(acc)
+    return matvec(to_matrix(gamma.matrix), t_field).residual_norm()
+
+
+# -- unit and Euler laws of a metric --------------------------------------------------
+
+
+def check_coidentity_closed(metric):
+    flat = list(metric.values)
+    n = metric.dim
+    worst = 0.0
+    order = min(j.eff_order for j in flat) - 1
+    for g in range(n):
+        for h in range(g + 1, n):
+            worst = max(worst, (flat[g].partial(h) - flat[h].partial(g)).residual_norm())
+    return report_from([("coidentity_closed", worst, order)])
+
+
+def check_unit_flat(metric):
+    closed = check_coidentity_closed(metric)["coidentity_closed"]
+    units = unit_vector_indices(metric.blocks)
+    flat = list(metric.values)
+    worst = 0.0
+    order = min(j.eff_order for j in flat) - 1
+    for eta_jet in flat:
+        d = None
+        for u in units:
+            d = eta_jet.partial(u) if d is None else d + eta_jet.partial(u)
+        worst = max(worst, d.residual_norm())
+    return ResidualReport([("coidentity_closed", closed), ("unit_derivative", Residual(worst, order))])
+
+
+def check_euler_rescaling(metric, euler, weight=None):
+    euler = JetVector(euler)
+    flat = list(metric.values)
+    derivs = [euler.apply_to(j) for j in flat]
+    order = min(d.eff_order for d in derivs)
+    if weight is None:
+        num = 0.0 + 0.0j
+        den = 0.0
+        for j, d in zip(flat, derivs):
+            mask = j.space.degrees <= order
+            num += np.vdot(j.coeffs[mask], d.coeffs[mask])
+            den += float(np.vdot(j.coeffs[mask], j.coeffs[mask]).real)
+        weight_out = complex((num / den if den > 0 else 0.0) + 2.0)
+        name = "euler_rescaling_solved"
+    else:
+        weight_out = complex(weight)
+        name = "euler_rescaling"
+    w = weight_out - 2.0
+    worst = 0.0
+    for j, d in zip(flat, derivs):
+        worst = max(worst, (d - j.scale(w)).residual_norm())
+    return weight_out, report_from([(name, worst, order)])

@@ -2,26 +2,45 @@
 the contraction-form checks against their nested-loop references."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_oracles
+from loop_oracles import JetVector
 from regfman import frob, jets
-from regfman.fman import FManifoldModel, check_fmanifold, mult_by_euler, standard_block, standard_model
+from regfman.fman import (
+    FManifoldModel,
+    check_fmanifold,
+    check_frame_brackets,
+    check_symmetry,
+    check_symmetry_brackets,
+    mult_by_euler,
+    standard_block,
+    standard_model,
+    symmetry_basis,
+)
 from regfman.frob import (
     InvariantMetric,
+    check_euler_rescaling,
     check_gamma,
+    check_unit_flat,
+    covector_product,
     darboux_egoroff_matrix,
     darboux_egoroff_residual,
+    epsilon_metric,
     frobenius_verdict,
+    gamma_annihilates_dual,
     gamma_operator,
     invert_oneform,
     levi_civita_curvature,
+    metric_from_psi,
+    psi_epsilon_norm,
     psi_from_metric,
 )
-from regfman.jets import Jet, JetArray, JetMatrix, JetSpace, JetVector, contract, jet_space
+from regfman.jets import Jet, JetArray, JetMatrix, JetSpace, contract, jet_space
 from regfman.malgrange import DeformationSpec, canonical_connection, fmanifold_on_chart, integrate_chart
 from regfman.regend import jordan_block
 from regfman.reports import DEFAULT_TOLERANCE
@@ -64,6 +83,28 @@ SPECS = (
     "jml,km->jkl",
     "ijk,j->ik",
     "jlk,l->kj",
+    "ai,ibk->abk",
+    "bj,ajk->abk",
+    "av,vbk->abk",
+    "ijl,lk->ijk",
+    "q,kl->qkl",
+    "ijkq,qkl->ijl",
+    "iv,v->i",
+    "kq,q->k",
+    "k,kij->ij",
+    "j,ajl->al",
+    "i,ik->k",
+    "j,ijk->ik",
+    "i,ik->ik",
+    "abl,lk->abk",
+    "ij,ij->",
+    "tp,p->t",
+    "p,p->p",
+    "p,p->",
+    "v,vk->k",
+    "v,vj->j",
+    "kj,j->k",
+    "ij,j->i",
 )
 
 
@@ -534,7 +575,7 @@ def _assert_reports_match(got, want, scale):
 def _compare_frobenius_chain(model, metric):
     psi = psi_from_metric(metric)
     beta = invert_oneform(psi)
-    gamma = gamma_operator(psi, beta, model, method="general")
+    gamma = gamma_operator(psi, beta, model)
     want_gamma = loop_oracles.gamma_general(psi, beta, model)
     scale = max(1.0, max(np.abs(j.coeffs).max() for row in want_gamma.entries for j in row))
     _assert_same_jets(
@@ -581,7 +622,7 @@ def test_dense_metric_matches_loops():
 def _forged_models():
     base3 = standard_block(0.0, 3)
     mult = [list(row) for row in base3.mult]
-    bad = list(mult[1][2].components)
+    bad = list(mult[1][2])
     bad[0] = bad[0] + 0.1
     mult[1][2] = mult[2][1] = JetVector(bad)
     yield FManifoldModel(mult, base3.unit, base3.euler, blocks=base3.blocks)
@@ -589,13 +630,13 @@ def _forged_models():
     base2 = standard_block(0.0, 2)
     sp = base2.space
     mult = [list(row) for row in base2.mult]
-    bad = list(mult[1][1].components)
+    bad = list(mult[1][1])
     bad[1] = bad[1] + sp.variable(1).scale(0.1)
     mult[1][1] = JetVector(bad)
     yield FManifoldModel(mult, base2.unit, base2.euler, blocks=base2.blocks)
 
     mult = [list(row) for row in base2.mult]
-    bad = list(mult[1][1].components)
+    bad = list(mult[1][1])
     bad[1] = bad[1] + 0.1
     mult[1][1] = JetVector(bad)
     yield FManifoldModel(mult, base2.unit, base2.euler)
@@ -623,6 +664,154 @@ def test_models_without_constant_multiplication_match_loops(model):
     cols = [loop_oracles.multiply(model, model.euler, loop_oracles.basis_field(model, j)) for j in range(model.dim)]
     want = np.array([[cols[j][k] for j in range(model.dim)] for k in range(model.dim)], dtype=object)
     _assert_same_jets(JetArray.from_jets(mult_by_euler(model)), want, scale**2)
+
+
+# -- brackets, symmetries and the one-form chain against their loop references ------
+
+# (spectrum, order): standard blocks and products up to n = 5 at K = 4-6
+PARITY_MODELS = (
+    ([(0.3, 5)], 4),
+    ([(0.1 + 0.2j, 4)], 6),
+    ([(0.0, 3), (1.2, 2)], 5),
+    ([(0.5, 2), (1.5, 2), (-1.0, 1)], 6),
+    ([(0.0, 2), (1.0, 1)], 4),
+)
+
+
+def _close(got, want) -> bool:
+    """|got - want| <= 1e-12 + 1e-9 |want| entry by entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all(np.abs(got - want) <= 1e-12 + 1e-9 * np.abs(want)))
+
+
+def _assert_jets_close(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.eff_order == w.eff_order
+        assert _close(g.coeffs, w.coeffs)
+
+
+def _assert_reports_close(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].order == want[name].order, name
+        assert _close(got[name].value, want[name].value), (name, got[name].value, want[name].value)
+
+
+def _dense(sp, rng, shape, scale):
+    """Jets with every coefficient nonzero, as an array of the given shape."""
+    return scale * (rng.standard_normal(shape + (sp.size,)) + 1j * rng.standard_normal(shape + (sp.size,)))
+
+
+def _perturbed(model, rng):
+    """The model with a dense Euler field of the same constant terms, so
+    the frame and symmetry identities fail by O(1) residuals."""
+    tail = _dense(model.space, rng, (model.dim,), 0.2)
+    tail[:, 0] = 0.0
+    euler = model.euler + JetArray.from_coeffs(model.space, tail)
+    return FManifoldModel(model.structure, model.unit, euler, blocks=model.blocks)
+
+
+def _dense_metric(model, rng):
+    """An invariant metric with dense eta entries, the top entry of each
+    block near 1."""
+    sizes = [m for _, m in model.blocks]
+    c = _dense(model.space, rng, (model.dim,), 0.1)
+    c[np.cumsum(sizes) - 1, 0] += 1.0
+    return InvariantMetric(sizes, JetArray.from_coeffs(model.space, c))
+
+
+@pytest.mark.parametrize("spectrum, order", PARITY_MODELS)
+def test_frame_brackets_and_symmetry_checks_match_loops(spectrum, order):
+    rng = np.random.default_rng(order * 7 + len(spectrum))
+    model = standard_model(spectrum, order)
+    for m in (model, _perturbed(model, rng)):
+        _assert_reports_close(check_frame_brackets(m), loop_oracles.check_frame_brackets(m))
+        x = JetArray.from_coeffs(m.space, _dense(m.space, rng, (m.dim,), 0.3))
+        for field in (x, m.euler):
+            _assert_reports_close(check_symmetry(m, field), loop_oracles.check_symmetry(m, field))
+
+
+@pytest.mark.parametrize("m, order", [(2, 4), (3, 5), (4, 6), (5, 4)])
+def test_symmetry_basis_and_brackets_match_loops(m, order):
+    model = standard_block(0.25, m, order)
+    fields = symmetry_basis(m, order)
+    want = loop_oracles.symmetry_basis(m, order)
+    assert len(fields) == len(want)
+    for got, w in zip(fields, want):
+        _assert_jets_close(got, w)
+        _assert_reports_close(check_symmetry(model, got), loop_oracles.check_symmetry(model, got))
+    _assert_reports_close(check_symmetry_brackets(m, order), loop_oracles.check_symmetry_brackets(m, order))
+
+
+@pytest.mark.parametrize("spectrum, order", PARITY_MODELS)
+def test_one_form_chain_and_metric_laws_match_loops(spectrum, order):
+    rng = np.random.default_rng(order * 11 + len(spectrum))
+    model = standard_model(spectrum, order)
+    metric = _dense_metric(model, rng)
+
+    def flat(families):
+        return [j for row in families for j in row]
+
+    # the principal roots, then the negative root on every block
+    for anchors in (None, [-np.sqrt(v) for v in metric.top_values()]):
+        psi = psi_from_metric(metric, anchors)
+        _assert_jets_close(psi.flat(), flat(loop_oracles.psi_from_metric(metric, anchors)))
+    beta = invert_oneform(psi)
+    _assert_jets_close(beta.flat(), flat(loop_oracles.invert_oneform(psi)))
+    _assert_jets_close(covector_product(psi, beta).flat(), flat(loop_oracles.covector_product(psi, beta)))
+    _assert_jets_close(metric_from_psi(psi).flat_eta(), flat(loop_oracles.metric_from_psi(psi)))
+    _assert_jets_close([psi_epsilon_norm(psi)], [loop_oracles.psi_epsilon_norm(psi)])
+    gamma = gamma_operator(psi, beta, model)
+    assert _close(gamma_annihilates_dual(gamma, psi), loop_oracles.gamma_annihilates_dual(gamma, psi))
+    _assert_reports_close(check_unit_flat(metric), loop_oracles.check_unit_flat(metric))
+    for weight in (None, 2.5):
+        got_weight, got = check_euler_rescaling(metric, model.euler, weight)
+        want_weight, want = loop_oracles.check_euler_rescaling(metric, model.euler, weight)
+        assert _close(got_weight, want_weight)
+        _assert_reports_close(got, want)
+
+
+def test_entrywise_inverse_and_square_root_match_loops():
+    rng = np.random.default_rng(29)
+    for num_vars, order in ((1, 6), (3, 4), (4, 5)):
+        sp = jet_space(num_vars, order)
+        c = _dense(sp, rng, (2, 3), 0.3)
+        c[..., 0] += 2.0
+        x = JetArray.from_coeffs(sp, c, rng.integers(0, order + 1, (2, 3)))
+        anchors = [None, -np.sqrt(c[0, 1, 0]), None, np.sqrt(c[1, 0, 0]), None, -np.sqrt(c[1, 2, 0])]
+        inv, root = x.invert(), x.sqrt(anchors)
+        for k, idx in enumerate(np.ndindex(2, 3)):
+            _assert_jets_close([inv[idx], x[idx].invert()], [loop_oracles.invert(x[idx])] * 2)
+            want = loop_oracles.sqrt(x[idx], anchors[k])
+            _assert_jets_close([root[idx], x[idx].sqrt(anchors[k])], [want] * 2)
+
+
+def test_compute_path_makes_no_object_kernel_calls(monkeypatch, tmp_path):
+    """The checks, the verdict chain, the extension and the CLI compute on
+    jet arrays only: no ``Jet`` arithmetic and no ``JetMatrix`` product."""
+    from regfman.cli import main
+    from regfman.malgrange import InitialData, initial_condition_extend
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("object-kernel call on the compute path")
+
+    for name in ("__mul__", "__add__", "__sub__", "partial", "invert", "sqrt", "compose"):
+        monkeypatch.setattr(Jet, name, refuse)
+    monkeypatch.setattr(JetMatrix, "__matmul__", refuse)
+    model = standard_model([(0.0, 2), (1.5, 2)], 4)
+    assert check_fmanifold(model).passes(1e-10)
+    assert check_frame_brackets(model).passes(1e-9)
+    assert frobenius_verdict(epsilon_metric(model), model, run_oracle=True).passed
+    block = standard_block(0.0, 3)
+    for y in symmetry_basis(3):
+        assert check_symmetry(block, y).passes(1e-10)
+    gram = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    data = InitialData(standard_block(0.0, 2, order=3), gram, np.diag([-0.5, 0.5]) + 0.0j, 3.0)
+    assert initial_condition_extend(data).verdict.passed
+    for doc in sorted((Path(__file__).resolve().parent.parent / "docs" / "tasks").glob("*.json")):
+        assert main(["run", str(doc), "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_extension_reuses_the_verdict_oracle(monkeypatch):
@@ -686,10 +875,10 @@ def test_batched_chart_expansion_matches_the_loop(b0o, binf, order):
     chart = integrate_chart(DeformationSpec(b0o, binf), order)
     n = chart.spec.dim
     tangent = _tangent(chart)
-    frame = [t.to_matrix() for t in tangent]
+    frame = [loop_oracles.to_matrix(t) for t in tangent]
     products = _products(tangent)
-    rhs = [products[i, j].to_matrix() for i in range(n) for j in range(n)]
-    rhs += [JetMatrix.identity(tangent.space, n), -b0_at(chart.spec, chart.gamma)]
+    rhs = [loop_oracles.to_matrix(products[i, j]) for i in range(n) for j in range(n)]
+    rhs += [JetMatrix.identity(tangent.space, n), loop_oracles.to_matrix(-b0_at(chart.spec, chart.gamma))]
     coeffs, res = expand_in_frame(tangent, JetArray.from_jets(rhs))
     scale = float(np.abs(tangent.coeffs).max())
     for r, mat in enumerate(rhs):
@@ -700,7 +889,7 @@ def test_batched_chart_expansion_matches_the_loop(b0o, binf, order):
     model = fmanifold_on_chart(chart)
     for i in range(n):
         for j in range(n):
-            want = np.array(list(coeffs[i * n + j].to_vector()), dtype=object)
+            want = np.array(list(coeffs[i * n + j]), dtype=object)
             _assert_same_jets(JetArray.from_jets(model.mult[i][j]), want)
 
 

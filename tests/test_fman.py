@@ -21,8 +21,9 @@ from regfman.fman import (
     standard_model,
     symmetry_basis,
 )
-from regfman.jets import JetVector, lie_bracket
 from regfman.regend import jordan_spectrum
+
+from loop_oracles import JetVector, lie_bracket
 
 
 class TestStandardBlock:
@@ -95,7 +96,7 @@ class TestCheckFManifold:
         base = standard_block(0.0, 3)
         sp = base.space
         mult = [list(row) for row in base.mult]
-        bad = list(mult[1][2].components)
+        bad = list(mult[1][2])
         bad[0] = bad[0] + 0.1
         mult[1][2] = JetVector(bad)
         mult[2][1] = JetVector(bad)
@@ -109,7 +110,7 @@ class TestCheckFManifold:
         base = standard_block(0.0, 2)
         sp = base.space
         mult = [list(row) for row in base.mult]
-        bad = list(mult[1][1].components)
+        bad = list(mult[1][1])
         bad[1] = bad[1] + sp.variable(1).scale(0.1)
         mult[1][1] = JetVector(bad)
         model = FManifoldModel(mult, base.unit, base.euler, blocks=base.blocks)
@@ -121,7 +122,7 @@ class TestCheckFManifold:
         # so a constant defect in c_11 does not break the axioms
         base = standard_block(0.0, 2)
         mult = [list(row) for row in base.mult]
-        bad = list(mult[1][1].components)
+        bad = list(mult[1][1])
         bad[1] = bad[1] + 0.1
         mult[1][1] = JetVector(bad)
         model = FManifoldModel(mult, base.unit, base.euler)
@@ -207,14 +208,14 @@ class TestFrameBrackets:
         assert (br[0] - t0 * t0).residual_norm() < 1e-14
         assert (br[1] - t0.scale(2.0) * (t1 + 1.0)).residual_norm() < 1e-14
         a = eigenfunction(model)
-        rhs = fr[1].scale(a.scale(2.0)) - fr[0].scale(a * a)
+        rhs = JetVector(fr[1]).scale(a.scale(2.0)) - JetVector(fr[0]).scale(a * a)
         assert (br - rhs).residual_norm() < 1e-14
 
     def test_eigenfunction_power_m3(self):
         model = standard_block(1.0 + 2j, 3)
         a = eigenfunction(model)
         fr = canonical_frame(model)
-        assert (fr[2].apply_to(a) - a * a).residual_norm() < 1e-10
+        assert (JetVector(fr[2]).apply_to(a) - a * a).residual_norm() < 1e-10
 
 
 class TestSymmetries:

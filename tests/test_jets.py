@@ -8,13 +8,14 @@ import loop_oracles
 
 from regfman.errors import InvalidAnchorError, ShapeError, SingularInputError
 from regfman.jets import (
+    Jet,
     JetArray,
     JetMatrix,
-    JetVector,
     Substitution,
     jet_space,
-    lie_bracket,
 )
+
+from loop_oracles import JetVector, lie_bracket
 
 
 def geometric_series_coeffs(order):
@@ -420,6 +421,38 @@ class TestSubstitution:
             assert np.array_equal(batch[idx].coeffs, w.coeffs)
         mat = JetMatrix([jets[:2], jets[2:4]]).compose(subs)
         assert np.array_equal(mat[1, 0].coeffs, want[2].coeffs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        src_vars=st.integers(1, 3),
+        src_order=st.integers(0, 4),
+        tgt_vars=st.integers(1, 3),
+        tgt_order=st.integers(0, 4),
+        kinds=st.lists(st.sampled_from(["zero", "recenter", "tail"]), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_equals_the_jet_product_table(self, src_vars, src_order, tgt_vars, tgt_order, kinds, seed):
+        """The table is built one degree at a time from row products that
+        repeat the arithmetic of ``Jet.__mul__``, and makes no ``Jet``
+        product: it equals the table of products ``prev * subs[v]``."""
+        rng = np.random.default_rng(seed)
+        src, tgt = jet_space(src_vars, src_order), jet_space(tgt_vars, tgt_order)
+        subs = [_random_sub_jet(tgt, rng, kinds[v]) for v in range(src_vars)]
+        monomials = [tgt.one()]
+        for v, low in src._factors:
+            monomials.append(monomials[low] * subs[v])
+        want = np.array([m.coeffs for m in monomials])
+
+        def refuse(*args):
+            raise AssertionError("Jet product while building the table")
+
+        original, Jet.__mul__ = Jet.__mul__, refuse
+        try:
+            got = Substitution(src, subs).table
+        finally:
+            Jet.__mul__ = original
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-15 * max(1.0, np.abs(want).max(initial=0.0))
 
     def test_restriction_by_zero_substitution(self):
 
