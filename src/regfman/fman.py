@@ -213,23 +213,21 @@ def check_fmanifold(model: FManifoldModel) -> ResidualReport:
     Identities involving one Lie derivative are evaluated one order below
     the ambient jet order.  Products in which the loop form of an identity
     would skip a vanishing factor skip it here too (exact zeros); the
-    associativity residuals are formed one leading index at a time.
+    associativity residuals of all index triples are two contractions of
+    the structure tensor with itself.
     """
     m = model.dim
     k_order = model.space.order
     c = model.structure
     cx = c.exact_zeros()
-    strict = np.triu(np.ones((m, m), dtype=bool), 1)
     upper = np.triu(np.ones((m, m), dtype=bool))
 
-    commut = (c - c.transpose(1, 0, 2)).residual_norms().max(axis=-1)[strict].max(initial=0.0)
+    # the diagonal of c - c^T is an exact zero
+    commut = (c - c.transpose(1, 0, 2)).residual_norms().max(axis=-1)[upper].max()
 
-    assoc = 0.0
-    for a in range(m):
-        # (d_a o d_b) o d_c - d_a o (d_b o d_c) over b >= a
-        lhs = contract("bi,ick->bck", cx[a], cx)
-        rhs = contract("bcj,jk->bck", cx, cx[a])
-        assoc = max(assoc, (lhs - rhs)[a:].residual_norm())
+    # (d_a o d_b) o d_c - d_a o (d_b o d_c) over b >= a
+    assoc = contract("abi,ick->abck", cx, cx) - contract("bcj,ajk->abck", cx, cx)
+    assoc = assoc.residual_norms().max(axis=(2, 3))[upper].max()
 
     # L_E(o)(d_a, d_b) - d_a o d_b over b >= a
     euler_res = (lie_derivative_of_mult(model, model.euler) - c).residual_norms().max(axis=-1)[upper].max()

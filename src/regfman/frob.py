@@ -177,34 +177,34 @@ def metric_from_potential(potential, blocks_or_model) -> InvariantMetric:
 def check_coidentity_closed(metric: InvariantMetric) -> ResidualReport:
     """Closedness of the coidentity one-form (existence of a potential):
     d_h eta_g - d_g eta_h over g < h."""
-    n = metric.dim
-    worst = 0.0
-    if n > 1:
-        d = metric.values.grad()  # d[h, g] = d_h eta_g
-        strict = np.triu(np.ones((n, n), dtype=bool), 1)
-        worst = (d - d.transpose(1, 0)).residual_norms()[strict].max()
-    return report_from([("coidentity_closed", worst, metric.values.eff_order() - 1)])
+    closed = _coidentity_closed(metric.values.grad())
+    return report_from([("coidentity_closed", closed, metric.values.eff_order() - 1)])
+
+
+def _coidentity_closed(d: JetArray) -> float:
+    """The closedness residual from the gradient ``d[h, g] = d_h eta_g``."""
+    return (d - d.transpose(1, 0))[np.triu_indices(len(d), 1)].residual_norm()
 
 
 def unit_vector_indices(blocks) -> list[int]:
-    sizes = _sizes(blocks)
-    return [off for off in _offsets(sizes)]
+    return _offsets(_sizes(blocks))
 
 
 def check_unit_flat(metric: InvariantMetric) -> ResidualReport:
     """Flat unit: closed coidentity plus e(eta) = 0 for the unit field
     e = sum of the leading block directions."""
-    closed = check_coidentity_closed(metric)["coidentity_closed"]
+    return _unit_flat(metric, metric.values.grad())
+
+
+def _unit_flat(metric: InvariantMetric, d: JetArray) -> ResidualReport:
+    """:func:`check_unit_flat` from the metric's gradient ``d``."""
+    order = metric.values.eff_order() - 1
     unit = np.zeros(metric.dim)
     unit[unit_vector_indices(metric.blocks)] = 1.0
     unit = JetArray.constant(metric.space, unit).exact_zeros()
-    derivative = contract("v,vk->k", unit, metric.values.grad())
-    return ResidualReport(
-        [
-            ("coidentity_closed", closed),
-            ("unit_derivative", Residual(derivative.residual_norm(), metric.values.eff_order() - 1)),
-        ]
-    )
+    derivative = contract("v,vk->k", unit, d).residual_norm()
+    closed = _coidentity_closed(d)
+    return report_from([("coidentity_closed", closed, order), ("unit_derivative", derivative, order)])
 
 
 def check_euler_rescaling(
@@ -217,12 +217,18 @@ def check_euler_rescaling(
     With ``weight`` (the rescaling constant D) given, measures it directly;
     otherwise returns the least-squares best weight and its residual.
     """
+    return _euler_rescaling(metric, euler, weight, metric.values.grad())
+
+
+def _euler_rescaling(metric: InvariantMetric, euler, weight, d: JetArray) -> tuple[complex, ResidualReport]:
+    """:func:`check_euler_rescaling` from the metric's gradient ``d``."""
     euler = JetArray.from_jets(euler)
     if euler.shape != (metric.dim,):
         raise ShapeError("Euler field dimension does not match the metric")
     eta = metric.values
-    derivs = contract("v,vj->j", euler, eta.grad())  # E(eta_j)
+    derivs = contract("v,vj->j", euler, d)  # E(eta_j)
     order = derivs.eff_order()
+    name = "euler_rescaling_solved" if weight is None else "euler_rescaling"
     if weight is None:
         num = 0.0 + 0.0j
         den = 0.0
@@ -230,15 +236,10 @@ def check_euler_rescaling(
         for jc, dc in zip(eta.coeffs[:, mask], derivs.coeffs[:, mask]):
             num += np.vdot(jc, dc)
             den += float(np.vdot(jc, jc).real)
-        w = num / den if den > 0 else 0.0
-        weight_out = complex(w + 2.0)
-        solved = True
-    else:
-        weight_out = complex(weight)
-        solved = False
-    worst = (derivs - eta.scale(weight_out - 2.0)).residual_norm()
-    name = "euler_rescaling_solved" if solved else "euler_rescaling"
-    return weight_out, report_from([(name, worst, order)])
+        weight = (num / den if den > 0 else 0.0) + 2.0
+    weight = complex(weight)
+    worst = (derivs - eta.scale(weight - 2.0)).residual_norm()
+    return weight, report_from([(name, worst, order)])
 
 
 # -- the psi / beta / gamma chain ----------------------------------------------
@@ -380,10 +381,11 @@ def gamma_operator(psi: OneForm, beta: OneForm, model: FManifoldModel) -> Rotati
     return RotationOperator(gamma, epsilon_gram(psi.blocks))
 
 
-def _structure_matrices(model: FManifoldModel, space: JetSpace) -> JetArray:
-    """The constant matrices C_i of :meth:`FManifoldModel.mult_matrices`,
-    stacked as cm[i, k, j]."""
-    return JetArray.constant(space, np.stack(model.mult_matrices()))
+def _structure_brackets(gamma: RotationOperator, model: FManifoldModel) -> JetArray:
+    """br[i] = [C_i, gamma] for the matrices C_i of :meth:`FManifoldModel.mult_matrices`."""
+    g = gamma.matrix
+    cm = JetArray.constant(g.space, np.stack(model.mult_matrices()))
+    return -_brackets(g, cm)
 
 
 def _brackets(x: JetArray, ys: JetArray) -> JetArray:
@@ -396,6 +398,11 @@ def check_gamma(
 ) -> ResidualReport:
     """Epsilon-symmetry of gamma, constancy of epsilon(psi, psi), and the
     derivative law d_i(psi_j) = (psi [C_i, gamma])_j."""
+    return _check_gamma(gamma, psi, _structure_brackets(gamma, model))
+
+
+def _check_gamma(gamma: RotationOperator, psi: OneForm, br: JetArray) -> ResidualReport:
+    """:func:`check_gamma` from the brackets br[i] = [C_i, gamma]."""
     sp = psi.space
     g = gamma.matrix
     eps = JetArray.constant(sp, gamma.epsilon)
@@ -403,8 +410,6 @@ def check_gamma(
 
     norm = _epsilon_norm(psi)
     flat_psi = psi.values
-    cm = _structure_matrices(model, sp)
-    br = -_brackets(g, cm)  # br[i] = [C_i, gamma]
     law = flat_psi.grad() - contract("k,ikj->ij", flat_psi, br.exact_zeros())
     return report_from(
         [
@@ -425,8 +430,12 @@ def gamma_annihilates_dual(gamma: RotationOperator, psi: OneForm) -> float:
 
 class _DarbouxEgoroff:
     """The generalized Darboux-Egoroff matrices
-    DE_ij = [C_i, d_j gamma] - [C_j, d_i gamma] - [[C_i, gamma], [C_j, gamma]],
-    formed one leading index i at a time.
+    DE_ij = [C_i, d_j gamma] - [C_j, d_i gamma] - [[C_i, gamma], [C_j, gamma]].
+
+    With B_i = [C_i, gamma] these are DE_ij = d_j B_i - d_i B_j - [B_i, B_j]:
+    every C_i is a constant matrix (the callers' scope checks require
+    constant multiplication), so [C_i, d_j gamma] = d_j [C_i, gamma].  One
+    gradient of the brackets gives every derivative term.
 
     The relative sign between the derivative terms and the quadratic
     commutator is pinned by two independent cross-checks: the classical
@@ -437,19 +446,22 @@ class _DarbouxEgoroff:
     to the minus sign used here.
     """
 
-    def __init__(self, gamma: RotationOperator, model: FManifoldModel):
-        g = gamma.matrix
-        self.cm = _structure_matrices(model, g.space)
-        self.dg = g.grad()
-        self.br = -_brackets(g, self.cm)  # br[i] = [C_i, gamma]
-        self.order = self.dg.eff_order()
+    def __init__(self, br: JetArray):
+        self.br = br  # br[i] = B_i
+        self.dbr = br.grad()  # dbr[j, i] = d_j B_i
+        self.order = self.dbr.eff_order()
 
     def row(self, i: int, js: slice) -> JetArray:
         """DE_ij for every j in ``js``, shape (j, r, c)."""
-        cm, dg, br = self.cm, self.dg, self.br
-        return (
-            _brackets(cm[i], dg[js]) + _brackets(dg[i], cm[js]) - _brackets(br[i], br[js])
-        )
+        return self.dbr[js, i] - self.dbr[i, js] - _brackets(self.br[i], self.br[js])
+
+    def report(self) -> ResidualReport:
+        """The residuals over i <= j; the diagonal vanishes identically."""
+        n, entries = len(self.br), []
+        for i in range(n):
+            norms = self.row(i, slice(i + 1, n)).residual_norms().max(axis=(1, 2)) if i + 1 < n else ()
+            entries.extend((f"de_{i}_{j}", v, self.order) for j, v in enumerate((0.0, *norms), i))
+        return report_from(entries)
 
 
 def darboux_egoroff_residual(
@@ -460,14 +472,7 @@ def darboux_egoroff_residual(
     reported as exact zeros."""
     if not model.is_constant_multiplication():
         raise ScopeError("Darboux-Egoroff residuals require constant multiplication")
-    n = model.dim
-    de = _DarbouxEgoroff(gamma, model)
-    entries = []
-    for i in range(n):
-        entries.append((f"de_{i}_{i}", 0.0, de.order))
-        norms = de.row(i, slice(i + 1, n)).residual_norms().max(axis=(1, 2), initial=0.0)
-        entries.extend((f"de_{i}_{j}", v, de.order) for j, v in enumerate(norms, i + 1))
-    return report_from(entries)
+    return _DarbouxEgoroff(_structure_brackets(gamma, model)).report()
 
 
 def darboux_egoroff_matrix(
@@ -475,7 +480,7 @@ def darboux_egoroff_matrix(
 ) -> JetArray:
     """The full Darboux-Egoroff matrix for one index pair: a slice of the
     contraction behind :func:`darboux_egoroff_residual`."""
-    return _DarbouxEgoroff(gamma, model).row(i, slice(j, j + 1))[0]
+    return _DarbouxEgoroff(_structure_brackets(gamma, model)).row(i, slice(j, j + 1))[0]
 
 
 # -- Levi-Civita curvature oracle ----------------------------------------------
@@ -582,22 +587,17 @@ def frobenius_verdict(
     psi = psi_from_metric(metric, branch_anchors)
     beta = invert_oneform(psi)
     gamma = gamma_operator(psi, beta, model)
-    chain = check_gamma(gamma, psi, model)
-    de = darboux_egoroff_residual(gamma, model)
-    unit_rep = check_unit_flat(metric)
+    br = _structure_brackets(gamma, model)
+    chain = _check_gamma(gamma, psi, br)
+    de = _DarbouxEgoroff(br).report()
+    d = metric.values.grad()
 
     entries = list(chain.items())
     entries.append(("darboux_egoroff", Residual(de.max_value(), de["de_0_0"].order)))
-    entries.extend(unit_rep.items())
-    weight_out = weight
-    solved = False
-    if weight is not None:
-        weight_out, euler_rep = check_euler_rescaling(metric, model.euler, weight)
-        entries.extend(euler_rep.items())
-    else:
-        weight_out, euler_rep = check_euler_rescaling(metric, model.euler, None)
-        solved = True
-        entries.extend(euler_rep.items())
+    entries.extend(_unit_flat(metric, d).items())
+    weight_out, euler_rep = _euler_rescaling(metric, model.euler, weight, d)
+    entries.extend(euler_rep.items())
+    del br, d  # not held through the oracle, the verdict's largest step
 
     multiblock = len(metric.blocks) > 1
     if run_oracle is None:
@@ -626,7 +626,7 @@ def frobenius_verdict(
         passed=passed,
         tolerance=tolerance,
         weight=weight_out,
-        weight_solved=solved,
+        weight_solved=weight is None,
         report=rep,
         de_table=de,
         psi=psi,

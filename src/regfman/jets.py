@@ -121,7 +121,7 @@ class JetSpace:
         self._trunc_masks = [self.degrees <= d for d in range(order + 1)]
         # _degree_ends[d]: the number of monomials of degree at most d
         self._degree_ends = np.cumsum(np.bincount(self.degrees, minlength=order + 1)).tolist()
-        self._pair_tables: dict[tuple[bytes, bytes], tuple[np.ndarray, ...]] = {}
+        self._pair_tables: dict[tuple[bytes, bytes, int], tuple[np.ndarray, ...]] = {}
 
     @cached_property
     def _cauchy(self) -> tuple[np.ndarray, ...]:
@@ -149,17 +149,17 @@ class JetSpace:
             starts,
         )
 
-    def _pairs(self, used_a: np.ndarray, used_b: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The rows of :attr:`_cauchy` whose first index lies in the support
-        ``used_a`` and second in ``used_b`` (boolean masks over a prefix of
-        the coefficients each, ending at the last used position): the index
-        pairs, their distinct targets and the bounds of each target's group.
-        The last ``_PAIR_CACHE`` tables are kept, keyed by the two masks."""
-        key = (used_a.tobytes(), used_b.tobytes())
+    def _pairs(self, used_a: np.ndarray, used_b: np.ndarray, cap: int) -> tuple[np.ndarray, ...]:
+        """The rows of :attr:`_cauchy` with target below ``cap``, first index
+        in the support ``used_a`` and second in ``used_b`` (boolean masks over
+        a prefix of the coefficients each, ending at the last used position):
+        the index pairs, their distinct targets and the bounds of each
+        target's group.  The last ``_PAIR_CACHE`` tables are kept."""
+        key = (used_a.tobytes(), used_b.tobytes(), cap)
         table = self._pair_tables.get(key)
         if table is None:
             ii, jj, kk, _, _ = self._cauchy
-            keep = (ii < len(used_a)) & (jj < len(used_b))
+            keep = (ii < len(used_a)) & (jj < len(used_b)) & (kk < cap)
             ii, jj, kk = ii[keep], jj[keep], kk[keep]
             keep = used_a[ii] & used_b[jj]
             ii, jj, kk = ii[keep], jj[keep], kk[keep]
@@ -993,18 +993,21 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
 
     The output is stored to the last column the products can reach
     (the partner's width on a scaling, the last pair target otherwise)
-    and truncated above ``max(eff, 0)`` with one masked write, over the
-    degrees where a coefficient can be left to clear.
+    and truncated above ``max(eff, 0)``.  When the entries of each operand
+    that are not exact zeros share one effective order, the columns above
+    the outputs' order are neither read nor formed; otherwise one masked
+    write clears them entry by entry.
     """
     sp = a.space
     Jet._check_compatible(a, b)
     perm_a, perm_b, (G, M, S, N), gmn, perm_out = _plan(spec, a.shape, b.shape)
-    eff = _contract_eff(
+    eff, low = _contract_eff(
         a.eff.transpose(perm_a).reshape(G, M, S),
         b.eff.transpose(perm_b).reshape(G, S, N),
         sp.order,
     )
-    used_a, used_b = _support(a._stored), _support(b._stored)
+    cap = sp.size if low is None else sp._degree_ends[max(low, 0)]
+    used_a, used_b = _support(a._stored)[:cap], _support(b._stored)[:cap]
     wa, wb = _width(used_a), _width(used_b)
     # the columns the products can fill; the ones past it stay zero
     width = 0
@@ -1014,7 +1017,7 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
         elif wb == 1:
             width = wa
         else:
-            table = sp._pairs(used_a[:wa], used_b[:wb])
+            table = sp._pairs(used_a[:wa], used_b[:wb], cap)
             targets = table[2]
             width = int(targets[-1]) + 1 if targets.size else 0
     # coefficient axis first: out[k] is the (G, M, N) block of coefficient k
@@ -1029,15 +1032,10 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
             _scale(bt[0, :, None], at[..., None], out)
         else:
             _cauchy_pairs(table, at, bt, out)
-    # truncate above max(eff, 0): only degrees above the lowest such order
-    # and below the width can hold a coefficient to clear
-    lim = np.maximum(eff, 0)
-    low = sp._degree_ends[lim.min(initial=sp.order)]
-    if low < width:
-        block = out[low:width]
-        block[sp.degrees[low:width, None, None, None] > lim] = 0.0
     out = out.transpose(1, 2, 3, 0).reshape(gmn + (len(out),)).transpose(perm_out + (len(perm_out),))
-    return JetArray._raw(sp, out, eff.reshape(gmn).transpose(perm_out))
+    eff = eff.reshape(gmn).transpose(perm_out)
+    # with several orders the constructor truncates entry by entry
+    return JetArray._raw(sp, out, eff) if low is not None else JetArray(sp, out, eff)
 
 
 def _support(coeffs: np.ndarray) -> np.ndarray:
@@ -1051,17 +1049,20 @@ def _width(used: np.ndarray) -> int:
     return int(nz[-1]) + 1 if nz.size else 0
 
 
-def _contract_eff(ea: np.ndarray, eb: np.ndarray, order: int) -> np.ndarray:
+def _contract_eff(ea: np.ndarray, eb: np.ndarray, order: int) -> tuple[np.ndarray, int | None]:
     """Minimum effective order over the summed pairs, (g, m, s) x (g, s, n)
-    -> (g, m, n); pairs with an exact zero do not count."""
-    exact_a, exact_b = ea > order, eb > order
-    if exact_a.any() or exact_b.any():
-        pair = np.minimum(ea[:, :, :, None], eb[:, None, :, :])
-        pair[exact_a[:, :, :, None] | exact_b[:, None, :, :]] = _EXACT
-        eff = pair.min(axis=2)
-    else:
-        eff = np.minimum(ea.min(axis=2)[:, :, None], eb.min(axis=1)[:, None, :])
-    return np.minimum(eff, order)
+    -> (g, m, n), capped at the jet order; pairs with an exact zero do not
+    count.  When the other entries of each operand share one order, also
+    returns the one order of every output with a counting pair, else None."""
+    live_a, live_b = ea <= order, eb <= order
+    low_a, low_b = ea.min(where=live_a, initial=order), eb.min(where=live_b, initial=order)
+    if ea.max(where=live_a, initial=low_a) == low_a and eb.max(where=live_b, initial=low_b) == low_b:
+        # outputs without a counting pair are empty sums, trusted to the order
+        low = int(min(low_a, low_b))
+        return np.where(np.matmul(live_a, live_b), low, order), low
+    pair = np.minimum(ea[:, :, :, None], eb[:, None, :, :])
+    pair[~(live_a[:, :, :, None] & live_b[:, None, :, :])] = _EXACT
+    return np.minimum(pair.min(axis=2), order), None
 
 
 def _scale(c0: np.ndarray, x: np.ndarray, out: np.ndarray):

@@ -255,6 +255,29 @@ class TestKernel:
 
 # -- the paths of the kernel ---------------------------------------------------------
 
+ORDER_KINDS = ("uniform", "mixed", "exact")
+
+
+def _random_orders(shape, order, kind, rng):
+    """Effective orders of one operand: all exact zeros, or one order or
+    random orders from -1 to the jet order, with some exact zeros."""
+    if kind == "exact":
+        return np.full(shape, jets._EXACT)
+    if kind == "uniform":
+        eff = np.full(shape, int(rng.integers(-1, order + 1)))
+    else:
+        eff = rng.integers(-1, order + 1, shape)
+    eff[rng.random(shape) < rng.uniform(0.0, 0.5)] = jets._EXACT
+    return eff
+
+
+def _pair_table_orders(ea, eb, order):
+    """The minimum effective order over the summed pairs, from the whole
+    (g, m, s, n) table of pair orders with exact-zero pairs left out."""
+    pair = np.minimum(ea[:, :, :, None], eb[:, None, :, :])
+    pair[(ea > order)[:, :, :, None] | (eb > order)[:, None, :, :]] = jets._EXACT
+    return np.minimum(pair.min(axis=2), order)
+
 
 GENERAL = ("zero", "constant", "dense")
 
@@ -289,6 +312,46 @@ class TestKernelPaths:
         rng = np.random.default_rng(seed)
         sp = jet_space(num_vars, order)
         _check_against_jet_sums(spec, sp, *_operands(spec, sp, rng, GENERAL, ("constant", "dense")), exact)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS),
+        num_vars=st.integers(1, 3),
+        order=st.integers(0, 4),
+        kinds=st.tuples(st.sampled_from(ORDER_KINDS), st.sampled_from(ORDER_KINDS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_order_path_matches_the_pair_table(self, spec, num_vars, order, kinds, seed):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        dims = {x: int(rng.integers(1, 4)) for x in sorted(set(spec) - set(",->"))}
+        labels = spec.split("->")[0].split(",")
+        operands, orders = [], []
+        for la, kind in zip(labels, kinds):
+            eff = _random_orders(tuple(dims[x] for x in la), order, kind, rng)
+            entries = np.empty(eff.shape, dtype=object)
+            for idx in np.ndindex(*eff.shape):
+                exact = eff[idx] > order
+                entries[idx] = sp.zero() if exact else _random_jet(sp, rng, ("dense",), int(eff[idx]))
+            operands += [entries, JetArray.from_jets(entries.tolist()).exact_zeros()]
+            orders.append(eff)
+        a_jets, a, b_jets, b = operands
+        perm_a, perm_b, (G, M, S, N), _, _ = jets._plan(spec, a.shape, b.shape)
+        # the kernel's (g, m, s) and (g, s, n) views, with the orders a
+        # gradient gives an exact zero as well
+        ea = orders[0].transpose(perm_a).reshape(G, M, S)
+        eb = orders[1].transpose(perm_b).reshape(G, S, N)
+        for ea_, eb_ in ((ea, eb), (np.where(ea > order, ea - 1, ea), eb), (ea, np.where(eb > order, eb - 1, eb))):
+            eff, low = jets._contract_eff(ea_, eb_, order)
+            want = _pair_table_orders(ea_, eb_, order)
+            assert np.array_equal(eff, want)
+            if "mixed" not in kinds:
+                assert low is not None
+            if low is not None:
+                # every output with a counting pair has the one order
+                live = np.matmul(ea_ <= order, eb_ <= order)
+                assert (want[live] == low).all() and (want[~live] == order).all()
+        _check_against_jet_sums(spec, sp, a_jets, a, b_jets, b, exact=True)
 
     @pytest.mark.parametrize("eff", range(-1, 5))
     def test_effective_orders_from_minus_one_to_the_order(self, eff):
@@ -414,6 +477,24 @@ class TestStoredWidth:
             _assert_bit_equal(contract(spec, a, b), want)
             _assert_bit_equal(contract(spec, a, b_full), want)
             _assert_bit_equal(contract(spec, a_full, b), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS),
+        num_vars=st.integers(1, 3),
+        order=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        exact=st.booleans(),
+    )
+    def test_no_column_above_one_order_is_formed(self, spec, num_vars, order, seed, exact):
+        # operands trusted to one order below K store no column above it
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        eff = int(rng.integers(-1, order))
+        a_jets, a, b_jets, b = _operands(spec, sp, rng, ("dense",), GENERAL, eff, eff)
+        got = contract(spec, a.exact_zeros(), b.exact_zeros()) if exact else contract(spec, a, b)
+        assert _stored_width(got) <= sp._degree_ends[max(eff, 0)]
+        _check_against_jet_sums(spec, sp, a_jets, a, b_jets, b, exact)
 
     @settings(max_examples=60, deadline=None)
     @given(num_vars=st.integers(1, 3), order=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
@@ -617,6 +698,19 @@ def test_dense_metric_matches_loops():
             np.array(want.entries, dtype=object),
             10.0,
         )
+
+
+@pytest.mark.parametrize("sizes", [(4, 3), (2, 2, 1)])
+def test_darboux_egoroff_matrices_match_loops_entry_by_entry(sizes):
+    # the perturbed metrics of test_verify_patterns_match_loops, every
+    # ordered pair (i, j), i > j and i = j included
+    model, metric = _verify_case(sizes, False, seed=len(sizes) * 10 + sizes[0])
+    psi = psi_from_metric(metric)
+    gamma = gamma_operator(psi, invert_oneform(psi), model)
+    scale = max(1.0, float(np.abs(gamma.matrix.coeffs).max()))
+    for i, j in itertools.product(range(model.dim), repeat=2):
+        want = loop_oracles.darboux_egoroff_matrix(gamma, model, i, j)
+        _assert_same_jets(darboux_egoroff_matrix(gamma, model, i, j), np.array(want.entries, dtype=object), scale**2)
 
 
 def _forged_models():

@@ -133,6 +133,25 @@ class TestUnitEulerConditions:
         m = InvariantMetric([2], [[sp.variable(0), sp.constant(1.0)]])
         assert check_unit_flat(m)["unit_derivative"].value == pytest.approx(1.0)
 
+    def test_unit_flat_and_verdict_differentiate_the_metric_once(self, monkeypatch):
+        model = standard_model([(0.0, 2), (1.5, 1)], 4)
+        sp = model.space
+        metric = InvariantMetric([2, 1], [[sp.constant(0.3), sp.constant(1.0) + sp.variable(1)], [sp.constant(2.0)]])
+        calls = []
+        grad = JetArray.grad
+
+        def counting_grad(self):
+            calls.append(self is metric.values)
+            return grad(self)
+
+        monkeypatch.setattr(JetArray, "grad", counting_grad)
+        check_unit_flat(metric)
+        assert calls.count(True) == 1
+        calls.clear()
+        # the verdict's unit and Euler checks share one gradient
+        frobenius_verdict(metric, model, run_oracle=False)
+        assert calls.count(True) == 1
+
     def test_euler_weight_2(self):
         model = standard_block(0.3, 2)
         sp = model.space
