@@ -282,14 +282,26 @@ def mult_by_euler(model: FManifoldModel) -> JetArray:
 
 def canonical_frame(model: FManifoldModel, check_regular: bool = True) -> CanonicalFrame:
     """X_0 = e, X_{k+1} = E o X_k; requires a regular origin."""
+    return _canonical_frame(model, _origin_probe(model)[1] if check_regular else None)
+
+
+def _origin_probe(model: FManifoldModel) -> tuple[np.ndarray, regend.RegularityReport]:
+    """Multiplication by E at the origin and its regularity probe, made once
+    per public call and passed to every check that needs it."""
     u0 = mult_by_euler(model).constant_term()
-    if check_regular and not regend.is_regular(u0):
+    return u0, regend.is_regular(u0)
+
+
+def _canonical_frame(model: FManifoldModel, regularity) -> CanonicalFrame:
+    """The canonical frame, checked against the origin's regularity probe
+    (``None`` builds it unchecked)."""
+    if regularity is not None and not regularity:
         raise RegularityError("multiplication by the Euler field is not regular at the origin")
     fields = [model.unit]
     for _ in range(model.dim - 1):
         fields.append(model.multiply(model.euler, fields[-1]))
     frame = CanonicalFrame(JetArray.stack(fields))
-    if check_regular:
+    if regularity is not None:
         c = np.linalg.cond(frame.constant_matrix())
         if not np.isfinite(c) or c > 1e10:
             raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
@@ -525,10 +537,18 @@ def germ_isomorphism(
     Solved order by order from (Jacobian psi) X_i = Y_i o psi; the linear
     part sends the frame of A at the origin to the frame of B.  Returns the
     map (an (n,) jet array, psi(0) = 0) plus residuals of frame transport,
-    multiplicativity and transport of Euler-field powers.  Each step builds
-    one substitution table for the current psi and composes the whole frame
-    of B through it; the residuals share one more table.
+    multiplicativity and transport of Euler-field powers.  Step d reads only
+    degree d of the transport defect, which fixes degree d + 1 of psi: the
+    step trusts psi to order d + 1, where its coefficients are still zero,
+    so its substitution table stops at degree d + 1 and its products at
+    degree d.  The residuals share one full table.
     """
+    return _germ_isomorphism(model_a, model_b, order, _origin_probe(model_a))[:2]
+
+
+def _germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel, order: int | None, origin_a):
+    """:func:`germ_isomorphism` given ``_origin_probe(model_a)``; also
+    returns the canonical frame of ``model_a`` and the composition with psi."""
     if model_a.dim != model_b.dim:
         raise NoIsomorphismError("models have different dimensions")
     if order is None:
@@ -539,17 +559,15 @@ def germ_isomorphism(
     sp = model_a.space
     k_order = order
 
-    ua0 = mult_by_euler(model_a).constant_term()
-    ub0 = mult_by_euler(model_b).constant_term()
-    if not regend.same_conjugacy_class(ua0, ub0):
-        raise NoIsomorphismError(
-            "origin multiplications by the Euler fields are not conjugate"
-        )
+    (ua0, reg_a), (ub0, reg_b) = origin_a, _origin_probe(model_b)
+    spec_a, spec_b = regend._jordan_spectrum(ua0, reg_a), regend._jordan_spectrum(ub0, reg_b)
+    if not spec_a.matches(spec_b, tol=regend.CLUSTER_TOL):
+        raise NoIsomorphismError("origin multiplications by the Euler fields are not conjugate")
 
     # Euler powers X_i = E^i o e of A and Y_i of B; the first n are the
     # canonical frames
-    frame_a = canonical_frame(model_a)
-    frame_b = canonical_frame(model_b)
+    frame_a = _canonical_frame(model_a, reg_a)
+    frame_b = _canonical_frame(model_b, reg_b)
     xinv = np.linalg.inv(frame_a.constant_matrix())
     pow_a, pow_b = list(frame_a.fields), list(frame_b.fields)
     while len(pow_a) < k_order + 1:
@@ -560,7 +578,7 @@ def germ_isomorphism(
 
     psi = np.zeros((n, sp.size), dtype=np.complex128)
     for d in range(k_order):
-        psi_d = JetArray(sp, psi.copy(), np.full(n, k_order))
+        psi_d = JetArray(sp, psi.copy(), np.full(n, d + 1))
         resid = _transport_defect(Substitution(sp, psi_d), psi_d.grad(), xa, xb)
         # degree-d part determines the Jacobian of the degree-(d+1) correction
         part = np.where(sp.degrees == d, resid.coeffs, 0.0)
@@ -585,4 +603,4 @@ def germ_isomorphism(
     entries.append(("multiplicativity", mult_res, k_order - 1))
 
     entries += [(f"euler_power_{i}", transport[i], k_order - 1) for i in range(k_order + 1)]
-    return psi_arr, report_from(entries)
+    return psi_arr, report_from(entries), frame_a, sub

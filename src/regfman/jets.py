@@ -1118,13 +1118,17 @@ class Substitution:
     built once, one degree at a time: each monomial of degree d is a
     monomial of degree d - 1 times one substitution, and the products of a
     degree are formed together by :func:`_row_products`, which gives the
-    bits of the ``Jet`` products ``prev * subs[v]``.  Applying the table to
-    a jet or to a whole :class:`JetArray` adds ``table[i] * c_i`` in
-    source-index order, so every composition with one substitution gives
-    the same bits as composing a single jet.
+    bits of the ``Jet`` products ``prev * subs[v]``.  When no substitution
+    has a constant term, a monomial of degree d has no coefficient below
+    degree d, so the build stops past the highest effective order and the
+    rows above it stay zero.  Applying the table to a jet or to a whole
+    :class:`JetArray` adds ``table[i] * c_i`` in source-index order over
+    the rows that are not all zero (the sum starts at +0, and adding a
+    signed zero to it changes no bit), so every composition with one
+    substitution gives the same bits as composing a single jet.
     """
 
-    __slots__ = ("source", "target", "table", "eff_order")
+    __slots__ = ("source", "target", "table", "eff_order", "_live")
 
     def __init__(self, source: JetSpace, subs):
         """``subs``: one jet per source variable, as a sequence of jets or
@@ -1139,7 +1143,8 @@ class Substitution:
         rows_eff = np.full(source.size, target.order)
         v, low = np.array(source._factors, dtype=np.int64).reshape(-1, 2).T
         ends = source._degree_ends
-        for d in range(1, source.order + 1):
+        top = source.order if subs.constant_term().any() else min(source.order, int(eff.max()))
+        for d in range(1, top + 1):
             # the monomials of degree d and their factors
             new = slice(ends[d - 1], ends[d])
             fv, fl = v[new.start - 1 : new.stop - 1], low[new.start - 1 : new.stop - 1]
@@ -1148,6 +1153,7 @@ class Substitution:
         self.source = source
         self.target = target
         self.table = table
+        self._live = table.any(axis=1)
         self.eff_order = subs.eff_order()
 
     def __call__(self, f):
@@ -1157,7 +1163,7 @@ class Substitution:
         c = f.coeffs if isinstance(f, Jet) else f._stored
         src = c.reshape(-1, c.shape[-1])
         out = np.zeros((len(src), self.target.size), dtype=np.complex128)
-        for i in np.flatnonzero(src.any(axis=0)):
+        for i in np.flatnonzero(src.any(axis=0) & self._live[: src.shape[1]]):
             # one jet scales by a scalar, as a single composition does:
             # numpy may round a 1x1 broadcast product differently
             out += self.table[i] * (src[0, i] if len(src) == 1 else src[:, i, None])
@@ -1171,12 +1177,18 @@ def _row_products(space: JetSpace, a: np.ndarray, b: np.ndarray, eff: np.ndarray
     """The products ``a[r] * b[r]`` of rows of full-width coefficients,
     truncated above ``eff[r]``, with the bits of ``Jet.__mul__`` up to the
     sign of a zero: a constant row scales the other one, and any other pair
-    sums the whole Cauchy table of the space along the row."""
+    sums the Cauchy table of the space along the row, up to the highest
+    order in ``eff`` (the table is sorted by target, so that is a prefix)."""
     moving_a, moving_b = a[:, 1:].any(axis=1), b[:, 1:].any(axis=1)
     out = np.where(moving_a[:, None], a * b[:, :1], b * a[:, :1])
     full = np.flatnonzero(moving_a & moving_b)[:, None]
     if len(full):
-        ii, jj, _, targets, starts = space._cauchy
+        ii, jj, kk, targets, starts = space._cauchy
+        top = int(eff.max())
+        if top < space.order:
+            cap = space._degree_ends[max(top, 0)]
+            pairs, groups = np.searchsorted(kk, cap), np.searchsorted(targets, cap)
+            ii, jj, targets, starts = ii[:pairs], jj[:pairs], targets[:groups], starts[:groups]
         out[full, targets] = np.add.reduceat(a[full, ii] * b[full, jj], starts, axis=1)
     if eff.min(initial=space.order) < space.order:
         out[space.degrees > np.maximum(eff, 0)[:, None]] = 0.0

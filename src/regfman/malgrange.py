@@ -24,13 +24,14 @@ from .errors import (
 )
 from .fman import (
     FManifoldModel,
-    canonical_frame,
+    _germ_isomorphism,
+    _origin_probe,
     germ_isomorphism,
     mult_by_euler,
     standard_model,
 )
 from .frob import FrobeniusVerdict, InvariantMetric, _offsets, euler_derivative, frobenius_verdict
-from .jets import DEFAULT_ORDER, JetArray, Substitution, contract, jet_space
+from .jets import DEFAULT_ORDER, JetArray, contract, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
 from .saito import BirkhoffConnection, SaitoBundle, check_saito_axioms, check_saito_metric_axioms
 
@@ -96,24 +97,28 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
 
     The k-th chart variable flows along the k-th spanning field
     (B0 at Gamma) ** k; flows are applied with ascending index, each one
-    Picard-iterated to the full jet order (exact at jet scale, no step
-    error).
+    Picard-iterated in jets (exact at jet scale, no step error).  Degree d
+    of an iterate is final after d steps, so a flow takes ``order`` steps,
+    and step s reads the iterate only to degree s (to degree 1 at the first
+    step: an operand trusted to degree 0 is constant, and its products
+    would take the scaling path, which rounds differently).  The spanning
+    frame at zero is checked before any flow runs.
     """
     n = spec.dim
-    sp = jet_space(n, order)
-    gamma = JetArray.constant(sp, np.zeros((n, n)))
-    for i in range(n):
-        prev = current = gamma
-        for _ in range(order + 1):
-            field = _powers(b0_at(spec, current), i + 1)[i]
-            current = prev + field.integrate(i)
-        gamma = current
     frame0 = np.column_stack(
         [np.linalg.matrix_power(spec.b0o, j).reshape(-1) for j in range(n)]
     )
     cond = np.linalg.cond(frame0)
     if not np.isfinite(cond) or cond > 1e10:
         raise ChartDegeneracyError(f"spanning frame degenerate at zero (cond {cond:.2e})")
+    sp = jet_space(n, order)
+    gamma = JetArray.constant(sp, np.zeros((n, n)))
+    for i in range(n):
+        current = gamma
+        for s in range(order):
+            field = _powers(b0_at(spec, current.capped(max(s, 1))), i + 1)[i]
+            current = gamma + field.integrate(i)
+        gamma = current
     return MalgrangeChart(spec=spec, gamma=gamma, order=order)
 
 
@@ -122,15 +127,17 @@ def expand_in_frame(frame: JetArray, rhs: JetArray) -> tuple[JetArray, np.ndarra
     of right-hand sides, frame (nf, a, b) and rhs (R, a, b), solved order by
     order against the constant terms of the frame: least squares per degree
     through one pseudo-inverse, and one contraction per degree for the part
-    already solved.  Returns the coefficient jets, shape (R, nf), and the
-    final residual of each right-hand side."""
+    already solved.  That contraction is read only at the degree being
+    solved, so the part enters it trusted to that degree and no column
+    above it is formed.  Returns the coefficient jets, shape (R, nf), and
+    the final residual of each right-hand side."""
     sp = frame.space
     nf, count = len(frame), len(rhs)
     pinv = np.linalg.pinv(frame.constant_term().reshape(nf, -1).T)
     solved = np.zeros((count, nf, sp.size), dtype=np.complex128)
-    full = np.full((count, nf), sp.order)
     for deg in range(sp.order + 1):
-        acc = contract("rk,kab->rab", JetArray(sp, solved.copy(), full).exact_zeros(), frame)
+        part = JetArray(sp, solved[..., : sp._degree_ends[deg]].copy(), np.full((count, nf), deg))
+        acc = contract("rk,kab->rab", part.exact_zeros(), frame)
         resid = (rhs - acc).coeffs.reshape(count, -1, sp.size)
         idx = np.flatnonzero(sp.degrees == deg)
         solved[:, :, idx] = pinv @ resid[:, :, idx]
@@ -184,16 +191,14 @@ def fmanifold_on_chart(
     right-hand sides, so its round-off grows with them: the worst residual
     is held to ``residual_limit`` times the largest coefficient modulus of
     the right-hand sides, and never to less than ``residual_limit``."""
-    n = chart.spec.dim
-    gamma = chart.gamma
-    tangent = gamma.grad()
-    sp = tangent.space
+    return _fmanifold_on_chart(chart.gamma.grad(), b0_at(chart.spec, chart.gamma), residual_limit)
+
+
+def _fmanifold_on_chart(tangent: JetArray, b0: JetArray, residual_limit: float = 1e-6) -> FManifoldModel:
+    """:func:`fmanifold_on_chart` from the tangent matrices and B0 at Gamma."""
+    n = len(tangent)
     rhs = JetArray.stack(
-        [
-            *_products(tangent).reshape(n * n, n, n),
-            JetArray.constant(sp, np.eye(n)),
-            -b0_at(chart.spec, gamma),
-        ]
+        [*_products(tangent).reshape(n * n, n, n), JetArray.constant(tangent.space, np.eye(n)), -b0]
     )
     coeffs, res = expand_in_frame(tangent, rhs)
     worst = float(res.max())
@@ -251,13 +256,6 @@ class ValidationReport:
 
     def passed(self, tolerance: float = 1e-9, cond_limit: float = 1e10) -> bool:
         return self.residuals.passes(tolerance) and self.gram_condition <= cond_limit
-
-
-def _origin_frame(model: FManifoldModel) -> tuple[np.ndarray, np.ndarray]:
-    frame = canonical_frame(model)
-    p = frame.constant_matrix()
-    u0 = mult_by_euler(model).constant_term()
-    return p, u0
 
 
 def _moments(b0o: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -371,8 +369,8 @@ def initial_condition_extend(
     chart = integrate_chart(DeformationSpec(-b0o, -binf), order)
     gamma = chart.gamma
     sp = gamma.space
-    tangent = gamma.grad()
-    bundle = SaitoBundle(phi=tangent, r0=b0_at(chart.spec, gamma), rinf=binf, metric=g0)
+    tangent, r0 = gamma.grad(), b0_at(chart.spec, gamma)
+    bundle = SaitoBundle(phi=tangent, r0=r0, rinf=binf, metric=g0)
     saito_rep = check_saito_axioms(bundle)
     saito_metric_rep = check_saito_metric_axioms(bundle)
 
@@ -382,10 +380,13 @@ def initial_condition_extend(
     cols = tangent[:, :, 0]
     gram_chart = contract("al,bl->ab", contract("ak,kl->al", cols, g0_jet), cols)
 
-    chart_model = fmanifold_on_chart(chart)
-    psi, iso_rep = germ_isomorphism(model, chart_model)
+    # one regularity probe and one canonical frame of the model serve the
+    # isomorphism, the origin frame change and the report; the pull-back
+    # composes through the isomorphism's own substitution table
+    origin = _origin_probe(model)
+    psi, iso_rep, frame, sub = _germ_isomorphism(model, _fmanifold_on_chart(tangent, r0), order, origin)
     jac = psi.grad()  # jac[a, k] = d_a psi^k
-    composed = Substitution(sp, psi)(gram_chart)
+    composed = sub(gram_chart)
     gram_model = contract("al,bl->ab", contract("ak,kl->al", jac, composed), jac)
 
     if model.blocks is None:
@@ -397,7 +398,7 @@ def initial_condition_extend(
     structure_res = (metric.gram() - gram_model).residual_norm()
 
     # the pairing is complex-bilinear: the frame change uses plain transposes
-    p, u0 = _origin_frame(model)
+    p = frame.constant_matrix()
     pinv = np.linalg.inv(p)
     expected0 = pinv.T @ data.gram @ pinv
     origin_res = float(np.max(np.abs(gram_model.constant_term() - expected0)))
@@ -417,7 +418,9 @@ def initial_condition_extend(
     b0o_sym = float(np.max(np.abs(b0o.T @ g0 - g0 @ b0o)))
     binf_skew = float(np.max(np.abs(binf.T @ g0 + g0 @ binf)))
 
-    regularity = regend.is_regular(u0, probe_order=probe_order)
+    u0, regularity = origin
+    if probe_order is not None:
+        regularity = regend.is_regular(u0, probe_order=probe_order)
 
     report = ResidualReport(
         [

@@ -216,8 +216,12 @@ def jordan_spectrum(
     sit within a factor 10 of the effective clustering threshold.
     """
     m = _as_matrix(a)
+    return _jordan_spectrum(m, is_regular(m, seed=seed, probe_order=probe_order), tol, return_details)
+
+
+def _jordan_spectrum(m: np.ndarray, reg: RegularityReport, tol: float = CLUSTER_TOL, return_details=False):
+    """:func:`jordan_spectrum` of a square array given its regularity probe."""
     n = m.shape[0]
-    reg = is_regular(m, seed=seed, probe_order=probe_order)
     if not reg:
         raise RegularityError(
             f"matrix is not regular (best Krylov condition {reg.condition:.3e})"

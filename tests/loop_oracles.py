@@ -8,7 +8,11 @@ one-form chain psi -> beta and its products, the unit and Euler laws of a
 metric and the Levi-Civita curvature oracle; plus the per-call composition
 loop that ``Substitution`` replaced, the one-right-hand-side frame
 expansion that ``malgrange.expand_in_frame`` batches, and the per-pair
-loops of the Saito-bundle and Birkhoff-connection checks.  They are kept,
+loops of the Saito-bundle and Birkhoff-connection checks.  The last
+section holds the order-by-order stages (chart flows, frame expansion,
+germ-isomorphism solve, substitution table) at the full jet order in
+every step, the references of the stages that stop at the degree each
+step fixes.  They are kept,
 for tests only, as independent references: they read models, metrics and
 one-forms through ``Jet`` indexing, convert jet arrays to ``JetVector`` and
 ``JetMatrix`` and use only the object kernel (``Jet`` arithmetic,
@@ -20,12 +24,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from regfman import regend
+from regfman import fman, malgrange, regend
 from regfman.errors import HomogeneityError, NotPrimitiveError, ShapeError
 from regfman.fman import FManifoldModel, bracket_constants, mult_by_euler, standard_block
 from regfman.frob import epsilon_gram, euler_derivative, unit_vector_indices
 from regfman.frob import levi_civita_curvature as lc_curvature
-from regfman.jets import Jet, JetMatrix
+from regfman.jets import Jet, JetArray, JetMatrix, contract, jet_space
 from regfman.reports import Residual, ResidualReport, report_from
 
 
@@ -908,3 +912,110 @@ def check_euler_rescaling(metric, euler, weight=None):
     for j, d in zip(flat, derivs):
         worst = max(worst, (d - j.scale(w)).residual_norm())
     return weight_out, report_from([(name, worst, order)])
+
+
+# -- order-by-order stages at the full jet order ----------------------------------
+#
+# The chart flows, the frame expansion, the germ-isomorphism solve and the
+# substitution table as they were before each step was cut to the degree
+# it fixes: every Picard step, every solve step and every table row works
+# at the full jet order.  The package's stages give the same bits.
+
+
+def integrate_chart(spec, order):
+    """The chart Gamma with ``order + 1`` Picard steps per flow, each on the
+    whole iterate."""
+    n = spec.dim
+    sp = jet_space(n, order)
+    gamma = JetArray.constant(sp, np.zeros((n, n)))
+    for i in range(n):
+        prev = current = gamma
+        for _ in range(order + 1):
+            field = malgrange._powers(malgrange.b0_at(spec, current), i + 1)[i]
+            current = prev + field.integrate(i)
+        gamma = current
+    return gamma
+
+
+def expand_in_frame(frame, rhs):
+    """``malgrange.expand_in_frame`` with the part solved so far trusted to
+    the jet order in every step."""
+    sp = frame.space
+    nf, count = len(frame), len(rhs)
+    pinv = np.linalg.pinv(frame.constant_term().reshape(nf, -1).T)
+    solved = np.zeros((count, nf, sp.size), dtype=np.complex128)
+    full = np.full((count, nf), sp.order)
+    for deg in range(sp.order + 1):
+        acc = contract("rk,kab->rab", JetArray(sp, solved.copy(), full).exact_zeros(), frame)
+        resid = (rhs - acc).coeffs.reshape(count, -1, sp.size)
+        idx = np.flatnonzero(sp.degrees == deg)
+        solved[:, :, idx] = pinv @ resid[:, :, idx]
+    eff = np.minimum(rhs.eff.reshape(count, -1).min(axis=1), frame.eff_order())
+    coeffs = JetArray(sp, solved, np.broadcast_to(eff[:, None], (count, nf)).copy())
+    final = contract("rk,kab->rab", coeffs.exact_zeros(), frame)
+    return coeffs, (rhs - final).residual_norms().reshape(count, -1).max(axis=1)
+
+
+def germ_map(model_a, model_b):
+    """The map psi of ``fman.germ_isomorphism``, each step composing with
+    psi trusted to the jet order."""
+    n, sp, k_order = model_a.dim, model_a.space, model_a.space.order
+    frame_a, frame_b = fman.canonical_frame(model_a), fman.canonical_frame(model_b)
+    xinv = np.linalg.inv(frame_a.constant_matrix())
+    pow_a, pow_b = list(frame_a.fields), list(frame_b.fields)
+    while len(pow_a) < k_order + 1:
+        pow_a.append(model_a.multiply(model_a.euler, pow_a[-1]))
+        pow_b.append(model_b.multiply(model_b.euler, pow_b[-1]))
+    xa, xb = JetArray.stack(pow_a)[:n], JetArray.stack(pow_b)[:n]
+    psi = np.zeros((n, sp.size), dtype=np.complex128)
+    for d in range(k_order):
+        psi_d = JetArray(sp, psi.copy(), np.full(n, k_order))
+        resid = substitute(substitution_table(sp, psi_d), psi_d, xb) - contract("vk,iv->ik", psi_d.grad(), xa)
+        part = np.where(sp.degrees == d, resid.coeffs, 0.0)
+        entry = sum(np.multiply.outer(xinv[i], part[i]) for i in range(n))
+        for j, (src, dst) in enumerate(sp._shift):
+            psi[:, dst] += entry[j][:, src] * (1.0 / (d + 1))
+    return JetArray(sp, psi, np.full(n, k_order))
+
+
+def row_products(space, a, b, eff):
+    """``jets._row_products`` summing the whole Cauchy table on every row."""
+    moving_a, moving_b = a[:, 1:].any(axis=1), b[:, 1:].any(axis=1)
+    out = np.where(moving_a[:, None], a * b[:, :1], b * a[:, :1])
+    full = np.flatnonzero(moving_a & moving_b)[:, None]
+    if len(full):
+        ii, jj, _, targets, starts = space._cauchy
+        out[full, targets] = np.add.reduceat(a[full, ii] * b[full, jj], starts, axis=1)
+    if eff.min(initial=space.order) < space.order:
+        out[space.degrees > np.maximum(eff, 0)[:, None]] = 0.0
+    return out
+
+
+def substitution_table(source, subs):
+    """The monomial table of ``jets.Substitution`` with every degree built."""
+    target = subs.space
+    coeffs, eff = subs.coeffs, np.minimum(subs.eff, target.order)
+    table = np.zeros((source.size, target.size), dtype=np.complex128)
+    table[0, 0] = 1.0
+    rows_eff = np.full(source.size, target.order)
+    v, low = np.array(source._factors, dtype=np.int64).reshape(-1, 2).T
+    ends = source._degree_ends
+    for d in range(1, source.order + 1):
+        new = slice(ends[d - 1], ends[d])
+        fv, fl = v[new.start - 1 : new.stop - 1], low[new.start - 1 : new.stop - 1]
+        rows_eff[new] = np.minimum(rows_eff[fl], eff[fv])
+        table[new] = row_products(target, table[fl], coeffs[fv], rows_eff[new])
+    return table
+
+
+def substitute(table, subs, f):
+    """``f`` composed with ``subs`` through their ``table``, over every
+    source coefficient that is not zero, zero table rows included, as
+    ``Substitution.__call__`` did."""
+    target = subs.space
+    src = f.coeffs.reshape(-1, f.space.size)
+    out = np.zeros((len(src), target.size), dtype=np.complex128)
+    for i in np.flatnonzero(src.any(axis=0)):
+        out += table[i] * (src[0, i] if len(src) == 1 else src[:, i, None])
+    eff = np.minimum(f.eff, min(subs.eff_order(), target.order))
+    return JetArray(target, out.reshape(f.shape + (target.size,)), eff)

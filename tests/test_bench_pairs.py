@@ -1,0 +1,31 @@
+"""The summary of tools/bench_pairs.py: medians, quartiles and won pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _run(pair, side, throughput, latency):
+    metrics = {"throughput_ref": throughput, "latency_p50_ref": latency}
+    return {"workload": "extend", "pair": pair, "side": side, "metrics": metrics}
+
+
+def test_pairs_won_follow_each_metrics_direction_and_ties_count_for_neither():
+    runs = []
+    for pair, (pt, ct, pl, cl) in enumerate([(1.0, 1.2, 2.0, 1.5), (1.1, 1.0, 2.0, 2.0), (0.9, 1.3, 2.2, 2.5)]):
+        runs += [_run(pair, "parent", pt, pl), _run(pair, "change", ct, cl)]
+    runs.append(_run(3, "parent", 5.0, 5.0))  # an incomplete pair is left out
+    summary = bench_pairs.summarise(runs, {"throughput_ref": "higher", "latency_p50_ref": "lower"})
+    rows = summary["extend"]
+    assert rows["throughput_ref"]["change_won"] == 2
+    assert rows["latency_p50_ref"]["change_won"] == 1
+    assert rows["throughput_ref"]["pairs"] == 3
+    assert rows["throughput_ref"]["parent"] == {"median": 1.0, "q1": 0.95, "q3": 1.05}
+    assert rows["throughput_ref"]["parent_iqr"] == pytest.approx(0.1)
+    assert "| extend | throughput_ref | 1 | 1.2 (+20.0%) | 2 of 3 | 10.0% |" in bench_pairs.markdown(summary)

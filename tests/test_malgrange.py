@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from regfman import fman, jets, malgrange, regend
 from regfman.errors import ChartDegeneracyError, ValidationError
 from regfman.fman import check_fmanifold, mult_by_euler, standard_block, standard_model
 from regfman.jets import JetArray, JetMatrix, jet_space
@@ -56,6 +57,22 @@ class TestIntegrateChart:
         spec = DeformationSpec(jordan_block(1.0, 3), np.diag([0.1, 0.0, -0.2]))
         chart = integrate_chart(spec, order=3)
         assert np.max(np.abs(chart.gamma.constant_term())) < 1e-14
+
+    def test_degenerate_spanning_frame_raises_before_any_flow(self, monkeypatch):
+        # regular once scaled to norm one, but I and B0o = diag(0, 1e12)
+        # span a frame of condition 1e12
+        spec = DeformationSpec(np.diag([0.0, 1e12]), np.zeros((2, 2)))
+        calls = []
+        original = malgrange.b0_at
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(malgrange, "b0_at", counted)
+        with pytest.raises(ChartDegeneracyError, match=r"^spanning frame degenerate at zero \(cond 1\.00e\+12\)$"):
+            integrate_chart(spec, order=3)
+        assert calls == []
 
     def test_n2_relaxation_oracle(self):
         # with Binf = 0: first flow gives u0*Id, second flow solves
@@ -351,6 +368,34 @@ class TestExtension:
         for ra, rb in zip(res_a.metric.flat_eta(), res_b.metric.flat_eta()):
             diff = max(diff, (ra - rb).residual_norm())
         assert diff < 1e-8
+
+    def test_one_probe_frame_and_table_per_use_per_call(self, monkeypatch):
+        # the origin data and the isomorphism's substitution table are
+        # passed within a call, never kept across calls: a second call on
+        # the same data repeats every probe, frame and table
+        calls = {"probe": 0, "frame": 0, "table": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(regend, "is_regular", counted("probe", regend.is_regular))
+        monkeypatch.setattr(fman, "_canonical_frame", counted("frame", fman._canonical_frame))
+        monkeypatch.setattr(jets.Substitution, "__init__", counted("table", jets.Substitution.__init__))
+        data = nilpotent_initial_data(a=0.0, h1=1.0, weight=3.0, order=3)
+        counts = []
+        for _ in range(2):
+            calls.update(probe=0, frame=0, table=0)
+            assert initial_condition_extend(data).verdict.passed
+            counts.append(dict(calls))
+        # one probe each of the seed residue, the model's and the chart
+        # model's origin multiplication; one frame each of the two models;
+        # one table per solve step and the one the residuals and the
+        # pull-back share
+        assert counts == [{"probe": 3, "frame": 2, "table": 4}] * 2
 
     def test_chart_membership_and_symmetry_diagnostics(self):
         data = nilpotent_initial_data(a=0.3, h1=1.0, weight=2.0, order=3)
