@@ -50,14 +50,26 @@ def _fail(msg: str, field: str):
     raise DocumentError(msg, field)
 
 
+def _is_int(data) -> bool:
+    """A JSON integer: ``true`` and ``false`` are not numbers."""
+    return isinstance(data, int) and not isinstance(data, bool)
+
+
+def _is_number(data) -> bool:
+    """A JSON number: an integer or a float, not a boolean or a string."""
+    return isinstance(data, (int, float)) and not isinstance(data, bool)
+
+
+def _int_in(data, message: str, field: str) -> int:
+    if not _is_int(data):
+        _fail(message, field)
+    return data
+
+
 def _complex_in(data, field: str) -> complex:
-    if isinstance(data, (int, float)):
-        return complex(data)
-    if (
-        isinstance(data, list)
-        and len(data) == 2
-        and all(isinstance(x, (int, float)) for x in data)
-    ):
+    if _is_number(data):
+        z = complex(data)
+    elif isinstance(data, list) and len(data) == 2 and all(_is_number(x) for x in data):
         z = complex(data[0], data[1])
     else:
         _fail("expected a number or [re, im] pair", field)
@@ -78,7 +90,7 @@ def _jet_in(space: JetSpace, data, field: str) -> tuple[np.ndarray, int]:
         if set(data) != {"terms", "eff_order"}:
             _fail('expected {"terms": [...], "eff_order": e}', field)
         eff_order = data["eff_order"]
-        if not isinstance(eff_order, int) or isinstance(eff_order, bool) or eff_order < 0:
+        if not _is_int(eff_order) or eff_order < 0:
             _fail("eff_order must be a non-negative integer", f"{field}/eff_order")
         data, field = data["terms"], f"{field}/terms"
     if not isinstance(data, list):
@@ -89,7 +101,7 @@ def _jet_in(space: JetSpace, data, field: str) -> tuple[np.ndarray, int]:
         if not (isinstance(item, list) and len(item) == 2):
             _fail("expected [multi_index, [re, im]]", here)
         idx, val = item
-        if not (isinstance(idx, list) and all(isinstance(x, int) for x in idx)):
+        if not (isinstance(idx, list) and all(_is_int(x) for x in idx)):
             _fail("multi-index must be a list of integers", here)
         if len(idx) != space.num_vars:
             _fail(f"multi-index length {len(idx)} != {space.num_vars}", here)
@@ -155,11 +167,10 @@ def _spectrum_in(data, field: str) -> JordanSpectrum:
         here = f"{field}[{k}]"
         if not isinstance(item, dict):
             _fail("expected {re, im, size}", here)
-        try:
-            ev = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-            size = int(item["size"])
-        except (KeyError, TypeError, ValueError):
+        re, im, size = item.get("re", 0.0), item.get("im", 0.0), item.get("size")
+        if not (_is_number(re) and _is_number(im) and _is_int(size)):
             _fail("expected numeric re/im and integer size", here)
+        ev = complex(re, im)
         if not np.isfinite(ev.real) or not np.isfinite(ev.imag):
             _fail("eigenvalue is not finite", here)
         blocks.append((ev, size))
@@ -184,10 +195,7 @@ def _model_in(payload: dict, order: int, field: str) -> fman.FManifoldModel:
     m = payload["model"]
     if not isinstance(m, dict):
         _fail("model must be an object", f"{field}/model")
-    try:
-        dim = int(m["dim"])
-    except (KeyError, TypeError, ValueError):
-        _fail("model.dim must be an integer", f"{field}/model/dim")
+    dim = _int_in(m.get("dim"), "model.dim must be an integer", f"{field}/model/dim")
     if dim < 1:
         _fail("model.dim must be positive", f"{field}/model/dim")
     sp = jet_space(dim, order)
@@ -197,10 +205,7 @@ def _model_in(payload: dict, order: int, field: str) -> fman.FManifoldModel:
         here = f"{field}/model/mult[{k}]"
         if not isinstance(item, dict):
             _fail("expected {i, j, k, jet}", here)
-        try:
-            i, j, kk = int(item["i"]), int(item["j"]), int(item["k"])
-        except (KeyError, TypeError, ValueError):
-            _fail("expected integer i, j, k", here)
+        i, j, kk = (_int_in(item.get(x), "expected integer i, j, k", here) for x in "ijk")
         if not all(0 <= x < dim for x in (i, j, kk)):
             _fail("structure index out of range", here)
         mult[i, j, kk], mult_eff[i, j, kk] = _jet_in(sp, item.get("jet", []), f"{here}/jet")
@@ -259,11 +264,11 @@ def _settings_in(doc: dict, args) -> dict:
     seed = raw.get("seed", 0)
     if args.seed is not None:
         seed = args.seed
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         _fail("order must be an integer >= 1", "settings/order")
-    if not isinstance(tolerance, (int, float)) or not np.isfinite(tolerance) or tolerance <= 0:
+    if not _is_number(tolerance) or not np.isfinite(tolerance) or tolerance <= 0:
         _fail("tolerance must be positive and finite", "settings/tolerance")
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         _fail("seed must be an integer", "settings/seed")
     anchors = raw.get("branch_anchors")
     if anchors is not None:
@@ -396,10 +401,7 @@ def _run_verify_frobenius(payload, settings):
 
 
 def _run_symmetries(payload, settings):
-    try:
-        m = int(payload["m"])
-    except (KeyError, TypeError, ValueError):
-        _fail("payload needs an integer block size 'm'", "payload/m")
+    m = _int_in(payload.get("m"), "payload needs an integer block size 'm'", "payload/m")
     if m < 2:
         _fail("the symmetry algebra needs m >= 2", "payload/m")
     order = settings["order"]
@@ -424,10 +426,9 @@ def _bundle_in(payload, settings, field):
     data = payload.get("bundle")
     if not isinstance(data, dict):
         _fail("payload needs a 'bundle' object", field)
-    try:
-        base_dim = int(data["base_dim"])
-    except (KeyError, TypeError, ValueError):
-        _fail("bundle.base_dim must be an integer", f"{field}/bundle/base_dim")
+    base_dim = _int_in(
+        data.get("base_dim"), "bundle.base_dim must be an integer", f"{field}/bundle/base_dim"
+    )
     sp = jet_space(base_dim, settings["order"])
     phi = data.get("phi")
     if not (isinstance(phi, list) and len(phi) == base_dim):

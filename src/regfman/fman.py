@@ -581,10 +581,14 @@ def _germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel, order: i
         psi_d = JetArray(sp, psi.copy(), np.full(n, d + 1))
         resid = _transport_defect(Substitution(sp, psi_d), psi_d.grad(), xa, xb)
         # degree-d part determines the Jacobian of the degree-(d+1) correction
-        part = np.where(sp.degrees == d, resid.coeffs, 0.0)
-        entry = sum(np.multiply.outer(xinv[i], part[i]) for i in range(n))  # (j, k, size)
+        part = resid.degree_part(d)
+        entry = sum(np.multiply.outer(xinv[i], part[i]) for i in range(n))  # (j, k, degree-d columns)
+        end = sp._degree_ends[d]
+        start = end - part.shape[-1]
         for j, (src, dst) in enumerate(sp._shift):
-            psi[:, dst] += entry[j][:, src] * (1.0 / (d + 1))
+            # the shifts out of degree d: their sources ascend
+            rows = slice(*np.searchsorted(src, (start, end)))
+            psi[:, dst[rows]] += entry[j][:, src[rows] - start] * (1.0 / (d + 1))
 
     psi_arr = JetArray(sp, psi, np.full(n, k_order))
     sub = Substitution(sp, psi_arr)

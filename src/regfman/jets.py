@@ -26,11 +26,15 @@ products and equals that sum up to round-off (a lone product with nothing
 pruned bit for bit).  Its work follows the coefficients that are there: an
 operand whose entries are all constant scales the other one; otherwise
 only the Cauchy pairs inside the two operands' supports are formed, from a
-pair table the space caches.  Identities that a loop would evaluate entry
-by entry (brackets, associativity, Darboux-Egoroff, curvature, the one-form
-recursions) are written as a few contractions, and inverses and square
-roots as Newton iterations on whole arrays.  A :class:`Substitution`
-composes jets with one substitution through a monomial table built once.
+pair table the space caches.  An array carries the bookkeeping this needs,
+the range of its effective orders and its support, set by the operation
+that builds it when that operation knows them and computed once otherwise,
+so a contraction reads them instead of reducing its operands again.
+Identities that a loop would evaluate entry by entry (brackets,
+associativity, Darboux-Egoroff, curvature, the one-form recursions) are
+written as a few contractions, and inverses and square roots as Newton
+iterations on whole arrays.  A :class:`Substitution` composes jets with one
+substitution through a monomial table built once.
 
 ``Jet`` arithmetic and :class:`JetMatrix` are the object kernel the arrays
 replaced; no other module computes with them.  They remain for building
@@ -183,6 +187,23 @@ class JetSpace:
             n = int(np.searchsorted(src, width))
             src, dst, fac = src[:n], dst[:n], fac[:n]
         return src, dst, fac
+
+    @cached_property
+    def _grad(self) -> tuple[np.ndarray, ...]:
+        """The derivative tables of all variables as one, sorted by source
+        column: the source columns, the variable and target column of each
+        row, and the factors."""
+        src, dst, fac = (np.concatenate([t[k] for t in self._diff]) for k in range(3))
+        var = np.repeat(np.arange(self.num_vars), [len(t[0]) for t in self._diff])
+        order = np.argsort(src, kind="stable")
+        return src[order], var[order], dst[order], fac[order]
+
+    def _grad_rows(self, width: int) -> tuple:
+        """The rows of :attr:`_grad` whose source lies in a ``width``-column
+        prefix (one scatter for every partial derivative), and the width of
+        the derivatives."""
+        n = int(np.searchsorted(self._grad[0], width))
+        return (*(t[:n] for t in self._grad), self._shifted_width(width, -1))
 
     @cached_property
     def _factors(self) -> tuple[tuple[int, int], ...]:
@@ -603,9 +624,21 @@ class JetArray:
     zeros are left out, so the values are those of the full-width
     computation.  :attr:`coeffs` is the full-width array, read-only, padded
     on its first read and kept.
+
+    Bookkeeping: an array carries the lowest and highest effective order of
+    its entries that are not exact zeros and whether it has an exact zero
+    (:meth:`_order_range`), and its support, the coefficient positions any
+    entry uses, with the width of the prefix that holds it
+    (:meth:`_support`).  The operation that builds an array sets what it
+    already knows: views pass both on, the constructor finds the order range
+    to truncate, derivatives, integrals and :meth:`exact_zeros` derive it
+    from their input's, and :func:`contract` knows it on its one-order path.
+    The rest is computed on first use and kept, so :func:`contract`, sums
+    and :meth:`grad` read these values instead of reducing the same arrays
+    on every call.
     """
 
-    __slots__ = ("space", "_stored", "eff", "_full")
+    __slots__ = ("space", "_stored", "eff", "_full", "_orders", "_used")
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray, eff):
         """Takes ownership of ``coeffs``, a prefix of ``1`` to ``size``
@@ -616,23 +649,71 @@ class JetArray:
             raise ShapeError(
                 f"coefficients {coeffs.shape} do not match orders {eff.shape} in {space}"
             )
-        if (eff < space.order).any():
-            coeffs[space.degrees[:width] > np.maximum(eff, 0)[..., None]] = 0.0
-        self._set(space, coeffs, eff)
+        orders = _orders_of(eff, space.order)
+        lo, hi, exact = orders
+        if lo < space.order:
+            if lo == hi and not exact:
+                # one order: the columns above it, a suffix
+                coeffs[..., space._degree_ends[max(lo, 0)] :] = 0.0
+            else:
+                coeffs[space.degrees[:width] > np.maximum(eff, 0)[..., None]] = 0.0
+        self._set(space, coeffs, eff, orders)
 
-    def _set(self, space, coeffs, eff):
+    def _set(self, space, coeffs, eff, orders=None, used=None):
         coeffs.setflags(write=False)
         self.space = space
         self._stored = coeffs
         self.eff = eff
         self._full = None
+        # the rules that derive a range assume an entry; an empty batch finds
+        # its own on first use
+        self._orders = orders if eff.size else None
+        self._used = used
 
     @classmethod
-    def _raw(cls, space, coeffs, eff) -> "JetArray":
-        """Wrap arrays that already satisfy the truncation rule."""
+    def _raw(cls, space, coeffs, eff, orders=None, used=None) -> "JetArray":
+        """Wrap arrays that already satisfy the truncation rule, with the
+        order range and support when the caller knows them."""
         out = cls.__new__(cls)
-        out._set(space, coeffs, eff)
+        out._set(space, coeffs, eff, orders, used)
         return out
+
+    def _order_range(self) -> tuple[int, int, bool]:
+        """The lowest and highest effective order of the entries that are
+        not exact zeros (both the jet order when there are none), and
+        whether any entry is an exact zero."""
+        orders = self._orders
+        if orders is None:
+            orders = self._orders = _orders_of(self.eff, self.space.order)
+        return orders
+
+    def _uniform_orders(self):
+        """The order range when it is known to be one order without an
+        exact zero, which every part of the array shares; else None."""
+        orders = self._orders
+        return orders if orders is not None and orders[0] == orders[1] and not orders[2] else None
+
+    def _lowered_orders(self):
+        """The order range after every effective order drops by one (not
+        below -1), when it is known and no exact zero could become live."""
+        orders = self._orders
+        if orders is None or orders[2]:
+            return None
+        return max(orders[0] - 1, -1), max(orders[1] - 1, -1), False
+
+    def _support(self, cap: int) -> tuple[np.ndarray, int]:
+        """The coefficient positions below ``cap`` that any entry uses, as
+        a mask over the prefix that ends at the last of them, and the
+        length of that prefix."""
+        used = self._used
+        if used is None:
+            c = self._stored
+            mask = c.any(axis=tuple(range(c.ndim - 1)))
+            used = self._used = (mask, _width(mask))
+        mask, width = used
+        if width > cap:
+            width = _width(mask[:cap])
+        return mask[:width], width
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -678,7 +759,8 @@ class JetArray:
     def constant(cls, space: JetSpace, values) -> "JetArray":
         """Constant jets of full effective order with the given values."""
         v = np.array(values, dtype=np.complex128)
-        return cls._raw(space, v[..., None], np.full(v.shape, space.order, dtype=np.int64))
+        order = space.order
+        return cls._raw(space, v[..., None], _filled(v.shape, order), (order, order, False))
 
     @classmethod
     def stack(cls, arrays: Sequence["JetArray"]) -> "JetArray":
@@ -697,7 +779,9 @@ class JetArray:
 
     def reshape(self, *shape: int) -> "JetArray":
         c = self._stored
-        return JetArray._raw(self.space, c.reshape(shape + c.shape[-1:]), self.eff.reshape(shape))
+        return JetArray._raw(
+            self.space, c.reshape(shape + c.shape[-1:]), self.eff.reshape(shape), self._orders, self._used
+        )
 
     def __len__(self):
         return len(self.eff)
@@ -706,11 +790,16 @@ class JetArray:
         eff = self.eff[idx]
         if eff.ndim == 0:
             return Jet(self.space, self.coeffs[idx], min(int(eff), self.space.order))
-        return JetArray._raw(self.space, self._stored[idx], eff)
+        # the entries of an array with one order and no exact zero share it
+        return JetArray._raw(self.space, self._stored[idx], eff, self._uniform_orders())
 
     def transpose(self, *axes: int) -> "JetArray":
         return JetArray._raw(
-            self.space, self._stored.transpose(*axes, len(axes)), self.eff.transpose(*axes)
+            self.space,
+            self._stored.transpose(*axes, len(axes)),
+            self.eff.transpose(*axes),
+            self._orders,
+            self._used,
         )
 
     def put(self, index, values: "JetArray") -> "JetArray":
@@ -758,15 +847,22 @@ class JetArray:
             coeffs = np.zeros(a.shape[:-1] + (max(a.shape[-1], wb),), dtype=np.complex128)
             coeffs[..., : a.shape[-1]] = a
             op(coeffs[..., :wb], b, out=coeffs[..., :wb])
-        if np.array_equal(self.eff, other.eff):
-            return JetArray._raw(sp, coeffs, self.eff)
+        orders = self._order_range()
+        # different ranges mean different orders; one order in both and no
+        # exact zero means the same orders
+        if orders == other._order_range() and (
+            (orders[0] == orders[1] and not orders[2]) or np.array_equal(self.eff, other.eff)
+        ):
+            return JetArray._raw(sp, coeffs, self.eff, orders)
         return JetArray(sp, coeffs, np.minimum(self.eff, other.eff))
 
     def __neg__(self) -> "JetArray":
-        return JetArray._raw(self.space, -self._stored, self.eff)
+        return JetArray._raw(self.space, -self._stored, self.eff, self._orders, self._used)
 
     def scale(self, c: complex) -> "JetArray":
-        return JetArray._raw(self.space, self._stored * complex(c), self.eff)
+        # the support is not passed on: a factor of zero, or one that
+        # underflows, empties columns
+        return JetArray._raw(self.space, self._stored * complex(c), self.eff, self._orders)
 
     def capped(self, eff_order: int) -> "JetArray":
         """Lower every effective order to at most ``eff_order``."""
@@ -775,8 +871,13 @@ class JetArray:
     def exact_zeros(self) -> "JetArray":
         """Mark the identically zero entries as exact zeros, so that
         contractions skip them the way a loop that tests ``is_zero`` does."""
-        eff = np.where(self._stored.any(axis=-1), self.eff, _EXACT)
-        return JetArray._raw(self.space, self._stored, eff)
+        nonzero = self._stored.any(axis=-1)
+        eff = np.where(nonzero, self.eff, _EXACT)
+        orders = self._uniform_orders()
+        if orders is not None:
+            order = self.space.order
+            orders = (orders[0], orders[0], not nonzero.all()) if nonzero.any() else (order, order, True)
+        return JetArray._raw(self.space, self._stored, eff, orders, self._used)
 
     def partial(self, v: int) -> "JetArray":
         """Partial derivative of every entry; lowers effective orders by one."""
@@ -788,7 +889,7 @@ class JetArray:
         out = np.zeros(c.shape[:-1] + (sp._shifted_width(c.shape[-1], -1),), dtype=np.complex128)
         out[..., dst] = c[..., src] * fac
         # the derivative of a truncated entry is truncated one order lower
-        return JetArray._raw(sp, out, np.maximum(self.eff - 1, -1))
+        return JetArray._raw(sp, out, np.maximum(self.eff - 1, -1), self._lowered_orders())
 
     def integrate(self, v: int) -> "JetArray":
         """Antiderivative of every entry in variable ``v`` vanishing at the
@@ -801,27 +902,33 @@ class JetArray:
             src, dst, fac = src[keep], dst[keep], fac[keep]
         out = np.zeros(c.shape[:-1] + (sp._shifted_width(c.shape[-1], 1),), dtype=np.complex128)
         out[..., src] = c[..., dst] / fac
-        return JetArray._raw(sp, out, np.minimum(self.eff + 1, sp.order))
+        orders = self._orders
+        if orders is not None:
+            # exact zeros become entries trusted to the order
+            lo, hi, exact = orders
+            orders = (min(lo + 1, sp.order), sp.order if exact else min(hi + 1, sp.order), False)
+        return JetArray._raw(sp, out, np.minimum(self.eff + 1, sp.order), orders)
 
     def grad(self) -> "JetArray":
         """All partial derivatives, stacked along a new leading axis."""
         sp = self.space
         c = self._stored
-        moving = c.shape[-1] > 1 and c[..., 1:].any()
-        width = sp._shifted_width(c.shape[-1], -1) if moving else 1
-        out = np.zeros((sp.num_vars,) + c.shape[:-1] + (width,), dtype=np.complex128)
-        if moving:
-            for v in range(sp.num_vars):
-                src, dst, fac = sp._diff_rows(v, c.shape[-1])
-                out[v][..., dst] = c[..., src] * fac
-        eff = np.broadcast_to(np.maximum(self.eff - 1, -1), out.shape[:-1])
-        return JetArray._raw(sp, out, eff)
+        if self._support(sp.size)[1] > 1:
+            src, var, dst, fac, width = sp._grad_rows(c.shape[-1])
+            out = np.zeros((sp.num_vars,) + c.shape[:-1] + (width,), dtype=np.complex128)
+            # out[var[r], ..., dst[r]] = c[..., src[r]] * fac[r] for every row r
+            out.reshape(sp.num_vars, -1, width)[var, :, dst] = (c.reshape(-1, c.shape[-1])[:, src] * fac).T
+        else:
+            out = np.zeros((sp.num_vars,) + c.shape[:-1] + (1,), dtype=np.complex128)
+        eff = np.empty(out.shape[:-1], dtype=np.int64)
+        eff[...] = np.maximum(self.eff - 1, -1)
+        return JetArray._raw(sp, out, eff, self._lowered_orders())
 
     # -- reporting -------------------------------------------------------------
 
     def residual_norms(self) -> np.ndarray:
         """Max coefficient modulus of every entry over its trustworthy degrees."""
-        if (self.eff < 0).any():
+        if self._order_range()[0] < 0:
             raise ValueError("jet has no trustworthy coefficients (eff_order < 0)")
         return np.abs(self._stored).max(axis=-1, initial=0.0)
 
@@ -833,6 +940,19 @@ class JetArray:
 
     def constant_term(self) -> np.ndarray:
         return self._stored[..., 0].copy()
+
+    def degree_part(self, d: int) -> np.ndarray:
+        """The coefficients of the monomials of total degree ``d`` in every
+        entry, shape ``(*batch, m)``: a read-only view of the stored
+        columns, or zeros past them."""
+        ends = self.space._degree_ends
+        lo, hi = ends[d - 1] if d else 0, ends[d]
+        c = self._stored
+        if c.shape[-1] >= hi:
+            return c[..., lo:hi]
+        out = np.zeros(c.shape[:-1] + (hi - lo,), dtype=np.complex128)
+        out[..., : max(c.shape[-1] - lo, 0)] = c[..., lo:]
+        return out
 
     # kept for perfbench/workloads.py, which reads model.unit.constant_terms()
     constant_terms = constant_term
@@ -907,6 +1027,26 @@ class JetArray:
 
     def __repr__(self):
         return f"JetArray(shape={self.shape}, K={self.space.order})"
+
+
+def _orders_of(eff: np.ndarray, order: int) -> tuple[int, int, bool]:
+    """The order range of :meth:`JetArray._order_range`, from the orders."""
+    lo = int(eff.min(initial=order))
+    hi = int(eff.max(initial=lo))
+    exact = hi > order
+    if exact:
+        live = eff <= order
+        lo = int(eff.min(where=live, initial=order))
+        hi = int(eff.max(where=live, initial=lo))
+    return lo, hi, exact
+
+
+def _filled(shape: tuple[int, ...], value: int) -> np.ndarray:
+    """An array of effective orders all equal to ``value`` (``np.full``
+    without its Python overhead)."""
+    out = np.empty(shape, dtype=np.int64)
+    out.fill(value)
+    return out
 
 
 def _gather(entries, space: list) -> tuple[np.ndarray, np.ndarray]:
@@ -997,18 +1137,36 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
     that are not exact zeros share one effective order, the columns above
     the outputs' order are neither read nor formed; otherwise one masked
     write clears them entry by entry.
+
+    The bookkeeping is read from the operands, not recomputed: their order
+    ranges (:meth:`JetArray._order_range`) decide the path, and with one
+    order in each and no exact zero the output orders are one filled array;
+    only operands with mixed orders take the pairwise table of
+    :func:`_contract_eff`.  The supports are the ones each operand keeps.
     """
     sp = a.space
     Jet._check_compatible(a, b)
     perm_a, perm_b, (G, M, S, N), gmn, perm_out = _plan(spec, a.shape, b.shape)
-    eff, low = _contract_eff(
-        a.eff.transpose(perm_a).reshape(G, M, S),
-        b.eff.transpose(perm_b).reshape(G, S, N),
-        sp.order,
-    )
+    order = sp.order
+    lo_a, hi_a, exact_a = a._order_range()
+    lo_b, hi_b, exact_b = b._order_range()
+    orders = None
+    if lo_a == hi_a and lo_b == hi_b:
+        low = min(lo_a, lo_b)
+        if exact_a or exact_b:
+            # outputs without a counting pair are empty sums, trusted to the order
+            live_a = a.eff.transpose(perm_a).reshape(G, M, S) <= order
+            live_b = b.eff.transpose(perm_b).reshape(G, S, N) <= order
+            eff = np.where(np.matmul(live_a, live_b), low, order)
+        else:
+            eff, orders = _filled((G, M, N), low), (low, low, False)
+    else:
+        eff, low = _contract_eff(
+            a.eff.transpose(perm_a).reshape(G, M, S), b.eff.transpose(perm_b).reshape(G, S, N), order
+        )
     cap = sp.size if low is None else sp._degree_ends[max(low, 0)]
-    used_a, used_b = _support(a._stored)[:cap], _support(b._stored)[:cap]
-    wa, wb = _width(used_a), _width(used_b)
+    used_a, wa = a._support(cap)
+    used_b, wb = b._support(cap)
     # the columns the products can fill; the ones past it stay zero
     width = 0
     if wa and wb:
@@ -1017,7 +1175,7 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
         elif wb == 1:
             width = wa
         else:
-            table = sp._pairs(used_a[:wa], used_b[:wb], cap)
+            table = sp._pairs(used_a, used_b, cap)
             targets = table[2]
             width = int(targets[-1]) + 1 if targets.size else 0
     # coefficient axis first: out[k] is the (G, M, N) block of coefficient k
@@ -1035,12 +1193,7 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
     out = out.transpose(1, 2, 3, 0).reshape(gmn + (len(out),)).transpose(perm_out + (len(perm_out),))
     eff = eff.reshape(gmn).transpose(perm_out)
     # with several orders the constructor truncates entry by entry
-    return JetArray._raw(sp, out, eff) if low is not None else JetArray(sp, out, eff)
-
-
-def _support(coeffs: np.ndarray) -> np.ndarray:
-    """The coefficient positions used by any entry of a batch."""
-    return coeffs.any(axis=tuple(range(coeffs.ndim - 1)))
+    return JetArray._raw(sp, out, eff, orders) if low is not None else JetArray(sp, out, eff)
 
 
 def _width(used: np.ndarray) -> int:

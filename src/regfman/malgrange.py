@@ -129,8 +129,9 @@ def expand_in_frame(frame: JetArray, rhs: JetArray) -> tuple[JetArray, np.ndarra
     through one pseudo-inverse, and one contraction per degree for the part
     already solved.  That contraction is read only at the degree being
     solved, so the part enters it trusted to that degree and no column
-    above it is formed.  Returns the coefficient jets, shape (R, nf), and
-    the final residual of each right-hand side."""
+    above it is formed, and only the columns of that degree are subtracted
+    from the right-hand sides.  Returns the coefficient jets, shape (R, nf),
+    and the final residual of each right-hand side."""
     sp = frame.space
     nf, count = len(frame), len(rhs)
     pinv = np.linalg.pinv(frame.constant_term().reshape(nf, -1).T)
@@ -138,9 +139,12 @@ def expand_in_frame(frame: JetArray, rhs: JetArray) -> tuple[JetArray, np.ndarra
     for deg in range(sp.order + 1):
         part = JetArray(sp, solved[..., : sp._degree_ends[deg]].copy(), np.full((count, nf), deg))
         acc = contract("rk,kab->rab", part.exact_zeros(), frame)
-        resid = (rhs - acc).coeffs.reshape(count, -1, sp.size)
-        idx = np.flatnonzero(sp.degrees == deg)
-        solved[:, :, idx] = pinv @ resid[:, :, idx]
+        resid = rhs.degree_part(deg) - acc.degree_part(deg)
+        if deg:
+            # the difference is truncated above the lower of the two orders
+            resid[np.minimum(rhs.eff, acc.eff) < deg] = 0.0
+        end = sp._degree_ends[deg]
+        solved[:, :, end - resid.shape[-1] : end] = pinv @ resid.reshape(count, -1, resid.shape[-1])
     eff = np.minimum(rhs.eff.reshape(count, -1).min(axis=1), frame.eff_order())
     coeffs = JetArray(sp, solved, np.broadcast_to(eff[:, None], (count, nf)).copy())
     final = contract("rk,kab->rab", coeffs.exact_zeros(), frame)

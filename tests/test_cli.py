@@ -250,6 +250,66 @@ class TestRun:
         code, report = run_doc(tmp_path, doc)
         assert code == 2 and report is None
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("order", True, "settings/order"),
+            ("order", 3.0, "settings/order"),
+            ("tolerance", True, "settings/tolerance"),
+            ("tolerance", "1e-9", "settings/tolerance"),
+            ("seed", False, "settings/seed"),
+            ("branch_anchors", [True], "settings/branch_anchors[0]"),
+            ("branch_anchors", [[1.0, "0"]], "settings/branch_anchors[0]"),
+            ("branch_anchors", [1e400], "settings/branch_anchors[0]"),
+        ],
+    )
+    def test_settings_take_no_booleans_strings_or_fractions(self, tmp_path, capsys, key, value, field):
+        doc = spectrum_doc()
+        doc["settings"][key] = value
+        code, report = run_doc(tmp_path, doc)
+        assert code == 2 and report is None
+        assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("size", 2.7), ("size", "2"), ("size", True), ("re", "1.5"), ("im", False)])
+    def test_spectrum_takes_numeric_eigenvalues_and_integer_sizes(self, tmp_path, capsys, key, value):
+        doc = spectrum_doc()
+        doc["payload"]["spectrum"][0][key] = value
+        code, report = run_doc(tmp_path, doc)
+        assert code == 2 and report is None
+        assert "payload/spectrum[0]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "term, field",
+        [
+            ([[True, 0], [1.0, 0.0]], "payload/eta[0][0][0]"),
+            ([[0.0, 0], [1.0, 0.0]], "payload/eta[0][0][0]"),
+            ([[0, 0], [True, 0.0]], "payload/eta[0][0][0]"),
+            ([[0, 0], "1.0"], "payload/eta[0][0][0]"),
+        ],
+    )
+    def test_jet_terms_take_only_integer_indices_and_numeric_values(self, tmp_path, capsys, term, field):
+        doc = json.loads((DOCS / "verify-frobenius.json").read_text(encoding="utf-8"))
+        doc["payload"]["eta"][0][0] = [term]
+        code, report = run_doc(tmp_path, doc)
+        assert code == 2 and report is None
+        assert f"{field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, path, value",
+        [("symmetries", "m", 3.0), ("symmetries", "m", True), ("saito-check", "bundle/base_dim", "2")],
+    )
+    def test_integer_payload_fields_reject_other_types(self, tmp_path, capsys, task, path, value):
+        doc = json.loads((DOCS / f"{task}.json").read_text(encoding="utf-8"))
+        *parents, key = path.split("/")
+        target = doc["payload"]
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        field = f"payload/{path}"
+        code, report = run_doc(tmp_path, doc)
+        assert code == 2 and report is None
+        assert f"{field}:" in capsys.readouterr().err
+
     def test_germ_iso_mismatch_exits_2(self, tmp_path, capsys):
         doc = {
             "schema": "regfman-doc/1",

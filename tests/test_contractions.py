@@ -573,6 +573,133 @@ class TestStoredWidth:
         assert np.array_equal(entry.coeffs, full[1, 0])
 
 
+# -- carried bookkeeping -----------------------------------------------------------
+#
+# A jet array carries its order range and its support; the operation that
+# builds it sets them when it knows them.  Whatever an operation carries must
+# be what a fresh computation from ``eff`` and the stored columns gives.
+
+
+def _recomputed_orders(x: JetArray):
+    order = x.space.order
+    live = x.eff[x.eff <= order]
+    if not live.size:
+        return order, order, bool(x.eff.size)
+    return int(live.min()), int(live.max()), bool(live.size < x.eff.size)
+
+
+def _recomputed_support(x: JetArray):
+    c = x._stored
+    mask = c.reshape(-1, c.shape[-1]).any(axis=0)
+    used = np.flatnonzero(mask)
+    return mask, int(used[-1]) + 1 if used.size else 0
+
+
+def _assert_bookkeeping(x):
+    """The carried order range and support of ``x`` (a jet array, a jet or
+    a sequence of them) are the recomputed ones, and so are the ones it
+    computes on first use."""
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            _assert_bookkeeping(y)
+        return
+    if isinstance(x, Jet):
+        return
+    for known in (x._orders, x._order_range()):
+        assert known is None or known == _recomputed_orders(x)
+    for known in (x._used, (x._support(x.space.size), x._used)[1]):
+        if known is not None:
+            mask, width = _recomputed_support(x)
+            assert np.array_equal(known[0], mask) and known[1] == width
+
+
+def _bookkept(x: JetArray, known: bool) -> JetArray:
+    """``x``, with its order range and support computed when ``known``."""
+    if known:
+        x._order_range()
+        x._support(x.space.size)
+    return x
+
+
+def _every_operation(x: JetArray, y: JetArray, rng):
+    """Every operation that builds a jet array, on operands of shape (2, 3)."""
+    sp = x.space
+    cap = int(rng.integers(-1, sp.order + 2))
+    out = [
+        x + y, x - y, y - x, x * y, -x, x.scale(0), x.scale(2.0), x.scale(0.5j), x.scale(1e-300),
+        x.capped(cap), x.exact_zeros(), x.exact_zeros().capped(cap), x.grad(), x.exact_zeros().grad(),
+        x.reshape(3, 2), x.reshape(6), x.transpose(1, 0), x[1], x[:, 1:], x[:0], x[1:, :2],
+        x.put(1, y[0]), x.put(slice(0, 2), y), JetArray.stack([x, y, x]), JetArray.stack([x, x]),
+        JetArray.constant(sp, _complex(rng, (2, 3))), JetArray.constant(sp, np.zeros((2, 0))),
+        JetArray.from_coeffs(sp, x.coeffs, x.eff), JetArray(sp, x.coeffs.copy(), x.eff[::-1].copy()),
+        contract("ij,ij->i", x, y), contract("ij,kj->ik", x, y.exact_zeros()),
+        contract("ij,ij->ij", x.exact_zeros(), y.exact_zeros()), contract("i,j->ij", x[0], y[1]),
+    ]
+    for v in range(sp.num_vars):
+        out += [x.partial(v), x.integrate(v), x.exact_zeros().integrate(v), x.exact_zeros().partial(v)]
+    square = contract("ij,ik->jk", x, y) + JetArray.constant(sp, 1e3 * np.ones((3, 3)) + 1e3 * np.eye(3))
+    out += [square.inverse(), square.invert(), jets.Substitution(sp, sp.variables())(x)]
+    return out
+
+
+class TestBookkeeping:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_vars=st.integers(1, 3),
+        order=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        orders=st.sampled_from(("uniform", "mixed")),
+        exact=st.booleans(),
+        known=st.booleans(),
+    )
+    def test_carried_bookkeeping_is_the_recomputed_one(self, num_vars, order, seed, orders, exact, known):
+        rng = np.random.default_rng(seed)
+        sp = jet_space(num_vars, order)
+        x, _ = _narrow_operand(sp, (2, 3), rng, exact=exact)
+        y, _ = _narrow_operand(sp, (2, 3), rng)
+        if orders == "uniform":
+            eff = int(rng.integers(-1, order + 1))
+            x = JetArray(sp, x._stored.copy(), np.where(x.eff > order, x.eff, eff))
+            y = JetArray(sp, y._stored.copy(), np.full(y.shape, eff))
+        x, y = _bookkept(JetArray._raw(sp, x._stored, x.eff), known), _bookkept(y, known)
+        first = _every_operation(x, y, rng)
+        _assert_bookkeeping(first)
+        # the outputs again as operands, with what they carried
+        for z in first:
+            if isinstance(z, JetArray) and z.shape == (2, 3):
+                _assert_bookkeeping(_every_operation(z, y, rng))
+
+    @pytest.mark.parametrize("eff", range(-1, 4))
+    def test_constructor_truncates_entry_by_entry_next_to_orders_above_the_order(self, eff):
+        # one order below K and one entry above it: only the others are cut
+        rng = np.random.default_rng(eff + 2)
+        sp = jet_space(2, 3)
+        coeffs = _complex(rng, (2, 2, sp.size))
+        orders = np.array([[eff, eff], [sp.order + 1, eff]])
+        x = JetArray(sp, coeffs.copy(), orders)
+        want = np.where(sp.degrees > np.maximum(orders, 0)[..., None], 0.0, coeffs)
+        assert np.array_equal(x.coeffs, want) and x._order_range() == (eff, eff, True)
+
+    def test_one_order_operands_never_take_the_pairwise_order_table(self, monkeypatch):
+        calls = []
+        pairwise = jets._contract_eff
+        monkeypatch.setattr(jets, "_contract_eff", lambda *args: calls.append(1) or pairwise(*args))
+        rng = np.random.default_rng(4)
+        sp = jet_space(2, 3)
+        for eff in range(-1, sp.order + 1):
+            for spec in ("ik,kj->ij", "i,ijk->kj", "ij,ij->", "bi,ick->bck"):
+                _, a, _, b = _operands(spec, sp, rng, KINDS, KINDS, eff, eff)
+                contract(spec, a, b)
+                contract(spec, a.exact_zeros(), b.exact_zeros())
+                contract(spec, a.capped(eff - 1), b.exact_zeros())
+        assert calls == []
+        # mixed orders take it
+        _, a = _random_operand(sp, (2, 3), rng, ("dense",), sp.order)
+        _, b = _random_operand(sp, (3, 2), rng, ("dense",), sp.order)
+        contract("ik,kj->ij", a.capped(1).put(0, a[0]), b)
+        assert len(calls) == 1
+
+
 def test_constant_data_is_stored_one_column_wide():
     model = standard_model([(0, 4), (1, 3)], 4)
     sp = model.space
