@@ -56,8 +56,9 @@ def _is_int(data) -> bool:
 
 
 def _is_number(data) -> bool:
-    """A JSON number: an integer or a float, not a boolean or a string."""
-    return isinstance(data, (int, float)) and not isinstance(data, bool)
+    """A JSON number that converts to a float: a float, or an integer
+    within the float range; not a boolean or a string."""
+    return isinstance(data, float) or (_is_int(data) and abs(data) <= sys.float_info.max)
 
 
 def _int_in(data, message: str, field: str) -> int:

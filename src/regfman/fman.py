@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -153,21 +152,26 @@ def product_model(factors: Sequence[FManifoldModel]) -> FManifoldModel:
         raise ShapeError("factors must share the jet order")
     dim = sum(f.dim for f in factors)
     sp = jet_space(dim, order)
-    ranks = (3, 1, 1)  # structure tensor, unit, Euler field
-    coeffs = [np.zeros((dim,) * r + (sp.size,), dtype=np.complex128) for r in ranks]
-    effs = [np.full((dim,) * r, order) for r in ranks]
-    at = 0
+    # each factor's monomials among those of the product's variables
+    index, offsets, at = [], [], 0
     for f in factors:
-        # the factor's monomials among those of the product's variables
         pad = (0,) * at, (0,) * (dim - at - f.dim)
-        index = [sp.index_of[pad[0] + e + pad[1]] for e in f.space.exponents]
-        for c, eff, x, r in zip(coeffs, effs, (f.structure, f.unit, f.euler), ranks):
-            block = (slice(at, at + f.dim),) * r
-            c[block][..., index] = x.coeffs
-            eff[block] = x.eff
+        index.append(np.array([sp.index_of[pad[0] + e + pad[1]] for e in f.space.exponents]))
+        offsets.append(at)
         at += f.dim
+    fields = []  # structure tensor, unit, Euler field
+    for parts, r in zip(zip(*((f.structure, f.unit, f.euler) for f in factors)), (3, 1, 1)):
+        # the factors' stored columns, written only as wide as they reach
+        width = max(int(idx[: x._stored.shape[-1]].max()) + 1 for x, idx in zip(parts, index))
+        coeffs = np.zeros((dim,) * r + (width,), dtype=np.complex128)
+        eff = np.full((dim,) * r, order)
+        for f, x, idx, at in zip(factors, parts, index, offsets):
+            block = (slice(at, at + f.dim),) * r
+            coeffs[block][..., idx[: x._stored.shape[-1]]] = x._stored
+            eff[block] = x.eff
+        fields.append(JetArray(sp, coeffs, eff))
     blocks = tuple(b for f in factors for b in f.blocks or ())
-    return FManifoldModel(*map(partial(JetArray.from_coeffs, sp), coeffs, effs), blocks=blocks or None)
+    return FManifoldModel(*fields, blocks=blocks or None)
 
 
 def standard_model(

@@ -630,12 +630,13 @@ class JetArray:
     (:meth:`_order_range`), and its support, the coefficient positions any
     entry uses, with the width of the prefix that holds it
     (:meth:`_support`).  The operation that builds an array sets what it
-    already knows: views pass both on, the constructor finds the order range
-    to truncate, derivatives, integrals and :meth:`exact_zeros` derive it
-    from their input's, and :func:`contract` knows it on its one-order path.
-    The rest is computed on first use and kept, so :func:`contract`, sums
-    and :meth:`grad` read these values instead of reducing the same arrays
-    on every call.
+    already knows: views pass both on (a scaling only the order range, as a
+    factor can empty columns), the constructor keeps the order range it
+    finds to truncate, a sub-batch, :meth:`exact_zeros` and :meth:`grad`
+    derive it from their input's, and :func:`contract` knows it on its
+    one-order path.  The rest is computed on first use and kept, so
+    :func:`contract`, sums and :meth:`grad` read these values instead of
+    reducing the same arrays on every call.
     """
 
     __slots__ = ("space", "_stored", "eff", "_full", "_orders", "_used")
@@ -694,8 +695,9 @@ class JetArray:
         return orders if orders is not None and orders[0] == orders[1] and not orders[2] else None
 
     def _lowered_orders(self):
-        """The order range after every effective order drops by one (not
-        below -1), when it is known and no exact zero could become live."""
+        """The order range of :meth:`grad`, every effective order one lower
+        (not below -1), when it is known and no exact zero could become
+        live."""
         orders = self._orders
         if orders is None or orders[2]:
             return None
@@ -760,7 +762,7 @@ class JetArray:
         """Constant jets of full effective order with the given values."""
         v = np.array(values, dtype=np.complex128)
         order = space.order
-        return cls._raw(space, v[..., None], _filled(v.shape, order), (order, order, False))
+        return cls._raw(space, v[..., None], np.full(v.shape, order), (order, order, False))
 
     @classmethod
     def stack(cls, arrays: Sequence["JetArray"]) -> "JetArray":
@@ -889,7 +891,7 @@ class JetArray:
         out = np.zeros(c.shape[:-1] + (sp._shifted_width(c.shape[-1], -1),), dtype=np.complex128)
         out[..., dst] = c[..., src] * fac
         # the derivative of a truncated entry is truncated one order lower
-        return JetArray._raw(sp, out, np.maximum(self.eff - 1, -1), self._lowered_orders())
+        return JetArray._raw(sp, out, np.maximum(self.eff - 1, -1))
 
     def integrate(self, v: int) -> "JetArray":
         """Antiderivative of every entry in variable ``v`` vanishing at the
@@ -902,12 +904,7 @@ class JetArray:
             src, dst, fac = src[keep], dst[keep], fac[keep]
         out = np.zeros(c.shape[:-1] + (sp._shifted_width(c.shape[-1], 1),), dtype=np.complex128)
         out[..., src] = c[..., dst] / fac
-        orders = self._orders
-        if orders is not None:
-            # exact zeros become entries trusted to the order
-            lo, hi, exact = orders
-            orders = (min(lo + 1, sp.order), sp.order if exact else min(hi + 1, sp.order), False)
-        return JetArray._raw(sp, out, np.minimum(self.eff + 1, sp.order), orders)
+        return JetArray._raw(sp, out, np.minimum(self.eff + 1, sp.order))
 
     def grad(self) -> "JetArray":
         """All partial derivatives, stacked along a new leading axis."""
@@ -917,7 +914,9 @@ class JetArray:
             src, var, dst, fac, width = sp._grad_rows(c.shape[-1])
             out = np.zeros((sp.num_vars,) + c.shape[:-1] + (width,), dtype=np.complex128)
             # out[var[r], ..., dst[r]] = c[..., src[r]] * fac[r] for every row r
-            out.reshape(sp.num_vars, -1, width)[var, :, dst] = (c.reshape(-1, c.shape[-1])[:, src] * fac).T
+            rows = c.reshape(-1, c.shape[-1])[:, src]
+            rows *= fac
+            out.reshape(sp.num_vars, -1, width)[var, :, dst] = rows.T
         else:
             out = np.zeros((sp.num_vars,) + c.shape[:-1] + (1,), dtype=np.complex128)
         eff = np.empty(out.shape[:-1], dtype=np.int64)
@@ -1041,14 +1040,6 @@ def _orders_of(eff: np.ndarray, order: int) -> tuple[int, int, bool]:
     return lo, hi, exact
 
 
-def _filled(shape: tuple[int, ...], value: int) -> np.ndarray:
-    """An array of effective orders all equal to ``value`` (``np.full``
-    without its Python overhead)."""
-    out = np.empty(shape, dtype=np.int64)
-    out.fill(value)
-    return out
-
-
 def _gather(entries, space: list) -> tuple[np.ndarray, np.ndarray]:
     """Full-width coefficients and effective orders of a nested sequence of
     jets and jet arrays; ``space`` collects the one space they share."""
@@ -1139,10 +1130,11 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
     write clears them entry by entry.
 
     The bookkeeping is read from the operands, not recomputed: their order
-    ranges (:meth:`JetArray._order_range`) decide the path, and with one
-    order in each and no exact zero the output orders are one filled array;
-    only operands with mixed orders take the pairwise table of
-    :func:`_contract_eff`.  The supports are the ones each operand keeps.
+    ranges (:meth:`JetArray._order_range`) decide the path.  With one order
+    in each, the output orders are one filled array, or one boolean
+    ``matmul`` when there are exact zeros; only operands with mixed orders
+    take the pairwise table of :func:`_contract_eff`.  The supports are the
+    ones each operand keeps.
     """
     sp = a.space
     Jet._check_compatible(a, b)
@@ -1150,20 +1142,20 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
     order = sp.order
     lo_a, hi_a, exact_a = a._order_range()
     lo_b, hi_b, exact_b = b._order_range()
-    orders = None
+    low = orders = None
     if lo_a == hi_a and lo_b == hi_b:
         low = min(lo_a, lo_b)
-        if exact_a or exact_b:
-            # outputs without a counting pair are empty sums, trusted to the order
-            live_a = a.eff.transpose(perm_a).reshape(G, M, S) <= order
-            live_b = b.eff.transpose(perm_b).reshape(G, S, N) <= order
-            eff = np.where(np.matmul(live_a, live_b), low, order)
-        else:
-            eff, orders = _filled((G, M, N), low), (low, low, False)
+        if not (exact_a or exact_b):
+            orders = (low, low, False)
+    if orders is not None:
+        eff = np.full((G, M, N), low)
     else:
-        eff, low = _contract_eff(
-            a.eff.transpose(perm_a).reshape(G, M, S), b.eff.transpose(perm_b).reshape(G, S, N), order
-        )
+        ea, eb = a.eff.transpose(perm_a).reshape(G, M, S), b.eff.transpose(perm_b).reshape(G, S, N)
+        if low is None:
+            eff = _contract_eff(ea, eb, order)
+        else:
+            # outputs without a counting pair are empty sums, trusted to the order
+            eff = np.where(np.matmul(ea <= order, eb <= order), low, order)
     cap = sp.size if low is None else sp._degree_ends[max(low, 0)]
     used_a, wa = a._support(cap)
     used_b, wb = b._support(cap)
@@ -1202,20 +1194,14 @@ def _width(used: np.ndarray) -> int:
     return int(nz[-1]) + 1 if nz.size else 0
 
 
-def _contract_eff(ea: np.ndarray, eb: np.ndarray, order: int) -> tuple[np.ndarray, int | None]:
+def _contract_eff(ea: np.ndarray, eb: np.ndarray, order: int) -> np.ndarray:
     """Minimum effective order over the summed pairs, (g, m, s) x (g, s, n)
     -> (g, m, n), capped at the jet order; pairs with an exact zero do not
-    count.  When the other entries of each operand share one order, also
-    returns the one order of every output with a counting pair, else None."""
+    count.  :func:`contract` takes operands of one order each without it."""
     live_a, live_b = ea <= order, eb <= order
-    low_a, low_b = ea.min(where=live_a, initial=order), eb.min(where=live_b, initial=order)
-    if ea.max(where=live_a, initial=low_a) == low_a and eb.max(where=live_b, initial=low_b) == low_b:
-        # outputs without a counting pair are empty sums, trusted to the order
-        low = int(min(low_a, low_b))
-        return np.where(np.matmul(live_a, live_b), low, order), low
     pair = np.minimum(ea[:, :, :, None], eb[:, None, :, :])
     pair[~(live_a[:, :, :, None] & live_b[:, None, :, :])] = _EXACT
-    return np.minimum(pair.min(axis=2), order), None
+    return np.minimum(pair.min(axis=2), order)
 
 
 def _scale(c0: np.ndarray, x: np.ndarray, out: np.ndarray):

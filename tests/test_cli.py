@@ -261,6 +261,9 @@ class TestRun:
             ("branch_anchors", [True], "settings/branch_anchors[0]"),
             ("branch_anchors", [[1.0, "0"]], "settings/branch_anchors[0]"),
             ("branch_anchors", [1e400], "settings/branch_anchors[0]"),
+            ("tolerance", 10**400, "settings/tolerance"),
+            ("branch_anchors", [10**400], "settings/branch_anchors[0]"),
+            ("branch_anchors", [[0, -(10**400)]], "settings/branch_anchors[0]"),
         ],
     )
     def test_settings_take_no_booleans_strings_or_fractions(self, tmp_path, capsys, key, value, field):
@@ -270,7 +273,10 @@ class TestRun:
         assert code == 2 and report is None
         assert f"{field}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("size", 2.7), ("size", "2"), ("size", True), ("re", "1.5"), ("im", False)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("size", 2.7), ("size", "2"), ("size", True), ("re", "1.5"), ("im", False), ("re", 10**400), ("im", -(10**400))],
+    )
     def test_spectrum_takes_numeric_eigenvalues_and_integer_sizes(self, tmp_path, capsys, key, value):
         doc = spectrum_doc()
         doc["payload"]["spectrum"][0][key] = value
@@ -285,6 +291,8 @@ class TestRun:
             ([[0.0, 0], [1.0, 0.0]], "payload/eta[0][0][0]"),
             ([[0, 0], [True, 0.0]], "payload/eta[0][0][0]"),
             ([[0, 0], "1.0"], "payload/eta[0][0][0]"),
+            ([[0, 0], 10**400], "payload/eta[0][0][0]"),
+            ([[0, 0], [0.0, 10**400]], "payload/eta[0][0][0]"),
         ],
     )
     def test_jet_terms_take_only_integer_indices_and_numeric_values(self, tmp_path, capsys, term, field):

@@ -326,7 +326,7 @@ class TestKernelPaths:
         sp = jet_space(num_vars, order)
         dims = {x: int(rng.integers(1, 4)) for x in sorted(set(spec) - set(",->"))}
         labels = spec.split("->")[0].split(",")
-        operands, orders = [], []
+        operands = []
         for la, kind in zip(labels, kinds):
             eff = _random_orders(tuple(dims[x] for x in la), order, kind, rng)
             entries = np.empty(eff.shape, dtype=object)
@@ -334,23 +334,18 @@ class TestKernelPaths:
                 exact = eff[idx] > order
                 entries[idx] = sp.zero() if exact else _random_jet(sp, rng, ("dense",), int(eff[idx]))
             operands += [entries, JetArray.from_jets(entries.tolist()).exact_zeros()]
-            orders.append(eff)
         a_jets, a, b_jets, b = operands
-        perm_a, perm_b, (G, M, S, N), _, _ = jets._plan(spec, a.shape, b.shape)
-        # the kernel's (g, m, s) and (g, s, n) views, with the orders a
-        # gradient gives an exact zero as well
-        ea = orders[0].transpose(perm_a).reshape(G, M, S)
-        eb = orders[1].transpose(perm_b).reshape(G, S, N)
-        for ea_, eb_ in ((ea, eb), (np.where(ea > order, ea - 1, ea), eb), (ea, np.where(eb > order, eb - 1, eb))):
-            eff, low = jets._contract_eff(ea_, eb_, order)
-            want = _pair_table_orders(ea_, eb_, order)
-            assert np.array_equal(eff, want)
-            if "mixed" not in kinds:
-                assert low is not None
-            if low is not None:
-                # every output with a counting pair has the one order
-                live = np.matmul(ea_ <= order, eb_ <= order)
-                assert (want[live] == low).all() and (want[~live] == order).all()
+        perm_a, perm_b, (G, M, S, N), gmn, perm_out = jets._plan(spec, a.shape, b.shape)
+        # the operands again with the orders a gradient gives an exact zero
+        lowered = [JetArray._raw(sp, x._stored, np.where(x.eff > order, x.eff - 1, x.eff)) for x in (a, b)]
+        for x, y in ((a, b), (lowered[0], b), (a, lowered[1])):
+            # the kernel's (g, m, s) and (g, s, n) views of the orders
+            ea = x.eff.transpose(perm_a).reshape(G, M, S)
+            eb = y.eff.transpose(perm_b).reshape(G, S, N)
+            want = _pair_table_orders(ea, eb, order)
+            assert np.array_equal(jets._contract_eff(ea, eb, order), want)
+            # one order in each operand takes contract's own path
+            assert np.array_equal(contract(spec, x, y).eff, want.reshape(gmn).transpose(perm_out))
         _check_against_jet_sums(spec, sp, a_jets, a, b_jets, b, exact=True)
 
     @pytest.mark.parametrize("eff", range(-1, 5))
