@@ -36,6 +36,7 @@ from .fman import (
     BracketConstants,
     CanonicalFrame,
     FManifoldModel,
+    GermIsomorphism,
     bracket_constants,
     canonical_frame,
     check_fmanifold,
@@ -65,6 +66,7 @@ from .frob import (
     metric_from_potential,
     metric_from_psi,
     psi_from_metric,
+    structure_brackets,
 )
 from .saito import (
     BirkhoffConnection,

@@ -521,7 +521,7 @@ def _run_malgrange_chart(payload, settings):
     spec_model = regend.jordan_spectrum(fman.mult_by_euler(model).constant_term())
     spec_seed = regend.jordan_spectrum(-b0o)
     spectra_match = spec_model.matches(spec_seed, tol=1e-6)
-    _, iso_rep = malgrange.check_universality_isomorphism(chart, model)
+    iso_rep = malgrange.check_universality_isomorphism(chart, model).report
     rep = (
         integral.merged(flat, prefix="connection_")
         .merged(axioms, prefix="model_")
@@ -604,11 +604,11 @@ def _run_germ_iso(payload, settings):
     model_a = _model_in(payload.get("model_a", {}), settings["order"], "payload/model_a")
     model_b = _model_in(payload.get("model_b", {}), settings["order"], "payload/model_b")
     tol = max(settings["tolerance"], 1e-7)
-    psi, rep = fman.germ_isomorphism(model_a, model_b)
-    verdicts = _verdicts(rep, tol)
+    iso = fman.germ_isomorphism(model_a, model_b)
+    verdicts = _verdicts(iso.report, tol)
     body = {
-        "map": [_jet_out(c) for c in psi],
-        "residuals": rep.to_dict(),
+        "map": [_jet_out(c) for c in iso.map],
+        "residuals": iso.report.to_dict(),
         "verdicts": verdicts,
     }
     return body, all(v["pass"] for v in verdicts.values())

@@ -23,7 +23,7 @@ from .errors import (
     ScopeError,
     ShapeError,
 )
-from .jets import DEFAULT_ORDER, Jet, JetArray, JetSpace, Substitution, contract, jet_space
+from .jets import DEFAULT_ORDER, JetArray, JetSpace, Substitution, contract, jet_space
 from .regend import JordanSpectrum
 from .reports import ResidualReport, report_from
 
@@ -284,31 +284,27 @@ def mult_by_euler(model: FManifoldModel) -> JetArray:
     return contract("i,ijk->kj", model.euler.exact_zeros(), model.structure.exact_zeros())
 
 
-def canonical_frame(model: FManifoldModel, check_regular: bool = True) -> CanonicalFrame:
-    """X_0 = e, X_{k+1} = E o X_k; requires a regular origin."""
-    return _canonical_frame(model, _origin_probe(model)[1] if check_regular else None)
-
-
 def _origin_probe(model: FManifoldModel) -> tuple[np.ndarray, regend.RegularityReport]:
-    """Multiplication by E at the origin and its regularity probe, made once
-    per public call and passed to every check that needs it."""
+    """Multiplication by E at the origin and its regularity probe."""
     u0 = mult_by_euler(model).constant_term()
     return u0, regend.is_regular(u0)
 
 
-def _canonical_frame(model: FManifoldModel, regularity) -> CanonicalFrame:
-    """The canonical frame, checked against the origin's regularity probe
-    (``None`` builds it unchecked)."""
-    if regularity is not None and not regularity:
+def canonical_frame(model: FManifoldModel, *, regularity: regend.RegularityReport | None = None) -> CanonicalFrame:
+    """X_0 = e, X_{k+1} = E o X_k; requires a regular origin.  A
+    ``regularity`` report of the origin multiplication by E, made by
+    :func:`regend.is_regular`, stands in for the probe this call would run."""
+    if regularity is None:
+        regularity = _origin_probe(model)[1]
+    if not regularity:
         raise RegularityError("multiplication by the Euler field is not regular at the origin")
     fields = [model.unit]
     for _ in range(model.dim - 1):
         fields.append(model.multiply(model.euler, fields[-1]))
     frame = CanonicalFrame(JetArray.stack(fields))
-    if regularity is not None:
-        c = np.linalg.cond(frame.constant_matrix())
-        if not np.isfinite(c) or c > 1e10:
-            raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
+    c = np.linalg.cond(frame.constant_matrix())
+    if not np.isfinite(c) or c > 1e10:
+        raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
     return frame
 
 
@@ -369,16 +365,12 @@ def bracket_constants(n: int, max_power: int | None = None) -> BracketConstants:
     return BracketConstants.build(n, max_power)
 
 
-def _eigenfunction(model: FManifoldModel) -> JetArray:
+def eigenfunction(model: FManifoldModel) -> JetArray:
+    """Eigenvalue function of multiplication by E on a single nilpotent
+    block, extracted as trace(U)/n (a 0-dimensional jet array)."""
     u = mult_by_euler(model)
     trace = contract("ij,ij->", u, JetArray.constant(model.space, np.eye(model.dim)))
     return trace.scale(1.0 / model.dim)
-
-
-def eigenfunction(model: FManifoldModel) -> Jet:
-    """Eigenvalue function of multiplication by E on a single nilpotent
-    block, extracted as trace(U)/n."""
-    return _eigenfunction(model)[()]
 
 
 def _powers(a: JetArray, count: int) -> JetArray:
@@ -428,7 +420,7 @@ def check_frame_brackets(
                 "unified bracket and eigenfunction checks need a single nilpotent block"
             )
         consts = bracket_constants(n, max_power=2 * n)
-        a = _eigenfunction(model)
+        a = eigenfunction(model)
         powers = _powers(a, 2 * n + 1)
         # [X_i, X_j] = sum_k c_k^(i+j-1-n) (i-j) a^{i+j-1-k} X_k
         coef = np.zeros((n, n, n, 2 * n + 1))
@@ -530,48 +522,59 @@ def _transport_defect(
     return sub(fields_b) - contract("vk,iv->ik", jac, fields_a)
 
 
+@dataclass(frozen=True)
+class GermIsomorphism:
+    """The isomorphism of :func:`germ_isomorphism`: its coordinate map
+    ``map`` (an (n,) jet array, psi(0) = 0) and residual report, with what
+    the solve built on the way: the canonical frame of the source model,
+    the substitution table of composing with psi and the source's origin
+    regularity probe."""
+
+    map: JetArray
+    report: ResidualReport
+    frame: CanonicalFrame
+    substitution: Substitution
+    regularity: regend.RegularityReport
+
+
 def germ_isomorphism(
     model_a: FManifoldModel,
     model_b: FManifoldModel,
     order: int | None = None,
-) -> tuple[JetArray, ResidualReport]:
-    """Coordinate map of the unique isomorphism sending the canonical frame
-    of ``model_a`` to that of ``model_b``.
+) -> GermIsomorphism:
+    """The unique isomorphism sending the canonical frame of ``model_a`` to
+    that of ``model_b``.
 
     Solved order by order from (Jacobian psi) X_i = Y_i o psi; the linear
-    part sends the frame of A at the origin to the frame of B.  Returns the
-    map (an (n,) jet array, psi(0) = 0) plus residuals of frame transport,
-    multiplicativity and transport of Euler-field powers.  Step d reads only
-    degree d of the transport defect, which fixes degree d + 1 of psi: the
-    step trusts psi to order d + 1, where its coefficients are still zero,
-    so its substitution table stops at degree d + 1 and its products at
-    degree d.  The residuals share one full table.
+    part sends the frame of A at the origin to the frame of B.  The report
+    holds residuals of frame transport, multiplicativity and transport of
+    Euler-field powers.  Step d reads only degree d of the transport
+    defect, which fixes degree d + 1 of psi: the step trusts psi to order
+    d + 1, where its coefficients are still zero, so its substitution table
+    stops at degree d + 1 and its products at degree d.  The residuals
+    share one full table.  Each model's origin is probed once, and the
+    probe serves its spectrum and its canonical frame.
     """
-    return _germ_isomorphism(model_a, model_b, order, _origin_probe(model_a))[:2]
-
-
-def _germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel, order: int | None, origin_a):
-    """:func:`germ_isomorphism` given ``_origin_probe(model_a)``; also
-    returns the canonical frame of ``model_a`` and the composition with psi."""
     if model_a.dim != model_b.dim:
         raise NoIsomorphismError("models have different dimensions")
     if order is None:
         order = model_a.space.order
     if model_a.space.order != model_b.space.order or order != model_a.space.order:
         raise ShapeError("models and solver must share the jet order")
+    (ua0, reg_a), (ub0, reg_b) = _origin_probe(model_a), _origin_probe(model_b)
+    spec_a = regend.jordan_spectrum(ua0, regularity=reg_a)
+    spec_b = regend.jordan_spectrum(ub0, regularity=reg_b)
+    if not spec_a.matches(spec_b, tol=regend.CLUSTER_TOL):
+        raise NoIsomorphismError("origin multiplications by the Euler fields are not conjugate")
+
     n = model_a.dim
     sp = model_a.space
     k_order = order
 
-    (ua0, reg_a), (ub0, reg_b) = origin_a, _origin_probe(model_b)
-    spec_a, spec_b = regend._jordan_spectrum(ua0, reg_a), regend._jordan_spectrum(ub0, reg_b)
-    if not spec_a.matches(spec_b, tol=regend.CLUSTER_TOL):
-        raise NoIsomorphismError("origin multiplications by the Euler fields are not conjugate")
-
     # Euler powers X_i = E^i o e of A and Y_i of B; the first n are the
     # canonical frames
-    frame_a = _canonical_frame(model_a, reg_a)
-    frame_b = _canonical_frame(model_b, reg_b)
+    frame_a = canonical_frame(model_a, regularity=reg_a)
+    frame_b = canonical_frame(model_b, regularity=reg_b)
     xinv = np.linalg.inv(frame_a.constant_matrix())
     pow_a, pow_b = list(frame_a.fields), list(frame_b.fields)
     while len(pow_a) < k_order + 1:
@@ -611,4 +614,4 @@ def _germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel, order: i
     entries.append(("multiplicativity", mult_res, k_order - 1))
 
     entries += [(f"euler_power_{i}", transport[i], k_order - 1) for i in range(k_order + 1)]
-    return psi_arr, report_from(entries), frame_a, sub
+    return GermIsomorphism(psi_arr, report_from(entries), frame_a, sub, reg_a)

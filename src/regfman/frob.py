@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, ScopeError, ShapeError
 from .fman import FManifoldModel
-from .jets import DEFAULT_ORDER, Jet, JetArray, JetSpace, contract, jet_space
+from .jets import DEFAULT_ORDER, JetArray, JetSpace, contract, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
 
 
@@ -174,36 +174,17 @@ def metric_from_potential(potential, blocks_or_model) -> InvariantMetric:
 # -- unit and Euler conditions -------------------------------------------------
 
 
-def check_coidentity_closed(metric: InvariantMetric) -> ResidualReport:
-    """Closedness of the coidentity one-form (existence of a potential):
-    d_h eta_g - d_g eta_h over g < h."""
-    closed = _coidentity_closed(metric.values.grad())
-    return report_from([("coidentity_closed", closed, metric.values.eff_order() - 1)])
-
-
-def _coidentity_closed(d: JetArray) -> float:
-    """The closedness residual from the gradient ``d[h, g] = d_h eta_g``."""
-    return (d - d.transpose(1, 0))[np.triu_indices(len(d), 1)].residual_norm()
-
-
-def unit_vector_indices(blocks) -> list[int]:
-    return _offsets(_sizes(blocks))
-
-
 def check_unit_flat(metric: InvariantMetric) -> ResidualReport:
-    """Flat unit: closed coidentity plus e(eta) = 0 for the unit field
-    e = sum of the leading block directions."""
-    return _unit_flat(metric, metric.values.grad())
-
-
-def _unit_flat(metric: InvariantMetric, d: JetArray) -> ResidualReport:
-    """:func:`check_unit_flat` from the metric's gradient ``d``."""
+    """Flat unit: closed coidentity (the one-form of the eta has a
+    potential: d_h eta_g = d_g eta_h over g < h) plus e(eta) = 0 for the
+    unit field e = sum of the leading block directions."""
+    d = metric.values.grad()  # d[h, g] = d_h eta_g
     order = metric.values.eff_order() - 1
     unit = np.zeros(metric.dim)
-    unit[unit_vector_indices(metric.blocks)] = 1.0
+    unit[_offsets(metric.blocks)] = 1.0
     unit = JetArray.constant(metric.space, unit).exact_zeros()
     derivative = contract("v,vk->k", unit, d).residual_norm()
-    closed = _coidentity_closed(d)
+    closed = (d - d.transpose(1, 0))[np.triu_indices(len(d), 1)].residual_norm()
     return report_from([("coidentity_closed", closed, order), ("unit_derivative", derivative, order)])
 
 
@@ -217,16 +198,11 @@ def check_euler_rescaling(
     With ``weight`` (the rescaling constant D) given, measures it directly;
     otherwise returns the least-squares best weight and its residual.
     """
-    return _euler_rescaling(metric, euler, weight, metric.values.grad())
-
-
-def _euler_rescaling(metric: InvariantMetric, euler, weight, d: JetArray) -> tuple[complex, ResidualReport]:
-    """:func:`check_euler_rescaling` from the metric's gradient ``d``."""
     euler = JetArray.from_jets(euler)
     if euler.shape != (metric.dim,):
         raise ShapeError("Euler field dimension does not match the metric")
     eta = metric.values
-    derivs = contract("v,vj->j", euler, d)  # E(eta_j)
+    derivs = contract("v,vj->j", euler, eta.grad())  # E(eta_j)
     order = derivs.eff_order()
     name = "euler_rescaling_solved" if weight is None else "euler_rescaling"
     if weight is None:
@@ -355,11 +331,6 @@ def _epsilon_norm(psi: OneForm) -> JetArray:
     return _sum_into(1, np.zeros(psi.dim, dtype=np.int64), terms).reshape()
 
 
-def psi_epsilon_norm(psi: OneForm) -> Jet:
-    """epsilon(psi, psi) = sum over blocks of sum_{i+j=m-1} psi_i psi_j."""
-    return _epsilon_norm(psi)[()]
-
-
 def gamma_operator(psi: OneForm, beta: OneForm, model: FManifoldModel) -> RotationOperator:
     """Rotation-operator candidate from the metric data: the inverse
     pairing contracted with the cotangent structure constants,
@@ -381,8 +352,11 @@ def gamma_operator(psi: OneForm, beta: OneForm, model: FManifoldModel) -> Rotati
     return RotationOperator(gamma, epsilon_gram(psi.blocks))
 
 
-def _structure_brackets(gamma: RotationOperator, model: FManifoldModel) -> JetArray:
-    """br[i] = [C_i, gamma] for the matrices C_i of :meth:`FManifoldModel.mult_matrices`."""
+def structure_brackets(gamma: RotationOperator, model: FManifoldModel) -> JetArray:
+    """br[i] = B_i = [C_i, gamma] for the constant matrices C_i of
+    :meth:`FManifoldModel.mult_matrices`, which raises ScopeError unless the
+    multiplication is constant: the shared input of the derivative law and
+    the Darboux-Egoroff residuals."""
     g = gamma.matrix
     cm = JetArray.constant(g.space, np.stack(model.mult_matrices()))
     return -_brackets(g, cm)
@@ -393,16 +367,10 @@ def _brackets(x: JetArray, ys: JetArray) -> JetArray:
     return contract("rx,jxc->jrc", x, ys) - contract("jrx,xc->jrc", ys, x)
 
 
-def check_gamma(
-    gamma: RotationOperator, psi: OneForm, model: FManifoldModel
-) -> ResidualReport:
+def check_gamma(gamma: RotationOperator, psi: OneForm, brackets: JetArray) -> ResidualReport:
     """Epsilon-symmetry of gamma, constancy of epsilon(psi, psi), and the
-    derivative law d_i(psi_j) = (psi [C_i, gamma])_j."""
-    return _check_gamma(gamma, psi, _structure_brackets(gamma, model))
-
-
-def _check_gamma(gamma: RotationOperator, psi: OneForm, br: JetArray) -> ResidualReport:
-    """:func:`check_gamma` from the brackets br[i] = [C_i, gamma]."""
+    derivative law d_i(psi_j) = (psi [C_i, gamma])_j, from the
+    :func:`structure_brackets` of gamma."""
     sp = psi.space
     g = gamma.matrix
     eps = JetArray.constant(sp, gamma.epsilon)
@@ -410,7 +378,7 @@ def _check_gamma(gamma: RotationOperator, psi: OneForm, br: JetArray) -> Residua
 
     norm = _epsilon_norm(psi)
     flat_psi = psi.values
-    law = flat_psi.grad() - contract("k,ikj->ij", flat_psi, br.exact_zeros())
+    law = flat_psi.grad() - contract("k,ikj->ij", flat_psi, brackets.exact_zeros())
     return report_from(
         [
             ("epsilon_symmetry", sym, g.eff_order()),
@@ -420,20 +388,12 @@ def _check_gamma(gamma: RotationOperator, psi: OneForm, br: JetArray) -> Residua
     )
 
 
-def gamma_annihilates_dual(gamma: RotationOperator, psi: OneForm) -> float:
-    """Residual of gamma(T) = 0 for the epsilon-dual T of psi (holds when
-    epsilon(psi, psi) is constant)."""
-    eps_inv = JetArray.constant(psi.space, np.linalg.inv(gamma.epsilon)).exact_zeros()
-    t_field = contract("kj,j->k", eps_inv, psi.values)
-    return contract("ij,j->i", gamma.matrix, t_field).residual_norm()
-
-
 class _DarbouxEgoroff:
     """The generalized Darboux-Egoroff matrices
     DE_ij = [C_i, d_j gamma] - [C_j, d_i gamma] - [[C_i, gamma], [C_j, gamma]].
 
     With B_i = [C_i, gamma] these are DE_ij = d_j B_i - d_i B_j - [B_i, B_j]:
-    every C_i is a constant matrix (the callers' scope checks require
+    every C_i is a constant matrix (:func:`structure_brackets` requires
     constant multiplication), so [C_i, d_j gamma] = d_j [C_i, gamma].  One
     gradient of the brackets gives every derivative term.
 
@@ -455,32 +415,23 @@ class _DarbouxEgoroff:
         """DE_ij for every j in ``js``, shape (j, r, c)."""
         return self.dbr[js, i] - self.dbr[i, js] - _brackets(self.br[i], self.br[js])
 
-    def report(self) -> ResidualReport:
-        """The residuals over i <= j; the diagonal vanishes identically."""
-        n, entries = len(self.br), []
-        for i in range(n):
-            norms = self.row(i, slice(i + 1, n)).residual_norms().max(axis=(1, 2)) if i + 1 < n else ()
-            entries.extend((f"de_{i}_{j}", v, self.order) for j, v in enumerate((0.0, *norms), i))
-        return report_from(entries)
+
+def darboux_egoroff_residual(brackets: JetArray) -> ResidualReport:
+    """Generalized Darboux-Egoroff residuals over index pairs i < j from the
+    :func:`structure_brackets` of gamma (see :class:`_DarbouxEgoroff`);
+    diagonal entries vanish identically and are reported as exact zeros."""
+    de = _DarbouxEgoroff(brackets)
+    n, entries = len(brackets), []
+    for i in range(n):
+        norms = de.row(i, slice(i + 1, n)).residual_norms().max(axis=(1, 2)) if i + 1 < n else ()
+        entries.extend((f"de_{i}_{j}", v, de.order) for j, v in enumerate((0.0, *norms), i))
+    return report_from(entries)
 
 
-def darboux_egoroff_residual(
-    gamma: RotationOperator, model: FManifoldModel
-) -> ResidualReport:
-    """Generalized Darboux-Egoroff residuals over index pairs i < j (see
-    :class:`_DarbouxEgoroff`); diagonal entries vanish identically and are
-    reported as exact zeros."""
-    if not model.is_constant_multiplication():
-        raise ScopeError("Darboux-Egoroff residuals require constant multiplication")
-    return _DarbouxEgoroff(_structure_brackets(gamma, model)).report()
-
-
-def darboux_egoroff_matrix(
-    gamma: RotationOperator, model: FManifoldModel, i: int, j: int
-) -> JetArray:
+def darboux_egoroff_matrix(brackets: JetArray, i: int, j: int) -> JetArray:
     """The full Darboux-Egoroff matrix for one index pair: a slice of the
     contraction behind :func:`darboux_egoroff_residual`."""
-    return _DarbouxEgoroff(_structure_brackets(gamma, model)).row(i, slice(j, j + 1))[0]
+    return _DarbouxEgoroff(brackets).row(i, slice(j, j + 1))[0]
 
 
 # -- Levi-Civita curvature oracle ----------------------------------------------
@@ -571,8 +522,12 @@ def frobenius_verdict(
     tolerance: float = DEFAULT_TOLERANCE,
     run_oracle: bool | None = None,
 ) -> FrobeniusVerdict:
-    """Full chain: psi -> beta -> gamma -> symmetry/Darboux-Egoroff checks,
-    unit flatness, and (with ``weight`` given) the Euler rescaling law.
+    """Full chain, one public stage after another: :func:`psi_from_metric`,
+    :func:`invert_oneform`, :func:`gamma_operator`, :func:`structure_brackets`,
+    :func:`check_gamma` and :func:`darboux_egoroff_residual` (which share the
+    brackets), :func:`check_unit_flat`, :func:`check_euler_rescaling` (its
+    law joins the verdict with ``weight`` given) and
+    :func:`levi_civita_curvature`.
 
     The verdict is the conjunction of all chain residuals against the
     tolerance.  On products of several blocks the independent curvature
@@ -587,17 +542,16 @@ def frobenius_verdict(
     psi = psi_from_metric(metric, branch_anchors)
     beta = invert_oneform(psi)
     gamma = gamma_operator(psi, beta, model)
-    br = _structure_brackets(gamma, model)
-    chain = _check_gamma(gamma, psi, br)
-    de = _DarbouxEgoroff(br).report()
-    d = metric.values.grad()
+    br = structure_brackets(gamma, model)
+    chain = check_gamma(gamma, psi, br)
+    de = darboux_egoroff_residual(br)
+    del br  # not held through the oracle, the verdict's largest step
 
     entries = list(chain.items())
     entries.append(("darboux_egoroff", Residual(de.max_value(), de["de_0_0"].order)))
-    entries.extend(_unit_flat(metric, d).items())
-    weight_out, euler_rep = _euler_rescaling(metric, model.euler, weight, d)
+    entries.extend(check_unit_flat(metric).items())
+    weight_out, euler_rep = check_euler_rescaling(metric, model.euler, weight)
     entries.extend(euler_rep.items())
-    del br, d  # not held through the oracle, the verdict's largest step
 
     multiblock = len(metric.blocks) > 1
     if run_oracle is None:

@@ -22,14 +22,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fman import (
-    FManifoldModel,
-    _germ_isomorphism,
-    _origin_probe,
-    germ_isomorphism,
-    mult_by_euler,
-    standard_model,
-)
+from .fman import FManifoldModel, GermIsomorphism, germ_isomorphism, mult_by_euler, standard_model
 from .frob import FrobeniusVerdict, InvariantMetric, _offsets, euler_derivative, frobenius_verdict
 from .jets import DEFAULT_ORDER, JetArray, contract, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
@@ -195,11 +188,8 @@ def fmanifold_on_chart(
     right-hand sides, so its round-off grows with them: the worst residual
     is held to ``residual_limit`` times the largest coefficient modulus of
     the right-hand sides, and never to less than ``residual_limit``."""
-    return _fmanifold_on_chart(chart.gamma.grad(), b0_at(chart.spec, chart.gamma), residual_limit)
-
-
-def _fmanifold_on_chart(tangent: JetArray, b0: JetArray, residual_limit: float = 1e-6) -> FManifoldModel:
-    """:func:`fmanifold_on_chart` from the tangent matrices and B0 at Gamma."""
+    tangent = _tangent(chart)
+    b0 = b0_at(chart.spec, chart.gamma)
     n = len(tangent)
     rhs = JetArray.stack(
         [*_products(tangent).reshape(n * n, n, n), JetArray.constant(tangent.space, np.eye(n)), -b0]
@@ -215,9 +205,7 @@ def _fmanifold_on_chart(tangent: JetArray, b0: JetArray, residual_limit: float =
     return FManifoldModel(coeffs[: n * n].reshape(n, n, n), coeffs[n * n], coeffs[n * n + 1])
 
 
-def check_universality_isomorphism(
-    chart: MalgrangeChart, model: FManifoldModel
-) -> tuple[JetArray, ResidualReport]:
+def check_universality_isomorphism(chart: MalgrangeChart, model: FManifoldModel) -> GermIsomorphism:
     """Germ isomorphism from the chart model (``fmanifold_on_chart(chart)``)
     to the standard model of the spectrum of minus the seed residue."""
     spec = regend.jordan_spectrum(-chart.spec.b0o)
@@ -349,9 +337,15 @@ def initial_condition_extend(
     for the negated pair, (3) extend the pairing constantly over the
     deformation bundle, (4) transport it through the primitive section and
     (5) pull the resulting metric back to the model along the unique germ
-    isomorphism.  The report includes the origin match, the full Frobenius
-    verdict at the given weight, the origin Euler-derivative law and the
-    symmetry diagnostics of the chart.
+    isomorphism.  The public stages, in order: :func:`validate_initial_data`,
+    :func:`integrate_chart`, :func:`check_saito_axioms` and
+    :func:`check_saito_metric_axioms`, :func:`fmanifold_on_chart`,
+    :func:`germ_isomorphism` (whose canonical frame, substitution table and
+    origin probe the later steps reuse) and :func:`frobenius_verdict`.  The
+    report includes the origin match, the full Frobenius verdict at the
+    given weight, the origin Euler-derivative law and the symmetry
+    diagnostics of the chart.  ``probe_order`` reruns the origin probe
+    with that probe order for the report's probe name.
     """
     val = validate_initial_data(data)
     if not val.passed(validation_tolerance):
@@ -373,8 +367,8 @@ def initial_condition_extend(
     chart = integrate_chart(DeformationSpec(-b0o, -binf), order)
     gamma = chart.gamma
     sp = gamma.space
-    tangent, r0 = gamma.grad(), b0_at(chart.spec, gamma)
-    bundle = SaitoBundle(phi=tangent, r0=r0, rinf=binf, metric=g0)
+    tangent = gamma.grad()
+    bundle = SaitoBundle(phi=tangent, r0=b0_at(chart.spec, gamma), rinf=binf, metric=g0)
     saito_rep = check_saito_axioms(bundle)
     saito_metric_rep = check_saito_metric_axioms(bundle)
 
@@ -383,14 +377,13 @@ def initial_condition_extend(
     g0_jet = JetArray.constant(sp, g0)
     cols = tangent[:, :, 0]
     gram_chart = contract("al,bl->ab", contract("ak,kl->al", cols, g0_jet), cols)
+    del bundle, tangent, cols  # not held while fmanifold_on_chart builds its own tangents (peak memory)
 
-    # one regularity probe and one canonical frame of the model serve the
-    # isomorphism, the origin frame change and the report; the pull-back
-    # composes through the isomorphism's own substitution table
-    origin = _origin_probe(model)
-    psi, iso_rep, frame, sub = _germ_isomorphism(model, _fmanifold_on_chart(tangent, r0), order, origin)
-    jac = psi.grad()  # jac[a, k] = d_a psi^k
-    composed = sub(gram_chart)
+    # the isomorphism's canonical frame of the model serves the origin frame
+    # change, and the pull-back composes through its substitution table
+    iso = germ_isomorphism(model, fmanifold_on_chart(chart), order)
+    jac = iso.map.grad()  # jac[a, k] = d_a psi^k
+    composed = iso.substitution(gram_chart)
     gram_model = contract("al,bl->ab", contract("ak,kl->al", jac, composed), jac)
 
     if model.blocks is None:
@@ -402,7 +395,7 @@ def initial_condition_extend(
     structure_res = (metric.gram() - gram_model).residual_norm()
 
     # the pairing is complex-bilinear: the frame change uses plain transposes
-    p = frame.constant_matrix()
+    p = iso.frame.constant_matrix()
     pinv = np.linalg.inv(p)
     expected0 = pinv.T @ data.gram @ pinv
     origin_res = float(np.max(np.abs(gram_model.constant_term() - expected0)))
@@ -422,9 +415,9 @@ def initial_condition_extend(
     b0o_sym = float(np.max(np.abs(b0o.T @ g0 - g0 @ b0o)))
     binf_skew = float(np.max(np.abs(binf.T @ g0 + g0 @ binf)))
 
-    u0, regularity = origin
+    regularity = iso.regularity
     if probe_order is not None:
-        regularity = regend.is_regular(u0, probe_order=probe_order)
+        regularity = regend.is_regular(mult_by_euler(model).constant_term(), probe_order=probe_order)
 
     report = ResidualReport(
         [
@@ -438,7 +431,7 @@ def initial_condition_extend(
     )
     report = report.merged(saito_rep, prefix="saito_")
     report = report.merged(saito_metric_rep, prefix="saito_")
-    report = report.merged(iso_rep, prefix="chart_iso_")
+    report = report.merged(iso.report, prefix="chart_iso_")
 
     if origin_res > 1e-6 or (not verdict.passed and verdict.report.max_value() > 1e-4):
         raise ConstructionInconsistencyError(
@@ -449,7 +442,7 @@ def initial_condition_extend(
         metric=metric,
         gram_jets=gram_model,
         chart=chart,
-        chart_map=psi,
+        chart_map=iso.map,
         verdict=verdict,
         validation=val,
         report=report,

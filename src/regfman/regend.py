@@ -208,19 +208,19 @@ def jordan_spectrum(
     seed: int = 0,
     probe_order: Sequence[str] | None = None,
     return_details: bool = False,
+    *,
+    regularity: RegularityReport | None = None,
 ):
     """Jordan spectrum of a regular matrix by eigenvalue clustering.
 
     Each cluster of numerically coincident eigenvalues is one Jordan block
     (regularity).  Raises if the matrix is not regular or if eigenvalue gaps
-    sit within a factor 10 of the effective clustering threshold.
+    sit within a factor 10 of the effective clustering threshold.  A
+    ``regularity`` report of the same matrix, made by :func:`is_regular`,
+    stands in for the probe this call would run.
     """
     m = _as_matrix(a)
-    return _jordan_spectrum(m, is_regular(m, seed=seed, probe_order=probe_order), tol, return_details)
-
-
-def _jordan_spectrum(m: np.ndarray, reg: RegularityReport, tol: float = CLUSTER_TOL, return_details=False):
-    """:func:`jordan_spectrum` of a square array given its regularity probe."""
+    reg = is_regular(m, seed=seed, probe_order=probe_order) if regularity is None else regularity
     n = m.shape[0]
     if not reg:
         raise RegularityError(
@@ -290,20 +290,6 @@ def cyclic_basis_representation(a, v) -> np.ndarray:
     return comp
 
 
-def companion_matrix(monic_ascending: Sequence[complex]) -> np.ndarray:
-    """Companion matrix of a monic polynomial given by ascending coefficients
-    [c_0, ..., c_{n-1}, 1], in the sub-diagonal-ones convention."""
-    coeffs = [complex(c) for c in monic_ascending]
-    if not coeffs or coeffs[-1] != 1.0:
-        raise ShapeError("expected monic ascending coefficients ending in 1")
-    n = len(coeffs) - 1
-    comp = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n - 1):
-        comp[i + 1, i] = 1.0
-    comp[:, n - 1] = [-c for c in coeffs[:-1]]
-    return comp
-
-
 def same_conjugacy_class(a, b, tol: float = CLUSTER_TOL, seed: int = 0) -> bool:
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
@@ -341,14 +327,3 @@ def jordan_block(eigenvalue: complex, size: int) -> np.ndarray:
         j[i + 1, i] = 1.0
     return j
 
-
-def matrix_from_spectrum(spectrum: JordanSpectrum) -> np.ndarray:
-    mats = [jordan_block(a, m) for a, m in spectrum.blocks]
-    n = spectrum.dim
-    out = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for blk in mats:
-        s = blk.shape[0]
-        out[at : at + s, at : at + s] = blk
-        at += s
-    return out

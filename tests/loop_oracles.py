@@ -27,7 +27,7 @@ import numpy as np
 from regfman import fman, malgrange, regend
 from regfman.errors import HomogeneityError, NotPrimitiveError, ShapeError
 from regfman.fman import FManifoldModel, bracket_constants, mult_by_euler, standard_block
-from regfman.frob import epsilon_gram, euler_derivative, unit_vector_indices
+from regfman.frob import epsilon_gram, euler_derivative
 from regfman.frob import levi_civita_curvature as lc_curvature
 from regfman.jets import Jet, JetArray, JetMatrix, contract, jet_space
 from regfman.reports import Residual, ResidualReport, report_from
@@ -878,7 +878,7 @@ def check_coidentity_closed(metric):
 
 def check_unit_flat(metric):
     closed = check_coidentity_closed(metric)["coidentity_closed"]
-    units = unit_vector_indices(metric.blocks)
+    units = [sum(metric.blocks[:b]) for b in range(len(metric.blocks))]  # each block's leading direction
     flat = list(metric.values)
     worst = 0.0
     order = min(j.eff_order for j in flat) - 1

@@ -207,13 +207,13 @@ class TestFrameBrackets:
         t0, t1 = sp.variable(0), sp.variable(1)
         assert (br[0] - t0 * t0).residual_norm() < 1e-14
         assert (br[1] - t0.scale(2.0) * (t1 + 1.0)).residual_norm() < 1e-14
-        a = eigenfunction(model)
+        a = eigenfunction(model)[()]
         rhs = JetVector(fr[1]).scale(a.scale(2.0)) - JetVector(fr[0]).scale(a * a)
         assert (br - rhs).residual_norm() < 1e-14
 
     def test_eigenfunction_power_m3(self):
         model = standard_block(1.0 + 2j, 3)
-        a = eigenfunction(model)
+        a = eigenfunction(model)[()]
         fr = canonical_frame(model)
         assert (JetVector(fr[2]).apply_to(a) - a * a).residual_norm() < 1e-10
 
@@ -268,7 +268,8 @@ class TestSymmetries:
 class TestGermIsomorphism:
     def test_identity_on_equal_models(self):
         model = standard_block(0.5, 2)
-        psi, rep = germ_isomorphism(model, model)
+        iso = germ_isomorphism(model, model)
+        psi, rep = iso.map, iso.report
         sp = model.space
         assert (psi[0] - sp.variable(0)).residual_norm() < 1e-12
         assert (psi[1] - sp.variable(1)).residual_norm() < 1e-12
@@ -305,7 +306,8 @@ class TestGermIsomorphism:
         pushed = FManifoldModel(mult, base.unit, JetVector([euler0, euler1]))
         rep0 = check_fmanifold(pushed)
         assert rep0.passes(1e-9), rep0.worst()
-        psi, rep = germ_isomorphism(base, pushed)
+        iso = germ_isomorphism(base, pushed)
+        psi, rep = iso.map, iso.report
         assert rep.passes(1e-8), rep.worst()
         # psi must be the forward change s = (t0, t1 + t1^2)
         assert (psi[0] - t0).residual_norm() < 1e-9
@@ -351,7 +353,8 @@ class TestGermIsomorphismProducts:
             [_pushed_nilpotent_block(a, order), standard_block(2.0, 1, order)]
         )
         assert check_fmanifold(pushed).passes(1e-9)
-        psi, rep = germ_isomorphism(target, pushed)
+        iso = germ_isomorphism(target, pushed)
+        psi, rep = iso.map, iso.report
         assert rep.passes(1e-8), rep.worst()
         sp = target.space
         t0, t1, u = sp.variable(0), sp.variable(1), sp.variable(2)

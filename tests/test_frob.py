@@ -10,7 +10,6 @@ from regfman.fman import standard_block, standard_model
 from regfman.frob import (
     InvariantMetric,
     RotationOperator,
-    check_coidentity_closed,
     check_euler_rescaling,
     check_gamma,
     check_unit_flat,
@@ -20,19 +19,18 @@ from regfman.frob import (
     epsilon_gram,
     epsilon_metric,
     frobenius_verdict,
-    gamma_annihilates_dual,
     gamma_operator,
     invert_oneform,
     levi_civita_curvature,
     metric_from_potential,
     metric_from_psi,
-    psi_epsilon_norm,
     psi_from_metric,
+    structure_brackets,
     unit_covector,
 )
 from regfman.jets import JetArray, JetMatrix, jet_space
 
-from loop_oracles import JetVector, commutator, gamma_single_block, to_matrix
+from loop_oracles import JetVector, commutator, gamma_annihilates_dual, gamma_single_block, psi_epsilon_norm, to_matrix
 
 
 def binom_jet(space, var, exponent, order):
@@ -113,12 +111,12 @@ class TestUnitEulerConditions:
         sp = model.space
         h = sp.variable(1) + sp.variable(1) * sp.variable(1) + sp.variable(0) * sp.variable(1)
         m = metric_from_potential(h, model)
-        assert check_coidentity_closed(m).max_value() < 1e-14
+        assert check_unit_flat(m)["coidentity_closed"].value < 1e-14
 
     def test_closedness_defect(self):
         sp = jet_space(2, 4)
         m = InvariantMetric([2], [[sp.variable(1), sp.constant(1.0)]])
-        assert check_coidentity_closed(m)["coidentity_closed"].value == pytest.approx(1.0)
+        assert check_unit_flat(m)["coidentity_closed"].value == pytest.approx(1.0)
 
     def test_unit_flat_family(self):
         sp = jet_space(2, 4)
@@ -133,7 +131,7 @@ class TestUnitEulerConditions:
         m = InvariantMetric([2], [[sp.variable(0), sp.constant(1.0)]])
         assert check_unit_flat(m)["unit_derivative"].value == pytest.approx(1.0)
 
-    def test_unit_flat_and_verdict_differentiate_the_metric_once(self, monkeypatch):
+    def test_unit_and_euler_checks_differentiate_the_metric_once_each(self, monkeypatch):
         model = standard_model([(0.0, 2), (1.5, 1)], 4)
         sp = model.space
         metric = InvariantMetric([2, 1], [[sp.constant(0.3), sp.constant(1.0) + sp.variable(1)], [sp.constant(2.0)]])
@@ -148,9 +146,12 @@ class TestUnitEulerConditions:
         check_unit_flat(metric)
         assert calls.count(True) == 1
         calls.clear()
-        # the verdict's unit and Euler checks share one gradient
-        frobenius_verdict(metric, model, run_oracle=False)
+        check_euler_rescaling(metric, model.euler)
         assert calls.count(True) == 1
+        calls.clear()
+        # the verdict runs both checks, and nothing else differentiates the metric
+        frobenius_verdict(metric, model, run_oracle=False)
+        assert calls.count(True) == 2
 
     def test_euler_weight_2(self):
         model = standard_block(0.3, 2)
@@ -357,7 +358,7 @@ class TestGamma:
         model = standard_block(0.0, 2)
         psi = psi_from_metric(m)
         gamma = gamma_operator(psi, invert_oneform(psi), model)
-        rep = check_gamma(gamma, psi, model)
+        rep = check_gamma(gamma, psi, structure_brackets(gamma, model))
         assert rep["psi_norm_constant"].value == pytest.approx(1.0)
 
     def test_lemma_general_consequence(self):
@@ -368,7 +369,7 @@ class TestGamma:
         model = standard_block(0.0, 2)
         psi = psi_from_metric(m)
         gamma = gamma_operator(psi, invert_oneform(psi), model)
-        rep = check_gamma(gamma, psi, model)
+        rep = check_gamma(gamma, psi, structure_brackets(gamma, model))
         assert rep["epsilon_symmetry"].value < 1e-10
         assert rep["psi_norm_constant"].value < 1e-10
         assert rep["necesitate"].value < 1e-9
@@ -380,7 +381,7 @@ class TestDarbouxEgoroff:
         m = generic_metric_m2(model.space)
         psi = psi_from_metric(m)
         gamma = gamma_operator(psi, invert_oneform(psi), model)
-        de = darboux_egoroff_matrix(gamma, model, 0, 1)
+        de = darboux_egoroff_matrix(structure_brackets(gamma, model), 0, 1)
         sp = model.space
         c1 = JetMatrix.from_constant(sp, model.mult_matrices()[1])
         direct = commutator(c1, to_matrix(gamma.matrix.partial(0)))
@@ -393,7 +394,7 @@ class TestDarbouxEgoroff:
         model = standard_block(0.0, 2)
         psi = psi_from_metric(m)
         gamma = gamma_operator(psi, invert_oneform(psi), model)
-        rep = darboux_egoroff_residual(gamma, model)
+        rep = darboux_egoroff_residual(structure_brackets(gamma, model))
         assert rep.max_value() < 1e-11
 
     def test_m3_component_equations(self):
@@ -418,7 +419,7 @@ class TestDarbouxEgoroff:
             ),
             epsilon_gram([3]),
         )
-        de = darboux_egoroff_matrix(gamma, model, 1, 2)
+        de = darboux_egoroff_matrix(structure_brackets(gamma, model), 1, 2)
         # quadratic signs fixed by the curvature oracle and the classical
         # orthogonal-coordinate system (see test_square_family_signs)
         eq_a = (g11 - g00).partial(2) - g01.partial(1) - g01 * g01 + (g11 - g00) * g02
@@ -440,10 +441,10 @@ class TestDarbouxEgoroff:
         m = generic_metric_m3(model.space)
         psi = psi_from_metric(m)
         gamma = gamma_operator(psi, invert_oneform(psi), model)
-        m01 = darboux_egoroff_matrix(gamma, model, 0, 1)
-        m10 = darboux_egoroff_matrix(gamma, model, 1, 0)
+        m01 = darboux_egoroff_matrix(structure_brackets(gamma, model), 0, 1)
+        m10 = darboux_egoroff_matrix(structure_brackets(gamma, model), 1, 0)
         assert (m01 + m10).residual_norm() < 1e-12
-        rep = darboux_egoroff_residual(gamma, model)
+        rep = darboux_egoroff_residual(structure_brackets(gamma, model))
         assert rep["de_1_1"].value == 0.0
 
     def test_square_family_signs(self):
@@ -460,7 +461,7 @@ class TestDarbouxEgoroff:
             metric = InvariantMetric([3], [[sp.zero(), sp.zero(), eta2]])
             psi = psi_from_metric(metric)
             gamma = gamma_operator(psi, invert_oneform(psi), model)
-            de = darboux_egoroff_residual(gamma, model).max_value()
+            de = darboux_egoroff_residual(structure_brackets(gamma, model)).max_value()
             curv = levi_civita_curvature(metric, model.unit).curvature.value
             assert (de < 1e-10) == expect_flat
             assert (curv < 1e-10) == expect_flat

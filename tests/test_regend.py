@@ -8,15 +8,36 @@ from regfman.regend import (
     JordanSpectrum,
     analyze_endomorphism,
     characteristic_polynomial,
-    companion_matrix,
     cyclic_basis_representation,
     is_regular,
     jordan_block,
     jordan_spectrum,
-    matrix_from_spectrum,
     minimal_polynomial,
     same_conjugacy_class,
 )
+
+
+def companion_matrix(monic_ascending) -> np.ndarray:
+    """Companion matrix of a monic polynomial given by ascending coefficients
+    [c_0, ..., c_{n-1}, 1], in the sub-diagonal-ones convention."""
+    coeffs = [complex(c) for c in monic_ascending]
+    n = len(coeffs) - 1
+    comp = np.zeros((n, n), dtype=np.complex128)
+    for i in range(n - 1):
+        comp[i + 1, i] = 1.0
+    comp[:, n - 1] = [-c for c in coeffs[:-1]]
+    return comp
+
+
+def matrix_from_spectrum(spectrum: JordanSpectrum) -> np.ndarray:
+    """The block-diagonal matrix of lower Jordan blocks of a spectrum."""
+    n = spectrum.dim
+    out = np.zeros((n, n), dtype=np.complex128)
+    at = 0
+    for a, m in spectrum.blocks:
+        out[at : at + m, at : at + m] = jordan_block(a, m)
+        at += m
+    return out
 
 
 class TestCharacteristicPolynomial:
