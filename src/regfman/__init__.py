@@ -22,9 +22,7 @@ from .jets import (
     jet_space,
 )
 from .regend import (
-    EndoAnalysis,
     JordanSpectrum,
-    analyze_endomorphism,
     characteristic_polynomial,
     cyclic_basis_representation,
     is_regular,

@@ -4,7 +4,9 @@ Documents are JSON trees (schema ``regfman-doc/1``): a task name, task
 payload and settings.  Reports echo the task and settings and carry named
 residuals with effective jet orders, per-check verdicts with the thresholds
 that produced them, and a provenance block.  Reports are deterministic for a
-fixed document and seed: no timestamps, sorted keys.
+fixed document: no timestamps, sorted keys.  The settings are the jet order
+and the tolerance; ``regfman run`` overrides them with ``--order`` and
+``--tol``.
 
 Exit status: 0 when all verdicts pass, 1 on verdict failure, 2 on malformed
 input or validation errors.
@@ -262,47 +264,19 @@ def _settings_in(doc: dict, args) -> dict:
     tolerance = raw.get("tolerance", _default_tolerance())
     if args.tol is not None:
         tolerance = args.tol
-    seed = raw.get("seed", 0)
-    if args.seed is not None:
-        seed = args.seed
     if not _is_int(order) or order < 1:
         _fail("order must be an integer >= 1", "settings/order")
     if not _is_number(tolerance) or not np.isfinite(tolerance) or tolerance <= 0:
         _fail("tolerance must be positive and finite", "settings/tolerance")
-    if not _is_int(seed):
-        _fail("seed must be an integer", "settings/seed")
-    anchors = raw.get("branch_anchors")
-    if anchors is not None:
-        if not isinstance(anchors, list):
-            _fail("branch_anchors must be a list", "settings/branch_anchors")
-        anchors = [_complex_in(a, f"settings/branch_anchors[{k}]") for k, a in enumerate(anchors)]
-    return {
-        "order": order,
-        "tolerance": float(tolerance),
-        "seed": seed,
-        "branch_anchors": anchors,
-    }
-
-
-def _settings_echo(settings: dict) -> dict:
-    echo = {
-        "order": settings["order"],
-        "tolerance": settings["tolerance"],
-        "seed": settings["seed"],
-    }
-    if settings.get("branch_anchors") is not None:
-        echo["branch_anchors"] = [_complex_out(a) for a in settings["branch_anchors"]]
-    return echo
+    return {"order": order, "tolerance": float(tolerance)}
 
 
 # -- task handlers ---------------------------------------------------------------
 
 
-def _verdicts(report: ResidualReport, tol: float, names=None) -> dict:
+def _verdicts(report: ResidualReport, tol: float) -> dict:
     out = {}
     for name, res in report.items():
-        if names is not None and name not in names:
-            continue
         out[name] = {
             "pass": bool(res.value <= tol),
             "residual": float(res.value),
@@ -368,7 +342,6 @@ def _run_verify_frobenius(payload, settings):
         metric,
         model,
         weight=weight,
-        branch_anchors=settings.get("branch_anchors"),
         tolerance=tol,
         run_oracle=True,
     )
@@ -520,7 +493,7 @@ def _run_malgrange_chart(payload, settings):
     axioms = fman.check_fmanifold(model)
     spec_model = regend.jordan_spectrum(fman.mult_by_euler(model).constant_term())
     spec_seed = regend.jordan_spectrum(-b0o)
-    spectra_match = spec_model.matches(spec_seed, tol=1e-6)
+    spectra_match = spec_model.matches(spec_seed)
     iso_rep = malgrange.check_universality_isomorphism(chart, model).report
     rep = (
         integral.merged(flat, prefix="connection_")
@@ -549,6 +522,7 @@ def _run_extend_metric(payload, settings):
     weight = _complex_in(payload.get("weight", 2.0), "payload/weight")
     order = settings["order"]
     tol = settings["tolerance"]
+    valid_tol = max(tol, 1e-8)
     model = fman.standard_model(spec, order)
     data = malgrange.InitialData(model=model, gram=gram, skew=skew, weight=weight)
     validation = malgrange.validate_initial_data(data)
@@ -556,21 +530,21 @@ def _run_extend_metric(payload, settings):
         "validation": validation.residuals.to_dict(),
         "gram_condition": float(validation.gram_condition),
     }
-    if not validation.passed(max(tol, 1e-8)):
+    if not validation.passed(valid_tol):
         body["verdicts"] = {
             "initial_data_valid": {
                 "pass": False,
                 "residual": float(validation.residuals.max_value()),
-                "threshold": max(tol, 1e-8),
+                "threshold": valid_tol,
             }
         }
         return body, False
-    result = malgrange.initial_condition_extend(data, order=order, tolerance=tol)
+    result = malgrange.initial_condition_extend(data, tolerance=tol, validation_tolerance=valid_tol)
     verdicts = {
         "initial_data_valid": {
             "pass": True,
             "residual": float(validation.residuals.max_value()),
-            "threshold": max(tol, 1e-8),
+            "threshold": valid_tol,
         },
         "frobenius": {
             "pass": bool(result.verdict.passed),
@@ -740,7 +714,7 @@ def run_document(doc: dict, args) -> tuple[dict, bool]:
     report = {
         "schema": REPORT_SCHEMA,
         "task": task,
-        "settings": _settings_echo(settings),
+        "settings": settings,
         "pass": bool(passed),
         "provenance": {
             "tool": "regfman",
@@ -778,7 +752,6 @@ def main(argv=None) -> int:
     runp.add_argument("document", help="path to a JSON document, or '-' for standard input")
     runp.add_argument("--order", type=int, default=None, help="override the jet order")
     runp.add_argument("--tol", type=float, default=None, help="override the tolerance")
-    runp.add_argument("--seed", type=int, default=None, help="override the random seed")
     runp.add_argument("--out", default=None, help="write the JSON report to this path")
     runp.add_argument(
         "--summary", action="store_true", help="print a plain-text verdict summary"

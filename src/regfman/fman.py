@@ -67,12 +67,12 @@ class FManifoldModel:
         )
         return contract("ij,ijk->k", xy.exact_zeros(), self.structure.exact_zeros())
 
-    def is_constant_multiplication(self, tol: float = 0.0) -> bool:
-        return np.abs(self.structure._stored[..., 1:]).max(initial=0.0) <= tol
+    def is_constant_multiplication(self) -> bool:
+        return not self.structure._stored[..., 1:].any()
 
     def constant_structure(self) -> np.ndarray:
         """Structure constants c[i][j][k] for constant multiplication."""
-        if not self.is_constant_multiplication(tol=0.0):
+        if not self.is_constant_multiplication():
             raise ScopeError("multiplication is not constant in these coordinates")
         return self.structure.constant_term()
 
@@ -537,11 +537,7 @@ class GermIsomorphism:
     regularity: regend.RegularityReport
 
 
-def germ_isomorphism(
-    model_a: FManifoldModel,
-    model_b: FManifoldModel,
-    order: int | None = None,
-) -> GermIsomorphism:
+def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIsomorphism:
     """The unique isomorphism sending the canonical frame of ``model_a`` to
     that of ``model_b``.
 
@@ -557,19 +553,17 @@ def germ_isomorphism(
     """
     if model_a.dim != model_b.dim:
         raise NoIsomorphismError("models have different dimensions")
-    if order is None:
-        order = model_a.space.order
-    if model_a.space.order != model_b.space.order or order != model_a.space.order:
-        raise ShapeError("models and solver must share the jet order")
+    if model_a.space.order != model_b.space.order:
+        raise ShapeError("models must share the jet order")
     (ua0, reg_a), (ub0, reg_b) = _origin_probe(model_a), _origin_probe(model_b)
     spec_a = regend.jordan_spectrum(ua0, regularity=reg_a)
     spec_b = regend.jordan_spectrum(ub0, regularity=reg_b)
-    if not spec_a.matches(spec_b, tol=regend.CLUSTER_TOL):
+    if not spec_a.matches(spec_b):
         raise NoIsomorphismError("origin multiplications by the Euler fields are not conjugate")
 
     n = model_a.dim
     sp = model_a.space
-    k_order = order
+    k_order = sp.order
 
     # Euler powers X_i = E^i o e of A and Y_i of B; the first n are the
     # canonical frames

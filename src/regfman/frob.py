@@ -46,6 +46,11 @@ def _tops(sizes) -> np.ndarray:
     return np.cumsum(sizes) - 1
 
 
+# A metric is nondegenerate, and a one-form invertible, at the origin when
+# every block's top entry there has modulus above this.
+TOP_FLOOR = 1e-10
+
+
 class _BlockJets:
     """One jet per coordinate in block coordinates: ``values``, an (n,) jet
     array, read per block as ``families()[alpha][i]`` = values[off_alpha + i].
@@ -110,8 +115,8 @@ class InvariantMetric(_BlockJets):
         coeffs = np.concatenate([v._stored, np.zeros((1, v._stored.shape[-1]))])[source]
         return JetArray(self.space, coeffs, np.append(v.eff, self.space.order)[source])
 
-    def nondegenerate_at_origin(self, tol: float = 1e-10) -> bool:
-        return bool((np.abs(self.top_values()) > tol).all())
+    def nondegenerate_at_origin(self) -> bool:
+        return bool((np.abs(self.top_values()) > TOP_FLOOR).all())
 
 
 class OneForm(_BlockJets):
@@ -125,8 +130,8 @@ class OneForm(_BlockJets):
     def flat(self) -> JetArray:
         return self.values
 
-    def invertible_at_origin(self, tol: float = 1e-10) -> bool:
-        return bool((np.abs(self.top_values()) > tol).all())
+    def invertible_at_origin(self) -> bool:
+        return bool((np.abs(self.top_values()) > TOP_FLOOR).all())
 
 
 @dataclass(frozen=True)

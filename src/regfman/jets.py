@@ -405,14 +405,14 @@ class Jet:
         out[dst] = self.coeffs[src] * fac
         return sp._wrap(out, max(self.eff_order - 1, -1))
 
-    def invert(self, tol: float = 1e-12) -> "Jet":
+    def invert(self) -> "Jet":
         """Multiplicative inverse (see :meth:`JetArray.invert`)."""
-        return JetArray.from_jets(self).invert(tol)[()]
+        return JetArray.from_jets(self).invert()[()]
 
-    def sqrt(self, branch_anchor: complex | None = None, tol: float = 1e-9) -> "Jet":
+    def sqrt(self, branch_anchor: complex | None = None) -> "Jet":
         """Square root with the branch fixed by ``branch_anchor`` (see
         :meth:`JetArray.sqrt`)."""
-        return JetArray.from_jets(self).sqrt([branch_anchor], tol)[()]
+        return JetArray.from_jets(self).sqrt([branch_anchor])[()]
 
     def compose(self, subs: Sequence["Jet"]) -> "Jet":
         """Substitute ``subs[i]`` for variable ``i`` (see :class:`Substitution`)."""
@@ -561,11 +561,11 @@ class JetMatrix:
             acc = acc + self.entries[i][i]
         return acc
 
-    def inverse(self, cond_limit: float = 1e12) -> "JetMatrix":
+    def inverse(self) -> "JetMatrix":
         """Inverse via the constant-term inverse plus Newton iteration."""
         if self.rows != self.cols:
             raise ShapeError("inverse requires a square matrix")
-        return JetMatrix._of(JetArray.from_jets(self).inverse(cond_limit))
+        return JetMatrix._of(JetArray.from_jets(self).inverse())
 
     def power(self, n: int) -> "JetMatrix":
         if n < 0:
@@ -603,6 +603,18 @@ _PAIR_CACHE = 256
 # Output entries per coefficient above which the kernel sums each target's
 # products row-wise instead of with one ``reduceat``.
 _WIDE = 64
+
+# A jet has an inverse and a square root only when its constant term has
+# modulus above this.
+C0_FLOOR = 1e-12
+
+# A square-root anchor must square to the constant term c0 within this
+# times max(1, |c0|).
+ANCHOR_TOL = 1e-9
+
+# A jet matrix has an inverse only when the condition number of its
+# constant term is at most this.
+INVERSE_COND_LIMIT = 1e12
 
 
 class JetArray:
@@ -956,17 +968,17 @@ class JetArray:
     # kept for perfbench/workloads.py, which reads model.unit.constant_terms()
     constant_terms = constant_term
 
-    def invert(self, tol: float = 1e-12) -> "JetArray":
+    def invert(self) -> "JetArray":
         """Entrywise multiplicative inverse by Newton iteration, with the
         bits of the same iteration in ``Jet`` arithmetic; every entry needs
-        a constant term of modulus above ``tol``."""
+        a constant term of modulus above ``C0_FLOOR``."""
         sp = self.space
         a = self.coeffs.reshape(-1, sp.size)
         eff = np.minimum(self.eff, sp.order)
-        small = np.abs(a[:, 0]) <= tol
+        small = np.abs(a[:, 0]) <= C0_FLOOR
         if small.any():
             raise SingularInputError(
-                f"cannot invert jet with constant term {complex(a[small, 0][0])!r} (|c0| <= {tol})"
+                f"cannot invert jet with constant term {complex(a[small, 0][0])!r} (|c0| <= {C0_FLOOR})"
             )
         x = np.zeros_like(a)
         x[:, 0] = 1.0 / a[:, 0]
@@ -979,7 +991,7 @@ class JetArray:
             correct = 2 * correct + 1
         return JetArray.from_coeffs(sp, x.reshape(self.coeffs.shape), eff)
 
-    def sqrt(self, branch_anchors=None, tol: float = 1e-9) -> "JetArray":
+    def sqrt(self, branch_anchors=None) -> "JetArray":
         """Entrywise square root by Newton iteration, with the bits of the
         same iteration in ``Jet`` arithmetic and each branch fixed by its
         anchor: ``branch_anchors`` lists one value per entry (in the order of
@@ -990,11 +1002,11 @@ class JetArray:
         a = self.coeffs.reshape(-1, sp.size)
         eff = np.minimum(self.eff, sp.order)
         c0 = a[:, 0]
-        if (np.abs(c0) <= 1e-12).any():
+        if (np.abs(c0) <= C0_FLOOR).any():
             raise SingularInputError("square root of a jet with vanishing constant term")
         anchors = [None] * len(c0) if branch_anchors is None else branch_anchors
         anchor = np.array([np.sqrt(c) if x is None else complex(x) for c, x in zip(c0, anchors, strict=True)])
-        bad = np.abs(anchor * anchor - c0) > tol * np.maximum(1.0, np.abs(c0))
+        bad = np.abs(anchor * anchor - c0) > ANCHOR_TOL * np.maximum(1.0, np.abs(c0))
         if bad.any():
             raise InvalidAnchorError(
                 f"anchor {complex(anchor[bad][0])!r} does not square to the constant term "
@@ -1007,13 +1019,13 @@ class JetArray:
             s = s + (a - _row_products(sp, s, s, eff.ravel())) * inv2a
         return JetArray.from_coeffs(sp, s.reshape(self.coeffs.shape), eff)
 
-    def inverse(self, cond_limit: float = 1e12) -> "JetArray":
+    def inverse(self) -> "JetArray":
         """Inverse of a square jet matrix: the constant-term inverse refined
         by Newton iteration, trusted to the lowest effective order."""
         if self._stored.ndim != 3 or self.shape[0] != self.shape[1]:
             raise ShapeError("inverse requires a square matrix")
         a0 = self.constant_term()
-        if not np.all(np.isfinite(a0)) or np.linalg.cond(a0) > cond_limit:
+        if not np.all(np.isfinite(a0)) or np.linalg.cond(a0) > INVERSE_COND_LIMIT:
             raise SingularInputError("matrix is singular at the base point")
         sp = self.space
         x = JetArray.constant(sp, np.linalg.inv(a0))

@@ -12,6 +12,7 @@ extension of an admissible pointwise pairing to a full Frobenius metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,14 +58,24 @@ class DeformationSpec:
 @dataclass(frozen=True)
 class MalgrangeChart:
     """The chart Gamma of the leaf through zero, an (n, n) jet array in n
-    variables (nested jets are stacked once)."""
+    variables (nested jets are stacked once), with its tangent matrices and
+    its polar residue, each built once on first use."""
 
     spec: DeformationSpec
     gamma: JetArray
-    order: int
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", JetArray.from_jets(self.gamma))
+
+    @cached_property
+    def tangent(self) -> JetArray:
+        """Tangent matrices d_i Gamma, shape (n, n, n)."""
+        return self.gamma.grad()
+
+    @cached_property
+    def b0(self) -> JetArray:
+        """B0 at Gamma (see :func:`b0_at`)."""
+        return b0_at(self.spec, self.gamma)
 
 
 def b0_at(spec: DeformationSpec, gamma) -> JetArray:
@@ -112,7 +123,7 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
             field = _powers(b0_at(spec, current.capped(max(s, 1))), i + 1)[i]
             current = gamma + field.integrate(i)
         gamma = current
-    return MalgrangeChart(spec=spec, gamma=gamma, order=order)
+    return MalgrangeChart(spec=spec, gamma=gamma)
 
 
 def expand_in_frame(frame: JetArray, rhs: JetArray) -> tuple[JetArray, np.ndarray]:
@@ -144,11 +155,6 @@ def expand_in_frame(frame: JetArray, rhs: JetArray) -> tuple[JetArray, np.ndarra
     return coeffs, (rhs - final).residual_norms().reshape(count, -1).max(axis=1)
 
 
-def _tangent(chart: MalgrangeChart) -> JetArray:
-    """Tangent matrices d_i Gamma, shape (n, n, n)."""
-    return chart.gamma.grad()
-
-
 def _products(tangent: JetArray) -> JetArray:
     """Matrix products of tangent matrices, [i, j] = d_i Gamma d_j Gamma."""
     return contract("iab,jbc->ijac", tangent, tangent)
@@ -158,8 +164,8 @@ def check_integrality(chart: MalgrangeChart) -> ResidualReport:
     """Tangency of each coordinate direction to the power span, and
     closure of tangent products in the tangent frame."""
     n = chart.spec.dim
-    tangent = _tangent(chart)
-    power = JetArray.stack(_powers(b0_at(chart.spec, chart.gamma), n))
+    tangent = chart.tangent
+    power = JetArray.stack(_powers(chart.b0, n))
     ord_t = tangent.eff_order()
     _, tangency = expand_in_frame(power, tangent)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -173,7 +179,7 @@ def check_integrality(chart: MalgrangeChart) -> ResidualReport:
 def canonical_connection(chart: MalgrangeChart) -> BirkhoffConnection:
     """Connection data on the chart: polar residue B0 at Gamma, constant
     Binf, and the tangent matrices acting as the Higgs field."""
-    return BirkhoffConnection(b0_at(chart.spec, chart.gamma), chart.spec.binf, _tangent(chart))
+    return BirkhoffConnection(chart.b0, chart.spec.binf, chart.tangent)
 
 
 def fmanifold_on_chart(
@@ -188,8 +194,7 @@ def fmanifold_on_chart(
     right-hand sides, so its round-off grows with them: the worst residual
     is held to ``residual_limit`` times the largest coefficient modulus of
     the right-hand sides, and never to less than ``residual_limit``."""
-    tangent = _tangent(chart)
-    b0 = b0_at(chart.spec, chart.gamma)
+    tangent, b0 = chart.tangent, chart.b0
     n = len(tangent)
     rhs = JetArray.stack(
         [*_products(tangent).reshape(n * n, n, n), JetArray.constant(tangent.space, np.eye(n)), -b0]
@@ -209,7 +214,7 @@ def check_universality_isomorphism(chart: MalgrangeChart, model: FManifoldModel)
     """Germ isomorphism from the chart model (``fmanifold_on_chart(chart)``)
     to the standard model of the spectrum of minus the seed residue."""
     spec = regend.jordan_spectrum(-chart.spec.b0o)
-    target = standard_model(spec, order=chart.order)
+    target = standard_model(spec, order=chart.gamma.space.order)
     return germ_isomorphism(model, target)
 
 
@@ -239,6 +244,11 @@ class InitialData:
         object.__setattr__(self, "weight", complex(self.weight))
 
 
+# Initial data are admissible only with a Gram matrix of condition number
+# at most this.
+GRAM_COND_LIMIT = 1e10
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     residuals: ResidualReport
@@ -246,8 +256,8 @@ class ValidationReport:
     companion: np.ndarray
     moments: np.ndarray
 
-    def passed(self, tolerance: float = 1e-9, cond_limit: float = 1e10) -> bool:
-        return self.residuals.passes(tolerance) and self.gram_condition <= cond_limit
+    def passed(self, tolerance: float = 1e-9) -> bool:
+        return self.residuals.passes(tolerance) and self.gram_condition <= GRAM_COND_LIMIT
 
 
 def _moments(b0o: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -320,14 +330,12 @@ class ExtensionResult:
     verdict: FrobeniusVerdict
     validation: ValidationReport
     report: ResidualReport
-    regularity_probe: str = ""
+    regularity_probe: str
 
 
 def initial_condition_extend(
     data: InitialData,
-    order: int | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    probe_order=None,
     validation_tolerance: float = 1e-8,
 ) -> ExtensionResult:
     """Extend admissible pointwise data to a Frobenius metric on the model.
@@ -344,8 +352,8 @@ def initial_condition_extend(
     origin probe the later steps reuse) and :func:`frobenius_verdict`.  The
     report includes the origin match, the full Frobenius verdict at the
     given weight, the origin Euler-derivative law and the symmetry
-    diagnostics of the chart.  ``probe_order`` reruns the origin probe
-    with that probe order for the report's probe name.
+    diagnostics of the chart.  The extension is taken to the model's jet
+    order.
     """
     val = validate_initial_data(data)
     if not val.passed(validation_tolerance):
@@ -356,10 +364,7 @@ def initial_condition_extend(
         )
     model = data.model
     n = model.dim
-    if order is None:
-        order = model.space.order
-    if order != model.space.order:
-        raise ShapeError("extension order must match the model's jet order")
+    order = model.space.order
     b0o = val.companion
     binf = data.skew
     g0 = np.array([[val.moments[i + j] for j in range(n)] for i in range(n)])
@@ -367,21 +372,20 @@ def initial_condition_extend(
     chart = integrate_chart(DeformationSpec(-b0o, -binf), order)
     gamma = chart.gamma
     sp = gamma.space
-    tangent = gamma.grad()
-    bundle = SaitoBundle(phi=tangent, r0=b0_at(chart.spec, gamma), rinf=binf, metric=g0)
+    bundle = SaitoBundle(phi=chart.tangent, r0=chart.b0, rinf=binf, metric=g0)
     saito_rep = check_saito_axioms(bundle)
     saito_metric_rep = check_saito_metric_axioms(bundle)
+    del bundle  # its cached product table is not held through the later stages (peak memory)
 
     # metric on the chart through the primitive constant section:
     # cols[i, k] = (phi_i e_0)^k
     g0_jet = JetArray.constant(sp, g0)
-    cols = tangent[:, :, 0]
+    cols = chart.tangent[:, :, 0]
     gram_chart = contract("al,bl->ab", contract("ak,kl->al", cols, g0_jet), cols)
-    del bundle, tangent, cols  # not held while fmanifold_on_chart builds its own tangents (peak memory)
 
     # the isomorphism's canonical frame of the model serves the origin frame
     # change, and the pull-back composes through its substitution table
-    iso = germ_isomorphism(model, fmanifold_on_chart(chart), order)
+    iso = germ_isomorphism(model, fmanifold_on_chart(chart))
     jac = iso.map.grad()  # jac[a, k] = d_a psi^k
     composed = iso.substitution(gram_chart)
     gram_model = contract("al,bl->ab", contract("ak,kl->al", jac, composed), jac)
@@ -415,10 +419,6 @@ def initial_condition_extend(
     b0o_sym = float(np.max(np.abs(b0o.T @ g0 - g0 @ b0o)))
     binf_skew = float(np.max(np.abs(binf.T @ g0 + g0 @ binf)))
 
-    regularity = iso.regularity
-    if probe_order is not None:
-        regularity = regend.is_regular(mult_by_euler(model).constant_term(), probe_order=probe_order)
-
     report = ResidualReport(
         [
             ("origin_match", Residual(origin_res, order)),
@@ -446,5 +446,5 @@ def initial_condition_extend(
         verdict=verdict,
         validation=val,
         report=report,
-        regularity_probe=regularity.probe,
+        regularity_probe=iso.regularity.probe,
     )

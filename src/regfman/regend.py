@@ -13,8 +13,7 @@ widened accordingly (the cluster means stay accurate to first order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,12 +63,12 @@ class JordanSpectrum:
     def eigenvalues(self) -> list[complex]:
         return [a for a, _ in self.blocks]
 
-    def matches(self, other: "JordanSpectrum", tol: float = CLUSTER_TOL) -> bool:
+    def matches(self, other: "JordanSpectrum") -> bool:
         if self.dim != other.dim or len(self.blocks) != len(other.blocks):
             return False
         scale = max(1.0, max(abs(a) for a, _ in self.blocks))
         for (a, ma), (b, mb) in zip(self.blocks, other.blocks):
-            if ma != mb or abs(a - b) > tol * scale:
+            if ma != mb or abs(a - b) > CLUSTER_TOL * scale:
                 return False
         return True
 
@@ -84,16 +83,6 @@ class RegularityReport:
 
     def __bool__(self):
         return self.regular
-
-
-@dataclass(frozen=True)
-class EndoAnalysis:
-    matrix: np.ndarray
-    char_poly: tuple[complex, ...]
-    min_poly: tuple[complex, ...]
-    spectrum: JordanSpectrum
-    cyclic_vector: np.ndarray | None
-    regularity: RegularityReport = field(repr=False, default=None)
 
 
 def characteristic_polynomial(a) -> list[complex]:
@@ -119,75 +108,65 @@ def _krylov(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _probe_vectors(n: int, seed: int, probe_order: Sequence[str] | None = None):
-    named: dict[str, np.ndarray] = {}
-    for i in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[i] = 1.0
-        named[f"e{i}"] = e
-    named["ones"] = np.ones(n, dtype=np.complex128)
-    rng = np.random.default_rng(seed)
-    named["random"] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    if probe_order is None:
-        probe_order = list(named)
-    return [(name, named[name]) for name in probe_order if name in named]
+def _probe_vectors(n: int) -> list[tuple[str, np.ndarray]]:
+    """The unit vectors e0, ..., e(n-1), the all-ones vector and one random
+    vector of a fixed generator, in this order."""
+    eye = np.eye(n, dtype=np.complex128)
+    rng = np.random.default_rng(0)
+    return [
+        *((f"e{i}", eye[i]) for i in range(n)),
+        ("ones", np.ones(n, dtype=np.complex128)),
+        ("random", rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+    ]
 
 
-def _krylov_probes(a, tol: float, seed: int, probe_order: Sequence[str] | None):
+# A probe is cyclic when the smallest singular value of its Krylov matrix is
+# above this times the largest.
+KRYLOV_TOL = 1e-8
+
+
+def _krylov_probes(a):
     """Krylov test of each probe vector in turn: yields the probe's name,
     its unit vector, the condition number of its Krylov matrix (of the
     matrix scaled to spectral norm at most one) and whether it is cyclic."""
     m = _as_matrix(a)
     n = m.shape[0]
     scale = max(1.0, float(np.linalg.norm(m, 2)))
-    for name, v in _probe_vectors(n, seed, probe_order):
+    for name, v in _probe_vectors(n):
         v = v / np.linalg.norm(v)
         sv = np.linalg.svd(_krylov(m / scale, v, n), compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        yield name, v, cond, bool(sv[-1] > tol * sv[0])
+        yield name, v, cond, bool(sv[-1] > KRYLOV_TOL * sv[0])
 
 
-def is_regular(
-    a,
-    tol: float = 1e-8,
-    seed: int = 0,
-    probe_order: Sequence[str] | None = None,
-) -> RegularityReport:
-    """Cyclic-vector test over deterministic probes plus one seeded random
-    probe.  Returns a report whose truth value is the verdict."""
+def is_regular(a) -> RegularityReport:
+    """Cyclic-vector test over deterministic probes plus one random probe
+    of a fixed generator.  Returns a report whose truth value is the
+    verdict."""
     best_cond = np.inf
     best_probe = ""
     tried = []
-    for name, _, cond, cyclic in _krylov_probes(a, tol, seed, probe_order):
+    for name, _, cond, cyclic in _krylov_probes(a):
         tried.append(name)
         if cond < best_cond:
             best_cond = cond
             best_probe = name
         if cyclic:
-            return RegularityReport(True, name, cond, tol, tuple(tried))
-    return RegularityReport(False, best_probe, best_cond, tol, tuple(tried))
+            return RegularityReport(True, name, cond, KRYLOV_TOL, tuple(tried))
+    return RegularityReport(False, best_probe, best_cond, KRYLOV_TOL, tuple(tried))
 
 
-def cyclic_vector(
-    a, tol: float = 1e-8, seed: int = 0, probe_order: Sequence[str] | None = None
-) -> tuple[np.ndarray, str]:
-    for name, v, _, cyclic in _krylov_probes(a, tol, seed, probe_order):
-        if cyclic:
-            return v, name
-    raise RegularityError("no cyclic vector found; the matrix is not regular")
-
-
-def minimal_polynomial(
-    a, tol: float = 1e-8, seed: int = 0, probe_order: Sequence[str] | None = None
-) -> list[complex]:
-    """Minimal polynomial via a Krylov relation on a cyclic vector.
+def minimal_polynomial(a) -> list[complex]:
+    """Minimal polynomial via a Krylov relation on the first cyclic probe.
 
     Independent of :func:`characteristic_polynomial`; for regular input the
     two agree coefficient-wise.
     """
     m = _as_matrix(a)
     n = m.shape[0]
-    v, _ = cyclic_vector(m, tol=tol, seed=seed, probe_order=probe_order)
+    v = next((v for _, v, _, cyclic in _krylov_probes(m) if cyclic), None)
+    if v is None:
+        raise RegularityError("no cyclic vector found; the matrix is not regular")
     k = _krylov(m, v, n)
     rhs = m @ k[:, -1]
     sol, *_ = np.linalg.lstsq(k, rhs, rcond=None)
@@ -195,18 +174,15 @@ def minimal_polynomial(
     return coeffs
 
 
-def _clustering_threshold(n: int, scale: float, tol: float) -> float:
+def _clustering_threshold(n: int, scale: float) -> float:
     # Jordan-block eigenvalues scatter like (n*eps)^(1/n) under roundoff;
-    # keep the user tolerance as a floor and surface the effective value.
+    # keep CLUSTER_TOL as a floor and surface the effective value.
     scatter = 4.0 * n * (_EPS * n) ** (1.0 / n)
-    return max(tol, scatter) * scale
+    return max(CLUSTER_TOL, scatter) * scale
 
 
 def jordan_spectrum(
     a,
-    tol: float = CLUSTER_TOL,
-    seed: int = 0,
-    probe_order: Sequence[str] | None = None,
     return_details: bool = False,
     *,
     regularity: RegularityReport | None = None,
@@ -220,7 +196,7 @@ def jordan_spectrum(
     stands in for the probe this call would run.
     """
     m = _as_matrix(a)
-    reg = is_regular(m, seed=seed, probe_order=probe_order) if regularity is None else regularity
+    reg = is_regular(m) if regularity is None else regularity
     n = m.shape[0]
     if not reg:
         raise RegularityError(
@@ -228,7 +204,7 @@ def jordan_spectrum(
         )
     eig = np.linalg.eigvals(m)
     scale = max(1.0, float(np.max(np.abs(eig))))
-    threshold = _clustering_threshold(n, scale, tol)
+    threshold = _clustering_threshold(n, scale)
 
     gaps = [abs(eig[i] - eig[j]) for i in range(n) for j in range(i + 1, n)]
     for g in gaps:
@@ -261,7 +237,7 @@ def jordan_spectrum(
     if return_details:
         return spectrum, {
             "clustering_threshold": threshold,
-            "requested_tolerance": tol,
+            "requested_tolerance": CLUSTER_TOL,
             "raw_eigenvalues": [complex(z) for z in eig],
             "probe": reg.probe,
         }
@@ -290,33 +266,11 @@ def cyclic_basis_representation(a, v) -> np.ndarray:
     return comp
 
 
-def same_conjugacy_class(a, b, tol: float = CLUSTER_TOL, seed: int = 0) -> bool:
+def same_conjugacy_class(a, b) -> bool:
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         return False
-    sa = jordan_spectrum(ma, tol=tol, seed=seed)
-    sb = jordan_spectrum(mb, tol=tol, seed=seed)
-    return sa.matches(sb, tol=tol)
-
-
-def analyze_endomorphism(a, tol: float = 1e-8, seed: int = 0) -> EndoAnalysis:
-    m = _as_matrix(a)
-    reg = is_regular(m, tol=tol, seed=seed)
-    char = characteristic_polynomial(m)
-    if reg:
-        v, _ = cyclic_vector(m, tol=tol, seed=seed)
-        minp = minimal_polynomial(m, tol=tol, seed=seed)
-        spec = jordan_spectrum(m, seed=seed)
-    else:
-        raise RegularityError("analysis requires a regular matrix")
-    return EndoAnalysis(
-        matrix=m,
-        char_poly=tuple(char),
-        min_poly=tuple(minp),
-        spectrum=spec,
-        cyclic_vector=v,
-        regularity=reg,
-    )
+    return jordan_spectrum(ma).matches(jordan_spectrum(mb))
 
 
 def jordan_block(eigenvalue: complex, size: int) -> np.ndarray:

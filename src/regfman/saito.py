@@ -242,15 +242,17 @@ def _section(bundle: SaitoBundle, section) -> tuple[np.ndarray, JetArray]:
     return s, JetArray.constant(bundle.space, s).exact_zeros()
 
 
-def _induced(
-    bundle: SaitoBundle, section: JetArray, tol: float
-) -> tuple[FManifoldModel, dict, JetArray, JetArray]:
+# A section is primitive when the frame I(0) = Phi(s)(0) has condition
+# number at most 1 / PRIMITIVE_TOL.
+PRIMITIVE_TOL = 1e-10
+
+def _induced(bundle: SaitoBundle, section: JetArray) -> tuple[FManifoldModel, dict, JetArray, JetArray]:
     """:func:`fmanifold_from_saito` plus the frame iso[a, i] = (Phi_i s)^a
     and its inverse."""
     if bundle.base_dim != bundle.rank:
         raise ShapeError("a primitive section needs base dimension equal to the rank")
     iso = contract("iab,b->ai", bundle.phi, section)
-    if np.linalg.cond(iso.constant_term()) > 1.0 / max(tol, 1e-300):
+    if np.linalg.cond(iso.constant_term()) > 1.0 / PRIMITIVE_TOL:
         raise NotPrimitiveError("section is not primitive: I(0) is singular")
     iso_inv = iso.inverse()
 
@@ -273,9 +275,7 @@ def _induced(
     return model, info, iso, iso_inv
 
 
-def fmanifold_from_saito(
-    bundle: SaitoBundle, section, tol: float = 1e-10
-) -> tuple[FManifoldModel, dict]:
+def fmanifold_from_saito(bundle: SaitoBundle, section) -> tuple[FManifoldModel, dict]:
     """Multiplication, unit and Euler field induced by a primitive section.
 
     The section identifies tangent directions with bundle elements through
@@ -283,15 +283,19 @@ def fmanifold_from_saito(
     The report verifies that multiplication by the Euler field matches the
     conjugated residue and that their origin spectra agree.
     """
-    model, info, _, _ = _induced(bundle, _section(bundle, section)[1], tol)
+    model, info, _, _ = _induced(bundle, _section(bundle, section)[1])
     return model, info
+
+
+# A flat section s is homogeneous of weight q when |Rinf s - q s| is at most
+# this times max(1, |s|).
+HOMOGENEITY_TOL = 1e-8
 
 
 def frobenius_from_saito(
     bundle: SaitoBundle,
     section,
     weight_q: complex,
-    tol: float = 1e-8,
 ) -> tuple[JetArray, ResidualReport]:
     """Metric induced by a flat homogeneous primitive section, plus the
     residual of the Euler-derivative law
@@ -303,12 +307,12 @@ def frobenius_from_saito(
     if bundle.frame_connection is not None:
         flat_res = contract("iab,b->ia", bundle.frame_connection, s_jet).residual_norm()
     hom = float(np.max(np.abs(bundle.rinf @ s - complex(weight_q) * s)))
-    if hom > tol * max(1.0, float(np.max(np.abs(s)))):
+    if hom > HOMOGENEITY_TOL * max(1.0, float(np.max(np.abs(s)))):
         raise HomogeneityError(
             f"section is not homogeneous of weight {weight_q}: residual {hom:.3e}"
         )
 
-    model, _, iso, iso_inv = _induced(bundle, s_jet, 1e-10)
+    model, _, iso, iso_inv = _induced(bundle, s_jet)
     sp = bundle.space
     n = bundle.rank
     gram = contract(

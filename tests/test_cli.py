@@ -1,11 +1,13 @@
 """CLI tests: document parsing, exit codes, determinism, explain."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from regfman.cli import explain, main
+from regfman.cli import _settings_in, explain, main
 from regfman.jets import Jet, JetArray, JetMatrix
 from saito_cases import metric_gauged_bundle
 
@@ -257,13 +259,7 @@ class TestRun:
             ("order", 3.0, "settings/order"),
             ("tolerance", True, "settings/tolerance"),
             ("tolerance", "1e-9", "settings/tolerance"),
-            ("seed", False, "settings/seed"),
-            ("branch_anchors", [True], "settings/branch_anchors[0]"),
-            ("branch_anchors", [[1.0, "0"]], "settings/branch_anchors[0]"),
-            ("branch_anchors", [1e400], "settings/branch_anchors[0]"),
             ("tolerance", 10**400, "settings/tolerance"),
-            ("branch_anchors", [10**400], "settings/branch_anchors[0]"),
-            ("branch_anchors", [[0, -(10**400)]], "settings/branch_anchors[0]"),
         ],
     )
     def test_settings_take_no_booleans_strings_or_fractions(self, tmp_path, capsys, key, value, field):
@@ -318,6 +314,17 @@ class TestRun:
         assert code == 2 and report is None
         assert f"{field}:" in capsys.readouterr().err
 
+    def test_extend_metric_extends_at_the_validation_threshold_it_reports(self, tmp_path):
+        # data valid at max(tolerance, 1e-8) are extended, not refused by a
+        # second validation at a fixed 1e-8
+        doc = json.loads((DOCS / "extend-metric.json").read_text(encoding="utf-8"))
+        doc["payload"]["gram"][1][1] = 1e-7
+        doc["settings"]["tolerance"] = 1e-6
+        code, report = run_doc(tmp_path, doc)
+        assert code == 0 and report["pass"] is True
+        assert report["verdicts"]["initial_data_valid"]["residual"] == pytest.approx(1e-7)
+        assert report["verdicts"]["frobenius"]["pass"] is True
+
     def test_germ_iso_mismatch_exits_2(self, tmp_path, capsys):
         doc = {
             "schema": "regfman-doc/1",
@@ -331,6 +338,65 @@ class TestRun:
         code, _ = run_doc(tmp_path, doc)
         assert code == 2
         assert "conjugate" in capsys.readouterr().err
+
+
+# A non-default value for every document setting and every flag of
+# `regfman run`.  Each must change what a run writes (the report outside
+# its settings echo, the output file or a stream), so a setting or flag
+# without an effect, or a new one without a probe here, fails.
+SETTING_PROBES = {"order": 5, "tolerance": 1e-3}
+FLAG_PROBES = {"--order": ["5"], "--tol": ["1e-3"], "--out": ["report.json"], "--summary": []}
+
+
+def _run_flags(capsys) -> list[str]:
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    return sorted(set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"})
+
+
+def _written(tmp_path, capsys, doc, argv=()):
+    """Exit code, stdout and stderr (a JSON report without its settings
+    echo) and the report file of one run in ``tmp_path``."""
+    (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    code = main(["run", "doc.json", *argv])
+    streams = capsys.readouterr()
+    try:
+        stdout = json.loads(streams.out)
+        stdout.pop("settings")
+    except ValueError:
+        stdout = streams.out
+    return code, stdout, streams.err, out.read_text(encoding="utf-8") if out.exists() else None
+
+
+class TestEverySettingHasAnEffect:
+    @pytest.fixture
+    def base(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REGFMAN_TOL", raising=False)
+        doc = json.loads((DOCS / "verify-frobenius.json").read_text(encoding="utf-8"))
+        doc["settings"] = {}
+        return doc
+
+    def test_every_document_setting(self, tmp_path, capsys, base):
+        args = argparse.Namespace(**{flag[2:]: None for flag in _run_flags(capsys)})
+        assert sorted(_settings_in(base, args)) == sorted(SETTING_PROBES)
+        want = _written(tmp_path, capsys, base)
+        for key, value in SETTING_PROBES.items():
+            doc = dict(base, settings={key: value})
+            assert _written(tmp_path, capsys, doc) != want, key
+
+    def test_every_run_flag(self, tmp_path, capsys, base):
+        assert _run_flags(capsys) == sorted(FLAG_PROBES)
+        want = _written(tmp_path, capsys, base)
+        for flag, values in FLAG_PROBES.items():
+            assert _written(tmp_path, capsys, base, [flag, *values]) != want, flag
+
+    def test_a_dropped_flag_exits_2(self, tmp_path, capsys, base):
+        with pytest.raises(SystemExit) as exc:
+            _written(tmp_path, capsys, base, ["--seed", "1"])
+        assert exc.value.code == 2
 
 
 class TestExplain:

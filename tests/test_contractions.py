@@ -1085,15 +1085,15 @@ _CHART_SPECS = [
 
 @pytest.mark.parametrize("b0o, binf, order", _CHART_SPECS)
 def test_batched_chart_expansion_matches_the_loop(b0o, binf, order):
-    from regfman.malgrange import _products, _tangent, b0_at, expand_in_frame
+    from regfman.malgrange import _products, expand_in_frame
 
     chart = integrate_chart(DeformationSpec(b0o, binf), order)
     n = chart.spec.dim
-    tangent = _tangent(chart)
+    tangent = chart.tangent
     frame = [loop_oracles.to_matrix(t) for t in tangent]
     products = _products(tangent)
     rhs = [loop_oracles.to_matrix(products[i, j]) for i in range(n) for j in range(n)]
-    rhs += [JetMatrix.identity(tangent.space, n), loop_oracles.to_matrix(-b0_at(chart.spec, chart.gamma))]
+    rhs += [JetMatrix.identity(tangent.space, n), loop_oracles.to_matrix(-chart.b0)]
     coeffs, res = expand_in_frame(tangent, JetArray.from_jets(rhs))
     scale = float(np.abs(tangent.coeffs).max())
     for r, mat in enumerate(rhs):

@@ -116,7 +116,7 @@ class TestIntegrality:
         gamma = JetMatrix.from_constant(sp, n_mat).scale(sp.variable(0))
         from regfman.malgrange import MalgrangeChart
 
-        fake = MalgrangeChart(spec=spec, gamma=gamma, order=3)
+        fake = MalgrangeChart(spec=spec, gamma=gamma)
         rep = check_integrality(fake)
         assert rep.max_value() > 0.1
 
@@ -176,7 +176,7 @@ class TestFManifoldOnChart:
         assert rep.passes(1e-8), rep.worst()
         spec_model = jordan_spectrum(mult_by_euler(model).constant_term())
         spec_expected = jordan_spectrum(-b0o)
-        assert spec_model.matches(spec_expected, tol=1e-6)
+        assert spec_model.matches(spec_expected)
 
     def test_limit_scales_with_large_chart_coefficients(self):
         # eigenvalues {0, 0, 4, 4}: the chart's coefficients reach 1e7 and
@@ -189,7 +189,7 @@ class TestFManifoldOnChart:
         chart = integrate_chart(DeformationSpec(-companion, -np.diag([-1.5, -0.5, 0.5, 1.5])), order=4)
         assert np.abs(chart.gamma.coeffs).max() >= 1e6
         model = fmanifold_on_chart(chart)
-        assert jordan_spectrum(mult_by_euler(model).constant_term()).matches(jordan_spectrum(companion), tol=1e-6)
+        assert jordan_spectrum(mult_by_euler(model).constant_term()).matches(jordan_spectrum(companion))
         with pytest.raises(ChartDegeneracyError, match=r"residual \S+, or \S+ relative to"):
             fmanifold_on_chart(chart, residual_limit=1e-18)
 
@@ -360,15 +360,6 @@ class TestExtension:
         assert res.verdict.passed
         assert res.report["origin_match"].value < 1e-9
         assert res.report["euler_derivative_origin"].value < 1e-7
-
-    def test_uniqueness_under_probe_order(self):
-        data = nilpotent_initial_data(a=0.0, h1=1.0, weight=3.0, order=3)
-        res_a = initial_condition_extend(data, probe_order=("e0", "ones", "random"))
-        res_b = initial_condition_extend(data, probe_order=("random", "ones", "e0"))
-        diff = 0.0
-        for ra, rb in zip(res_a.metric.flat_eta(), res_b.metric.flat_eta()):
-            diff = max(diff, (ra - rb).residual_norm())
-        assert diff < 1e-8
 
     def test_one_probe_frame_and_table_per_use_per_call(self, monkeypatch):
         # the origin data and the isomorphism's substitution table are

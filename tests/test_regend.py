@@ -6,7 +6,6 @@ import pytest
 from regfman.errors import RegularityError, SpectrumError
 from regfman.regend import (
     JordanSpectrum,
-    analyze_endomorphism,
     characteristic_polynomial,
     cyclic_basis_representation,
     is_regular,
@@ -172,9 +171,3 @@ class TestMinimalPolynomial:
         char = np.array(characteristic_polynomial(mat))
         minp = np.array(minimal_polynomial(mat))
         assert np.max(np.abs(char - minp)) < 1e-8
-
-    def test_analysis_bundle(self):
-        an = analyze_endomorphism(jordan_block(1.0, 2))
-        assert an.spectrum.blocks[0][1] == 2
-        assert an.cyclic_vector is not None
-        assert an.regularity.regular
