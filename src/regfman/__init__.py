@@ -35,7 +35,6 @@ from .fman import (
     CanonicalFrame,
     FManifoldModel,
     GermIsomorphism,
-    bracket_constants,
     canonical_frame,
     check_fmanifold,
     check_frame_brackets,

@@ -8,6 +8,9 @@ fixed document: no timestamps, sorted keys.  The settings are the jet order
 and the tolerance; ``regfman run`` overrides them with ``--order`` and
 ``--tol``.
 
+Each task handler returns the body of its report, and the report's
+``pass`` is the conjunction of the body's verdicts.
+
 Exit status: 0 when all verdicts pass, 1 on verdict failure, 2 on malformed
 input or validation errors.
 """
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import fman, frob, malgrange, regend, saito
-from .errors import DocumentError, RegfmanError
+from .errors import DocumentError, RegfmanError, ValidationError
 from .jets import Jet, JetArray, JetSpace, jet_space
 from .regend import JordanSpectrum
 from .reports import ResidualReport
@@ -31,18 +34,6 @@ from .reports import ResidualReport
 DOC_SCHEMA = "regfman-doc/1"
 REPORT_SCHEMA = "regfman-report/1"
 ENV_TOLERANCE = "REGFMAN_TOL"
-
-TASKS = (
-    "verify-fmanifold",
-    "standard-model",
-    "verify-frobenius",
-    "symmetries",
-    "saito-check",
-    "birkhoff-flatness",
-    "malgrange-chart",
-    "extend-metric",
-    "germ-iso",
-)
 
 
 # -- document decoding ---------------------------------------------------------
@@ -274,40 +265,35 @@ def _settings_in(doc: dict, args) -> dict:
 # -- task handlers ---------------------------------------------------------------
 
 
-def _verdicts(report: ResidualReport, tol: float) -> dict:
-    out = {}
-    for name, res in report.items():
-        out[name] = {
-            "pass": bool(res.value <= tol),
-            "residual": float(res.value),
-            "threshold": tol,
-            "order": int(res.order),
-        }
+def _verdict(passed: bool, residual: float, threshold: float, order: int | None = None) -> dict:
+    """One verdict: its bit, and the residual and threshold that gave it;
+    a verdict on one residual of a report also records its order."""
+    out = {"pass": bool(passed), "residual": float(residual), "threshold": threshold}
+    if order is not None:
+        out["order"] = int(order)
     return out
+
+
+def _report_body(report: ResidualReport, tol: float) -> dict:
+    """The body of a report on one residual table: the table, and one
+    verdict per residual."""
+    return {
+        "residuals": report.to_dict(),
+        "verdicts": {name: _verdict(r.value <= tol, r.value, tol, r.order) for name, r in report.items()},
+    }
 
 
 def _run_verify_fmanifold(payload, settings):
     model = _model_in(payload, settings["order"], "payload")
-    rep = fman.check_fmanifold(model)
-    tol = settings["tolerance"]
-    verdicts = _verdicts(rep, tol)
-    body = {"residuals": rep.to_dict(), "verdicts": verdicts}
-    return body, all(v["pass"] for v in verdicts.values())
+    return _report_body(fman.check_fmanifold(model), settings["tolerance"])
 
 
 def _run_standard_model(payload, settings):
     spec = _spectrum_in(payload.get("spectrum"), "payload/spectrum")
     model = fman.standard_model(spec, settings["order"])
-    rep = fman.check_fmanifold(model)
-    tol = settings["tolerance"]
-    verdicts = _verdicts(rep, tol)
-    body = {
-        "model": _model_out(model),
-        "spectrum": _spectrum_out(spec),
-        "residuals": rep.to_dict(),
-        "verdicts": verdicts,
-    }
-    return body, all(v["pass"] for v in verdicts.values())
+    body = _report_body(fman.check_fmanifold(model), settings["tolerance"])
+    body.update({"model": _model_out(model), "spectrum": _spectrum_out(spec)})
+    return body
 
 
 def _metric_in(payload, model, field):
@@ -338,40 +324,22 @@ def _run_verify_frobenius(payload, settings):
     if "weight" in payload:
         weight = _complex_in(payload["weight"], "payload/weight")
     tol = settings["tolerance"]
-    verdict = frob.frobenius_verdict(
-        metric,
-        model,
-        weight=weight,
-        tolerance=tol,
-        run_oracle=True,
-    )
+    oracle_tol = max(tol, 1e-8)
+    verdict = frob.frobenius_verdict(metric, model, weight=weight, tolerance=tol, run_oracle=True)
     oracle = verdict.oracle.report()
-    body = {
+    return {
         "residuals": verdict.report.to_dict(),
         "darboux_egoroff_table": verdict.de_table.to_dict(),
         "oracle": oracle.to_dict(),
         "weight": _complex_out(verdict.weight),
         "weight_solved": verdict.weight_solved,
         "verdicts": {
-            "frobenius": {
-                "pass": bool(verdict.passed),
-                "residual": float(verdict.report.max_value()),
-                "threshold": tol,
-            },
-            "oracle_agrees": {
-                "pass": bool(
-                    verdict.passed
-                    == (
-                        oracle["curvature"].value <= max(tol, 1e-8)
-                        and oracle["unit_parallel"].value <= max(tol, 1e-8)
-                    )
-                ),
-                "residual": float(oracle.max_value()),
-                "threshold": max(tol, 1e-8),
-            },
+            "frobenius": _verdict(verdict.passed, verdict.report.max_value(), tol),
+            "oracle_agrees": _verdict(
+                verdict.passed == oracle.passes(oracle_tol), oracle.max_value(), oracle_tol
+            ),
         },
     }
-    return body, all(v["pass"] for v in body["verdicts"].values())
 
 
 def _run_symmetries(payload, settings):
@@ -379,21 +347,12 @@ def _run_symmetries(payload, settings):
     if m < 2:
         _fail("the symmetry algebra needs m >= 2", "payload/m")
     order = settings["order"]
-    tol = settings["tolerance"]
     model = fman.standard_block(0.0, m, order)
-    fields = fman.symmetry_basis(m, order)
-    residuals = {}
-    worst = 0.0
-    for idx, y in enumerate(fields, start=1):
-        rep = fman.check_symmetry(model, y)
-        for name, r in rep.items():
-            residuals[f"field_{idx}_{name}"] = r
-            worst = max(worst, r.value)
-    brackets = fman.check_symmetry_brackets(m, order)
-    table = ResidualReport(list(residuals.items())).merged(brackets, prefix="")
-    verdicts = _verdicts(table, tol)
-    body = {"residuals": table.to_dict(), "verdicts": verdicts}
-    return body, all(v["pass"] for v in verdicts.values())
+    table = ResidualReport()
+    for idx, y in enumerate(fman.symmetry_basis(m, order), start=1):
+        table = table.merged(fman.check_symmetry(model, y), prefix=f"field_{idx}_")
+    table = table.merged(fman.check_symmetry_brackets(m, order))
+    return _report_body(table, settings["tolerance"])
 
 
 def _bundle_in(payload, settings, field):
@@ -434,10 +393,7 @@ def _run_saito_check(payload, settings):
     rep = saito.check_saito_axioms(bundle)
     if bundle.metric is not None:
         rep = rep.merged(saito.check_saito_metric_axioms(bundle), prefix="metric_")
-    tol = settings["tolerance"]
-    verdicts = _verdicts(rep, tol)
-    body = {"residuals": rep.to_dict(), "verdicts": verdicts}
-    return body, all(v["pass"] for v in verdicts.values())
+    return _report_body(rep, settings["tolerance"])
 
 
 def _connection_in(payload, settings, field):
@@ -462,19 +418,12 @@ def _run_birkhoff_flatness(payload, settings):
     rep = saito.birkhoff_flatness(conn)
     cross = saito.check_saito_axioms(saito.birkhoff_to_saito(conn))
     tol = settings["tolerance"]
-    verdicts = _verdicts(rep, tol)
-    agree = (rep.max_value() <= tol) == (cross.max_value() <= tol)
-    verdicts["saito_equivalence"] = {
-        "pass": bool(agree),
-        "residual": float(cross.max_value()),
-        "threshold": tol,
-    }
-    body = {
-        "residuals": rep.to_dict(),
-        "saito_axioms": cross.to_dict(),
-        "verdicts": verdicts,
-    }
-    return body, all(v["pass"] for v in verdicts.values())
+    body = _report_body(rep, tol)
+    body["saito_axioms"] = cross.to_dict()
+    body["verdicts"]["saito_equivalence"] = _verdict(
+        rep.passes(tol) == cross.passes(tol), cross.max_value(), tol
+    )
+    return body
 
 
 def _run_malgrange_chart(payload, settings):
@@ -484,9 +433,7 @@ def _run_malgrange_chart(payload, settings):
         spec = malgrange.DeformationSpec(b0o, binf)
     except RegfmanError as exc:
         _fail(str(exc), "payload/b0o")
-    order = settings["order"]
-    tol = settings["tolerance"]
-    chart = malgrange.integrate_chart(spec, order)
+    chart = malgrange.integrate_chart(spec, settings["order"])
     integral = malgrange.check_integrality(chart)
     flat = saito.birkhoff_flatness(malgrange.canonical_connection(chart))
     model = malgrange.fmanifold_on_chart(chart)
@@ -500,19 +447,12 @@ def _run_malgrange_chart(payload, settings):
         .merged(axioms, prefix="model_")
         .merged(iso_rep, prefix="iso_")
     )
-    verdicts = _verdicts(rep, max(tol, 1e-7))
-    verdicts["spectrum_match"] = {
-        "pass": bool(spectra_match),
-        "residual": 0.0 if spectra_match else 1.0,
-        "threshold": 1e-6,
-    }
-    body = {
-        "residuals": rep.to_dict(),
-        "origin_spectrum": _spectrum_out(spec_model),
-        "seed_spectrum": _spectrum_out(spec_seed),
-        "verdicts": verdicts,
-    }
-    return body, all(v["pass"] for v in verdicts.values())
+    body = _report_body(rep, max(settings["tolerance"], 1e-7))
+    body["verdicts"]["spectrum_match"] = _verdict(
+        spectra_match, 0.0 if spectra_match else 1.0, regend.CLUSTER_TOL
+    )
+    body.update({"origin_spectrum": _spectrum_out(spec_model), "seed_spectrum": _spectrum_out(spec_seed)})
+    return body
 
 
 def _run_extend_metric(payload, settings):
@@ -520,72 +460,47 @@ def _run_extend_metric(payload, settings):
     gram = _matrix_in(payload.get("gram"), "payload/gram")
     skew = _matrix_in(payload.get("skew"), "payload/skew")
     weight = _complex_in(payload.get("weight", 2.0), "payload/weight")
-    order = settings["order"]
     tol = settings["tolerance"]
     valid_tol = max(tol, 1e-8)
-    model = fman.standard_model(spec, order)
+    model = fman.standard_model(spec, settings["order"])
     data = malgrange.InitialData(model=model, gram=gram, skew=skew, weight=weight)
-    validation = malgrange.validate_initial_data(data)
+    try:
+        result = malgrange.initial_condition_extend(data, tolerance=tol, validation_tolerance=valid_tol)
+        validation = result.validation
+    except ValidationError as exc:
+        result, validation = None, exc.report
     body = {
         "validation": validation.residuals.to_dict(),
         "gram_condition": float(validation.gram_condition),
-    }
-    if not validation.passed(valid_tol):
-        body["verdicts"] = {
-            "initial_data_valid": {
-                "pass": False,
-                "residual": float(validation.residuals.max_value()),
-                "threshold": valid_tol,
-            }
-        }
-        return body, False
-    result = malgrange.initial_condition_extend(data, tolerance=tol, validation_tolerance=valid_tol)
-    verdicts = {
-        "initial_data_valid": {
-            "pass": True,
-            "residual": float(validation.residuals.max_value()),
-            "threshold": valid_tol,
-        },
-        "frobenius": {
-            "pass": bool(result.verdict.passed),
-            "residual": float(result.verdict.report.max_value()),
-            "threshold": tol,
-        },
-        "origin_match": {
-            "pass": bool(result.report["origin_match"].value <= max(tol, 1e-9)),
-            "residual": float(result.report["origin_match"].value),
-            "threshold": max(tol, 1e-9),
-        },
-        "euler_derivative_origin": {
-            "pass": bool(result.report["euler_derivative_origin"].value <= max(tol, 1e-7)),
-            "residual": float(result.report["euler_derivative_origin"].value),
-            "threshold": max(tol, 1e-7),
+        "verdicts": {
+            "initial_data_valid": _verdict(result is not None, validation.residuals.max_value(), valid_tol)
         },
     }
+    if result is None:
+        return body
+    verdicts = body["verdicts"]
+    verdicts["frobenius"] = _verdict(result.verdict.passed, result.verdict.report.max_value(), tol)
+    for name, threshold in (("origin_match", max(tol, 1e-9)), ("euler_derivative_origin", max(tol, 1e-7))):
+        value = result.report[name].value
+        verdicts[name] = _verdict(value <= threshold, value, threshold)
     body.update(
         {
             "metric_eta": [[_jet_out(j) for j in fam] for fam in result.metric.eta],
             "residuals": result.report.to_dict(),
             "frobenius_residuals": result.verdict.report.to_dict(),
             "regularity_probe": result.regularity_probe,
-            "verdicts": verdicts,
         }
     )
-    return body, all(v["pass"] for v in verdicts.values())
+    return body
 
 
 def _run_germ_iso(payload, settings):
     model_a = _model_in(payload.get("model_a", {}), settings["order"], "payload/model_a")
     model_b = _model_in(payload.get("model_b", {}), settings["order"], "payload/model_b")
-    tol = max(settings["tolerance"], 1e-7)
     iso = fman.germ_isomorphism(model_a, model_b)
-    verdicts = _verdicts(iso.report, tol)
-    body = {
-        "map": [_jet_out(c) for c in iso.map],
-        "residuals": iso.report.to_dict(),
-        "verdicts": verdicts,
-    }
-    return body, all(v["pass"] for v in verdicts.values())
+    body = _report_body(iso.report, max(settings["tolerance"], 1e-7))
+    body["map"] = [_jet_out(c) for c in iso.map]
+    return body
 
 
 _HANDLERS = {
@@ -599,6 +514,7 @@ _HANDLERS = {
     "extend-metric": _run_extend_metric,
     "germ-iso": _run_germ_iso,
 }
+TASKS = tuple(_HANDLERS)
 
 
 # -- explain ---------------------------------------------------------------------
@@ -683,9 +599,14 @@ _EXPLAIN = {
 }
 
 
-def explain(task: str) -> str:
+def _known_task(task) -> str:
     if task not in TASKS:
-        raise DocumentError(f"unknown task {task!r}; expected one of {', '.join(TASKS)}", "task")
+        _fail(f"unknown task {task!r}; expected one of {', '.join(TASKS)}", "task")
+    return task
+
+
+def explain(task: str) -> str:
+    _known_task(task)
     lines = [f"{task}: residual names and the identities they measure", ""]
     for name, text in _EXPLAIN[task]:
         lines.append(f"  {name:24s} {text}")
@@ -701,21 +622,18 @@ def run_document(doc: dict, args) -> tuple[dict, bool]:
     schema = doc.get("schema", DOC_SCHEMA)
     if schema != DOC_SCHEMA:
         raise DocumentError(f"unsupported schema {schema!r}", "schema")
-    task = doc.get("task")
-    if task not in TASKS:
-        raise DocumentError(
-            f"unknown task {task!r}; expected one of {', '.join(TASKS)}", "task"
-        )
+    task = _known_task(doc.get("task"))
     settings = _settings_in(doc, args)
     payload = doc.get("payload", {})
     if not isinstance(payload, dict):
         raise DocumentError("payload must be an object", "payload")
-    body, passed = _HANDLERS[task](payload, settings)
+    body = _HANDLERS[task](payload, settings)
+    passed = all(v["pass"] for v in body["verdicts"].values())
     report = {
         "schema": REPORT_SCHEMA,
         "task": task,
         "settings": settings,
-        "pass": bool(passed),
+        "pass": passed,
         "provenance": {
             "tool": "regfman",
             "version": __version__,
@@ -734,7 +652,7 @@ def run_document(doc: dict, args) -> tuple[dict, bool]:
 
 def _summary_lines(report: dict) -> list[str]:
     lines = [f"task {report['task']}: {'PASS' if report['pass'] else 'FAIL'}"]
-    for name, v in sorted(report.get("verdicts", {}).items()):
+    for name, v in sorted(report["verdicts"].items()):
         status = "PASS" if v["pass"] else "FAIL"
         lines.append(
             f"  {status} {name}: residual {v['residual']:.3e} (threshold {v['threshold']:.1e})"
@@ -763,7 +681,7 @@ def main(argv=None) -> int:
     if args.command == "explain":
         try:
             print(explain(args.task))
-        except DocumentError as exc:
+        except RegfmanError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
@@ -780,9 +698,6 @@ def main(argv=None) -> int:
 
     try:
         report, passed = run_document(doc, args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RegfmanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

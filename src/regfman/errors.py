@@ -64,7 +64,14 @@ class DegenerateMetricError(RegfmanError):
 
 
 class ValidationError(RegfmanError):
-    """Initial data violate the admissibility conditions."""
+    """Initial data violate the admissibility conditions.
+
+    ``report`` holds the validation report of the rejected data.
+    """
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
 
 
 class ConstructionInconsistencyError(RegfmanError):

@@ -48,11 +48,6 @@ class FManifoldModel:
             raise ShapeError("structure tensor, unit and Euler field must share one space")
         self.blocks = blocks
 
-    @property
-    def mult(self) -> JetArray:
-        """The structure tensor: ``mult[i][j][k]`` is the jet c_ij^k."""
-        return self.structure
-
     # -- basic machinery ----------------------------------------------------
 
     def basis_field(self, i: int) -> JetArray:
@@ -361,10 +356,6 @@ class BracketConstants:
         return self.rows[p]
 
 
-def bracket_constants(n: int, max_power: int | None = None) -> BracketConstants:
-    return BracketConstants.build(n, max_power)
-
-
 def eigenfunction(model: FManifoldModel) -> JetArray:
     """Eigenvalue function of multiplication by E on a single nilpotent
     block, extracted as trace(U)/n (a 0-dimensional jet array)."""
@@ -419,7 +410,7 @@ def check_frame_brackets(
             raise ScopeError(
                 "unified bracket and eigenfunction checks need a single nilpotent block"
             )
-        consts = bracket_constants(n, max_power=2 * n)
+        consts = BracketConstants.build(n, max_power=2 * n)
         a = eigenfunction(model)
         powers = _powers(a, 2 * n + 1)
         # [X_i, X_j] = sum_k c_k^(i+j-1-n) (i-j) a^{i+j-1-k} X_k

@@ -100,9 +100,6 @@ class InvariantMetric(_BlockJets):
     def eta(self) -> tuple[JetArray, ...]:
         return self.families()
 
-    def flat_eta(self) -> JetArray:
-        return self.values
-
     def gram(self) -> JetArray:
         """The Gram matrix, its zero entries of full effective order."""
         n = self.dim
@@ -126,9 +123,6 @@ class OneForm(_BlockJets):
     @property
     def comps(self) -> tuple[JetArray, ...]:
         return self.families()
-
-    def flat(self) -> JetArray:
-        return self.values
 
     def invertible_at_origin(self) -> bool:
         return bool((np.abs(self.top_values()) > TOP_FLOOR).all())
@@ -393,8 +387,10 @@ def check_gamma(gamma: RotationOperator, psi: OneForm, brackets: JetArray) -> Re
     )
 
 
-class _DarbouxEgoroff:
-    """The generalized Darboux-Egoroff matrices
+def darboux_egoroff_residual(brackets: JetArray) -> ResidualReport:
+    """Generalized Darboux-Egoroff residuals over index pairs i < j from the
+    :func:`structure_brackets` of gamma; diagonal entries vanish identically
+    and are reported as exact zeros.  The matrices are
     DE_ij = [C_i, d_j gamma] - [C_j, d_i gamma] - [[C_i, gamma], [C_j, gamma]].
 
     With B_i = [C_i, gamma] these are DE_ij = d_j B_i - d_i B_j - [B_i, B_j]:
@@ -410,33 +406,22 @@ class _DarbouxEgoroff:
     derivative law d_i(psi_j) = (psi [C_i, gamma])_j, flatness corresponds
     to the minus sign used here.
     """
-
-    def __init__(self, br: JetArray):
-        self.br = br  # br[i] = B_i
-        self.dbr = br.grad()  # dbr[j, i] = d_j B_i
-        self.order = self.dbr.eff_order()
-
-    def row(self, i: int, js: slice) -> JetArray:
-        """DE_ij for every j in ``js``, shape (j, r, c)."""
-        return self.dbr[js, i] - self.dbr[i, js] - _brackets(self.br[i], self.br[js])
-
-
-def darboux_egoroff_residual(brackets: JetArray) -> ResidualReport:
-    """Generalized Darboux-Egoroff residuals over index pairs i < j from the
-    :func:`structure_brackets` of gamma (see :class:`_DarbouxEgoroff`);
-    diagonal entries vanish identically and are reported as exact zeros."""
-    de = _DarbouxEgoroff(brackets)
+    dbr = brackets.grad()  # dbr[j, i] = d_j B_i
+    order = dbr.eff_order()
     n, entries = len(brackets), []
     for i in range(n):
-        norms = de.row(i, slice(i + 1, n)).residual_norms().max(axis=(1, 2)) if i + 1 < n else ()
-        entries.extend((f"de_{i}_{j}", v, de.order) for j, v in enumerate((0.0, *norms), i))
+        norms = ()
+        if i + 1 < n:
+            row = dbr[i + 1 :, i] - dbr[i, i + 1 :] - _brackets(brackets[i], brackets[i + 1 :])
+            norms = row.residual_norms().max(axis=(1, 2))
+        entries.extend((f"de_{i}_{j}", v, order) for j, v in enumerate((0.0, *norms), i))
     return report_from(entries)
 
 
 def darboux_egoroff_matrix(brackets: JetArray, i: int, j: int) -> JetArray:
-    """The full Darboux-Egoroff matrix for one index pair: a slice of the
-    contraction behind :func:`darboux_egoroff_residual`."""
-    return _DarbouxEgoroff(brackets).row(i, slice(j, j + 1))[0]
+    """The full Darboux-Egoroff matrix DE_ij for one index pair (see
+    :func:`darboux_egoroff_residual`)."""
+    return brackets[i].partial(j) - brackets[j].partial(i) - _brackets(brackets[i], brackets[j : j + 1])[0]
 
 
 # -- Levi-Civita curvature oracle ----------------------------------------------

@@ -353,14 +353,16 @@ def initial_condition_extend(
     report includes the origin match, the full Frobenius verdict at the
     given weight, the origin Euler-derivative law and the symmetry
     diagnostics of the chart.  The extension is taken to the model's jet
-    order.
+    order.  Inadmissible data raise :class:`ValidationError`, which carries
+    the validation report.
     """
     val = validate_initial_data(data)
     if not val.passed(validation_tolerance):
         worst = val.residuals.worst()
         raise ValidationError(
             f"initial data inadmissible: {worst[0]} = {worst[1].value:.3e}, "
-            f"gram condition {val.gram_condition:.3e}"
+            f"gram condition {val.gram_condition:.3e}",
+            val,
         )
     model = data.model
     n = model.dim

@@ -26,7 +26,7 @@ import numpy as np
 
 from regfman import fman, malgrange, regend
 from regfman.errors import HomogeneityError, NotPrimitiveError, ShapeError
-from regfman.fman import FManifoldModel, bracket_constants, mult_by_euler, standard_block
+from regfman.fman import BracketConstants, FManifoldModel, mult_by_euler, standard_block
 from regfman.frob import epsilon_gram, euler_derivative
 from regfman.frob import levi_civita_curvature as lc_curvature
 from regfman.jets import Jet, JetArray, JetMatrix, contract, jet_space
@@ -164,7 +164,7 @@ def multiply(model, x, y):
             f = x[i] * y[j]
             if f.is_zero():
                 continue
-            vec = model.mult[i][j]
+            vec = model.structure[i][j]
             for k in range(model.dim):
                 if not vec[k].is_zero():
                     out[k] = out[k] + f * vec[k]
@@ -174,14 +174,14 @@ def multiply(model, x, y):
 def lie_derivative_of_mult(model, x, c, d):
     dc = basis_field(model, c)
     dd = basis_field(model, d)
-    t1 = lie_bracket(x, model.mult[c][d])
+    t1 = lie_bracket(x, model.structure[c][d])
     t2 = multiply(model, lie_bracket(x, dc), dd)
     t3 = multiply(model, dc, lie_bracket(x, dd))
     return t1 - t2 - t3
 
 
 def partial_vector(model, v, c, d):
-    return JetVector([model.mult[c][d][l].partial(v) for l in range(model.dim)])
+    return JetVector([model.structure[c][d][l].partial(v) for l in range(model.dim)])
 
 
 def check_fmanifold(model):
@@ -191,15 +191,15 @@ def check_fmanifold(model):
     commut = 0.0
     for i in range(m):
         for j in range(i + 1, m):
-            commut = max(commut, (model.mult[i][j] - model.mult[j][i]).residual_norm())
+            commut = max(commut, (model.structure[i][j] - model.structure[j][i]).residual_norm())
 
     assoc = 0.0
     for a in range(m):
         for b in range(a, m):
-            ab = model.mult[a][b]
+            ab = model.structure[a][b]
             for c in range(m):
                 lhs = multiply(model, ab, basis_field(model, c))
-                rhs = multiply(model, basis_field(model, a), model.mult[b][c])
+                rhs = multiply(model, basis_field(model, a), model.structure[b][c])
                 assoc = max(assoc, (lhs - rhs).residual_norm())
 
     unit_res = 0.0
@@ -214,10 +214,10 @@ def check_fmanifold(model):
     integr = 0.0
     for a in range(m):
         for b in range(a, m):
-            w = model.mult[a][b]
+            w = model.structure[a][b]
             for c in range(m):
                 for d in range(c, m):
-                    ccd = model.mult[c][d]
+                    ccd = model.structure[c][d]
                     lhs = [model.space.zero(k_order - 1) for _ in range(m)]
                     for l in range(m):
                         acc = model.space.zero(k_order - 1)
@@ -231,12 +231,12 @@ def check_fmanifold(model):
                         dw_c = partial_c[c][a][b][i]
                         dw_d = partial_c[d][a][b][i]
                         if not dw_c.is_zero():
-                            vec = model.mult[i][d]
+                            vec = model.structure[i][d]
                             for l in range(m):
                                 if not vec[l].is_zero():
                                     lhs[l] = lhs[l] + dw_c * vec[l]
                         if not dw_d.is_zero():
-                            vec = model.mult[c][i]
+                            vec = model.structure[c][i]
                             for l in range(m):
                                 if not vec[l].is_zero():
                                     lhs[l] = lhs[l] + dw_d * vec[l]
@@ -249,7 +249,7 @@ def check_fmanifold(model):
     for a in range(m):
         for b in range(a, m):
             lhs = lie_derivative_of_mult(model, model.euler, a, b)
-            euler_res = max(euler_res, (lhs - model.mult[a][b]).residual_norm())
+            euler_res = max(euler_res, (lhs - model.structure[a][b]).residual_norm())
 
     return report_from(
         [
@@ -268,8 +268,8 @@ def gamma_general(psi, beta, model):
     eps_inv = np.linalg.inv(epsilon_gram(psi.blocks))
     c = model.constant_structure()
     cot = np.einsum("sf,ift->ist", eps_inv, c)
-    flat_psi = psi.flat()
-    flat_beta = beta.flat()
+    flat_psi = psi.values
+    flat_beta = beta.values
     w = [[sp.zero() for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for t in range(n):
@@ -302,7 +302,7 @@ def check_gamma(gamma, psi, model):
     sym = (eps @ g - g.T @ eps).residual_norm()
     norm_jet = psi_epsilon_norm(psi)
     norm_res = max(norm_jet.partial(v).residual_norm() for v in range(n))
-    flat_psi = psi.flat()
+    flat_psi = psi.values
     worst = 0.0
     for i in range(n):
         br = commutator(JetMatrix.from_constant(sp, model.mult_matrices()[i]), g)
@@ -673,7 +673,7 @@ def check_frame_brackets(model):
             entries.append((f"hertling_{i}_{j}", (br - expected).residual_norm(), k_order - 1))
     u = mult_by_euler_loop(model)
     if len(regend.jordan_spectrum(u.constant_term()).blocks) == 1:
-        consts = bracket_constants(n, max_power=2 * n)
+        consts = BracketConstants.build(n, max_power=2 * n)
         a = u.trace().scale(1.0 / n)
         powers = [model.space.one()]
         for _ in range(2 * n):

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from regfman.fman import (
-    bracket_constants,
+    BracketConstants,
     canonical_frame,
     check_fmanifold,
     check_frame_brackets,
@@ -145,11 +145,11 @@ def test_criterion_2_canonical_frame_identities():
 def test_criterion_3_bracket_constants():
     exact = True
     for n in (1, 2, 3, 4, 5):
-        c = bracket_constants(n)
+        c = BracketConstants.build(n)
         for k in range(n):
             if c.value(k, 0) != (-1.0) ** (n - k) * math.comb(n, k):
                 exact = False
-    c2 = bracket_constants(2)
+    c2 = BracketConstants.build(2)
     exact = exact and c2.row(1) == (2.0, -3.0)
     worst = 0.0
     for a in (0.0, 1.0, 2.0 + 1.0j):

@@ -325,6 +325,19 @@ class TestRun:
         assert report["verdicts"]["initial_data_valid"]["residual"] == pytest.approx(1e-7)
         assert report["verdicts"]["frobenius"]["pass"] is True
 
+    def test_inadmissible_extend_metric_reports_only_its_validation(self, tmp_path):
+        doc = json.loads((DOCS / "extend-metric.json").read_text(encoding="utf-8"))
+        doc["payload"]["gram"][1][1] += 1e-3
+        code, report = run_doc(tmp_path, doc)
+        assert code == 1 and report["pass"] is False
+        envelope = {"schema", "task", "settings", "pass", "provenance"}
+        assert set(report) - envelope == {"validation", "gram_condition", "verdicts"}
+        assert list(report["verdicts"]) == ["initial_data_valid"]
+        verdict = report["verdicts"]["initial_data_valid"]
+        assert verdict["pass"] is False
+        assert verdict["residual"] == pytest.approx(1e-3)
+        assert report["validation"]["gram_invariance"]["value"] == pytest.approx(1e-3)
+
     def test_germ_iso_mismatch_exits_2(self, tmp_path, capsys):
         doc = {
             "schema": "regfman-doc/1",

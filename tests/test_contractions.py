@@ -838,7 +838,7 @@ def test_darboux_egoroff_matrices_match_loops_entry_by_entry(sizes):
 
 def _forged_models():
     base3 = standard_block(0.0, 3)
-    mult = [list(row) for row in base3.mult]
+    mult = [list(row) for row in base3.structure]
     bad = list(mult[1][2])
     bad[0] = bad[0] + 0.1
     mult[1][2] = mult[2][1] = JetVector(bad)
@@ -846,13 +846,13 @@ def _forged_models():
 
     base2 = standard_block(0.0, 2)
     sp = base2.space
-    mult = [list(row) for row in base2.mult]
+    mult = [list(row) for row in base2.structure]
     bad = list(mult[1][1])
     bad[1] = bad[1] + sp.variable(1).scale(0.1)
     mult[1][1] = JetVector(bad)
     yield FManifoldModel(mult, base2.unit, base2.euler, blocks=base2.blocks)
 
-    mult = [list(row) for row in base2.mult]
+    mult = [list(row) for row in base2.structure]
     bad = list(mult[1][1])
     bad[1] = bad[1] + 0.1
     mult[1][1] = JetVector(bad)
@@ -974,11 +974,11 @@ def test_one_form_chain_and_metric_laws_match_loops(spectrum, order):
     # the principal roots, then the negative root on every block
     for anchors in (None, [-np.sqrt(v) for v in metric.top_values()]):
         psi = psi_from_metric(metric, anchors)
-        _assert_jets_close(psi.flat(), flat(loop_oracles.psi_from_metric(metric, anchors)))
+        _assert_jets_close(psi.values, flat(loop_oracles.psi_from_metric(metric, anchors)))
     beta = invert_oneform(psi)
-    _assert_jets_close(beta.flat(), flat(loop_oracles.invert_oneform(psi)))
-    _assert_jets_close(covector_product(psi, beta).flat(), flat(loop_oracles.covector_product(psi, beta)))
-    _assert_jets_close(metric_from_psi(psi).flat_eta(), flat(loop_oracles.metric_from_psi(psi)))
+    _assert_jets_close(beta.values, flat(loop_oracles.invert_oneform(psi)))
+    _assert_jets_close(covector_product(psi, beta).values, flat(loop_oracles.covector_product(psi, beta)))
+    _assert_jets_close(metric_from_psi(psi).values, flat(loop_oracles.metric_from_psi(psi)))
     gamma = gamma_operator(psi, beta, model)
     _assert_reports_close(check_unit_flat(metric), loop_oracles.check_unit_flat(metric))
     for weight in (None, 2.5):
@@ -1105,7 +1105,7 @@ def test_batched_chart_expansion_matches_the_loop(b0o, binf, order):
     for i in range(n):
         for j in range(n):
             want = np.array(list(coeffs[i * n + j]), dtype=object)
-            _assert_same_jets(JetArray.from_jets(model.mult[i][j]), want)
+            _assert_same_jets(JetArray.from_jets(model.structure[i][j]), want)
 
 
 def test_germ_isomorphism_builds_one_table_per_order(monkeypatch):
@@ -1224,9 +1224,9 @@ def test_induced_structures_match_loops(n, order, frame, seed):
 
     model, info = fmanifold_from_saito(bundle, s)
     want_model, want_info = loop_oracles.fmanifold_from_saito(bundle, s)
-    want = np.array([[list(want_model.mult[i][j]) for j in range(n)] for i in range(n)], dtype=object)
+    want = np.array([[list(want_model.structure[i][j]) for j in range(n)] for i in range(n)], dtype=object)
     scale = max(1.0, max(np.abs(j.coeffs).max() for j in want.flat))
-    _assert_same_jets(JetArray.from_jets(model.mult), want, scale)
+    _assert_same_jets(JetArray.from_jets(model.structure), want, scale)
     _assert_same_jets(JetArray.from_jets(model.unit), np.array(list(want_model.unit), dtype=object), scale)
     _assert_same_jets(JetArray.from_jets(model.euler), np.array(list(want_model.euler), dtype=object), scale**2)
     res = info["u_matches_conjugated_residue"]

@@ -6,8 +6,8 @@ import pytest
 
 from regfman.errors import NoIsomorphismError, RegularityError, ScopeError, SpectrumError
 from regfman.fman import (
+    BracketConstants,
     FManifoldModel,
-    bracket_constants,
     canonical_frame,
     check_fmanifold,
     check_frame_brackets,
@@ -31,7 +31,7 @@ class TestStandardBlock:
         m = standard_block(0.7, 2)
         sp = m.space
         # d1 o d1 = 0
-        assert m.mult[1][1].residual_norm() == 0.0
+        assert m.structure[1][1].residual_norm() == 0.0
         # E = (t0+a) d0 + (t1+1) d1
         assert (m.euler[0] - (sp.variable(0) + 0.7)).residual_norm() == 0.0
         assert (m.euler[1] - (sp.variable(1) + 1.0)).residual_norm() == 0.0
@@ -95,7 +95,7 @@ class TestCheckFManifold:
         # d1 o d2 += 0.1 d0 breaks associativity: (d1 o d2) o d2 vs d1 o 0
         base = standard_block(0.0, 3)
         sp = base.space
-        mult = [list(row) for row in base.mult]
+        mult = [list(row) for row in base.structure]
         bad = list(mult[1][2])
         bad[0] = bad[0] + 0.1
         mult[1][2] = JetVector(bad)
@@ -109,7 +109,7 @@ class TestCheckFManifold:
         # the Euler condition even in two dimensions
         base = standard_block(0.0, 2)
         sp = base.space
-        mult = [list(row) for row in base.mult]
+        mult = [list(row) for row in base.structure]
         bad = list(mult[1][1])
         bad[1] = bad[1] + sp.variable(1).scale(0.1)
         mult[1][1] = JetVector(bad)
@@ -121,7 +121,7 @@ class TestCheckFManifold:
         # any constant commutative unital 2-dim multiplication is associative,
         # so a constant defect in c_11 does not break the axioms
         base = standard_block(0.0, 2)
-        mult = [list(row) for row in base.mult]
+        mult = [list(row) for row in base.structure]
         bad = list(mult[1][1])
         bad[1] = bad[1] + 0.1
         mult[1][1] = JetVector(bad)
@@ -159,18 +159,18 @@ class TestCanonicalFrame:
 class TestBracketConstants:
     def test_row0_binomials(self):
         for n in (1, 2, 3, 4, 5):
-            c = bracket_constants(n)
+            c = BracketConstants.build(n)
             import math
 
             for k in range(n):
                 assert c.value(k, 0) == (-1.0) ** (n - k) * math.comb(n, k)
 
     def test_n2_row1(self):
-        c = bracket_constants(2)
+        c = BracketConstants.build(2)
         assert c.row(1) == (2.0, -3.0)
 
     def test_negative_powers(self):
-        c = bracket_constants(3)
+        c = BracketConstants.build(3)
         for k in range(3):
             assert c.value(k, k - 3) == -1.0
             assert c.value(k, -7) == 0.0
@@ -300,7 +300,7 @@ class TestGermIsomorphism:
         # with g the compositional inverse of f.
         inv1 = _series_inverse_1d(sp, 4)
         f_prime_at_inv = 1.0 + inv1.scale(2.0)
-        mult = [list(r) for r in base.mult]
+        mult = [list(r) for r in base.structure]
         euler0 = t0 + 0.3
         euler1 = f_prime_at_inv * (inv1 + 1.0)
         pushed = FManifoldModel(mult, base.unit, JetVector([euler0, euler1]))
@@ -333,7 +333,7 @@ def _pushed_nilpotent_block(a, order):
     inv1 = _series_inverse_1d(sp, order)
     euler1 = (1.0 + inv1.scale(2.0)) * (inv1 + 1.0)
     return FManifoldModel(
-        [list(r) for r in base.mult],
+        [list(r) for r in base.structure],
         base.unit,
         JetVector([t0 + a, euler1]),
         blocks=base.blocks,

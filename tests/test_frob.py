@@ -51,11 +51,11 @@ def invariance_residual(metric, model):
         for b in range(model.dim):
             for c in range(model.dim):
                 lhs = model.space.zero()
-                ab = model.mult[a][b]
+                ab = model.structure[a][b]
                 for k in range(model.dim):
                     lhs = lhs + ab[k] * g[k, c]
                 rhs = model.space.zero()
-                bc = model.mult[b][c]
+                bc = model.structure[b][c]
                 for k in range(model.dim):
                     rhs = rhs + bc[k] * g[a, k]
                 worst = max(worst, (lhs - rhs).residual_norm())
@@ -250,7 +250,7 @@ class TestPsiBetaClosedForms:
         m = epsilon_metric([3], order=4)
         psi = psi_from_metric(m)
         uc = unit_covector([3], m.space)
-        for got, want in zip(psi.flat(), uc.flat()):
+        for got, want in zip(psi.values, uc.values):
             assert (got - want).residual_norm() < 1e-14
 
     def test_psi_norm_identity(self):
@@ -268,7 +268,7 @@ class TestPsiBetaClosedForms:
         sp = jet_space(3, 4)
         m = generic_metric_m3(sp)
         back = metric_from_psi(psi_from_metric(m))
-        for got, want in zip(back.flat_eta(), m.flat_eta()):
+        for got, want in zip(back.values, m.values):
             assert (got - want).residual_norm() < 1e-11
 
     def test_beta_is_inverse(self):
@@ -278,14 +278,14 @@ class TestPsiBetaClosedForms:
         beta = invert_oneform(psi)
         prod = covector_product(psi, beta)
         uc = unit_covector([3], sp)
-        for got, want in zip(prod.flat(), uc.flat()):
+        for got, want in zip(prod.values, uc.values):
             assert (got - want).residual_norm() < 1e-10
 
     def test_self_inverse_unit(self):
         m = epsilon_metric([2], order=3)
         psi = psi_from_metric(m)
         beta = invert_oneform(psi)
-        for got, want in zip(beta.flat(), psi.flat()):
+        for got, want in zip(beta.values, psi.values):
             assert (got - want).residual_norm() < 1e-14
 
     def test_degenerate_rejected(self):
@@ -549,7 +549,7 @@ class TestVerdict:
                 v.oracle.curvature.value <= 1e-8
                 and v.oracle.unit_parallel.value <= 1e-8
             )
-            assert v.passed == oracle_ok, (m.flat_eta(), v.report)
+            assert v.passed == oracle_ok, (m.values, v.report)
 
     def test_product_verdict_blockwise(self):
         model = standard_model([(0.0, 1), (1.0, 1)])
@@ -591,7 +591,7 @@ class TestVerdict:
         from regfman.fman import FManifoldModel
 
         sp = model.space
-        mult = [list(r) for r in model.mult]
+        mult = [list(r) for r in model.structure]
         bad = list(mult[1][1])
         bad[1] = bad[1] + sp.variable(1)
         mult[1][1] = JetVector(bad)

@@ -17,7 +17,6 @@ LEDGER = (
     "cli.main(argv)",
     "fman.BracketConstants.build(max_power)",
     "fman.FManifoldModel.__init__(blocks)",
-    "fman.bracket_constants(max_power)",
     "fman.canonical_frame(regularity)",
     "fman.check_frame_brackets(include_nilpotent)",
     "fman.check_symmetry_brackets(order)",

@@ -415,7 +415,7 @@ class TestExtension:
         assert res.report["euler_derivative_origin"].value < 1e-7
         # the metric really is non-constant
         nonconst = max(
-            float(np.abs(j.coeffs[1:]).max(initial=0.0)) for j in res.metric.flat_eta()
+            float(np.abs(j.coeffs[1:]).max(initial=0.0)) for j in res.metric.values
         )
         assert nonconst > 1e-3
         # and its curvature oracle agrees

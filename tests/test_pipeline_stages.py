@@ -1,22 +1,28 @@
 """The two pipelines are lists of public stages.
 
 ``frobenius_verdict`` and ``initial_condition_extend`` call the public
-checks that users and the benchmark tracer see, and no public function of a
+checks that users and the benchmark tracer see, an ``extend-metric``
+document validates its initial data once, and no public function of a
 layer module is a bare wrapper of a private one.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
+import json
+from pathlib import Path
 
 import pytest
 
 import regfman
+from regfman.cli import run_document
 from regfman.fman import standard_model
 from regfman.frob import InvariantMetric, frobenius_verdict
 from regfman.malgrange import initial_condition_extend
 from test_malgrange import nilpotent_initial_data
 
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "tasks"
 LAYERS = ("jets", "regend", "fman", "frob", "saito", "malgrange", "cli")
 
 
@@ -61,6 +67,15 @@ def test_extension_runs_the_public_stages(monkeypatch):
     assert initial_condition_extend(nilpotent_initial_data(a=0.0, h1=1.0, weight=3.0, order=3)).verdict.passed
     # one spectrum for each of the isomorphism's two models
     assert calls == {"fman.germ_isomorphism": 1, "malgrange.fmanifold_on_chart": 1, "regend.jordan_spectrum": 2}
+
+
+def test_extend_metric_document_validates_its_data_once(monkeypatch):
+    calls = _count_calls(monkeypatch, ["malgrange.validate_initial_data"])
+    with open(DOCS / "extend-metric.json", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    report, passed = run_document(doc, argparse.Namespace(order=None, tol=None))
+    assert passed and report["verdicts"]["initial_data_valid"]["pass"]
+    assert calls == {"malgrange.validate_initial_data": 1}
 
 
 def _private_functions(trees) -> set[str]:

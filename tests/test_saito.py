@@ -222,7 +222,7 @@ class TestFManifoldFromSaito:
         model_b, _ = fmanifold_from_saito(bundle2, [1.0, 0.7])
         for i in range(2):
             for j in range(2):
-                assert (model_a.mult[i][j] - model_b.mult[i][j]).residual_norm() < 1e-8
+                assert (model_a.structure[i][j] - model_b.structure[i][j]).residual_norm() < 1e-8
         assert (model_a.unit - model_b.unit).residual_norm() < 1e-8
         assert (model_a.euler - model_b.euler).residual_norm() < 1e-8
         assert check_fmanifold(model_a).passes(1e-8)
@@ -313,8 +313,8 @@ class TestFrobeniusFromSaito:
                     lhs = sp.zero()
                     rhs = sp.zero()
                     for k in range(2):
-                        lhs = lhs + model.mult[a][b][k] * gram[k, c]
-                        rhs = rhs + model.mult[b][c][k] * gram[a, k]
+                        lhs = lhs + model.structure[a][b][k] * gram[k, c]
+                        rhs = rhs + model.structure[b][c][k] * gram[a, k]
                     worst = max(worst, (lhs - rhs).residual_norm())
         assert worst < 1e-10
 

@@ -32,7 +32,7 @@ WORKLOADS = ("extend", "verify", "docs")
 RUN_TIMEOUT_S = 900
 
 
-def _export(ref: str, into: str) -> None:
+def export_tree(ref: str, into: str) -> None:
     """The committed files of ``ref`` under ``into``."""
     archive = subprocess.run(["git", "archive", "--format=tar", ref], check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
         directions = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
-        _export(args.parent, parent)
+        export_tree(args.parent, parent)
         trees = {"parent": parent, "change": change}
         for workload in WORKLOADS:
             for pair in range(args.pairs):
