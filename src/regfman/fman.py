@@ -285,6 +285,10 @@ def _origin_probe(model: FManifoldModel) -> tuple[np.ndarray, regend.RegularityR
     return u0, regend.is_regular(u0)
 
 
+# The canonical frame at the origin is refused above this condition number.
+CANONICAL_COND_LIMIT = 1e10
+
+
 def canonical_frame(model: FManifoldModel, *, regularity: regend.RegularityReport | None = None) -> CanonicalFrame:
     """X_0 = e, X_{k+1} = E o X_k; requires a regular origin.  A
     ``regularity`` report of the origin multiplication by E, made by
@@ -298,7 +302,7 @@ def canonical_frame(model: FManifoldModel, *, regularity: regend.RegularityRepor
         fields.append(model.multiply(model.euler, fields[-1]))
     frame = CanonicalFrame(JetArray.stack(fields))
     c = np.linalg.cond(frame.constant_matrix())
-    if not np.isfinite(c) or c > 1e10:
+    if not np.isfinite(c) or c > CANONICAL_COND_LIMIT:
         raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
     return frame
 

@@ -338,7 +338,8 @@ def gamma_operator(psi: OneForm, beta: OneForm, model: FManifoldModel) -> Rotati
     if not model.is_constant_multiplication():
         raise ScopeError("rotation operator requires constant multiplication")
     sp = psi.space
-    eps_inv = np.linalg.inv(epsilon_gram(psi.blocks))
+    eps = epsilon_gram(psi.blocks)
+    eps_inv = np.linalg.inv(eps)
     c = model.constant_structure()  # c[i, f, t]
     # cotangent structure constants c_i^{st} = eps^{sf} c_{if}^t
     cot = np.einsum("sf,ift->ist", eps_inv, c)
@@ -348,7 +349,7 @@ def gamma_operator(psi: OneForm, beta: OneForm, model: FManifoldModel) -> Rotati
     # gamma_{tj} = sum_k d_k(psi_j) w[k][t], trusted one order below K
     dpsi = psi.values.grad()  # dpsi[k, j] = d_k psi_j
     gamma = contract("kj,kt->tj", dpsi, w.exact_zeros()).capped(sp.order - 1)
-    return RotationOperator(gamma, epsilon_gram(psi.blocks))
+    return RotationOperator(gamma, eps)
 
 
 def structure_brackets(gamma: RotationOperator, model: FManifoldModel) -> JetArray:

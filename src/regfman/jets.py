@@ -4,8 +4,8 @@ A jet represents a holomorphic germ at the origin up to a fixed total order
 ``K``: a dense table of complex coefficients indexed by multi-indices of
 total degree at most ``K``.  All differential-geometric identities in this
 package are evaluated as residuals of jets, so the kernel favours plain
-``numpy`` coefficient arrays with precomputed index tables for the Cauchy
-product, partial derivatives and integration.
+``numpy`` coefficient arrays with index tables (Cauchy product, derivatives,
+substitution), all derived from one exponent array by one vectorised lookup.
 
 Jets are immutable after construction.  Every jet carries an *effective
 order*: the highest total degree at which its coefficients are trustworthy.
@@ -61,18 +61,17 @@ _EPS = np.finfo(float).eps
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     if parts == 1:
         return [(total,)]
-    out = []
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            out.append((head,) + tail)
-    return out
+    return [(head, *tail) for head in range(total + 1) for tail in _compositions(total - head, parts - 1)]
 
 
 class JetSpace:
     """Shared index tables for all jets with a fixed (num_vars, order).
 
-    Obtain instances through :func:`jet_space`; the factory caches them so
-    spaces compare by identity.
+    Every table derives from one ``(size, num_vars)`` array of exponents,
+    ``_exps``, in the graded order of ``exponents``, through one vectorised
+    lookup, :meth:`_index`, from exponent rows to monomial indices.  Obtain
+    instances through :func:`jet_space`; the factory caches them so spaces
+    compare by identity.
     """
 
     def __init__(self, num_vars: int, order: int):
@@ -83,75 +82,68 @@ class JetSpace:
         self.num_vars = num_vars
         self.order = order
 
-        exponents: list[tuple[int, ...]] = []
-        for d in range(order + 1):
-            exponents.extend(_compositions(d, num_vars))
-        self.exponents: tuple[tuple[int, ...], ...] = tuple(exponents)
-        self.size = len(exponents)
-        self.index_of: dict[tuple[int, ...], int] = {
-            e: i for i, e in enumerate(exponents)
-        }
-        self.degrees = np.array([sum(e) for e in exponents], dtype=np.int64)
-
-        # Per-variable derivative, integration and shift tables.
-        self._diff: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._shift: list[tuple[np.ndarray, np.ndarray]] = []
-        for v in range(num_vars):
-            src, dst, fac = [], [], []
-            s_src, s_dst = [], []
-            for i, e in enumerate(exponents):
-                if e[v] > 0:
-                    low = list(e)
-                    low[v] -= 1
-                    src.append(i)
-                    dst.append(self.index_of[tuple(low)])
-                    fac.append(e[v])
-                if self.degrees[i] < order:
-                    up = list(e)
-                    up[v] += 1
-                    s_src.append(i)
-                    s_dst.append(self.index_of[tuple(up)])
-            self._diff.append(
-                (
-                    np.array(src, dtype=np.int64),
-                    np.array(dst, dtype=np.int64),
-                    np.array(fac, dtype=np.float64),
-                )
-            )
-            self._shift.append(
-                (np.array(s_src, dtype=np.int64), np.array(s_dst, dtype=np.int64))
-            )
-
+        self.exponents = tuple(e for d in range(order + 1) for e in _compositions(d, num_vars))
+        self.size = len(self.exponents)
+        self.index_of: dict[tuple[int, ...], int] = {e: i for i, e in enumerate(self.exponents)}
+        self._exps = np.array(self.exponents, dtype=np.int64)
+        self.degrees = self._exps.sum(axis=1)
         self._trunc_masks = [self.degrees <= d for d in range(order + 1)]
         # _degree_ends[d]: the number of monomials of degree at most d
         self._degree_ends = np.cumsum(np.bincount(self.degrees, minlength=order + 1)).tolist()
+        # _ways[p, r]: the compositions of r into p parts, C(r + p - 1, p - 1)
+        self._ways = np.ones((num_vars + 1, order + 1), dtype=np.int64)
+        for p in range(2, num_vars + 1):
+            self._ways[p] = np.cumsum(self._ways[p - 1])
+
+        # The derivative table of all variables, sorted by source column (the
+        # source, variable, target and factor of each row), the rows of each
+        # variable, which also integrate, and the shift table of each variable.
+        src, var = np.nonzero(self._exps)
+        low = self._exps[src]
+        low[np.arange(len(src)), var] -= 1
+        dst, fac = self._index(low), self._exps[src, var].astype(np.float64)
+        self._grad = (src, var, dst, fac)
+        self._diff = [tuple(t[var == v] for t in (src, dst, fac)) for v in range(num_vars)]
+        below = np.flatnonzero(self.degrees < order)
+        up = np.eye(num_vars, dtype=np.int64)
+        self._shift = [(below, self._index(self._exps[below] + up[v])) for v in range(num_vars)]
         self._pair_tables: dict[tuple[bytes, bytes, int], tuple[np.ndarray, ...]] = {}
+
+    def _index(self, exps: np.ndarray) -> np.ndarray:
+        """The monomial index of each row of exponents (of degree at most the
+        order): the count of monomials of lower degree plus the rank among
+        those of its degree.  In the lexicographic order of :func:`_compositions`,
+        variable k adds the monomials that agree before it and are lower at it,
+        ``ways[p, rest] - ways[p, rest - e_k]`` by the hockey-stick identity,
+        with ``rest`` the degree and ``p`` the variables left."""
+        rest = exps.sum(axis=1)
+        index = np.array([0, *self._degree_ends])[rest]
+        for k in range(self.num_vars - 1):
+            ways = self._ways[self.num_vars - k]
+            index += ways[rest]
+            rest = rest - exps[:, k]
+            index -= ways[rest]
+        return index
 
     @cached_property
     def _cauchy(self) -> tuple[np.ndarray, ...]:
         """Cauchy product table, built on first use: all ordered index pairs
         ``(ii, jj)`` whose degrees fit, sorted by their target index ``kk``,
-        plus the distinct targets and where each group starts."""
-        ii, jj, kk = [], [], []
-        for i, ei in enumerate(self.exponents):
-            di = self.degrees[i]
-            for j, ej in enumerate(self.exponents):
-                if di + self.degrees[j] > self.order:
-                    continue
-                ii.append(i)
-                jj.append(j)
-                kk.append(self.index_of[tuple(a + b for a, b in zip(ei, ej))])
-        kk_arr = np.array(kk, dtype=np.int64)
-        sort = np.argsort(kk_arr, kind="stable")
-        kk_sorted = kk_arr[sort]
-        out, starts = np.unique(kk_sorted, return_index=True)
-        return (
-            np.array(ii, dtype=np.int64)[sort],
-            np.array(jj, dtype=np.int64)[sort],
-            kk_sorted,
-            out,
-            starts,
-        )
+        plus the distinct targets and where each group starts.  The pairs are
+        formed one degree of ``ii`` at a time, whose partners are the prefix
+        of degree at most ``order - d``, so they come ``ii``-major with ``jj``
+        ascending and the stable sort keeps that order within a target."""
+        ends = [0, *self._degree_ends]
+        pairs = []
+        for d in range(self.order + 1):
+            rows, partners = np.arange(ends[d], ends[d + 1]), ends[self.order - d + 1]
+            i, j = np.repeat(rows, partners), np.tile(np.arange(partners), len(rows))
+            pairs.append((i, j, self._index(self._exps[i] + self._exps[j])))
+        ii, jj, kk = (np.concatenate(t) for t in zip(*pairs))
+        sort = np.argsort(kk, kind="stable")
+        kk = kk[sort]
+        out, starts = np.unique(kk, return_index=True)
+        return ii[sort], jj[sort], kk, out, starts
 
     def _pairs(self, used_a: np.ndarray, used_b: np.ndarray, cap: int) -> tuple[np.ndarray, ...]:
         """The rows of :attr:`_cauchy` with target below ``cap``, first index
@@ -179,43 +171,14 @@ class JetSpace:
         d = bisect.bisect_left(self._degree_ends, width) + by
         return self._degree_ends[min(d, self.order)] if d >= 0 else 1
 
-    def _diff_rows(self, v: int, width: int) -> tuple[np.ndarray, ...]:
-        """The rows of the derivative table of variable ``v`` whose source
-        column lies in a ``width``-column prefix (the sources ascend)."""
-        src, dst, fac = self._diff[v]
-        if width < self.size:
-            n = int(np.searchsorted(src, width))
-            src, dst, fac = src[:n], dst[:n], fac[:n]
-        return src, dst, fac
-
     @cached_property
-    def _grad(self) -> tuple[np.ndarray, ...]:
-        """The derivative tables of all variables as one, sorted by source
-        column: the source columns, the variable and target column of each
-        row, and the factors."""
-        src, dst, fac = (np.concatenate([t[k] for t in self._diff]) for k in range(3))
-        var = np.repeat(np.arange(self.num_vars), [len(t[0]) for t in self._diff])
-        order = np.argsort(src, kind="stable")
-        return src[order], var[order], dst[order], fac[order]
-
-    def _grad_rows(self, width: int) -> tuple:
-        """The rows of :attr:`_grad` whose source lies in a ``width``-column
-        prefix (one scatter for every partial derivative), and the width of
-        the derivatives."""
-        n = int(np.searchsorted(self._grad[0], width))
-        return (*(t[:n] for t in self._grad), self._shifted_width(width, -1))
-
-    @cached_property
-    def _factors(self) -> tuple[tuple[int, int], ...]:
-        """For each monomial past the constant one, its first variable ``v``
-        and the index of the monomial divided by ``t_v``."""
-        out = []
-        for e in self.exponents[1:]:
-            v = next(k for k, x in enumerate(e) if x > 0)
-            low = list(e)
-            low[v] -= 1
-            out.append((v, self.index_of[tuple(low)]))
-        return tuple(out)
+    def _factors(self) -> np.ndarray:
+        """For each monomial past the constant one, a row of its first
+        variable ``v`` and the index of the monomial divided by ``t_v``: the
+        first row of :attr:`_grad` with that source."""
+        src, var, dst, _ = self._grad
+        first = np.unique(src, return_index=True)[1]
+        return np.stack([var[first], dst[first]], axis=1)
 
     # -- constructors -----------------------------------------------------
 
@@ -322,10 +285,10 @@ class Jet:
             return self
         if space.num_vars != self.space.num_vars:
             raise ShapeError("cannot coerce between different variable counts")
+        # a monomial's index does not depend on the order
         c = np.zeros(space.size, dtype=np.complex128)
-        for i, e in enumerate(self.space.exponents):
-            if self.space.degrees[i] <= space.order:
-                c[space.index_of[e]] = self.coeffs[i]
+        m = min(space.size, self.space.size)
+        c[:m] = self.coeffs[:m]
         return space._wrap(c, min(self.eff_order, space.order))
 
     # -- ring operations ---------------------------------------------------
@@ -899,9 +862,10 @@ class JetArray:
         if not 0 <= v < sp.num_vars:
             raise ShapeError(f"variable index {v} out of range")
         c = self._stored
-        src, dst, fac = sp._diff_rows(v, c.shape[-1])
+        src, dst, fac = sp._diff[v]
+        n = int(np.searchsorted(src, c.shape[-1]))  # the rows whose source is stored
         out = np.zeros(c.shape[:-1] + (sp._shifted_width(c.shape[-1], -1),), dtype=np.complex128)
-        out[..., dst] = c[..., src] * fac
+        out[..., dst[:n]] = c[..., src[:n]] * fac[:n]
         # the derivative of a truncated entry is truncated one order lower
         return JetArray._raw(sp, out, np.maximum(self.eff - 1, -1))
 
@@ -923,7 +887,10 @@ class JetArray:
         sp = self.space
         c = self._stored
         if self._support(sp.size)[1] > 1:
-            src, var, dst, fac, width = sp._grad_rows(c.shape[-1])
+            # one scatter for every partial, over the stored sources (they ascend)
+            n = int(np.searchsorted(sp._grad[0], c.shape[-1]))
+            src, var, dst, fac = (t[:n] for t in sp._grad)
+            width = sp._shifted_width(c.shape[-1], -1)
             out = np.zeros((sp.num_vars,) + c.shape[:-1] + (width,), dtype=np.complex128)
             # out[var[r], ..., dst[r]] = c[..., src[r]] * fac[r] for every row r
             rows = c.reshape(-1, c.shape[-1])[:, src]
@@ -1292,7 +1259,7 @@ class Substitution:
         table = np.zeros((source.size, target.size), dtype=np.complex128)
         table[0, 0] = 1.0
         rows_eff = np.full(source.size, target.order)
-        v, low = np.array(source._factors, dtype=np.int64).reshape(-1, 2).T
+        v, low = source._factors.T
         ends = source._degree_ends
         top = source.order if subs.constant_term().any() else min(source.order, int(eff.max()))
         for d in range(1, top + 1):

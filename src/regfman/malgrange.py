@@ -96,6 +96,10 @@ def _powers(b: JetArray, count: int) -> list[JetArray]:
     return out
 
 
+# The spanning frame at zero is refused above this condition number.
+FRAME_COND_LIMIT = 1e10
+
+
 def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> MalgrangeChart:
     """Chart of the integral leaf through zero.
 
@@ -113,7 +117,7 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
         [np.linalg.matrix_power(spec.b0o, j).reshape(-1) for j in range(n)]
     )
     cond = np.linalg.cond(frame0)
-    if not np.isfinite(cond) or cond > 1e10:
+    if not np.isfinite(cond) or cond > FRAME_COND_LIMIT:
         raise ChartDegeneracyError(f"spanning frame degenerate at zero (cond {cond:.2e})")
     sp = jet_space(n, order)
     gamma = JetArray.constant(sp, np.zeros((n, n)))
@@ -256,7 +260,7 @@ class ValidationReport:
     companion: np.ndarray
     moments: np.ndarray
 
-    def passed(self, tolerance: float = 1e-9) -> bool:
+    def passed(self, tolerance: float) -> bool:
         return self.residuals.passes(tolerance) and self.gram_condition <= GRAM_COND_LIMIT
 
 

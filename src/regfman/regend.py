@@ -215,7 +215,6 @@ def jordan_spectrum(
             )
 
     # single-linkage clustering below the threshold
-    order = np.argsort([(z.real, z.imag) for z in eig], axis=0)[:, 0]
     remaining = list(range(n))
     clusters: list[list[int]] = []
     while remaining:
@@ -244,6 +243,10 @@ def jordan_spectrum(
     return spectrum
 
 
+# A vector is cyclic when its Krylov matrix has sv_min > this * max(sv_max, 1).
+CYCLIC_TOL = 1e-10
+
+
 def cyclic_basis_representation(a, v) -> np.ndarray:
     """The matrix of ``a`` in the basis {v, Av, ..., A^{n-1}v}: a companion
     matrix with sub-diagonal ones and the last column solved from A^n v."""
@@ -256,7 +259,7 @@ def cyclic_basis_representation(a, v) -> np.ndarray:
         raise RegularityError("zero vector cannot be cyclic")
     k = _krylov(m, v, n)
     sv = np.linalg.svd(k, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
+    if sv[-1] <= CYCLIC_TOL * max(sv[0], 1.0):
         raise RegularityError("the supplied vector is not cyclic (Krylov basis degenerate)")
     last = np.linalg.solve(k, m @ k[:, -1])
     comp = np.zeros((n, n), dtype=np.complex128)

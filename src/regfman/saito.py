@@ -55,6 +55,10 @@ def _higgs(entries, name: str) -> JetArray:
     return out
 
 
+# A bundle metric is refused as singular above this condition number.
+METRIC_COND_LIMIT = 1e12
+
+
 class SaitoBundle:
     """Frame presentation of a Saito bundle.
 
@@ -80,7 +84,7 @@ class SaitoBundle:
                 frame_connection, self.phi.shape, "frame_connection", self.space
             )
         self.metric = None if metric is None else _checked(metric, square, "metric")
-        if self.metric is not None and np.linalg.cond(self.metric) > 1e12:
+        if self.metric is not None and np.linalg.cond(self.metric) > METRIC_COND_LIMIT:
             raise ShapeError("bundle metric must be invertible")
 
     @cached_property

@@ -1,5 +1,7 @@
 """Jet kernel tests: frozen examples plus randomized ring/calculus properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from regfman.jets import (
     Jet,
     JetArray,
     JetMatrix,
+    JetSpace,
     Substitution,
     jet_space,
 )
@@ -73,6 +76,90 @@ class TestBasics:
         assert up.space is sp4
         assert up.eff_order == 2
         assert (up.in_space(sp2) - a).residual_norm() == 0.0
+
+
+def _reference_tables(sp):
+    """The index tables of ``sp`` built entry by entry from ``exponents`` and
+    ``index_of``, one monomial or one pair at a time."""
+    exps, index_of, order = sp.exponents, sp.index_of, sp.order
+    degrees = [sum(e) for e in exps]
+
+    def moved(e, v, by):
+        e = list(e)
+        e[v] += by
+        return index_of[tuple(e)]
+
+    def ints(values):
+        return np.array(values, dtype=np.int64)
+
+    diff, shift = [], []
+    below = [i for i in range(sp.size) if degrees[i] < order]
+    for v in range(sp.num_vars):
+        src = [i for i, e in enumerate(exps) if e[v] > 0]
+        fac = np.array([exps[i][v] for i in src], dtype=np.float64)
+        diff.append((ints(src), ints([moved(exps[i], v, -1) for i in src]), fac))
+        shift.append((ints(below), ints([moved(exps[i], v, 1) for i in below])))
+    rows = [(i, v) for i, e in enumerate(exps) for v in range(sp.num_vars) if e[v] > 0]
+    grad = (
+        ints([i for i, _ in rows]),
+        ints([v for _, v in rows]),
+        ints([moved(exps[i], v, -1) for i, v in rows]),
+        np.array([exps[i][v] for i, v in rows], dtype=np.float64),
+    )
+    factors = []
+    for e in exps[1:]:
+        v = next(k for k, x in enumerate(e) if x > 0)
+        factors.append((v, moved(e, v, -1)))
+    pairs = [
+        (i, j, index_of[tuple(a + b for a, b in zip(exps[i], exps[j]))])
+        for i in range(sp.size)
+        for j in range(sp.size)
+        if degrees[i] + degrees[j] <= order
+    ]
+    pairs.sort(key=lambda p: p[2])  # stable: i-major, j ascending within a target
+    starts = {}  # the first pair of each target
+    for n, (_, _, k) in enumerate(pairs):
+        starts.setdefault(k, n)
+    return {
+        "degrees": ints(degrees),
+        "_diff": diff,
+        "_shift": shift,
+        "_grad": grad,
+        "_factors": ints(factors).reshape(-1, 2),
+        "_cauchy": tuple(ints(t) for t in [*zip(*pairs), list(starts), list(starts.values())]),
+    }
+
+
+def _assert_same_tables(got, want, path):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), path
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), path
+        assert np.array_equal(got, want), path
+    else:
+        assert len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_tables(g, w, f"{path}[{k}]")
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize(
+        "num_vars, order",
+        # (40, 2) and (63, 1): (order + 1) ** num_vars overflows int64
+        [(1, 0), (2, 0), (1, 6), (3, 4), (4, 6), (7, 4), (40, 2), (63, 1)],
+    )
+    def test_tables_equal_the_entry_by_entry_reference(self, num_vars, order):
+        sp = JetSpace(num_vars, order)
+        want = _reference_tables(sp)
+        assert np.array_equal(sp._index(sp._exps), np.arange(sp.size))
+        for name, table in want.items():
+            _assert_same_tables(getattr(sp, name), table, name)
+
+    def test_cauchy_table_counts_the_pairs_of_every_degree(self):
+        # N_d monomials of degree d, each with E_{K-d} partners of degree at most K - d
+        n, order = 10, 6
+        count = sum(math.comb(d + n - 1, n - 1) * math.comb(order - d + n, n) for d in range(order + 1))
+        assert count == 230_230
+        assert len(jet_space(n, order)._cauchy[0]) == count
 
 
 class TestPartial:

@@ -36,7 +36,6 @@ LEDGER = (
     "jets.JetArray.sqrt(branch_anchors)",
     "jets.JetSpace.from_coeffs(eff_order)",
     "jets.JetSpace.zero(eff_order)",
-    "malgrange.ValidationReport.passed(tolerance)",
     "malgrange.fmanifold_on_chart(residual_limit)",
     "malgrange.initial_condition_extend(tolerance)",
     "malgrange.initial_condition_extend(validation_tolerance)",

@@ -2,6 +2,7 @@
 
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,3 +45,15 @@ def test_compare_names_each_differing_case_and_its_first_path():
         'gone: /: 3 != "<missing>"',
         'new: /: "<missing>" != 4',
     ]
+
+
+def test_space_tables_digest_the_factor_table_whatever_its_container():
+    sp = jet_space(3, 2)
+    tables = {name: getattr(sp, name) for name in ("degrees", "_diff", "_shift", "_grad", "_cauchy")}
+    base = parity.digest(parity.space_tables(sp))
+    pairs = tuple((int(v), int(low)) for v, low in sp._factors)
+    assert parity.digest(parity.space_tables(SimpleNamespace(**tables, _factors=pairs))) == base
+    ii, *rest = sp._cauchy
+    moved = SimpleNamespace(**{**tables, "_cauchy": (ii[::-1].copy(), *rest)}, _factors=pairs)
+    assert parity.digest(parity.space_tables(moved)) != base
+

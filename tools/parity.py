@@ -12,7 +12,9 @@ process with one BLAS thread, runs with its own ``src/`` and ``perfbench/``:
   ``verify`` and ``extend``) and the ``extend`` known-defect cases, through
   the workload's own ``run``;
 - every ``docs/tasks`` document through ``regfman run``, at its own order and
-  with ``--order 6``: the exit status and the report bytes.
+  with ``--order 6``: the exit status and the report bytes;
+- the index tables of ``JetSpace`` (degrees, derivative, shift, gradient,
+  factor and Cauchy tables) on a fixed grid of (variables, order) spaces.
 
 Each output is dumped with every float as ``float.hex``, every jet array
 (and jet) as a SHA-1 of its coefficients together with its effective orders,
@@ -37,6 +39,8 @@ import tempfile
 from bench_pairs import export_tree
 
 SEED = 4242
+# (variables, order) of the spaces whose index tables are dumped
+TABLE_SPACES = ((1, 0), (2, 0), (1, 6), (3, 4), (4, 6), (7, 4), (40, 2), (63, 1))
 DUMP_TIMEOUT_S = 1800
 TEXT_INLINE = 80  # longer strings are dumped as their SHA-1
 
@@ -87,12 +91,28 @@ def digest(obj, _seen=()):
     return {"type": type(obj).__name__, **{k: digest(getattr(obj, k), seen) for k in names}}
 
 
+def space_tables(space) -> dict:
+    """The index tables of a ``JetSpace``, with the factor table as one
+    ``(size - 1, 2)`` int64 array whatever container the space keeps it in."""
+    import numpy as np
+
+    return {
+        "degrees": space.degrees,
+        "diff": space._diff,
+        "shift": space._shift,
+        "grad": space._grad,
+        "factors": np.asarray(space._factors, dtype=np.int64).reshape(-1, 2),
+        "cauchy": space._cauchy,
+    }
+
+
 def dump(tree: str) -> dict:
     """Every output of ``tree``, by case name."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import regfman
     import workloads
     from regfman import cli
+    from regfman.jets import JetSpace
 
     if not os.path.abspath(regfman.__file__).startswith(os.path.abspath(tree) + os.sep):
         raise RuntimeError(f"regfman imported from {regfman.__file__}, not from {tree}")
@@ -110,6 +130,8 @@ def dump(tree: str) -> dict:
             out[f"{name}/{i}"] = attempt(workload, case)
         for i, case in enumerate(workload.defect_cases()):
             out[f"{name}-defect/{i}"] = attempt(workload, case)
+    for num_vars, order in TABLE_SPACES:
+        out[f"jets/{num_vars},{order}"] = digest(space_tables(JetSpace(num_vars, order)))
     with tempfile.TemporaryDirectory(prefix="parity-") as scratch:
         report = os.path.join(scratch, "report.json")
         for doc in sorted(glob.glob(os.path.join(tree, "docs", "tasks", "*.json"))):
