@@ -438,14 +438,13 @@ def _run_malgrange_chart(payload, settings):
     flat = saito.birkhoff_flatness(malgrange.canonical_connection(chart))
     model = malgrange.fmanifold_on_chart(chart)
     axioms = fman.check_fmanifold(model)
-    spec_model = regend.jordan_spectrum(fman.mult_by_euler(model).constant_term())
-    spec_seed = regend.jordan_spectrum(-b0o)
+    iso = malgrange.check_universality_isomorphism(chart, model)
+    spec_model, spec_seed = iso.spectra
     spectra_match = spec_model.matches(spec_seed)
-    iso_rep = malgrange.check_universality_isomorphism(chart, model).report
     rep = (
         integral.merged(flat, prefix="connection_")
         .merged(axioms, prefix="model_")
-        .merged(iso_rep, prefix="iso_")
+        .merged(iso.report, prefix="iso_")
     )
     body = _report_body(rep, max(settings["tolerance"], 1e-7))
     body["verdicts"]["spectrum_match"] = _verdict(

@@ -522,14 +522,16 @@ class GermIsomorphism:
     """The isomorphism of :func:`germ_isomorphism`: its coordinate map
     ``map`` (an (n,) jet array, psi(0) = 0) and residual report, with what
     the solve built on the way: the canonical frame of the source model,
-    the substitution table of composing with psi and the source's origin
-    regularity probe."""
+    the substitution table of composing with psi, the source's origin
+    regularity probe and the origin spectra of multiplication by E of the
+    source and the target (``spectra``)."""
 
     map: JetArray
     report: ResidualReport
     frame: CanonicalFrame
     substitution: Substitution
     regularity: regend.RegularityReport
+    spectra: tuple[JordanSpectrum, JordanSpectrum]
 
 
 def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIsomorphism:
@@ -540,11 +542,13 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     part sends the frame of A at the origin to the frame of B.  The report
     holds residuals of frame transport, multiplicativity and transport of
     Euler-field powers.  Step d reads only degree d of the transport
-    defect, which fixes degree d + 1 of psi: the step trusts psi to order
-    d + 1, where its coefficients are still zero, so its substitution table
-    stops at degree d + 1 and its products at degree d.  The residuals
-    share one full table.  Each model's origin is probed once, and the
-    probe serves its spectrum and its canonical frame.
+    defect, which fixes degree d + 1 of psi.  Degree d of Y_i o psi reads
+    only the coefficients of psi of degree at most d, final once step d - 1
+    has run, so one substitution table grows with psi: step d fills its
+    degree-d columns and composes only those columns of the Y_i, and one
+    more fill gives the table that the residuals, the multiplicativity
+    check and the pull-back share.  Each model's origin is probed once, and
+    the probe serves its spectrum and its canonical frame.
     """
     if model_a.dim != model_b.dim:
         raise NoIsomorphismError("models have different dimensions")
@@ -572,22 +576,28 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     pow_a, pow_b = JetArray.stack(pow_a), JetArray.stack(pow_b)
     xa, xb = pow_a[:n], pow_b[:n]
 
+    # psi trusted to order 0 is zero; its one table grows a degree per step
     psi = np.zeros((n, sp.size), dtype=np.complex128)
+    sub = Substitution(sp, JetArray.constant(sp, np.zeros(n)).capped(0))
+    ends = [0, *sp._degree_ends]
     for d in range(k_order):
+        sub._grow(psi, d)
+        start, end = ends[d], ends[d + 1]
         psi_d = JetArray(sp, psi.copy(), np.full(n, d + 1))
-        resid = _transport_defect(Substitution(sp, psi_d), psi_d.grad(), xa, xb)
+        jx = contract("vk,iv->ik", psi_d.grad(), xa)
+        # degree d of the transport defect, truncated as the whole defect is
+        yb = sub._compose(xb._stored.reshape(n * n, -1), slice(start, end)).reshape(n, n, -1)
+        part = yb - jx.degree_part(d)
+        part[np.maximum(np.minimum(xb.eff, jx.eff), 0) < d] = 0.0
         # degree-d part determines the Jacobian of the degree-(d+1) correction
-        part = resid.degree_part(d)
         entry = sum(np.multiply.outer(xinv[i], part[i]) for i in range(n))  # (j, k, degree-d columns)
-        end = sp._degree_ends[d]
-        start = end - part.shape[-1]
         for j, (src, dst) in enumerate(sp._shift):
             # the shifts out of degree d: their sources ascend
             rows = slice(*np.searchsorted(src, (start, end)))
             psi[:, dst[rows]] += entry[j][:, src[rows] - start] * (1.0 / (d + 1))
 
+    sub._grow(psi, k_order)
     psi_arr = JetArray(sp, psi, np.full(n, k_order))
-    sub = Substitution(sp, psi_arr)
     jac = psi_arr.grad()
 
     transport = _transport_defect(sub, jac, pow_a, pow_b).residual_norms().max(axis=1)
@@ -603,4 +613,4 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     entries.append(("multiplicativity", mult_res, k_order - 1))
 
     entries += [(f"euler_power_{i}", transport[i], k_order - 1) for i in range(k_order + 1)]
-    return GermIsomorphism(psi_arr, report_from(entries), frame_a, sub, reg_a)
+    return GermIsomorphism(psi_arr, report_from(entries), frame_a, sub, reg_a, (spec_a, spec_b))

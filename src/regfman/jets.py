@@ -58,18 +58,14 @@ DEFAULT_ORDER = 4
 _EPS = np.finfo(float).eps
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)]
-    return [(head, *tail) for head in range(total + 1) for tail in _compositions(total - head, parts - 1)]
-
-
 class JetSpace:
     """Shared index tables for all jets with a fixed (num_vars, order).
 
     Every table derives from one ``(size, num_vars)`` array of exponents,
-    ``_exps``, in the graded order of ``exponents``, through one vectorised
-    lookup, :meth:`_index`, from exponent rows to monomial indices.  Obtain
+    ``_exps``, by degree and lexicographic within a degree (the order of
+    ``exponents``), through one vectorised lookup, :meth:`_index`, from
+    exponent rows to monomial indices; ``_exps`` itself is enumerated as an
+    array and placed by the same lookup.  Obtain
     instances through :func:`jet_space`; the factory caches them so spaces
     compare by identity.
     """
@@ -82,18 +78,27 @@ class JetSpace:
         self.num_vars = num_vars
         self.order = order
 
-        self.exponents = tuple(e for d in range(order + 1) for e in _compositions(d, num_vars))
-        self.size = len(self.exponents)
-        self.index_of: dict[tuple[int, ...], int] = {e: i for i, e in enumerate(self.exponents)}
-        self._exps = np.array(self.exponents, dtype=np.int64)
-        self.degrees = self._exps.sum(axis=1)
-        self._trunc_masks = [self.degrees <= d for d in range(order + 1)]
-        # _degree_ends[d]: the number of monomials of degree at most d
-        self._degree_ends = np.cumsum(np.bincount(self.degrees, minlength=order + 1)).tolist()
         # _ways[p, r]: the compositions of r into p parts, C(r + p - 1, p - 1)
         self._ways = np.ones((num_vars + 1, order + 1), dtype=np.int64)
         for p in range(2, num_vars + 1):
             self._ways[p] = np.cumsum(self._ways[p - 1])
+        # _degree_ends[d]: the number of monomials of degree at most d
+        self._degree_ends = np.cumsum(self._ways[num_vars]).tolist()
+        self.size = self._degree_ends[-1]
+        # every exponent row of degree at most the order, one variable at a
+        # time (each row repeated once per value its next exponent can take),
+        # then placed at its index
+        rows = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(num_vars):
+            room = order - rows.sum(axis=1) + 1
+            starts = np.repeat(np.cumsum(room) - room, room)
+            rows = np.column_stack([np.repeat(rows, room, axis=0), np.arange(len(starts)) - starts])
+        self._exps = np.empty_like(rows)
+        self._exps[self._index(rows)] = rows
+        self.exponents = tuple(map(tuple, self._exps.tolist()))
+        self.index_of: dict[tuple[int, ...], int] = dict(zip(self.exponents, range(self.size)))
+        self.degrees = self._exps.sum(axis=1)
+        self._trunc_masks = [self.degrees <= d for d in range(order + 1)]
 
         # The derivative table of all variables, sorted by source column (the
         # source, variable, target and factor of each row), the rows of each
@@ -112,7 +117,7 @@ class JetSpace:
     def _index(self, exps: np.ndarray) -> np.ndarray:
         """The monomial index of each row of exponents (of degree at most the
         order): the count of monomials of lower degree plus the rank among
-        those of its degree.  In the lexicographic order of :func:`_compositions`,
+        those of its degree.  In the lexicographic order within a degree,
         variable k adds the monomials that agree before it and are lower at it,
         ``ways[p, rest] - ways[p, rest - e_k]`` by the hockey-stick identity,
         with ``rest`` the degree and ``p`` the variables left."""
@@ -1233,17 +1238,28 @@ class Substitution:
     Constant terms of the substitutions are substituted exactly, so the
     composition re-centers the expansion point.  The monomial table,
     ``table[i]`` the target coefficients of the i-th source monomial, is
-    built once, one degree at a time: each monomial of degree d is a
-    monomial of degree d - 1 times one substitution, and the products of a
-    degree are formed together by :func:`_row_products`, which gives the
-    bits of the ``Jet`` products ``prev * subs[v]``.  When no substitution
-    has a constant term, a monomial of degree d has no coefficient below
-    degree d, so the build stops past the highest effective order and the
-    rows above it stay zero.  Applying the table to a jet or to a whole
-    :class:`JetArray` adds ``table[i] * c_i`` in source-index order over
-    the rows that are not all zero (the sum starts at +0, and adding a
-    signed zero to it changes no bit), so every composition with one
-    substitution gives the same bits as composing a single jet.
+    built once.  Each source monomial of degree r is one of degree r - 1
+    times one substitution, and its row is truncated above the lowest
+    effective order of its factors; the products give the bits of the
+    ``Jet`` products ``prev * subs[v]`` up to the sign of a zero.
+
+    - With a constant term, a row has coefficients at every degree, so the
+      table is built one source degree at a time: the rows of a degree
+      come together from :func:`_row_products`.
+    - Without one, a row of degree r has no coefficient below degree r, and
+      the columns of target degree e read only the substitutions'
+      coefficients of degree at most e.  The table is built one column
+      degree at a time (:meth:`_fill`) and stops past the highest effective
+      order, where every row is truncated.  :meth:`_grow` extends it by
+      further degrees as they become known, which is how
+      :func:`regfman.fman.germ_isomorphism` grows one table through its
+      solve.
+
+    Applying the table to a jet or to a whole :class:`JetArray` adds
+    ``table[i] * c_i`` in source-index order over the rows that are not all
+    zero (the sum starts at +0, and adding a signed zero to it changes no
+    bit), so every composition with one substitution gives the same bits as
+    composing a single jet.
     """
 
     __slots__ = ("source", "target", "table", "eff_order", "_live")
@@ -1258,33 +1274,82 @@ class Substitution:
         coeffs, eff = subs.coeffs, np.minimum(subs.eff, target.order)
         table = np.zeros((source.size, target.size), dtype=np.complex128)
         table[0, 0] = 1.0
-        rows_eff = np.full(source.size, target.order)
+        # the factors of each monomial of each degree and its effective order
         v, low = source._factors.T
         ends = source._degree_ends
-        top = source.order if subs.constant_term().any() else min(source.order, int(eff.max()))
-        for d in range(1, top + 1):
-            # the monomials of degree d and their factors
-            new = slice(ends[d - 1], ends[d])
-            fv, fl = v[new.start - 1 : new.stop - 1], low[new.start - 1 : new.stop - 1]
+        degrees = [
+            (slice(lo, hi), v[lo - 1 : hi - 1], low[lo - 1 : hi - 1]) for lo, hi in zip(ends, ends[1:])
+        ]
+        rows_eff = np.full(source.size, target.order)
+        for new, fv, fl in degrees:
             rows_eff[new] = np.minimum(rows_eff[fl], eff[fv])
-            table[new] = _row_products(target, table[fl], coeffs[fv], rows_eff[new])
         self.source = source
         self.target = target
         self.table = table
-        self._live = table.any(axis=1)
         self.eff_order = subs.eff_order()
+        if subs.constant_term().any():
+            for new, fv, fl in degrees:
+                table[new] = _row_products(target, table[fl], coeffs[fv], rows_eff[new])
+            self._live = table.any(axis=1)
+        else:
+            self._live = np.zeros(source.size, dtype=bool)
+            self._live[0] = True
+            for e in range(1, int(eff.max(initial=0)) + 1):
+                self._fill(coeffs, e, rows_eff)
+
+    def _fill(self, coeffs: np.ndarray, e: int, rows_eff: np.ndarray | None):
+        """Fill the columns of target degree ``e`` from the substitutions'
+        full-width coefficients ``coeffs`` (no constant term, every degree
+        below ``e`` filled): the rows of degree 1 copy the substitutions,
+        and those of degree 2 to ``e`` come from one ``reduceat`` over the
+        Cauchy pairs whose targets have degree ``e``, each a pair of a
+        factor row and a substitution, as :func:`_row_products` sums them.
+        A row is zeroed there when its entry of ``rows_eff`` is below
+        ``e``; ``None`` trusts every row."""
+        source, target, table = self.source, self.target, self.table
+        lo, hi = target._degree_ends[e - 1], target._degree_ends[e]
+        ends = source._degree_ends
+        top = ends[min(e, source.order)]
+        if top > 1:
+            v, low = source._factors.T
+            table[1 : ends[1], lo:hi] = coeffs[v[: ends[1] - 1], lo:hi]
+            if top > ends[1]:
+                ii, jj, kk, targets, starts = target._cauchy
+                first, last = np.searchsorted(kk, (lo, hi))
+                groups = starts[np.searchsorted(targets, lo) : np.searchsorted(targets, hi)] - first
+                fv, fl = v[ends[1] - 1 : top - 1, None], low[ends[1] - 1 : top - 1, None]
+                prod = table[fl, ii[first:last]] * coeffs[fv, jj[first:last]]
+                table[ends[1] : top, lo:hi] = np.add.reduceat(prod, groups, axis=1)
+            if rows_eff is not None:
+                table[1:top, lo:hi][rows_eff[1:top] < e] = 0.0
+            self._live[1:top] |= table[1:top, lo:hi].any(axis=1)
+
+    def _grow(self, coeffs: np.ndarray, order: int):
+        """Extend a table of substitutions that share one effective order,
+        and have no constant term, to the same substitutions trusted to
+        ``order``: ``coeffs`` are their full-width coefficients, final up to
+        degree ``order`` and equal to the old ones up to the old order."""
+        for e in range(self.eff_order + 1, order + 1):
+            self._fill(coeffs, e, None)
+        self.eff_order = order
+
+    def _compose(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """The columns ``cols`` of the compositions of the rows of source
+        coefficients ``c``, shape ``(rows, width)``."""
+        table = self.table[:, cols]
+        out = np.zeros((len(c), table.shape[1]), dtype=np.complex128)
+        for i in np.flatnonzero(c.any(axis=0) & self._live[: c.shape[1]]):
+            # one jet scales by a scalar, as a single composition does:
+            # numpy may round a 1x1 broadcast product differently
+            out += table[i] * (c[0, i] if len(c) == 1 else c[:, i, None])
+        return out
 
     def __call__(self, f):
         """Compose a :class:`Jet` or every entry of a :class:`JetArray`."""
         if (f.space.num_vars, f.space.order) != (self.source.num_vars, self.source.order):
             raise ShapeError(f"cannot substitute into {f.space}: the source is {self.source}")
         c = f.coeffs if isinstance(f, Jet) else f._stored
-        src = c.reshape(-1, c.shape[-1])
-        out = np.zeros((len(src), self.target.size), dtype=np.complex128)
-        for i in np.flatnonzero(src.any(axis=0) & self._live[: src.shape[1]]):
-            # one jet scales by a scalar, as a single composition does:
-            # numpy may round a 1x1 broadcast product differently
-            out += self.table[i] * (src[0, i] if len(src) == 1 else src[:, i, None])
+        out = self._compose(c.reshape(-1, c.shape[-1]))
         if isinstance(f, Jet):
             return self.target._wrap(out[0], min(f.eff_order, self.eff_order))
         eff = np.minimum(f.eff, min(self.eff_order, self.target.order))

@@ -11,7 +11,7 @@ extension of an admissible pointwise pairing to a full Frobenius metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -216,10 +216,12 @@ def fmanifold_on_chart(
 
 def check_universality_isomorphism(chart: MalgrangeChart, model: FManifoldModel) -> GermIsomorphism:
     """Germ isomorphism from the chart model (``fmanifold_on_chart(chart)``)
-    to the standard model of the spectrum of minus the seed residue."""
+    to the standard model of the spectrum of minus the seed residue; its
+    ``spectra`` are the chart model's origin spectrum and that seed
+    spectrum, which the target is built from."""
     spec = regend.jordan_spectrum(-chart.spec.b0o)
-    target = standard_model(spec, order=chart.gamma.space.order)
-    return germ_isomorphism(model, target)
+    iso = germ_isomorphism(model, standard_model(spec, order=chart.gamma.space.order))
+    return replace(iso, spectra=(iso.spectra[0], spec))
 
 
 # -- initial conditions ---------------------------------------------------------
@@ -337,6 +339,14 @@ class ExtensionResult:
     regularity_probe: str
 
 
+def _saito_reports(chart: MalgrangeChart, binf: np.ndarray, g0: np.ndarray) -> tuple[ResidualReport, ...]:
+    """The Saito axioms and metric axioms of the deformation bundle of the
+    chart with the constant pairing ``g0``.  The bundle, and the product
+    table it caches, lives only for this call."""
+    bundle = SaitoBundle(phi=chart.tangent, r0=chart.b0, rinf=binf, metric=g0)
+    return check_saito_axioms(bundle), check_saito_metric_axioms(bundle)
+
+
 def initial_condition_extend(
     data: InitialData,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -378,10 +388,7 @@ def initial_condition_extend(
     chart = integrate_chart(DeformationSpec(-b0o, -binf), order)
     gamma = chart.gamma
     sp = gamma.space
-    bundle = SaitoBundle(phi=chart.tangent, r0=chart.b0, rinf=binf, metric=g0)
-    saito_rep = check_saito_axioms(bundle)
-    saito_metric_rep = check_saito_metric_axioms(bundle)
-    del bundle  # its cached product table is not held through the later stages (peak memory)
+    saito_rep, saito_metric_rep = _saito_reports(chart, binf, g0)
 
     # metric on the chart through the primitive constant section:
     # cols[i, k] = (phi_i e_0)^k

@@ -29,3 +29,26 @@ def test_pairs_won_follow_each_metrics_direction_and_ties_count_for_neither():
     assert rows["throughput_ref"]["parent"] == {"median": 1.0, "q1": 0.95, "q3": 1.05}
     assert rows["throughput_ref"]["parent_iqr"] == pytest.approx(0.1)
     assert "| extend | throughput_ref | 1 | 1.2 (+20.0%) | 2 of 3 | 10.0% |" in bench_pairs.markdown(summary)
+
+
+def test_environment_names_the_interpreter_the_machine_and_the_commit(tmp_path):
+    import os
+    import platform
+    import subprocess
+
+    import numpy
+
+    root = _PATH.parent.parent
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nmodel name\t: Example CPU @ 2.00GHz\n")
+    env = bench_pairs.environment(str(root), cpuinfo=str(cpuinfo))
+    assert set(env) == {"python", "numpy", "blas", "cpu_model", "cpu_count", "commit", "dirty"}
+    assert env["python"] == platform.python_version() and env["numpy"] == numpy.__version__
+    assert env["blas"] is None or isinstance(env["blas"], str) and env["blas"]
+    assert env["cpu_model"] == "Example CPU @ 2.00GHz"
+    assert env["cpu_count"] == os.cpu_count()
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, check=True)
+    assert env["commit"] == head.stdout.strip() and len(env["commit"]) == 40
+    assert isinstance(env["dirty"], bool)
+    # an unreadable cpuinfo leaves the model unknown
+    assert bench_pairs.environment(str(root), cpuinfo=str(tmp_path / "missing"))["cpu_model"] is None

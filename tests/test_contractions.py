@@ -1126,7 +1126,7 @@ def test_germ_isomorphism_builds_one_table_per_order(monkeypatch):
         built.clear()
         rep = germ_isomorphism(model, standard_model([(-1.0, 3)], order)).report
         assert rep.passes(1e-8), rep.worst()
-        assert 0 < len(built) <= order + 1
+        assert len(built) == 1
 
 
 # -- the Saito layer against its loop references --------------------------------------

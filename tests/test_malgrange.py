@@ -385,9 +385,9 @@ class TestExtension:
             counts.append(dict(calls))
         # one probe each of the seed residue, the model's and the chart
         # model's origin multiplication; one frame each of the two models;
-        # one table per solve step and the one the residuals and the
-        # pull-back share
-        assert counts == [{"probe": 3, "frame": 2, "table": 4}] * 2
+        # one table, grown through the solve and shared by the residuals
+        # and the pull-back
+        assert counts == [{"probe": 3, "frame": 2, "table": 1}] * 2
 
     def test_chart_membership_and_symmetry_diagnostics(self):
         data = nilpotent_initial_data(a=0.3, h1=1.0, weight=2.0, order=3)

@@ -78,6 +78,17 @@ def test_extend_metric_document_validates_its_data_once(monkeypatch):
     assert calls == {"malgrange.validate_initial_data": 1}
 
 
+def test_malgrange_chart_document_computes_each_spectrum_once(monkeypatch):
+    calls = _count_calls(monkeypatch, ["regend.jordan_spectrum"])
+    with open(DOCS / "malgrange-chart.json", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    report, passed = run_document(doc, argparse.Namespace(order=None, tol=None))
+    assert passed and report["verdicts"]["spectrum_match"]["pass"]
+    # the seed residue's, the chart model's and its standard model's; the
+    # report reads the first two from the isomorphism
+    assert calls == {"regend.jordan_spectrum": 3}
+
+
 def _private_functions(trees) -> set[str]:
     return {
         node.name

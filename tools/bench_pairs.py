@@ -11,7 +11,10 @@ is the working tree the script runs from.  For each workload and each of
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0``, one process
 at a time, the parent first on even pairs and the change first on odd ones.
 
-The output file holds every run's end-to-end metrics, then per workload and
+The output file holds the machine and the change tree the runs come from
+(``environment``: Python, numpy and BLAS versions, CPU model and count, the
+change tree's commit and whether it had uncommitted changes), every run's
+end-to-end metrics, then per workload and
 metric each side's median and quartiles, the parent's interquartile range
 and the number of pairs the change won (ties count for neither side; the
 direction of each metric is the one ``BENCHMARK.json`` declares).  The same
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -36,6 +40,37 @@ def export_tree(ref: str, into: str) -> None:
     """The committed files of ``ref`` under ``into``."""
     archive = subprocess.run(["git", "archive", "--format=tar", ref], check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
+
+
+def _git(tree: str, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=tree, check=True, capture_output=True, text=True).stdout
+
+
+def environment(tree: str, cpuinfo: str = "/proc/cpuinfo") -> dict:
+    """The interpreter, numpy and its BLAS, the CPU and the commit of
+    ``tree`` that the runs use; a field that cannot be read is None."""
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas = None
+    cpu = None
+    try:
+        with open(cpuinfo, encoding="utf-8") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "blas": blas,
+        "cpu_model": cpu,
+        "cpu_count": os.cpu_count(),
+        "commit": _git(tree, "rev-parse", "HEAD").strip(),
+        "dirty": bool(_git(tree, "status", "--porcelain").strip()),
+    }
 
 
 def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -118,6 +153,7 @@ def main(argv=None) -> int:
     change = os.getcwd()
     with open(os.path.join(change, "BENCHMARK.json")) as f:
         directions = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    env = environment(change)
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
         export_tree(args.parent, parent)
@@ -136,6 +172,7 @@ def main(argv=None) -> int:
         "parent": subprocess.run(["git", "rev-parse", args.parent], check=True, capture_output=True,
                                  text=True).stdout.strip(),
         "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "environment": env,
         "runs": runs,
         "summary": summary,
     }
