@@ -182,6 +182,8 @@ def _spectrum_out(spec: JordanSpectrum) -> list:
 
 
 def _model_in(payload: dict, order: int, field: str) -> fman.FManifoldModel:
+    if not isinstance(payload, dict):
+        _fail("expected an object with 'spectrum' or 'model'", field)
     if "spectrum" in payload:
         return fman.standard_model(_spectrum_in(payload["spectrum"], f"{field}/spectrum"), order)
     if "model" not in payload:
@@ -195,7 +197,10 @@ def _model_in(payload: dict, order: int, field: str) -> fman.FManifoldModel:
     sp = jet_space(dim, order)
     mult = np.zeros((dim, dim, dim, sp.size), dtype=np.complex128)
     mult_eff = np.full((dim, dim, dim), order)
-    for k, item in enumerate(m.get("mult", [])):
+    items = m.get("mult", [])
+    if not isinstance(items, list):
+        _fail("model.mult must be a list of {i, j, k, jet}", f"{field}/model/mult")
+    for k, item in enumerate(items):
         here = f"{field}/model/mult[{k}]"
         if not isinstance(item, dict):
             _fail("expected {i, j, k, jet}", here)
@@ -207,6 +212,9 @@ def _model_in(payload: dict, order: int, field: str) -> fman.FManifoldModel:
     euler = m.get("euler")
     if unit is None or euler is None:
         _fail("model needs unit and euler component lists", f"{field}/model")
+    for name, comps in (("unit", unit), ("euler", euler)):
+        if not isinstance(comps, list):
+            _fail(f"model.{name} must be a list of jets", f"{field}/model/{name}")
     if len(unit) != dim or len(euler) != dim:
         _fail("unit/euler must have dim components", f"{field}/model")
     unit_v = _jet_array(sp, [_jet_in(sp, c, f"{field}/model/unit[{i}]") for i, c in enumerate(unit)])
@@ -374,6 +382,8 @@ def _bundle_in(payload, settings, field):
     frame = data.get("frame_connection")
     frame_mats = None
     if frame is not None:
+        if not isinstance(frame, list):
+            _fail("bundle.frame_connection must be a list of jet matrices", f"{field}/bundle/frame_connection")
         frame_mats = [
             _jet_matrix_in(sp, p, f"{field}/bundle/frame_connection[{i}]")
             for i, p in enumerate(frame)

@@ -330,14 +330,13 @@ class BracketConstants:
     rows: tuple[tuple[float, ...], ...]
 
     @classmethod
-    def build(cls, n: int, max_power: int | None = None) -> "BracketConstants":
+    def build(cls, n: int) -> "BracketConstants":
+        """Rows 0 to n, the non-negative powers the frame identities read."""
         if n < 1:
             raise ShapeError("dimension must be positive")
-        if max_power is None:
-            max_power = n
         row0 = tuple((-1.0) ** (n - k) * math.comb(n, k) for k in range(n))
         rows = [row0]
-        for _ in range(max_power):
+        for _ in range(n):
             prev = rows[-1]
             nxt = [-row0[0] * prev[n - 1]]
             for k in range(1, n):
@@ -369,26 +368,23 @@ def eigenfunction(model: FManifoldModel) -> JetArray:
 
 
 def _powers(a: JetArray, count: int) -> JetArray:
-    """a**0, ..., a**(count - 1) for one jet (a 0-dimensional array): the
-    monomial table of substituting ``a`` for the variable of one-variable
-    jets of order count - 1."""
-    table = Substitution(jet_space(1, count - 1), a.reshape(1)).table
-    eff = np.full(count, a.eff_order())
-    eff[0] = a.space.order
-    return JetArray(a.space, table, eff)
+    """a**0, ..., a**(count - 1) for one jet (a 0-dimensional array), each
+    power the product of the one before and ``a``."""
+    out = [JetArray.constant(a.space, 1.0)]
+    for _ in range(count - 1):
+        out.append(out[-1] * a)
+    return JetArray.stack(out)
 
 
-def check_frame_brackets(
-    model: FManifoldModel, include_nilpotent: bool | None = None
-) -> ResidualReport:
+def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
     """Canonical-frame bracket identities.
 
-    Always checks [X_i, X_j] = (j-i) X_{i+j-1} for i+j <= n.  On single
-    nilpotent blocks additionally checks the unified bracket formula, the
-    eigenfunction law X_i(a) = a^i and the minimal-polynomial identity
-    U^n + sum_k c_k^(0) a^{n-k} U^k = 0.  Each identity is one residual
-    tensor over all index pairs, with its right-hand side contracted from a
-    constant coefficient table.
+    Always checks [X_i, X_j] = (j-i) X_{i+j-1} for i+j <= n.  When the
+    origin spectrum of E is one Jordan block it also checks the unified
+    bracket formula, the eigenfunction law X_i(a) = a^i and the
+    minimal-polynomial identity U^n + sum_k c_k^(0) a^{n-k} U^k = 0.  Each
+    identity is one residual tensor over all index pairs, with its
+    right-hand side contracted from a constant coefficient table.
     """
     n = model.dim
     sp = model.space
@@ -406,15 +402,8 @@ def check_frame_brackets(
 
     u = mult_by_euler(model)
     spec = regend.jordan_spectrum(u.constant_term())
-    single = len(spec.blocks) == 1
-    if include_nilpotent is None:
-        include_nilpotent = single
-    if include_nilpotent:
-        if not single:
-            raise ScopeError(
-                "unified bracket and eigenfunction checks need a single nilpotent block"
-            )
-        consts = BracketConstants.build(n, max_power=2 * n)
+    if len(spec.blocks) == 1:
+        consts = BracketConstants.build(n)
         a = eigenfunction(model)
         powers = _powers(a, 2 * n + 1)
         # [X_i, X_j] = sum_k c_k^(i+j-1-n) (i-j) a^{i+j-1-k} X_k

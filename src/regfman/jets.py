@@ -33,8 +33,9 @@ so a contraction reads them instead of reducing its operands again.
 Identities that a loop would evaluate entry by entry (brackets,
 associativity, Darboux-Egoroff, curvature, the one-form recursions) are
 written as a few contractions, and inverses and square roots as Newton
-iterations on whole arrays.  A :class:`Substitution` composes jets with one
-substitution through a monomial table built once.
+iterations on whole arrays.  A :class:`Substitution` composes jets with a
+map psi with psi(0) = 0, as germ isomorphisms are, through a monomial table
+built once.
 
 ``Jet`` arithmetic and :class:`JetMatrix` are the object kernel the arrays
 replaced; no other module computes with them.  They remain for building
@@ -51,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidAnchorError, ShapeError, SingularInputError
+from .errors import InvalidAnchorError, ScopeError, ShapeError, SingularInputError
 
 DEFAULT_ORDER = 4
 
@@ -384,7 +385,7 @@ class Jet:
 
     def compose(self, subs: Sequence["Jet"]) -> "Jet":
         """Substitute ``subs[i]`` for variable ``i`` (see :class:`Substitution`)."""
-        return Substitution(self.space, subs)(self)
+        return Substitution(self.space, subs)(JetArray.from_jets(self))[()]
 
     # -- reporting ----------------------------------------------------------
 
@@ -1235,31 +1236,28 @@ class Substitution:
     to jets in the space of the substitutions: exact polynomial
     substitution, truncated at the target order.
 
-    Constant terms of the substitutions are substituted exactly, so the
-    composition re-centers the expansion point.  The monomial table,
-    ``table[i]`` the target coefficients of the i-th source monomial, is
-    built once.  Each source monomial of degree r is one of degree r - 1
-    times one substitution, and its row is truncated above the lowest
-    effective order of its factors; the products give the bits of the
-    ``Jet`` products ``prev * subs[v]`` up to the sign of a zero.
+    The substitutions psi fix the origin, psi(0) = 0, as germ maps do (a
+    constant term raises :class:`ScopeError`): a source monomial of degree r
+    then starts in degree r, so the degrees a truncated jet does not know
+    feed none it reports.  Under t -> 1 + u, t**2 and t**2 + t**3, equal
+    to order 2, would get the constant terms 1 and 2.
 
-    - With a constant term, a row has coefficients at every degree, so the
-      table is built one source degree at a time: the rows of a degree
-      come together from :func:`_row_products`.
-    - Without one, a row of degree r has no coefficient below degree r, and
-      the columns of target degree e read only the substitutions'
-      coefficients of degree at most e.  The table is built one column
-      degree at a time (:meth:`_fill`) and stops past the highest effective
-      order, where every row is truncated.  :meth:`_grow` extends it by
-      further degrees as they become known, which is how
-      :func:`regfman.fman.germ_isomorphism` grows one table through its
-      solve.
+    The monomial table, ``table[i]`` the target coefficients of the i-th
+    source monomial, is built once.  Each source monomial of degree r is
+    one of degree r - 1 times one substitution, and its row is truncated
+    above the lowest effective order of its factors; the products give the
+    bits of the ``Jet`` products ``prev * subs[v]`` up to the sign of a
+    zero.  The table is built one column degree at a time (:meth:`_fill`)
+    and stops past the highest effective order, where every row is
+    truncated; :meth:`_grow` extends it by further degrees as they become
+    known, which is how :func:`regfman.fman.germ_isomorphism` grows one
+    table through its solve.
 
-    Applying the table to a jet or to a whole :class:`JetArray` adds
-    ``table[i] * c_i`` in source-index order over the rows that are not all
-    zero (the sum starts at +0, and adding a signed zero to it changes no
-    bit), so every composition with one substitution gives the same bits as
-    composing a single jet.
+    Applying the table to a :class:`JetArray` adds ``table[i] * c_i`` in
+    source-index order over the rows that are not all zero (the sum starts
+    at +0, and adding a signed zero to it changes no bit), so every
+    composition with one substitution gives the same bits as composing a
+    single jet.
     """
 
     __slots__ = ("source", "target", "table", "eff_order", "_live")
@@ -1270,42 +1268,35 @@ class Substitution:
         subs = JetArray.from_jets(subs)
         if subs.shape != (source.num_vars,):
             raise ShapeError(f"expected {source.num_vars} substitutions, got shape {subs.shape}")
+        if subs.constant_term().any():
+            raise ScopeError("substitutions must fix the origin: a constant term re-centers the jets")
         target = subs.space
         coeffs, eff = subs.coeffs, np.minimum(subs.eff, target.order)
-        table = np.zeros((source.size, target.size), dtype=np.complex128)
-        table[0, 0] = 1.0
-        # the factors of each monomial of each degree and its effective order
+        # the effective order of each monomial, the lowest of its factors'
         v, low = source._factors.T
         ends = source._degree_ends
-        degrees = [
-            (slice(lo, hi), v[lo - 1 : hi - 1], low[lo - 1 : hi - 1]) for lo, hi in zip(ends, ends[1:])
-        ]
         rows_eff = np.full(source.size, target.order)
-        for new, fv, fl in degrees:
-            rows_eff[new] = np.minimum(rows_eff[fl], eff[fv])
+        for lo, hi in zip(ends, ends[1:]):
+            rows_eff[lo:hi] = np.minimum(rows_eff[low[lo - 1 : hi - 1]], eff[v[lo - 1 : hi - 1]])
         self.source = source
         self.target = target
-        self.table = table
+        self.table = np.zeros((source.size, target.size), dtype=np.complex128)
+        self.table[0, 0] = 1.0
         self.eff_order = subs.eff_order()
-        if subs.constant_term().any():
-            for new, fv, fl in degrees:
-                table[new] = _row_products(target, table[fl], coeffs[fv], rows_eff[new])
-            self._live = table.any(axis=1)
-        else:
-            self._live = np.zeros(source.size, dtype=bool)
-            self._live[0] = True
-            for e in range(1, int(eff.max(initial=0)) + 1):
-                self._fill(coeffs, e, rows_eff)
+        self._live = np.zeros(source.size, dtype=bool)
+        self._live[0] = True
+        for e in range(1, int(eff.max(initial=0)) + 1):
+            self._fill(coeffs, e, rows_eff)
 
     def _fill(self, coeffs: np.ndarray, e: int, rows_eff: np.ndarray | None):
         """Fill the columns of target degree ``e`` from the substitutions'
-        full-width coefficients ``coeffs`` (no constant term, every degree
-        below ``e`` filled): the rows of degree 1 copy the substitutions,
-        and those of degree 2 to ``e`` come from one ``reduceat`` over the
-        Cauchy pairs whose targets have degree ``e``, each a pair of a
-        factor row and a substitution, as :func:`_row_products` sums them.
-        A row is zeroed there when its entry of ``rows_eff`` is below
-        ``e``; ``None`` trusts every row."""
+        full-width coefficients ``coeffs`` (every degree below ``e``
+        filled).  As psi(0) = 0, only rows of degree 1 to ``e`` reach them:
+        those of degree 1 copy the substitutions, and those of degree 2 to
+        ``e`` come from one ``reduceat`` over the Cauchy pairs whose targets
+        have degree ``e``, each a pair of a factor row and a substitution,
+        as :func:`_row_products` sums them.  A row is zeroed there when its
+        entry of ``rows_eff`` is below ``e``; ``None`` trusts every row."""
         source, target, table = self.source, self.target, self.table
         lo, hi = target._degree_ends[e - 1], target._degree_ends[e]
         ends = source._degree_ends
@@ -1344,14 +1335,12 @@ class Substitution:
             out += table[i] * (c[0, i] if len(c) == 1 else c[:, i, None])
         return out
 
-    def __call__(self, f):
-        """Compose a :class:`Jet` or every entry of a :class:`JetArray`."""
+    def __call__(self, f: "JetArray") -> "JetArray":
+        """Compose every entry of a :class:`JetArray`."""
         if (f.space.num_vars, f.space.order) != (self.source.num_vars, self.source.order):
             raise ShapeError(f"cannot substitute into {f.space}: the source is {self.source}")
-        c = f.coeffs if isinstance(f, Jet) else f._stored
+        c = f._stored
         out = self._compose(c.reshape(-1, c.shape[-1]))
-        if isinstance(f, Jet):
-            return self.target._wrap(out[0], min(f.eff_order, self.eff_order))
         eff = np.minimum(f.eff, min(self.eff_order, self.target.order))
         return JetArray(self.target, out.reshape(f.shape + (self.target.size,)), eff)
 

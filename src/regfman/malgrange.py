@@ -96,8 +96,10 @@ def _powers(b: JetArray, count: int) -> list[JetArray]:
     return out
 
 
-# The spanning frame at zero is refused above this condition number.
+# The spanning frame at zero is refused above this condition number, and the
+# tangent-frame expansion above this residual relative to its right-hand sides.
 FRAME_COND_LIMIT = 1e10
+EXPANSION_RESIDUAL_LIMIT = 1e-6
 
 
 def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> MalgrangeChart:
@@ -186,9 +188,7 @@ def canonical_connection(chart: MalgrangeChart) -> BirkhoffConnection:
     return BirkhoffConnection(chart.b0, chart.spec.binf, chart.tangent)
 
 
-def fmanifold_on_chart(
-    chart: MalgrangeChart, residual_limit: float = 1e-6
-) -> FManifoldModel:
+def fmanifold_on_chart(chart: MalgrangeChart) -> FManifoldModel:
     """Matrix multiplication of tangent matrices expanded back in the
     tangent frame, with unit = expansion of the identity matrix and Euler
     field = expansion of minus the polar residue.  All n*n + 2 right-hand
@@ -196,8 +196,8 @@ def fmanifold_on_chart(
 
     The expansion residual is a difference of jets of the size of the
     right-hand sides, so its round-off grows with them: the worst residual
-    is held to ``residual_limit`` times the largest coefficient modulus of
-    the right-hand sides, and never to less than ``residual_limit``."""
+    is held to ``EXPANSION_RESIDUAL_LIMIT`` times the largest coefficient
+    modulus of the right-hand sides, and never to less than that limit."""
     tangent, b0 = chart.tangent, chart.b0
     n = len(tangent)
     rhs = JetArray.stack(
@@ -206,10 +206,10 @@ def fmanifold_on_chart(
     coeffs, res = expand_in_frame(tangent, rhs)
     worst = float(res.max())
     scale = max(1.0, float(np.abs(rhs.coeffs).max()))
-    if worst > residual_limit * scale:
+    if worst > EXPANSION_RESIDUAL_LIMIT * scale:
         raise ChartDegeneracyError(
             f"tangent-frame expansion residual {worst:.3e}, or {worst / scale:.3e} relative to "
-            f"the largest right-hand-side coefficient {scale:.3e}, exceeds {residual_limit:.1e}"
+            f"the largest right-hand-side coefficient {scale:.3e}, exceeds {EXPANSION_RESIDUAL_LIMIT:.1e}"
         )
     return FManifoldModel(coeffs[: n * n].reshape(n, n, n), coeffs[n * n], coeffs[n * n + 1])
 

@@ -40,15 +40,12 @@ class ResidualReport(Mapping[str, Residual]):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def max_value(self, prefix: str = "") -> float:
-        """Largest residual, optionally restricted to names with ``prefix``."""
-        vals = [r.value for k, r in self._entries.items() if k.startswith(prefix)]
-        if not vals:
-            return 0.0
-        return max(vals)
+    def max_value(self) -> float:
+        """Largest residual (0 for an empty report)."""
+        return max((r.value for r in self._entries.values()), default=0.0)
 
-    def passes(self, tolerance: float = DEFAULT_TOLERANCE, prefix: str = "") -> bool:
-        return self.max_value(prefix) <= tolerance
+    def passes(self, tolerance: float = DEFAULT_TOLERANCE) -> bool:
+        return self.max_value() <= tolerance
 
     def worst(self) -> tuple[str, Residual]:
         return max(self._entries.items(), key=lambda kv: kv[1].value)

@@ -673,7 +673,7 @@ def check_frame_brackets(model):
             entries.append((f"hertling_{i}_{j}", (br - expected).residual_norm(), k_order - 1))
     u = mult_by_euler_loop(model)
     if len(regend.jordan_spectrum(u.constant_term()).blocks) == 1:
-        consts = BracketConstants.build(n, max_power=2 * n)
+        consts = BracketConstants.build(n)
         a = u.trace().scale(1.0 / n)
         powers = [model.space.one()]
         for _ in range(2 * n):

@@ -23,6 +23,16 @@ def run_doc(tmp_path, doc, argv_extra=(), name="doc.json"):
     return code, report
 
 
+def set_payload(doc, path, value):
+    """``doc`` with the payload field at ``path`` ("a/b") set to ``value``."""
+    *parents, key = path.split("/")
+    target = doc["payload"]
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    return doc
+
+
 def spectrum_doc(task="verify-fmanifold", **kwargs):
     doc = {
         "schema": "regfman-doc/1",
@@ -304,15 +314,33 @@ class TestRun:
     )
     def test_integer_payload_fields_reject_other_types(self, tmp_path, capsys, task, path, value):
         doc = json.loads((DOCS / f"{task}.json").read_text(encoding="utf-8"))
-        *parents, key = path.split("/")
-        target = doc["payload"]
-        for name in parents:
-            target = target[name]
-        target[key] = value
-        field = f"payload/{path}"
-        code, report = run_doc(tmp_path, doc)
+        code, report = run_doc(tmp_path, set_payload(doc, path, value))
         assert code == 2 and report is None
-        assert f"{field}:" in capsys.readouterr().err
+        assert f"payload/{path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, path, value",
+        [
+            ("germ-iso", "model_a", 5),
+            ("verify-fmanifold", "model/unit", 5),
+            ("verify-fmanifold", "model/euler", 5),
+            ("verify-fmanifold", "model/mult", 7),
+            ("saito-check", "bundle/frame_connection", 3),
+        ],
+    )
+    def test_payload_fields_of_the_wrong_kind_exit_2(self, tmp_path, capsys, task, path, value):
+        if task == "verify-fmanifold":
+            # the one-dimensional model e = d_0, E = t0 d_0
+            one, t0 = [[[0], [1.0, 0.0]]], [[[1], [1.0, 0.0]]]
+            model = {"dim": 1, "mult": [{"i": 0, "j": 0, "k": 0, "jet": one}], "unit": [one], "euler": [t0]}
+            doc = spectrum_doc(payload={"model": model})
+            (tmp_path / "valid").mkdir()
+            assert run_doc(tmp_path / "valid", doc)[0] == 0
+        else:
+            doc = json.loads((DOCS / f"{task}.json").read_text(encoding="utf-8"))
+        code, report = run_doc(tmp_path, set_payload(doc, path, value))
+        assert code == 2 and report is None
+        assert f"payload/{path}:" in capsys.readouterr().err
 
     def test_extend_metric_extends_at_the_validation_threshold_it_reports(self, tmp_path):
         # data valid at max(tolerance, 1e-8) are extended, not refused by a

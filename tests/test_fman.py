@@ -4,7 +4,7 @@ symmetries and germ isomorphisms."""
 import numpy as np
 import pytest
 
-from regfman.errors import NoIsomorphismError, RegularityError, ScopeError, SpectrumError
+from regfman.errors import NoIsomorphismError, RegularityError, SpectrumError
 from regfman.fman import (
     BracketConstants,
     FManifoldModel,
@@ -184,11 +184,6 @@ class TestFrameBrackets:
         model = standard_block(0.5 - 0.5j, m)
         rep = check_frame_brackets(model)
         assert rep.passes(1e-9), rep.worst()
-
-    def test_unified_requires_single_block(self):
-        model = standard_model([(0.0, 1), (1.0, 1)])
-        with pytest.raises(ScopeError):
-            check_frame_brackets(model, include_nilpotent=True)
 
     def test_hertling_only_for_products(self):
         model = standard_model([(0.0, 1), (1.0, 1)])

@@ -1,8 +1,8 @@
 """The substitution table that ``fman.germ_isomorphism`` grows through its
 solve, bit for bit against the tables built at once.
 
-``Substitution`` builds the table of substitutions without a constant term
-one column degree at a time, and a table of substitutions that share one
+``Substitution`` builds the table of substitutions that fix the origin one
+column degree at a time, and a table of substitutions that share one
 effective order grows by further degrees as their coefficients become
 final.  After each fill the grown table must equal the table of the
 truncated substitutions on the columns it has filled, the finished table

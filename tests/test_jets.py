@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import loop_oracles
 
-from regfman.errors import InvalidAnchorError, ShapeError, SingularInputError
+from regfman.errors import InvalidAnchorError, ScopeError, ShapeError, SingularInputError
 from regfman.jets import (
     Jet,
     JetArray,
@@ -235,12 +235,25 @@ class TestSqrt:
 
 class TestCompose:
     def test_polynomial_identity(self):
-        src = jet_space(1, 2)
-        tgt = jet_space(1, 2)
+        src = jet_space(1, 3)
+        tgt = jet_space(1, 3)
         t = src.variable(0)
         u = tgt.variable(0)
-        got = (t * t).compose([u + 1])
-        assert (got - (1 + u.scale(2.0) + u * u)).residual_norm() < 1e-15
+        got = (t * t).compose([u.scale(2.0) + u * u])
+        assert (got - ((u * u).scale(4.0) + (u * u * u).scale(4.0))).residual_norm() < 1e-15
+
+    def test_constant_term_is_refused(self):
+        # t**2 and t**2 + t**3 agree to order 2; at 1 + u their constant
+        # terms are 1 and 2, so no order-2 jet is the composition
+        src = jet_space(1, 2)
+        t = src.variable(0)
+        u = jet_space(1, 2).variable(0)
+        with pytest.raises(ScopeError):
+            Substitution(src, [u + 1])
+        with pytest.raises(ScopeError):
+            (t * t).compose([u + 1])
+        with pytest.raises(ScopeError):
+            JetMatrix([[t, t * t]]).compose([u + 1])
 
     def test_identity_substitution(self):
         sp = jet_space(2, 3)
@@ -373,20 +386,6 @@ def test_compose_respects_products(data):
     assert rel_residual(lhs - rhs, scale) < 1e-10
 
 
-def test_compose_recentering_is_exact_substitution():
-    # when the product fits inside the order, re-centering constants are exact
-    sp = jet_space(1, 4)
-    t = sp.variable(0)
-    a = 1 + t.scale(2.0) + t * t
-    b = 3 - t
-    tgt = jet_space(1, 4)
-    u = tgt.variable(0)
-    sub = [u + 0.5]
-    lhs = (a * b).compose(sub)
-    rhs = a.compose(sub) * b.compose(sub)
-    assert (lhs - rhs).residual_norm() < 1e-12
-
-
 # -- vectors and matrices -----------------------------------------------------
 
 
@@ -462,14 +461,14 @@ class TestVectorsMatrices:
 
 
 def _random_sub_jet(sp, rng, kind):
-    """A substitution jet: zero, a nonzero constant plus a random tail
-    (re-centering), or a tail without constant term; random effective order."""
+    """A substitution jet that fixes the origin: zero, a linear form, or a
+    sparse tail of every degree from 1; random effective order."""
     c = np.zeros(sp.size, dtype=np.complex128)
     if kind != "zero":
         c[1:] = (rng.standard_normal(sp.size - 1) + 1j * rng.standard_normal(sp.size - 1)) * 0.5
         c[1:] *= rng.random(sp.size - 1) < 0.6
-    if kind == "recenter":
-        c[0] = rng.standard_normal() + 1j * rng.standard_normal()
+    if kind == "linear":
+        c[sp.degrees > 1] = 0.0
     return sp.from_coeffs(c, int(rng.integers(0, sp.order + 1)))
 
 
@@ -480,7 +479,7 @@ class TestSubstitution:
         src_order=st.integers(0, 4),
         tgt_vars=st.integers(1, 3),
         tgt_order=st.integers(0, 4),
-        kinds=st.lists(st.sampled_from(["zero", "recenter", "tail"]), min_size=3, max_size=3),
+        kinds=st.lists(st.sampled_from(["zero", "linear", "tail"]), min_size=3, max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_loop_bit_for_bit(self, src_vars, src_order, tgt_vars, tgt_order, kinds, seed):
@@ -498,7 +497,7 @@ class TestSubstitution:
         sub = Substitution(src, subs)
         want = [loop_oracles.compose(j, subs) for j in jets]
         for j, w in zip(jets, want):
-            got = sub(j)
+            got = sub(JetArray.from_jets(j))[()]
             assert got.space is tgt and got.eff_order == w.eff_order
             assert np.array_equal(got.coeffs, w.coeffs)
             assert np.array_equal(j.compose(subs).coeffs, w.coeffs)
@@ -515,11 +514,11 @@ class TestSubstitution:
         src_order=st.integers(0, 4),
         tgt_vars=st.integers(1, 3),
         tgt_order=st.integers(0, 4),
-        kinds=st.lists(st.sampled_from(["zero", "recenter", "tail"]), min_size=3, max_size=3),
+        kinds=st.lists(st.sampled_from(["zero", "linear", "tail"]), min_size=3, max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_table_equals_the_jet_product_table(self, src_vars, src_order, tgt_vars, tgt_order, kinds, seed):
-        """The table is built one degree at a time from row products that
+        """The table is built one column degree at a time from sums that
         repeat the arithmetic of ``Jet.__mul__``, and makes no ``Jet``
         product: it equals the table of products ``prev * subs[v]``."""
         rng = np.random.default_rng(seed)
@@ -546,7 +545,7 @@ class TestSubstitution:
         src, tgt = jet_space(3, 3), jet_space(2, 3)
         t0, t1, t2 = src.variables()
         subs = tgt.variables() + [tgt.zero()]
-        got = Substitution(src, subs)(t0 * t1 + t2 + t2 * t0 + 2.0)
+        got = Substitution(src, subs)(JetArray.from_jets(t0 * t1 + t2 + t2 * t0 + 2.0))[()]
         u0, u1 = tgt.variables()
         assert (got - (u0 * u1 + 2.0)).residual_norm() == 0.0
 
@@ -556,4 +555,4 @@ class TestSubstitution:
         with pytest.raises(ShapeError):
             Substitution(src, [jet_space(1, 2).variable(0), jet_space(1, 3).variable(0)])
         with pytest.raises(ShapeError):
-            Substitution(src, jet_space(2, 2).variables())(jet_space(2, 3).one())
+            Substitution(src, jet_space(2, 2).variables())(JetArray.from_jets(jet_space(2, 3).one()))

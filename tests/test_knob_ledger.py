@@ -15,10 +15,8 @@ MODULES = ("jets", "regend", "fman", "frob", "saito", "malgrange", "reports", "c
 
 LEDGER = (
     "cli.main(argv)",
-    "fman.BracketConstants.build(max_power)",
     "fman.FManifoldModel.__init__(blocks)",
     "fman.canonical_frame(regularity)",
-    "fman.check_frame_brackets(include_nilpotent)",
     "fman.check_symmetry_brackets(order)",
     "fman.standard_block(order)",
     "fman.standard_model(order)",
@@ -36,16 +34,13 @@ LEDGER = (
     "jets.JetArray.sqrt(branch_anchors)",
     "jets.JetSpace.from_coeffs(eff_order)",
     "jets.JetSpace.zero(eff_order)",
-    "malgrange.fmanifold_on_chart(residual_limit)",
     "malgrange.initial_condition_extend(tolerance)",
     "malgrange.initial_condition_extend(validation_tolerance)",
     "malgrange.integrate_chart(order)",
     "regend.jordan_spectrum(regularity)",
     "regend.jordan_spectrum(return_details)",
     "reports.ResidualReport.__init__(entries)",
-    "reports.ResidualReport.max_value(prefix)",
     "reports.ResidualReport.merged(prefix)",
-    "reports.ResidualReport.passes(prefix)",
     "reports.ResidualReport.passes(tolerance)",
     "saito.SaitoBundle.__init__(frame_connection)",
     "saito.SaitoBundle.__init__(metric)",

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loop_oracles
-from regfman import jets
+from regfman import fman, jets
 from regfman.fman import germ_isomorphism, mult_by_euler, standard_model
 from regfman.jets import JetArray, Substitution, jet_space
 from regfman.malgrange import (
@@ -177,18 +177,17 @@ def test_row_products_with_low_orders_match_the_whole_table(num_vars, order, cou
     target_vars=st.integers(1, 3),
     source_order=st.integers(0, 4),
     target_order=st.integers(0, 4),
-    constant=st.booleans(),
     orders=st.sampled_from(("full", "low", "mixed")),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_substitution_matches_the_full_table_build(
-    source_vars, target_vars, source_order, target_order, constant, orders, seed
+    source_vars, target_vars, source_order, target_order, orders, seed
 ):
     rng = np.random.default_rng(seed)
     source, target = jet_space(source_vars, source_order), jet_space(target_vars, target_order)
+    # substitutions that fix the origin: the rows less their constant term
     coeffs = _rows(target, source_vars, rng)
-    if not constant:
-        coeffs[:, 0] = 0.0
+    coeffs[:, 0] = 0.0
     eff = {
         "full": np.full(source_vars, target_order),
         "low": np.full(source_vars, int(rng.integers(-1, target_order + 1))),
@@ -201,4 +200,38 @@ def test_substitution_matches_the_full_table_build(
     f = JetArray.from_coeffs(source, _rows(source, 3, rng))
     _assert_bits(sub(f), loop_oracles.substitute(table, subs, f))
     single = loop_oracles.substitute(table, subs, f[:1])
-    assert np.array_equal(sub(f[0]).coeffs, single.coeffs[0])
+    assert np.array_equal(sub(f[:1]).coeffs, single.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    num_vars=st.integers(1, 4),
+    order=st.integers(0, 5),
+    count=st.integers(1, 9),
+    eff=st.integers(-1, 5),
+    origin=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_powers_match_the_rows_of_the_substitution_table(num_vars, order, count, eff, origin, seed):
+    # the powers a**0, ..., a**(count - 1) that the frame brackets read are
+    # the rows of the table of substituting a (constant term and all) into
+    # one-variable jets of order count - 1, as they were once built
+    rng = np.random.default_rng(seed)
+    sp = jet_space(num_vars, order)
+    coeffs = _rows(sp, 1, rng)[0]
+    if origin:
+        coeffs[0] = 0.0
+    a = JetArray(sp, coeffs, np.array(min(eff, order)))
+
+    def refuse(*args):
+        raise AssertionError("a Substitution built for the powers")
+
+    original, Substitution.__init__ = Substitution.__init__, refuse
+    try:
+        got = fman._powers(a, count)
+    finally:
+        Substitution.__init__ = original
+    want = loop_oracles.substitution_table(jet_space(1, count - 1), a.reshape(1))
+    # equal values (array_equal takes -0.0 == 0.0: only the sign of a zero may differ)
+    assert np.array_equal(got.coeffs, want)
+    assert got.eff.tolist() == [order] + [a.eff_order()] * (count - 1)

@@ -14,7 +14,10 @@ process with one BLAS thread, runs with its own ``src/`` and ``perfbench/``:
 - every ``docs/tasks`` document through ``regfman run``, at its own order and
   with ``--order 6``: the exit status and the report bytes;
 - the index tables of ``JetSpace`` (degrees, derivative, shift, gradient,
-  factor and Cauchy tables) on a fixed grid of (variables, order) spaces.
+  factor and Cauchy tables) on a fixed grid of (variables, order) spaces;
+- the report of ``check_frame_brackets`` on the chart models
+  (``fmanifold_on_chart``) of single Jordan blocks and of products, at
+  orders 4 and 6.
 
 Each output is dumped with every float as ``float.hex``, every jet array
 (and jet) as a SHA-1 of its coefficients together with its effective orders,
@@ -41,6 +44,15 @@ from bench_pairs import export_tree
 SEED = 4242
 # (variables, order) of the spaces whose index tables are dumped
 TABLE_SPACES = ((1, 0), (2, 0), (1, 6), (3, 4), (4, 6), (7, 4), (40, 2), (63, 1))
+# Jordan blocks (eigenvalue, size) of the chart models whose frame-bracket
+# reports are dumped, each at both orders of FRAME_ORDERS
+FRAME_SPECTRA = (
+    *(((a, m),) for a in (0.0, 0.5 - 0.5j, 2.0) for m in (1, 2, 3, 4, 5)),
+    ((0.0, 1), (1.0, 1)),
+    ((0.0, 2), (1.0, 1)),
+    ((0.5, 2), (-1.0, 2)),
+)
+FRAME_ORDERS = (4, 6)
 DUMP_TIMEOUT_S = 1800
 TEXT_INLINE = 80  # longer strings are dumped as their SHA-1
 
@@ -111,15 +123,16 @@ def dump(tree: str) -> dict:
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import regfman
     import workloads
-    from regfman import cli
+    import numpy as np
+    from regfman import cli, fman, malgrange, regend
     from regfman.jets import JetSpace
 
     if not os.path.abspath(regfman.__file__).startswith(os.path.abspath(tree) + os.sep):
         raise RuntimeError(f"regfman imported from {regfman.__file__}, not from {tree}")
 
-    def attempt(workload, case):
+    def attempt(fn, *args):
         try:
-            return digest(workload.run(case))
+            return digest(fn(*args))
         except Exception as exc:  # a refusal is an output too
             return digest(exc)
 
@@ -127,11 +140,22 @@ def dump(tree: str) -> dict:
     for name, cls in workloads.WORKLOADS.items():
         workload = cls(SEED, tree)
         for i, case in enumerate(workload.cases):
-            out[f"{name}/{i}"] = attempt(workload, case)
+            out[f"{name}/{i}"] = attempt(workload.run, case)
         for i, case in enumerate(workload.defect_cases()):
-            out[f"{name}-defect/{i}"] = attempt(workload, case)
+            out[f"{name}-defect/{i}"] = attempt(workload.run, case)
     for num_vars, order in TABLE_SPACES:
         out[f"jets/{num_vars},{order}"] = digest(space_tables(JetSpace(num_vars, order)))
+    for blocks in FRAME_SPECTRA:
+        n = sum(m for _, m in blocks)
+        b0o = np.zeros((n, n), dtype=np.complex128)
+        at = 0
+        for a, m in blocks:
+            b0o[at : at + m, at : at + m] = -regend.jordan_block(a, m)
+            at += m
+        spec = malgrange.DeformationSpec(b0o, np.diag(np.linspace(-0.5, 0.5, n)))
+        for order in FRAME_ORDERS:
+            model = malgrange.fmanifold_on_chart(malgrange.integrate_chart(spec, order))
+            out[f"frame-brackets/{blocks},{order}"] = attempt(fman.check_frame_brackets, model)
     with tempfile.TemporaryDirectory(prefix="parity-") as scratch:
         report = os.path.join(scratch, "report.json")
         for doc in sorted(glob.glob(os.path.join(tree, "docs", "tasks", "*.json"))):
