@@ -153,6 +153,14 @@ def _jet_matrix_in(space: JetSpace, data, field: str) -> JetArray:
     return _jet_array(space, jets, (len(data), len(data[0])))
 
 
+def _jet_matrices_in(space: JetSpace, data, name: str, field: str) -> list[JetArray]:
+    """One decoded jet matrix per variable of ``space``; the caller stacks
+    them, as their shapes may differ."""
+    if not (isinstance(data, list) and len(data) == space.num_vars):
+        _fail(f"{name} must list one jet matrix per base variable", field)
+    return [_jet_matrix_in(space, m, f"{field}[{i}]") for i, m in enumerate(data)]
+
+
 def _spectrum_in(data, field: str) -> JordanSpectrum:
     if not (isinstance(data, list) and data):
         _fail("expected a non-empty list of {re, im, size}", field)
@@ -371,28 +379,21 @@ def _bundle_in(payload, settings, field):
         data.get("base_dim"), "bundle.base_dim must be an integer", f"{field}/bundle/base_dim"
     )
     sp = jet_space(base_dim, settings["order"])
-    phi = data.get("phi")
-    if not (isinstance(phi, list) and len(phi) == base_dim):
-        _fail("bundle.phi must list one jet matrix per base variable", f"{field}/bundle/phi")
-    phi_mats = [
-        _jet_matrix_in(sp, p, f"{field}/bundle/phi[{i}]") for i, p in enumerate(phi)
-    ]
+    phi = _jet_matrices_in(sp, data.get("phi"), "bundle.phi", f"{field}/bundle/phi")
     r0 = _jet_matrix_in(sp, data.get("r0"), f"{field}/bundle/r0")
     rinf = _matrix_in(data.get("rinf"), f"{field}/bundle/rinf")
     frame = data.get("frame_connection")
-    frame_mats = None
     if frame is not None:
-        if not isinstance(frame, list):
-            _fail("bundle.frame_connection must be a list of jet matrices", f"{field}/bundle/frame_connection")
-        frame_mats = [
-            _jet_matrix_in(sp, p, f"{field}/bundle/frame_connection[{i}]")
-            for i, p in enumerate(frame)
-        ]
+        frame = _jet_matrices_in(sp, frame, "bundle.frame_connection", f"{field}/bundle/frame_connection")
     metric = data.get("metric")
     metric_mat = None if metric is None else _matrix_in(metric, f"{field}/bundle/metric")
     try:
         return saito.SaitoBundle(
-            phi_mats, r0, rinf, frame_connection=frame_mats, metric=metric_mat
+            JetArray.from_jets(phi),
+            r0,
+            rinf,
+            frame_connection=None if frame is None else JetArray.from_jets(frame),
+            metric=metric_mat,
         )
     except RegfmanError as exc:
         _fail(str(exc), f"{field}/bundle")
@@ -418,7 +419,7 @@ def _connection_in(payload, settings, field):
     b0 = _jet_matrix_in(sp, data.get("b0"), f"{field}/connection/b0")
     binf = _matrix_in(data.get("binf"), f"{field}/connection/binf")
     try:
-        return saito.BirkhoffConnection(b0, binf, c_mats)
+        return saito.BirkhoffConnection(b0, binf, JetArray.from_jets(c_mats))
     except RegfmanError as exc:
         _fail(str(exc), f"{field}/connection")
 

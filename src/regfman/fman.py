@@ -32,14 +32,13 @@ class FManifoldModel:
     """Jet-valued multiplication tensor, unit field and Euler field.
 
     ``structure[i, j, k]`` is c_ij^k, the k-th component of d_i o d_j, an
-    (n, n, n) jet array; ``unit`` and ``euler`` are (n,) jet arrays.  Each
-    may also be given as nested jets, which are stacked once.
+    (n, n, n) jet array; ``unit`` and ``euler`` are (n,) jet arrays.
     """
 
     def __init__(self, mult, unit, euler, blocks: tuple[tuple[complex, int], ...] | None = None):
-        self.structure = JetArray.from_jets(mult)
-        self.unit = JetArray.from_jets(unit)
-        self.euler = JetArray.from_jets(euler)
+        self.structure = mult
+        self.unit = unit
+        self.euler = euler
         self.space: JetSpace = self.unit.space
         self.dim = n = self.space.num_vars
         if (self.structure.shape, self.unit.shape, self.euler.shape) != ((n, n, n), (n,), (n,)):
@@ -50,16 +49,9 @@ class FManifoldModel:
 
     # -- basic machinery ----------------------------------------------------
 
-    def basis_field(self, i: int) -> JetArray:
-        return JetArray.constant(self.space, np.eye(self.dim)[i])
-
-    def multiply(self, x, y) -> JetArray:
+    def multiply(self, x: JetArray, y: JetArray) -> JetArray:
         """(X o Y)^k = sum_{i,j} X^i Y^j c_ij^k."""
-        xy = contract(
-            "i,j->ij",
-            JetArray.from_jets(x).exact_zeros(),
-            JetArray.from_jets(y).exact_zeros(),
-        )
+        xy = contract("i,j->ij", x.exact_zeros(), y.exact_zeros())
         return contract("ij,ijk->k", xy.exact_zeros(), self.structure.exact_zeros())
 
     def is_constant_multiplication(self) -> bool:
@@ -183,11 +175,10 @@ def standard_model(
 # -- verification -------------------------------------------------------------
 
 
-def lie_derivative_of_mult(model: FManifoldModel, x) -> JetArray:
+def lie_derivative_of_mult(model: FManifoldModel, x: JetArray) -> JetArray:
     """L_X(o)(d_a, d_b) = [X, d_a o d_b] - [X, d_a] o d_b - d_a o [X, d_b]
     for every pair of coordinate fields, shape (n, n, n)."""
     n = model.dim
-    x = JetArray.from_jets(x)
     c = model.structure
     cx = c.exact_zeros()
     brackets = _vector_bracket(x, JetArray.constant(model.space, np.eye(n))).exact_zeros()  # [X, d_a]
@@ -297,14 +288,20 @@ def canonical_frame(model: FManifoldModel, *, regularity: regend.RegularityRepor
         regularity = _origin_probe(model)[1]
     if not regularity:
         raise RegularityError("multiplication by the Euler field is not regular at the origin")
-    fields = [model.unit]
-    for _ in range(model.dim - 1):
-        fields.append(model.multiply(model.euler, fields[-1]))
-    frame = CanonicalFrame(JetArray.stack(fields))
+    frame = CanonicalFrame(_euler_powers(model, [model.unit], model.dim))
     c = np.linalg.cond(frame.constant_matrix())
     if not np.isfinite(c) or c > CANONICAL_COND_LIMIT:
         raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
     return frame
+
+
+def _euler_powers(model: FManifoldModel, fields: list[JetArray], count: int) -> JetArray:
+    """The Euler powers X_0, X_1, ... from the first ``fields``, continued
+    by X_{k+1} = E o X_k to ``count`` fields (none dropped), stacked."""
+    fields = list(fields)
+    while len(fields) < count:
+        fields.append(model.multiply(model.euler, fields[-1]))
+    return JetArray.stack(fields)
 
 
 def _field_brackets(fields: JetArray) -> JetArray:
@@ -376,6 +373,15 @@ def _powers(a: JetArray, count: int) -> JetArray:
     return JetArray.stack(out)
 
 
+def _matrix_powers(b: JetArray, count: int) -> list[JetArray]:
+    """Matrix powers b**0, ..., b**(count - 1) of one jet matrix, each the
+    product of the one before and ``b``."""
+    out = [JetArray.constant(b.space, np.eye(len(b)))]
+    for _ in range(count - 1):
+        out.append(contract("ab,bc->ac", out[-1], b))
+    return out
+
+
 def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
     """Canonical-frame bracket identities.
 
@@ -405,11 +411,15 @@ def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
     if len(spec.blocks) == 1:
         consts = BracketConstants.build(n)
         a = eigenfunction(model)
-        powers = _powers(a, 2 * n + 1)
-        # [X_i, X_j] = sum_k c_k^(i+j-1-n) (i-j) a^{i+j-1-k} X_k
-        coef = np.zeros((n, n, n, 2 * n + 1))
+        # the identities read a^0, ..., a^(2n-4) (brackets) and a^n (minimal
+        # polynomial)
+        count = max(2 * n - 4, n) + 1
+        powers = _powers(a, count)
+        # [X_i, X_j] = sum_k c_k^(i+j-1-n) (i-j) a^{i+j-1-k} X_k; the terms
+        # with k > i+j-1, a negative power, vanish
+        coef = np.zeros((n, n, n, count))
         for i, j in pairs:
-            for k in range(n):
+            for k in range(min(n, i + j)):
                 coef[i, j, k, i + j - 1 - k] = consts.value(k, i + j - 1 - n) * (i - j)
         scaled = contract("q,kl->qkl", powers, frame)  # a^q X_k
         rhs = contract("ijkq,qkl->ijl", JetArray.constant(sp, coef).exact_zeros(), scaled)
@@ -419,10 +429,8 @@ def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
         law = contract("iv,v->i", frame, a.grad()) - powers[:n]
         entries += [(f"eigenfunction_{i}", v, k_order - 1) for i, v in enumerate(law.residual_norms())]
         # U^0, ..., U^n and the identity's coefficients c_k^(0) a^{n-k}
-        u_powers = [JetArray.constant(sp, np.eye(n))]
-        for _ in range(n):
-            u_powers.append(contract("ij,jk->ik", u_powers[-1], u))
-        coef = np.zeros((n, 2 * n + 1))
+        u_powers = _matrix_powers(u, n + 1)
+        coef = np.zeros((n, count))
         coef[np.arange(n), n - np.arange(n)] = [consts.value(k, 0) for k in range(n)]
         weights = contract("kq,q->k", JetArray.constant(sp, coef).exact_zeros(), powers)
         identity = u_powers[n] + contract("k,kij->ij", weights, JetArray.stack(u_powers[:n]))
@@ -447,10 +455,9 @@ def symmetry_basis(m: int, order: int = DEFAULT_ORDER) -> list[JetArray]:
     return [y1, *rest]
 
 
-def check_symmetry(model: FManifoldModel, x) -> ResidualReport:
+def check_symmetry(model: FManifoldModel, x: JetArray) -> ResidualReport:
     """Residuals of L_X(o), [X, E], and the coordinate reformulation of the
     multiplication-preservation condition (three named parts)."""
-    x = JetArray.from_jets(x)
     if x.shape != (model.dim,):
         raise ShapeError("field dimension does not match the model")
     m = model.dim
@@ -558,11 +565,8 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     frame_a = canonical_frame(model_a, regularity=reg_a)
     frame_b = canonical_frame(model_b, regularity=reg_b)
     xinv = np.linalg.inv(frame_a.constant_matrix())
-    pow_a, pow_b = list(frame_a.fields), list(frame_b.fields)
-    while len(pow_a) < k_order + 1:
-        pow_a.append(model_a.multiply(model_a.euler, pow_a[-1]))
-        pow_b.append(model_b.multiply(model_b.euler, pow_b[-1]))
-    pow_a, pow_b = JetArray.stack(pow_a), JetArray.stack(pow_b)
+    pow_a = _euler_powers(model_a, list(frame_a.fields), k_order + 1)
+    pow_b = _euler_powers(model_b, list(frame_b.fields), k_order + 1)
     xa, xb = pow_a[:n], pow_b[:n]
 
     # psi trusted to order 0 is zero; its one table grows a degree per step

@@ -79,6 +79,11 @@ class _BlockJets:
         """The value at the origin of every block's top entry."""
         return self.values.constant_term()[_tops(self.blocks)]
 
+    def nondegenerate_at_origin(self) -> bool:
+        """Every block's top entry is nonzero at the origin: a metric is
+        nondegenerate there, and a one-form invertible."""
+        return bool((np.abs(self.top_values()) > TOP_FLOOR).all())
+
     def __repr__(self):
         return f"{type(self).__name__}(blocks={self.blocks}, order={self.space.order})"
 
@@ -112,20 +117,10 @@ class InvariantMetric(_BlockJets):
         coeffs = np.concatenate([v._stored, np.zeros((1, v._stored.shape[-1]))])[source]
         return JetArray(self.space, coeffs, np.append(v.eff, self.space.order)[source])
 
-    def nondegenerate_at_origin(self) -> bool:
-        return bool((np.abs(self.top_values()) > TOP_FLOOR).all())
-
 
 class OneForm(_BlockJets):
     """Covector field in block coordinates; same storage layout as the
     metric's eta families."""
-
-    @property
-    def comps(self) -> tuple[JetArray, ...]:
-        return self.families()
-
-    def invertible_at_origin(self) -> bool:
-        return bool((np.abs(self.top_values()) > TOP_FLOOR).all())
 
 
 @dataclass(frozen=True)
@@ -158,11 +153,11 @@ def epsilon_metric(blocks_or_model, order: int | None = None) -> InvariantMetric
     return InvariantMetric(sizes, unit_covector(sizes, sp).values)
 
 
-def metric_from_potential(potential, blocks_or_model) -> InvariantMetric:
+def metric_from_potential(potential: JetArray, blocks_or_model) -> InvariantMetric:
     """eta_{i,alpha} = d_{i,alpha}(potential) for a potential jet (a
-    :class:`Jet` or a 0-dimensional jet array); warns if degenerate at 0."""
+    0-dimensional jet array); warns if degenerate at 0."""
     sizes = _sizes(blocks_or_model)
-    metric = InvariantMetric(sizes, JetArray.from_jets(potential).grad())
+    metric = InvariantMetric(sizes, potential.grad())
     if not metric.nondegenerate_at_origin():
         warnings.warn(
             "potential yields a metric degenerate at the origin", stacklevel=2
@@ -189,7 +184,7 @@ def check_unit_flat(metric: InvariantMetric) -> ResidualReport:
 
 def check_euler_rescaling(
     metric: InvariantMetric,
-    euler,
+    euler: JetArray,
     weight: complex | None = None,
 ) -> tuple[complex, ResidualReport]:
     """Residual of E(eta) = (D-2) eta.
@@ -197,7 +192,6 @@ def check_euler_rescaling(
     With ``weight`` (the rescaling constant D) given, measures it directly;
     otherwise returns the least-squares best weight and its residual.
     """
-    euler = JetArray.from_jets(euler)
     if euler.shape != (metric.dim,):
         raise ShapeError("Euler field dimension does not match the metric")
     eta = metric.values
@@ -289,18 +283,16 @@ def psi_from_metric(
     return OneForm(metric.blocks, psi)
 
 
-def metric_from_psi(psi: OneForm, model: FManifoldModel | None = None) -> InvariantMetric:
+def metric_from_psi(psi: OneForm) -> InvariantMetric:
     """eta_k = sum_{s+t=(m-1)+k} psi_s psi_t per block (left inverse of
     :func:`psi_from_metric`)."""
-    if model is not None and not model.is_constant_multiplication():
-        raise ScopeError("the pairing formula requires constant multiplication")
     return InvariantMetric(psi.blocks, covector_product(psi, psi).values)
 
 
 def invert_oneform(psi: OneForm) -> OneForm:
     """Inverse covector beta for the cotangent multiplication
     dt^i o dt^j = dt^{i+j-(m-1)} (per block)."""
-    if not psi.invertible_at_origin():
+    if not psi.nondegenerate_at_origin():
         raise DegenerateMetricError(
             "one-form is not invertible (top component vanishes at the origin)"
         )
@@ -440,18 +432,16 @@ class CurvatureResult:
         )
 
 
-def levi_civita_curvature(gram, unit) -> CurvatureResult:
+def levi_civita_curvature(gram: InvariantMetric | JetArray, unit: JetArray) -> CurvatureResult:
     """Christoffel symbols, Riemann-tensor residual and unit-parallelism
     residual of a jet metric, computed independently of the
     Darboux-Egoroff chain.
 
-    ``gram`` may be an :class:`InvariantMetric` or a symmetric jet matrix
-    (a :class:`JetArray` or nested jets), ``unit`` a field.  Curvature is
-    certified at two orders below the metric's effective order.
+    ``gram`` may be an :class:`InvariantMetric` or a symmetric (n, n) jet
+    array, ``unit`` an (n,) jet array.  Curvature is certified at two orders
+    below the metric's effective order.
     """
-    if isinstance(gram, InvariantMetric):
-        gram = gram.gram()
-    g = JetArray.from_jets(gram)
+    g = gram.gram() if isinstance(gram, InvariantMetric) else gram
     n = len(g)
     eff = g.eff_order()
     if eff < 2:
@@ -475,17 +465,15 @@ def levi_civita_curvature(gram, unit) -> CurvatureResult:
         worst = max(worst, r.residual_norm())
     curv = Residual(worst, eff - 2)
 
-    u = JetArray.from_jets(unit)
-    parallel = u.grad() + contract("ijk,j->ik", chris, u.exact_zeros())
+    parallel = unit.grad() + contract("ijk,j->ik", chris, unit.exact_zeros())
     unit_res = Residual(parallel.residual_norm(), eff - 1)
     return CurvatureResult(chris, curv, unit_res)
 
 
-def euler_derivative(christoffel: JetArray, euler) -> JetArray:
+def euler_derivative(christoffel: JetArray, euler: JetArray) -> JetArray:
     """Levi-Civita derivative of the Euler field from Christoffel symbols:
     nabla[k, j] = d_j E^k + sum_l Gamma^k_jl E^l."""
-    e = JetArray.from_jets(euler)
-    return e.grad().transpose(1, 0) + contract("jlk,l->kj", christoffel, e)
+    return euler.grad().transpose(1, 0) + contract("jlk,l->kj", christoffel, euler)
 
 
 # -- assembled verdict -----------------------------------------------------------

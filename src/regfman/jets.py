@@ -40,6 +40,8 @@ built once.
 ``Jet`` arithmetic and :class:`JetMatrix` are the object kernel the arrays
 replaced; no other module computes with them.  They remain for building
 inputs one jet at a time and for timing the two kernels against each other.
+:meth:`JetArray.from_jets` is their one way into the arrays: every stage of
+the pipeline takes :class:`JetArray` inputs.
 """
 
 from __future__ import annotations
@@ -225,19 +227,6 @@ class JetSpace:
             raise ShapeError(f"expected {self.size} coefficients, got {arr.shape}")
         return self._wrap(arr.copy(), self.order if eff_order is None else eff_order)
 
-    def from_terms(self, terms: dict[tuple[int, ...], complex]) -> "Jet":
-        c = np.zeros(self.size, dtype=np.complex128)
-        for exp, val in terms.items():
-            exp = tuple(int(x) for x in exp)
-            if len(exp) != self.num_vars:
-                raise ShapeError(f"multi-index {exp} has wrong length")
-            if any(x < 0 for x in exp):
-                raise ShapeError(f"multi-index {exp} has negative entries")
-            if sum(exp) > self.order:
-                raise ShapeError(f"multi-index {exp} exceeds order {self.order}")
-            c[self.index_of[exp]] += val
-        return self._wrap(c, self.order)
-
     def variables(self) -> list["Jet"]:
         return [self.variable(v) for v in range(self.num_vars)]
 
@@ -248,6 +237,14 @@ class JetSpace:
 @lru_cache(maxsize=None)
 def jet_space(num_vars: int, order: int) -> JetSpace:
     return JetSpace(num_vars, order)
+
+
+def _same_space(a, b) -> JetSpace:
+    """The space of ``a``, once ``b`` is known to share its variables and
+    order (jets or jet arrays of equal ``(num_vars, order)`` combine)."""
+    if a.space is not b.space and (a.space.num_vars, a.space.order) != (b.space.num_vars, b.space.order):
+        raise ShapeError(f"incompatible jets: {a.space} vs {b.space}; coerce explicitly with Jet.in_space")
+    return a.space
 
 
 class Jet:
@@ -261,18 +258,6 @@ class Jet:
         self.eff_order = eff_order
 
     # -- helpers ----------------------------------------------------------
-
-    def _check_compatible(self, other: "Jet") -> JetSpace:
-        if self.space is not other.space:
-            if (
-                self.space.num_vars != other.space.num_vars
-                or self.space.order != other.space.order
-            ):
-                raise ShapeError(
-                    f"incompatible jets: {self.space} vs {other.space}; "
-                    "coerce explicitly with Jet.in_space"
-                )
-        return self.space
 
     @property
     def value0(self) -> complex:
@@ -301,7 +286,7 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            sp = self._check_compatible(other)
+            sp = _same_space(self, other)
             eff = min(self.eff_order, other.eff_order)
             return sp._wrap(self.coeffs + other.coeffs, eff)
         return self + self.space.constant(other)
@@ -313,7 +298,7 @@ class Jet:
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            sp = self._check_compatible(other)
+            sp = _same_space(self, other)
             eff = min(self.eff_order, other.eff_order)
             return sp._wrap(self.coeffs - other.coeffs, eff)
         return self + (-other)
@@ -324,7 +309,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.scale(other)
-        sp = self._check_compatible(other)
+        sp = _same_space(self, other)
         eff = min(self.eff_order, other.eff_order)
         a, b = self.coeffs, other.coeffs
         if not a.any() or not b.any():
@@ -385,7 +370,7 @@ class Jet:
 
     def compose(self, subs: Sequence["Jet"]) -> "Jet":
         """Substitute ``subs[i]`` for variable ``i`` (see :class:`Substitution`)."""
-        return Substitution(self.space, subs)(JetArray.from_jets(self))[()]
+        return Substitution(self.space, JetArray.from_jets(subs))(JetArray.from_jets(self))[()]
 
     # -- reporting ----------------------------------------------------------
 
@@ -546,7 +531,7 @@ class JetMatrix:
         return result
 
     def compose(self, subs: Sequence[Jet]) -> "JetMatrix":
-        return JetMatrix._of(Substitution(self.space, subs)(JetArray.from_jets(self)))
+        return JetMatrix._of(Substitution(self.space, JetArray.from_jets(subs))(JetArray.from_jets(self)))
 
     @classmethod
     def _of(cls, array: "JetArray") -> "JetMatrix":
@@ -797,7 +782,7 @@ class JetArray:
     # -- entrywise operations ------------------------------------------------
 
     def _check(self, other: "JetArray") -> JetSpace:
-        Jet._check_compatible(self, other)
+        _same_space(self, other)
         if self.shape != other.shape:
             raise ShapeError(f"jet array shapes differ: {self.shape} vs {other.shape}")
         return self.space
@@ -1121,8 +1106,7 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
     take the pairwise table of :func:`_contract_eff`.  The supports are the
     ones each operand keeps.
     """
-    sp = a.space
-    Jet._check_compatible(a, b)
+    sp = _same_space(a, b)
     perm_a, perm_b, (G, M, S, N), gmn, perm_out = _plan(spec, a.shape, b.shape)
     order = sp.order
     lo_a, hi_a, exact_a = a._order_range()
@@ -1262,10 +1246,8 @@ class Substitution:
 
     __slots__ = ("source", "target", "table", "eff_order", "_live")
 
-    def __init__(self, source: JetSpace, subs):
-        """``subs``: one jet per source variable, as a sequence of jets or
-        a jet array."""
-        subs = JetArray.from_jets(subs)
+    def __init__(self, source: JetSpace, subs: JetArray):
+        """``subs``: one jet per source variable, an (n,) jet array."""
         if subs.shape != (source.num_vars,):
             raise ShapeError(f"expected {source.num_vars} substitutions, got shape {subs.shape}")
         if subs.constant_term().any():

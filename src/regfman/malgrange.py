@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fman import FManifoldModel, GermIsomorphism, germ_isomorphism, mult_by_euler, standard_model
+from .fman import FManifoldModel, GermIsomorphism, _matrix_powers, germ_isomorphism, mult_by_euler, standard_model
 from .frob import FrobeniusVerdict, InvariantMetric, _offsets, euler_derivative, frobenius_verdict
 from .jets import DEFAULT_ORDER, JetArray, contract, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
@@ -58,14 +58,11 @@ class DeformationSpec:
 @dataclass(frozen=True)
 class MalgrangeChart:
     """The chart Gamma of the leaf through zero, an (n, n) jet array in n
-    variables (nested jets are stacked once), with its tangent matrices and
-    its polar residue, each built once on first use."""
+    variables, with its tangent matrices and its polar residue, each built
+    once on first use."""
 
     spec: DeformationSpec
     gamma: JetArray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", JetArray.from_jets(self.gamma))
 
     @cached_property
     def tangent(self) -> JetArray:
@@ -78,22 +75,13 @@ class MalgrangeChart:
         return b0_at(self.spec, self.gamma)
 
 
-def b0_at(spec: DeformationSpec, gamma) -> JetArray:
+def b0_at(spec: DeformationSpec, gamma: JetArray) -> JetArray:
     """B0o - Gamma + [Binf, Gamma], entrywise in jets."""
-    gamma = JetArray.from_jets(gamma)
     sp = gamma.space
     binf = JetArray.constant(sp, spec.binf)
     return (JetArray.constant(sp, spec.b0o) - gamma) + (
         contract("ab,bc->ac", binf, gamma) - contract("ab,bc->ac", gamma, binf)
     )
-
-
-def _powers(b: JetArray, count: int) -> list[JetArray]:
-    """Matrix powers b**0, ..., b**(count - 1)."""
-    out = [JetArray.constant(b.space, np.eye(len(b)))]
-    for _ in range(count - 1):
-        out.append(contract("ab,bc->ac", out[-1], b))
-    return out
 
 
 # The spanning frame at zero is refused above this condition number, and the
@@ -126,7 +114,7 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
     for i in range(n):
         current = gamma
         for s in range(order):
-            field = _powers(b0_at(spec, current.capped(max(s, 1))), i + 1)[i]
+            field = _matrix_powers(b0_at(spec, current.capped(max(s, 1))), i + 1)[i]
             current = gamma + field.integrate(i)
         gamma = current
     return MalgrangeChart(spec=spec, gamma=gamma)
@@ -171,7 +159,7 @@ def check_integrality(chart: MalgrangeChart) -> ResidualReport:
     closure of tangent products in the tangent frame."""
     n = chart.spec.dim
     tangent = chart.tangent
-    power = JetArray.stack(_powers(chart.b0, n))
+    power = JetArray.stack(_matrix_powers(chart.b0, n))
     ord_t = tangent.eff_order()
     _, tangency = expand_in_frame(power, tangent)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]

@@ -37,22 +37,20 @@ from .reports import ResidualReport, report_from
 
 
 def _checked(values, shape, name: str, space: JetSpace | None = None):
-    """Jet matrices (a :class:`JetArray` or nested jets and jet arrays) in
-    ``space`` as one array, or constants when ``space`` is None, of the
+    """A jet array in ``space``, or constants when ``space`` is None, of the
     given shape."""
-    out = np.asarray(values, dtype=np.complex128) if space is None else JetArray.from_jets(values)
-    if out.shape != shape or (space is not None and out.space is not space):
+    out = np.asarray(values, dtype=np.complex128) if space is None else values
+    if getattr(out, "shape", None) != shape or (space is not None and out.space is not space):
         raise ShapeError(f"{name} must have shape {shape}" + (f" in {space}" if space else ""))
     return out
 
 
-def _higgs(entries, name: str) -> JetArray:
+def _higgs(values: JetArray, name: str) -> JetArray:
     """Square jet matrices, one per base variable, as one array."""
-    out = JetArray.from_jets(entries)
-    m = out.space.num_vars
-    if len(out.shape) != 3 or out.shape[0] != m or out.shape[1] != out.shape[2]:
+    m = values.space.num_vars
+    if len(values.shape) != 3 or values.shape[0] != m or values.shape[1] != values.shape[2]:
         raise ShapeError(f"{name} needs one square jet matrix per base variable")
-    return out
+    return values
 
 
 # A bundle metric is refused as singular above this condition number.
@@ -67,8 +65,7 @@ class SaitoBundle:
     frame, of the same shape (``None`` means the canonical flat connection
     with zero coefficients); ``r0`` a jet matrix and ``rinf`` a constant
     matrix.  ``metric`` is an optional constant symmetric Gram matrix in
-    the frame.  Jet-matrix arguments may be :class:`JetArray` stacks or
-    nested jets and jet arrays; they are stacked once.
+    the frame.  Jet matrices are :class:`JetArray` inputs.
     """
 
     def __init__(self, phi, r0, rinf, frame_connection=None, metric=None):
@@ -79,10 +76,8 @@ class SaitoBundle:
         self.r0 = _checked(r0, square, "r0", self.space)
         self.rinf = _checked(rinf, square, "rinf")
         self.frame_connection = None
-        if frame_connection is not None and len(frame_connection):
-            self.frame_connection = _checked(
-                frame_connection, self.phi.shape, "frame_connection", self.space
-            )
+        if frame_connection is not None:
+            self.frame_connection = _checked(frame_connection, self.phi.shape, "frame_connection", self.space)
         self.metric = None if metric is None else _checked(metric, square, "metric")
         if self.metric is not None and np.linalg.cond(self.metric) > METRIC_COND_LIMIT:
             raise ShapeError("bundle metric must be invertible")

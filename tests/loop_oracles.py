@@ -570,7 +570,7 @@ def fmanifold_from_saito(bundle, section, tol=1e-10):
     mult = [[matvec(iso_inv, matvec(phi[i], cols[j])) for j in range(n)] for i in range(n)]
     unit = apply(iso_inv, s)
     euler = matvec(iso_inv, -apply(r0, s))
-    model = FManifoldModel(mult, unit, euler)
+    model = FManifoldModel(JetArray.from_jets(mult), JetArray.from_jets(unit), JetArray.from_jets(euler))
     u_model = to_matrix(mult_by_euler(model))
     conj_res = (u_model - -(iso_inv @ r0 @ iso)).residual_norm()
     spec_u = regend.jordan_spectrum(u_model.constant_term())
@@ -603,7 +603,7 @@ def frobenius_from_saito(bundle, section, weight_q, tol=1e-8):
     iso = JetMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
     iso_inv = iso.inverse()
     gram = iso.T @ JetMatrix.from_constant(sp, bundle.metric) @ iso
-    chris = lc_curvature(gram, model.unit).christoffel
+    chris = lc_curvature(JetArray.from_jets(gram), model.unit).christoffel
     nabla_mat = to_matrix(euler_derivative(chris, model.euler))
     expected = iso_inv @ JetMatrix.from_constant(sp, bundle.rinf) @ iso
     expected = expected + JetMatrix.from_constant(sp, (1.0 - complex(weight_q)) * np.eye(n))
@@ -931,7 +931,7 @@ def integrate_chart(spec, order):
     for i in range(n):
         prev = current = gamma
         for _ in range(order + 1):
-            field = malgrange._powers(malgrange.b0_at(spec, current), i + 1)[i]
+            field = fman._matrix_powers(malgrange.b0_at(spec, current), i + 1)[i]
             current = prev + field.integrate(i)
         gamma = current
     return gamma

@@ -266,18 +266,18 @@ def test_criterion_5_psi_beta_gamma_closed_forms():
     beta = invert_oneform(psi)
     root = eta1.sqrt(1.0)
     rinv = root.invert()
-    worst = max(worst, (psi.comps[0][1] - root).residual_norm())
-    worst = max(worst, (psi.comps[0][0] - eta0.scale(0.5) * rinv).residual_norm())
+    worst = max(worst, (psi.families()[0][1] - root).residual_norm())
+    worst = max(worst, (psi.families()[0][0] - eta0.scale(0.5) * rinv).residual_norm())
     worst = max(
-        worst, (beta.comps[0][0] + eta0.scale(0.5) * rinv * rinv * rinv).residual_norm()
+        worst, (beta.families()[0][0] + eta0.scale(0.5) * rinv * rinv * rinv).residual_norm()
     )
-    worst = max(worst, (beta.comps[0][1] - rinv).residual_norm())
+    worst = max(worst, (beta.families()[0][1] - rinv).residual_norm())
     worst = max(worst, (psi_epsilon_norm(psi) - eta0).residual_norm())
     model2 = standard_block(0.0, 2, order=4)
     gamma2 = gamma_operator(psi, beta, model2)
     for i in range(2):
-        p = psi.comps[0]
-        b = beta.comps[0]
+        p = psi.families()[0]
+        b = beta.families()[0]
         worst = max(worst, (gamma2.matrix[0, i] - b[1] * p[i].partial(1)).residual_norm())
         worst = max(
             worst,
@@ -296,28 +296,28 @@ def test_criterion_5_psi_beta_gamma_closed_forms():
     ri = r.invert()
     ri3 = ri * ri * ri
     ri5 = ri3 * ri * ri
-    worst = max(worst, (psi3.comps[0][2] - r).residual_norm())
-    worst = max(worst, (psi3.comps[0][1] - e1.scale(0.5) * ri).residual_norm())
+    worst = max(worst, (psi3.families()[0][2] - r).residual_norm())
+    worst = max(worst, (psi3.families()[0][1] - e1.scale(0.5) * ri).residual_norm())
     worst = max(
         worst,
         (
-            psi3.comps[0][0]
+            psi3.families()[0][0]
             - (e0.scale(0.5) * ri - (e1 * e1).scale(1.0 / 8.0) * ri3)
         ).residual_norm(),
     )
     worst = max(
         worst,
         (
-            beta3.comps[0][0]
+            beta3.families()[0][0]
             - (-e0.scale(0.5) * ri3 + (e1 * e1).scale(3.0 / 8.0) * ri5)
         ).residual_norm(),
     )
-    worst = max(worst, (beta3.comps[0][1] + e1.scale(0.5) * ri3).residual_norm())
-    worst = max(worst, (beta3.comps[0][2] - ri).residual_norm())
+    worst = max(worst, (beta3.families()[0][1] + e1.scale(0.5) * ri3).residual_norm())
+    worst = max(worst, (beta3.families()[0][2] - ri).residual_norm())
     worst = max(worst, (psi_epsilon_norm(psi3) - e0).residual_norm())
     model3 = standard_block(0.0, 3, order=4)
     gamma3 = gamma_operator(psi3, beta3, model3)
-    p3, b3 = psi3.comps[0], beta3.comps[0]
+    p3, b3 = psi3.families()[0], beta3.families()[0]
     for i in range(3):
         d1, d2 = p3[i].partial(1), p3[i].partial(2)
         worst = max(worst, (gamma3.matrix[0, i] - d2 * b3[2]).residual_norm())
@@ -379,7 +379,7 @@ def _restrict_connection(conn, keep, order):
     ]
 
     def restrict(mat):
-        return Substitution(conn.space, subs)(mat)
+        return Substitution(conn.space, JetArray.from_jets(subs))(mat)
 
     return BirkhoffConnection(restrict(conn.b0), conn.binf, restrict(conn.c[:keep]))
 
@@ -406,9 +406,9 @@ def _flat_connections(order=3):
         pot = x0 + x0 * x1.scale(coef) + x1 * x1.scale(0.25)
         out.append(
             BirkhoffConnection(
-                JetMatrix([[1.0 - pot]]),
+                JetArray.from_jets(JetMatrix([[1.0 - pot]])),
                 np.array([[0.4]]),
-                [JetMatrix([[pot.partial(0)]]), JetMatrix([[pot.partial(1)]])],
+                JetArray.from_jets([JetMatrix([[pot.partial(0)]]), JetMatrix([[pot.partial(1)]])]),
             )
         )
     # rank-2 slope family over a 1-dimensional base
@@ -420,7 +420,7 @@ def _flat_connections(order=3):
         b0 = JetMatrix.from_constant(sp1, np.array([[1.0, 0.0], [0.3, 1.0]])) + (
             JetMatrix.from_constant(sp1, slope).scale(sp1.variable(0))
         )
-        out.append(BirkhoffConnection(b0, binf, [JetMatrix.from_constant(sp1, n_mat)]))
+        out.append(BirkhoffConnection(JetArray.from_jets(b0), binf, JetArray.from_jets([JetMatrix.from_constant(sp1, n_mat)])))
     return out
 
 

@@ -326,6 +326,7 @@ class TestRun:
             ("verify-fmanifold", "model/euler", 5),
             ("verify-fmanifold", "model/mult", 7),
             ("saito-check", "bundle/frame_connection", 3),
+            ("saito-check", "bundle/frame_connection", []),
         ],
     )
     def test_payload_fields_of_the_wrong_kind_exit_2(self, tmp_path, capsys, task, path, value):
@@ -341,6 +342,15 @@ class TestRun:
         code, report = run_doc(tmp_path, set_payload(doc, path, value))
         assert code == 2 and report is None
         assert f"payload/{path}:" in capsys.readouterr().err
+
+    def test_ragged_connection_matrices_exit_2(self, tmp_path, capsys):
+        # C_0 is 1 x 1 and C_1 is 2 x 2 over a two-dimensional base
+        doc = json.loads((DOCS / "birkhoff-flatness.json").read_text(encoding="utf-8"))
+        zero = [[[], []], [[], []]]
+        doc["payload"]["connection"].update(c=[[[[]]], zero], b0=zero)
+        code, report = run_doc(tmp_path, doc)
+        assert code == 2 and report is None
+        assert "payload/connection: jet array entries must form a rectangular array" in capsys.readouterr().err
 
     def test_extend_metric_extends_at_the_validation_threshold_it_reports(self, tmp_path):
         # data valid at max(tolerance, 1e-8) are extended, not refused by a

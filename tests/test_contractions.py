@@ -554,7 +554,7 @@ class TestStoredWidth:
         # their constant term
         subs = [_random_jet(sp, rng, ("zero", "linear", "dense"), order) for _ in range(num_vars)]
         subs = [s - s.value0 for s in subs]
-        sub = jets.Substitution(sp, subs)
+        sub = jets.Substitution(sp, JetArray.from_jets(subs))
         _assert_bit_equal(sub(x), sub(x_full))
 
     def test_coeffs_is_the_read_only_full_width_array(self):
@@ -635,7 +635,7 @@ def _every_operation(x: JetArray, y: JetArray, rng):
     for v in range(sp.num_vars):
         out += [x.partial(v), x.integrate(v), x.exact_zeros().integrate(v), x.exact_zeros().partial(v)]
     square = contract("ij,ik->jk", x, y) + JetArray.constant(sp, 1e3 * np.ones((3, 3)) + 1e3 * np.eye(3))
-    out += [square.inverse(), square.invert(), jets.Substitution(sp, sp.variables())(x)]
+    out += [square.inverse(), square.invert(), jets.Substitution(sp, JetArray.from_jets(sp.variables()))(x)]
     return out
 
 
@@ -845,7 +845,7 @@ def _forged_models():
     bad = list(mult[1][2])
     bad[0] = bad[0] + 0.1
     mult[1][2] = mult[2][1] = JetVector(bad)
-    yield FManifoldModel(mult, base3.unit, base3.euler, blocks=base3.blocks)
+    yield FManifoldModel(JetArray.from_jets(mult), base3.unit, base3.euler, blocks=base3.blocks)
 
     base2 = standard_block(0.0, 2)
     sp = base2.space
@@ -853,13 +853,13 @@ def _forged_models():
     bad = list(mult[1][1])
     bad[1] = bad[1] + sp.variable(1).scale(0.1)
     mult[1][1] = JetVector(bad)
-    yield FManifoldModel(mult, base2.unit, base2.euler, blocks=base2.blocks)
+    yield FManifoldModel(JetArray.from_jets(mult), base2.unit, base2.euler, blocks=base2.blocks)
 
     mult = [list(row) for row in base2.structure]
     bad = list(mult[1][1])
     bad[1] = bad[1] + 0.1
     mult[1][1] = JetVector(bad)
-    yield FManifoldModel(mult, base2.unit, base2.euler)
+    yield FManifoldModel(JetArray.from_jets(mult), base2.unit, base2.euler)
 
 
 @pytest.mark.parametrize(
@@ -877,7 +877,7 @@ def test_models_without_constant_multiplication_match_loops(model):
     _assert_reports_match(check_fmanifold(model), loop_oracles.check_fmanifold(model), scale**2)
     x, y = model.euler, loop_oracles.multiply(model, model.euler, model.unit)
     _assert_same_jets(
-        JetArray.from_jets(model.multiply(x, y)),
+        JetArray.from_jets(model.multiply(x, JetArray.from_jets(y))),
         np.array(list(loop_oracles.multiply(model, x, y)), dtype=object),
         scale**3,
     )
@@ -1196,7 +1196,7 @@ def test_saito_checks_match_loops(rank, base, order, frame, metric, seed):
 def test_saito_checks_raise_like_loops_on_untrusted_derivatives():
     sp = jet_space(2, 3)
     phi = [JetMatrix([[sp.from_coeffs(np.ones(sp.size), 0)]]), JetMatrix([[sp.variable(0)]])]
-    bundle = SaitoBundle(phi, JetMatrix([[sp.one()]]), np.zeros((1, 1)))
+    bundle = SaitoBundle(JetArray.from_jets(phi), JetArray.from_jets(JetMatrix([[sp.one()]])), np.zeros((1, 1)))
     for check in (check_saito_axioms, loop_oracles.check_saito_axioms):
         with pytest.raises(ValueError):
             check(bundle)

@@ -21,6 +21,7 @@ from regfman.fman import (
     standard_model,
     symmetry_basis,
 )
+from regfman.jets import JetArray
 from regfman.regend import jordan_spectrum
 
 from loop_oracles import JetVector, lie_bracket
@@ -100,7 +101,7 @@ class TestCheckFManifold:
         bad[0] = bad[0] + 0.1
         mult[1][2] = JetVector(bad)
         mult[2][1] = JetVector(bad)
-        model = FManifoldModel(mult, base.unit, base.euler, blocks=base.blocks)
+        model = FManifoldModel(JetArray.from_jets(mult), base.unit, base.euler, blocks=base.blocks)
         rep = check_fmanifold(model)
         assert rep["associativity"].value >= 0.05
 
@@ -113,7 +114,7 @@ class TestCheckFManifold:
         bad = list(mult[1][1])
         bad[1] = bad[1] + sp.variable(1).scale(0.1)
         mult[1][1] = JetVector(bad)
-        model = FManifoldModel(mult, base.unit, base.euler, blocks=base.blocks)
+        model = FManifoldModel(JetArray.from_jets(mult), base.unit, base.euler, blocks=base.blocks)
         rep = check_fmanifold(model)
         assert rep["euler"].value >= 0.05
 
@@ -125,7 +126,7 @@ class TestCheckFManifold:
         bad = list(mult[1][1])
         bad[1] = bad[1] + 0.1
         mult[1][1] = JetVector(bad)
-        model = FManifoldModel(mult, base.unit, base.euler)
+        model = FManifoldModel(JetArray.from_jets(mult), base.unit, base.euler)
         rep = check_fmanifold(model)
         assert rep.passes(1e-10)
 
@@ -242,7 +243,7 @@ class TestSymmetries:
 
     def test_unit_field_not_a_symmetry(self):
         model = standard_block(0.0, 2)
-        rep = check_symmetry(model, model.basis_field(0))
+        rep = check_symmetry(model, JetArray.constant(model.space, np.eye(model.dim)[0]))
         assert rep["mult_invariance"].value < 1e-12
         assert rep["euler_commute"].value == pytest.approx(1.0)
 
@@ -250,7 +251,7 @@ class TestSymmetries:
         model = standard_block(0.0, 2)
         sp = model.space
         x = JetVector([sp.variable(0), sp.zero()])
-        rep = check_symmetry(model, x)
+        rep = check_symmetry(model, JetArray.from_jets(x))
         assert rep["circ_unit"].value == pytest.approx(1.0)
 
     def test_bracket_table(self):
@@ -298,7 +299,7 @@ class TestGermIsomorphism:
         mult = [list(r) for r in base.structure]
         euler0 = t0 + 0.3
         euler1 = f_prime_at_inv * (inv1 + 1.0)
-        pushed = FManifoldModel(mult, base.unit, JetVector([euler0, euler1]))
+        pushed = FManifoldModel(JetArray.from_jets(mult), base.unit, JetArray.from_jets(JetVector([euler0, euler1])))
         rep0 = check_fmanifold(pushed)
         assert rep0.passes(1e-9), rep0.worst()
         iso = germ_isomorphism(base, pushed)
@@ -328,9 +329,9 @@ def _pushed_nilpotent_block(a, order):
     inv1 = _series_inverse_1d(sp, order)
     euler1 = (1.0 + inv1.scale(2.0)) * (inv1 + 1.0)
     return FManifoldModel(
-        [list(r) for r in base.structure],
+        JetArray.from_jets([list(r) for r in base.structure]),
         base.unit,
-        JetVector([t0 + a, euler1]),
+        JetArray.from_jets(JetVector([t0 + a, euler1])),
         blocks=base.blocks,
     )
 

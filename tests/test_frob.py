@@ -87,7 +87,7 @@ class TestPotential:
         sp = model.space
         h = sp.variable(0) * sp.variable(1)
         with pytest.warns(UserWarning):
-            m = metric_from_potential(h, model)
+            m = metric_from_potential(JetArray.from_jets(h), model)
         assert not m.nondegenerate_at_origin()
 
     def test_partials(self):
@@ -95,13 +95,13 @@ class TestPotential:
         sp = model.space
         h = sp.variable(0) * sp.variable(1) + sp.variable(0)
         with pytest.warns(UserWarning):  # eta_1(0) = 0: degenerate at the origin
-            m = metric_from_potential(h, model)
+            m = metric_from_potential(JetArray.from_jets(h), model)
         assert (m.eta[0][0] - (sp.variable(1) + 1.0)).residual_norm() < 1e-15
         assert (m.eta[0][1] - sp.variable(0)).residual_norm() < 1e-15
 
     def test_m1(self):
         model = standard_block(0.0, 1)
-        m = metric_from_potential(model.space.variable(0), model)
+        m = metric_from_potential(JetArray.from_jets(model.space.variable(0)), model)
         assert (m.eta[0][0] - 1.0).residual_norm() < 1e-15
 
 
@@ -110,7 +110,7 @@ class TestUnitEulerConditions:
         model = standard_block(0.0, 2)
         sp = model.space
         h = sp.variable(1) + sp.variable(1) * sp.variable(1) + sp.variable(0) * sp.variable(1)
-        m = metric_from_potential(h, model)
+        m = metric_from_potential(JetArray.from_jets(h), model)
         assert check_unit_flat(m)["coidentity_closed"].value < 1e-14
 
     def test_closedness_defect(self):
@@ -214,8 +214,8 @@ class TestPsiBetaClosedForms:
         psi = psi_from_metric(m)
         # closed forms: psi = (eta0 (eta1)^(-1/2) / 2, (eta1)^(1/2))
         root = eta1.sqrt(1.0)
-        assert (psi.comps[0][1] - root).residual_norm() < 1e-12
-        assert (psi.comps[0][0] - eta0.scale(0.5) * root.invert()).residual_norm() < 1e-12
+        assert (psi.families()[0][1] - root).residual_norm() < 1e-12
+        assert (psi.families()[0][0] - eta0.scale(0.5) * root.invert()).residual_norm() < 1e-12
 
     def test_m3_psi(self):
         sp = jet_space(3, 4)
@@ -227,9 +227,9 @@ class TestPsiBetaClosedForms:
         rinv3 = rinv * rinv * rinv
         exp0 = eta0.scale(0.5) * rinv - (eta1 * eta1).scale(1.0 / 8.0) * rinv3
         exp1 = eta1.scale(0.5) * rinv
-        assert (psi.comps[0][2] - r).residual_norm() < 1e-12
-        assert (psi.comps[0][1] - exp1).residual_norm() < 1e-12
-        assert (psi.comps[0][0] - exp0).residual_norm() < 1e-12
+        assert (psi.families()[0][2] - r).residual_norm() < 1e-12
+        assert (psi.families()[0][1] - exp1).residual_norm() < 1e-12
+        assert (psi.families()[0][0] - exp0).residual_norm() < 1e-12
 
     def test_m3_beta(self):
         sp = jet_space(3, 4)
@@ -242,9 +242,9 @@ class TestPsiBetaClosedForms:
         rinv5 = rinv3 * rinv * rinv
         exp0 = -eta0.scale(0.5) * rinv3 + (eta1 * eta1).scale(3.0 / 8.0) * rinv5
         exp1 = -eta1.scale(0.5) * rinv3
-        assert (beta.comps[0][2] - rinv).residual_norm() < 1e-12
-        assert (beta.comps[0][1] - exp1).residual_norm() < 1e-11
-        assert (beta.comps[0][0] - exp0).residual_norm() < 1e-11
+        assert (beta.families()[0][2] - rinv).residual_norm() < 1e-12
+        assert (beta.families()[0][1] - exp1).residual_norm() < 1e-11
+        assert (beta.families()[0][0] - exp0).residual_norm() < 1e-11
 
     def test_epsilon_has_unit_psi(self):
         m = epsilon_metric([3], order=4)
@@ -309,8 +309,8 @@ class TestGamma:
         psi = psi_from_metric(m)
         beta = invert_oneform(psi)
         gamma = gamma_operator(psi, beta, model)
-        p = psi.comps[0]
-        b = beta.comps[0]
+        p = psi.families()[0]
+        b = beta.families()[0]
         for i in range(2):
             exp_col0 = b[1] * p[i].partial(1)
             exp_col1 = b[0] * p[i].partial(1) + b[1] * p[i].partial(0)
@@ -323,8 +323,8 @@ class TestGamma:
         psi = psi_from_metric(m)
         beta = invert_oneform(psi)
         gamma = gamma_operator(psi, beta, model)
-        p = psi.comps[0]
-        b = beta.comps[0]
+        p = psi.families()[0]
+        b = beta.families()[0]
         for i in range(3):
             d1, d2 = p[i].partial(1), p[i].partial(2)
             assert (gamma.matrix[0, i] - d2 * b[2]).residual_norm() < 1e-11
@@ -595,6 +595,6 @@ class TestVerdict:
         bad = list(mult[1][1])
         bad[1] = bad[1] + sp.variable(1)
         mult[1][1] = JetVector(bad)
-        forged = FManifoldModel(mult, model.unit, model.euler, blocks=model.blocks)
+        forged = FManifoldModel(JetArray.from_jets(mult), model.unit, model.euler, blocks=model.blocks)
         with pytest.raises(ScopeError):
             frobenius_verdict(epsilon_metric([2], order=4), forged)

@@ -27,7 +27,6 @@ LEDGER = (
     "frob.frobenius_verdict(run_oracle)",
     "frob.frobenius_verdict(tolerance)",
     "frob.frobenius_verdict(weight)",
-    "frob.metric_from_psi(model)",
     "frob.psi_from_metric(branch_anchors)",
     "jets.Jet.sqrt(branch_anchor)",
     "jets.JetArray.from_coeffs(eff)",

@@ -28,14 +28,14 @@ class TestB0At:
     def test_gamma_zero(self):
         spec = DeformationSpec(np.diag([1.0, 2.0]), np.zeros((2, 2)))
         sp = jet_space(2, 3)
-        got = b0_at(spec, JetMatrix.from_constant(sp, np.zeros((2, 2))))
+        got = b0_at(spec, JetArray.from_jets(JetMatrix.from_constant(sp, np.zeros((2, 2)))))
         assert np.allclose(got.constant_term(), np.diag([1.0, 2.0]))
 
     def test_scalar_case(self):
         spec = DeformationSpec(np.array([[0.7]]), np.array([[0.3]]))
         sp = jet_space(1, 3)
         g = JetMatrix([[sp.variable(0)]])
-        got = b0_at(spec, g)
+        got = b0_at(spec, JetArray.from_jets(g))
         # scalars commute: B0 = a - Gamma
         assert (got[0, 0] - (0.7 - sp.variable(0))).residual_norm() < 1e-14
 
@@ -43,7 +43,7 @@ class TestB0At:
         spec = DeformationSpec(jordan_block(0.0, 2), np.zeros((2, 2)))
         sp = jet_space(2, 2)
         g = JetMatrix.from_constant(sp, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        got = b0_at(spec, g)
+        got = b0_at(spec, JetArray.from_jets(g))
         assert np.allclose(got.constant_term(), jordan_block(0.0, 2) - g.constant_term())
 
 
@@ -116,7 +116,7 @@ class TestIntegrality:
         gamma = JetMatrix.from_constant(sp, n_mat).scale(sp.variable(0))
         from regfman.malgrange import MalgrangeChart
 
-        fake = MalgrangeChart(spec=spec, gamma=gamma)
+        fake = MalgrangeChart(spec=spec, gamma=JetArray.from_jets(gamma))
         rep = check_integrality(fake)
         assert rep.max_value() > 0.1
 

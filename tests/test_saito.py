@@ -22,9 +22,9 @@ from saito_cases import admissible_bundle, metric_gauged_bundle, non_abelian_gau
 
 def constant_connection(space, b0, binf, cs):
     return BirkhoffConnection(
-        JetMatrix.from_constant(space, b0),
+        JetArray.from_jets(JetMatrix.from_constant(space, b0)),
         binf,
-        [JetMatrix.from_constant(space, c) for c in cs],
+        JetArray.from_jets([JetMatrix.from_constant(space, c) for c in cs]),
     )
 
 
@@ -38,7 +38,7 @@ def flat_rank2_base1(order=3):
     slope = (binf @ n - n @ binf) - n
     x = sp.variable(0)
     b0 = JetMatrix.from_constant(sp, b00) + JetMatrix.from_constant(sp, slope).scale(x)
-    return BirkhoffConnection(b0, binf, [JetMatrix.from_constant(sp, n)])
+    return BirkhoffConnection(JetArray.from_jets(b0), binf, JetArray.from_jets([JetMatrix.from_constant(sp, n)]))
 
 
 def potential_rank1_base2(order=3):
@@ -48,7 +48,7 @@ def potential_rank1_base2(order=3):
     pot = x0 + x0 * x1 + x1 * x1.scale(0.5)
     c = [JetMatrix([[pot.partial(0)]]), JetMatrix([[pot.partial(1)]])]
     b0 = JetMatrix([[-pot + 1.5]])
-    return BirkhoffConnection(b0, np.array([[0.7]]), c)
+    return BirkhoffConnection(JetArray.from_jets(b0), np.array([[0.7]]), JetArray.from_jets(c))
 
 
 class TestBirkhoffFlatness:
@@ -94,7 +94,7 @@ class TestSaitoAxioms:
         sp = jet_space(1, 3)
         r0 = JetMatrix.from_constant(sp, np.diag([1.0, 2.0]))
         phi = [JetMatrix.from_constant(sp, np.zeros((2, 2)))]
-        bundle = SaitoBundle(phi, r0, np.zeros((2, 2)))
+        bundle = SaitoBundle(JetArray.from_jets(phi), JetArray.from_jets(r0), np.zeros((2, 2)))
         assert check_saito_axioms(bundle).max_value() == 0.0
 
     def test_flat_birkhoff_maps_to_saito(self):
@@ -111,7 +111,7 @@ class TestSaitoAxioms:
         sp = jet_space(1, 3)
         phi = [JetMatrix.from_constant(sp, np.array([[0.0, 0.0], [1.0, 0.0]]))]
         r0 = JetMatrix.from_constant(sp, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        bundle = SaitoBundle(phi, r0, np.zeros((2, 2)))
+        bundle = SaitoBundle(JetArray.from_jets(phi), JetArray.from_jets(r0), np.zeros((2, 2)))
         rep = check_saito_axioms(bundle)
         assert rep["r0_phi_commute"].value > 0.5
 
@@ -145,8 +145,8 @@ class TestSaitoMetricAxioms:
     def test_identity_rinf_skewness_residual(self):
         sp = jet_space(1, 3)
         bundle = SaitoBundle(
-            [JetMatrix.from_constant(sp, np.zeros((2, 2)))],
-            JetMatrix.from_constant(sp, np.zeros((2, 2))),
+            JetArray.from_jets([JetMatrix.from_constant(sp, np.zeros((2, 2)))]),
+            JetArray.from_jets(JetMatrix.from_constant(sp, np.zeros((2, 2)))),
             np.eye(2),
             metric=np.eye(2),
         )
@@ -166,8 +166,8 @@ class TestSaitoMetricAxioms:
             JetMatrix.from_constant(sp, m) for m in model.mult_matrices()
         ]
         bundle = SaitoBundle(
-            phis,
-            JetMatrix.from_constant(sp, np.zeros((3, 3))),
+            JetArray.from_jets(phis),
+            JetArray.from_jets(JetMatrix.from_constant(sp, np.zeros((3, 3)))),
             np.zeros((3, 3)),
             metric=eps,
         )
@@ -181,7 +181,7 @@ class TestFManifoldFromSaito:
         a = 0.8
         phi = [JetMatrix([[sp.constant(1.0)]])]
         r0 = JetMatrix([[-(sp.variable(0) + a)]])
-        bundle = SaitoBundle(phi, r0, np.zeros((1, 1)))
+        bundle = SaitoBundle(JetArray.from_jets(phi), JetArray.from_jets(r0), np.zeros((1, 1)))
         model, rep = fmanifold_from_saito(bundle, [1.0])
         assert (model.euler[0] - (sp.variable(0) + a)).residual_norm() < 1e-12
         assert rep["u_matches_conjugated_residue"] < 1e-12
@@ -190,8 +190,8 @@ class TestFManifoldFromSaito:
     def test_zero_section_rejected(self):
         sp = jet_space(1, 3)
         bundle = SaitoBundle(
-            [JetMatrix([[sp.constant(1.0)]])],
-            JetMatrix([[sp.constant(1.0)]]),
+            JetArray.from_jets([JetMatrix([[sp.constant(1.0)]])]),
+            JetArray.from_jets(JetMatrix([[sp.constant(1.0)]])),
             np.zeros((1, 1)),
         )
         with pytest.raises(NotPrimitiveError):
@@ -214,7 +214,7 @@ class TestFManifoldFromSaito:
             + JetMatrix.from_constant(sp, -n).scale(x1)
         )
         conn2 = BirkhoffConnection(
-            b0, np.zeros((2, 2)), [JetMatrix.from_constant(sp, ident), JetMatrix.from_constant(sp, n)]
+            JetArray.from_jets(b0), np.zeros((2, 2)), JetArray.from_jets([JetMatrix.from_constant(sp, ident), JetMatrix.from_constant(sp, n)])
         )
         assert birkhoff_flatness(conn2).max_value() < 1e-12
         bundle2 = birkhoff_to_saito(conn2)
@@ -240,9 +240,9 @@ class TestFManifoldFromSaito:
             + JetMatrix.from_constant(sp, -n).scale(x1)
         )
         conn2 = BirkhoffConnection(
-            b0,
+            JetArray.from_jets(b0),
             np.zeros((2, 2)),
-            [JetMatrix.from_constant(sp, ident), JetMatrix.from_constant(sp, n)],
+            JetArray.from_jets([JetMatrix.from_constant(sp, ident), JetMatrix.from_constant(sp, n)]),
         )
         bundle = birkhoff_to_saito(conn2)
         model, rep = fmanifold_from_saito(bundle, [1.0, 0.0])
@@ -258,7 +258,7 @@ class TestFrobeniusFromSaito:
         phi = [JetMatrix([[sp.constant(1.0)]])]
         r0 = JetMatrix([[-(sp.variable(0) + a)]])
         q = 0.0  # rinf = 0 forces weight 0 => D = 2
-        bundle = SaitoBundle(phi, r0, np.zeros((1, 1)), metric=np.array([[2.5]]))
+        bundle = SaitoBundle(JetArray.from_jets(phi), JetArray.from_jets(r0), np.zeros((1, 1)), metric=np.array([[2.5]]))
         gram, rep = frobenius_from_saito(bundle, [1.0], q)
         assert (gram[0, 0] - 2.5).residual_norm() < 1e-12
         assert rep["euler_derivative"].value < 1e-9
@@ -266,8 +266,8 @@ class TestFrobeniusFromSaito:
     def test_homogeneity_error(self):
         sp = jet_space(1, 3)
         bundle = SaitoBundle(
-            [JetMatrix([[sp.constant(1.0)]])],
-            JetMatrix([[sp.constant(1.0)]]),
+            JetArray.from_jets([JetMatrix([[sp.constant(1.0)]])]),
+            JetArray.from_jets(JetMatrix([[sp.constant(1.0)]])),
             np.array([[0.5]]),
             metric=np.array([[1.0]]),
         )
@@ -277,8 +277,8 @@ class TestFrobeniusFromSaito:
     def test_metric_required(self):
         sp = jet_space(1, 3)
         bundle = SaitoBundle(
-            [JetMatrix([[sp.constant(1.0)]])],
-            JetMatrix([[sp.constant(1.0)]]),
+            JetArray.from_jets([JetMatrix([[sp.constant(1.0)]])]),
+            JetArray.from_jets(JetMatrix([[sp.constant(1.0)]])),
             np.zeros((1, 1)),
         )
         with pytest.raises(ShapeError):
@@ -297,9 +297,9 @@ class TestFrobeniusFromSaito:
             + JetMatrix.from_constant(sp, -n).scale(x1)
         )
         conn = BirkhoffConnection(
-            b0,
+            JetArray.from_jets(b0),
             np.zeros((2, 2)),
-            [JetMatrix.from_constant(sp, ident), JetMatrix.from_constant(sp, n)],
+            JetArray.from_jets([JetMatrix.from_constant(sp, ident), JetMatrix.from_constant(sp, n)]),
         )
         eps = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # makes ident, n symmetric
         bundle = SaitoBundle(conn.c, conn.b0, -conn.binf, metric=eps)
