@@ -341,6 +341,13 @@ class TestFrameConnection:
         assert check_saito_axioms(bundle).passes(1e-9)
         assert check_saito_metric_axioms(bundle).passes(1e-9)
 
+    def test_an_empty_frame_connection_is_refused(self):
+        # only None stands for the canonical flat connection; an empty list
+        # is not one matrix per base variable
+        bundle = admissible_bundle()
+        with pytest.raises(ShapeError):
+            SaitoBundle(bundle.phi, bundle.r0, bundle.rinf, [], bundle.metric)
+
     def test_gauge_transform_of_flat_bundle_passes(self):
         bundle = non_abelian_gauged_bundle()
         omega = bundle.frame_connection
