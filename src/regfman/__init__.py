@@ -32,7 +32,6 @@ from .regend import (
 )
 from .fman import (
     BracketConstants,
-    CanonicalFrame,
     FManifoldModel,
     GermIsomorphism,
     canonical_frame,

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import fman, frob, malgrange, regend, saito
 from .errors import DocumentError, RegfmanError, ValidationError
-from .jets import Jet, JetArray, JetSpace, jet_space
+from .jets import JetArray, JetSpace, jet_space
 from .regend import JordanSpectrum
 from .reports import ResidualReport
 
@@ -89,7 +89,7 @@ def _jet_in(space: JetSpace, data, field: str) -> tuple[np.ndarray, int]:
         data, field = data["terms"], f"{field}/terms"
     if not isinstance(data, list):
         _fail("expected a list of (multi-index, [re, im]) entries", field)
-    coeffs = np.zeros(space.size, dtype=np.complex128)
+    rows, values = [], []
     for k, item in enumerate(data):
         here = f"{field}[{k}]"
         if not (isinstance(item, list) and len(item) == 2):
@@ -103,7 +103,11 @@ def _jet_in(space: JetSpace, data, field: str) -> tuple[np.ndarray, int]:
             _fail("multi-index entries must be non-negative", here)
         if sum(idx) > space.order:
             _fail(f"multi-index degree {sum(idx)} exceeds order {space.order}", here)
-        coeffs[space.index_of[tuple(idx)]] += _complex_in(val, here)
+        rows.append(idx)
+        values.append(_complex_in(val, here))
+    coeffs = np.zeros(space.size, dtype=np.complex128)
+    # in document order, so repeated terms add up as listed
+    np.add.at(coeffs, space.index_of(np.array(rows, dtype=np.int64).reshape(-1, space.num_vars)), values)
     return coeffs, min(eff_order, space.order)
 
 
@@ -115,11 +119,15 @@ def _jet_array(space: JetSpace, jets: list, shape: tuple[int, ...] | None = None
     return JetArray.from_coeffs(space, coeffs, np.array([e for _, e in jets]).reshape(shape))
 
 
-def _jet_out(jet: Jet) -> list:
-    return [
-        [list(e), _complex_out(c)]
-        for e, c in sorted(jet.terms().items())
-    ]
+def _jets_out(space: JetSpace, coeffs: np.ndarray) -> list:
+    """The nonzero terms of the jet in each row of ``coeffs``, as
+    ``[multi_index, [re, im]]`` in ascending multi-index order."""
+    out = []
+    for c in coeffs:
+        nz = np.flatnonzero(c)
+        nz = nz[np.lexsort(space.exponents[nz].T[::-1])]
+        out.append([[e, _complex_out(z)] for e, z in zip(space.exponents[nz].tolist(), c[nz])])
+    return out
 
 
 def _matrix_in(data, field: str) -> np.ndarray:
@@ -136,10 +144,6 @@ def _matrix_in(data, field: str) -> np.ndarray:
     return out
 
 
-def _matrix_out(m: np.ndarray) -> list:
-    return [[_complex_out(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
-
-
 def _jet_matrix_in(space: JetSpace, data, field: str) -> JetArray:
     if not (isinstance(data, list) and data and all(isinstance(r, list) for r in data)):
         _fail("expected a row-major nested list of jets", field)
@@ -153,11 +157,12 @@ def _jet_matrix_in(space: JetSpace, data, field: str) -> JetArray:
     return _jet_array(space, jets, (len(data), len(data[0])))
 
 
-def _jet_matrices_in(space: JetSpace, data, name: str, field: str) -> list[JetArray]:
-    """One decoded jet matrix per variable of ``space``; the caller stacks
-    them, as their shapes may differ."""
-    if not (isinstance(data, list) and len(data) == space.num_vars):
+def _jet_matrices_in(data, num_vars: int, order: int, name: str, field: str) -> list[JetArray]:
+    """One decoded jet matrix per base variable, counted before their space
+    is built; the caller stacks them, as their shapes may differ."""
+    if not (isinstance(data, list) and len(data) == num_vars):
         _fail(f"{name} must list one jet matrix per base variable", field)
+    space = jet_space(num_vars, order)
     return [_jet_matrix_in(space, m, f"{field}[{i}]") for i, m in enumerate(data)]
 
 
@@ -231,17 +236,18 @@ def _model_in(payload: dict, order: int, field: str) -> fman.FManifoldModel:
 
 
 def _model_out(model: fman.FManifoldModel) -> dict:
-    c = model.structure
+    sp, c = model.space, model.structure.coeffs
+    used = np.nonzero(c.any(axis=-1))
     mult = [
-        {"i": int(i), "j": int(j), "k": int(k), "jet": _jet_out(c[i, j, k])}
-        for i, j, k in zip(*np.nonzero(c.coeffs.any(axis=-1)))
+        {"i": int(i), "j": int(j), "k": int(k), "jet": jet}
+        for i, j, k, jet in zip(*used, _jets_out(sp, c[used]))
     ]
     return {
         "dim": model.dim,
-        "order": model.space.order,
+        "order": sp.order,
         "mult": mult,
-        "unit": [_jet_out(c) for c in model.unit],
-        "euler": [_jet_out(c) for c in model.euler],
+        "unit": _jets_out(sp, model.unit.coeffs),
+        "euler": _jets_out(sp, model.euler.coeffs),
     }
 
 
@@ -378,21 +384,25 @@ def _bundle_in(payload, settings, field):
     base_dim = _int_in(
         data.get("base_dim"), "bundle.base_dim must be an integer", f"{field}/bundle/base_dim"
     )
-    sp = jet_space(base_dim, settings["order"])
-    phi = _jet_matrices_in(sp, data.get("phi"), "bundle.phi", f"{field}/bundle/phi")
-    r0 = _jet_matrix_in(sp, data.get("r0"), f"{field}/bundle/r0")
+    if base_dim < 1:
+        _fail("bundle.base_dim must be positive", f"{field}/bundle/base_dim")
+    order = settings["order"]
+    phi = _jet_matrices_in(data.get("phi"), base_dim, order, "bundle.phi", f"{field}/bundle/phi")
+    r0 = _jet_matrix_in(jet_space(base_dim, order), data.get("r0"), f"{field}/bundle/r0")
     rinf = _matrix_in(data.get("rinf"), f"{field}/bundle/rinf")
     frame = data.get("frame_connection")
     if frame is not None:
-        frame = _jet_matrices_in(sp, frame, "bundle.frame_connection", f"{field}/bundle/frame_connection")
+        frame = _jet_matrices_in(
+            frame, base_dim, order, "bundle.frame_connection", f"{field}/bundle/frame_connection"
+        )
     metric = data.get("metric")
     metric_mat = None if metric is None else _matrix_in(metric, f"{field}/bundle/metric")
     try:
         return saito.SaitoBundle(
-            JetArray.from_jets(phi),
+            JetArray.stack(phi),
             r0,
             rinf,
-            frame_connection=None if frame is None else JetArray.from_jets(frame),
+            frame_connection=None if frame is None else JetArray.stack(frame),
             metric=metric_mat,
         )
     except RegfmanError as exc:
@@ -419,7 +429,7 @@ def _connection_in(payload, settings, field):
     b0 = _jet_matrix_in(sp, data.get("b0"), f"{field}/connection/b0")
     binf = _matrix_in(data.get("binf"), f"{field}/connection/binf")
     try:
-        return saito.BirkhoffConnection(b0, binf, JetArray.from_jets(c_mats))
+        return saito.BirkhoffConnection(b0, binf, JetArray.stack(c_mats))
     except RegfmanError as exc:
         _fail(str(exc), f"{field}/connection")
 
@@ -443,7 +453,9 @@ def _run_malgrange_chart(payload, settings):
     try:
         spec = malgrange.DeformationSpec(b0o, binf)
     except RegfmanError as exc:
-        _fail(str(exc), "payload/b0o")
+        # the spec checks that b0o is square before it compares binf with it
+        bad_binf = b0o.shape[0] == b0o.shape[1] and binf.shape != b0o.shape
+        _fail(str(exc), "payload/binf" if bad_binf else "payload/b0o")
     chart = malgrange.integrate_chart(spec, settings["order"])
     integral = malgrange.check_integrality(chart)
     flat = saito.birkhoff_flatness(malgrange.canonical_connection(chart))
@@ -473,6 +485,9 @@ def _run_extend_metric(payload, settings):
     tol = settings["tolerance"]
     valid_tol = max(tol, 1e-8)
     model = fman.standard_model(spec, settings["order"])
+    for name, matrix in (("gram", gram), ("skew", skew)):
+        if matrix.shape != (model.dim, model.dim):
+            _fail(f"{name} must be {model.dim} x {model.dim}, the spectrum's dimension", f"payload/{name}")
     data = malgrange.InitialData(model=model, gram=gram, skew=skew, weight=weight)
     try:
         result = malgrange.initial_condition_extend(data, tolerance=tol, validation_tolerance=valid_tol)
@@ -495,7 +510,7 @@ def _run_extend_metric(payload, settings):
         verdicts[name] = _verdict(value <= threshold, value, threshold)
     body.update(
         {
-            "metric_eta": [[_jet_out(j) for j in fam] for fam in result.metric.eta],
+            "metric_eta": [_jets_out(fam.space, fam.coeffs) for fam in result.metric.eta],
             "residuals": result.report.to_dict(),
             "frobenius_residuals": result.verdict.report.to_dict(),
             "regularity_probe": result.regularity_probe,
@@ -509,7 +524,7 @@ def _run_germ_iso(payload, settings):
     model_b = _model_in(payload.get("model_b", {}), settings["order"], "payload/model_b")
     iso = fman.germ_isomorphism(model_a, model_b)
     body = _report_body(iso.report, max(settings["tolerance"], 1e-7))
-    body["map"] = [_jet_out(c) for c in iso.map]
+    body["map"] = _jets_out(iso.map.space, iso.map.coeffs)
     return body
 
 

@@ -73,23 +73,6 @@ class FManifoldModel:
         return f"FManifoldModel(dim={self.dim}, order={self.space.order}, blocks={self.blocks})"
 
 
-@dataclass(frozen=True)
-class CanonicalFrame:
-    """Multiplicative powers of the Euler field, starting at the unit:
-    ``fields[i]`` is X_i, an (n, n) jet array."""
-
-    fields: JetArray
-
-    def __len__(self):
-        return len(self.fields)
-
-    def __getitem__(self, i):
-        return self.fields[i]
-
-    def constant_matrix(self) -> np.ndarray:
-        return self.fields.constant_term().T
-
-
 # -- canonical models ---------------------------------------------------------
 
 
@@ -99,7 +82,7 @@ def _affine(sp: JetSpace, const, lin) -> JetArray:
     coeffs = np.zeros(const.shape + (sp._degree_ends[min(sp.order, 1)],), dtype=np.complex128)
     coeffs[..., 0] = const
     if sp.order >= 1:
-        coeffs[..., [sp.index_of[tuple(e)] for e in np.eye(sp.num_vars, dtype=int)]] = lin
+        coeffs[..., sp.index_of(np.eye(sp.num_vars, dtype=np.int64))] = lin
     return JetArray(sp, coeffs, np.full(const.shape, sp.order))
 
 
@@ -142,8 +125,7 @@ def product_model(factors: Sequence[FManifoldModel]) -> FManifoldModel:
     # each factor's monomials among those of the product's variables
     index, offsets, at = [], [], 0
     for f in factors:
-        pad = (0,) * at, (0,) * (dim - at - f.dim)
-        index.append(np.array([sp.index_of[pad[0] + e + pad[1]] for e in f.space.exponents]))
+        index.append(sp.index_of(np.pad(f.space.exponents, ((0, 0), (at, dim - at - f.dim)))))
         offsets.append(at)
         at += f.dim
     fields = []  # structure tensor, unit, Euler field
@@ -280,16 +262,17 @@ def _origin_probe(model: FManifoldModel) -> tuple[np.ndarray, regend.RegularityR
 CANONICAL_COND_LIMIT = 1e10
 
 
-def canonical_frame(model: FManifoldModel, *, regularity: regend.RegularityReport | None = None) -> CanonicalFrame:
-    """X_0 = e, X_{k+1} = E o X_k; requires a regular origin.  A
-    ``regularity`` report of the origin multiplication by E, made by
-    :func:`regend.is_regular`, stands in for the probe this call would run."""
+def canonical_frame(model: FManifoldModel, *, regularity: regend.RegularityReport | None = None) -> JetArray:
+    """X_0 = e, X_{k+1} = E o X_k, stacked: an (n, n) jet array whose row i
+    is X_i; requires a regular origin.  A ``regularity`` report of the
+    origin multiplication by E, made by :func:`regend.is_regular`, stands in
+    for the probe this call would run."""
     if regularity is None:
         regularity = _origin_probe(model)[1]
     if not regularity:
         raise RegularityError("multiplication by the Euler field is not regular at the origin")
-    frame = CanonicalFrame(_euler_powers(model, [model.unit], model.dim))
-    c = np.linalg.cond(frame.constant_matrix())
+    frame = _euler_powers(model, [model.unit], model.dim)
+    c = np.linalg.cond(frame.constant_term().T)
     if not np.isfinite(c) or c > CANONICAL_COND_LIMIT:
         raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
     return frame
@@ -395,7 +378,7 @@ def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
     n = model.dim
     sp = model.space
     k_order = sp.order
-    frame = canonical_frame(model).fields
+    frame = canonical_frame(model)
     brackets = _field_brackets(frame)  # brackets[i, j] = [X_i, X_j]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -524,7 +507,7 @@ class GermIsomorphism:
 
     map: JetArray
     report: ResidualReport
-    frame: CanonicalFrame
+    frame: JetArray
     substitution: Substitution
     regularity: regend.RegularityReport
     spectra: tuple[JordanSpectrum, JordanSpectrum]
@@ -564,9 +547,9 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     # canonical frames
     frame_a = canonical_frame(model_a, regularity=reg_a)
     frame_b = canonical_frame(model_b, regularity=reg_b)
-    xinv = np.linalg.inv(frame_a.constant_matrix())
-    pow_a = _euler_powers(model_a, list(frame_a.fields), k_order + 1)
-    pow_b = _euler_powers(model_b, list(frame_b.fields), k_order + 1)
+    xinv = np.linalg.inv(frame_a.constant_term().T)
+    pow_a = _euler_powers(model_a, list(frame_a), k_order + 1)
+    pow_b = _euler_powers(model_b, list(frame_b), k_order + 1)
     xa, xb = pow_a[:n], pow_b[:n]
 
     # psi trusted to order 0 is zero; its one table grows a degree per step

@@ -64,13 +64,13 @@ _EPS = np.finfo(float).eps
 class JetSpace:
     """Shared index tables for all jets with a fixed (num_vars, order).
 
-    Every table derives from one ``(size, num_vars)`` array of exponents,
-    ``_exps``, by degree and lexicographic within a degree (the order of
-    ``exponents``), through one vectorised lookup, :meth:`_index`, from
-    exponent rows to monomial indices; ``_exps`` itself is enumerated as an
-    array and placed by the same lookup.  Obtain
-    instances through :func:`jet_space`; the factory caches them so spaces
-    compare by identity.
+    Every table derives from one ``(size, num_vars)`` int64 array of
+    exponents, :attr:`exponents`, by degree and lexicographic within a
+    degree, through one vectorised lookup, :meth:`index_of`, from exponent
+    rows to monomial indices; :attr:`exponents` itself is enumerated as an
+    array and placed by the same lookup.  Obtain instances through
+    :func:`jet_space`; the factory caches them so spaces compare by
+    identity.
     """
 
     def __init__(self, num_vars: int, order: int):
@@ -96,32 +96,32 @@ class JetSpace:
             room = order - rows.sum(axis=1) + 1
             starts = np.repeat(np.cumsum(room) - room, room)
             rows = np.column_stack([np.repeat(rows, room, axis=0), np.arange(len(starts)) - starts])
-        self._exps = np.empty_like(rows)
-        self._exps[self._index(rows)] = rows
-        self.exponents = tuple(map(tuple, self._exps.tolist()))
-        self.index_of: dict[tuple[int, ...], int] = dict(zip(self.exponents, range(self.size)))
-        self.degrees = self._exps.sum(axis=1)
+        self.exponents = np.empty_like(rows)
+        self.exponents[self.index_of(rows)] = rows
+        self.exponents.setflags(write=False)
+        self.degrees = self.exponents.sum(axis=1)
         self._trunc_masks = [self.degrees <= d for d in range(order + 1)]
 
         # The derivative table of all variables, sorted by source column (the
         # source, variable, target and factor of each row), the rows of each
         # variable, which also integrate, and the shift table of each variable.
-        src, var = np.nonzero(self._exps)
-        low = self._exps[src]
+        src, var = np.nonzero(self.exponents)
+        low = self.exponents[src]
         low[np.arange(len(src)), var] -= 1
-        dst, fac = self._index(low), self._exps[src, var].astype(np.float64)
+        dst, fac = self.index_of(low), self.exponents[src, var].astype(np.float64)
         self._grad = (src, var, dst, fac)
         self._diff = [tuple(t[var == v] for t in (src, dst, fac)) for v in range(num_vars)]
         below = np.flatnonzero(self.degrees < order)
         up = np.eye(num_vars, dtype=np.int64)
-        self._shift = [(below, self._index(self._exps[below] + up[v])) for v in range(num_vars)]
+        self._shift = [(below, self.index_of(self.exponents[below] + up[v])) for v in range(num_vars)]
         self._pair_tables: dict[tuple[bytes, bytes, int], tuple[np.ndarray, ...]] = {}
 
-    def _index(self, exps: np.ndarray) -> np.ndarray:
-        """The monomial index of each row of exponents (of degree at most the
-        order): the count of monomials of lower degree plus the rank among
-        those of its degree.  In the lexicographic order within a degree,
-        variable k adds the monomials that agree before it and are lower at it,
+    def index_of(self, exps: np.ndarray) -> np.ndarray:
+        """The monomial index of each row of ``exps``, integers of shape
+        ``(rows, num_vars)`` and degree at most the order: the count of
+        monomials of lower degree plus the rank among those of its degree.
+        In the lexicographic order within a degree, variable k adds the
+        monomials that agree before it and are lower at it,
         ``ways[p, rest] - ways[p, rest - e_k]`` by the hockey-stick identity,
         with ``rest`` the degree and ``p`` the variables left."""
         rest = exps.sum(axis=1)
@@ -146,7 +146,7 @@ class JetSpace:
         for d in range(self.order + 1):
             rows, partners = np.arange(ends[d], ends[d + 1]), ends[self.order - d + 1]
             i, j = np.repeat(rows, partners), np.tile(np.arange(partners), len(rows))
-            pairs.append((i, j, self._index(self._exps[i] + self._exps[j])))
+            pairs.append((i, j, self.index_of(self.exponents[i] + self.exponents[j])))
         ii, jj, kk = (np.concatenate(t) for t in zip(*pairs))
         sort = np.argsort(kk, kind="stable")
         kk = kk[sort]
@@ -216,9 +216,7 @@ class JetSpace:
             raise ShapeError(f"variable index {v} out of range for {self.num_vars} vars")
         c = np.zeros(self.size, dtype=np.complex128)
         if self.order >= 1:
-            e = [0] * self.num_vars
-            e[v] = 1
-            c[self.index_of[tuple(e)]] = 1.0
+            c[self.index_of(np.eye(self.num_vars, dtype=np.int64)[v : v + 1])] = 1.0
         return self._wrap(c, self.order)
 
     def from_coeffs(self, coeffs: Sequence[complex], eff_order: int | None = None) -> "Jet":
@@ -330,11 +328,6 @@ class Jet:
     def scale(self, c: complex) -> "Jet":
         return self.space._wrap(self.coeffs * complex(c), self.eff_order)
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.invert()
-        return self.scale(1.0 / complex(other))
-
     def __pow__(self, n: int) -> "Jet":
         if n < 0:
             return self.invert() ** (-n)
@@ -383,11 +376,8 @@ class Jet:
         return float(vals.max()) if vals.size else 0.0
 
     def terms(self) -> dict[tuple[int, ...], complex]:
-        return {
-            e: complex(self.coeffs[i])
-            for i, e in enumerate(self.space.exponents)
-            if self.coeffs[i] != 0
-        }
+        nz = np.flatnonzero(self.coeffs)
+        return dict(zip(map(tuple, self.space.exponents[nz].tolist()), map(complex, self.coeffs[nz])))
 
     def __repr__(self):
         body = ", ".join(
@@ -733,9 +723,11 @@ class JetArray:
     @classmethod
     def stack(cls, arrays: Sequence["JetArray"]) -> "JetArray":
         """Stack arrays of one shape along a new leading axis."""
-        space = arrays[0].space
+        space, shape = arrays[0].space, arrays[0].shape
         if any(a.space is not space for a in arrays):
             raise ShapeError("stacked jet arrays must share one space")
+        if any(a.shape != shape for a in arrays):
+            raise ShapeError("jet array entries must form a rectangular array")
         width = max(a._stored.shape[-1] for a in arrays)
         return cls._raw(
             space, np.stack([a._columns(width) for a in arrays]), np.stack([a.eff for a in arrays])

@@ -400,7 +400,7 @@ def initial_condition_extend(
     structure_res = (metric.gram() - gram_model).residual_norm()
 
     # the pairing is complex-bilinear: the frame change uses plain transposes
-    p = iso.frame.constant_matrix()
+    p = iso.frame.constant_term().T
     pinv = np.linalg.inv(p)
     expected0 = pinv.T @ data.gram @ pinv
     origin_res = float(np.max(np.abs(gram_model.constant_term() - expected0)))

@@ -20,6 +20,7 @@ one-forms through ``Jet`` indexing, convert jet arrays to ``JetVector`` and
 package's own vector-field containers before fields became jet arrays.
 """
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -395,6 +396,35 @@ def _contract(ginv, row, l):
     return acc
 
 
+def monomial_exponents(num_vars: int, order: int) -> list[tuple[int, ...]]:
+    """The exponent rows of every monomial of degree at most ``order``, by
+    degree and in ascending lexicographic order within a degree, enumerated
+    without the index lookup of ``JetSpace``."""
+    rows = []
+    for d in range(order + 1):
+        degree = []
+        for combo in itertools.combinations_with_replacement(range(num_vars), d):
+            e = [0] * num_vars
+            for v in combo:
+                e[v] += 1
+            degree.append(tuple(e))
+        rows += sorted(degree)
+    return rows
+
+
+def monomial_factors(num_vars: int, order: int) -> list[tuple[int, int]]:
+    """For each monomial past the constant one, in the order of
+    :func:`monomial_exponents`: its first variable ``v`` and the position of
+    the monomial divided by ``t_v``."""
+    rows = monomial_exponents(num_vars, order)
+    position = {e: i for i, e in enumerate(rows)}
+    factors = []
+    for e in rows[1:]:
+        v = next(k for k, x in enumerate(e) if x > 0)
+        factors.append((v, position[(*e[:v], e[v] - 1, *e[v + 1 :])]))
+    return factors
+
+
 def compose(jet, subs):
     """Substitute ``subs[i]`` for variable ``i``, building every monomial of
     the substitution on each call."""
@@ -404,15 +434,13 @@ def compose(jet, subs):
     monomials = [None] * src.size
     monomials[0] = target.one()
     out = target.zero().coeffs.copy()
-    for i, e in enumerate(src.exponents):
+    factors = monomial_factors(src.num_vars, src.order)
+    for i in range(src.size):
         if i == 0:
             mono = monomials[0]
         else:
-            v = next(k for k, x in enumerate(e) if x > 0)
-            low = list(e)
-            low[v] -= 1
-            prev = monomials[src.index_of[tuple(low)]]
-            mono = prev * subs[v]
+            v, low = factors[i - 1]
+            mono = monomials[low] * subs[v]
             monomials[i] = mono
         c = jet.coeffs[i]
         if c != 0:
@@ -961,8 +989,8 @@ def germ_map(model_a, model_b):
     psi trusted to the jet order."""
     n, sp, k_order = model_a.dim, model_a.space, model_a.space.order
     frame_a, frame_b = fman.canonical_frame(model_a), fman.canonical_frame(model_b)
-    xinv = np.linalg.inv(frame_a.constant_matrix())
-    pow_a, pow_b = list(frame_a.fields), list(frame_b.fields)
+    xinv = np.linalg.inv(frame_a.constant_term().T)
+    pow_a, pow_b = list(frame_a), list(frame_b)
     while len(pow_a) < k_order + 1:
         pow_a.append(model_a.multiply(model_a.euler, pow_a[-1]))
         pow_b.append(model_b.multiply(model_b.euler, pow_b[-1]))
@@ -998,7 +1026,7 @@ def substitution_table(source, subs):
     table = np.zeros((source.size, target.size), dtype=np.complex128)
     table[0, 0] = 1.0
     rows_eff = np.full(source.size, target.order)
-    v, low = np.array(source._factors, dtype=np.int64).reshape(-1, 2).T
+    v, low = np.array(monomial_factors(source.num_vars, source.order), dtype=np.int64).reshape(-1, 2).T
     ends = source._degree_ends
     for d in range(1, source.order + 1):
         new = slice(ends[d - 1], ends[d])

@@ -327,6 +327,11 @@ class TestRun:
             ("verify-fmanifold", "model/mult", 7),
             ("saito-check", "bundle/frame_connection", 3),
             ("saito-check", "bundle/frame_connection", []),
+            ("saito-check", "bundle/base_dim", 0),
+            ("saito-check", "bundle/base_dim", -1),
+            ("extend-metric", "gram", [[1.0]]),
+            ("extend-metric", "skew", [[0.0, 0.0, 0.0]] * 3),
+            ("malgrange-chart", "binf", [[0.0]]),
         ],
     )
     def test_payload_fields_of_the_wrong_kind_exit_2(self, tmp_path, capsys, task, path, value):
@@ -342,6 +347,13 @@ class TestRun:
         code, report = run_doc(tmp_path, set_payload(doc, path, value))
         assert code == 2 and report is None
         assert f"payload/{path}:" in capsys.readouterr().err
+
+    def test_phi_is_counted_before_the_space_is_built(self, tmp_path, capsys):
+        # a space of 10**9 variables is never built: phi lists one matrix
+        doc = json.loads((DOCS / "saito-check.json").read_text(encoding="utf-8"))
+        code, report = run_doc(tmp_path, set_payload(doc, "bundle/base_dim", 10**9))
+        assert code == 2 and report is None
+        assert "payload/bundle/phi: bundle.phi must list one jet matrix per base variable" in capsys.readouterr().err
 
     def test_ragged_connection_matrices_exit_2(self, tmp_path, capsys):
         # C_0 is 1 x 1 and C_1 is 2 x 2 over a two-dimensional base

@@ -80,9 +80,10 @@ class TestBasics:
 
 
 def _reference_tables(sp):
-    """The index tables of ``sp`` built entry by entry from ``exponents`` and
-    ``index_of``, one monomial or one pair at a time."""
-    exps, index_of, order = sp.exponents, sp.index_of, sp.order
+    """The index tables of ``sp`` built entry by entry from an independent
+    enumeration of its monomials, one monomial or one pair at a time."""
+    exps, order = loop_oracles.monomial_exponents(sp.num_vars, sp.order), sp.order
+    index_of = {e: i for i, e in enumerate(exps)}
     degrees = [sum(e) for e in exps]
 
     def moved(e, v, by):
@@ -107,10 +108,7 @@ def _reference_tables(sp):
         ints([moved(exps[i], v, -1) for i, v in rows]),
         np.array([exps[i][v] for i, v in rows], dtype=np.float64),
     )
-    factors = []
-    for e in exps[1:]:
-        v = next(k for k, x in enumerate(e) if x > 0)
-        factors.append((v, moved(e, v, -1)))
+    factors = loop_oracles.monomial_factors(sp.num_vars, order)
     pairs = [
         (i, j, index_of[tuple(a + b for a, b in zip(exps[i], exps[j]))])
         for i in range(sp.size)
@@ -151,7 +149,9 @@ class TestIndexTables:
     def test_tables_equal_the_entry_by_entry_reference(self, num_vars, order):
         sp = JetSpace(num_vars, order)
         want = _reference_tables(sp)
-        assert np.array_equal(sp._index(sp._exps), np.arange(sp.size))
+        rows = np.array(loop_oracles.monomial_exponents(num_vars, order), dtype=np.int64).reshape(-1, num_vars)
+        _assert_same_tables(sp.exponents, rows, "exponents")
+        assert np.array_equal(sp.index_of(rows), np.arange(sp.size))
         for name, table in want.items():
             _assert_same_tables(getattr(sp, name), table, name)
 
@@ -457,6 +457,13 @@ class TestVectorsMatrices:
         t0, t1 = sp.variables()
         f = JetArray.from_jets([t0 * t1 + t0 * t0 * t1])
         assert (f.partial(0).integrate(0) - f).residual_norm() < 1e-15
+
+    def test_stack_refuses_arrays_of_different_shapes(self):
+        sp = jet_space(2, 2)
+        square = JetArray.constant(sp, np.eye(2))
+        with pytest.raises(ShapeError, match="jet array entries must form a rectangular array"):
+            JetArray.stack([square, JetArray.constant(sp, np.eye(3))])
+        assert JetArray.stack([square, square]).shape == (2, 2, 2)
 
 
 # -- substitution tables ------------------------------------------------------

@@ -4,9 +4,10 @@ The package exports the names below and nothing else, so adding or removing
 an export is a deliberate edit here.  Every stage of the pipeline takes
 ``JetArray`` inputs; ``JetArray.from_jets`` stacks nested ``Jet`` and
 ``JetMatrix`` inputs, and ``src/`` calls it only where jets are built: in the
-object kernel's own wrappers, in the metric and one-form families (which
-accept one family of jets per block) and in the CLI's decoding.  README's
-quick start runs as written.
+object kernel's own wrappers and in the metric and one-form families (which
+accept one family of jets per block).  Outside ``jets.py`` no module names
+``Jet`` or ``JetMatrix`` but the package's export of ``Jet``; the CLI decodes
+and encodes arrays.  README's quick start runs as written.
 """
 
 import ast
@@ -23,7 +24,6 @@ SRC = ROOT / "src" / "regfman"
 EXPORTS = (
     "BirkhoffConnection",
     "BracketConstants",
-    "CanonicalFrame",
     "DEFAULT_ORDER",
     "DeformationSpec",
     "FManifoldModel",
@@ -99,7 +99,9 @@ EXPORTS = (
 
 # (module, enclosing class) of every call of ``from_jets``; None: outside
 # any class
-FROM_JETS_SCOPES = {("jets", "Jet"), ("jets", "JetMatrix"), ("frob", "_BlockJets"), ("cli", None)}
+FROM_JETS_SCOPES = {("jets", "Jet"), ("jets", "JetMatrix"), ("frob", "_BlockJets")}
+
+OBJECT_KERNEL = {"Jet", "JetMatrix"}
 
 
 def test_exports_match_the_ledger():
@@ -126,6 +128,28 @@ def test_from_jets_is_called_only_where_jets_are_built():
     for path in sorted(SRC.glob("*.py")):
         scopes |= set(_from_jets_scopes(path.stem, ast.parse(path.read_text(encoding="utf-8"))))
     assert scopes == FROM_JETS_SCOPES
+
+
+def _object_kernel_names(tree: ast.AST):
+    """Every mention of ``Jet`` or ``JetMatrix`` as a name, an attribute or
+    an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in OBJECT_KERNEL:
+            yield node.id
+        elif isinstance(node, ast.Attribute) and node.attr in OBJECT_KERNEL:
+            yield node.attr
+        elif isinstance(node, ast.alias) and node.name in OBJECT_KERNEL:
+            yield node.name
+
+
+def test_the_object_kernel_is_named_only_in_jets_and_the_export():
+    named = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "jets":
+            names = sorted(_object_kernel_names(ast.parse(path.read_text(encoding="utf-8"))))
+            if names:
+                named[path.stem] = names
+    assert named == {"__init__": ["Jet"]}
 
 
 def test_readme_quick_start_runs():

@@ -13,8 +13,8 @@ process with one BLAS thread, runs with its own ``src/`` and ``perfbench/``:
   the workload's own ``run``;
 - every ``docs/tasks`` document through ``regfman run``, at its own order and
   with ``--order 6``: the exit status and the report bytes;
-- the index tables of ``JetSpace`` (degrees, derivative, shift, gradient,
-  factor and Cauchy tables) on a fixed grid of (variables, order) spaces;
+- the index tables of ``JetSpace`` (exponents, degrees, derivative, shift,
+  gradient, factor and Cauchy tables) on a fixed grid of (variables, order) spaces;
 - the report of ``check_frame_brackets`` on the chart models
   (``fmanifold_on_chart``) of single Jordan blocks and of products, at
   orders 4 and 6.
@@ -104,11 +104,14 @@ def digest(obj, _seen=()):
 
 
 def space_tables(space) -> dict:
-    """The index tables of a ``JetSpace``, with the factor table as one
-    ``(size - 1, 2)`` int64 array whatever container the space keeps it in."""
+    """The index tables of a ``JetSpace``, with the exponents as one
+    ``(size, num_vars)`` int64 array and the factor table as one
+    ``(size - 1, 2)`` int64 array, whatever container the space keeps them
+    in."""
     import numpy as np
 
     return {
+        "exponents": np.asarray(space.exponents, dtype=np.int64),
         "degrees": space.degrees,
         "diff": space._diff,
         "shift": space._shift,
