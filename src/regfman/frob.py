@@ -401,11 +401,16 @@ def darboux_egoroff_residual(brackets: JetArray) -> ResidualReport:
     """
     dbr = brackets.grad()  # dbr[j, i] = d_j B_i
     order = dbr.eff_order()
+    # the residuals are certified at the order of the derivative terms, so
+    # the commutators need their operands only to it (to degree 1 at least:
+    # operands trusted to degree 0 are constant, and their products would
+    # take the scaling path, which rounds differently)
+    low = brackets.capped(max(order, 1))
     n, entries = len(brackets), []
     for i in range(n):
         norms = ()
         if i + 1 < n:
-            row = dbr[i + 1 :, i] - dbr[i, i + 1 :] - _brackets(brackets[i], brackets[i + 1 :])
+            row = dbr[i + 1 :, i] - dbr[i, i + 1 :] - _brackets(low[i], low[i + 1 :])
             norms = row.residual_norms().max(axis=(1, 2))
         entries.extend((f"de_{i}_{j}", v, order) for j, v in enumerate((0.0, *norms), i))
     return report_from(entries)
@@ -452,15 +457,19 @@ def levi_civita_curvature(gram: InvariantMetric | JetArray, unit: JetArray) -> C
     first = (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)).scale(0.5)
     chris = contract("lk,ijk->ijl", ginv, first)
     # R^l_{kij} = d_i Gamma^l_jk - d_j Gamma^l_ik
-    #             + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik, over i < j
+    #             + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik, over i < j;
+    # the curvature is certified at eff - 2, so the quadratic terms read the
+    # symbols only to it (to degree 1 at least, as a constant operand would
+    # take the scaling path, which rounds differently)
+    low = chris.capped(max(eff - 2, 1))
     worst = 0.0
     for i in range(n - 1):
         js = slice(i + 1, n)
         r = (
             chris[js].partial(i)
             - chris[i].grad()[js]
-            + contract("ml,jkm->jkl", chris[i], chris[js])
-            - contract("jml,km->jkl", chris[js], chris[i])
+            + contract("ml,jkm->jkl", low[i], low[js])
+            - contract("jml,km->jkl", low[js], low[i])
         )
         worst = max(worst, r.residual_norm())
     curv = Residual(worst, eff - 2)

@@ -20,6 +20,7 @@ from . import regend
 from .errors import (
     ChartDegeneracyError,
     ConstructionInconsistencyError,
+    RegularityError,
     ShapeError,
     ValidationError,
 )
@@ -45,8 +46,12 @@ class DeformationSpec:
             raise ShapeError("b0o must be square")
         if binf.shape != b0o.shape:
             raise ShapeError("binf must match b0o in shape")
-        if not regend.is_regular(b0o):
-            raise ShapeError("b0o must be regular")
+        regularity = regend.is_regular(b0o)
+        if not regularity:
+            raise RegularityError(
+                f"b0o must be regular: best Krylov condition {regularity.condition:.3e}"
+                + (f" on probe {regularity.probe}" if regularity.probe else "")
+            )
         object.__setattr__(self, "b0o", b0o)
         object.__setattr__(self, "binf", binf)
 
@@ -99,8 +104,9 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
     of an iterate is final after d steps, so a flow takes ``order`` steps,
     and step s reads the iterate only to degree s (to degree 1 at the first
     step: an operand trusted to degree 0 is constant, and its products
-    would take the scaling path, which rounds differently).  The spanning
-    frame at zero is checked before any flow runs.
+    would take the scaling path, which rounds differently).  Flow 0 follows
+    (B0 at Gamma) ** 0 = I whatever the iterate, so one step, with no B0,
+    is final.  The spanning frame at zero is checked before any flow runs.
     """
     n = spec.dim
     frame0 = np.column_stack(
@@ -111,7 +117,9 @@ def integrate_chart(spec: DeformationSpec, order: int = DEFAULT_ORDER) -> Malgra
         raise ChartDegeneracyError(f"spanning frame degenerate at zero (cond {cond:.2e})")
     sp = jet_space(n, order)
     gamma = JetArray.constant(sp, np.zeros((n, n)))
-    for i in range(n):
+    # flow 0 follows (B0 at Gamma) ** 0 = I whatever the iterate: one step
+    gamma = gamma + JetArray.constant(sp, np.eye(n)).integrate(0)
+    for i in range(1, n):
         current = gamma
         for s in range(order):
             field = _matrix_powers(b0_at(spec, current.capped(max(s, 1))), i + 1)[i]

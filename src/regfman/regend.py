@@ -14,6 +14,7 @@ widened accordingly (the cluster means stay accurate to first order).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -108,16 +109,16 @@ def _krylov(a: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _probe_vectors(n: int) -> list[tuple[str, np.ndarray]]:
+def _probe_vectors(n: int) -> Iterator[tuple[str, np.ndarray]]:
     """The unit vectors e0, ..., e(n-1), the all-ones vector and one random
-    vector of a fixed generator, in this order."""
+    vector of a fixed generator, in this order, each made when it is
+    asked for."""
     eye = np.eye(n, dtype=np.complex128)
+    for i in range(n):
+        yield f"e{i}", eye[i]
+    yield "ones", np.ones(n, dtype=np.complex128)
     rng = np.random.default_rng(0)
-    return [
-        *((f"e{i}", eye[i]) for i in range(n)),
-        ("ones", np.ones(n, dtype=np.complex128)),
-        ("random", rng.standard_normal(n) + 1j * rng.standard_normal(n)),
-    ]
+    yield "random", rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 # A probe is cyclic when the smallest singular value of its Krylov matrix is

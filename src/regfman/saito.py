@@ -87,13 +87,15 @@ class SaitoBundle:
         """Products and gradient (see :func:`_product_table`) of
         [Phi_0.., R0, Rinf, Omega_0.., g, g^T], with Omega and the metric
         only when present; built on first use, so the data must not be
-        reassigned afterwards."""
+        reassigned afterwards.  The axioms read g and g^T only as left
+        factors, so the table has no column for them as right factors."""
         parts = [*self.phi, self.r0, JetArray.constant(self.space, self.rinf)]
         if self.frame_connection is not None:
             parts += [*self.frame_connection]
+        right = len(parts)
         if self.metric is not None:
             parts += [*JetArray.constant(self.space, np.stack([self.metric, self.metric.T]))]
-        return _product_table(parts)
+        return _product_table(parts, right)
 
     def __repr__(self):
         return f"SaitoBundle(base={self.base_dim}, rank={self.rank}, metric={self.metric is not None})"
@@ -116,12 +118,12 @@ class BirkhoffConnection:
         return f"BirkhoffConnection(base={self.base_dim}, rank={self.rank})"
 
 
-def _product_table(parts: list[JetArray]) -> tuple[JetArray, JetArray]:
-    """Stack the matrices ``parts`` as S and return all products
-    prod[i, j] = S_i S_j, from one contraction, and the gradient
-    grad[v, i] = d_v S_i."""
+def _product_table(parts: list[JetArray], right: int | None = None) -> tuple[JetArray, JetArray]:
+    """Stack the matrices ``parts`` as S and return the products
+    prod[i, j] = S_i S_j for j below ``right`` (every j when None), from
+    one contraction, and the gradient grad[v, i] = d_v S_i."""
     stack = JetArray.stack(parts)
-    return contract("iab,jbc->ijac", stack, stack), stack.grad()
+    return contract("iab,jbc->ijac", stack, stack[:right]), stack.grad()
 
 
 @lru_cache(maxsize=None)

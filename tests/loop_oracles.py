@@ -11,8 +11,8 @@ expansion that ``malgrange.expand_in_frame`` batches, and the per-pair
 loops of the Saito-bundle and Birkhoff-connection checks.  The last
 section holds the order-by-order stages (chart flows, frame expansion,
 germ-isomorphism solve, substitution table) at the full jet order in
-every step, the references of the stages that stop at the degree each
-step fixes.  They are kept,
+every step, and the oracle residuals with their quadratic terms uncapped,
+the references of the stages that stop at the degree each step fixes.  They are kept,
 for tests only, as independent references: they read models, metrics and
 one-forms through ``Jet`` indexing, convert jet arrays to ``JetVector`` and
 ``JetMatrix`` and use only the object kernel (``Jet`` arithmetic,
@@ -947,12 +947,15 @@ def check_euler_rescaling(metric, euler, weight=None):
 # The chart flows, the frame expansion, the germ-isomorphism solve and the
 # substitution table as they were before each step was cut to the degree
 # it fixes: every Picard step, every solve step and every table row works
-# at the full jet order.  The package's stages give the same bits.
+# at the full jet order.  So do the quadratic terms of the curvature oracle
+# and of the Darboux-Egoroff residuals, formed one degree above the order
+# they are certified at.  The package's stages give the same bits.
 
 
 def integrate_chart(spec, order):
     """The chart Gamma with ``order + 1`` Picard steps per flow, each on the
-    whole iterate."""
+    whole iterate; flow 0 too, whose field is the identity whatever the
+    iterate."""
     n = spec.dim
     sp = jet_space(n, order)
     gamma = JetArray.constant(sp, np.zeros((n, n)))
@@ -963,6 +966,48 @@ def integrate_chart(spec, order):
             current = prev + field.integrate(i)
         gamma = current
     return gamma
+
+
+def curvature_residual(gram, unit):
+    """The curvature and unit-parallelism residuals of
+    ``frob.levi_civita_curvature`` with the quadratic terms formed from the
+    Christoffel symbols at their own order, one above the certified one."""
+    g = gram.gram() if hasattr(gram, "gram") else gram
+    n, eff = len(g), g.eff_order()
+    dg = g.grad()
+    first = (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)).scale(0.5)
+    chris = contract("lk,ijk->ijl", g.inverse(), first)
+    worst = 0.0
+    for i in range(n - 1):
+        js = slice(i + 1, n)
+        r = (
+            chris[js].partial(i)
+            - chris[i].grad()[js]
+            + contract("ml,jkm->jkl", chris[i], chris[js])
+            - contract("jml,km->jkl", chris[js], chris[i])
+        )
+        worst = max(worst, r.residual_norm())
+    parallel = unit.grad() + contract("ijk,j->ik", chris, unit.exact_zeros())
+    return chris, ResidualReport(
+        [("curvature", Residual(worst, eff - 2)), ("unit_parallel", Residual(parallel.residual_norm(), eff - 1))]
+    )
+
+
+def darboux_egoroff_from_brackets(brackets):
+    """``frob.darboux_egoroff_residual`` with the commutators [B_i, B_j]
+    formed at the order of the brackets, one above the certified one."""
+    dbr = brackets.grad()
+    order = dbr.eff_order()
+    n, entries = len(brackets), []
+    for i in range(n):
+        norms = ()
+        if i + 1 < n:
+            b, rest = brackets[i], brackets[i + 1 :]
+            commutator = contract("rx,jxc->jrc", b, rest) - contract("jrx,xc->jrc", rest, b)
+            row = dbr[i + 1 :, i] - dbr[i, i + 1 :] - commutator
+            norms = row.residual_norms().max(axis=(1, 2))
+        entries.extend((f"de_{i}_{j}", v, order) for j, v in enumerate((0.0, *norms), i))
+    return report_from(entries)
 
 
 def expand_in_frame(frame, rhs):

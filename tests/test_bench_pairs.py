@@ -31,6 +31,59 @@ def test_pairs_won_follow_each_metrics_direction_and_ties_count_for_neither():
     assert "| extend | throughput_ref | 1 | 1.2 (+20.0%) | 2 of 3 | 10.0% |" in bench_pairs.markdown(summary)
 
 
+def _row(parent, change, better):
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        runs += [_run(pair, "parent", p, p), _run(pair, "change", c, c)]
+    metric = "throughput_ref" if better == "higher" else "latency_p50_ref"
+    summary = bench_pairs.summarise(runs, {metric: better}, {metric: 0.25})
+    return summary, summary["extend"][metric]
+
+
+_TIGHT = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.02, 0.98]  # IQR 2.5%
+_WIDE = [0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.3, 1.4]  # IQR 37.5%
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, want",
+    [
+        # 10 of 10 pairs, the medians 20% apart beyond the IQR of 2.5%
+        (_TIGHT, [x * 1.2 for x in _TIGHT], "higher", "gain"),
+        (_TIGHT, [x * 0.8 for x in _TIGHT], "lower", "gain"),
+        # as far apart, but 8 of 10 pairs is no gain
+        (_TIGHT, [x * 1.2 for x in _TIGHT[:8]] + [0.9, 0.9], "higher", "within bound"),
+        # 9 of 10 pairs, the medians closer than the parent's IQR
+        (_WIDE, [x + 0.01 for x in _WIDE[:9]] + [0.5], "higher", "unresolved"),
+        # worse by more than the bound of 25%, in either direction
+        (_TIGHT, [x * 0.7 for x in _TIGHT], "higher", "worse"),
+        (_TIGHT, [x * 1.3 for x in _TIGHT], "lower", "worse"),
+        (_WIDE, [x * 0.7 for x in _WIDE], "higher", "worse"),
+        # a spread as wide as the bound hides a change of 5%
+        (_WIDE, [x * 1.05 for x in _WIDE], "higher", "unresolved"),
+        (_WIDE, [x * 0.95 for x in _WIDE], "lower", "unresolved"),
+        # unless every change run beats every parent run (by less than the
+        # parent's IQR, or it would be a gain)
+        ([0.5, 0.55, 0.6, 0.65, 0.7, 0.95, 0.96, 0.97, 0.98, 0.99], [1.0] * 10, "higher", "within bound"),
+        ([1.01, 1.02, 1.03, 1.04, 1.05, 1.3, 1.35, 1.4, 1.45, 1.5], [1.0] * 10, "lower", "within bound"),
+        # a tight spread and a small change
+        (_TIGHT, _TIGHT[::-1], "higher", "within bound"),
+        (_TIGHT, [x * 0.9 for x in _TIGHT], "higher", "within bound"),
+    ],
+)
+def test_each_row_reads_its_status_against_the_metrics_bound(parent, change, better, want):
+    summary, row = _row(parent, change, better)
+    assert row["status"] == want
+    assert f"| {want} |" in bench_pairs.markdown(summary)
+
+
+def test_a_metric_without_a_bound_gets_no_status():
+    runs = [_run(0, "parent", 1.0, 1.0), _run(0, "change", 2.0, 1.0)]
+    summary = bench_pairs.summarise(runs, {"throughput_ref": "higher", "latency_p50_ref": "lower"},
+                                    {"throughput_ref": 0.25})
+    assert summary["extend"]["throughput_ref"]["status"] == "gain"
+    assert "status" not in summary["extend"]["latency_p50_ref"]
+
+
 def test_environment_names_the_interpreter_the_machine_and_the_commit(tmp_path):
     import os
     import platform

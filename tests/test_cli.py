@@ -318,6 +318,15 @@ class TestRun:
         assert code == 2 and report is None
         assert f"payload/{path}:" in capsys.readouterr().err
 
+    def test_a_non_regular_seed_residue_exits_2(self, tmp_path, capsys):
+        # the identity has no cyclic vector: a regularity refusal, reported
+        # at the field with the best Krylov condition the probes found
+        doc = json.loads((DOCS / "malgrange-chart.json").read_text(encoding="utf-8"))
+        code, report = run_doc(tmp_path, set_payload(doc, "b0o", [[1.0, 0.0], [0.0, 1.0]]))
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert re.search(r"payload/b0o: b0o must be regular: best Krylov condition \S+ on probe \w+", err), err
+
     @pytest.mark.parametrize(
         "task, path, value",
         [

@@ -813,6 +813,25 @@ def test_verify_patterns_match_loops(sizes, positive):
     assert verdict.passed == positive
 
 
+def _assert_same_floats(got, want):
+    assert [(k, r.value, r.order) for k, r in got.items()] == [(k, r.value, r.order) for k, r in want.items()]
+
+
+@pytest.mark.parametrize("sizes", PATTERNS)
+@pytest.mark.parametrize("positive", [True, False])
+def test_oracle_quadratic_terms_at_the_certified_order_change_no_float(sizes, positive):
+    # the curvature and Darboux-Egoroff reports equal those of the quadratic
+    # terms formed one degree higher, float for float
+    model, metric = _verify_case(sizes, positive, seed=len(sizes) * 10 + sizes[0])
+    got = levi_civita_curvature(metric, model.unit)
+    chris, want = loop_oracles.curvature_residual(metric, model.unit)
+    _assert_same_floats(got.report(), want)
+    assert np.array_equal(got.christoffel.coeffs, chris.coeffs)
+    psi = psi_from_metric(metric)
+    brackets = structure_brackets(gamma_operator(psi, invert_oneform(psi), model), model)
+    _assert_same_floats(darboux_egoroff_residual(brackets), loop_oracles.darboux_egoroff_from_brackets(brackets))
+
+
 def test_dense_metric_matches_loops():
     model, metric = _dense_case()
     gamma = _compare_frobenius_chain(model, metric)
@@ -940,6 +959,19 @@ def _dense_metric(model, rng):
     c = _dense(model.space, rng, (model.dim,), 0.1)
     c[np.cumsum(sizes) - 1, 0] += 1.0
     return InvariantMetric(sizes, JetArray.from_coeffs(model.space, c))
+
+
+@pytest.mark.parametrize("spectrum, order", [*PARITY_MODELS, ([(0.0, 2), (1.0, 1)], 2), ([(0.2, 3), (-1.0, 1)], 3)])
+def test_oracle_quadratic_terms_on_dense_metrics_change_no_float(spectrum, order):
+    # at K = 2 the operands stay at degree 1, where the uncapped ones are
+    model = standard_model(spectrum, order)
+    metric = _dense_metric(model, np.random.default_rng(order * 13 + len(spectrum)))
+    _assert_same_floats(
+        levi_civita_curvature(metric, model.unit).report(), loop_oracles.curvature_residual(metric, model.unit)[1]
+    )
+    psi = psi_from_metric(metric)
+    brackets = structure_brackets(gamma_operator(psi, invert_oneform(psi), model), model)
+    _assert_same_floats(darboux_egoroff_residual(brackets), loop_oracles.darboux_egoroff_from_brackets(brackets))
 
 
 @pytest.mark.parametrize("spectrum, order", PARITY_MODELS)

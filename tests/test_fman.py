@@ -4,6 +4,7 @@ symmetries and germ isomorphisms."""
 import numpy as np
 import pytest
 
+from regfman import fman
 from regfman.errors import NoIsomorphismError, RegularityError, SpectrumError
 from regfman.fman import (
     BracketConstants,
@@ -357,6 +358,44 @@ class TestGermIsomorphismProducts:
         assert (psi[0] - t0).residual_norm() < 1e-9
         assert (psi[1] - (t1 + t1 * t1)).residual_norm() < 1e-9
         assert (psi[2] - u).residual_norm() < 1e-9
+
+
+class TestOneMultiplicationByE:
+    def test_each_model_forms_u_once_and_every_euler_power_from_it(self, monkeypatch):
+        # the origin probe reads U's constant term, and X_{k+1} = U X_k is
+        # one contraction: FManifoldModel.multiply is not called
+        order = 5
+        target = product_model([standard_block(0.3, 2, order), standard_block(2.0, 1, order)])
+        pushed = product_model([_pushed_nilpotent_block(0.3, order), standard_block(2.0, 1, order)])
+        formed = []
+        original = fman.mult_by_euler
+
+        def counted(model):
+            formed.append(model)
+            return original(model)
+
+        def refuse(*args):
+            raise AssertionError("an Euler power formed by FManifoldModel.multiply")
+
+        monkeypatch.setattr(fman, "mult_by_euler", counted)
+        monkeypatch.setattr(FManifoldModel, "multiply", refuse)
+        iso = germ_isomorphism(target, pushed)
+        assert iso.report.passes(1e-8), iso.report.worst()
+        assert [id(m) for m in formed] == [id(target), id(pushed)]
+        formed.clear()
+        frame = canonical_frame(target)
+        assert np.array_equal(frame.coeffs, iso.frame.coeffs)
+        check_frame_brackets(standard_block(0.5, 3, order))
+        assert len(formed) == 2  # one per call
+
+    def test_euler_powers_are_products_with_e(self):
+        # X_{k+1} = U X_k equals E o X_k up to the grouping of the sums
+        model = _pushed_nilpotent_block(0.3, 5)
+        frame = canonical_frame(model)
+        for k in range(1, model.dim):
+            want = model.multiply(model.euler, frame[k - 1])
+            assert np.allclose(frame[k].coeffs, want.coeffs, rtol=0, atol=1e-14)
+            assert np.array_equal(frame[k].eff, want.eff)
 
 
 class TestEffectiveOrders:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from regfman import fman, jets, malgrange, regend
-from regfman.errors import ChartDegeneracyError, ValidationError
+from regfman.errors import ChartDegeneracyError, RegularityError, ShapeError, ValidationError
 from regfman.fman import check_fmanifold, mult_by_euler, standard_block, standard_model
 from regfman.jets import JetArray, JetMatrix, jet_space
 from regfman.malgrange import (
@@ -45,6 +45,22 @@ class TestB0At:
         g = JetMatrix.from_constant(sp, np.array([[0.0, 1.0], [0.0, 0.0]]))
         got = b0_at(spec, JetArray.from_jets(g))
         assert np.allclose(got.constant_term(), jordan_block(0.0, 2) - g.constant_term())
+
+
+class TestDeformationSpec:
+    def test_a_non_regular_seed_residue_is_a_regularity_refusal(self):
+        # the message names the best Krylov condition and the probe that
+        # reached it, and no probe when every Krylov matrix is singular
+        with pytest.raises(RegularityError, match=r"^b0o must be regular: best Krylov condition \S+ on probe ones$"):
+            DeformationSpec(np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(RegularityError, match=r"^b0o must be regular: best Krylov condition inf$"):
+            DeformationSpec(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_shapes_are_checked_before_regularity(self):
+        with pytest.raises(ShapeError, match="square"):
+            DeformationSpec(np.eye(2)[:1], np.zeros((1, 2)))
+        with pytest.raises(ShapeError, match="binf"):
+            DeformationSpec(np.eye(2), np.zeros((3, 3)))
 
 
 class TestIntegrateChart:
@@ -366,7 +382,7 @@ class TestExtension:
         # the origin data and the isomorphism's substitution table are
         # passed within a call, never kept across calls: a second call on
         # the same data repeats every probe, frame and table
-        calls = {"probe": 0, "frame": 0, "table": 0}
+        calls = {"probe": 0, "euler": 0, "frame": 0, "table": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -376,19 +392,22 @@ class TestExtension:
             return wrapper
 
         monkeypatch.setattr(regend, "is_regular", counted("probe", regend.is_regular))
-        monkeypatch.setattr(fman, "canonical_frame", counted("frame", fman.canonical_frame))
+        monkeypatch.setattr(fman, "mult_by_euler", counted("euler", fman.mult_by_euler))
+        monkeypatch.setattr(fman, "_euler_powers", counted("frame", fman._euler_powers))
         monkeypatch.setattr(jets.Substitution, "__init__", counted("table", jets.Substitution.__init__))
         data = nilpotent_initial_data(a=0.0, h1=1.0, weight=3.0, order=3)
         counts = []
         for _ in range(2):
-            calls.update(probe=0, frame=0, table=0)
+            calls.update(probe=0, euler=0, frame=0, table=0)
             assert initial_condition_extend(data).verdict.passed
             counts.append(dict(calls))
         # one probe each of the seed residue, the model's and the chart
-        # model's origin multiplication; one frame each of the two models;
-        # one table, grown through the solve and shared by the residuals
-        # and the pull-back
-        assert counts == [{"probe": 3, "frame": 2, "table": 1}] * 2
+        # model's origin multiplication; in the isomorphism, one jet matrix
+        # of multiplication by E and one chain of Euler powers (the frame
+        # and the powers past it) for each of the two models; one table,
+        # grown through the solve and shared by the residuals and the
+        # pull-back
+        assert counts == [{"probe": 3, "euler": 2, "frame": 2, "table": 1}] * 2
 
     def test_chart_membership_and_symmetry_diagnostics(self):
         data = nilpotent_initial_data(a=0.3, h1=1.0, weight=2.0, order=3)

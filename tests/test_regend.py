@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from regfman import regend
 from regfman.errors import RegularityError, SpectrumError
 from regfman.regend import (
     JordanSpectrum,
@@ -70,6 +71,23 @@ class TestIsRegular:
         rep = is_regular(np.diag([1.0, 2.0]))
         assert rep
         assert rep.probe in {"e0", "e1", "ones", "random"}
+
+    def test_probes_are_made_in_order_and_the_random_one_last(self, monkeypatch):
+        names, vectors = zip(*regend._probe_vectors(3))
+        assert names == ("e0", "e1", "e2", "ones", "random")
+        assert np.array_equal(np.stack(vectors[:3]), np.eye(3)) and np.array_equal(vectors[3], np.ones(3))
+        rng = np.random.default_rng(0)
+        assert np.array_equal(vectors[4], rng.standard_normal(3) + 1j * rng.standard_normal(3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the random probe was made")
+
+        # the generator is built only when every other probe has failed
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert is_regular(jordan_block(0.5, 3)).probe == "e0"
+        assert is_regular(np.diag([1.0, 2.0])).probe == "ones"
+        with pytest.raises(AssertionError, match="random probe"):
+            is_regular(np.eye(2))
 
 
 class TestJordanSpectrum:

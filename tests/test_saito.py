@@ -411,6 +411,46 @@ class TestFrameConnection:
         assert (gram - JetArray.from_jets(want_gram)).residual_norm() < 1e-12
 
 
+def _with_metric(bundle):
+    return SaitoBundle(bundle.phi, bundle.r0, bundle.rinf, bundle.frame_connection, np.array([[0.0, 1.0], [1.0, 0.5]]))
+
+
+@pytest.mark.parametrize(
+    "bundle, signed_zeros",
+    [
+        (admissible_bundle(), True),  # a metric
+        (admissible_bundle(order=5), True),
+        (non_abelian_gauged_bundle(), True),  # a frame connection
+        (metric_gauged_bundle(), True),  # both
+        (birkhoff_to_saito(flat_rank2_base1()), True),  # neither
+        # rank 2 on one variable with a metric: product blocks of 10 x 10
+        # entries in the full table and of 10 x 6 here, which the kernel
+        # sums by row sums and by reduceat respectively (``jets._WIDE``);
+        # only the sign of a zero differs
+        (_with_metric(birkhoff_to_saito(flat_rank2_base1())), False),
+    ],
+    ids=["metric", "metric-K5", "frame", "frame-metric", "plain", "base1-metric"],
+)
+def test_the_product_table_is_the_full_table_without_the_metric_as_right_factor(bundle, signed_zeros):
+    # the axioms read g and g^T only as left factors: the table leaves out
+    # their columns and keeps every other entry bit for bit
+    sp = bundle.space
+    parts = [*bundle.phi, bundle.r0, JetArray.constant(sp, bundle.rinf)]
+    if bundle.frame_connection is not None:
+        parts += [*bundle.frame_connection]
+    if bundle.metric is not None:
+        parts += [*JetArray.constant(sp, np.stack([bundle.metric, bundle.metric.T]))]
+    stack = JetArray.stack(parts)
+    full = contract("iab,jbc->ijac", stack, stack)
+    prod, grad = bundle._table
+    cols = len(parts) - (2 if bundle.metric is not None else 0)
+    assert prod.shape == (len(parts), cols) + full.shape[2:]
+    assert np.array_equal(prod.eff, full.eff[:, :cols])
+    bits = lambda x: np.ascontiguousarray(x).view(np.uint64) if signed_zeros else x
+    assert np.array_equal(bits(prod.coeffs), bits(full.coeffs[:, :cols]))
+    assert np.array_equal(bits(grad.coeffs), bits(stack.grad().coeffs))
+
+
 def _assert_matches_loops(bundle):
     checks = [(check_saito_axioms, loop_oracles.check_saito_axioms)]
     if bundle.metric is not None:

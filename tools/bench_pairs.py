@@ -15,10 +15,12 @@ The output file holds the machine and the change tree the runs come from
 (``environment``: Python, numpy and BLAS versions, CPU model and count, the
 change tree's commit and whether it had uncommitted changes), every run's
 end-to-end metrics, then per workload and
-metric each side's median and quartiles, the parent's interquartile range
-and the number of pairs the change won (ties count for neither side; the
-direction of each metric is the one ``BENCHMARK.json`` declares).  The same
-summary is printed as a Markdown table.
+metric each side's median and quartiles, the parent's interquartile range,
+the number of pairs the change won (ties count for neither side; the
+direction of each metric is the one ``BENCHMARK.json`` declares) and a
+status read against the metric's ``BENCHMARK.json`` bound: ``gain``,
+``worse``, ``unresolved`` or ``within bound`` (see :func:`status`).  The
+same summary is printed as a Markdown table.
 """
 
 from __future__ import annotations
@@ -98,9 +100,33 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarise(runs: list[dict], directions: dict[str, str]) -> dict:
+def status(row: dict, parent: list[float], change: list[float], bound: float) -> str:
+    """The reading of one summary row against the metric's ``bound``, a
+    fraction of the parent's median:
+
+    - ``gain``: the change won at least 9 in 10 pairs, and its median is
+      better than the parent's by more than the parent's IQR;
+    - ``worse``: the change's median is worse by more than the bound;
+    - ``unresolved``: the parent's IQR is at least the bound, and not every
+      change run beats every parent run;
+    - ``within bound``: any other case."""
+    sign = 1.0 if row["better"] == "higher" else -1.0
+    p, c = row["parent"]["median"], row["change"]["median"]
+    scale = abs(p) or 1.0
+    if 10 * row["change_won"] >= 9 * row["pairs"] and sign * (c - p) > row["parent_iqr"]:
+        return "gain"
+    if sign * (c - p) < -bound * scale:
+        return "worse"
+    separated = min(sign * x for x in change) > max(sign * x for x in parent)
+    if row["parent_iqr"] >= bound * scale and not separated:
+        return "unresolved"
+    return "within bound"
+
+
+def summarise(runs: list[dict], directions: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per workload and metric: each side's median and quartiles, the
-    parent's interquartile range and the pairs the change won."""
+    parent's interquartile range, the pairs the change won and, for a
+    metric with a bound in ``bounds``, its :func:`status`."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -119,6 +145,8 @@ def summarise(runs: list[dict], directions: dict[str, str]) -> dict:
                 q1, med, q3 = _quartiles(values)
                 row[side] = {"median": med, "q1": q1, "q3": q3}
             row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
+            if bounds and metric in bounds:
+                row["status"] = status(row, sides["parent"], sides["change"], bounds[metric])
             rows[metric] = row
         out[workload] = rows
     return out
@@ -126,8 +154,8 @@ def summarise(runs: list[dict], directions: dict[str, str]) -> dict:
 
 def markdown(summary: dict) -> str:
     lines = [
-        "| workload | metric | parent | change | change better in | parent IQR |",
-        "| --- | --- | --- | --- | --- | --- |",
+        "| workload | metric | parent | change | change better in | parent IQR | status |",
+        "| --- | --- | --- | --- | --- | --- | --- |",
     ]
     for workload, rows in summary.items():
         for metric, row in rows.items():
@@ -136,7 +164,7 @@ def markdown(summary: dict) -> str:
             iqr = f"{row['parent_iqr'] / p:.1%}" if p else f"{row['parent_iqr']:.3g}"
             lines.append(
                 f"| {workload} | {metric} | {p:.4g} | {c:.4g}{rel} | "
-                f"{row['change_won']} of {row['pairs']} | {iqr} |"
+                f"{row['change_won']} of {row['pairs']} | {iqr} | {row.get('status', '')} |"
             )
     return "\n".join(lines)
 
@@ -152,7 +180,9 @@ def main(argv=None) -> int:
 
     change = os.getcwd()
     with open(os.path.join(change, "BENCHMARK.json")) as f:
-        directions = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        metrics = json.load(f)["end_to_end"]
+    directions = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics}
     env = environment(change)
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent:
@@ -167,7 +197,7 @@ def main(argv=None) -> int:
                     runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side, **run})
                     print(f"{workload} pair {pair} seed {seed} {side}: "
                           f"throughput_ref {run['metrics']['throughput_ref']:.4g}", file=sys.stderr)
-    summary = summarise(runs, directions)
+    summary = summarise(runs, directions, bounds)
     doc = {
         "parent": subprocess.run(["git", "rev-parse", args.parent], check=True, capture_output=True,
                                  text=True).stdout.strip(),
