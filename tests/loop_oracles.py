@@ -11,12 +11,12 @@ expansion that ``malgrange.expand_in_frame`` batches, and the per-pair
 loops of the Saito-bundle and Birkhoff-connection checks.  The last
 section holds the order-by-order stages (chart flows, frame expansion,
 germ-isomorphism solve, substitution table) at the full jet order in
-every step, and the oracle residuals with their quadratic terms uncapped,
-the references of the stages that stop at the degree each step fixes.  They are kept,
-for tests only, as independent references: they read models, metrics and
-one-forms through ``Jet`` indexing, convert jet arrays to ``JetVector`` and
-``JetMatrix`` and use only the object kernel (``Jet`` arithmetic,
-``JetVector``, ``JetMatrix``).  ``JetVector`` and ``lie_bracket`` were the
+every step, and the oracle residuals with their quadratic terms uncapped:
+the references of the stages that stop at the degree each step fixes.
+They are kept, for tests only, as independent references: they read
+models, metrics and one-forms through ``Jet`` indexing, convert jet arrays
+to ``JetVector`` and ``JetMatrix`` and use only the object kernel (``Jet``
+arithmetic, ``JetVector``, ``JetMatrix``).  ``JetVector`` and ``lie_bracket`` were the
 package's own vector-field containers before fields became jet arrays.
 """
 

@@ -40,14 +40,14 @@ def _row(parent, change, better):
     return summary, summary["extend"][metric]
 
 
-_TIGHT = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.02, 0.98]  # IQR 2.5%
-_WIDE = [0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.3, 1.4]  # IQR 37.5%
+_TIGHT = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.02, 0.98]  # IQR 2%
+_WIDE = [0.6, 0.7, 0.8, 0.9, 1.0, 1.0, 1.1, 1.2, 1.3, 1.4]  # IQR 35%
 
 
 @pytest.mark.parametrize(
     "parent, change, better, want",
     [
-        # 10 of 10 pairs, the medians 20% apart beyond the IQR of 2.5%
+        # 10 of 10 pairs, the medians 20% apart, beyond the IQR of 2%
         (_TIGHT, [x * 1.2 for x in _TIGHT], "higher", "gain"),
         (_TIGHT, [x * 0.8 for x in _TIGHT], "lower", "gain"),
         # as far apart, but 8 of 10 pairs is no gain
