@@ -252,6 +252,13 @@ def mult_by_euler(model: FManifoldModel) -> JetArray:
     return contract("i,ijk->kj", model.euler.exact_zeros(), model.structure.exact_zeros())
 
 
+def _origin_probe(model: FManifoldModel) -> tuple[JetArray, regend.RegularityReport]:
+    """The jet matrix U of multiplication by E and the regularity probe of
+    its value at the origin."""
+    u = mult_by_euler(model)
+    return u, regend.is_regular(u.constant_term())
+
+
 # The canonical frame at the origin is refused above this condition number.
 CANONICAL_COND_LIMIT = 1e10
 
@@ -261,31 +268,24 @@ def canonical_frame(model: FManifoldModel, *, regularity: regend.RegularityRepor
     is X_i; requires a regular origin.  A ``regularity`` report of the
     origin multiplication by E, made by :func:`regend.is_regular`, stands in
     for the probe this call would run."""
-    u = mult_by_euler(model)
     if regularity is None:
-        regularity = regend.is_regular(u.constant_term())
-    return _euler_powers(u, model.unit, model.dim, regularity)
-
-
-def _euler_powers(u: JetArray, unit: JetArray, count: int, regularity: regend.RegularityReport) -> JetArray:
-    """The Euler powers X_0 = e, X_{k+1} = U X_k for the jet matrix U of
-    multiplication by E (:func:`mult_by_euler`), one contraction each,
-    stacked to ``count`` fields and never fewer than the n of the canonical
-    frame.  The frame, the first n, is refused when ``regularity`` (the
-    probe of U at the origin) fails or when its condition number at the
-    origin exceeds ``CANONICAL_COND_LIMIT``."""
+        regularity = _origin_probe(model)[1]
     if not regularity:
         raise RegularityError("multiplication by the Euler field is not regular at the origin")
-    n = len(u)
-    ux = u.exact_zeros()
-    fields = [unit]
-    while len(fields) < max(count, n):
-        fields.append(contract("kj,j->k", ux, fields[-1].exact_zeros()))
-    powers = JetArray.stack(fields)
-    c = np.linalg.cond(powers.constant_term()[:n].T)
+    frame = _euler_powers(model, [model.unit], model.dim)
+    c = np.linalg.cond(frame.constant_term().T)
     if not np.isfinite(c) or c > CANONICAL_COND_LIMIT:
         raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
-    return powers
+    return frame
+
+
+def _euler_powers(model: FManifoldModel, fields: list[JetArray], count: int) -> JetArray:
+    """The Euler powers X_0, X_1, ... from the first ``fields``, continued
+    by X_{k+1} = E o X_k to ``count`` fields (none dropped), stacked."""
+    fields = list(fields)
+    while len(fields) < count:
+        fields.append(model.multiply(model.euler, fields[-1]))
+    return JetArray.stack(fields)
 
 
 def _field_brackets(fields: JetArray) -> JetArray:
@@ -340,12 +340,12 @@ class BracketConstants:
         return self.rows[p]
 
 
-def eigenfunction(model: FManifoldModel) -> JetArray:
+def eigenfunction(u: JetArray) -> JetArray:
     """Eigenvalue function of multiplication by E on a single nilpotent
-    block, extracted as trace(U)/n (a 0-dimensional jet array)."""
-    u = mult_by_euler(model)
-    trace = contract("ij,ij->", u, JetArray.constant(model.space, np.eye(model.dim)))
-    return trace.scale(1.0 / model.dim)
+    block, extracted as trace(U)/n (a 0-dimensional jet array) from the
+    (n, n) jet matrix U of :func:`mult_by_euler`."""
+    n = len(u)
+    return contract("ij,ij->", u, JetArray.constant(u.space, np.eye(n))).scale(1.0 / n)
 
 
 def _powers(a: JetArray, count: int) -> JetArray:
@@ -374,15 +374,15 @@ def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
     bracket formula, the eigenfunction law X_i(a) = a^i and the
     minimal-polynomial identity U^n + sum_k c_k^(0) a^{n-k} U^k = 0.  Each
     identity is one residual tensor over all index pairs, with its
-    right-hand side contracted from a constant coefficient table.
+    right-hand side contracted from a constant coefficient table.  The jet
+    matrix U of multiplication by E is formed once: the origin probe, the
+    spectrum, the eigenfunction and the minimal polynomial read it.
     """
     n = model.dim
     sp = model.space
     k_order = sp.order
-    u = mult_by_euler(model)
-    u0 = u.constant_term()
-    regularity = regend.is_regular(u0)
-    frame = _euler_powers(u, model.unit, n, regularity)
+    u, regularity = _origin_probe(model)
+    frame = canonical_frame(model, regularity=regularity)
     brackets = _field_brackets(frame)  # brackets[i, j] = [X_i, X_j]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -393,11 +393,10 @@ def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
     res = (brackets - contract("ijl,lk->ijk", JetArray.constant(sp, coef), frame)).residual_norms()
     entries = [(f"hertling_{i}_{j}", res[i, j].max(), k_order - 1) for i, j in hertling]
 
-    spec = regend.jordan_spectrum(u0, regularity=regularity)
+    spec = regend.jordan_spectrum(u.constant_term(), regularity=regularity)
     if len(spec.blocks) == 1:
         consts = BracketConstants.build(n)
-        # the eigenfunction trace(U)/n, from the U this call formed
-        a = contract("ij,ij->", u, JetArray.constant(sp, np.eye(n))).scale(1.0 / n)
+        a = eigenfunction(u)
         # the identities read a^0, ..., a^(2n-4) (brackets) and a^n (minimal
         # polynomial)
         count = max(2 * n - 4, n) + 1
@@ -530,21 +529,16 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     has run, so one substitution table grows with psi: step d fills its
     degree-d columns and composes only those columns of the Y_i, and one
     more fill gives the table that the residuals, the multiplicativity
-    check and the pull-back share.  Each model's multiplication by E is
-    formed once: its origin value is probed once, the probe serves the
-    spectrum and the canonical frame, and every Euler power is one product
-    with it.
+    check and the pull-back share.  Each model's origin is probed once, and
+    the probe serves its spectrum and its canonical frame.
     """
     if model_a.dim != model_b.dim:
         raise NoIsomorphismError("models have different dimensions")
     if model_a.space.order != model_b.space.order:
         raise ShapeError("models must share the jet order")
-    # multiplication by E of each model, probed at the origin
-    ua, ub = mult_by_euler(model_a), mult_by_euler(model_b)
-    ua0, ub0 = ua.constant_term(), ub.constant_term()
-    reg_a, reg_b = regend.is_regular(ua0), regend.is_regular(ub0)
-    spec_a = regend.jordan_spectrum(ua0, regularity=reg_a)
-    spec_b = regend.jordan_spectrum(ub0, regularity=reg_b)
+    (ua, reg_a), (ub, reg_b) = _origin_probe(model_a), _origin_probe(model_b)
+    spec_a = regend.jordan_spectrum(ua.constant_term(), regularity=reg_a)
+    spec_b = regend.jordan_spectrum(ub.constant_term(), regularity=reg_b)
     if not spec_a.matches(spec_b):
         raise NoIsomorphismError("origin multiplications by the Euler fields are not conjugate")
 
@@ -554,10 +548,12 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
 
     # Euler powers X_i = E^i o e of A and Y_i of B; the first n are the
     # canonical frames
-    pow_a = _euler_powers(ua, model_a.unit, k_order + 1, reg_a)
-    pow_b = _euler_powers(ub, model_b.unit, k_order + 1, reg_b)
+    frame_a = canonical_frame(model_a, regularity=reg_a)
+    frame_b = canonical_frame(model_b, regularity=reg_b)
+    xinv = np.linalg.inv(frame_a.constant_term().T)
+    pow_a = _euler_powers(model_a, list(frame_a), k_order + 1)
+    pow_b = _euler_powers(model_b, list(frame_b), k_order + 1)
     xa, xb = pow_a[:n], pow_b[:n]
-    xinv = np.linalg.inv(xa.constant_term().T)
 
     # psi trusted to order 0 is zero; its one table grows a degree per step
     psi = np.zeros((n, sp.size), dtype=np.complex128)
@@ -596,4 +592,4 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     entries.append(("multiplicativity", mult_res, k_order - 1))
 
     entries += [(f"euler_power_{i}", transport[i], k_order - 1) for i in range(k_order + 1)]
-    return GermIsomorphism(psi_arr, report_from(entries), xa, sub, reg_a, (spec_a, spec_b))
+    return GermIsomorphism(psi_arr, report_from(entries), frame_a, sub, reg_a, (spec_a, spec_b))

@@ -204,13 +204,13 @@ class TestFrameBrackets:
         t0, t1 = sp.variable(0), sp.variable(1)
         assert (br[0] - t0 * t0).residual_norm() < 1e-14
         assert (br[1] - t0.scale(2.0) * (t1 + 1.0)).residual_norm() < 1e-14
-        a = eigenfunction(model)[()]
+        a = eigenfunction(mult_by_euler(model))[()]
         rhs = JetVector(fr[1]).scale(a.scale(2.0)) - JetVector(fr[0]).scale(a * a)
         assert (br - rhs).residual_norm() < 1e-14
 
     def test_eigenfunction_power_m3(self):
         model = standard_block(1.0 + 2j, 3)
-        a = eigenfunction(model)[()]
+        a = eigenfunction(mult_by_euler(model))[()]
         fr = canonical_frame(model)
         assert (JetVector(fr[2]).apply_to(a) - a * a).residual_norm() < 1e-10
 
@@ -361,9 +361,10 @@ class TestGermIsomorphismProducts:
 
 
 class TestOneMultiplicationByE:
-    def test_each_model_forms_u_once_and_every_euler_power_from_it(self, monkeypatch):
-        # the origin probe reads U's constant term, and X_{k+1} = U X_k is
-        # one contraction: FManifoldModel.multiply is not called
+    def test_each_model_forms_u_once_per_call(self, monkeypatch):
+        # the origin probe and the spectrum, and in check_frame_brackets the
+        # eigenfunction and the minimal polynomial, read one jet matrix U of
+        # multiplication by E per model and call
         order = 5
         target = product_model([standard_block(0.3, 2, order), standard_block(2.0, 1, order)])
         pushed = product_model([_pushed_nilpotent_block(0.3, order), standard_block(2.0, 1, order)])
@@ -374,28 +375,18 @@ class TestOneMultiplicationByE:
             formed.append(model)
             return original(model)
 
-        def refuse(*args):
-            raise AssertionError("an Euler power formed by FManifoldModel.multiply")
-
         monkeypatch.setattr(fman, "mult_by_euler", counted)
-        monkeypatch.setattr(FManifoldModel, "multiply", refuse)
         iso = germ_isomorphism(target, pushed)
         assert iso.report.passes(1e-8), iso.report.worst()
         assert [id(m) for m in formed] == [id(target), id(pushed)]
         formed.clear()
         frame = canonical_frame(target)
         assert np.array_equal(frame.coeffs, iso.frame.coeffs)
-        check_frame_brackets(standard_block(0.5, 3, order))
+        block = standard_block(0.5, 3, order)
+        report = check_frame_brackets(block)
         assert len(formed) == 2  # one per call
-
-    def test_euler_powers_are_products_with_e(self):
-        # X_{k+1} = U X_k equals E o X_k up to the grouping of the sums
-        model = _pushed_nilpotent_block(0.3, 5)
-        frame = canonical_frame(model)
-        for k in range(1, model.dim):
-            want = model.multiply(model.euler, frame[k - 1])
-            assert np.allclose(frame[k].coeffs, want.coeffs, rtol=0, atol=1e-14)
-            assert np.array_equal(frame[k].eff, want.eff)
+        assert report.passes(1e-10), report.worst()
+        assert "min_poly_identity" in report and "eigenfunction_2" in report
 
 
 class TestEffectiveOrders:

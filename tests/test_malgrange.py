@@ -393,7 +393,7 @@ class TestExtension:
 
         monkeypatch.setattr(regend, "is_regular", counted("probe", regend.is_regular))
         monkeypatch.setattr(fman, "mult_by_euler", counted("euler", fman.mult_by_euler))
-        monkeypatch.setattr(fman, "_euler_powers", counted("frame", fman._euler_powers))
+        monkeypatch.setattr(fman, "canonical_frame", counted("frame", fman.canonical_frame))
         monkeypatch.setattr(jets.Substitution, "__init__", counted("table", jets.Substitution.__init__))
         data = nilpotent_initial_data(a=0.0, h1=1.0, weight=3.0, order=3)
         counts = []
@@ -403,10 +403,9 @@ class TestExtension:
             counts.append(dict(calls))
         # one probe each of the seed residue, the model's and the chart
         # model's origin multiplication; in the isomorphism, one jet matrix
-        # of multiplication by E and one chain of Euler powers (the frame
-        # and the powers past it) for each of the two models; one table,
-        # grown through the solve and shared by the residuals and the
-        # pull-back
+        # of multiplication by E and one frame for each of the two models;
+        # one table, grown through the solve and shared by the residuals and
+        # the pull-back
         assert counts == [{"probe": 3, "euler": 2, "frame": 2, "table": 1}] * 2
 
     def test_chart_membership_and_symmetry_diagnostics(self):

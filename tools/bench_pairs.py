@@ -123,10 +123,10 @@ def status(row: dict, parent: list[float], change: list[float], bound: float) ->
     return "within bound"
 
 
-def summarise(runs: list[dict], directions: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
+def summarise(runs: list[dict], directions: dict[str, str], bounds: dict[str, float]) -> dict:
     """Per workload and metric: each side's median and quartiles, the
-    parent's interquartile range, the pairs the change won and, for a
-    metric with a bound in ``bounds``, its :func:`status`."""
+    parent's interquartile range, the pairs the change won and its
+    :func:`status` against the metric's bound in ``bounds``."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -145,8 +145,7 @@ def summarise(runs: list[dict], directions: dict[str, str], bounds: dict[str, fl
                 q1, med, q3 = _quartiles(values)
                 row[side] = {"median": med, "q1": q1, "q3": q3}
             row["parent_iqr"] = row["parent"]["q3"] - row["parent"]["q1"]
-            if bounds and metric in bounds:
-                row["status"] = status(row, sides["parent"], sides["change"], bounds[metric])
+            row["status"] = status(row, sides["parent"], sides["change"], bounds[metric])
             rows[metric] = row
         out[workload] = rows
     return out
@@ -164,7 +163,7 @@ def markdown(summary: dict) -> str:
             iqr = f"{row['parent_iqr'] / p:.1%}" if p else f"{row['parent_iqr']:.3g}"
             lines.append(
                 f"| {workload} | {metric} | {p:.4g} | {c:.4g}{rel} | "
-                f"{row['change_won']} of {row['pairs']} | {iqr} | {row.get('status', '')} |"
+                f"{row['change_won']} of {row['pairs']} | {iqr} | {row['status']} |"
             )
     return "\n".join(lines)
 
