@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,10 +50,17 @@ class FManifoldModel:
 
     # -- basic machinery ----------------------------------------------------
 
+    @cached_property
+    def _marked_structure(self) -> JetArray:
+        """The structure tensor with its exact zeros marked
+        (:meth:`JetArray.exact_zeros`), made on first use; every contraction
+        of the model against its structure tensor reads this one."""
+        return self.structure.exact_zeros()
+
     def multiply(self, x: JetArray, y: JetArray) -> JetArray:
         """(X o Y)^k = sum_{i,j} X^i Y^j c_ij^k."""
         xy = contract("i,j->ij", x.exact_zeros(), y.exact_zeros())
-        return contract("ij,ijk->k", xy.exact_zeros(), self.structure.exact_zeros())
+        return contract("ij,ijk->k", xy.exact_zeros(), self._marked_structure)
 
     def is_constant_multiplication(self) -> bool:
         return not self.structure._stored[..., 1:].any()
@@ -162,7 +170,7 @@ def lie_derivative_of_mult(model: FManifoldModel, x: JetArray) -> JetArray:
     for every pair of coordinate fields, shape (n, n, n)."""
     n = model.dim
     c = model.structure
-    cx = c.exact_zeros()
+    cx = model._marked_structure
     brackets = _vector_bracket(x, JetArray.constant(model.space, np.eye(n))).exact_zeros()  # [X, d_a]
     return (
         _vector_bracket(x, c.reshape(n * n, n)).reshape(n, n, n)
@@ -191,7 +199,7 @@ def check_fmanifold(model: FManifoldModel) -> ResidualReport:
     m = model.dim
     k_order = model.space.order
     c = model.structure
-    cx = c.exact_zeros()
+    cx = model._marked_structure
     upper = np.triu(np.ones((m, m), dtype=bool))
 
     # the diagonal of c - c^T is an exact zero
@@ -226,7 +234,7 @@ def _integrability_residual(model: FManifoldModel) -> float:
         return 0.0
     m = model.dim
     c = model.structure
-    cx = c.exact_zeros()
+    cx = model._marked_structure
     dc = c.grad()  # dc[v, i, j, k] = d_v c_ij^k
     upper = np.triu(np.ones((m, m), dtype=bool))
     worst = 0.0
@@ -249,7 +257,7 @@ def _integrability_residual(model: FManifoldModel) -> float:
 
 def mult_by_euler(model: FManifoldModel) -> JetArray:
     """Jet matrix of X -> E o X in the coordinate frame (columns are E o d_j)."""
-    return contract("i,ijk->kj", model.euler.exact_zeros(), model.structure.exact_zeros())
+    return contract("i,ijk->kj", model.euler.exact_zeros(), model._marked_structure)
 
 
 def _origin_probe(model: FManifoldModel) -> tuple[JetArray, regend.RegularityReport]:
@@ -437,7 +445,7 @@ def symmetry_basis(m: int, order: int = DEFAULT_ORDER) -> list[JetArray]:
     model = standard_block(0.0, m, order)
     y1 = _affine(model.space, np.eye(m)[1], np.diag(np.arange(m)))
     # Y_k = d_{k-1} o Y_1 for k = 2, ..., m-1
-    rest = contract("j,ajl->al", y1.exact_zeros(), model.structure.exact_zeros()[1 : m - 1])
+    rest = contract("j,ajl->al", y1.exact_zeros(), model._marked_structure[1 : m - 1])
     return [y1, *rest]
 
 
@@ -459,7 +467,7 @@ def check_symmetry(model: FManifoldModel, x: JetArray) -> ResidualReport:
         ("circ_unit", brackets[0].residual_norm(), k_order - 1),
     ]
     if m >= 2:
-        cx = model.structure.exact_zeros()
+        cx = model._marked_structure
         br1 = brackets[1].exact_zeros()
         top = contract("i,ik->k", br1, cx[:, m - 1])
         entries.append(("circ_top", top.residual_norm(), k_order - 1))
