@@ -388,6 +388,25 @@ class TestOneMultiplicationByE:
         assert report.passes(1e-10), report.worst()
         assert "min_poly_identity" in report and "eigenfunction_2" in report
 
+    def test_the_structure_tensor_is_marked_once_per_model(self, monkeypatch):
+        # the Euler powers, U and the axiom checks read one marked tensor
+        order = 5
+        target = product_model([standard_block(0.3, 2, order), standard_block(2.0, 1, order)])
+        pushed = product_model([_pushed_nilpotent_block(0.3, order), standard_block(2.0, 1, order)])
+        marked = []
+        original = JetArray.exact_zeros
+
+        def counted(array):
+            if array is pushed.structure:
+                marked.append(array)
+            return original(array)
+
+        monkeypatch.setattr(JetArray, "exact_zeros", counted)
+        assert check_fmanifold(pushed).passes(1e-10)
+        assert germ_isomorphism(target, pushed).report.passes(1e-8)
+        check_frame_brackets(pushed)
+        assert len(marked) == 1
+
 
 class TestEffectiveOrders:
     def test_reports_state_reduced_orders(self):
