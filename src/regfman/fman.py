@@ -3,9 +3,11 @@
 A model is a commutative multiplication on coordinate vector fields, held
 as one jet array ``structure[i, j, k]`` = c_ij^k (d_i o d_j = c_ij^k d_k),
 with a unit field and an Euler field as (n,) jet arrays, all expanded at the
-coordinate origin.  Canonical block models, their products, axiom checks,
-canonical frames, bracket identities, infinitesimal symmetries and germ
-isomorphisms live here; fields are batched and brackets are contractions.
+coordinate origin, with the origin data each model forms once (U = E o, its
+probe, spectrum, canonical frame and P^-1).  Canonical block models, their
+products, axiom checks, canonical frames, bracket identities, infinitesimal
+symmetries and germ isomorphisms live here; fields are batched and brackets
+are contractions.
 """
 
 from __future__ import annotations
@@ -29,11 +31,20 @@ from .regend import JordanSpectrum
 from .reports import ResidualReport, report_from
 
 
+# The canonical frame at the origin is refused above this condition number.
+CANONICAL_COND_LIMIT = 1e10
+
+
 class FManifoldModel:
     """Jet-valued multiplication tensor, unit field and Euler field.
 
     ``structure[i, j, k]`` is c_ij^k, the k-th component of d_i o d_j, an
     (n, n, n) jet array; ``unit`` and ``euler`` are (n,) jet arrays.
+
+    A model is read-only once built: the marked structure tensor and the
+    origin data (U = E o, the probe and spectrum of U(0), the canonical
+    frame and P^-1) are formed from it on first use and kept.  A refusal
+    keeps nothing, so it is raised again on every read.
     """
 
     def __init__(self, mult, unit, euler, blocks: tuple[tuple[complex, int], ...] | None = None):
@@ -56,6 +67,38 @@ class FManifoldModel:
         (:meth:`JetArray.exact_zeros`), made on first use; every contraction
         of the model against its structure tensor reads this one."""
         return self.structure.exact_zeros()
+
+    @cached_property
+    def _euler_matrix(self) -> JetArray:
+        """U, the jet matrix of X -> E o X (columns are E o d_j)."""
+        return contract("i,ijk->kj", self.euler.exact_zeros(), self._marked_structure)
+
+    @cached_property
+    def _regularity(self) -> regend.RegularityReport:
+        """The regularity probe of U(0) (:func:`regend.is_regular`)."""
+        return regend.is_regular(self._euler_matrix.constant_term())
+
+    @cached_property
+    def _spectrum(self) -> JordanSpectrum:
+        """The Jordan spectrum of U(0), read with the model's probe."""
+        return regend.jordan_spectrum(self._euler_matrix.constant_term(), regularity=self._regularity)
+
+    @cached_property
+    def _frame(self) -> JetArray:
+        """X_0 = e, X_{k+1} = E o X_k, stacked (row i is X_i); refused at a
+        non-regular origin or a badly conditioned frame at the origin."""
+        if not self._regularity:
+            raise RegularityError("multiplication by the Euler field is not regular at the origin")
+        frame = _euler_powers(self, [self.unit], self.dim)
+        c = np.linalg.cond(frame.constant_term().T)
+        if not np.isfinite(c) or c > CANONICAL_COND_LIMIT:
+            raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
+        return frame
+
+    @cached_property
+    def _frame_inverse(self) -> np.ndarray:
+        """P^-1, where the columns of P = X(0)^T are the frame at the origin."""
+        return np.linalg.inv(self._frame.constant_term().T)
 
     def multiply(self, x: JetArray, y: JetArray) -> JetArray:
         """(X o Y)^k = sum_{i,j} X^i Y^j c_ij^k."""
@@ -256,35 +299,15 @@ def _integrability_residual(model: FManifoldModel) -> float:
 
 
 def mult_by_euler(model: FManifoldModel) -> JetArray:
-    """Jet matrix of X -> E o X in the coordinate frame (columns are E o d_j)."""
-    return contract("i,ijk->kj", model.euler.exact_zeros(), model._marked_structure)
+    """The model's jet matrix of X -> E o X (columns are E o d_j)."""
+    return model._euler_matrix
 
 
-def _origin_probe(model: FManifoldModel) -> tuple[JetArray, regend.RegularityReport]:
-    """The jet matrix U of multiplication by E and the regularity probe of
-    its value at the origin."""
-    u = mult_by_euler(model)
-    return u, regend.is_regular(u.constant_term())
-
-
-# The canonical frame at the origin is refused above this condition number.
-CANONICAL_COND_LIMIT = 1e10
-
-
-def canonical_frame(model: FManifoldModel, *, regularity: regend.RegularityReport | None = None) -> JetArray:
-    """X_0 = e, X_{k+1} = E o X_k, stacked: an (n, n) jet array whose row i
-    is X_i; requires a regular origin.  A ``regularity`` report of the
-    origin multiplication by E, made by :func:`regend.is_regular`, stands in
-    for the probe this call would run."""
-    if regularity is None:
-        regularity = _origin_probe(model)[1]
-    if not regularity:
-        raise RegularityError("multiplication by the Euler field is not regular at the origin")
-    frame = _euler_powers(model, [model.unit], model.dim)
-    c = np.linalg.cond(frame.constant_term().T)
-    if not np.isfinite(c) or c > CANONICAL_COND_LIMIT:
-        raise RegularityError(f"canonical frame degenerate at the origin (cond {c:.2e})")
-    return frame
+def canonical_frame(model: FManifoldModel) -> JetArray:
+    """The model's X_0 = e, X_{k+1} = E o X_k, stacked (row i is X_i); requires
+    a regular origin and a frame at the origin of condition number at most
+    ``CANONICAL_COND_LIMIT``."""
+    return model._frame
 
 
 def _euler_powers(model: FManifoldModel, fields: list[JetArray], count: int) -> JetArray:
@@ -382,15 +405,13 @@ def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
     bracket formula, the eigenfunction law X_i(a) = a^i and the
     minimal-polynomial identity U^n + sum_k c_k^(0) a^{n-k} U^k = 0.  Each
     identity is one residual tensor over all index pairs, with its
-    right-hand side contracted from a constant coefficient table.  The jet
-    matrix U of multiplication by E is formed once: the origin probe, the
-    spectrum, the eigenfunction and the minimal polynomial read it.
+    right-hand side contracted from a constant coefficient table, and
+    every identity reads the model's origin data.
     """
     n = model.dim
     sp = model.space
     k_order = sp.order
-    u, regularity = _origin_probe(model)
-    frame = canonical_frame(model, regularity=regularity)
+    frame = model._frame
     brackets = _field_brackets(frame)  # brackets[i, j] = [X_i, X_j]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -401,10 +422,9 @@ def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
     res = (brackets - contract("ijl,lk->ijk", JetArray.constant(sp, coef), frame)).residual_norms()
     entries = [(f"hertling_{i}_{j}", res[i, j].max(), k_order - 1) for i, j in hertling]
 
-    spec = regend.jordan_spectrum(u.constant_term(), regularity=regularity)
-    if len(spec.blocks) == 1:
+    if len(model._spectrum.blocks) == 1:
         consts = BracketConstants.build(n)
-        a = eigenfunction(u)
+        a = eigenfunction(model._euler_matrix)
         # the identities read a^0, ..., a^(2n-4) (brackets) and a^n (minimal
         # polynomial)
         count = max(2 * n - 4, n) + 1
@@ -423,7 +443,7 @@ def check_frame_brackets(model: FManifoldModel) -> ResidualReport:
         law = contract("iv,v->i", frame, a.grad()) - powers[:n]
         entries += [(f"eigenfunction_{i}", v, k_order - 1) for i, v in enumerate(law.residual_norms())]
         # U^0, ..., U^n and the identity's coefficients c_k^(0) a^{n-k}
-        u_powers = _matrix_powers(u, n + 1)
+        u_powers = _matrix_powers(model._euler_matrix, n + 1)
         coef = np.zeros((n, count))
         coef[np.arange(n), n - np.arange(n)] = [consts.value(k, 0) for k in range(n)]
         weights = contract("kq,q->k", JetArray.constant(sp, coef).exact_zeros(), powers)
@@ -499,28 +519,16 @@ def check_symmetry_brackets(m: int, order: int = DEFAULT_ORDER) -> ResidualRepor
 # -- germ isomorphisms ---------------------------------------------------------
 
 
-def _transport_defect(
-    sub: Substitution, jac: JetArray, fields_a: JetArray, fields_b: JetArray
-) -> JetArray:
-    """Y_i o psi - (Jacobian psi) X_i for stacked fields X_i of A and Y_i of
-    B, shape (i, n); ``jac[v, k]`` is d_v psi^k and ``sub`` composes with psi."""
-    return sub(fields_b) - contract("vk,iv->ik", jac, fields_a)
-
-
 @dataclass(frozen=True)
 class GermIsomorphism:
     """The isomorphism of :func:`germ_isomorphism`: its coordinate map
-    ``map`` (an (n,) jet array, psi(0) = 0) and residual report, with what
-    the solve built on the way: the canonical frame of the source model,
-    the substitution table of composing with psi, the source's origin
-    regularity probe and the origin spectra of multiplication by E of the
-    source and the target (``spectra``)."""
+    ``map`` (an (n,) jet array, psi(0) = 0) and residual report, with the
+    substitution table of composing with psi and the origin spectra of
+    multiplication by E of the source and the target (``spectra``)."""
 
     map: JetArray
     report: ResidualReport
-    frame: JetArray
     substitution: Substitution
-    regularity: regend.RegularityReport
     spectra: tuple[JordanSpectrum, JordanSpectrum]
 
 
@@ -537,16 +545,13 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     has run, so one substitution table grows with psi: step d fills its
     degree-d columns and composes only those columns of the Y_i, and one
     more fill gives the table that the residuals, the multiplicativity
-    check and the pull-back share.  Each model's origin is probed once, and
-    the probe serves its spectrum and its canonical frame.
+    check and the pull-back share.  It reads the models' origin data.
     """
     if model_a.dim != model_b.dim:
         raise NoIsomorphismError("models have different dimensions")
     if model_a.space.order != model_b.space.order:
         raise ShapeError("models must share the jet order")
-    (ua, reg_a), (ub, reg_b) = _origin_probe(model_a), _origin_probe(model_b)
-    spec_a = regend.jordan_spectrum(ua.constant_term(), regularity=reg_a)
-    spec_b = regend.jordan_spectrum(ub.constant_term(), regularity=reg_b)
+    spec_a, spec_b = model_a._spectrum, model_b._spectrum
     if not spec_a.matches(spec_b):
         raise NoIsomorphismError("origin multiplications by the Euler fields are not conjugate")
 
@@ -554,13 +559,10 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     sp = model_a.space
     k_order = sp.order
 
-    # Euler powers X_i = E^i o e of A and Y_i of B; the first n are the
-    # canonical frames
-    frame_a = canonical_frame(model_a, regularity=reg_a)
-    frame_b = canonical_frame(model_b, regularity=reg_b)
-    xinv = np.linalg.inv(frame_a.constant_term().T)
-    pow_a = _euler_powers(model_a, list(frame_a), k_order + 1)
-    pow_b = _euler_powers(model_b, list(frame_b), k_order + 1)
+    # Euler powers X_i = E^i o e of A and Y_i of B; the first n are the frames
+    pow_a = _euler_powers(model_a, list(model_a._frame), k_order + 1)
+    pow_b = _euler_powers(model_b, list(model_b._frame), k_order + 1)
+    xinv = model_a._frame_inverse
     xa, xb = pow_a[:n], pow_b[:n]
 
     # psi trusted to order 0 is zero; its one table grows a degree per step
@@ -587,7 +589,8 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     psi_arr = JetArray(sp, psi, np.full(n, k_order))
     jac = psi_arr.grad()
 
-    transport = _transport_defect(sub, jac, pow_a, pow_b).residual_norms().max(axis=1)
+    # Y_i o psi - (Jacobian psi) X_i over the Euler powers; jac[v, k] = d_v psi^k
+    transport = (sub(pow_b) - contract("vk,iv->ik", jac, pow_a)).residual_norms().max(axis=1)
     entries = [(f"frame_transport_{i}", transport[i], k_order - 1) for i in range(n)]
 
     # (Jacobian psi)(d_a o d_b) against (Jacobian psi) d_a o (Jacobian psi) d_b at psi
@@ -600,4 +603,4 @@ def germ_isomorphism(model_a: FManifoldModel, model_b: FManifoldModel) -> GermIs
     entries.append(("multiplicativity", mult_res, k_order - 1))
 
     entries += [(f"euler_power_{i}", transport[i], k_order - 1) for i in range(k_order + 1)]
-    return GermIsomorphism(psi_arr, report_from(entries), frame_a, sub, reg_a, (spec_a, spec_b))
+    return GermIsomorphism(psi_arr, report_from(entries), sub, (spec_a, spec_b))

@@ -322,9 +322,6 @@ class Jet:
         out[targets] = np.add.reduceat(prod, starts)
         return sp._wrap(out, eff)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, c: complex) -> "Jet":
         return self.space._wrap(self.coeffs * complex(c), self.eff_order)
 

@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .fman import FManifoldModel, GermIsomorphism, _matrix_powers, germ_isomorphism, mult_by_euler, standard_model
+from .fman import FManifoldModel, GermIsomorphism, _matrix_powers, germ_isomorphism, standard_model
 from .frob import FrobeniusVerdict, InvariantMetric, _offsets, euler_derivative, frobenius_verdict
 from .jets import DEFAULT_ORDER, JetArray, contract, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
@@ -274,27 +274,31 @@ def _moments(b0o: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return h
 
 
+def _hankel(h: np.ndarray, n: int) -> np.ndarray:
+    """The n x n Hankel matrix of the moments, [i, j] = h[i + j]."""
+    return h[np.add.outer(np.arange(n), np.arange(n))]
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| entrywise, bit-equal to the scalar ``abs`` (``np.abs`` may not be)."""
+    return np.hypot(z.real, z.imag)
+
+
 def validate_initial_data(data: InitialData) -> ValidationReport:
     """Admissibility of the pointwise data: invariance of the pairing
     (Hankel structure in the Euler-power basis), the companion shape of the
-    origin multiplication, skewness of the endomorphism with respect to the
-    pairing, and the unit-direction law of its first column."""
+    model's U at the origin, skewness of the endomorphism with respect to
+    the pairing, and the unit-direction law of its first column."""
     n = data.model.dim
-    u0 = mult_by_euler(data.model).constant_term()
+    u0 = data.model._euler_matrix.constant_term()
     e0 = data.model.unit.constant_terms()
     b0o = regend.cyclic_basis_representation(u0, e0)
 
-    companion_res = 0.0
-    for i in range(n - 1):
-        for j in range(n):
-            want = 1.0 if j == i + 1 else 0.0
-            companion_res = max(companion_res, abs(b0o[j, i] - want))
+    # every column but the last is the next basis vector
+    companion_res = _modulus(b0o[:, :-1] - np.eye(n, n - 1, -1)).max(initial=0.0)
 
     h = _moments(b0o, data.gram)
-    invariance = 0.0
-    for i in range(n):
-        for j in range(n):
-            invariance = max(invariance, abs(data.gram[i, j] - h[i + j]))
+    invariance = _modulus(data.gram - _hankel(h, n)).max()
 
     v = data.skew
     skewness = 0.0
@@ -305,11 +309,7 @@ def validate_initial_data(data: InitialData) -> ValidationReport:
                 acc += v[k, i] * h[k + j] + v[k, j] * h[k + i]
             skewness = max(skewness, abs(acc))
 
-    first_col = 0.0
-    target = 1.0 - data.weight / 2.0
-    for j in range(n):
-        want = target if j == 0 else 0.0
-        first_col = max(first_col, abs(v[j, 0] - want))
+    first_col = max(abs(v[0, 0] - (1.0 - data.weight / 2.0)), _modulus(v[1:, 0]).max(initial=0.0))
 
     cond = float(np.linalg.cond(data.gram))
     residuals = report_from(
@@ -358,8 +358,8 @@ def initial_condition_extend(
     isomorphism.  The public stages, in order: :func:`validate_initial_data`,
     :func:`integrate_chart`, :func:`check_saito_axioms` and
     :func:`check_saito_metric_axioms`, :func:`fmanifold_on_chart`,
-    :func:`germ_isomorphism` (whose canonical frame, substitution table and
-    origin probe the later steps reuse) and :func:`frobenius_verdict`.  The
+    :func:`germ_isomorphism` (whose substitution table the pull-back
+    reuses) and :func:`frobenius_verdict`.  The
     report includes the origin match, the full Frobenius verdict at the
     given weight, the origin Euler-derivative law and the symmetry
     diagnostics of the chart.  The extension is taken to the model's jet
@@ -379,7 +379,7 @@ def initial_condition_extend(
     order = model.space.order
     b0o = val.companion
     binf = data.skew
-    g0 = np.array([[val.moments[i + j] for j in range(n)] for i in range(n)])
+    g0 = _hankel(val.moments, n)
 
     chart = integrate_chart(DeformationSpec(-b0o, -binf), order)
     gamma = chart.gamma
@@ -392,8 +392,7 @@ def initial_condition_extend(
     cols = chart.tangent[:, :, 0]
     gram_chart = contract("al,bl->ab", contract("ak,kl->al", cols, g0_jet), cols)
 
-    # the isomorphism's canonical frame of the model serves the origin frame
-    # change, and the pull-back composes through its substitution table
+    # the pull-back composes through the isomorphism's substitution table
     iso = germ_isomorphism(model, fmanifold_on_chart(chart))
     jac = iso.map.grad()  # jac[a, k] = d_a psi^k
     composed = iso.substitution(gram_chart)
@@ -408,8 +407,8 @@ def initial_condition_extend(
     structure_res = (metric.gram() - gram_model).residual_norm()
 
     # the pairing is complex-bilinear: the frame change uses plain transposes
-    p = iso.frame.constant_term().T
-    pinv = np.linalg.inv(p)
+    p = model._frame.constant_term().T
+    pinv = model._frame_inverse
     expected0 = pinv.T @ data.gram @ pinv
     origin_res = float(np.max(np.abs(gram_model.constant_term() - expected0)))
 
@@ -455,5 +454,5 @@ def initial_condition_extend(
         verdict=verdict,
         validation=val,
         report=report,
-        regularity_probe=iso.regularity.probe,
+        regularity_probe=model._regularity.probe,
     )

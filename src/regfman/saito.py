@@ -265,7 +265,7 @@ def _induced(bundle: SaitoBundle, section: JetArray) -> tuple[FManifoldModel, di
 
     u_model = mult_by_euler(model)
     u_expected = -contract("ka,ab->kb", contract("ka,ab->kb", iso_inv, bundle.r0), iso)
-    spec_u = regend.jordan_spectrum(u_model.constant_term())
+    spec_u = model._spectrum
     spec_r = regend.jordan_spectrum(-bundle.r0.constant_term())
     info = {
         "u_matches_conjugated_residue": (u_model - u_expected).residual_norm(),

@@ -12,7 +12,8 @@ loops of the Saito-bundle and Birkhoff-connection checks.  The last
 section holds the order-by-order stages (chart flows, frame expansion,
 germ-isomorphism solve, substitution table) at the full jet order in
 every step, and the oracle residuals with their quadratic terms uncapped:
-the references of the stages that stop at the degree each step fixes.
+the references of the stages that stop at the degree each step fixes.  The
+entry-by-entry admissibility checks of ``validate_initial_data`` end it.
 They are kept, for tests only, as independent references: they read
 models, metrics and one-forms through ``Jet`` indexing, convert jet arrays
 to ``JetVector`` and ``JetMatrix`` and use only the object kernel (``Jet``
@@ -1092,3 +1093,53 @@ def substitute(table, subs, f):
         out += table[i] * (src[0, i] if len(src) == 1 else src[:, i, None])
     eff = np.minimum(f.eff, min(subs.eff_order(), target.order))
     return JetArray(target, out.reshape(f.shape + (target.size,)), eff)
+
+
+# -- initial-data admissibility, entry by entry ------------------------------------
+
+
+def validate_initial_data(data) -> malgrange.ValidationReport:
+    """The companion-shape, Gram-invariance and unit-column residuals of
+    ``malgrange.validate_initial_data`` as loops over entries, each the
+    running maximum of Python scalars from 0.0; the skewness loop, the
+    companion matrix and the moments are the package's."""
+    n = data.model.dim
+    u0 = mult_by_euler(data.model).constant_term()
+    b0o = regend.cyclic_basis_representation(u0, data.model.unit.constant_terms())
+
+    companion_res = 0.0
+    for i in range(n - 1):
+        for j in range(n):
+            want = 1.0 if j == i + 1 else 0.0
+            companion_res = max(companion_res, abs(b0o[j, i] - want))
+
+    h = malgrange._moments(b0o, data.gram)
+    invariance = 0.0
+    for i in range(n):
+        for j in range(n):
+            invariance = max(invariance, abs(data.gram[i, j] - h[i + j]))
+
+    v = data.skew
+    skewness = 0.0
+    for i in range(n):
+        for j in range(n):
+            acc = 0.0 + 0.0j
+            for k in range(n):
+                acc += v[k, i] * h[k + j] + v[k, j] * h[k + i]
+            skewness = max(skewness, abs(acc))
+
+    first_col = 0.0
+    target = 1.0 - data.weight / 2.0
+    for j in range(n):
+        want = target if j == 0 else 0.0
+        first_col = max(first_col, abs(v[j, 0] - want))
+
+    residuals = report_from(
+        [
+            ("companion_shape", companion_res, 0),
+            ("gram_invariance", invariance, 0),
+            ("skew_symmetry", skewness, 0),
+            ("unit_column", first_col, 0),
+        ]
+    )
+    return malgrange.ValidationReport(residuals, float(np.linalg.cond(data.gram)), b0o, h)

@@ -4,7 +4,7 @@ symmetries and germ isomorphisms."""
 import numpy as np
 import pytest
 
-from regfman import fman
+from regfman import fman, frob, jets, malgrange, saito
 from regfman.errors import NoIsomorphismError, RegularityError, SpectrumError
 from regfman.fman import (
     BracketConstants,
@@ -360,33 +360,88 @@ class TestGermIsomorphismProducts:
         assert (psi[2] - u).residual_norm() < 1e-9
 
 
+ORIGIN_DATA = ("_euler_matrix", "_regularity", "_spectrum", "_frame", "_frame_inverse")
+
+
+def count_origin_data(monkeypatch) -> dict:
+    """From here on, counts of each origin datum formed (the body of each
+    cached property run, whether it returns or raises) and of the
+    contractions of the form of U = E o made by any module that contracts."""
+    counts = dict.fromkeys(("contract_u", *ORIGIN_DATA), 0)
+    for name in ORIGIN_DATA:
+        prop = FManifoldModel.__dict__[name]
+
+        def counted(model, name=name, body=prop.func):
+            counts[name] += 1
+            return body(model)
+
+        monkeypatch.setattr(prop, "func", counted)
+    contract = jets.contract
+
+    def counted_contract(subscripts, *operands):
+        counts["contract_u"] += subscripts == "i,ijk->kj"
+        return contract(subscripts, *operands)
+
+    for module in (fman, frob, malgrange, saito):
+        monkeypatch.setattr(module, "contract", counted_contract)
+    return counts
+
+
 class TestOneMultiplicationByE:
-    def test_each_model_forms_u_once_per_call(self, monkeypatch):
-        # the origin probe and the spectrum, and in check_frame_brackets the
-        # eigenfunction and the minimal polynomial, read one jet matrix U of
-        # multiplication by E per model and call
+    def test_each_model_forms_its_origin_data_once(self, monkeypatch):
+        # U, its probe and spectrum, the canonical frame and P^-1 are
+        # formed on first use and kept on the model: the isomorphism, the
+        # public entry points and check_frame_brackets read them again
+        # without forming them again
         order = 5
         target = product_model([standard_block(0.3, 2, order), standard_block(2.0, 1, order)])
         pushed = product_model([_pushed_nilpotent_block(0.3, order), standard_block(2.0, 1, order)])
-        formed = []
-        original = fman.mult_by_euler
-
-        def counted(model):
-            formed.append(model)
-            return original(model)
-
-        monkeypatch.setattr(fman, "mult_by_euler", counted)
+        counts = count_origin_data(monkeypatch)
         iso = germ_isomorphism(target, pushed)
         assert iso.report.passes(1e-8), iso.report.worst()
-        assert [id(m) for m in formed] == [id(target), id(pushed)]
-        formed.clear()
-        frame = canonical_frame(target)
-        assert np.array_equal(frame.coeffs, iso.frame.coeffs)
+        once_each = {"contract_u": 2, "_euler_matrix": 2, "_regularity": 2, "_spectrum": 2, "_frame": 2}
+        assert counts == {**once_each, "_frame_inverse": 1}
+        again = germ_isomorphism(target, pushed)
+        assert np.array_equal(again.map.coeffs, iso.map.coeffs)
+        assert mult_by_euler(target) is mult_by_euler(target) is target._euler_matrix
+        assert canonical_frame(target) is canonical_frame(target) is target._frame
+        assert target._frame_inverse is target._frame_inverse
+        assert target._spectrum is iso.spectra[0] and pushed._spectrum is iso.spectra[1]
+        assert counts == {**once_each, "_frame_inverse": 1}
         block = standard_block(0.5, 3, order)
-        report = check_frame_brackets(block)
-        assert len(formed) == 2  # one per call
-        assert report.passes(1e-10), report.worst()
-        assert "min_poly_identity" in report and "eigenfunction_2" in report
+        for _ in range(2):
+            report = check_frame_brackets(block)
+            assert report.passes(1e-10), report.worst()
+            assert "min_poly_identity" in report and "eigenfunction_2" in report
+        assert counts == {**{k: v + 1 for k, v in once_each.items()}, "_frame_inverse": 1}
+
+    def test_a_non_regular_origin_is_refused_on_every_call(self, monkeypatch):
+        # the probe is kept; the refusal stores no frame, so each call
+        # raises again
+        m = product_model([standard_block(1.0, 1), standard_block(1.0 + 1e-13, 1)])
+        counts = count_origin_data(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(RegularityError, match="not regular at the origin"):
+                canonical_frame(m)
+        assert not m._regularity
+        assert "_frame" not in vars(m)
+        assert (counts["_regularity"], counts["_frame"]) == (1, 3)
+
+    def test_a_degenerate_frame_is_refused_on_every_call(self, monkeypatch):
+        # U(0) = diag(1, 2) is regular, but the field (1, 0) taken as the
+        # unit is an eigenvector of it: the frame at the origin is singular
+        base = product_model([standard_block(1.0, 1), standard_block(2.0, 1)])
+        m = FManifoldModel(base.structure, JetArray.constant(base.space, np.eye(2)[0]), base.euler)
+        counts = count_origin_data(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(RegularityError, match=r"canonical frame degenerate at the origin \(cond inf\)"):
+                canonical_frame(m)
+            with pytest.raises(RegularityError, match="degenerate"):
+                germ_isomorphism(m, base)
+        assert m._regularity
+        assert "_frame" not in vars(m) and "_frame_inverse" not in vars(m)
+        # one probe per model; three frames refused by each entry point
+        assert (counts["_regularity"], counts["_frame"], counts["_frame_inverse"]) == (2, 6, 0)
 
     def test_the_structure_tensor_is_marked_once_per_model(self, monkeypatch):
         # the Euler powers, U and the axiom checks read one marked tensor

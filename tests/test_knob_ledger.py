@@ -16,7 +16,6 @@ MODULES = ("jets", "regend", "fman", "frob", "saito", "malgrange", "reports", "c
 LEDGER = (
     "cli.main(argv)",
     "fman.FManifoldModel.__init__(blocks)",
-    "fman.canonical_frame(regularity)",
     "fman.check_symmetry_brackets(order)",
     "fman.standard_block(order)",
     "fman.standard_model(order)",

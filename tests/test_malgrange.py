@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from regfman import fman, jets, malgrange, regend
+from regfman import jets, malgrange, regend
 from regfman.errors import ChartDegeneracyError, RegularityError, ShapeError, ValidationError
 from regfman.fman import check_fmanifold, mult_by_euler, standard_block, standard_model
 from regfman.jets import JetArray, JetMatrix, jet_space
@@ -22,6 +22,9 @@ from regfman.malgrange import (
 )
 from regfman.regend import jordan_block, jordan_spectrum
 from regfman.saito import birkhoff_flatness
+
+import loop_oracles
+from test_fman import count_origin_data
 
 
 class TestB0At:
@@ -307,6 +310,77 @@ class TestValidation:
         assert rep.residuals["skew_symmetry"].value > 0.5
 
 
+def _seeded_initial_data(n, complex_spectrum, seed):
+    """Initial data on a standard model of dimension ``n``: seeded block
+    sizes and separated eigenvalues (rotated off the real axis for a
+    complex spectrum), moments h_k, k >= n, that follow the companion
+    matrix of the origin multiplication, the Hankel Gram matrix and the
+    least-squares skew endomorphism at a seeded weight.  Their residuals
+    are at round-off, and grow with the Gram condition up to n = 7."""
+    rng = np.random.default_rng([n, int(complex_spectrum), seed])
+    cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(0, n), replace=False))
+    sizes = np.diff([0, *cuts, n])
+    rotation = np.exp(1j * rng.uniform(0.3, 2.8)) if complex_spectrum else 1.0
+    a0 = rng.uniform(-1.0, 1.0)
+    model = standard_model([((a0 + 1.5 * k) * rotation, int(m)) for k, m in enumerate(sizes)], order=2)
+    weight = float(rng.choice([2.0, 2.5, 3.0]))
+    u0 = mult_by_euler(model).constant_term()
+    last = regend.cyclic_basis_representation(u0, model.unit.constant_terms())[:, n - 1]
+    h = np.zeros(2 * n - 1, dtype=complex)
+    h[:n] = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)
+    if weight != 2.0:
+        h[0] = 0.0
+    for k in range(n, 2 * n - 1):
+        h[k] = sum(last[i] * h[k - n + i] for i in range(n))
+    gram = np.array([[h[i + j] for j in range(n)] for i in range(n)])
+    return InitialData(model, gram, _solve_skew_endomorphism(gram, weight, check=False), weight)
+
+
+class TestValidationForms:
+    """The array expressions of ``validate_initial_data`` against the
+    entry-by-entry loops they replaced (``loop_oracles``), float for float."""
+
+    @staticmethod
+    def _hex(report):
+        return (
+            [(name, r.value.hex(), r.order) for name, r in report.residuals.items()],
+            report.gram_condition.hex(),
+            report.companion.tobytes(),
+            report.moments.tobytes(),
+        )
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("complex_spectrum", [False, True])
+    def test_seeded_admissible_and_perturbed_data_keep_every_float(self, n, complex_spectrum, monkeypatch):
+        representation = regend.cyclic_basis_representation
+        for seed in range(3):
+            data = _seeded_initial_data(n, complex_spectrum, seed)
+            rng = np.random.default_rng([n, seed])
+
+            def noise(scale=1e-3):
+                return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+            perturbed = InitialData(data.model, data.gram + noise(), data.skew + noise(), data.weight)
+            reports = []
+            for case, companion_noise in ((data, 0.0), (perturbed, 0.0), (perturbed, 1.0)):
+                # a perturbed companion matrix, for both forms, gives the
+                # companion check entries to read that are not exact
+                bent = noise(companion_noise)
+                with monkeypatch.context() as patch:
+                    patch.setattr(regend, "cyclic_basis_representation", lambda a, v: representation(a, v) + bent)
+                    report = validate_initial_data(case)
+                    assert self._hex(report) == self._hex(loop_oracles.validate_initial_data(case))
+                reports.append(report)
+            admissible, perturbed_report, bent_report = reports
+            if n == 1:
+                # no column but the last: an empty companion check
+                assert bent_report.residuals["companion_shape"].value == 0.0
+            else:
+                assert bent_report.residuals["companion_shape"].value > 1e-3
+            assert admissible.residuals.max_value() < 1e-5
+            assert perturbed_report.residuals.max_value() > 1e-6
+
+
 class TestExtension:
     def test_scalar_constant_extension(self):
         model = standard_block(1.0, 1, order=3)
@@ -378,11 +452,13 @@ class TestExtension:
         assert res.report["origin_match"].value < 1e-9
         assert res.report["euler_derivative_origin"].value < 1e-7
 
-    def test_one_probe_frame_and_table_per_use_per_call(self, monkeypatch):
-        # the origin data and the isomorphism's substitution table are
-        # passed within a call, never kept across calls: a second call on
-        # the same data repeats every probe, frame and table
-        calls = {"probe": 0, "euler": 0, "frame": 0, "table": 0}
+    def test_origin_data_once_per_model_and_one_table_per_call(self, monkeypatch):
+        # U, its probe and spectrum, the canonical frame and P^-1 are kept
+        # on each model: a second extension of the same data forms them only
+        # for its new chart model, and P^-1 not at all.  The substitution
+        # table lives only for its call.
+        counts = count_origin_data(monkeypatch)
+        calls = {"probe": 0, "table": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -392,21 +468,31 @@ class TestExtension:
             return wrapper
 
         monkeypatch.setattr(regend, "is_regular", counted("probe", regend.is_regular))
-        monkeypatch.setattr(fman, "mult_by_euler", counted("euler", fman.mult_by_euler))
-        monkeypatch.setattr(fman, "canonical_frame", counted("frame", fman.canonical_frame))
         monkeypatch.setattr(jets.Substitution, "__init__", counted("table", jets.Substitution.__init__))
         data = nilpotent_initial_data(a=0.0, h1=1.0, weight=3.0, order=3)
-        counts = []
+        seen, metrics = [], []
         for _ in range(2):
-            calls.update(probe=0, euler=0, frame=0, table=0)
-            assert initial_condition_extend(data).verdict.passed
-            counts.append(dict(calls))
-        # one probe each of the seed residue, the model's and the chart
-        # model's origin multiplication; in the isomorphism, one jet matrix
-        # of multiplication by E and one frame for each of the two models;
+            for key in counts:
+                counts[key] = 0
+            calls.update(probe=0, table=0)
+            result = initial_condition_extend(data)
+            assert result.verdict.passed
+            assert result.regularity_probe == data.model._regularity.probe
+            seen.append({**counts, **calls})
+            metrics.append(result.gram_jets)
+        # the kept data give the second extension the bits of the first
+        assert np.array_equal(metrics[0].coeffs, metrics[1].coeffs)
+        # the first call forms the data model's and the chart model's U
+        # (validation reads the data model's), probes the seed residue and
+        # both models, and inverts the data model's frame at the origin;
         # one table, grown through the solve and shared by the residuals and
         # the pull-back
-        assert counts == [{"probe": 3, "euler": 2, "frame": 2, "table": 1}] * 2
+        first = {"contract_u": 2, "_euler_matrix": 2, "_regularity": 2, "_spectrum": 2, "_frame": 2}
+        second = {"contract_u": 1, "_euler_matrix": 1, "_regularity": 1, "_spectrum": 1, "_frame": 1}
+        assert seen == [
+            {**first, "_frame_inverse": 1, "probe": 3, "table": 1},
+            {**second, "_frame_inverse": 0, "probe": 2, "table": 1},
+        ]
 
     def test_chart_membership_and_symmetry_diagnostics(self):
         data = nilpotent_initial_data(a=0.3, h1=1.0, weight=2.0, order=3)
@@ -442,9 +528,10 @@ class TestExtension:
         assert res.verdict.oracle.unit_parallel.value < 1e-8
 
 
-def _solve_skew_endomorphism(gram, weight):
+def _solve_skew_endomorphism(gram, weight, check=True):
     """Least-squares skew endomorphism with the unit column fixed by the
-    weight (used to build admissible higher-dimensional data)."""
+    weight (used to build admissible higher-dimensional data); with
+    ``check``, asserted to be skew."""
     n = gram.shape[0]
     v0 = np.zeros(n, dtype=complex)
     v0[0] = 1.0 - weight / 2.0
@@ -468,5 +555,5 @@ def _solve_skew_endomorphism(gram, weight):
             rhs.append(acc)
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
     v = np.column_stack([v0] + [sol[c * n : (c + 1) * n] for c in range(n - 1)])
-    assert np.max(np.abs(v.T @ gram + gram @ v)) < 1e-10
+    assert not check or np.max(np.abs(v.T @ gram + gram @ v)) < 1e-10
     return v

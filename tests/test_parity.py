@@ -8,6 +8,8 @@ import numpy as np
 
 from regfman.errors import ValidationError
 from regfman.jets import JetArray, jet_space
+from regfman.malgrange import DeformationSpec, fmanifold_on_chart, integrate_chart
+from regfman.regend import jordan_block
 from regfman.reports import report_from
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -59,3 +61,12 @@ def test_space_tables_digest_the_factor_table_whatever_its_container():
     moved = SimpleNamespace(**{**tables, "_cauchy": (ii[::-1].copy(), *rest)}, exponents=rows, _factors=pairs)
     assert parity.digest(parity.space_tables(moved)) != base
 
+
+def test_universality_fields_are_the_four_every_tree_has_and_keep_their_bits():
+    chart = integrate_chart(DeformationSpec(-jordan_block(0.5, 2), np.diag([-0.5, 0.5])), 4)
+    model = fmanifold_on_chart(chart)
+    fields = parity.universality_fields(chart, model)
+    assert list(fields) == ["map", "report", "spectra", "substitution"]
+    # a second call reads the model's kept origin data; a fresh model forms them
+    assert parity.digest(parity.universality_fields(chart, model)) == parity.digest(fields)
+    assert parity.digest(parity.universality_fields(chart, fmanifold_on_chart(chart))) == parity.digest(fields)

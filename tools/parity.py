@@ -17,7 +17,8 @@ process with one BLAS thread, runs with its own ``src/`` and ``perfbench/``:
   gradient, factor and Cauchy tables) on a fixed grid of (variables, order) spaces;
 - the report of ``check_frame_brackets`` on the chart models
   (``fmanifold_on_chart``) of single Jordan blocks and of products, at
-  orders 4 and 6.
+  orders 4 and 6, and the ``map``, ``report``, ``spectra`` and
+  ``substitution`` of ``check_universality_isomorphism`` on the same charts.
 
 Each output is dumped with every float as ``float.hex``, every jet array
 (and jet) as a SHA-1 of its coefficients together with its effective orders,
@@ -121,6 +122,16 @@ def space_tables(space) -> dict:
     }
 
 
+def universality_fields(chart, model) -> dict:
+    """The ``map``, ``report``, ``spectra`` and ``substitution`` of
+    ``check_universality_isomorphism(chart, model)``: the fields that every
+    tree's ``GermIsomorphism`` has."""
+    from regfman import malgrange
+
+    iso = malgrange.check_universality_isomorphism(chart, model)
+    return {field: getattr(iso, field) for field in ("map", "report", "spectra", "substitution")}
+
+
 def dump(tree: str) -> dict:
     """Every output of ``tree``, by case name."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
@@ -157,8 +168,10 @@ def dump(tree: str) -> dict:
             at += m
         spec = malgrange.DeformationSpec(b0o, np.diag(np.linspace(-0.5, 0.5, n)))
         for order in FRAME_ORDERS:
-            model = malgrange.fmanifold_on_chart(malgrange.integrate_chart(spec, order))
+            chart = malgrange.integrate_chart(spec, order)
+            model = malgrange.fmanifold_on_chart(chart)
             out[f"frame-brackets/{blocks},{order}"] = attempt(fman.check_frame_brackets, model)
+            out[f"germ-iso/{blocks},{order}"] = attempt(universality_fields, chart, model)
     with tempfile.TemporaryDirectory(prefix="parity-") as scratch:
         report = os.path.join(scratch, "report.json")
         for doc in sorted(glob.glob(os.path.join(tree, "docs", "tasks", "*.json"))):
