@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,17 +34,24 @@ def _sizes(blocks_or_model) -> tuple[int, ...]:
     return tuple(int(m) for m in blocks_or_model)
 
 
-def _offsets(sizes: tuple[int, ...]) -> list[int]:
-    out, at = [], 0
-    for m in sizes:
-        out.append(at)
-        at += m
-    return out
+@lru_cache(maxsize=None)
+def _layout(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block coordinates of a tuple of block sizes, read-only: for each
+    flat coordinate, the flat index where its block starts, its position i
+    in the block and the block size m.  Every block index table of this
+    module is derived from it."""
+    size = np.repeat(sizes, sizes)
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    layout = (start, np.arange(len(size)) - start, size)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
 
 
 def _tops(sizes) -> np.ndarray:
     """Flat index of the top entry of every block."""
-    return np.cumsum(sizes) - 1
+    _, pos, size = _layout(sizes)
+    return np.flatnonzero(pos == size - 1)
 
 
 # A metric is nondegenerate, and a one-form invertible, at the origin when
@@ -73,7 +81,7 @@ class _BlockJets:
         return sum(self.blocks)
 
     def families(self) -> tuple[JetArray, ...]:
-        return tuple(self.values[off : off + m] for off, m in zip(_offsets(self.blocks), self.blocks))
+        return tuple(self.values[top + 1 - m : top + 1] for top, m in zip(_tops(self.blocks), self.blocks))
 
     def top_values(self) -> np.ndarray:
         """The value at the origin of every block's top entry."""
@@ -107,12 +115,10 @@ class InvariantMetric(_BlockJets):
 
     def gram(self) -> JetArray:
         """The Gram matrix, its zero entries of full effective order."""
-        n = self.dim
-        source = np.full((n, n), n)  # n: a zero of full effective order
-        for off, m in zip(_offsets(self.blocks), self.blocks):
-            i, j = np.indices((m, m))
-            inside = i + j < m
-            source[off + i[inside], off + j[inside]] = off + (i + j)[inside]
+        start, pos, size = _layout(self.blocks)
+        i_plus_j = pos[:, None] + pos
+        # eta_{i+j} inside a block where i + j < m; n, a zero of full effective order, elsewhere
+        source = np.where((start[:, None] == start) & (i_plus_j < size), start + i_plus_j, self.dim)
         v = self.values
         coeffs = np.concatenate([v._stored, np.zeros((1, v._stored.shape[-1]))])[source]
         return JetArray(self.space, coeffs, np.append(v.eff, self.space.order)[source])
@@ -134,12 +140,10 @@ class RotationOperator:
 
 
 def epsilon_gram(blocks) -> np.ndarray:
-    sizes = _sizes(blocks)
-    n = sum(sizes)
-    g = np.zeros((n, n), dtype=np.complex128)
-    for off, m in zip(_offsets(sizes), sizes):
-        for i in range(m):
-            g[off + i, off + m - 1 - i] = 1.0
+    """The constant pairing of d_{i,alpha} with d_{m_alpha-1-i,alpha}."""
+    start, pos, size = _layout(_sizes(blocks))
+    g = np.zeros((len(size), len(size)), dtype=np.complex128)
+    g[np.arange(len(size)), start + size - 1 - pos] = 1.0
     return g
 
 
@@ -174,9 +178,7 @@ def check_unit_flat(metric: InvariantMetric) -> ResidualReport:
     unit field e = sum of the leading block directions."""
     d = metric.values.grad()  # d[h, g] = d_h eta_g
     order = metric.values.eff_order() - 1
-    unit = np.zeros(metric.dim)
-    unit[_offsets(metric.blocks)] = 1.0
-    unit = JetArray.constant(metric.space, unit).exact_zeros()
+    unit = JetArray.constant(metric.space, (_layout(metric.blocks)[1] == 0).astype(np.float64)).exact_zeros()
     derivative = contract("v,vk->k", unit, d).residual_norm()
     closed = (d - d.transpose(1, 0))[np.triu_indices(len(d), 1)].residual_norm()
     return report_from([("coidentity_closed", closed, order), ("unit_derivative", derivative, order)])
@@ -225,14 +227,9 @@ def _sum_into(count: int, targets, terms: JetArray) -> JetArray:
 def _product_pairs(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices (r, s, t) of the cotangent products
     dt^r o dt^s = dt^t, t = r + s - (m-1), within each block."""
-    r, s, t = [], [], []
-    for off, m in zip(_offsets(blocks), blocks):
-        for i in range(m):
-            for j in range(m - 1 - i, m):
-                r.append(off + i)
-                s.append(off + j)
-                t.append(off + i + j - (m - 1))
-    return np.array(r), np.array(s), np.array(t)
+    start, pos, size = _layout(blocks)
+    r, s = np.nonzero((start[:, None] == start) & (pos[:, None] + pos >= size[:, None] - 1))
+    return r, s, r + pos[s] - (size[r] - 1)
 
 
 def _descend(blocks, x: JetArray, weight: JetArray, rhs: JetArray, y=None, inner: int = 0) -> JetArray:
@@ -241,19 +238,9 @@ def _descend(blocks, x: JetArray, weight: JetArray, rhs: JetArray, y=None, inner
     where ``x`` holds each block's top already and ``y`` defaults to x.
     One level (the same distance below every top) at a time: every entry
     of a level has the same number of terms, subtracted in ascending s."""
-    offsets = _offsets(blocks)
-    for level in range(1, max(blocks)):
-        rows, block, left, right = [], [], [], []
-        for b, (off, m) in enumerate(zip(offsets, blocks)):
-            if m <= level:
-                continue
-            q = m - 1 - level
-            left += [off + s for s in range(q + 1, m - inner)]
-            right += [off + m - 1 + q - s for s in range(q + 1, m - inner)]
-            rows.append(off + q)
-            block.append(b)
+    for rows, block, left, right in _descent_levels(blocks, inner):
         value = rhs[rows]
-        if left:
+        if len(left):
             terms = x[left] * (x if y is None else y)[right]
             for term in terms.reshape(len(rows), -1).transpose(1, 0):
                 value = value - term
@@ -261,9 +248,20 @@ def _descend(blocks, x: JetArray, weight: JetArray, rhs: JetArray, y=None, inner
     return x
 
 
-def psi_from_metric(
-    metric: InvariantMetric, branch_anchors=None
-) -> OneForm:
+def _descent_levels(blocks, inner: int):
+    """The indices of :func:`_descend`, one level at a time: the rows q
+    (in block order), their blocks, and the flat indices of s and of
+    m-1+q-s for s = q+1, ..., m-1-inner, row after row."""
+    start, pos, size = _layout(blocks)
+    block = np.cumsum(pos == 0) - 1
+    for level in range(1, max(blocks)):
+        rows = np.flatnonzero(pos == size - 1 - level)
+        steps = np.arange(1, level - inner + 1)  # s - q
+        top = start[rows] + size[rows] - 1
+        yield rows, block[rows], (rows[:, None] + steps).ravel(), (top[:, None] - steps).ravel()
+
+
+def psi_from_metric(metric: InvariantMetric, branch_anchors=None) -> OneForm:
     """Unique invertible one-form with g(X, Y) = (psi o psi)(X o Y).
 
     Per block: the top component is a square root of the top eta (branch
@@ -310,15 +308,14 @@ def covector_product(a: OneForm, b: OneForm) -> OneForm:
 
 def unit_covector(blocks, space: JetSpace) -> OneForm:
     sizes = _sizes(blocks)
-    values = np.zeros(sum(sizes))
-    values[_tops(sizes)] = 1.0
-    return OneForm(sizes, JetArray.constant(space, values))
+    _, pos, size = _layout(sizes)
+    return OneForm(sizes, JetArray.constant(space, (pos == size - 1).astype(np.float64)))
 
 
 def _epsilon_norm(psi: OneForm) -> JetArray:
     # psi_i pairs with psi_{m-1-i} of its block
-    partner = np.repeat(2 * np.array(_offsets(psi.blocks)) + np.array(psi.blocks) - 1, psi.blocks)
-    terms = psi.values * psi.values[partner - np.arange(psi.dim)]
+    start, pos, size = _layout(psi.blocks)
+    terms = psi.values * psi.values[start + size - 1 - pos]
     return _sum_into(1, np.zeros(psi.dim, dtype=np.int64), terms).reshape()
 
 
@@ -506,7 +503,6 @@ def frobenius_verdict(
     metric: InvariantMetric,
     model: FManifoldModel,
     weight: complex | None = None,
-    branch_anchors=None,
     tolerance: float = DEFAULT_TOLERANCE,
     run_oracle: bool | None = None,
 ) -> FrobeniusVerdict:
@@ -527,7 +523,7 @@ def frobenius_verdict(
         raise ShapeError("metric and model dimensions differ")
     if not model.is_constant_multiplication():
         raise ScopeError("the verdict chain requires constant multiplication")
-    psi = psi_from_metric(metric, branch_anchors)
+    psi = psi_from_metric(metric)
     beta = invert_oneform(psi)
     gamma = gamma_operator(psi, beta, model)
     br = structure_brackets(gamma, model)

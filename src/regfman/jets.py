@@ -100,7 +100,6 @@ class JetSpace:
         self.exponents[self.index_of(rows)] = rows
         self.exponents.setflags(write=False)
         self.degrees = self.exponents.sum(axis=1)
-        self._trunc_masks = [self.degrees <= d for d in range(order + 1)]
 
         # The derivative table of all variables, sorted by source column (the
         # source, variable, target and factor of each row), the rows of each
@@ -193,7 +192,9 @@ class JetSpace:
     def _wrap(self, coeffs: np.ndarray, eff_order: int) -> "Jet":
         eff_order = min(eff_order, self.order)
         if eff_order < self.order:
-            coeffs = np.where(self._trunc_masks[max(eff_order, 0)], coeffs, 0.0)
+            # the monomials of degree at most eff_order are a prefix
+            coeffs = coeffs.astype(np.complex128)
+            coeffs[self._degree_ends[max(eff_order, 0)] :] = 0.0
         coeffs.setflags(write=False)
         return Jet(self, coeffs, eff_order)
 
@@ -368,9 +369,8 @@ class Jet:
         """Max coefficient modulus over the trustworthy degrees."""
         if self.eff_order < 0:
             raise ValueError("jet has no trustworthy coefficients (eff_order < 0)")
-        mask = self.space._trunc_masks[min(self.eff_order, self.space.order)]
-        vals = np.abs(self.coeffs[mask])
-        return float(vals.max()) if vals.size else 0.0
+        end = self.space._degree_ends[min(self.eff_order, self.space.order)]  # degrees up to eff_order
+        return float(np.abs(self.coeffs[:end]).max())
 
     def terms(self) -> dict[tuple[int, ...], complex]:
         nz = np.flatnonzero(self.coeffs)
@@ -1216,15 +1216,15 @@ class Substitution:
     to order 2, would get the constant terms 1 and 2.
 
     The monomial table, ``table[i]`` the target coefficients of the i-th
-    source monomial, is built once.  Each source monomial of degree r is
-    one of degree r - 1 times one substitution, and its row is truncated
-    above the lowest effective order of its factors; the products give the
-    bits of the ``Jet`` products ``prev * subs[v]`` up to the sign of a
-    zero.  The table is built one column degree at a time (:meth:`_fill`)
-    and stops past the highest effective order, where every row is
-    truncated; :meth:`_grow` extends it by further degrees as they become
-    known, which is how :func:`regfman.fman.germ_isomorphism` grows one
-    table through its solve.
+    source monomial, is built one column degree at a time (:meth:`_fill`)
+    up to the lowest effective order of the substitutions, the order every
+    composition is truncated at; the columns above it stay zero.  Each
+    source monomial of degree r is one of degree r - 1 times one
+    substitution, and the products give the bits of the ``Jet`` products
+    ``prev * subs[v]`` up to the sign of a zero.  The constructor starts
+    from the empty table and grows it (:meth:`_grow`), which is also how
+    :func:`regfman.fman.germ_isomorphism` grows one table through its
+    solve, degree by degree as the coefficients become final.
 
     Applying the table to a :class:`JetArray` adds ``table[i] * c_i`` in
     source-index order over the rows that are not all zero (the sum starts
@@ -1241,33 +1241,23 @@ class Substitution:
             raise ShapeError(f"expected {source.num_vars} substitutions, got shape {subs.shape}")
         if subs.constant_term().any():
             raise ScopeError("substitutions must fix the origin: a constant term re-centers the jets")
-        target = subs.space
-        coeffs, eff = subs.coeffs, np.minimum(subs.eff, target.order)
-        # the effective order of each monomial, the lowest of its factors'
-        v, low = source._factors.T
-        ends = source._degree_ends
-        rows_eff = np.full(source.size, target.order)
-        for lo, hi in zip(ends, ends[1:]):
-            rows_eff[lo:hi] = np.minimum(rows_eff[low[lo - 1 : hi - 1]], eff[v[lo - 1 : hi - 1]])
         self.source = source
-        self.target = target
-        self.table = np.zeros((source.size, target.size), dtype=np.complex128)
+        self.target = subs.space
+        self.table = np.zeros((source.size, self.target.size), dtype=np.complex128)
         self.table[0, 0] = 1.0
-        self.eff_order = subs.eff_order()
+        self.eff_order = 0
         self._live = np.zeros(source.size, dtype=bool)
         self._live[0] = True
-        for e in range(1, int(eff.max(initial=0)) + 1):
-            self._fill(coeffs, e, rows_eff)
+        self._grow(subs.coeffs, subs.eff_order())
 
-    def _fill(self, coeffs: np.ndarray, e: int, rows_eff: np.ndarray | None):
+    def _fill(self, coeffs: np.ndarray, e: int):
         """Fill the columns of target degree ``e`` from the substitutions'
         full-width coefficients ``coeffs`` (every degree below ``e``
         filled).  As psi(0) = 0, only rows of degree 1 to ``e`` reach them:
         those of degree 1 copy the substitutions, and those of degree 2 to
         ``e`` come from one ``reduceat`` over the Cauchy pairs whose targets
         have degree ``e``, each a pair of a factor row and a substitution,
-        as :func:`_row_products` sums them.  A row is zeroed there when its
-        entry of ``rows_eff`` is below ``e``; ``None`` trusts every row."""
+        as :func:`_row_products` sums them."""
         source, target, table = self.source, self.target, self.table
         lo, hi = target._degree_ends[e - 1], target._degree_ends[e]
         ends = source._degree_ends
@@ -1282,17 +1272,14 @@ class Substitution:
                 fv, fl = v[ends[1] - 1 : top - 1, None], low[ends[1] - 1 : top - 1, None]
                 prod = table[fl, ii[first:last]] * coeffs[fv, jj[first:last]]
                 table[ends[1] : top, lo:hi] = np.add.reduceat(prod, groups, axis=1)
-            if rows_eff is not None:
-                table[1:top, lo:hi][rows_eff[1:top] < e] = 0.0
             self._live[1:top] |= table[1:top, lo:hi].any(axis=1)
 
     def _grow(self, coeffs: np.ndarray, order: int):
-        """Extend a table of substitutions that share one effective order,
-        and have no constant term, to the same substitutions trusted to
-        ``order``: ``coeffs`` are their full-width coefficients, final up to
-        degree ``order`` and equal to the old ones up to the old order."""
+        """Extend the table to the same substitutions trusted to ``order``:
+        ``coeffs`` are their full-width coefficients, final up to degree
+        ``order`` and equal to the old ones up to the old order."""
         for e in range(self.eff_order + 1, order + 1):
-            self._fill(coeffs, e, None)
+            self._fill(coeffs, e)
         self.eff_order = order
 
     def _compose(self, c: np.ndarray, cols=slice(None)) -> np.ndarray:

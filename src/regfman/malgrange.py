@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .fman import FManifoldModel, GermIsomorphism, _matrix_powers, germ_isomorphism, standard_model
-from .frob import FrobeniusVerdict, InvariantMetric, _offsets, euler_derivative, frobenius_verdict
+from .frob import FrobeniusVerdict, InvariantMetric, _layout, _sizes, euler_derivative, frobenius_verdict
 from .jets import DEFAULT_ORDER, JetArray, contract, jet_space
 from .reports import DEFAULT_TOLERANCE, Residual, ResidualReport, report_from
 from .saito import BirkhoffConnection, SaitoBundle, check_saito_axioms, check_saito_metric_axioms
@@ -364,8 +364,10 @@ def initial_condition_extend(
     given weight, the origin Euler-derivative law and the symmetry
     diagnostics of the chart.  The extension is taken to the model's jet
     order.  Inadmissible data raise :class:`ValidationError`, which carries
-    the validation report.
+    the validation report; a model without block structure raises
+    :class:`ScopeError` before any of it is computed.
     """
+    sizes = _sizes(data.model)
     val = validate_initial_data(data)
     if not val.passed(validation_tolerance):
         worst = val.residuals.worst()
@@ -398,12 +400,8 @@ def initial_condition_extend(
     composed = iso.substitution(gram_chart)
     gram_model = contract("al,bl->ab", contract("ak,kl->al", jac, composed), jac)
 
-    if model.blocks is None:
-        raise ShapeError("target model must carry block structure")
-    sizes = [m for _, m in model.blocks]
     # eta_{i, alpha} = g(d_{0, alpha}, d_{i, alpha})
-    rows = np.repeat(_offsets(sizes), sizes)
-    metric = InvariantMetric(sizes, gram_model[rows, np.arange(n)])
+    metric = InvariantMetric(sizes, gram_model[_layout(sizes)[0], np.arange(n)])
     structure_res = (metric.gram() - gram_model).residual_norm()
 
     # the pairing is complex-bilinear: the frame change uses plain transposes

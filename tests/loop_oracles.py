@@ -4,8 +4,8 @@ These are the per-entry ``Jet`` loops that the package's checks used before
 they were written as ``JetArray`` contractions: ``check_fmanifold``, the
 symmetry and canonical-frame bracket checks, ``check_gamma``, the rotation
 operator (general and single-block), the Darboux-Egoroff residuals, the
-one-form chain psi -> beta and its products, the unit and Euler laws of a
-metric and the Levi-Civita curvature oracle; plus the per-call composition
+one-form chain psi -> beta and its products and their block indices, the
+unit and Euler laws of a metric and the Levi-Civita curvature oracle; plus the per-call composition
 loop that ``Substitution`` replaced, the one-right-hand-side frame
 expansion that ``malgrange.expand_in_frame`` batches, and the per-pair
 loops of the Saito-bundle and Birkhoff-connection checks.  The last
@@ -889,6 +889,65 @@ def gamma_annihilates_dual(gamma, psi) -> float:
                 acc = acc + flat[j].scale(eps_inv[k, j])
         t_field.append(acc)
     return matvec(to_matrix(gamma.matrix), t_field).residual_norm()
+
+
+# -- block coordinate indices, per block ---------------------------------------------
+#
+# The index tables of ``frob`` as the loops over blocks that built them before
+# they were derived from one layout of the block coordinates.
+
+
+def _offsets(blocks):
+    return [sum(blocks[:b]) for b in range(len(blocks))]
+
+
+def gram_sources(blocks):
+    """The flat index of eta_{i+j, alpha} for each Gram entry, n elsewhere."""
+    n = sum(blocks)
+    source = np.full((n, n), n)
+    for off, m in zip(_offsets(blocks), blocks):
+        for i in range(m):
+            for j in range(m - i):
+                source[off + i, off + j] = off + i + j
+    return source
+
+
+def epsilon_pairing(blocks):
+    n = sum(blocks)
+    g = np.zeros((n, n), dtype=np.complex128)
+    for off, m in zip(_offsets(blocks), blocks):
+        for i in range(m):
+            g[off + i, off + m - 1 - i] = 1.0
+    return g
+
+
+def product_pairs(blocks):
+    """(r, s, t) of every cotangent product dt^r o dt^s = dt^t, in order."""
+    r, s, t = [], [], []
+    for off, m in zip(_offsets(blocks), blocks):
+        for i in range(m):
+            for j in range(m - 1 - i, m):
+                r.append(off + i)
+                s.append(off + j)
+                t.append(off + i + j - (m - 1))
+    return r, s, t
+
+
+def descent_levels(blocks, inner):
+    """(rows, blocks, left, right) of each level of the block-triangular descent."""
+    levels = []
+    for level in range(1, max(blocks)):
+        rows, block, left, right = [], [], [], []
+        for b, (off, m) in enumerate(zip(_offsets(blocks), blocks)):
+            if m <= level:
+                continue
+            q = m - 1 - level
+            left += [off + s for s in range(q + 1, m - inner)]
+            right += [off + m - 1 + q - s for s in range(q + 1, m - inner)]
+            rows.append(off + q)
+            block.append(b)
+        levels.append((rows, block, left, right))
+    return levels
 
 
 # -- unit and Euler laws of a metric --------------------------------------------------

@@ -4,7 +4,10 @@ the curvature oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import loop_oracles
+from regfman import frob
 from regfman.errors import DegenerateMetricError, ScopeError
 from regfman.fman import standard_block, standard_model
 from regfman.frob import (
@@ -598,3 +601,20 @@ class TestVerdict:
         forged = FManifoldModel(JetArray.from_jets(mult), model.unit, model.euler, blocks=model.blocks)
         with pytest.raises(ScopeError):
             frobenius_verdict(epsilon_metric([2], order=4), forged)
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocks=st.lists(st.integers(1, 5), min_size=1, max_size=5).map(tuple))
+def test_block_indices_from_the_layout_match_the_per_block_loops(blocks):
+    layout = frob._layout(blocks)
+    assert layout is frob._layout(blocks) and not any(a.flags.writeable for a in layout)
+    # the Gram matrix of a metric whose eta are the constants 1, ..., n
+    n = sum(blocks)
+    gram = InvariantMetric(blocks, JetArray.constant(jet_space(n, 0), np.arange(1.0, n + 1))).gram()
+    sources = loop_oracles.gram_sources(blocks)
+    assert np.array_equal(gram.constant_term(), np.where(sources < n, sources + 1.0, 0.0))
+    assert np.array_equal(epsilon_gram(blocks), loop_oracles.epsilon_pairing(blocks))
+    assert [a.tolist() for a in frob._product_pairs(blocks)] == list(loop_oracles.product_pairs(blocks))
+    for inner in (0, 1):
+        got = [[a.tolist() for a in level] for level in frob._descent_levels(blocks, inner)]
+        assert got == [list(level) for level in loop_oracles.descent_levels(blocks, inner)]

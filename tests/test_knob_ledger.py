@@ -22,7 +22,6 @@ LEDGER = (
     "fman.symmetry_basis(order)",
     "frob.check_euler_rescaling(weight)",
     "frob.epsilon_metric(order)",
-    "frob.frobenius_verdict(branch_anchors)",
     "frob.frobenius_verdict(run_oracle)",
     "frob.frobenius_verdict(tolerance)",
     "frob.frobenius_verdict(weight)",

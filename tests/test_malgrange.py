@@ -1,11 +1,13 @@
 """Deformation-chart and initial-condition-extension tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from regfman import jets, malgrange, regend
-from regfman.errors import ChartDegeneracyError, RegularityError, ShapeError, ValidationError
-from regfman.fman import check_fmanifold, mult_by_euler, standard_block, standard_model
+from regfman.errors import ChartDegeneracyError, RegularityError, ScopeError, ShapeError, ValidationError
+from regfman.fman import FManifoldModel, check_fmanifold, mult_by_euler, standard_block, standard_model
 from regfman.jets import JetArray, JetMatrix, jet_space
 from regfman.malgrange import (
     DeformationSpec,
@@ -493,6 +495,21 @@ class TestExtension:
             {**first, "_frame_inverse": 1, "probe": 3, "table": 1},
             {**second, "_frame_inverse": 0, "probe": 2, "table": 1},
         ]
+
+    def test_a_model_without_blocks_is_refused_before_the_chart(self, monkeypatch):
+        # the metric is laid out on the model's blocks: their sizes are read
+        # at entry, so admissible data on a model without them integrate no
+        # chart
+        data = nilpotent_initial_data(a=0.0, h1=1.0, weight=3.0, order=3)
+        bare = replace(data, model=FManifoldModel(data.model.structure, data.model.unit, data.model.euler))
+        assert validate_initial_data(bare).passed(1e-10)
+
+        def refuse(*args):
+            raise AssertionError("a chart integrated for a model without blocks")
+
+        monkeypatch.setattr(malgrange, "integrate_chart", refuse)
+        with pytest.raises(ScopeError, match="block structure"):
+            initial_condition_extend(bare)
 
     def test_chart_membership_and_symmetry_diagnostics(self):
         data = nilpotent_initial_data(a=0.3, h1=1.0, weight=2.0, order=3)

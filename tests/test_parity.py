@@ -70,3 +70,13 @@ def test_universality_fields_are_the_four_every_tree_has_and_keep_their_bits():
     # a second call reads the model's kept origin data; a fresh model forms them
     assert parity.digest(parity.universality_fields(chart, model)) == parity.digest(fields)
     assert parity.digest(parity.universality_fields(chart, fmanifold_on_chart(chart))) == parity.digest(fields)
+
+
+def test_substitution_outputs_cover_each_effective_order_kind_as_a_batch_and_a_single_jet():
+    shape = parity.SUBSTITUTION_SHAPES[1]
+    outs = {kind: parity.substitution_outputs(parity.SEED, shape, kind) for kind in parity.SUBSTITUTION_KINDS}
+    for out in outs.values():
+        assert [out[k].shape for k in ("batch", "single", "entry")] == [(3,), (1,), ()]
+        assert np.array_equal(out["single"].coeffs[0], out["entry"].coeffs)
+    assert (outs["none"]["batch"].eff == -1).all()
+    assert parity.digest(parity.substitution_outputs(parity.SEED, shape, "mixed")) == parity.digest(outs["mixed"])

@@ -18,7 +18,12 @@ process with one BLAS thread, runs with its own ``src/`` and ``perfbench/``:
 - the report of ``check_frame_brackets`` on the chart models
   (``fmanifold_on_chart``) of single Jordan blocks and of products, at
   orders 4 and 6, and the ``map``, ``report``, ``spectra`` and
-  ``substitution`` of ``check_universality_isomorphism`` on the same charts.
+  ``substitution`` of ``check_universality_isomorphism`` on the same charts;
+- the compositions ``Substitution(source, subs)(f)`` of seeded substitutions
+  that fix the origin, with full, mixed, low or -1 effective orders, of a
+  batch of jets and of a single jet: their coefficients and effective
+  orders, not the table (its columns above the substitutions' effective
+  order are no output).
 
 Each output is dumped with every float as ``float.hex``, every jet array
 (and jet) as a SHA-1 of its coefficients together with its effective orders,
@@ -54,6 +59,10 @@ FRAME_SPECTRA = (
     ((0.5, 2), (-1.0, 2)),
 )
 FRAME_ORDERS = (4, 6)
+# (source variables, source order, target variables, target order) of the
+# dumped substitutions, each with every effective-order kind of SUBSTITUTION_KINDS
+SUBSTITUTION_SHAPES = ((1, 4, 1, 4), (2, 3, 3, 4), (3, 4, 2, 3), (3, 2, 4, 5), (4, 4, 4, 4), (2, 6, 1, 6))
+SUBSTITUTION_KINDS = ("full", "mixed", "low", "none")
 DUMP_TIMEOUT_S = 1800
 TEXT_INLINE = 80  # longer strings are dumped as their SHA-1
 
@@ -132,6 +141,37 @@ def universality_fields(chart, model) -> dict:
     return {field: getattr(iso, field) for field in ("map", "report", "spectra", "substitution")}
 
 
+def substitution_outputs(seed: int, shape: tuple[int, ...], kind: str) -> dict:
+    """The compositions through ``Substitution(source, subs)`` of a batch
+    of three jets, of its first entry as a batch of one and of that entry
+    as a 0-dimensional array.  The substitutions fix the origin, have sparse
+    coefficients and effective orders of ``kind``: all the target order
+    (``full``), each drawn from -1 to it (``mixed``), one drawn below it
+    (``low``) or all -1 (``none``)."""
+    import numpy as np
+    from regfman.jets import JetArray, Substitution, jet_space
+
+    rng = np.random.default_rng(seed)
+    source_vars, source_order, target_vars, target_order = shape
+    source, target = jet_space(source_vars, source_order), jet_space(target_vars, target_order)
+
+    def rows(space, count):
+        c = rng.standard_normal((count, space.size)) + 1j * rng.standard_normal((count, space.size))
+        return c * (rng.random((count, space.size)) < 0.8)
+
+    coeffs = rows(target, source_vars)
+    coeffs[:, 0] = 0.0
+    eff = {
+        "full": np.full(source_vars, target_order),
+        "mixed": rng.integers(-1, target_order + 1, source_vars),
+        "low": np.full(source_vars, int(rng.integers(0, target_order))),
+        "none": np.full(source_vars, -1),
+    }[kind]
+    sub = Substitution(source, JetArray(target, coeffs, eff))
+    f = JetArray(source, rows(source, 3), rng.integers(-1, source_order + 1, 3))
+    return {"batch": sub(f), "single": sub(f[:1]), "entry": sub(f[:1].reshape())}
+
+
 def dump(tree: str) -> dict:
     """Every output of ``tree``, by case name."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
@@ -172,6 +212,8 @@ def dump(tree: str) -> dict:
             model = malgrange.fmanifold_on_chart(chart)
             out[f"frame-brackets/{blocks},{order}"] = attempt(fman.check_frame_brackets, model)
             out[f"germ-iso/{blocks},{order}"] = attempt(universality_fields, chart, model)
+    for i, (shape, kind) in enumerate((s, k) for s in SUBSTITUTION_SHAPES for k in SUBSTITUTION_KINDS):
+        out[f"substitution/{shape},{kind}"] = attempt(substitution_outputs, SEED + i, shape, kind)
     with tempfile.TemporaryDirectory(prefix="parity-") as scratch:
         report = os.path.join(scratch, "report.json")
         for doc in sorted(glob.glob(os.path.join(tree, "docs", "tasks", "*.json"))):
