@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import fman, frob, malgrange, regend, saito
-from .errors import DocumentError, RegfmanError, ValidationError
+from .errors import DocumentError, RegfmanError, ShapeError, ValidationError
 from .jets import JetArray, JetSpace, jet_space
 from .regend import JordanSpectrum
 from .reports import ResidualReport
@@ -347,7 +347,10 @@ def _run_verify_frobenius(payload, settings):
         weight = _complex_in(payload["weight"], "payload/weight")
     tol = settings["tolerance"]
     oracle_tol = max(tol, 1e-8)
-    verdict = frob.frobenius_verdict(metric, model, weight=weight, tolerance=tol, run_oracle=True)
+    try:
+        verdict = frob.frobenius_verdict(metric, model, weight=weight, tolerance=tol, run_oracle=True)
+    except ShapeError as exc:  # a metric below the verdict's order floor
+        _fail(str(exc), "payload/potential" if "potential" in payload else "payload/eta")
     oracle = verdict.oracle.report()
     return {
         "residuals": verdict.report.to_dict(),

@@ -210,22 +210,24 @@ def standard_model(
 
 def lie_derivative_of_mult(model: FManifoldModel, x: JetArray) -> JetArray:
     """L_X(o)(d_a, d_b) = [X, d_a o d_b] - [X, d_a] o d_b - d_a o [X, d_b]
-    for every pair of coordinate fields, shape (n, n, n)."""
+    for every pair of coordinate fields, shape (n, n, n); both brackets
+    read one gradient of X."""
     n = model.dim
     c = model.structure
     cx = model._marked_structure
-    brackets = _vector_bracket(x, JetArray.constant(model.space, np.eye(n))).exact_zeros()  # [X, d_a]
+    dx = x.grad()
+    brackets = _vector_bracket(x, dx, JetArray.constant(model.space, np.eye(n))).exact_zeros()  # [X, d_a]
     return (
-        _vector_bracket(x, c.reshape(n * n, n)).reshape(n, n, n)
+        _vector_bracket(x, dx, c.reshape(n * n, n)).reshape(n, n, n)
         - contract("ai,ibk->abk", brackets, cx)
         - contract("bj,ajk->abk", brackets, cx)
     )
 
 
-def _vector_bracket(x: JetArray, y: JetArray) -> JetArray:
-    """[X, Y]^k = X(Y^k) - Y(X^k) for one field X (shape (n,)) and a batch
-    of fields Y (shape (b, n))."""
-    return contract("v,vbk->bk", x, y.grad()) - contract("bv,vk->bk", y, x.grad())
+def _vector_bracket(x: JetArray, dx: JetArray, y: JetArray) -> JetArray:
+    """[X, Y]^k = X(Y^k) - Y(X^k) for one field X (shape (n,)), its gradient
+    dx[v, k] = d_v X^k, and a batch of fields Y (shape (b, n))."""
+    return contract("v,vbk->bk", x, y.grad()) - contract("bv,vk->bk", y, dx)
 
 
 def check_fmanifold(model: FManifoldModel) -> ResidualReport:
@@ -478,9 +480,10 @@ def check_symmetry(model: FManifoldModel, x: JetArray) -> ResidualReport:
     k_order = model.space.order
     upper = np.triu(np.ones((m, m), dtype=bool))
     mult_res = lie_derivative_of_mult(model, x).residual_norms().max(axis=-1)[upper].max()
-    euler_res = _vector_bracket(x, model.euler.reshape(1, m)).residual_norm()
+    dx = x.grad()
+    euler_res = _vector_bracket(x, dx, model.euler.reshape(1, m)).residual_norm()
     # [X, d_i] = -[d_i, X]; every residual below is linear in these
-    brackets = _vector_bracket(x, JetArray.constant(model.space, np.eye(model.dim)))
+    brackets = _vector_bracket(x, dx, JetArray.constant(model.space, np.eye(model.dim)))
     entries = [
         ("mult_invariance", mult_res, k_order - 1),
         ("euler_commute", euler_res, k_order - 1),

@@ -14,6 +14,7 @@ cross-check every verdict.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +49,18 @@ def _layout(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return layout
 
 
+@lru_cache(maxsize=None)
+def _gram_sources(sizes: tuple[int, ...]) -> np.ndarray:
+    """For each Gram entry (j, k), read-only: the flat index of the eta it
+    is, eta_{i+j} inside a block where i + j < m, or n for an entry that is
+    identically zero."""
+    start, pos, size = _layout(sizes)
+    i_plus_j = pos[:, None] + pos
+    source = np.where((start[:, None] == start) & (i_plus_j < size), start + i_plus_j, len(size))
+    source.setflags(write=False)
+    return source
+
+
 def _tops(sizes) -> np.ndarray:
     """Flat index of the top entry of every block."""
     _, pos, size = _layout(sizes)
@@ -62,7 +75,13 @@ TOP_FLOOR = 1e-10
 class _BlockJets:
     """One jet per coordinate in block coordinates: ``values``, an (n,) jet
     array, read per block as ``families()[alpha][i]`` = values[off_alpha + i].
-    The values may also be given as one family of jets per block."""
+    The values may also be given as one family of jets per block.  A copy
+    made by :func:`_differentiated` carries the gradient of the values, and
+    a one-form from :func:`psi_from_metric` the inverses of its top entries;
+    a stage forms what is not carried and keeps nothing on its arguments."""
+
+    _grad: JetArray | None = None
+    _top_inverse: JetArray | None = None
 
     def __init__(self, blocks, values):
         self.blocks = tuple(int(m) for m in blocks)
@@ -80,6 +99,10 @@ class _BlockJets:
     def dim(self) -> int:
         return sum(self.blocks)
 
+    def _gradient(self) -> JetArray:
+        """d[v, g] = d_v values_g: the carried gradient, or a fresh one."""
+        return self.values.grad() if self._grad is None else self._grad
+
     def families(self) -> tuple[JetArray, ...]:
         return tuple(self.values[top + 1 - m : top + 1] for top, m in zip(_tops(self.blocks), self.blocks))
 
@@ -94,6 +117,14 @@ class _BlockJets:
 
     def __repr__(self):
         return f"{type(self).__name__}(blocks={self.blocks}, order={self.space.order})"
+
+
+def _differentiated(x: _BlockJets) -> _BlockJets:
+    """A shallow copy of ``x`` that carries the gradient of its values to the
+    stages of one call; ``x`` is left as it is."""
+    out = copy.copy(x)
+    out._grad = x.values.grad()
+    return out
 
 
 class InvariantMetric(_BlockJets):
@@ -115,13 +146,21 @@ class InvariantMetric(_BlockJets):
 
     def gram(self) -> JetArray:
         """The Gram matrix, its zero entries of full effective order."""
-        start, pos, size = _layout(self.blocks)
-        i_plus_j = pos[:, None] + pos
-        # eta_{i+j} inside a block where i + j < m; n, a zero of full effective order, elsewhere
-        source = np.where((start[:, None] == start) & (i_plus_j < size), start + i_plus_j, self.dim)
+        source = _gram_sources(self.blocks)
         v = self.values
         coeffs = np.concatenate([v._stored, np.zeros((1, v._stored.shape[-1]))])[source]
         return JetArray(self.space, coeffs, np.append(v.eff, self.space.order)[source])
+
+    def _gram_grad(self) -> JetArray:
+        """``gram().grad()`` with its bits, gathered from the gradient of the
+        values through the same sources: the derivative of a zero entry is
+        a zero trusted one order below K."""
+        d = self._gradient()
+        c = d._stored
+        coeffs = np.concatenate([c, np.zeros((len(c), 1, c.shape[-1]))], axis=1)
+        eff = np.concatenate([d.eff, np.full((len(c), 1), self.space.order - 1)], axis=1)
+        source = _gram_sources(self.blocks)
+        return JetArray._raw(self.space, np.take(coeffs, source, axis=1), np.take(eff, source, axis=1))
 
 
 class OneForm(_BlockJets):
@@ -176,7 +215,7 @@ def check_unit_flat(metric: InvariantMetric) -> ResidualReport:
     """Flat unit: closed coidentity (the one-form of the eta has a
     potential: d_h eta_g = d_g eta_h over g < h) plus e(eta) = 0 for the
     unit field e = sum of the leading block directions."""
-    d = metric.values.grad()  # d[h, g] = d_h eta_g
+    d = metric._gradient()  # d[h, g] = d_h eta_g
     order = metric.values.eff_order() - 1
     unit = JetArray.constant(metric.space, (_layout(metric.blocks)[1] == 0).astype(np.float64)).exact_zeros()
     derivative = contract("v,vk->k", unit, d).residual_norm()
@@ -197,7 +236,7 @@ def check_euler_rescaling(
     if euler.shape != (metric.dim,):
         raise ShapeError("Euler field dimension does not match the metric")
     eta = metric.values
-    derivs = contract("v,vj->j", euler, eta.grad())  # E(eta_j)
+    derivs = contract("v,vj->j", euler, metric._gradient())  # E(eta_j)
     order = derivs.eff_order()
     name = "euler_rescaling_solved" if weight is None else "euler_rescaling"
     if weight is None:
@@ -266,7 +305,13 @@ def psi_from_metric(metric: InvariantMetric, branch_anchors=None) -> OneForm:
 
     Per block: the top component is a square root of the top eta (branch
     fixed by the anchor; principal root by default), the rest follow by a
-    descending triangular recursion.
+    descending triangular recursion whose weight 1 / (2 root) is the
+    inverse of the root with its real and imaginary parts halved (a complex
+    product by 0.5 can flip the sign of a zero part).  That weight has the
+    bits of inverting the doubled root, except where the complex doubling
+    turns a -0 part into +0, which the halved inverse keeps, and where a
+    rounding of the Newton iteration falls in the subnormal range.  The
+    one-form carries the root's inverse, which :func:`invert_oneform` reads.
     """
     if not metric.nondegenerate_at_origin():
         raise DegenerateMetricError("metric degenerate at the origin")
@@ -277,8 +322,18 @@ def psi_from_metric(metric: InvariantMetric, branch_anchors=None) -> OneForm:
     tops = _tops(metric.blocks)
     eta = metric.values
     root = eta[tops].sqrt(branch_anchors)
-    psi = _descend(metric.blocks, eta.put(tops, root), root.scale(2.0).invert(), eta, inner=1)
-    return OneForm(metric.blocks, psi)
+    inv_root = root.invert()
+    psi = OneForm(metric.blocks, _descend(metric.blocks, eta.put(tops, root), _halved(inv_root), eta, inner=1))
+    psi._top_inverse = inv_root
+    return psi
+
+
+def _halved(x: JetArray) -> JetArray:
+    """x / 2, the real and imaginary parts halved separately."""
+    c = x._stored
+    half = np.empty_like(c)
+    half.real, half.imag = c.real * 0.5, c.imag * 0.5
+    return JetArray._raw(x.space, half, x.eff, x._orders)
 
 
 def metric_from_psi(psi: OneForm) -> InvariantMetric:
@@ -295,7 +350,7 @@ def invert_oneform(psi: OneForm) -> OneForm:
             "one-form is not invertible (top component vanishes at the origin)"
         )
     tops = _tops(psi.blocks)
-    inv_top = psi.values[tops].invert()
+    inv_top = psi.values[tops].invert() if psi._top_inverse is None else psi._top_inverse
     zero = JetArray.constant(psi.space, np.zeros(psi.dim))
     return OneForm(psi.blocks, _descend(psi.blocks, zero.put(tops, inv_top), inv_top, zero, psi.values))
 
@@ -336,7 +391,7 @@ def gamma_operator(psi: OneForm, beta: OneForm, model: FManifoldModel) -> Rotati
     coef = JetArray.constant(sp, np.einsum("ik,ist->kts", eps_inv, cot)).exact_zeros()
     w = contract("kts,s->kt", coef, beta.values)
     # gamma_{tj} = sum_k d_k(psi_j) w[k][t], trusted one order below K
-    dpsi = psi.values.grad()  # dpsi[k, j] = d_k psi_j
+    dpsi = psi._gradient()  # dpsi[k, j] = d_k psi_j
     gamma = contract("kj,kt->tj", dpsi, w.exact_zeros()).capped(sp.order - 1)
     return RotationOperator(gamma, eps)
 
@@ -367,7 +422,7 @@ def check_gamma(gamma: RotationOperator, psi: OneForm, brackets: JetArray) -> Re
 
     norm = _epsilon_norm(psi)
     flat_psi = psi.values
-    law = flat_psi.grad() - contract("k,ikj->ij", flat_psi, brackets.exact_zeros())
+    law = psi._gradient() - contract("k,ikj->ij", flat_psi, brackets.exact_zeros())
     return report_from(
         [
             ("epsilon_symmetry", sym, g.eff_order()),
@@ -443,13 +498,16 @@ def levi_civita_curvature(gram: InvariantMetric | JetArray, unit: JetArray) -> C
     array, ``unit`` an (n,) jet array.  Curvature is certified at two orders
     below the metric's effective order.
     """
-    g = gram.gram() if isinstance(gram, InvariantMetric) else gram
+    if isinstance(gram, InvariantMetric):
+        g, dg = gram.gram(), gram._gram_grad()
+    else:
+        g, dg = gram, gram.grad()
+    # dg[v, j, k] = d_v g_jk
     n = len(g)
     eff = g.eff_order()
     if eff < 2:
         raise ShapeError("curvature requires effective order >= 2")
     ginv = g.inverse()
-    dg = g.grad()  # dg[v, j, k] = d_v g_jk
     # first kind: G_{ij,k} = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
     first = (dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)).scale(0.5)
     chris = contract("lk,ijk->ijl", ginv, first)
@@ -511,7 +569,13 @@ def frobenius_verdict(
     :func:`check_gamma` and :func:`darboux_egoroff_residual` (which share the
     brackets), :func:`check_unit_flat`, :func:`check_euler_rescaling` (its
     law joins the verdict with ``weight`` given) and
-    :func:`levi_civita_curvature`.
+    :func:`levi_civita_curvature`.  The gradients of the metric and of psi
+    are formed once each and passed to their stages on copies
+    (:func:`_differentiated`), and :func:`invert_oneform` reads the inverses
+    of psi's top entries that :func:`psi_from_metric` formed; nothing is
+    kept on the metric or the model.
+    A metric of effective order below 2, the oracle's floor, is refused with
+    :class:`ShapeError` before any stage runs.
 
     The verdict is the conjunction of all chain residuals against the
     tolerance.  On products of several blocks the independent curvature
@@ -523,13 +587,17 @@ def frobenius_verdict(
         raise ShapeError("metric and model dimensions differ")
     if not model.is_constant_multiplication():
         raise ScopeError("the verdict chain requires constant multiplication")
+    if metric.values.eff_order() < 2:
+        raise ShapeError("the Frobenius verdict requires a metric of effective order >= 2")
     psi = psi_from_metric(metric)
     beta = invert_oneform(psi)
-    gamma = gamma_operator(psi, beta, model)
+    dpsi = _differentiated(psi)
+    gamma = gamma_operator(dpsi, beta, model)
     br = structure_brackets(gamma, model)
-    chain = check_gamma(gamma, psi, br)
+    chain = check_gamma(gamma, dpsi, br)
     de = darboux_egoroff_residual(br)
-    del br  # not held through the oracle, the verdict's largest step
+    del br, dpsi  # not held through the oracle, the verdict's largest step
+    metric = _differentiated(metric)  # the caller's metric is left as it is
 
     entries = list(chain.items())
     entries.append(("darboux_egoroff", Residual(de.max_value(), de["de_0_0"].order)))

@@ -152,6 +152,20 @@ class JetSpace:
         out, starts = np.unique(kk, return_index=True)
         return ii[sort], jj[sort], kk, out, starts
 
+    @cached_property
+    def _cauchy_prefixes(self) -> list[tuple[np.ndarray, ...]]:
+        """For each top order d, the rows of :attr:`_cauchy` whose target
+        has degree at most d (a prefix, the table being sorted by target):
+        the index pairs, the distinct targets and where each group starts,
+        as views of the table."""
+        ii, jj, kk, targets, starts = self._cauchy
+        prefixes = []
+        for d in range(self.order + 1):
+            cap = self._degree_ends[d]
+            pairs, groups = np.searchsorted(kk, cap), np.searchsorted(targets, cap)
+            prefixes.append((ii[:pairs], jj[:pairs], targets[:groups], starts[:groups]))
+        return prefixes
+
     def _pairs(self, used_a: np.ndarray, used_b: np.ndarray, cap: int) -> tuple[np.ndarray, ...]:
         """The rows of :attr:`_cauchy` with target below ``cap``, first index
         in the support ``used_a`` and second in ``used_b`` (boolean masks over
@@ -711,6 +725,17 @@ class JetArray:
         return cls(space, c, np.full(c.shape[:-1], space.order) if eff is None else eff)
 
     @classmethod
+    def _of_rows(cls, space: JetSpace, rows: np.ndarray, eff: np.ndarray) -> "JetArray":
+        """Take ownership of fresh full-width rows, one per entry of an
+        array with orders ``eff``, and truncate them: one column wide when
+        every entry is constant, as :meth:`from_coeffs` makes it, and
+        otherwise not copied."""
+        c = rows.reshape(eff.shape + (space.size,))
+        if not c[..., 1:].any():
+            c = c[..., :1].copy()
+        return cls(space, c, eff)
+
+    @classmethod
     def constant(cls, space: JetSpace, values) -> "JetArray":
         """Constant jets of full effective order with the given values."""
         v = np.array(values, dtype=np.complex128)
@@ -788,8 +813,7 @@ class JetArray:
         sp = self._check(other)
         eff = np.minimum(np.minimum(self.eff, other.eff), sp.order)
         a, b = (x.coeffs.reshape(-1, sp.size) for x in (self, other))
-        rows = _row_products(sp, a, b, eff.ravel())
-        return JetArray.from_coeffs(sp, rows.reshape(self.coeffs.shape), eff)
+        return JetArray._of_rows(sp, _row_products(sp, a, b, eff.ravel()), eff)
 
     def _combine(self, other: "JetArray", op) -> "JetArray":
         """Entrywise sum or difference at the wider of the two widths: when
@@ -936,7 +960,7 @@ class JetArray:
             y[:, 0] += 2.0
             x = _row_products(sp, x, y, eff.ravel())
             correct = 2 * correct + 1
-        return JetArray.from_coeffs(sp, x.reshape(self.coeffs.shape), eff)
+        return JetArray._of_rows(sp, x, eff)
 
     def sqrt(self, branch_anchors=None) -> "JetArray":
         """Entrywise square root by Newton iteration, with the bits of the
@@ -964,7 +988,7 @@ class JetArray:
         inv2a = (1.0 / (2.0 * anchor))[:, None]
         for _ in range(sp.order):
             s = s + (a - _row_products(sp, s, s, eff.ravel())) * inv2a
-        return JetArray.from_coeffs(sp, s.reshape(self.coeffs.shape), eff)
+        return JetArray._of_rows(sp, s, eff)
 
     def inverse(self) -> "JetArray":
         """Inverse of a square jet matrix: the constant-term inverse refined
@@ -1165,10 +1189,12 @@ def _contract_eff(ea: np.ndarray, eb: np.ndarray, order: int) -> np.ndarray:
 def _scale(c0: np.ndarray, x: np.ndarray, out: np.ndarray):
     """out = sum over s of c0[..., s, :] * x[..., s, :], elementwise and in
     ascending s: c0 broadcasts to (G, M, S, N) and x to (w, G, M, S, N),
-    and out is (w, G, M, N)."""
+    and out is (w, G, M, N).  Every term is formed in one reused buffer."""
     np.multiply(c0[..., 0, :], x[..., 0, :], out=out)
+    term = np.empty_like(out) if x.shape[-2] > 1 else None
     for s in range(1, x.shape[-2]):
-        out += c0[..., s, :] * x[..., s, :]
+        np.multiply(c0[..., s, :], x[..., s, :], out=term)
+        out += term
 
 
 def _cauchy_pairs(table, at: np.ndarray, bt: np.ndarray, out: np.ndarray):
@@ -1308,17 +1334,13 @@ def _row_products(space: JetSpace, a: np.ndarray, b: np.ndarray, eff: np.ndarray
     truncated above ``eff[r]``, with the bits of ``Jet.__mul__`` up to the
     sign of a zero: a constant row scales the other one, and any other pair
     sums the Cauchy table of the space along the row, up to the highest
-    order in ``eff`` (the table is sorted by target, so that is a prefix)."""
+    order in ``eff`` (the table is sorted by target, so that is a prefix
+    the space keeps).  The rows are returned fresh, truncated."""
     moving_a, moving_b = a[:, 1:].any(axis=1), b[:, 1:].any(axis=1)
     out = np.where(moving_a[:, None], a * b[:, :1], b * a[:, :1])
     full = np.flatnonzero(moving_a & moving_b)[:, None]
     if len(full):
-        ii, jj, kk, targets, starts = space._cauchy
-        top = int(eff.max())
-        if top < space.order:
-            cap = space._degree_ends[max(top, 0)]
-            pairs, groups = np.searchsorted(kk, cap), np.searchsorted(targets, cap)
-            ii, jj, targets, starts = ii[:pairs], jj[:pairs], targets[:groups], starts[:groups]
+        ii, jj, targets, starts = space._cauchy_prefixes[min(max(int(eff.max()), 0), space.order)]
         out[full, targets] = np.add.reduceat(a[full, ii] * b[full, jj], starts, axis=1)
     if eff.min(initial=space.order) < space.order:
         out[space.degrees > np.maximum(eff, 0)[:, None]] = 0.0

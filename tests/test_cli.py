@@ -262,6 +262,20 @@ class TestRun:
         code, report = run_doc(tmp_path, doc)
         assert code == 2 and report is None
 
+    @pytest.mark.parametrize("eff", [0, 1, 2])
+    def test_a_metric_below_the_oracles_floor_exits_2(self, tmp_path, capsys, eff):
+        doc = json.loads((DOCS / "verify-frobenius.json").read_text(encoding="utf-8"))
+        eta = doc["payload"]["eta"]
+        doc["payload"]["eta"] = [[{"terms": jet, "eff_order": eff} for jet in block] for block in eta]
+        code, report = run_doc(tmp_path, doc)
+        if eff >= 2:
+            assert code == 0 and report["pass"] is True
+        else:
+            assert code == 2 and report is None
+            assert "payload/eta: the Frobenius verdict requires a metric of effective order >= 2" in (
+                capsys.readouterr().err
+            )
+
     @pytest.mark.parametrize(
         "key, value, field",
         [

@@ -131,6 +131,20 @@ class TestCheckFManifold:
         rep = check_fmanifold(model)
         assert rep.passes(1e-10)
 
+    def test_the_euler_lie_derivative_differentiates_e_once(self, monkeypatch):
+        model = standard_model([(0.0, 2), (1.0, 1)])
+        calls = []
+        grad = JetArray.grad
+
+        def counting_grad(self):
+            calls.append(self is model.euler)
+            return grad(self)
+
+        monkeypatch.setattr(JetArray, "grad", counting_grad)
+        check_fmanifold(model)
+        # both brackets of L_E(o) read one gradient of E
+        assert calls.count(True) == 1
+
 
 class TestCanonicalFrame:
     def test_block_frame(self):

@@ -4,11 +4,11 @@ the curvature oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import loop_oracles
 from regfman import frob
-from regfman.errors import DegenerateMetricError, ScopeError
+from regfman.errors import DegenerateMetricError, ScopeError, ShapeError
 from regfman.fman import standard_block, standard_model
 from regfman.frob import (
     InvariantMetric,
@@ -152,9 +152,13 @@ class TestUnitEulerConditions:
         check_euler_rescaling(metric, model.euler)
         assert calls.count(True) == 1
         calls.clear()
-        # the verdict runs both checks, and nothing else differentiates the metric
+        # the verdict runs both checks on one gradient, and nothing else
+        # differentiates the metric, the oracle included
         frobenius_verdict(metric, model, run_oracle=False)
-        assert calls.count(True) == 2
+        assert calls.count(True) == 1
+        calls.clear()
+        frobenius_verdict(metric, model, run_oracle=True)
+        assert calls.count(True) == 1
 
     def test_euler_weight_2(self):
         model = standard_block(0.3, 2)
@@ -618,3 +622,148 @@ def test_block_indices_from_the_layout_match_the_per_block_loops(blocks):
     for inner in (0, 1):
         got = [[a.tolist() for a in level] for level in frob._descent_levels(blocks, inner)]
         assert got == [list(level) for level in loop_oracles.descent_levels(blocks, inner)]
+
+
+def _two_block_case():
+    model = standard_model([(0.0, 2), (1.5, 1)], 4)
+    sp = model.space
+    metric = InvariantMetric([2, 1], [[sp.constant(0.3), sp.constant(1.0) + sp.variable(1)], [sp.constant(2.0)]])
+    return model, metric
+
+
+def _bits(x: JetArray):
+    return x.coeffs.tobytes(), x.eff.tolist()
+
+
+class TestOncePerCall:
+    """One verdict forms each value two stages read once, and keeps nothing
+    on its arguments; each stage called alone forms what it needs."""
+
+    def test_one_gradient_of_psi_and_one_inverse_of_its_tops(self, monkeypatch):
+        model, metric = _two_block_case()
+        grads, inverts = [], []
+        grad, invert = JetArray.grad, JetArray.invert
+
+        def counting_grad(self):
+            grads.append(self)
+            return grad(self)
+
+        def counting_invert(self):
+            inverts.append(self)
+            return invert(self)
+
+        monkeypatch.setattr(JetArray, "grad", counting_grad)
+        monkeypatch.setattr(JetArray, "invert", counting_invert)
+        v = frobenius_verdict(metric, model, run_oracle=True)
+        assert sum(x is v.psi.values for x in grads) == 1
+        # the roots of the two blocks' top entries, inverted once together
+        assert [x.shape for x in inverts] == [(2,)]
+
+    def test_the_verdict_keeps_nothing_on_the_metric_or_the_model(self):
+        model, metric = _two_block_case()
+        for run_oracle in (False, True):
+            before = set(vars(metric)), set(vars(model))
+            frobenius_verdict(metric, model, run_oracle=run_oracle)
+            assert (set(vars(metric)), set(vars(model))) == before
+        # a one-form built by the caller carries nothing either
+        psi = psi_from_metric(metric)
+        bare = frob.OneForm(psi.blocks, psi.values)
+        keys = set(vars(bare))
+        gamma_operator(bare, invert_oneform(bare), model)
+        assert set(vars(bare)) == keys
+
+    def test_each_stage_alone_gives_the_bits_of_the_verdict(self):
+        model, metric = _two_block_case()
+        v = frobenius_verdict(metric, model, weight=2.5, run_oracle=True)
+        alone = [
+            *check_unit_flat(metric).items(),
+            *check_euler_rescaling(metric, model.euler, 2.5)[1].items(),
+        ]
+        for name, res in alone:
+            assert v.report[name].value.hex() == res.value.hex() and v.report[name].order == res.order
+        psi = psi_from_metric(metric)
+        bare = frob.OneForm(psi.blocks, psi.values)
+        assert _bits(invert_oneform(bare).values) == _bits(v.beta.values)
+        gamma = gamma_operator(bare, v.beta, model)
+        assert _bits(gamma.matrix) == _bits(v.gamma.matrix)
+        chain = check_gamma(gamma, bare, structure_brackets(gamma, model))
+        for name, res in chain.items():
+            assert v.report[name].value.hex() == res.value.hex()
+        for oracle in (levi_civita_curvature(metric, model.unit), levi_civita_curvature(metric.gram(), model.unit)):
+            assert _bits(oracle.christoffel) == _bits(v.oracle.christoffel)
+            assert oracle.curvature.value.hex() == v.oracle.curvature.value.hex()
+            assert oracle.unit_parallel.value.hex() == v.oracle.unit_parallel.value.hex()
+
+    @pytest.mark.parametrize("eff", [0, 1])
+    def test_a_metric_below_the_oracles_floor_is_refused_before_any_stage(self, monkeypatch, eff):
+        model, metric = _two_block_case()
+        low = InvariantMetric(metric.blocks, metric.values.capped(eff))
+        monkeypatch.setattr(frob, "psi_from_metric", lambda *a: pytest.fail("a stage ran"))
+        for run_oracle in (False, True):
+            with pytest.raises(ShapeError, match="effective order >= 2"):
+                frobenius_verdict(low, model, run_oracle=run_oracle)
+
+
+@st.composite
+def _roots(draw):
+    """One top entry of a metric's root whose inverse's Newton iteration
+    stays clear of the subnormal range: its value at the origin has modulus
+    1e-11 to 1e50; its other coefficients are that value times 0 or a
+    factor of modulus 1e-50 to 1e3.  Every argument is 0, pi (the value
+    then real, with a +0 or -0 imaginary part) or at least 1e-3 in modulus."""
+    sp = jet_space(*draw(st.sampled_from([(1, 0), (1, 2), (1, 4), (2, 3), (3, 2)])))
+    angles = st.one_of(st.sampled_from([0.0, np.pi]), st.floats(1e-3, np.pi), st.floats(-np.pi, -1e-3))
+    zeros = st.sampled_from([0.0, -0.0])
+
+    def polar(r, angle, zero):
+        z = r * np.exp(1j * angle)
+        return complex(z.real, zero) if abs(z.imag) < 1e-12 * r else z
+
+    c0 = polar(10.0 ** draw(st.floats(-11.0, 50.0)), draw(angles), draw(zeros))
+    factor = st.one_of(st.just(0j), st.builds(polar, st.floats(1e-50, 1e3), angles, zeros))
+    coeffs = np.array([c0, *(c0 * f for f in draw(st.lists(factor, min_size=sp.size - 1, max_size=sp.size - 1)))])
+    return JetArray.from_coeffs(sp, coeffs[None], np.array([draw(st.integers(-1, sp.order))]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=_roots())
+# a +0 linear coefficient: a complex product by 0.5 turns the inverse's
+# (+0, -0) there into (+0, +0)
+@example(root=JetArray.from_coeffs(jet_space(1, 2), np.array([[0.3 - 0.4j, 0.0, 1.0]])))
+# a -0 imaginary part beside a +0 real part, which the complex doubling
+# turns into +0
+@example(root=JetArray.from_coeffs(jet_space(1, 2), np.array([[complex(-2.0, 0.0), complex(0.0, -0.0), 1.0]])))
+def test_the_halved_inverse_is_the_inverse_of_the_doubled_root(root):
+    halved, expected = frob._halved(root.invert()), root.scale(2.0).invert()
+    doubled = np.empty_like(root.coeffs)
+    doubled.real, doubled.imag = root.coeffs.real * 2.0, root.coeffs.imag * 2.0
+    if root.scale(2.0).coeffs.tobytes() == doubled.tobytes():
+        assert _bits(halved) == _bits(expected)
+    else:
+        # the complex doubling turned a -0 part into +0, which the halved
+        # inverse keeps: the two agree up to the sign of zero
+        assert (halved.coeffs.tolist(), halved.eff.tolist()) == (expected.coeffs.tolist(), expected.eff.tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    blocks=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    order=st.integers(0, 3),
+    data=st.data(),
+)
+def test_the_gathered_gram_gradient_has_the_bits_of_the_grams(blocks, order, data):
+    n = sum(blocks)
+    sp = jet_space(n, order)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coeffs = (rng.standard_normal((n, sp.size)) + 1j * rng.standard_normal((n, sp.size))) * (
+        rng.random((n, sp.size)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    )
+    coeffs[:, 0] += 1.0
+    eff = rng.integers(-1, order + 1, n) if data.draw(st.booleans()) else np.full(n, order)
+    values = JetArray(sp, coeffs, eff)
+    if data.draw(st.booleans()):
+        values = values.exact_zeros()
+    metric = InvariantMetric(blocks, values)
+    got, want = metric._gram_grad(), metric.gram().grad()
+    assert _bits(got) == _bits(want)
+    assert got._order_range() == want._order_range()

@@ -39,14 +39,43 @@ def test_floats_reports_and_exceptions():
 
 
 def test_compare_names_each_differing_case_and_its_first_path():
-    parent = {"a": [1, {"x": "0x1p+0"}], "b": 2, "gone": 3}
-    change = {"a": [1, {"x": "0x1p+1"}], "b": 2, "new": 4}
+    def dumped(tree):
+        return {"bits": tree, "values": tree}
+
+    parent = {"a": dumped([1, {"x": "0x1p+0"}]), "b": dumped(2), "gone": dumped(3)}
+    change = {"a": dumped([1, {"x": "0x1p+1"}]), "b": dumped(2), "new": dumped(4)}
     lines = parity.compare(parent, change)
     assert lines == [
-        'a: [1]/x: "0x1p+0" != "0x1p+1"',
-        'gone: /: 3 != "<missing>"',
-        'new: /: "<missing>" != 4',
+        'a: values differ: [1]/x: "0x1p+0" != "0x1p+1"',
+        'gone: values differ: /: 3 != "<missing>"',
+        'new: values differ: /: "<missing>" != 4',
     ]
+
+
+def test_each_differing_case_is_labelled_sign_of_zero_only_or_values_differ():
+    coeffs = np.array([[1.0, 0.5, 0.0, complex(0.0, -0.0), 0.0, 0.25], [0.0] * 6])
+    signed = coeffs.copy()
+    signed[1, 2] = complex(-0.0, 0.0)
+    nudged = coeffs.copy()
+    nudged[0, 0] = np.nextafter(1.0, 2.0)
+    base = _array(coeffs, [2, 2])
+    parent = {name: parity.dump_case(x) for name, x in
+              (("array", base), ("float", 0.0), ("complex", 1j), ("moved", base), ("same", base))}
+    change = {name: parity.dump_case(x) for name, x in
+              (("array", _array(signed, [2, 2])), ("float", -0.0), ("complex", complex(-0.0, 1.0)),
+               ("moved", _array(nudged, [2, 2])), ("same", _array(coeffs, [2, 2])))}
+    labels = [line.split(": ")[:2] for line in parity.compare(parent, change)]
+    assert labels == [
+        ["array", parity.SIGN_OF_ZERO],
+        ["float", parity.SIGN_OF_ZERO],
+        ["complex", parity.SIGN_OF_ZERO],
+        ["moved", parity.VALUES_DIFFER],
+    ]
+    # a plain array, and a report text through its JSON
+    assert parity.dump_case(np.array([-0.0, 1.0]))["values"] == parity.dump_case(np.array([0.0, 1.0]))["values"]
+    assert parity.dump_case(np.array([-0.0, 1.0]))["bits"] != parity.dump_case(np.array([0.0, 1.0]))["bits"]
+    assert parity.zero_blind(b'{"a": [-0.0, 1.5]}') == parity.zero_blind(b'{"a": [0.0, 1.5]}')
+    assert parity.zero_blind(b'{"a": [-0.1]}') != parity.zero_blind(b'{"a": [0.1]}')
 
 
 def test_space_tables_digest_the_factor_table_whatever_its_container():

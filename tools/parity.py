@@ -28,9 +28,12 @@ process with one BLAS thread, runs with its own ``src/`` and ``perfbench/``:
 Each output is dumped with every float as ``float.hex``, every jet array
 (and jet) as a SHA-1 of its coefficients together with its effective orders,
 every other numpy array as a SHA-1 of its bytes, every report text as a
-SHA-1 of its bytes, and every exception as its repr.  The script prints the
-cases whose dumps differ, with the first differing path of each, and exits 1
-if any do.
+SHA-1 of its bytes, and every exception as its repr.  Each case is dumped
+twice: its ``bits``, and its ``values``, the same dump with every -0 read
+as +0 (a report text is re-encoded from its JSON with -0 read as 0).  The
+script prints the cases whose bits differ, each labelled ``sign of zero
+only`` when their values agree and ``values differ`` otherwise, with the
+first differing path of its bits, and exits 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -71,8 +74,10 @@ def _sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
-def digest(obj, _seen=()):
-    """A JSON tree that is equal for two objects exactly when their bits are."""
+def digest(obj, _seen=(), zero_signs=True):
+    """A JSON tree that is equal for two objects exactly when their bits are;
+    with ``zero_signs`` false, when they are equal up to the sign of zeros
+    (every float is read plus 0.0, which takes -0 to +0)."""
     # imported here: a dump process puts its tree's src/ on the path first
     import numpy as np
     from regfman.jets import Jet, JetArray, JetSpace
@@ -80,20 +85,24 @@ def digest(obj, _seen=()):
 
     if obj is None or isinstance(obj, (bool, int, np.bool_, np.integer)):
         return obj if not isinstance(obj, (np.bool_, np.integer)) else obj.item()
+    def unsigned(x):
+        return x if zero_signs else x + 0.0
+
     if isinstance(obj, (float, np.floating)):
-        return float(obj).hex()
+        return unsigned(float(obj)).hex()
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real).hex(), float(obj.imag).hex()]
+        return [unsigned(float(obj.real)).hex(), unsigned(float(obj.imag)).hex()]
     if isinstance(obj, str):
         return obj if len(obj) <= TEXT_INLINE else "sha1:" + _sha1(obj.encode())
     if isinstance(obj, JetSpace):
         return {"space": [obj.num_vars, obj.order]}
     if isinstance(obj, JetArray):
-        return {"jets": _sha1(np.ascontiguousarray(obj.coeffs).tobytes()), "eff": obj.eff.tolist()}
+        return {"jets": _sha1(np.ascontiguousarray(unsigned(obj.coeffs)).tobytes()), "eff": obj.eff.tolist()}
     if isinstance(obj, Jet):
-        return {"jet": _sha1(np.ascontiguousarray(obj.coeffs).tobytes()), "eff": int(obj.eff_order)}
+        return {"jet": _sha1(np.ascontiguousarray(unsigned(obj.coeffs)).tobytes()), "eff": int(obj.eff_order)}
     if isinstance(obj, np.ndarray):
-        return {"array": _sha1(np.ascontiguousarray(obj).tobytes()), "dtype": str(obj.dtype),
+        data = unsigned(obj) if obj.dtype.kind in "fc" else obj
+        return {"array": _sha1(np.ascontiguousarray(data).tobytes()), "dtype": str(obj.dtype),
                 "shape": list(obj.shape)}
     if isinstance(obj, BaseException):
         return {"raised": repr(obj)}
@@ -101,16 +110,31 @@ def digest(obj, _seen=()):
         return "<cycle>"
     seen = (*_seen, id(obj))
     if isinstance(obj, (dict, ResidualReport)):
-        return [[str(k), digest(v, seen)] for k, v in obj.items()]
+        return [[str(k), digest(v, seen, zero_signs)] for k, v in obj.items()]
     if isinstance(obj, (list, tuple)):
-        return [digest(v, seen) for v in obj]
+        return [digest(v, seen, zero_signs) for v in obj]
     if dataclasses.is_dataclass(obj):
         names = [f.name for f in dataclasses.fields(obj)]
     elif hasattr(obj, "__dict__"):
         names = [k for k in vars(obj) if not k.startswith("_")]
     else:
         names = [k for k in getattr(type(obj), "__slots__", ()) if not k.startswith("_")]
-    return {"type": type(obj).__name__, **{k: digest(getattr(obj, k), seen) for k in names}}
+    return {"type": type(obj).__name__, **{k: digest(getattr(obj, k), seen, zero_signs) for k in names}}
+
+
+def dump_case(obj) -> dict:
+    """The dump of one case: its ``bits`` and its ``values`` (the digest
+    with every -0 read as +0)."""
+    return {"bits": digest(obj), "values": digest(obj, zero_signs=False)}
+
+
+def zero_blind(text: bytes) -> bytes:
+    """A JSON report re-encoded with every -0 read as 0; other text as it is."""
+    try:
+        data = json.loads(text, parse_float=lambda s: float(s) + 0.0)
+    except ValueError:
+        return text
+    return json.dumps(data, sort_keys=True).encode()
 
 
 def space_tables(space) -> dict:
@@ -186,9 +210,9 @@ def dump(tree: str) -> dict:
 
     def attempt(fn, *args):
         try:
-            return digest(fn(*args))
+            return dump_case(fn(*args))
         except Exception as exc:  # a refusal is an output too
-            return digest(exc)
+            return dump_case(exc)
 
     out = {}
     for name, cls in workloads.WORKLOADS.items():
@@ -198,7 +222,7 @@ def dump(tree: str) -> dict:
         for i, case in enumerate(workload.defect_cases()):
             out[f"{name}-defect/{i}"] = attempt(workload.run, case)
     for num_vars, order in TABLE_SPACES:
-        out[f"jets/{num_vars},{order}"] = digest(space_tables(JetSpace(num_vars, order)))
+        out[f"jets/{num_vars},{order}"] = dump_case(space_tables(JetSpace(num_vars, order)))
     for blocks in FRAME_SPECTRA:
         n = sum(m for _, m in blocks)
         b0o = np.zeros((n, n), dtype=np.complex128)
@@ -229,7 +253,10 @@ def dump(tree: str) -> dict:
                     with open(report, "rb") as f:
                         text = f.read()
                 key = f"cli/{os.path.basename(doc)}{' '.join(['', *extra])}"
-                out[key] = {"exit": status, "report": _sha1(text)}
+                out[key] = {
+                    "bits": {"exit": status, "report": _sha1(text)},
+                    "values": {"exit": status, "report": _sha1(zero_blind(text))},
+                }
     return out
 
 
@@ -246,13 +273,21 @@ def first_difference(a, b, path: str = "") -> str:
     return f"{path or '/'}: {json.dumps(a)[:120]} != {json.dumps(b)[:120]}"
 
 
+SIGN_OF_ZERO = "sign of zero only"
+VALUES_DIFFER = "values differ"
+
+
 def compare(parent: dict, change: dict) -> list[str]:
-    """One line per case whose dumps differ, in case order."""
+    """One line per case whose bits differ, in case order: its label
+    (:data:`SIGN_OF_ZERO` when the values agree, else :data:`VALUES_DIFFER`)
+    and the first differing path of its bits."""
+    missing = {"bits": "<missing>", "values": "<missing>"}
     lines = []
     for key in dict.fromkeys([*parent, *change]):
-        a, b = parent.get(key, "<missing>"), change.get(key, "<missing>")
-        if a != b:
-            lines.append(f"{key}: {first_difference(a, b)}")
+        a, b = parent.get(key, missing), change.get(key, missing)
+        if a["bits"] != b["bits"]:
+            label = SIGN_OF_ZERO if a["values"] == b["values"] else VALUES_DIFFER
+            lines.append(f"{key}: {label}: {first_difference(a['bits'], b['bits'])}")
     return lines
 
 
@@ -289,7 +324,8 @@ def main(argv=None) -> int:
     diffs = compare(dumps["parent"], dumps["change"])
     for line in diffs:
         print(line)
-    print(f"{len(diffs)} of {len(dumps['change'])} cases differ from {args.parent}")
+    zeros = sum(f": {SIGN_OF_ZERO}: " in line for line in diffs)
+    print(f"{len(diffs)} of {len(dumps['change'])} cases differ from {args.parent} ({zeros} in the sign of zero only)")
     return 1 if diffs else 0
 
 
