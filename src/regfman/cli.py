@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from . import fman, frob, malgrange, regend, saito
 from .errors import DocumentError, RegfmanError, ShapeError, ValidationError
-from .jets import JetArray, JetSpace, jet_space
+from .jets import DEFAULT_ORDER, JetArray, JetSpace, jet_space
 from .regend import JordanSpectrum
-from .reports import ResidualReport
+from .reports import DEFAULT_TOLERANCE, ResidualReport
 
 DOC_SCHEMA = "regfman-doc/1"
 REPORT_SCHEMA = "regfman-report/1"
@@ -255,15 +255,17 @@ def _model_out(model: fman.FManifoldModel) -> dict:
 
 
 def _default_tolerance() -> float:
+    """The tolerance of ``REGFMAN_TOL``, read only when neither the
+    document nor ``--tol`` sets one."""
     raw = os.environ.get(ENV_TOLERANCE)
     if raw is None:
-        return 1e-9
+        return DEFAULT_TOLERANCE
     try:
         val = float(raw)
     except ValueError:
         raise DocumentError(f"cannot parse {ENV_TOLERANCE}={raw!r}", "environment")
-    if val <= 0:
-        raise DocumentError(f"{ENV_TOLERANCE} must be positive", "environment")
+    if not np.isfinite(val) or val <= 0:
+        raise DocumentError(f"{ENV_TOLERANCE} must be positive and finite", "environment")
     return val
 
 
@@ -271,12 +273,13 @@ def _settings_in(doc: dict, args) -> dict:
     raw = doc.get("settings", {})
     if not isinstance(raw, dict):
         _fail("settings must be an object", "settings")
-    order = raw.get("order", 4)
-    if args.order is not None:
-        order = args.order
-    tolerance = raw.get("tolerance", _default_tolerance())
+    order = raw.get("order", DEFAULT_ORDER) if args.order is None else args.order
     if args.tol is not None:
         tolerance = args.tol
+    elif "tolerance" in raw:
+        tolerance = raw["tolerance"]
+    else:
+        tolerance = _default_tolerance()
     if not _is_int(order) or order < 1:
         _fail("order must be an integer >= 1", "settings/order")
     if not _is_number(tolerance) or not np.isfinite(tolerance) or tolerance <= 0:

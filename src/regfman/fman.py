@@ -212,13 +212,19 @@ def lie_derivative_of_mult(model: FManifoldModel, x: JetArray) -> JetArray:
     """L_X(o)(d_a, d_b) = [X, d_a o d_b] - [X, d_a] o d_b - d_a o [X, d_b]
     for every pair of coordinate fields, shape (n, n, n); both brackets
     read one gradient of X."""
-    n = model.dim
-    c = model.structure
-    cx = model._marked_structure
     dx = x.grad()
-    brackets = _vector_bracket(x, dx, JetArray.constant(model.space, np.eye(n))).exact_zeros()  # [X, d_a]
+    brackets = _vector_bracket(x, dx, JetArray.constant(model.space, np.eye(model.dim)))  # [X, d_a]
+    return _lie_derivative(model, x, dx, brackets)
+
+
+def _lie_derivative(model: FManifoldModel, x: JetArray, dx: JetArray, brackets: JetArray) -> JetArray:
+    """:func:`lie_derivative_of_mult` from X, its gradient and the
+    brackets [X, d_a]."""
+    n = model.dim
+    cx = model._marked_structure
+    brackets = brackets.exact_zeros()
     return (
-        _vector_bracket(x, dx, c.reshape(n * n, n)).reshape(n, n, n)
+        _vector_bracket(x, dx, model.structure.reshape(n * n, n)).reshape(n, n, n)
         - contract("ai,ibk->abk", brackets, cx)
         - contract("bj,ajk->abk", brackets, cx)
     )
@@ -479,11 +485,11 @@ def check_symmetry(model: FManifoldModel, x: JetArray) -> ResidualReport:
     m = model.dim
     k_order = model.space.order
     upper = np.triu(np.ones((m, m), dtype=bool))
-    mult_res = lie_derivative_of_mult(model, x).residual_norms().max(axis=-1)[upper].max()
     dx = x.grad()
-    euler_res = _vector_bracket(x, dx, model.euler.reshape(1, m)).residual_norm()
     # [X, d_i] = -[d_i, X]; every residual below is linear in these
-    brackets = _vector_bracket(x, dx, JetArray.constant(model.space, np.eye(model.dim)))
+    brackets = _vector_bracket(x, dx, JetArray.constant(model.space, np.eye(m)))
+    mult_res = _lie_derivative(model, x, dx, brackets).residual_norms().max(axis=-1)[upper].max()
+    euler_res = _vector_bracket(x, dx, model.euler.reshape(1, m)).residual_norm()
     entries = [
         ("mult_invariance", mult_res, k_order - 1),
         ("euler_commute", euler_res, k_order - 1),

@@ -37,11 +37,12 @@ iterations on whole arrays.  A :class:`Substitution` composes jets with a
 map psi with psi(0) = 0, as germ isomorphisms are, through a monomial table
 built once.
 
-``Jet`` arithmetic and :class:`JetMatrix` are the object kernel the arrays
-replaced; no other module computes with them.  They remain for building
-inputs one jet at a time and for timing the two kernels against each other.
-:meth:`JetArray.from_jets` is their one way into the arrays: every stage of
-the pipeline takes :class:`JetArray` inputs.
+``Jet`` arithmetic is the object kernel the arrays replaced; no other
+module computes with it.  It remains for building inputs one jet at a time
+and for timing the two kernels against each other, and :class:`JetMatrix`,
+its jet-matrix product, is a stub kept for the benchmark's kernel grid.
+:meth:`JetArray.from_jets` is the one way from jets into the arrays: every
+stage of the pipeline takes :class:`JetArray` inputs.
 """
 
 from __future__ import annotations
@@ -402,7 +403,8 @@ class Jet:
 
 
 class JetMatrix:
-    """Rectangular grid of jets sharing one space."""
+    """Rectangular grid of jets sharing one space and its product in
+    ``Jet`` arithmetic: a stub kept for the benchmark's kernel grid."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -422,59 +424,6 @@ class JetMatrix:
         self.rows = len(rows)
         self.cols = ncols
 
-    @property
-    def space(self) -> JetSpace:
-        return self.entries[0][0].space
-
-    @classmethod
-    def from_constant(cls, space: JetSpace, matrix: np.ndarray) -> "JetMatrix":
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.ndim != 2:
-            raise ShapeError("constant matrix must be 2-dimensional")
-        return cls(
-            [[space.constant(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
-        )
-
-    @classmethod
-    def identity(cls, space: JetSpace, n: int) -> "JetMatrix":
-        return cls.from_constant(space, np.eye(n))
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
-
-    def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        self._same_shape(other)
-        return JetMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other: "JetMatrix") -> "JetMatrix":
-        self._same_shape(other)
-        return JetMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __neg__(self):
-        return JetMatrix([[-a for a in r] for r in self.entries])
-
-    def scale(self, f: "Jet | complex") -> "JetMatrix":
-        if isinstance(f, Jet):
-            return JetMatrix([[a * f for a in r] for r in self.entries])
-        return JetMatrix([[a.scale(f) for a in r] for r in self.entries])
-
-    def _same_shape(self, other: "JetMatrix"):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(
-                f"matrix shapes differ: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         if not isinstance(other, JetMatrix):
             return NotImplemented
@@ -484,63 +433,6 @@ class JetMatrix:
         return JetMatrix(
             [[reduce(operator.add, map(operator.mul, row, col)) for col in cols] for row in self.entries]
         )
-
-    def transpose(self) -> "JetMatrix":
-        return JetMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    @property
-    def T(self) -> "JetMatrix":
-        return self.transpose()
-
-    def partial(self, v: int) -> "JetMatrix":
-        return JetMatrix([[a.partial(v) for a in r] for r in self.entries])
-
-    def constant_term(self) -> np.ndarray:
-        return np.array(
-            [[a.value0 for a in r] for r in self.entries], dtype=np.complex128
-        )
-
-    def residual_norm(self) -> float:
-        return max(a.residual_norm() for r in self.entries for a in r)
-
-    def eff_order(self) -> int:
-        return min(a.eff_order for r in self.entries for a in r)
-
-    def trace(self) -> Jet:
-        if self.rows != self.cols:
-            raise ShapeError("trace requires a square matrix")
-        acc = self.space.zero()
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def inverse(self) -> "JetMatrix":
-        """Inverse via the constant-term inverse plus Newton iteration."""
-        if self.rows != self.cols:
-            raise ShapeError("inverse requires a square matrix")
-        return JetMatrix._of(JetArray.from_jets(self).inverse())
-
-    def power(self, n: int) -> "JetMatrix":
-        if n < 0:
-            raise ShapeError("negative matrix powers are not supported")
-        result = JetMatrix.identity(self.space, self.rows)
-        base = self
-        for _ in range(n):
-            result = result @ base
-        return result
-
-    def compose(self, subs: Sequence[Jet]) -> "JetMatrix":
-        return JetMatrix._of(Substitution(self.space, JetArray.from_jets(subs))(JetArray.from_jets(self)))
-
-    @classmethod
-    def _of(cls, array: "JetArray") -> "JetMatrix":
-        rows, cols = array.shape
-        return cls([[array[i, j] for j in range(cols)] for i in range(rows)])
-
-    def __repr__(self):
-        return f"JetMatrix({self.rows}x{self.cols}, K={self.space.order})"
 
 
 # -- jet arrays ----------------------------------------------------------------
@@ -704,8 +596,8 @@ class JetArray:
 
     @classmethod
     def from_jets(cls, entries) -> "JetArray":
-        """Stack a nested sequence of jets and jet arrays (lists, any
-        iterable of jets or a :class:`JetMatrix`) into one array; a jet
+        """Stack a nested sequence of jets and jet arrays (lists or any
+        iterable of jets) into one array; a jet
         array is returned as it is, a single jet as a 0-dimensional array."""
         if isinstance(entries, JetArray):
             return entries
@@ -1034,8 +926,6 @@ def _gather(entries, space: list) -> tuple[np.ndarray, np.ndarray]:
         if isinstance(entries, Jet):
             return entries.coeffs, np.asarray(entries.eff_order, dtype=np.int64)
         return entries.coeffs, entries.eff
-    if isinstance(entries, JetMatrix):
-        entries = entries.entries
     parts = [_gather(e, space) for e in entries]
     if not parts:
         raise ShapeError("jet array must be non-empty")

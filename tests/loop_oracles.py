@@ -16,12 +16,15 @@ the references of the stages that stop at the degree each step fixes.  The
 entry-by-entry admissibility checks of ``validate_initial_data`` end it.
 They are kept, for tests only, as independent references: they read
 models, metrics and one-forms through ``Jet`` indexing, convert jet arrays
-to ``JetVector`` and ``JetMatrix`` and use only the object kernel (``Jet``
-arithmetic, ``JetVector``, ``JetMatrix``).  ``JetVector`` and ``lie_bracket`` were the
-package's own vector-field containers before fields became jet arrays.
+to ``JetVector`` and ``LoopMatrix`` and use only the object kernel (``Jet``
+arithmetic, ``JetVector``, ``LoopMatrix``).  ``JetVector`` and ``lie_bracket`` were the
+package's own vector-field containers before fields became jet arrays, and
+``LoopMatrix`` holds the jet-matrix algebra the package's ``JetMatrix`` had,
+its inverse a Newton iteration in ``Jet`` arithmetic.
 """
 
 import itertools
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +34,7 @@ from regfman.errors import HomogeneityError, NotPrimitiveError, ShapeError
 from regfman.fman import BracketConstants, FManifoldModel, mult_by_euler, standard_block
 from regfman.frob import epsilon_gram, euler_derivative
 from regfman.frob import levi_civita_curvature as lc_curvature
-from regfman.jets import Jet, JetArray, JetMatrix, contract, jet_space
+from regfman.jets import Jet, JetArray, contract, jet_space
 from regfman.reports import Residual, ResidualReport, report_from
 
 
@@ -114,7 +117,79 @@ def _dot(row: Sequence[Jet], col: Sequence[Jet]) -> Jet:
     return acc
 
 
-def matvec(mat: JetMatrix, vec) -> JetVector:
+class LoopMatrix:
+    """Rectangular grid of jets sharing one space, with the matrix algebra
+    of its entries in ``Jet`` arithmetic."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, entries: Iterable[Iterable[Jet]]):
+        self.entries = tuple(tuple(r) for r in entries)
+        self.rows, self.cols = len(self.entries), len(self.entries[0])
+
+    @classmethod
+    def from_constant(cls, space, matrix) -> "LoopMatrix":
+        return cls([[space.constant(x) for x in row] for row in np.asarray(matrix, dtype=np.complex128)])
+
+    @property
+    def space(self):
+        return self.entries[0][0].space
+
+    def __getitem__(self, idx):
+        return self.entries[idx[0]][idx[1]]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def _map(self, f, other=None) -> "LoopMatrix":
+        if other is None:
+            return LoopMatrix([[f(a) for a in r] for r in self.entries])
+        return LoopMatrix([[f(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)])
+
+    def __add__(self, other) -> "LoopMatrix":
+        return self._map(operator.add, other)
+
+    def __sub__(self, other) -> "LoopMatrix":
+        return self._map(operator.sub, other)
+
+    def scale(self, f) -> "LoopMatrix":
+        return self._map(lambda a: a * f if isinstance(f, Jet) else a.scale(f))
+
+    def partial(self, v: int) -> "LoopMatrix":
+        return self._map(lambda a: a.partial(v))
+
+    def __matmul__(self, other) -> "LoopMatrix":
+        cols = list(zip(*other.entries))
+        return LoopMatrix([[_dot(row, col) for col in cols] for row in self.entries])
+
+    @property
+    def T(self) -> "LoopMatrix":
+        return LoopMatrix(zip(*self.entries))
+
+    def constant_term(self) -> np.ndarray:
+        return np.array([[a.value0 for a in r] for r in self.entries], dtype=np.complex128)
+
+    def residual_norm(self) -> float:
+        return max(a.residual_norm() for r in self.entries for a in r)
+
+    def eff_order(self) -> int:
+        return min(a.eff_order for r in self.entries for a in r)
+
+    def inverse(self) -> "LoopMatrix":
+        """X <- X (2 - A X) from the inverse of the constant term, trusted
+        to the lowest effective order."""
+        sp = self.space
+        x = LoopMatrix.from_constant(sp, np.linalg.inv(self.constant_term()))
+        two = LoopMatrix.from_constant(sp, 2.0 * np.eye(self.rows))
+        correct = 0
+        while correct < sp.order:
+            x = x @ (two - self @ x)
+            correct = 2 * correct + 1
+        eff = self.eff_order()
+        return x._map(lambda a: sp._wrap(a.coeffs, eff))
+
+
+def matvec(mat: LoopMatrix, vec) -> JetVector:
     """A jet matrix applied to a field."""
     vec = JetVector(vec)
     if mat.cols != len(vec):
@@ -122,12 +197,10 @@ def matvec(mat: JetMatrix, vec) -> JetVector:
     return JetVector(_dot(mat.entries[i], vec.components) for i in range(mat.rows))
 
 
-def to_matrix(mat) -> JetMatrix:
-    """A 2-dimensional jet array (or a jet matrix) as a :class:`JetMatrix`."""
-    if isinstance(mat, JetMatrix):
-        return mat
+def to_matrix(mat) -> LoopMatrix:
+    """A 2-dimensional jet array as a :class:`LoopMatrix`."""
     rows, cols = mat.shape
-    return JetMatrix([[mat[i, j] for j in range(cols)] for i in range(rows)])
+    return LoopMatrix([[mat[i, j] for j in range(cols)] for i in range(rows)])
 
 
 def commutator(a, b):
@@ -293,21 +366,21 @@ def gamma_general(psi, beta, model):
                 if not w[k][t].is_zero():
                     acc = acc + dpsi_j[k] * w[k][t]
             entries[t][j] = acc
-    return JetMatrix(entries)
+    return LoopMatrix(entries)
 
 
 def check_gamma(gamma, psi, model):
     sp = psi.space
     n = model.dim
     g = to_matrix(gamma.matrix)
-    eps = JetMatrix.from_constant(sp, gamma.epsilon)
+    eps = LoopMatrix.from_constant(sp, gamma.epsilon)
     sym = (eps @ g - g.T @ eps).residual_norm()
     norm_jet = psi_epsilon_norm(psi)
     norm_res = max(norm_jet.partial(v).residual_norm() for v in range(n))
     flat_psi = psi.values
     worst = 0.0
     for i in range(n):
-        br = commutator(JetMatrix.from_constant(sp, model.mult_matrices()[i]), g)
+        br = commutator(LoopMatrix.from_constant(sp, model.mult_matrices()[i]), g)
         for j in range(n):
             acc = sp.zero(sp.order - 1)
             for k in range(n):
@@ -325,7 +398,7 @@ def check_gamma(gamma, psi, model):
 
 def darboux_egoroff_matrix(gamma, model, i, j):
     g = to_matrix(gamma.matrix)
-    cmats = [JetMatrix.from_constant(g.space, m) for m in model.mult_matrices()]
+    cmats = [LoopMatrix.from_constant(g.space, m) for m in model.mult_matrices()]
     return (
         commutator(cmats[i], g.partial(j))
         - commutator(cmats[j], g.partial(i))
@@ -449,7 +522,7 @@ def compose(jet, subs):
     return target._wrap(out, eff)
 
 
-def expand_in_matrix_frame(frame: Sequence[JetMatrix], rhs: JetMatrix):
+def expand_in_matrix_frame(frame: Sequence[LoopMatrix], rhs: LoopMatrix):
     """Coefficients f^k with sum_k f^k frame[k] = rhs, solved order by order
     against the constant terms of the frame, one right-hand side at a time;
     returns the coefficient jets and the final residual."""
@@ -462,7 +535,7 @@ def expand_in_matrix_frame(frame: Sequence[JetMatrix], rhs: JetMatrix):
     coeff_arrays = [np.zeros(sp.size, dtype=np.complex128) for _ in range(nf)]
     for deg in range(sp.order + 1):
         partial = [sp.from_coeffs(arr) for arr in coeff_arrays]
-        acc = JetMatrix.from_constant(sp, np.zeros((r, c)))
+        acc = LoopMatrix.from_constant(sp, np.zeros((r, c)))
         for k in range(nf):
             if partial[k].is_zero():
                 continue
@@ -478,7 +551,7 @@ def expand_in_matrix_frame(frame: Sequence[JetMatrix], rhs: JetMatrix):
             for k in range(nf):
                 coeff_arrays[k][idx] = sol[k]
     coeffs = [sp.from_coeffs(arr, eff_order=eff) for arr in coeff_arrays]
-    final = JetMatrix.from_constant(sp, np.zeros((r, c)))
+    final = LoopMatrix.from_constant(sp, np.zeros((r, c)))
     for k in range(nf):
         if not coeffs[k].is_zero():
             final = final + frame[k].scale(coeffs[k])
@@ -508,7 +581,7 @@ def check_saito_axioms(bundle):
     r0 = to_matrix(bundle.r0)
     frame = None if bundle.frame_connection is None else _matrices(bundle.frame_connection)
     curvature = d_nabla_phi = phi_wedge = r0_phi = nabla_r0 = nabla_rinf = 0.0
-    rinf_mat = JetMatrix.from_constant(sp, bundle.rinf)
+    rinf_mat = LoopMatrix.from_constant(sp, bundle.rinf)
     for i in range(m):
         omi = None if frame is None else frame[i]
         for j in range(i + 1, m):
@@ -541,7 +614,7 @@ def check_saito_metric_axioms(bundle):
         raise ShapeError("bundle has no metric")
     g = bundle.metric
     sp = bundle.space
-    gm = JetMatrix.from_constant(sp, g)
+    gm = LoopMatrix.from_constant(sp, g)
     nabla_metric = 0.0
     if bundle.frame_connection is not None:
         for om in _matrices(bundle.frame_connection):
@@ -565,7 +638,7 @@ def birkhoff_flatness(connection):
     sp = connection.space
     c = _matrices(connection.c)
     b0 = to_matrix(connection.b0)
-    binf_mat = JetMatrix.from_constant(sp, connection.binf)
+    binf_mat = LoopMatrix.from_constant(sp, connection.binf)
     c_commute = c_curl = b0_c = b0_mixed = 0.0
     for i in range(m):
         for j in range(i + 1, m):
@@ -592,7 +665,7 @@ def fmanifold_from_saito(bundle, section, tol=1e-10):
     phi = _matrices(bundle.phi)
     r0 = to_matrix(bundle.r0)
     cols = [apply(phi[i], s) for i in range(n)]
-    iso = JetMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
+    iso = LoopMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
     if np.linalg.cond(iso.constant_term()) > 1.0 / max(tol, 1e-300):
         raise NotPrimitiveError("section is not primitive: I(0) is singular")
     iso_inv = iso.inverse()
@@ -601,7 +674,7 @@ def fmanifold_from_saito(bundle, section, tol=1e-10):
     euler = matvec(iso_inv, -apply(r0, s))
     model = FManifoldModel(JetArray.from_jets(mult), JetArray.from_jets(unit), JetArray.from_jets(euler))
     u_model = to_matrix(mult_by_euler(model))
-    conj_res = (u_model - -(iso_inv @ r0 @ iso)).residual_norm()
+    conj_res = (u_model + iso_inv @ r0 @ iso).residual_norm()
     spec_u = regend.jordan_spectrum(u_model.constant_term())
     spec_r = regend.jordan_spectrum(-r0.constant_term())
     return model, {
@@ -629,13 +702,13 @@ def frobenius_from_saito(bundle, section, weight_q, tol=1e-8):
     model, _ = fmanifold_from_saito(bundle, s)
     phi = _matrices(bundle.phi)
     cols = [apply(phi[i], s) for i in range(n)]
-    iso = JetMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
+    iso = LoopMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
     iso_inv = iso.inverse()
-    gram = iso.T @ JetMatrix.from_constant(sp, bundle.metric) @ iso
+    gram = iso.T @ LoopMatrix.from_constant(sp, bundle.metric) @ iso
     chris = lc_curvature(JetArray.from_jets(gram), model.unit).christoffel
     nabla_mat = to_matrix(euler_derivative(chris, model.euler))
-    expected = iso_inv @ JetMatrix.from_constant(sp, bundle.rinf) @ iso
-    expected = expected + JetMatrix.from_constant(sp, (1.0 - complex(weight_q)) * np.eye(n))
+    expected = iso_inv @ LoopMatrix.from_constant(sp, bundle.rinf) @ iso
+    expected = expected + LoopMatrix.from_constant(sp, (1.0 - complex(weight_q)) * np.eye(n))
     rep = report_from(
         [
             ("section_flat", flat_res, sp.order),
@@ -675,10 +748,10 @@ def sqrt(jet: Jet, branch_anchor=None) -> Jet:
 # -- canonical frames, brackets and symmetries ----------------------------------------
 
 
-def mult_by_euler_loop(model) -> JetMatrix:
+def mult_by_euler_loop(model) -> LoopMatrix:
     """The matrix of X -> E o X, columns E o d_j."""
     cols = [multiply(model, model.euler, basis_field(model, j)) for j in range(model.dim)]
-    return JetMatrix([[cols[j][k] for j in range(model.dim)] for k in range(model.dim)])
+    return LoopMatrix([[cols[j][k] for j in range(model.dim)] for k in range(model.dim)])
 
 
 def canonical_frame(model) -> list[JetVector]:
@@ -703,7 +776,7 @@ def check_frame_brackets(model):
     u = mult_by_euler_loop(model)
     if len(regend.jordan_spectrum(u.constant_term()).blocks) == 1:
         consts = BracketConstants.build(n)
-        a = u.trace().scale(1.0 / n)
+        a = sum((u[i, i] for i in range(n)), model.space.zero()).scale(1.0 / n)
         powers = [model.space.one()]
         for _ in range(2 * n):
             powers.append(powers[-1] * a)
@@ -721,9 +794,12 @@ def check_frame_brackets(model):
         for i in range(n):
             res = frame[i].apply_to(a) - powers[i]
             entries.append((f"eigenfunction_{i}", res.residual_norm(), k_order - 1))
-        acc_m = u.power(n)
+        u_powers = [LoopMatrix.from_constant(model.space, np.eye(n))]
+        for _ in range(n):
+            u_powers.append(u_powers[-1] @ u)
+        acc_m = u_powers[n]
         for k in range(n):
-            acc_m = acc_m + u.power(k).scale(powers[n - k].scale(consts.value(k, 0)))
+            acc_m = acc_m + u_powers[k].scale(powers[n - k].scale(consts.value(k, 0)))
         entries.append(("min_poly_identity", acc_m.residual_norm(), k_order))
     return report_from(entries)
 
@@ -860,7 +936,7 @@ def psi_epsilon_norm(psi) -> Jet:
     return acc
 
 
-def gamma_single_block(psi, beta) -> JetMatrix:
+def gamma_single_block(psi, beta) -> LoopMatrix:
     """The rotation operator of a single block: the explicit sum the general
     contraction reduces to."""
     m = psi.blocks[0]
@@ -874,7 +950,7 @@ def gamma_single_block(psi, beta) -> JetMatrix:
             for i in range(s + 1):
                 t = m - 1 + i - s
                 entries[t][j] = entries[t][j] + brow[s] * dpsi[j][m - 1 - i]
-    return JetMatrix(entries)
+    return LoopMatrix(entries)
 
 
 def gamma_annihilates_dual(gamma, psi) -> float:

@@ -5,7 +5,7 @@ tests."""
 import numpy as np
 
 from regfman.fman import standard_block
-from regfman.jets import JetArray, JetMatrix, contract
+from regfman.jets import JetArray, contract
 from regfman.malgrange import (
     DeformationSpec,
     InitialData,
@@ -67,9 +67,8 @@ def non_abelian_gauged_bundle(order=3):
     rng = np.random.default_rng(5)
     m0, m1, m2 = (rng.standard_normal((2, 2)) for _ in range(3))
     x0, x1 = sp.variable(0), sp.variable(1)
-    g = JetMatrix.from_constant(sp, m0 + 2.0 * np.eye(2)) + JetMatrix.from_constant(sp, m1).scale(x0)
-    g = g + JetMatrix.from_constant(sp, m2).scale(x0 * x1 + x1 * x1)
-    return gauge(bundle, JetArray.from_jets(g))
+    parts = JetArray.constant(sp, [m0 + 2.0 * np.eye(2), m1, m2])
+    return gauge(bundle, contract("kij,k->ij", parts, JetArray.from_jets([sp.one(), x0, x0 * x1 + x1 * x1])))
 
 
 def metric_gauged_bundle(order=3):

@@ -45,9 +45,9 @@ from regfman.frob import (
     RotationOperator,
     epsilon_gram,
 )
-from regfman.jets import JetArray, JetMatrix, Substitution, jet_space
+from regfman.jets import JetArray, Substitution, contract, jet_space
 
-from loop_oracles import JetVector, lie_bracket, psi_epsilon_norm, to_matrix
+from loop_oracles import JetVector, lie_bracket, psi_epsilon_norm
 from regfman.malgrange import (
     DeformationSpec,
     InitialData,
@@ -154,11 +154,11 @@ def test_criterion_3_bracket_constants():
     worst = 0.0
     for a in (0.0, 1.0, 2.0 + 1.0j):
         model = standard_block(a, 2, order=4)
-        u = to_matrix(mult_by_euler(model))
-        af = eigenfunction(mult_by_euler(model))[()]
-        ident = u.power(3) - u.scale(af * af).scale(3.0) + JetMatrix.identity(
-            model.space, 2
-        ).scale(af * af * af).scale(2.0)
+        u = mult_by_euler(model)
+        af = eigenfunction(u)
+        u3 = contract("ik,kj->ij", u, contract("ik,kj->ij", u, u))
+        two = JetArray.constant(model.space, 2.0 * np.eye(2))
+        ident = u3 - contract("ij,->ij", u, (af * af).scale(3.0)) + contract("ij,->ij", two, af * af * af)
         worst = max(worst, ident.residual_norm())
     ok = exact and worst <= 1e-10
     _report(
@@ -406,9 +406,9 @@ def _flat_connections(order=3):
         pot = x0 + x0 * x1.scale(coef) + x1 * x1.scale(0.25)
         out.append(
             BirkhoffConnection(
-                JetArray.from_jets(JetMatrix([[1.0 - pot]])),
+                JetArray.from_jets([[1.0 - pot]]),
                 np.array([[0.4]]),
-                JetArray.from_jets([JetMatrix([[pot.partial(0)]]), JetMatrix([[pot.partial(1)]])]),
+                JetArray.from_jets([[[pot.partial(0)]], [[pot.partial(1)]]]),
             )
         )
     # rank-2 slope family over a 1-dimensional base
@@ -417,10 +417,9 @@ def _flat_connections(order=3):
         binf = np.diag([d, -d]).astype(complex)
         slope = (binf @ n_mat - n_mat @ binf) - n_mat
         sp1 = jet_space(1, order)
-        b0 = JetMatrix.from_constant(sp1, np.array([[1.0, 0.0], [0.3, 1.0]])) + (
-            JetMatrix.from_constant(sp1, slope).scale(sp1.variable(0))
-        )
-        out.append(BirkhoffConnection(JetArray.from_jets(b0), binf, JetArray.from_jets([JetMatrix.from_constant(sp1, n_mat)])))
+        parts = JetArray.constant(sp1, [[[1.0, 0.0], [0.3, 1.0]], slope])
+        b0 = contract("kij,k->ij", parts, JetArray.from_jets([sp1.one(), sp1.variable(0)]))
+        out.append(BirkhoffConnection(b0, binf, JetArray.constant(sp1, [n_mat])))
     return out
 
 
@@ -433,7 +432,7 @@ def _perturbed(conn, rng):
         noise = rng.standard_normal((conn.rank, conn.rank)) * 0.1
         if which == 0:
             cand = BirkhoffConnection(
-                conn.b0 + JetArray.from_jets(JetMatrix.from_constant(sp, noise).scale(sp.variable(0))),
+                conn.b0 + contract("ij,->ij", JetArray.constant(sp, noise), JetArray.from_jets(sp.variable(0))),
                 conn.binf,
                 conn.c,
             )

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from regfman.cli import _settings_in, explain, main
-from regfman.jets import Jet, JetArray, JetMatrix
+from regfman.jets import Jet, JetArray, contract
 from saito_cases import metric_gauged_bundle
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "tasks"
@@ -134,6 +134,25 @@ class TestRun:
         assert code == 0
         assert report["settings"]["tolerance"] == pytest.approx(1e-3)
 
+    def test_env_tolerance_is_read_only_when_neither_the_document_nor_the_flag_sets_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REGFMAN_TOL", "abc")
+        doc = json.loads((DOCS / "verify-fmanifold.json").read_text(encoding="utf-8"))
+        for extra, tol in (([], 1e-10), (["--tol", "1e-9"], 1e-9)):
+            code, report = run_doc(tmp_path, doc, argv_extra=extra)
+            assert code == 0 and report["settings"]["tolerance"] == tol
+        del doc["settings"]["tolerance"]
+        code, report = run_doc(tmp_path, doc, argv_extra=["--tol", "1e-8"])
+        assert code == 0 and report["settings"]["tolerance"] == 1e-8
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "0"])
+    def test_an_unusable_env_tolerance_exits_2_on_the_environment(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("REGFMAN_TOL", value)
+        doc = spectrum_doc()
+        del doc["settings"]["tolerance"]
+        code, report = run_doc(tmp_path, doc)
+        assert code == 2 and report is None
+        assert "environment:" in capsys.readouterr().err
+
     def test_stdin_input(self, tmp_path, capsys, monkeypatch):
         import io
 
@@ -212,7 +231,7 @@ class TestRun:
         assert "metric_nabla_metric" in report["residuals"]
         # a non-closed scalar shift of Omega_0 breaks flatness and nothing else
         sp = bundle.space
-        shift = JetArray.from_jets(JetMatrix.identity(sp, 2).scale(sp.variable(1)))
+        shift = contract("ij,->ij", JetArray.constant(sp, [[1.0, 0.0], [0.0, 1.0]]), JetArray.from_jets(sp.variable(1)))
         frame = JetArray.stack([bundle.frame_connection[0] + shift, bundle.frame_connection[1]])
         code, report = run_doc(tmp_path, doc(frame), name="broken.json")
         assert code == 1

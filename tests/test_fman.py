@@ -133,17 +133,22 @@ class TestCheckFManifold:
 
     def test_the_euler_lie_derivative_differentiates_e_once(self, monkeypatch):
         model = standard_model([(0.0, 2), (1.0, 1)])
-        calls = []
-        grad = JetArray.grad
-
-        def counting_grad(self):
-            calls.append(self is model.euler)
-            return grad(self)
-
-        monkeypatch.setattr(JetArray, "grad", counting_grad)
-        check_fmanifold(model)
         # both brackets of L_E(o) read one gradient of E
-        assert calls.count(True) == 1
+        assert grads_of(monkeypatch, model.euler, lambda: check_fmanifold(model)) == 1
+
+
+def grads_of(monkeypatch, x, run) -> int:
+    """How many times ``run()`` takes the gradient of the array ``x``."""
+    calls = []
+    grad = JetArray.grad
+
+    def counting_grad(self):
+        calls.append(self is x)
+        return grad(self)
+
+    monkeypatch.setattr(JetArray, "grad", counting_grad)
+    run()
+    return calls.count(True)
 
 
 class TestCanonicalFrame:
@@ -255,6 +260,11 @@ class TestSymmetries:
         for y in symmetry_basis(m):
             rep = check_symmetry(model, y)
             assert rep.passes(1e-10), (m, rep.worst())
+
+    def test_check_symmetry_differentiates_the_field_once(self, monkeypatch):
+        model, x = standard_block(0.25, 3), symmetry_basis(3)[0]
+        # L_X(o), [X, E] and the circ residuals read one gradient of X
+        assert grads_of(monkeypatch, x, lambda: check_symmetry(model, x)) == 1
 
     def test_unit_field_not_a_symmetry(self):
         model = standard_block(0.0, 2)

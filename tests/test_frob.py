@@ -31,9 +31,9 @@ from regfman.frob import (
     structure_brackets,
     unit_covector,
 )
-from regfman.jets import JetArray, JetMatrix, jet_space
+from regfman.jets import JetArray, jet_space
 
-from loop_oracles import JetVector, commutator, gamma_annihilates_dual, gamma_single_block, psi_epsilon_norm, to_matrix
+from loop_oracles import JetVector, LoopMatrix, commutator, gamma_annihilates_dual, gamma_single_block, psi_epsilon_norm, to_matrix
 
 
 def binom_jet(space, var, exponent, order):
@@ -390,7 +390,7 @@ class TestDarbouxEgoroff:
         gamma = gamma_operator(psi, invert_oneform(psi), model)
         de = darboux_egoroff_matrix(structure_brackets(gamma, model), 0, 1)
         sp = model.space
-        c1 = JetMatrix.from_constant(sp, model.mult_matrices()[1])
+        c1 = LoopMatrix.from_constant(sp, model.mult_matrices()[1])
         direct = commutator(c1, to_matrix(gamma.matrix.partial(0)))
         assert (to_matrix(de) + direct).residual_norm() < 1e-12
 

@@ -8,7 +8,7 @@ import pytest
 from regfman import jets, malgrange, regend
 from regfman.errors import ChartDegeneracyError, RegularityError, ScopeError, ShapeError, ValidationError
 from regfman.fman import FManifoldModel, check_fmanifold, mult_by_euler, standard_block, standard_model
-from regfman.jets import JetArray, JetMatrix, jet_space
+from regfman.jets import JetArray, contract, jet_space
 from regfman.malgrange import (
     DeformationSpec,
     InitialData,
@@ -33,22 +33,21 @@ class TestB0At:
     def test_gamma_zero(self):
         spec = DeformationSpec(np.diag([1.0, 2.0]), np.zeros((2, 2)))
         sp = jet_space(2, 3)
-        got = b0_at(spec, JetArray.from_jets(JetMatrix.from_constant(sp, np.zeros((2, 2)))))
+        got = b0_at(spec, JetArray.constant(sp, np.zeros((2, 2))))
         assert np.allclose(got.constant_term(), np.diag([1.0, 2.0]))
 
     def test_scalar_case(self):
         spec = DeformationSpec(np.array([[0.7]]), np.array([[0.3]]))
         sp = jet_space(1, 3)
-        g = JetMatrix([[sp.variable(0)]])
-        got = b0_at(spec, JetArray.from_jets(g))
+        got = b0_at(spec, JetArray.from_jets([[sp.variable(0)]]))
         # scalars commute: B0 = a - Gamma
         assert (got[0, 0] - (0.7 - sp.variable(0))).residual_norm() < 1e-14
 
     def test_binf_zero(self):
         spec = DeformationSpec(jordan_block(0.0, 2), np.zeros((2, 2)))
         sp = jet_space(2, 2)
-        g = JetMatrix.from_constant(sp, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        got = b0_at(spec, JetArray.from_jets(g))
+        g = JetArray.constant(sp, [[0.0, 1.0], [0.0, 0.0]])
+        got = b0_at(spec, g)
         assert np.allclose(got.constant_term(), jordan_block(0.0, 2) - g.constant_term())
 
 
@@ -109,10 +108,9 @@ class TestIntegrateChart:
         for k in range(1, order + 1):
             term = term * (-u1).scale(1.0 / k)
             exp_neg = exp_neg + term
-        ident = JetMatrix.identity(sp, 2)
-        b0o_jet = JetMatrix.from_constant(sp, b0o)
-        expected = b0o_jet + (ident.scale(u0) - b0o_jet).scale(exp_neg)
-        assert (chart.gamma - JetArray.from_jets(expected)).residual_norm() < 1e-12
+        parts = JetArray.constant(sp, [np.eye(2), -b0o])
+        relaxed = contract("kij,k->ij", parts, JetArray.from_jets([u0 * exp_neg, exp_neg]))
+        assert (chart.gamma - (JetArray.constant(sp, b0o) + relaxed)).residual_norm() < 1e-12
 
 
 class TestIntegrality:
@@ -134,10 +132,10 @@ class TestIntegrality:
         spec = DeformationSpec(np.diag([1.0, 2.0]), np.zeros((2, 2)))
         sp = jet_space(2, 3)
         n_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
-        gamma = JetMatrix.from_constant(sp, n_mat).scale(sp.variable(0))
+        gamma = contract("ij,->ij", JetArray.constant(sp, n_mat), JetArray.from_jets(sp.variable(0)))
         from regfman.malgrange import MalgrangeChart
 
-        fake = MalgrangeChart(spec=spec, gamma=JetArray.from_jets(gamma))
+        fake = MalgrangeChart(spec=spec, gamma=gamma)
         rep = check_integrality(fake)
         assert rep.max_value() > 0.1
 
@@ -218,14 +216,11 @@ class TestFManifoldOnChart:
     def test_expand_in_matrix_frame_roundtrip(self):
         sp = jet_space(2, 3)
         rng = np.random.default_rng(0)
-        frame = [
-            JetMatrix.from_constant(sp, np.eye(2)),
-            JetMatrix.from_constant(sp, np.array([[0.0, 1.0], [1.0, 0.5]])),
-        ]
+        frame = JetArray.constant(sp, [np.eye(2), [[0.0, 1.0], [1.0, 0.5]]])
         f0 = sp.from_coeffs(rng.standard_normal(sp.size))
         f1 = sp.from_coeffs(rng.standard_normal(sp.size))
-        rhs = frame[0].scale(f0) + frame[1].scale(f1)
-        coeffs, res = expand_in_frame(JetArray.from_jets(frame), JetArray.from_jets([rhs]))
+        rhs = contract("kij,k->ij", frame, JetArray.from_jets([f0, f1]))
+        coeffs, res = expand_in_frame(frame, rhs[None])
         assert res[0] < 1e-12
         assert (coeffs[0, 0] - f0).residual_norm() < 1e-12
         assert (coeffs[0, 1] - f1).residual_norm() < 1e-12

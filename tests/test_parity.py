@@ -12,8 +12,9 @@ from regfman.malgrange import DeformationSpec, fmanifold_on_chart, integrate_cha
 from regfman.regend import jordan_block
 from regfman.reports import report_from
 
-_TOOLS = Path(__file__).resolve().parent.parent / "tools"
-sys.path.insert(0, str(_TOOLS))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "tools"), str(_ROOT / "perfbench")]
+import kernels  # noqa: E402
 import parity  # noqa: E402
 
 
@@ -109,3 +110,13 @@ def test_substitution_outputs_cover_each_effective_order_kind_as_a_batch_and_a_s
         assert np.array_equal(out["single"].coeffs[0], out["entry"].coeffs)
     assert (outs["none"]["batch"].eff == -1).all()
     assert parity.digest(parity.substitution_outputs(parity.SEED, shape, "mixed")) == parity.digest(outs["mixed"])
+
+
+def test_kernel_outputs_are_the_results_the_kernel_grid_times(monkeypatch):
+    timed = []
+    monkeypatch.setattr(kernels, "_per_call_us", lambda call: timed.append(parity.digest(call())) or 0.0)
+    kernels.grid(parity.SEED)
+    outs = parity.kernel_outputs(parity.SEED)
+    assert list(outs) == [f"v{nvars}k{order}" for nvars, order in kernels.GRID]
+    assert [parity.digest(out[op]) for out in outs.values() for op in kernels.OPS] == timed
+    assert outs["v2k4"]["matmul"].rows == outs["v2k4"]["matmul"].cols == 3

@@ -2,12 +2,13 @@
 
 The package exports the names below and nothing else, so adding or removing
 an export is a deliberate edit here.  Every stage of the pipeline takes
-``JetArray`` inputs; ``JetArray.from_jets`` stacks nested ``Jet`` and
-``JetMatrix`` inputs, and ``src/`` calls it only where jets are built: in the
-object kernel's own wrappers and in the metric and one-form families (which
-accept one family of jets per block).  Outside ``jets.py`` no module names
-``Jet`` or ``JetMatrix`` but the package's export of ``Jet``; the CLI decodes
-and encodes arrays.  README's quick start runs as written.
+``JetArray`` inputs; ``JetArray.from_jets`` stacks nested ``Jet`` inputs,
+and ``src/`` calls it only where jets are built: in the object kernel's own
+wrappers and in the metric and one-form families (which accept one family of
+jets per block).  Outside ``jets.py`` no module names ``Jet`` or
+``JetMatrix`` but the package's export of ``Jet``; the CLI decodes and
+encodes arrays.  ``JetMatrix`` keeps only the members the benchmark's kernel
+grid uses.  README's quick start runs as written.
 """
 
 import ast
@@ -17,6 +18,7 @@ import re
 from pathlib import Path
 
 import regfman
+from regfman.jets import JetMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "regfman"
@@ -99,9 +101,13 @@ EXPORTS = (
 
 # (module, enclosing class) of every call of ``from_jets``; None: outside
 # any class
-FROM_JETS_SCOPES = {("jets", "Jet"), ("jets", "JetMatrix"), ("frob", "_BlockJets")}
+FROM_JETS_SCOPES = {("jets", "Jet"), ("frob", "_BlockJets")}
 
 OBJECT_KERNEL = {"Jet", "JetMatrix"}
+
+# the members of the JetMatrix stub: perfbench/kernels.py builds 3x3 jet
+# matrices and multiplies them, and perfbench/tracing.py patches __matmul__
+JET_MATRIX_MEMBERS = {"__init__", "__matmul__", "entries", "rows", "cols"}
 
 
 def test_exports_match_the_ledger():
@@ -150,6 +156,11 @@ def test_the_object_kernel_is_named_only_in_jets_and_the_export():
             if names:
                 named[path.stem] = names
     assert named == {"__init__": ["Jet"]}
+
+
+def test_the_jet_matrix_stub_keeps_only_the_members_perfbench_uses():
+    members = {name for name, value in vars(JetMatrix).items() if not name.startswith("__") or callable(value)}
+    assert members == JET_MATRIX_MEMBERS
 
 
 def test_readme_quick_start_runs():

@@ -6,7 +6,7 @@ import pytest
 import loop_oracles
 from regfman.errors import HomogeneityError, NotPrimitiveError, ShapeError
 from regfman.fman import check_fmanifold, mult_by_euler
-from regfman.jets import JetArray, JetMatrix, contract, jet_space
+from regfman.jets import JetArray, contract, jet_space
 from regfman.saito import (
     BirkhoffConnection,
     SaitoBundle,
@@ -21,11 +21,12 @@ from saito_cases import admissible_bundle, metric_gauged_bundle, non_abelian_gau
 
 
 def constant_connection(space, b0, binf, cs):
-    return BirkhoffConnection(
-        JetArray.from_jets(JetMatrix.from_constant(space, b0)),
-        binf,
-        JetArray.from_jets([JetMatrix.from_constant(space, c) for c in cs]),
-    )
+    return BirkhoffConnection(JetArray.constant(space, b0), binf, JetArray.constant(space, cs))
+
+
+def linear(space, mats, jets):
+    """The jet matrix sum_k mats[k] jets[k]."""
+    return contract("kij,k->ij", JetArray.constant(space, mats), JetArray.from_jets(jets))
 
 
 def flat_rank2_base1(order=3):
@@ -36,9 +37,8 @@ def flat_rank2_base1(order=3):
     b00 = np.array([[1.0, 0.0], [0.3, 1.0]], dtype=complex)  # commutes with n
     # mixed condition forces d_x B0 = [Binf, C_0] - C_0
     slope = (binf @ n - n @ binf) - n
-    x = sp.variable(0)
-    b0 = JetMatrix.from_constant(sp, b00) + JetMatrix.from_constant(sp, slope).scale(x)
-    return BirkhoffConnection(JetArray.from_jets(b0), binf, JetArray.from_jets([JetMatrix.from_constant(sp, n)]))
+    b0 = linear(sp, [b00, slope], [sp.one(), sp.variable(0)])
+    return BirkhoffConnection(b0, binf, JetArray.constant(sp, [n]))
 
 
 def potential_rank1_base2(order=3):
@@ -46,9 +46,8 @@ def potential_rank1_base2(order=3):
     sp = jet_space(2, order)
     x0, x1 = sp.variable(0), sp.variable(1)
     pot = x0 + x0 * x1 + x1 * x1.scale(0.5)
-    c = [JetMatrix([[pot.partial(0)]]), JetMatrix([[pot.partial(1)]])]
-    b0 = JetMatrix([[-pot + 1.5]])
-    return BirkhoffConnection(JetArray.from_jets(b0), np.array([[0.7]]), JetArray.from_jets(c))
+    c = [[[pot.partial(0)]], [[pot.partial(1)]]]
+    return BirkhoffConnection(JetArray.from_jets([[-pot + 1.5]]), np.array([[0.7]]), JetArray.from_jets(c))
 
 
 class TestBirkhoffFlatness:
@@ -92,9 +91,8 @@ class TestBirkhoffFlatness:
 class TestSaitoAxioms:
     def test_commuting_constants_pass(self):
         sp = jet_space(1, 3)
-        r0 = JetMatrix.from_constant(sp, np.diag([1.0, 2.0]))
-        phi = [JetMatrix.from_constant(sp, np.zeros((2, 2)))]
-        bundle = SaitoBundle(JetArray.from_jets(phi), JetArray.from_jets(r0), np.zeros((2, 2)))
+        r0 = JetArray.constant(sp, np.diag([1.0, 2.0]))
+        bundle = SaitoBundle(JetArray.constant(sp, np.zeros((1, 2, 2))), r0, np.zeros((2, 2)))
         assert check_saito_axioms(bundle).max_value() == 0.0
 
     def test_flat_birkhoff_maps_to_saito(self):
@@ -109,9 +107,9 @@ class TestSaitoAxioms:
 
     def test_noncommuting_residue_detected(self):
         sp = jet_space(1, 3)
-        phi = [JetMatrix.from_constant(sp, np.array([[0.0, 0.0], [1.0, 0.0]]))]
-        r0 = JetMatrix.from_constant(sp, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        bundle = SaitoBundle(JetArray.from_jets(phi), JetArray.from_jets(r0), np.zeros((2, 2)))
+        phi = JetArray.constant(sp, [[[0.0, 0.0], [1.0, 0.0]]])
+        r0 = JetArray.constant(sp, [[0.0, 1.0], [0.0, 0.0]])
+        bundle = SaitoBundle(phi, r0, np.zeros((2, 2)))
         rep = check_saito_axioms(bundle)
         assert rep["r0_phi_commute"].value > 0.5
 
@@ -145,8 +143,8 @@ class TestSaitoMetricAxioms:
     def test_identity_rinf_skewness_residual(self):
         sp = jet_space(1, 3)
         bundle = SaitoBundle(
-            JetArray.from_jets([JetMatrix.from_constant(sp, np.zeros((2, 2)))]),
-            JetArray.from_jets(JetMatrix.from_constant(sp, np.zeros((2, 2)))),
+            JetArray.constant(sp, np.zeros((1, 2, 2))),
+            JetArray.constant(sp, np.zeros((2, 2))),
             np.eye(2),
             metric=np.eye(2),
         )
@@ -162,12 +160,9 @@ class TestSaitoMetricAxioms:
         model = standard_block(0.0, 3)
         sp = jet_space(3, 3)
         eps = epsilon_gram([3])
-        phis = [
-            JetMatrix.from_constant(sp, m) for m in model.mult_matrices()
-        ]
         bundle = SaitoBundle(
-            JetArray.from_jets(phis),
-            JetArray.from_jets(JetMatrix.from_constant(sp, np.zeros((3, 3)))),
+            JetArray.constant(sp, model.mult_matrices()),
+            JetArray.constant(sp, np.zeros((3, 3))),
             np.zeros((3, 3)),
             metric=eps,
         )
@@ -179,9 +174,8 @@ class TestFManifoldFromSaito:
     def test_rank1_block(self):
         sp = jet_space(1, 3)
         a = 0.8
-        phi = [JetMatrix([[sp.constant(1.0)]])]
-        r0 = JetMatrix([[-(sp.variable(0) + a)]])
-        bundle = SaitoBundle(JetArray.from_jets(phi), JetArray.from_jets(r0), np.zeros((1, 1)))
+        r0 = JetArray.from_jets([[-(sp.variable(0) + a)]])
+        bundle = SaitoBundle(JetArray.constant(sp, [[[1.0]]]), r0, np.zeros((1, 1)))
         model, rep = fmanifold_from_saito(bundle, [1.0])
         assert (model.euler[0] - (sp.variable(0) + a)).residual_norm() < 1e-12
         assert rep["u_matches_conjugated_residue"] < 1e-12
@@ -189,11 +183,7 @@ class TestFManifoldFromSaito:
 
     def test_zero_section_rejected(self):
         sp = jet_space(1, 3)
-        bundle = SaitoBundle(
-            JetArray.from_jets([JetMatrix([[sp.constant(1.0)]])]),
-            JetArray.from_jets(JetMatrix([[sp.constant(1.0)]])),
-            np.zeros((1, 1)),
-        )
+        bundle = SaitoBundle(JetArray.constant(sp, [[[1.0]]]), JetArray.constant(sp, [[1.0]]), np.zeros((1, 1)))
         with pytest.raises(NotPrimitiveError):
             fmanifold_from_saito(bundle, [0.0])
 
@@ -206,16 +196,9 @@ class TestFManifoldFromSaito:
         sp = jet_space(2, 3)
         n = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
         ident = np.eye(2, dtype=complex)
-        x0, x1 = sp.variable(0), sp.variable(1)
         b00 = np.array([[1.0, 0.0], [0.3, 1.0]], dtype=complex)
-        b0 = (
-            JetMatrix.from_constant(sp, b00)
-            + JetMatrix.from_constant(sp, -ident).scale(x0)
-            + JetMatrix.from_constant(sp, -n).scale(x1)
-        )
-        conn2 = BirkhoffConnection(
-            JetArray.from_jets(b0), np.zeros((2, 2)), JetArray.from_jets([JetMatrix.from_constant(sp, ident), JetMatrix.from_constant(sp, n)])
-        )
+        b0 = linear(sp, [b00, -ident, -n], [sp.one(), *sp.variables()])
+        conn2 = BirkhoffConnection(b0, np.zeros((2, 2)), JetArray.constant(sp, [ident, n]))
         assert birkhoff_flatness(conn2).max_value() < 1e-12
         bundle2 = birkhoff_to_saito(conn2)
         model_a, _ = fmanifold_from_saito(bundle2, [1.0, 0.0])
@@ -233,17 +216,8 @@ class TestFManifoldFromSaito:
         sp = jet_space(2, 3)
         ident = np.eye(2, dtype=complex)
         n = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-        x0, x1 = sp.variable(0), sp.variable(1)
-        b0 = (
-            JetMatrix.from_constant(sp, np.array([[0.5, 0.0], [0.3, 0.5]], dtype=complex))
-            + JetMatrix.from_constant(sp, -ident).scale(x0)
-            + JetMatrix.from_constant(sp, -n).scale(x1)
-        )
-        conn2 = BirkhoffConnection(
-            JetArray.from_jets(b0),
-            np.zeros((2, 2)),
-            JetArray.from_jets([JetMatrix.from_constant(sp, ident), JetMatrix.from_constant(sp, n)]),
-        )
+        b0 = linear(sp, [[[0.5, 0.0], [0.3, 0.5]], -ident, -n], [sp.one(), *sp.variables()])
+        conn2 = BirkhoffConnection(b0, np.zeros((2, 2)), JetArray.constant(sp, [ident, n]))
         bundle = birkhoff_to_saito(conn2)
         model, rep = fmanifold_from_saito(bundle, [1.0, 0.0])
         assert rep["spectra_match"]
@@ -255,32 +229,23 @@ class TestFrobeniusFromSaito:
     def test_rank1_metric_and_euler_derivative(self):
         sp = jet_space(1, 4)
         a = 1.0
-        phi = [JetMatrix([[sp.constant(1.0)]])]
-        r0 = JetMatrix([[-(sp.variable(0) + a)]])
+        r0 = JetArray.from_jets([[-(sp.variable(0) + a)]])
         q = 0.0  # rinf = 0 forces weight 0 => D = 2
-        bundle = SaitoBundle(JetArray.from_jets(phi), JetArray.from_jets(r0), np.zeros((1, 1)), metric=np.array([[2.5]]))
+        bundle = SaitoBundle(JetArray.constant(sp, [[[1.0]]]), r0, np.zeros((1, 1)), metric=np.array([[2.5]]))
         gram, rep = frobenius_from_saito(bundle, [1.0], q)
         assert (gram[0, 0] - 2.5).residual_norm() < 1e-12
         assert rep["euler_derivative"].value < 1e-9
 
     def test_homogeneity_error(self):
         sp = jet_space(1, 3)
-        bundle = SaitoBundle(
-            JetArray.from_jets([JetMatrix([[sp.constant(1.0)]])]),
-            JetArray.from_jets(JetMatrix([[sp.constant(1.0)]])),
-            np.array([[0.5]]),
-            metric=np.array([[1.0]]),
-        )
+        one = JetArray.constant(sp, [[1.0]])
+        bundle = SaitoBundle(one[None], one, np.array([[0.5]]), metric=np.array([[1.0]]))
         with pytest.raises(HomogeneityError):
             frobenius_from_saito(bundle, [1.0], weight_q=1.5)
 
     def test_metric_required(self):
         sp = jet_space(1, 3)
-        bundle = SaitoBundle(
-            JetArray.from_jets([JetMatrix([[sp.constant(1.0)]])]),
-            JetArray.from_jets(JetMatrix([[sp.constant(1.0)]])),
-            np.zeros((1, 1)),
-        )
+        bundle = SaitoBundle(JetArray.constant(sp, [[[1.0]]]), JetArray.constant(sp, [[1.0]]), np.zeros((1, 1)))
         with pytest.raises(ShapeError):
             frobenius_from_saito(bundle, [1.0], weight_q=0.0)
 
@@ -290,17 +255,8 @@ class TestFrobeniusFromSaito:
         sp = jet_space(2, 3)
         ident = np.eye(2, dtype=complex)
         n = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-        x0, x1 = sp.variable(0), sp.variable(1)
-        b0 = (
-            JetMatrix.from_constant(sp, np.array([[0.5, 0.0], [0.3, 0.5]], dtype=complex))
-            + JetMatrix.from_constant(sp, -ident).scale(x0)
-            + JetMatrix.from_constant(sp, -n).scale(x1)
-        )
-        conn = BirkhoffConnection(
-            JetArray.from_jets(b0),
-            np.zeros((2, 2)),
-            JetArray.from_jets([JetMatrix.from_constant(sp, ident), JetMatrix.from_constant(sp, n)]),
-        )
+        b0 = linear(sp, [[[0.5, 0.0], [0.3, 0.5]], -ident, -n], [sp.one(), *sp.variables()])
+        conn = BirkhoffConnection(b0, np.zeros((2, 2)), JetArray.constant(sp, [ident, n]))
         eps = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)  # makes ident, n symmetric
         bundle = SaitoBundle(conn.c, conn.b0, -conn.binf, metric=eps)
         assert check_saito_metric_axioms(bundle).max_value() < 1e-12
@@ -330,7 +286,7 @@ def perturbed(bundle, delta):
     """The bundle with Omega_0 shifted by the jet matrix delta."""
     omega = bundle.frame_connection
     rest = [omega[i] for i in range(1, len(omega))]
-    shifted = JetArray.stack([omega[0] + JetArray.from_jets(delta), *rest])
+    shifted = JetArray.stack([omega[0] + delta, *rest])
     return SaitoBundle(bundle.phi, bundle.r0, bundle.rinf, shifted, bundle.metric)
 
 
@@ -368,7 +324,7 @@ class TestFrameConnection:
         bundle = metric_gauged_bundle()
         sp = bundle.space
         # a scalar shift commutes with everything: only d(Omega) changes
-        broken = perturbed(bundle, JetMatrix.identity(sp, 2).scale(sp.variable(1)))
+        broken = perturbed(bundle, linear(sp, [np.eye(2)], [sp.variable(1)]))
         assert failing(check_saito_axioms(broken)) == {"curvature"}
         assert failing(check_saito_metric_axioms(broken)) == {"nabla_metric"}
         _assert_matches_loops(broken)
@@ -379,12 +335,8 @@ class TestFrameConnection:
         x0, x1 = sp.variable(0), sp.variable(1)
         # Omega_i + d_i h Id with h = x0 x1 + 0.3 x0^2 stays flat, but not metric
         omega = bundle.frame_connection
-        ident = JetMatrix.identity(sp, 2)
         shifted = JetArray.stack(
-            [
-                omega[0] + JetArray.from_jets(ident.scale(x1 + x0.scale(0.6))),
-                omega[1] + JetArray.from_jets(ident.scale(x0)),
-            ]
+            [omega[0] + linear(sp, [np.eye(2)], [x1 + x0.scale(0.6)]), omega[1] + linear(sp, [np.eye(2)], [x0])]
         )
         broken = SaitoBundle(bundle.phi, bundle.r0, bundle.rinf, shifted, bundle.metric)
         assert failing(check_saito_axioms(broken)) == set()
@@ -394,7 +346,7 @@ class TestFrameConnection:
         bundle = metric_gauged_bundle()
         sp = bundle.space
         # E12 commutes neither with Rinf, nor with Phi_1 or R0
-        broken = perturbed(bundle, JetMatrix.from_constant(sp, np.array([[0.0, 0.1], [0.0, 0.0]])))
+        broken = perturbed(bundle, JetArray.constant(sp, [[0.0, 0.1], [0.0, 0.0]]))
         rep = check_saito_axioms(broken)
         assert {"nabla_rinf", "d_nabla_phi", "nabla_r0"} <= failing(rep), rep
         assert "phi_wedge_phi" not in failing(rep) and "r0_phi_commute" not in failing(rep)

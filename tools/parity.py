@@ -23,7 +23,12 @@ process with one BLAS thread, runs with its own ``src/`` and ``perfbench/``:
   that fix the origin, with full, mixed, low or -1 effective orders, of a
   batch of jets and of a single jet: their coefficients and effective
   orders, not the table (its columns above the substitutions' effective
-  order are no output).
+  order are no output);
+- the outputs of the six operations the kernel rows of
+  ``perfbench/kernels.py`` time, on each (variables, order) cell of its
+  ``GRID``: ``Jet`` ``*``, ``partial``, ``invert``, ``sqrt`` and ``compose``,
+  and the ``JetMatrix`` product, of seeded dense operands drawn as
+  ``kernels.grid`` draws them.
 
 Each output is dumped with every float as ``float.hex``, every jet array
 (and jet) as a SHA-1 of its coefficients together with its effective orders,
@@ -196,6 +201,27 @@ def substitution_outputs(seed: int, shape: tuple[int, ...], kind: str) -> dict:
     return {"batch": sub(f), "single": sub(f[:1]), "entry": sub(f[:1].reshape())}
 
 
+def kernel_outputs(seed: int) -> dict:
+    """The outputs of the operations ``kernels.grid`` times, by cell and
+    operation, on operands drawn as it draws them from one generator."""
+    import numpy as np
+    import kernels
+    from regfman.jets import JetMatrix, jet_space
+
+    rng = np.random.default_rng(seed)
+    out = {}
+    for nvars, order in kernels.GRID:
+        sp = jet_space(nvars, order)
+        a, b = kernels._dense(sp, rng), kernels._dense(sp, rng)
+        subs = [kernels._dense(sp, rng, const=0.0) for _ in range(nvars)]
+        ma, mb = (JetMatrix([[kernels._dense(sp, rng) for _ in range(3)] for _ in range(3)]) for _ in range(2))
+        out[f"v{nvars}k{order}"] = {
+            "mul": a * b, "partial": a.partial(nvars - 1), "invert": a.invert(), "sqrt": a.sqrt(),
+            "compose": a.compose(subs), "matmul": ma @ mb,
+        }
+    return out
+
+
 def dump(tree: str) -> dict:
     """Every output of ``tree``, by case name."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
@@ -238,6 +264,9 @@ def dump(tree: str) -> dict:
             out[f"germ-iso/{blocks},{order}"] = attempt(universality_fields, chart, model)
     for i, (shape, kind) in enumerate((s, k) for s in SUBSTITUTION_SHAPES for k in SUBSTITUTION_KINDS):
         out[f"substitution/{shape},{kind}"] = attempt(substitution_outputs, SEED + i, shape, kind)
+    for cell, outputs in kernel_outputs(SEED).items():
+        for op, value in outputs.items():
+            out[f"kernel/{cell},{op}"] = dump_case(value)
     with tempfile.TemporaryDirectory(prefix="parity-") as scratch:
         report = os.path.join(scratch, "report.json")
         for doc in sorted(glob.glob(os.path.join(tree, "docs", "tasks", "*.json"))):
