@@ -270,20 +270,25 @@ def _default_tolerance() -> float:
 
 
 def _settings_in(doc: dict, args) -> dict:
+    """The order and tolerance of a run; a bad value is refused on the field
+    it came from: the flag, the document setting or the environment."""
     raw = doc.get("settings", {})
     if not isinstance(raw, dict):
         _fail("settings must be an object", "settings")
-    order = raw.get("order", DEFAULT_ORDER) if args.order is None else args.order
-    if args.tol is not None:
-        tolerance = args.tol
-    elif "tolerance" in raw:
-        tolerance = raw["tolerance"]
+    if args.order is not None:
+        order, order_field = args.order, "--order"
     else:
-        tolerance = _default_tolerance()
+        order, order_field = raw.get("order", DEFAULT_ORDER), "settings/order"
+    if args.tol is not None:
+        tolerance, tolerance_field = args.tol, "--tol"
+    elif "tolerance" in raw:
+        tolerance, tolerance_field = raw["tolerance"], "settings/tolerance"
+    else:
+        tolerance, tolerance_field = _default_tolerance(), "environment"
     if not _is_int(order) or order < 1:
-        _fail("order must be an integer >= 1", "settings/order")
+        _fail("order must be an integer >= 1", order_field)
     if not _is_number(tolerance) or not np.isfinite(tolerance) or tolerance <= 0:
-        _fail("tolerance must be positive and finite", "settings/tolerance")
+        _fail("tolerance must be positive and finite", tolerance_field)
     return {"order": order, "tolerance": float(tolerance)}
 
 

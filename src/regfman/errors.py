@@ -18,10 +18,6 @@ class SingularInputError(RegfmanError):
     (vanishing constant term, degenerate Gram matrix, ...)."""
 
 
-class InvalidAnchorError(RegfmanError):
-    """The supplied branch anchor is not a square root of the constant term."""
-
-
 class RegularityError(RegfmanError):
     """A matrix or multiplication operator required to be regular is not."""
 

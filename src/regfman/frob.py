@@ -300,11 +300,11 @@ def _descent_levels(blocks, inner: int):
         yield rows, block[rows], (rows[:, None] + steps).ravel(), (top[:, None] - steps).ravel()
 
 
-def psi_from_metric(metric: InvariantMetric, branch_anchors=None) -> OneForm:
+def psi_from_metric(metric: InvariantMetric) -> OneForm:
     """Unique invertible one-form with g(X, Y) = (psi o psi)(X o Y).
 
-    Per block: the top component is a square root of the top eta (branch
-    fixed by the anchor; principal root by default), the rest follow by a
+    Per block: the top component is the principal square root of the top
+    eta (no verdict depends on the branch), the rest follow by a
     descending triangular recursion whose weight 1 / (2 root) is the
     inverse of the root with its real and imaginary parts halved (a complex
     product by 0.5 can flip the sign of a zero part).  That weight has the
@@ -315,13 +315,9 @@ def psi_from_metric(metric: InvariantMetric, branch_anchors=None) -> OneForm:
     """
     if not metric.nondegenerate_at_origin():
         raise DegenerateMetricError("metric degenerate at the origin")
-    if branch_anchors is None:
-        branch_anchors = [None] * len(metric.blocks)
-    if len(branch_anchors) != len(metric.blocks):
-        raise ShapeError("one branch anchor per block required")
     tops = _tops(metric.blocks)
     eta = metric.values
-    root = eta[tops].sqrt(branch_anchors)
+    root = eta[tops].sqrt()
     inv_root = root.invert()
     psi = OneForm(metric.blocks, _descend(metric.blocks, eta.put(tops, root), _halved(inv_root), eta, inner=1))
     psi._top_inverse = inv_root

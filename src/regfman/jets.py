@@ -17,11 +17,11 @@ Binary operations propagate the minimum of the operands' effective orders.
 :class:`JetArray` is the one container the package computes with: a batch
 of jets (a field, a one-form, a matrix, a structure tensor) as one array
 of shape ``(*batch, size)`` with a per-entry array of effective orders,
-stored only as wide as its coefficients can be nonzero.  Indexing down to
-one entry gives a :class:`Jet`, the read-only scalar that reports read.
+stored only as wide as its coefficients can be nonzero; a single jet is a
+0-dimensional array, and indexing down to one entry gives one.
 :func:`contract` multiplies two arrays in einsum notation over the batch
 axes, with the Cauchy product on the coefficient axis: each output entry
-gets the effective order and truncation of the same sum of ``Jet``
+gets the effective order and truncation of the same sum of entrywise
 products and equals that sum up to round-off (a lone product with nothing
 pruned bit for bit).  Its work follows the coefficients that are there: an
 operand whose entries are all constant scales the other one; otherwise
@@ -37,12 +37,13 @@ iterations on whole arrays.  A :class:`Substitution` composes jets with a
 map psi with psi(0) = 0, as germ isomorphisms are, through a monomial table
 built once.
 
-``Jet`` arithmetic is the object kernel the arrays replaced; no other
-module computes with it.  It remains for building inputs one jet at a time
-and for timing the two kernels against each other, and :class:`JetMatrix`,
-its jet-matrix product, is a stub kept for the benchmark's kernel grid.
-:meth:`JetArray.from_jets` is the one way from jets into the arrays: every
-stage of the pipeline takes :class:`JetArray` inputs.
+The :class:`JetSpace` constructors build single jets as :class:`Jet`, a
+0-dimensional :class:`JetArray` whose one member of its own is
+:meth:`Jet.compose`; with :class:`JetMatrix`, a grid of single jets and
+their product, it is kept for the benchmark's kernel grid, which builds
+and times them by these names.  :meth:`JetArray.from_jets` stacks nested
+jets into one array: every stage of the pipeline takes :class:`JetArray`
+inputs.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidAnchorError, ScopeError, ShapeError, SingularInputError
+from .errors import ScopeError, ShapeError, SingularInputError
 
 DEFAULT_ORDER = 4
 
@@ -202,30 +203,13 @@ class JetSpace:
         first = np.unique(src, return_index=True)[1]
         return np.stack([var[first], dst[first]], axis=1)
 
-    # -- constructors -----------------------------------------------------
+    # -- single jets, of full effective order -------------------------------
 
-    def _wrap(self, coeffs: np.ndarray, eff_order: int) -> "Jet":
-        eff_order = min(eff_order, self.order)
-        if eff_order < self.order:
-            # the monomials of degree at most eff_order are a prefix
-            coeffs = coeffs.astype(np.complex128)
-            coeffs[self._degree_ends[max(eff_order, 0)] :] = 0.0
-        coeffs.setflags(write=False)
-        return Jet(self, coeffs, eff_order)
-
-    def zero(self, eff_order: int | None = None) -> "Jet":
-        return self._wrap(
-            np.zeros(self.size, dtype=np.complex128),
-            self.order if eff_order is None else eff_order,
-        )
+    def zero(self) -> "Jet":
+        return Jet.constant(self, 0.0)
 
     def constant(self, value: complex) -> "Jet":
-        c = np.zeros(self.size, dtype=np.complex128)
-        c[0] = value
-        return self._wrap(c, self.order)
-
-    def one(self) -> "Jet":
-        return self.constant(1.0)
+        return Jet.constant(self, value)
 
     def variable(self, v: int) -> "Jet":
         if not 0 <= v < self.num_vars:
@@ -233,16 +217,13 @@ class JetSpace:
         c = np.zeros(self.size, dtype=np.complex128)
         if self.order >= 1:
             c[self.index_of(np.eye(self.num_vars, dtype=np.int64)[v : v + 1])] = 1.0
-        return self._wrap(c, self.order)
+        return Jet.from_coeffs(self, c)
 
-    def from_coeffs(self, coeffs: Sequence[complex], eff_order: int | None = None) -> "Jet":
+    def from_coeffs(self, coeffs: Sequence[complex]) -> "Jet":
         arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.shape != (self.size,):
             raise ShapeError(f"expected {self.size} coefficients, got {arr.shape}")
-        return self._wrap(arr.copy(), self.order if eff_order is None else eff_order)
-
-    def variables(self) -> list["Jet"]:
-        return [self.variable(v) for v in range(self.num_vars)]
+        return Jet.from_coeffs(self, arr)
 
     def __repr__(self):
         return f"JetSpace(num_vars={self.num_vars}, order={self.order})"
@@ -257,154 +238,17 @@ def _same_space(a, b) -> JetSpace:
     """The space of ``a``, once ``b`` is known to share its variables and
     order (jets or jet arrays of equal ``(num_vars, order)`` combine)."""
     if a.space is not b.space and (a.space.num_vars, a.space.order) != (b.space.num_vars, b.space.order):
-        raise ShapeError(f"incompatible jets: {a.space} vs {b.space}; coerce explicitly with Jet.in_space")
+        raise ShapeError(f"incompatible jets: {a.space} vs {b.space}")
     return a.space
-
-
-class Jet:
-    """One truncated power series; use :class:`JetSpace` methods to build."""
-
-    __slots__ = ("space", "coeffs", "eff_order")
-
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, eff_order: int):
-        self.space = space
-        self.coeffs = coeffs
-        self.eff_order = eff_order
-
-    # -- helpers ----------------------------------------------------------
-
-    @property
-    def value0(self) -> complex:
-        """Constant term (the value of the germ at the base point)."""
-        return complex(self.coeffs[0])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def is_constant(self) -> bool:
-        return not self.coeffs[1:].any()
-
-    def in_space(self, space: JetSpace) -> "Jet":
-        """Coerce to another order (truncation or extension by zero)."""
-        if space is self.space:
-            return self
-        if space.num_vars != self.space.num_vars:
-            raise ShapeError("cannot coerce between different variable counts")
-        # a monomial's index does not depend on the order
-        c = np.zeros(space.size, dtype=np.complex128)
-        m = min(space.size, self.space.size)
-        c[:m] = self.coeffs[:m]
-        return space._wrap(c, min(self.eff_order, space.order))
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            sp = _same_space(self, other)
-            eff = min(self.eff_order, other.eff_order)
-            return sp._wrap(self.coeffs + other.coeffs, eff)
-        return self + self.space.constant(other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.space._wrap(-self.coeffs, self.eff_order)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            sp = _same_space(self, other)
-            eff = min(self.eff_order, other.eff_order)
-            return sp._wrap(self.coeffs - other.coeffs, eff)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return self.scale(other)
-        sp = _same_space(self, other)
-        eff = min(self.eff_order, other.eff_order)
-        a, b = self.coeffs, other.coeffs
-        if not a.any() or not b.any():
-            return sp.zero(eff)
-        if self.is_constant():
-            return sp._wrap(b * a[0], eff)
-        if other.is_constant():
-            return sp._wrap(a * b[0], eff)
-        ii, jj, _, targets, starts = sp._cauchy
-        prod = a[ii] * b[jj]
-        out = np.zeros(sp.size, dtype=np.complex128)
-        out[targets] = np.add.reduceat(prod, starts)
-        return sp._wrap(out, eff)
-
-    def scale(self, c: complex) -> "Jet":
-        return self.space._wrap(self.coeffs * complex(c), self.eff_order)
-
-    def __pow__(self, n: int) -> "Jet":
-        if n < 0:
-            return self.invert() ** (-n)
-        result = self.space.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    # -- calculus ----------------------------------------------------------
-
-    def partial(self, v: int) -> "Jet":
-        """Formal partial derivative; lowers the effective order by one."""
-        sp = self.space
-        if not 0 <= v < sp.num_vars:
-            raise ShapeError(f"variable index {v} out of range")
-        src, dst, fac = sp._diff[v]
-        out = np.zeros(sp.size, dtype=np.complex128)
-        out[dst] = self.coeffs[src] * fac
-        return sp._wrap(out, max(self.eff_order - 1, -1))
-
-    def invert(self) -> "Jet":
-        """Multiplicative inverse (see :meth:`JetArray.invert`)."""
-        return JetArray.from_jets(self).invert()[()]
-
-    def sqrt(self, branch_anchor: complex | None = None) -> "Jet":
-        """Square root with the branch fixed by ``branch_anchor`` (see
-        :meth:`JetArray.sqrt`)."""
-        return JetArray.from_jets(self).sqrt([branch_anchor])[()]
-
-    def compose(self, subs: Sequence["Jet"]) -> "Jet":
-        """Substitute ``subs[i]`` for variable ``i`` (see :class:`Substitution`)."""
-        return Substitution(self.space, JetArray.from_jets(subs))(JetArray.from_jets(self))[()]
-
-    # -- reporting ----------------------------------------------------------
-
-    def residual_norm(self) -> float:
-        """Max coefficient modulus over the trustworthy degrees."""
-        if self.eff_order < 0:
-            raise ValueError("jet has no trustworthy coefficients (eff_order < 0)")
-        end = self.space._degree_ends[min(self.eff_order, self.space.order)]  # degrees up to eff_order
-        return float(np.abs(self.coeffs[:end]).max())
-
-    def terms(self) -> dict[tuple[int, ...], complex]:
-        nz = np.flatnonzero(self.coeffs)
-        return dict(zip(map(tuple, self.space.exponents[nz].tolist()), map(complex, self.coeffs[nz])))
-
-    def __repr__(self):
-        body = ", ".join(
-            f"{e}:{c:.4g}" for e, c in list(self.terms().items())[:6]
-        )
-        more = "..." if len(self.terms()) > 6 else ""
-        return f"Jet({self.space.num_vars}v,K={self.space.order},eff={self.eff_order}; {body}{more})"
 
 
 # -- jet matrices -------------------------------------------------------------
 
 
 class JetMatrix:
-    """Rectangular grid of jets sharing one space and its product in
-    ``Jet`` arithmetic: a stub kept for the benchmark's kernel grid."""
+    """Rectangular grid of single jets sharing one space and its product,
+    a sum of entrywise products per entry: a stub kept for the benchmark's
+    kernel grid."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -455,10 +299,6 @@ _WIDE = 64
 # modulus above this.
 C0_FLOOR = 1e-12
 
-# A square-root anchor must square to the constant term c0 within this
-# times max(1, |c0|).
-ANCHOR_TOL = 1e-9
-
 # A jet matrix has an inverse only when the condition number of its
 # constant term is at most this.
 INVERSE_COND_LIMIT = 1e12
@@ -468,13 +308,13 @@ class JetArray:
     """A batch of jets in one space: coefficients of shape ``(*batch, size)``
     and one effective order per entry, shape ``batch``.
 
-    Entries follow the rules of :class:`Jet`: every operation propagates the
-    minimum effective order entry by entry, and an entry is truncated above
-    its effective order.  An entry whose effective order exceeds the jet
-    order is an *exact zero* (see :meth:`exact_zeros`): it vanishes
-    identically, so a product with it contributes neither coefficients nor
-    an effective order.  Indexing down to a single entry returns a
-    :class:`Jet`.
+    Every operation propagates the minimum effective order entry by entry,
+    and an entry is truncated above its effective order.  An entry whose
+    effective order exceeds the jet order is an *exact zero* (see
+    :meth:`exact_zeros`): it vanishes identically, so a product with it
+    contributes neither coefficients nor an effective order.  Indexing
+    returns a jet array for every index: down to a single entry, a
+    0-dimensional one that keeps the entry's stored effective order.
 
     Width invariant: only a prefix of ``w`` coefficient columns is stored,
     ``1 <= w <= size``, and every column at or beyond ``w`` is zero in every
@@ -661,11 +501,8 @@ class JetArray:
         return len(self.eff)
 
     def __getitem__(self, idx):
-        eff = self.eff[idx]
-        if eff.ndim == 0:
-            return Jet(self.space, self.coeffs[idx], min(int(eff), self.space.order))
         # the entries of an array with one order and no exact zero share it
-        return JetArray._raw(self.space, self._stored[idx], eff, self._uniform_orders())
+        return JetArray._raw(self.space, self._stored[idx], np.asarray(self.eff[idx]), self._uniform_orders())
 
     def transpose(self, *axes: int) -> "JetArray":
         return JetArray._raw(
@@ -700,8 +537,9 @@ class JetArray:
         return self._combine(other, np.subtract)
 
     def __mul__(self, other: "JetArray") -> "JetArray":
-        """Entrywise product, with the bits of ``Jet.__mul__`` in every entry
-        (see :func:`_row_products`); :func:`contract` forms sums of them."""
+        """Entrywise product, with the bits of the single-jet product in
+        every entry (see :func:`_row_products`); :func:`contract` forms sums
+        of them."""
         sp = self._check(other)
         eff = np.minimum(np.minimum(self.eff, other.eff), sp.order)
         a, b = (x.coeffs.reshape(-1, sp.size) for x in (self, other))
@@ -833,7 +671,7 @@ class JetArray:
 
     def invert(self) -> "JetArray":
         """Entrywise multiplicative inverse by Newton iteration, with the
-        bits of the same iteration in ``Jet`` arithmetic; every entry needs
+        bits of the same iteration in single-jet arithmetic; every entry needs
         a constant term of modulus above ``C0_FLOOR``."""
         sp = self.space
         a = self.coeffs.reshape(-1, sp.size)
@@ -854,27 +692,18 @@ class JetArray:
             correct = 2 * correct + 1
         return JetArray._of_rows(sp, x, eff)
 
-    def sqrt(self, branch_anchors=None) -> "JetArray":
-        """Entrywise square root by Newton iteration, with the bits of the
-        same iteration in ``Jet`` arithmetic and each branch fixed by its
-        anchor: ``branch_anchors`` lists one value per entry (in the order of
-        the flattened batch) that must square to the entry's constant term;
-        a missing list or a ``None`` anchor takes the principal root
-        (argument in (-pi/2, pi/2])."""
+    def sqrt(self) -> "JetArray":
+        """Entrywise principal square root (constant term of argument in
+        (-pi/2, pi/2]) by Newton iteration, with the bits of the same
+        iteration in single-jet arithmetic; every entry needs a constant
+        term of modulus above ``C0_FLOOR``."""
         sp = self.space
         a = self.coeffs.reshape(-1, sp.size)
         eff = np.minimum(self.eff, sp.order)
         c0 = a[:, 0]
         if (np.abs(c0) <= C0_FLOOR).any():
             raise SingularInputError("square root of a jet with vanishing constant term")
-        anchors = [None] * len(c0) if branch_anchors is None else branch_anchors
-        anchor = np.array([np.sqrt(c) if x is None else complex(x) for c, x in zip(c0, anchors, strict=True)])
-        bad = np.abs(anchor * anchor - c0) > ANCHOR_TOL * np.maximum(1.0, np.abs(c0))
-        if bad.any():
-            raise InvalidAnchorError(
-                f"anchor {complex(anchor[bad][0])!r} does not square to the constant term "
-                f"{complex(c0[bad][0])!r}"
-            )
+        anchor = np.sqrt(c0)
         s = np.zeros_like(a)
         s[:, 0] = anchor
         inv2a = (1.0 / (2.0 * anchor))[:, None]
@@ -903,6 +732,18 @@ class JetArray:
         return f"JetArray(shape={self.shape}, K={self.space.order})"
 
 
+class Jet(JetArray):
+    """A single jet: a 0-dimensional :class:`JetArray`, as the
+    :class:`JetSpace` constructors build it.  Its arithmetic is the
+    array's, whose results are plain arrays."""
+
+    __slots__ = ()
+
+    def compose(self, subs: Sequence[JetArray]) -> JetArray:
+        """Substitute ``subs[i]`` for variable ``i`` (see :class:`Substitution`)."""
+        return Substitution(self.space, JetArray.from_jets(subs))(self)
+
+
 def _orders_of(eff: np.ndarray, order: int) -> tuple[int, int, bool]:
     """The order range of :meth:`JetArray._order_range`, from the orders."""
     lo = int(eff.min(initial=order))
@@ -918,13 +759,11 @@ def _orders_of(eff: np.ndarray, order: int) -> tuple[int, int, bool]:
 def _gather(entries, space: list) -> tuple[np.ndarray, np.ndarray]:
     """Full-width coefficients and effective orders of a nested sequence of
     jets and jet arrays; ``space`` collects the one space they share."""
-    if isinstance(entries, (Jet, JetArray)):
+    if isinstance(entries, JetArray):
         if not space:
             space.append(entries.space)
         elif entries.space is not space[0]:
             raise ShapeError("jet array entries must share one space")
-        if isinstance(entries, Jet):
-            return entries.coeffs, np.asarray(entries.eff_order, dtype=np.int64)
         return entries.coeffs, entries.eff
     parts = [_gather(e, space) for e in entries]
     if not parts:
@@ -976,7 +815,7 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
     ``contract("ik,kj->ij", a, b)`` is the jet-matrix product.
 
     Every output entry has the effective order and truncation of the sum
-    of ``Jet`` products it names, and equals that sum up to round-off.
+    of single-jet products it names, and equals that sum up to round-off.
     The work follows the coefficients that are there:
 
     - each operand's *support*, the coefficient positions used by any of
@@ -984,7 +823,7 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
       axis that holds it is copied;
     - when every entry of one operand is constant, the other operand is
       scaled, elementwise and summed in ascending order of the contracted
-      axis, the order of the loop's sum of ``Jet`` products;
+      axis, the order of the loop's sum of single-jet products;
     - otherwise only the Cauchy pairs inside the two supports are formed,
       from the table that :meth:`JetSpace._pairs` caches per pair of
       supports.  Each operand is gathered once, the contracted axis is
@@ -992,7 +831,7 @@ def contract(spec: str, a: JetArray, b: JetArray) -> JetArray:
       term), and the pairs of each target coefficient by ``reduceat`` (by
       row sums when the output block is wide), in chunks of whole target
       groups that keep every temporary under ``_CHUNK`` entries.  A lone
-      product with nothing pruned is ``Jet.__mul__`` bit for bit; a sum
+      product with nothing pruned is the single-jet product bit for bit; a sum
       over the contracted axis rounds as ``matmul`` does.
 
     The output is stored to the last column the products can reach
@@ -1136,8 +975,8 @@ class Substitution:
     up to the lowest effective order of the substitutions, the order every
     composition is truncated at; the columns above it stay zero.  Each
     source monomial of degree r is one of degree r - 1 times one
-    substitution, and the products give the bits of the ``Jet`` products
-    ``prev * subs[v]`` up to the sign of a zero.  The constructor starts
+    substitution, and the products give the bits of the single-jet
+    products ``prev * subs[v]`` up to the sign of a zero.  The constructor starts
     from the empty table and grows it (:meth:`_grow`), which is also how
     :func:`regfman.fman.germ_isomorphism` grows one table through its
     solve, degree by degree as the coefficients become final.
@@ -1221,11 +1060,13 @@ class Substitution:
 
 def _row_products(space: JetSpace, a: np.ndarray, b: np.ndarray, eff: np.ndarray) -> np.ndarray:
     """The products ``a[r] * b[r]`` of rows of full-width coefficients,
-    truncated above ``eff[r]``, with the bits of ``Jet.__mul__`` up to the
-    sign of a zero: a constant row scales the other one, and any other pair
-    sums the Cauchy table of the space along the row, up to the highest
-    order in ``eff`` (the table is sorted by target, so that is a prefix
-    the space keeps).  The rows are returned fresh, truncated."""
+    truncated above ``eff[r]``, with the bits of the single-jet product up
+    to the sign of a zero (the whole Cauchy table summed by target, as the
+    loop reference of ``tests/loop_oracles.py`` forms it): a constant row
+    scales the other one, and any other pair sums the Cauchy table of the
+    space along the row, up to the highest order in ``eff`` (the table is
+    sorted by target, so that is a prefix the space keeps).  The rows are
+    returned fresh, truncated."""
     moving_a, moving_b = a[:, 1:].any(axis=1), b[:, 1:].any(axis=1)
     out = np.where(moving_a[:, None], a * b[:, :1], b * a[:, :1])
     full = np.flatnonzero(moving_a & moving_b)[:, None]

@@ -1,7 +1,7 @@
 """Nested-loop reference versions of the contraction-form checks.
 
-These are the per-entry ``Jet`` loops that the package's checks used before
-they were written as ``JetArray`` contractions: ``check_fmanifold``, the
+These are the per-entry loops that the package's checks used before they
+were written as ``JetArray`` contractions: ``check_fmanifold``, the
 symmetry and canonical-frame bracket checks, ``check_gamma``, the rotation
 operator (general and single-block), the Darboux-Egoroff residuals, the
 one-form chain psi -> beta and its products and their block indices, the
@@ -14,13 +14,19 @@ germ-isomorphism solve, substitution table) at the full jet order in
 every step, and the oracle residuals with their quadratic terms uncapped:
 the references of the stages that stop at the degree each step fixes.  The
 entry-by-entry admissibility checks of ``validate_initial_data`` end it.
-They are kept, for tests only, as independent references: they read
-models, metrics and one-forms through ``Jet`` indexing, convert jet arrays
-to ``JetVector`` and ``LoopMatrix`` and use only the object kernel (``Jet``
-arithmetic, ``JetVector``, ``LoopMatrix``).  ``JetVector`` and ``lie_bracket`` were the
-package's own vector-field containers before fields became jet arrays, and
-``LoopMatrix`` holds the jet-matrix algebra the package's ``JetMatrix`` had,
-its inverse a Newton iteration in ``Jet`` arithmetic.
+
+They are kept, for tests only, as independent references, and compute in
+the object kernel the arrays replaced, kept here as their scalar type:
+:class:`LoopJet`, one jet with its own Cauchy product, derivative and
+sums; its inverse and square root are the Newton loops :func:`invert` and
+:func:`sqrt` and its composition the loop :func:`compose`.  The loops read
+models, metrics and one-forms through one converter, :func:`loop_jets`,
+from the entries of a jet array, and hand results back to the package
+through :func:`to_array`; they use only ``LoopJet`` arithmetic,
+``JetVector`` and ``LoopMatrix``.  ``JetVector`` and ``lie_bracket`` were
+the package's own vector-field containers before fields became jet arrays,
+and ``LoopMatrix`` holds the jet-matrix algebra the package's ``JetMatrix``
+had, its inverse a Newton iteration in ``LoopJet`` arithmetic.
 """
 
 import itertools
@@ -34,21 +40,203 @@ from regfman.errors import HomogeneityError, NotPrimitiveError, ShapeError
 from regfman.fman import BracketConstants, FManifoldModel, mult_by_euler, standard_block
 from regfman.frob import epsilon_gram, euler_derivative
 from regfman.frob import levi_civita_curvature as lc_curvature
-from regfman.jets import Jet, JetArray, contract, jet_space
+from regfman.jets import JetArray, _same_space, contract, jet_space
 from regfman.reports import Residual, ResidualReport, report_from
+
+
+# -- the object kernel: one jet at a time ---------------------------------------
+
+
+class LoopJet:
+    """One truncated power series in a :class:`regfman.jets.JetSpace`, its
+    coefficients at full width; build with the class methods, or from the
+    entries of a jet array with :func:`loop_jets`."""
+
+    __slots__ = ("space", "coeffs", "eff_order")
+
+    def __init__(self, space, coeffs: np.ndarray, eff_order: int):
+        self.space = space
+        self.coeffs = coeffs
+        self.eff_order = eff_order
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def wrap(cls, space, coeffs: np.ndarray, eff_order: int) -> "LoopJet":
+        eff_order = min(eff_order, space.order)
+        if eff_order < space.order:
+            # the monomials of degree at most eff_order are a prefix
+            coeffs = coeffs.astype(np.complex128)
+            coeffs[space._degree_ends[max(eff_order, 0)] :] = 0.0
+        coeffs.setflags(write=False)
+        return cls(space, coeffs, eff_order)
+
+    @classmethod
+    def zero(cls, space, eff_order: int | None = None) -> "LoopJet":
+        return cls.wrap(space, np.zeros(space.size, dtype=np.complex128), space.order if eff_order is None else eff_order)
+
+    @classmethod
+    def constant(cls, space, value: complex) -> "LoopJet":
+        c = np.zeros(space.size, dtype=np.complex128)
+        c[0] = value
+        return cls.wrap(space, c, space.order)
+
+    @classmethod
+    def one(cls, space) -> "LoopJet":
+        return cls.constant(space, 1.0)
+
+    @classmethod
+    def variable(cls, space, v: int) -> "LoopJet":
+        if not 0 <= v < space.num_vars:
+            raise ShapeError(f"variable index {v} out of range for {space.num_vars} vars")
+        c = np.zeros(space.size, dtype=np.complex128)
+        if space.order >= 1:
+            c[space.index_of(np.eye(space.num_vars, dtype=np.int64)[v : v + 1])] = 1.0
+        return cls.wrap(space, c, space.order)
+
+    @classmethod
+    def variables(cls, space) -> list["LoopJet"]:
+        return [cls.variable(space, v) for v in range(space.num_vars)]
+
+    @classmethod
+    def from_coeffs(cls, space, coeffs: Sequence[complex], eff_order: int | None = None) -> "LoopJet":
+        arr = np.asarray(coeffs, dtype=np.complex128)
+        if arr.shape != (space.size,):
+            raise ShapeError(f"expected {space.size} coefficients, got {arr.shape}")
+        return cls.wrap(space, arr.copy(), space.order if eff_order is None else eff_order)
+
+    # -- helpers ----------------------------------------------------------
+
+    @property
+    def value0(self) -> complex:
+        """Constant term (the value of the germ at the base point)."""
+        return complex(self.coeffs[0])
+
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
+
+    def is_constant(self) -> bool:
+        return not self.coeffs[1:].any()
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, LoopJet):
+            sp = _same_space(self, other)
+            eff = min(self.eff_order, other.eff_order)
+            return LoopJet.wrap(sp, self.coeffs + other.coeffs, eff)
+        return self + LoopJet.constant(self.space, other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LoopJet.wrap(self.space, -self.coeffs, self.eff_order)
+
+    def __sub__(self, other):
+        if isinstance(other, LoopJet):
+            sp = _same_space(self, other)
+            eff = min(self.eff_order, other.eff_order)
+            return LoopJet.wrap(sp, self.coeffs - other.coeffs, eff)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, LoopJet):
+            return self.scale(other)
+        sp = _same_space(self, other)
+        eff = min(self.eff_order, other.eff_order)
+        a, b = self.coeffs, other.coeffs
+        if not a.any() or not b.any():
+            return LoopJet.zero(sp, eff)
+        if self.is_constant():
+            return LoopJet.wrap(sp, b * a[0], eff)
+        if other.is_constant():
+            return LoopJet.wrap(sp, a * b[0], eff)
+        ii, jj, _, targets, starts = sp._cauchy
+        prod = a[ii] * b[jj]
+        out = np.zeros(sp.size, dtype=np.complex128)
+        out[targets] = np.add.reduceat(prod, starts)
+        return LoopJet.wrap(sp, out, eff)
+
+    def scale(self, c: complex) -> "LoopJet":
+        return LoopJet.wrap(self.space, self.coeffs * complex(c), self.eff_order)
+
+    # -- calculus ----------------------------------------------------------
+
+    def partial(self, v: int) -> "LoopJet":
+        """Formal partial derivative; lowers the effective order by one."""
+        sp = self.space
+        if not 0 <= v < sp.num_vars:
+            raise ShapeError(f"variable index {v} out of range")
+        src, dst, fac = sp._diff[v]
+        out = np.zeros(sp.size, dtype=np.complex128)
+        out[dst] = self.coeffs[src] * fac
+        return LoopJet.wrap(sp, out, max(self.eff_order - 1, -1))
+
+    # -- reporting ----------------------------------------------------------
+
+    def residual_norm(self) -> float:
+        """Max coefficient modulus over the trustworthy degrees."""
+        if self.eff_order < 0:
+            raise ValueError("jet has no trustworthy coefficients (eff_order < 0)")
+        end = self.space._degree_ends[min(self.eff_order, self.space.order)]  # degrees up to eff_order
+        return float(np.abs(self.coeffs[:end]).max())
+
+    def terms(self) -> dict[tuple[int, ...], complex]:
+        nz = np.flatnonzero(self.coeffs)
+        return dict(zip(map(tuple, self.space.exponents[nz].tolist()), map(complex, self.coeffs[nz])))
+
+    def __repr__(self):
+        body = ", ".join(f"{e}:{c:.4g}" for e, c in list(self.terms().items())[:6])
+        more = "..." if len(self.terms()) > 6 else ""
+        return f"LoopJet({self.space.num_vars}v,K={self.space.order},eff={self.eff_order}; {body}{more})"
+
+
+def loop_jets(array: JetArray):
+    """The entries of a jet array as loop jets, nested lists of its shape (a
+    0-dimensional array gives one jet): each the entry's coefficients at
+    full width and its effective order capped at the jet order."""
+    sp = array.space
+    coeffs, eff = array.coeffs, np.minimum(array.eff, sp.order)
+
+    def entry(idx):
+        if len(idx) == eff.ndim:
+            return LoopJet(sp, coeffs[idx], int(eff[idx]))
+        return [entry((*idx, i)) for i in range(eff.shape[len(idx)])]
+
+    return entry(())
+
+
+def to_array(entries) -> JetArray:
+    """A nested sequence of loop jets as one jet array, stacked as
+    ``JetArray.from_jets`` stacks the entries of arrays."""
+
+    def gather(e):
+        if isinstance(e, LoopJet):
+            return e.coeffs, np.asarray(e.eff_order, dtype=np.int64), e.space
+        parts = [gather(x) for x in e]
+        return np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts]), parts[0][2]
+
+    coeffs, eff, space = gather(entries)
+    return JetArray.from_coeffs(space, coeffs, eff)
 
 
 # -- the object kernel's vectors ------------------------------------------------
 
 
 class JetVector:
-    """Ordered list of jets sharing one space; models a vector field in
-    coordinates.  Built from any iterable of jets (a jet array included);
-    the binary operations accept any sequence of jets as the other operand."""
+    """Ordered list of loop jets sharing one space; models a vector field in
+    coordinates.  Built from any iterable of loop jets or from a jet array
+    (through :func:`loop_jets`); the binary operations accept any sequence
+    of loop jets as the other operand."""
 
     __slots__ = ("components",)
 
-    def __init__(self, components: Iterable[Jet]):
+    def __init__(self, components: Iterable[LoopJet] | JetArray):
+        if isinstance(components, JetArray):
+            components = loop_jets(components)
         comp = tuple(components)
         if not comp:
             raise ShapeError("JetVector must be non-empty")
@@ -81,11 +269,11 @@ class JetVector:
         return JetVector(-a for a in self.components)
 
     def scale(self, f) -> "JetVector":
-        if isinstance(f, Jet):
+        if isinstance(f, LoopJet):
             return JetVector(a * f for a in self.components)
         return JetVector(a.scale(f) for a in self.components)
 
-    def apply_to(self, f: Jet) -> Jet:
+    def apply_to(self, f: LoopJet) -> LoopJet:
         """Directional derivative X(f) = sum_i X^i d_i f."""
         out = self.components[0] * f.partial(0)
         for v in range(1, len(self.components)):
@@ -110,7 +298,7 @@ def lie_bracket(x, y) -> JetVector:
     )
 
 
-def _dot(row: Sequence[Jet], col: Sequence[Jet]) -> Jet:
+def _dot(row: Sequence[LoopJet], col: Sequence[LoopJet]) -> LoopJet:
     acc = row[0] * col[0]
     for a, b in zip(row[1:], col[1:]):
         acc = acc + a * b
@@ -119,17 +307,17 @@ def _dot(row: Sequence[Jet], col: Sequence[Jet]) -> Jet:
 
 class LoopMatrix:
     """Rectangular grid of jets sharing one space, with the matrix algebra
-    of its entries in ``Jet`` arithmetic."""
+    of its entries in ``LoopJet`` arithmetic."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable[Iterable[Jet]]):
+    def __init__(self, entries: Iterable[Iterable[LoopJet]]):
         self.entries = tuple(tuple(r) for r in entries)
         self.rows, self.cols = len(self.entries), len(self.entries[0])
 
     @classmethod
     def from_constant(cls, space, matrix) -> "LoopMatrix":
-        return cls([[space.constant(x) for x in row] for row in np.asarray(matrix, dtype=np.complex128)])
+        return cls([[LoopJet.constant(space, x) for x in row] for row in np.asarray(matrix, dtype=np.complex128)])
 
     @property
     def space(self):
@@ -153,7 +341,7 @@ class LoopMatrix:
         return self._map(operator.sub, other)
 
     def scale(self, f) -> "LoopMatrix":
-        return self._map(lambda a: a * f if isinstance(f, Jet) else a.scale(f))
+        return self._map(lambda a: a * f if isinstance(f, LoopJet) else a.scale(f))
 
     def partial(self, v: int) -> "LoopMatrix":
         return self._map(lambda a: a.partial(v))
@@ -186,7 +374,7 @@ class LoopMatrix:
             x = x @ (two - self @ x)
             correct = 2 * correct + 1
         eff = self.eff_order()
-        return x._map(lambda a: sp._wrap(a.coeffs, eff))
+        return x._map(lambda a: LoopJet.wrap(sp, a.coeffs, eff))
 
 
 def matvec(mat: LoopMatrix, vec) -> JetVector:
@@ -199,8 +387,7 @@ def matvec(mat: LoopMatrix, vec) -> JetVector:
 
 def to_matrix(mat) -> LoopMatrix:
     """A 2-dimensional jet array as a :class:`LoopMatrix`."""
-    rows, cols = mat.shape
-    return LoopMatrix([[mat[i, j] for j in range(cols)] for i in range(rows)])
+    return LoopMatrix(loop_jets(mat))
 
 
 def commutator(a, b):
@@ -214,7 +401,7 @@ def apply(mat, vector):
         raise ShapeError("vector length does not match matrix columns")
     out = []
     for i in range(mat.rows):
-        acc = mat.space.zero()
+        acc = LoopJet.zero(mat.space)
         for j in range(mat.cols):
             if v[j] != 0:
                 acc = acc + mat.entries[i][j].scale(v[j])
@@ -222,14 +409,30 @@ def apply(mat, vector):
     return JetVector(out)
 
 
+class LoopModel:
+    """The structure tensor, unit and Euler field of a model as loop jets:
+    ``structure[i][j]`` the field d_i o d_j, whose component k is c_ij^k."""
+
+    def __init__(self, model):
+        self.space, self.dim = model.space, model.dim
+        self.structure = [[JetVector(v) for v in row] for row in loop_jets(model.structure)]
+        self.unit, self.euler = JetVector(model.unit), JetVector(model.euler)
+
+
+def loop_model(model) -> LoopModel:
+    """A model read through :func:`loop_jets`, once."""
+    return model if isinstance(model, LoopModel) else LoopModel(model)
+
+
 def basis_field(model, i):
     sp = model.space
-    return JetVector(sp.constant(1.0) if k == i else sp.zero() for k in range(model.dim))
+    return JetVector(LoopJet.constant(sp, 1.0) if k == i else LoopJet.zero(sp) for k in range(model.dim))
 
 
 def multiply(model, x, y):
     """(X o Y)^k = sum_{i,j} X^i Y^j c_ij^k, skipping vanishing factors."""
-    out = [model.space.zero() for _ in range(model.dim)]
+    model, x, y = loop_model(model), JetVector(x), JetVector(y)
+    out = [LoopJet.zero(model.space) for _ in range(model.dim)]
     for i in range(model.dim):
         if x[i].is_zero():
             continue
@@ -247,6 +450,7 @@ def multiply(model, x, y):
 
 
 def lie_derivative_of_mult(model, x, c, d):
+    model = loop_model(model)
     dc = basis_field(model, c)
     dd = basis_field(model, d)
     t1 = lie_bracket(x, model.structure[c][d])
@@ -256,10 +460,12 @@ def lie_derivative_of_mult(model, x, c, d):
 
 
 def partial_vector(model, v, c, d):
+    model = loop_model(model)
     return JetVector([model.structure[c][d][l].partial(v) for l in range(model.dim)])
 
 
 def check_fmanifold(model):
+    model = loop_model(model)
     m = model.dim
     k_order = model.space.order
 
@@ -293,9 +499,9 @@ def check_fmanifold(model):
             for c in range(m):
                 for d in range(c, m):
                     ccd = model.structure[c][d]
-                    lhs = [model.space.zero(k_order - 1) for _ in range(m)]
+                    lhs = [LoopJet.zero(model.space, k_order - 1) for _ in range(m)]
                     for l in range(m):
-                        acc = model.space.zero(k_order - 1)
+                        acc = LoopJet.zero(model.space, k_order - 1)
                         for i in range(m):
                             if not w[i].is_zero():
                                 acc = acc + w[i] * partial_c[i][c][d][l]
@@ -343,12 +549,12 @@ def gamma_general(psi, beta, model):
     eps_inv = np.linalg.inv(epsilon_gram(psi.blocks))
     c = model.constant_structure()
     cot = np.einsum("sf,ift->ist", eps_inv, c)
-    flat_psi = psi.values
-    flat_beta = beta.values
-    w = [[sp.zero() for _ in range(n)] for _ in range(n)]
+    flat_psi = loop_jets(psi.values)
+    flat_beta = loop_jets(beta.values)
+    w = [[LoopJet.zero(sp) for _ in range(n)] for _ in range(n)]
     for k in range(n):
         for t in range(n):
-            acc = sp.zero()
+            acc = LoopJet.zero(sp)
             for i in range(n):
                 if eps_inv[i, k] == 0:
                     continue
@@ -357,11 +563,11 @@ def gamma_general(psi, beta, model):
                     if coef != 0:
                         acc = acc + flat_beta[s].scale(coef)
             w[k][t] = acc
-    entries = [[sp.zero(sp.order - 1) for _ in range(n)] for _ in range(n)]
+    entries = [[LoopJet.zero(sp, sp.order - 1) for _ in range(n)] for _ in range(n)]
     for j in range(n):
         dpsi_j = [flat_psi[j].partial(k) for k in range(n)]
         for t in range(n):
-            acc = sp.zero(sp.order - 1)
+            acc = LoopJet.zero(sp, sp.order - 1)
             for k in range(n):
                 if not w[k][t].is_zero():
                     acc = acc + dpsi_j[k] * w[k][t]
@@ -377,12 +583,12 @@ def check_gamma(gamma, psi, model):
     sym = (eps @ g - g.T @ eps).residual_norm()
     norm_jet = psi_epsilon_norm(psi)
     norm_res = max(norm_jet.partial(v).residual_norm() for v in range(n))
-    flat_psi = psi.values
+    flat_psi = loop_jets(psi.values)
     worst = 0.0
     for i in range(n):
         br = commutator(LoopMatrix.from_constant(sp, model.mult_matrices()[i]), g)
         for j in range(n):
-            acc = sp.zero(sp.order - 1)
+            acc = LoopJet.zero(sp, sp.order - 1)
             for k in range(n):
                 if not br[k, j].is_zero():
                     acc = acc + flat_psi[k] * br[k, j]
@@ -420,7 +626,7 @@ def darboux_egoroff_residual(gamma, model):
 
 def levi_civita_curvature(gram, unit):
     """Returns (christoffel as nested lists, curvature report)."""
-    gram = to_matrix(gram)
+    gram, unit = to_matrix(gram), JetVector(unit)
     n = gram.rows
     eff = gram.eff_order()
     ginv = gram.inverse()
@@ -506,8 +712,8 @@ def compose(jet, subs):
     eff = min([jet.eff_order] + [s.eff_order for s in subs])
     src = jet.space
     monomials = [None] * src.size
-    monomials[0] = target.one()
-    out = target.zero().coeffs.copy()
+    monomials[0] = LoopJet.one(target)
+    out = LoopJet.zero(target).coeffs.copy()
     factors = monomial_factors(src.num_vars, src.order)
     for i in range(src.size):
         if i == 0:
@@ -519,7 +725,7 @@ def compose(jet, subs):
         c = jet.coeffs[i]
         if c != 0:
             out = out + mono.coeffs * c
-    return target._wrap(out, eff)
+    return LoopJet.wrap(target, out, eff)
 
 
 def expand_in_matrix_frame(frame: Sequence[LoopMatrix], rhs: LoopMatrix):
@@ -534,7 +740,7 @@ def expand_in_matrix_frame(frame: Sequence[LoopMatrix], rhs: LoopMatrix):
     eff = min([rhs.eff_order()] + [f.eff_order() for f in frame])
     coeff_arrays = [np.zeros(sp.size, dtype=np.complex128) for _ in range(nf)]
     for deg in range(sp.order + 1):
-        partial = [sp.from_coeffs(arr) for arr in coeff_arrays]
+        partial = [LoopJet.from_coeffs(sp, arr) for arr in coeff_arrays]
         acc = LoopMatrix.from_constant(sp, np.zeros((r, c)))
         for k in range(nf):
             if partial[k].is_zero():
@@ -550,7 +756,7 @@ def expand_in_matrix_frame(frame: Sequence[LoopMatrix], rhs: LoopMatrix):
             sol = pinv @ vec
             for k in range(nf):
                 coeff_arrays[k][idx] = sol[k]
-    coeffs = [sp.from_coeffs(arr, eff_order=eff) for arr in coeff_arrays]
+    coeffs = [LoopJet.from_coeffs(sp, arr, eff_order=eff) for arr in coeff_arrays]
     final = LoopMatrix.from_constant(sp, np.zeros((r, c)))
     for k in range(nf):
         if not coeffs[k].is_zero():
@@ -672,7 +878,7 @@ def fmanifold_from_saito(bundle, section, tol=1e-10):
     mult = [[matvec(iso_inv, matvec(phi[i], cols[j])) for j in range(n)] for i in range(n)]
     unit = apply(iso_inv, s)
     euler = matvec(iso_inv, -apply(r0, s))
-    model = FManifoldModel(JetArray.from_jets(mult), JetArray.from_jets(unit), JetArray.from_jets(euler))
+    model = FManifoldModel(to_array(mult), to_array(unit), to_array(euler))
     u_model = to_matrix(mult_by_euler(model))
     conj_res = (u_model + iso_inv @ r0 @ iso).residual_norm()
     spec_u = regend.jordan_spectrum(u_model.constant_term())
@@ -705,7 +911,7 @@ def frobenius_from_saito(bundle, section, weight_q, tol=1e-8):
     iso = LoopMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
     iso_inv = iso.inverse()
     gram = iso.T @ LoopMatrix.from_constant(sp, bundle.metric) @ iso
-    chris = lc_curvature(JetArray.from_jets(gram), model.unit).christoffel
+    chris = lc_curvature(to_array(gram.entries), model.unit).christoffel
     nabla_mat = to_matrix(euler_derivative(chris, model.euler))
     expected = iso_inv @ LoopMatrix.from_constant(sp, bundle.rinf) @ iso
     expected = expected + LoopMatrix.from_constant(sp, (1.0 - complex(weight_q)) * np.eye(n))
@@ -722,27 +928,26 @@ def frobenius_from_saito(bundle, section, weight_q, tol=1e-8):
 # -- Newton iterations of a single jet ----------------------------------------------
 
 
-def invert(jet: Jet) -> Jet:
-    """Multiplicative inverse by Newton iteration in ``Jet`` arithmetic."""
+def invert(jet: LoopJet) -> LoopJet:
+    """Multiplicative inverse by Newton iteration in ``LoopJet`` arithmetic."""
     sp = jet.space
-    x = sp.constant(1.0 / jet.coeffs[0])
+    x = LoopJet.constant(sp, 1.0 / jet.coeffs[0])
     correct = 0
     while correct < sp.order:
         x = x * (2.0 - jet * x)
         correct = 2 * correct + 1
-    return sp._wrap(x.coeffs, min(jet.eff_order, sp.order))
+    return LoopJet.wrap(sp, x.coeffs, min(jet.eff_order, sp.order))
 
 
-def sqrt(jet: Jet, branch_anchor=None) -> Jet:
-    """Square root by Newton iteration in ``Jet`` arithmetic, the branch
-    fixed by ``branch_anchor`` (principal root by default)."""
+def sqrt(jet: LoopJet) -> LoopJet:
+    """Principal square root by Newton iteration in ``LoopJet`` arithmetic."""
     sp = jet.space
-    anchor = np.sqrt(complex(jet.coeffs[0])) if branch_anchor is None else complex(branch_anchor)
-    s = sp.constant(anchor)
+    anchor = np.sqrt(complex(jet.coeffs[0]))
+    s = LoopJet.constant(sp, anchor)
     inv2a = 1.0 / (2.0 * anchor)
     for _ in range(sp.order):
         s = s + (jet - s * s).scale(inv2a)
-    return sp._wrap(s.coeffs, min(jet.eff_order, sp.order))
+    return LoopJet.wrap(sp, s.coeffs, min(jet.eff_order, sp.order))
 
 
 # -- canonical frames, brackets and symmetries ----------------------------------------
@@ -750,11 +955,13 @@ def sqrt(jet: Jet, branch_anchor=None) -> Jet:
 
 def mult_by_euler_loop(model) -> LoopMatrix:
     """The matrix of X -> E o X, columns E o d_j."""
+    model = loop_model(model)
     cols = [multiply(model, model.euler, basis_field(model, j)) for j in range(model.dim)]
     return LoopMatrix([[cols[j][k] for j in range(model.dim)] for k in range(model.dim)])
 
 
 def canonical_frame(model) -> list[JetVector]:
+    model = loop_model(model)
     fields = [JetVector(model.unit)]
     for _ in range(model.dim - 1):
         fields.append(multiply(model, model.euler, fields[-1]))
@@ -762,6 +969,7 @@ def canonical_frame(model) -> list[JetVector]:
 
 
 def check_frame_brackets(model):
+    model = loop_model(model)
     n = model.dim
     k_order = model.space.order
     frame = canonical_frame(model)
@@ -776,14 +984,14 @@ def check_frame_brackets(model):
     u = mult_by_euler_loop(model)
     if len(regend.jordan_spectrum(u.constant_term()).blocks) == 1:
         consts = BracketConstants.build(n)
-        a = sum((u[i, i] for i in range(n)), model.space.zero()).scale(1.0 / n)
-        powers = [model.space.one()]
+        a = sum((u[i, i] for i in range(n)), LoopJet.zero(model.space)).scale(1.0 / n)
+        powers = [LoopJet.one(model.space)]
         for _ in range(2 * n):
             powers.append(powers[-1] * a)
         for i in range(n):
             for j in range(i + 1, n):
                 br = lie_bracket(frame[i], frame[j])
-                rhs = JetVector([model.space.zero() for _ in range(n)])
+                rhs = JetVector([LoopJet.zero(model.space) for _ in range(n)])
                 p = i + j - 1 - n
                 for k in range(n):
                     coeff = consts.value(k, p)
@@ -807,18 +1015,18 @@ def check_frame_brackets(model):
 def symmetry_basis(m, order):
     if m == 1:
         return []
-    model = standard_block(0.0, m, order)
+    model = loop_model(standard_block(0.0, m, order))
     sp = model.space
-    comps = [sp.zero() for _ in range(m)]
-    comps[1] = sp.variable(1) + 1.0
+    comps = [LoopJet.zero(sp) for _ in range(m)]
+    comps[1] = LoopJet.variable(sp, 1) + 1.0
     for j in range(2, m):
-        comps[j] = sp.variable(j).scale(float(j))
+        comps[j] = LoopJet.variable(sp, j).scale(float(j))
     y1 = JetVector(comps)
     return [y1] + [multiply(model, basis_field(model, k - 1), y1) for k in range(2, m)]
 
 
 def check_symmetry(model, x):
-    x = JetVector(x)
+    model, x = loop_model(model), JetVector(x)
     m = model.dim
     k_order = model.space.order
     mult_res = 0.0
@@ -864,16 +1072,14 @@ def check_symmetry_brackets(m, order):
 
 
 def _families(x):
-    return [list(row) for row in x.families()]
+    return [loop_jets(row) for row in x.families()]
 
 
-def psi_from_metric(metric, branch_anchors=None):
-    if branch_anchors is None:
-        branch_anchors = [None] * len(metric.blocks)
+def psi_from_metric(metric):
     comps = []
-    for m, row, anchor in zip(metric.blocks, _families(metric), branch_anchors):
+    for m, row in zip(metric.blocks, _families(metric)):
         psi = [None] * m
-        psi[m - 1] = sqrt(row[m - 1], anchor)
+        psi[m - 1] = sqrt(row[m - 1])
         inv2top = invert(psi[m - 1].scale(2.0))
         for k in range(m - 2, -1, -1):
             acc = row[k]
@@ -892,7 +1098,7 @@ def _pairing(blocks, ra_rows, rb_rows):
     for m, ra, rb in zip(blocks, ra_rows, rb_rows):
         family = []
         for j in range(m):
-            acc = ra[0].space.zero()
+            acc = LoopJet.zero(ra[0].space)
             for r in range(m):
                 s = (m - 1) + j - r
                 if 0 <= s < m:
@@ -928,8 +1134,8 @@ def invert_oneform(psi):
     return comps
 
 
-def psi_epsilon_norm(psi) -> Jet:
-    acc = psi.space.zero()
+def psi_epsilon_norm(psi) -> LoopJet:
+    acc = LoopJet.zero(psi.space)
     for m, row in zip(psi.blocks, _families(psi)):
         for i in range(m):
             acc = acc + row[i] * row[m - 1 - i]
@@ -941,10 +1147,10 @@ def gamma_single_block(psi, beta) -> LoopMatrix:
     contraction reduces to."""
     m = psi.blocks[0]
     sp = psi.space
-    prow = list(psi.values)
-    brow = list(beta.values)
+    prow = loop_jets(psi.values)
+    brow = loop_jets(beta.values)
     dpsi = [[prow[j].partial(k) for k in range(m)] for j in range(m)]
-    entries = [[sp.zero(sp.order - 1) for _ in range(m)] for _ in range(m)]
+    entries = [[LoopJet.zero(sp, sp.order - 1) for _ in range(m)] for _ in range(m)]
     for j in range(m):
         for s in range(m):
             for i in range(s + 1):
@@ -955,11 +1161,11 @@ def gamma_single_block(psi, beta) -> LoopMatrix:
 
 def gamma_annihilates_dual(gamma, psi) -> float:
     eps_inv = np.linalg.inv(gamma.epsilon)
-    flat = list(psi.values)
+    flat = loop_jets(psi.values)
     n = len(flat)
     t_field = []
     for k in range(n):
-        acc = psi.space.zero()
+        acc = LoopJet.zero(psi.space)
         for j in range(n):
             if eps_inv[k, j] != 0:
                 acc = acc + flat[j].scale(eps_inv[k, j])
@@ -1030,7 +1236,7 @@ def descent_levels(blocks, inner):
 
 
 def check_coidentity_closed(metric):
-    flat = list(metric.values)
+    flat = loop_jets(metric.values)
     n = metric.dim
     worst = 0.0
     order = min(j.eff_order for j in flat) - 1
@@ -1043,7 +1249,7 @@ def check_coidentity_closed(metric):
 def check_unit_flat(metric):
     closed = check_coidentity_closed(metric)["coidentity_closed"]
     units = [sum(metric.blocks[:b]) for b in range(len(metric.blocks))]  # each block's leading direction
-    flat = list(metric.values)
+    flat = loop_jets(metric.values)
     worst = 0.0
     order = min(j.eff_order for j in flat) - 1
     for eta_jet in flat:
@@ -1056,7 +1262,7 @@ def check_unit_flat(metric):
 
 def check_euler_rescaling(metric, euler, weight=None):
     euler = JetVector(euler)
-    flat = list(metric.values)
+    flat = loop_jets(metric.values)
     derivs = [euler.apply_to(j) for j in flat]
     order = min(d.eff_order for d in derivs)
     if weight is None:

@@ -43,14 +43,15 @@ def gauge(bundle, g):
 def exp_gauge(sp, a, s):
     """exp(s A) for a jet s and a constant matrix A: exp(s(0) A) times the
     finite series of (s - s(0)) A."""
+    s0 = complex(s.constant_term())
     e0 = np.eye(len(a), dtype=complex)
     term = np.eye(len(a), dtype=complex)
     for k in range(1, 40):
-        term = term @ a * (s.value0 / k)
+        term = term @ a * (s0 / k)
         e0 = e0 + term
-    ds = s - s.value0
+    ds = s - sp.constant(s0)
     coeffs = np.zeros(a.shape + (sp.size,), dtype=complex)
-    power, dsk = e0, sp.one()
+    power, dsk = e0, sp.constant(1.0)
     for k in range(sp.order + 1):
         coeffs += np.multiply.outer(power, dsk.coeffs)
         power = power @ a / (k + 1)
@@ -68,7 +69,7 @@ def non_abelian_gauged_bundle(order=3):
     m0, m1, m2 = (rng.standard_normal((2, 2)) for _ in range(3))
     x0, x1 = sp.variable(0), sp.variable(1)
     parts = JetArray.constant(sp, [m0 + 2.0 * np.eye(2), m1, m2])
-    return gauge(bundle, contract("kij,k->ij", parts, JetArray.from_jets([sp.one(), x0, x0 * x1 + x1 * x1])))
+    return gauge(bundle, contract("kij,k->ij", parts, JetArray.from_jets([sp.constant(1.0), x0, x0 * x1 + x1 * x1])))
 
 
 def metric_gauged_bundle(order=3):

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from regfman.cli import _settings_in, explain, main
-from regfman.jets import Jet, JetArray, contract
+from regfman.jets import JetArray, contract
+from loop_oracles import loop_jets
 from saito_cases import metric_gauged_bundle
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "tasks"
@@ -153,6 +154,26 @@ class TestRun:
         assert code == 2 and report is None
         assert "environment:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tol", "nan", "tolerance must be positive and finite"),
+            ("--tol", "0", "tolerance must be positive and finite"),
+            ("--order", "0", "order must be an integer >= 1"),
+        ],
+    )
+    def test_a_bad_flag_value_exits_2_on_the_flag(self, tmp_path, capsys, flag, value, message):
+        # the document sets both settings validly: the error names the flag
+        doc = json.loads((DOCS / "verify-fmanifold.json").read_text(encoding="utf-8"))
+        code, report = run_doc(tmp_path, doc, argv_extra=[flag, value])
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert f"{flag}: {message}" in err and "settings/" not in err
+        # a bad document value is still refused on its settings field
+        doc["settings"]["order" if flag == "--order" else "tolerance"] = 0
+        code, report = run_doc(tmp_path, doc, name="bad.json")
+        assert code == 2 and f"settings/{'order' if flag == '--order' else 'tolerance'}:" in capsys.readouterr().err
+
     def test_stdin_input(self, tmp_path, capsys, monkeypatch):
         import io
 
@@ -202,8 +223,8 @@ class TestRun:
         order = 3
 
         def jets(arr):
-            if isinstance(arr, Jet):
-                terms = sorted(arr.terms().items())
+            if arr.shape == ():
+                terms = sorted(loop_jets(arr).terms().items())
                 return [[list(e), [c.real, c.imag]] for e, c in terms if sum(e) <= order]
             return [jets(arr[i]) for i in range(len(arr))]
 
@@ -245,8 +266,8 @@ class TestRun:
         order = bundle.space.order
 
         def jets(arr, declare):
-            if isinstance(arr, Jet):
-                terms = [[list(e), [c.real, c.imag]] for e, c in sorted(arr.terms().items())]
+            if arr.shape == ():
+                terms = [[list(e), [c.real, c.imag]] for e, c in sorted(loop_jets(arr).terms().items())]
                 return {"terms": terms, "eff_order": order - 1} if declare else terms
             return [jets(arr[i], declare) for i in range(len(arr))]
 

@@ -25,7 +25,7 @@ from regfman.fman import (
 from regfman.jets import JetArray
 from regfman.regend import jordan_spectrum
 
-from loop_oracles import JetVector, lie_bracket
+from loop_oracles import JetVector, LoopJet, lie_bracket, loop_jets
 
 
 class TestStandardBlock:
@@ -35,12 +35,12 @@ class TestStandardBlock:
         # d1 o d1 = 0
         assert m.structure[1][1].residual_norm() == 0.0
         # E = (t0+a) d0 + (t1+1) d1
-        assert (m.euler[0] - (sp.variable(0) + 0.7)).residual_norm() == 0.0
-        assert (m.euler[1] - (sp.variable(1) + 1.0)).residual_norm() == 0.0
+        assert (m.euler[0] - (sp.variable(0) + sp.constant(0.7))).residual_norm() == 0.0
+        assert (m.euler[1] - (sp.variable(1) + sp.constant(1.0))).residual_norm() == 0.0
 
     def test_m1(self):
         m = standard_block(2.0, 1)
-        assert (m.euler[0] - (m.space.variable(0) + 2.0)).residual_norm() == 0.0
+        assert (m.euler[0] - (m.space.variable(0) + m.space.constant(2.0))).residual_norm() == 0.0
 
     def test_u_origin_nilpotent(self):
         m = standard_block(0.0, 2)
@@ -52,10 +52,10 @@ class TestStandardBlock:
         m = standard_block(a, 2)
         u = mult_by_euler(m)
         sp = m.space
-        assert (u[0, 0] - (sp.variable(0) + a)).residual_norm() == 0.0
+        assert (u[0, 0] - (sp.variable(0) + sp.constant(a))).residual_norm() == 0.0
         assert u[0, 1].residual_norm() == 0.0
-        assert (u[1, 0] - (sp.variable(1) + 1.0)).residual_norm() == 0.0
-        assert (u[1, 1] - (sp.variable(0) + a)).residual_norm() == 0.0
+        assert (u[1, 0] - (sp.variable(1) + sp.constant(1.0))).residual_norm() == 0.0
+        assert (u[1, 1] - (sp.variable(0) + sp.constant(a))).residual_norm() == 0.0
 
 
 class TestProducts:
@@ -99,9 +99,9 @@ class TestCheckFManifold:
         sp = base.space
         mult = [list(row) for row in base.structure]
         bad = list(mult[1][2])
-        bad[0] = bad[0] + 0.1
-        mult[1][2] = JetVector(bad)
-        mult[2][1] = JetVector(bad)
+        bad[0] = bad[0] + sp.constant(0.1)
+        mult[1][2] = bad
+        mult[2][1] = bad
         model = FManifoldModel(JetArray.from_jets(mult), base.unit, base.euler, blocks=base.blocks)
         rep = check_fmanifold(model)
         assert rep["associativity"].value >= 0.05
@@ -114,7 +114,7 @@ class TestCheckFManifold:
         mult = [list(row) for row in base.structure]
         bad = list(mult[1][1])
         bad[1] = bad[1] + sp.variable(1).scale(0.1)
-        mult[1][1] = JetVector(bad)
+        mult[1][1] = bad
         model = FManifoldModel(JetArray.from_jets(mult), base.unit, base.euler, blocks=base.blocks)
         rep = check_fmanifold(model)
         assert rep["euler"].value >= 0.05
@@ -125,8 +125,8 @@ class TestCheckFManifold:
         base = standard_block(0.0, 2)
         mult = [list(row) for row in base.structure]
         bad = list(mult[1][1])
-        bad[1] = bad[1] + 0.1
-        mult[1][1] = JetVector(bad)
+        bad[1] = bad[1] + base.space.constant(0.1)
+        mult[1][1] = bad
         model = FManifoldModel(JetArray.from_jets(mult), base.unit, base.euler)
         rep = check_fmanifold(model)
         assert rep.passes(1e-10)
@@ -156,10 +156,10 @@ class TestCanonicalFrame:
         m = standard_block(0.0, 2)
         fr = canonical_frame(m)
         sp = m.space
-        assert (fr[0][0] - 1.0).residual_norm() == 0.0
+        assert (fr[0][0] - sp.constant(1.0)).residual_norm() == 0.0
         # X_1 = E
         assert (fr[1][0] - sp.variable(0)).residual_norm() == 0.0
-        assert (fr[1][1] - (sp.variable(1) + 1.0)).residual_norm() == 0.0
+        assert (fr[1][1] - (sp.variable(1) + sp.constant(1.0))).residual_norm() == 0.0
 
     def test_semisimple_frame_origin(self):
         m = product_model([standard_block(1.0, 1), standard_block(2.0, 1)])
@@ -220,16 +220,16 @@ class TestFrameBrackets:
         fr = canonical_frame(model)
         x2 = model.multiply(model.euler, fr[1])
         br = lie_bracket(fr[1], x2)
-        t0, t1 = sp.variable(0), sp.variable(1)
+        t0, t1 = LoopJet.variables(sp)
         assert (br[0] - t0 * t0).residual_norm() < 1e-14
         assert (br[1] - t0.scale(2.0) * (t1 + 1.0)).residual_norm() < 1e-14
-        a = eigenfunction(mult_by_euler(model))[()]
+        a = loop_jets(eigenfunction(mult_by_euler(model)))
         rhs = JetVector(fr[1]).scale(a.scale(2.0)) - JetVector(fr[0]).scale(a * a)
         assert (br - rhs).residual_norm() < 1e-14
 
     def test_eigenfunction_power_m3(self):
         model = standard_block(1.0 + 2j, 3)
-        a = eigenfunction(mult_by_euler(model))[()]
+        a = loop_jets(eigenfunction(mult_by_euler(model)))
         fr = canonical_frame(model)
         assert (JetVector(fr[2]).apply_to(a) - a * a).residual_norm() < 1e-10
 
@@ -239,17 +239,17 @@ class TestSymmetries:
         ys = symmetry_basis(3)
         sp = ys[0].space
         # Y_1 = (t1+1) d1 + 2 t2 d2
-        assert (ys[0][1] - (sp.variable(1) + 1.0)).residual_norm() == 0.0
+        assert (ys[0][1] - (sp.variable(1) + sp.constant(1.0))).residual_norm() == 0.0
         assert (ys[0][2] - sp.variable(2).scale(2.0)).residual_norm() == 0.0
         # Y_2 = (t1+1) d2
         assert ys[1][1].residual_norm() == 0.0
-        assert (ys[1][2] - (sp.variable(1) + 1.0)).residual_norm() == 0.0
+        assert (ys[1][2] - (sp.variable(1) + sp.constant(1.0))).residual_norm() == 0.0
 
     def test_basis_m2(self):
         ys = symmetry_basis(2)
         assert len(ys) == 1
         sp = ys[0].space
-        assert (ys[0][1] - (sp.variable(1) + 1.0)).residual_norm() == 0.0
+        assert (ys[0][1] - (sp.variable(1) + sp.constant(1.0))).residual_norm() == 0.0
 
     def test_basis_m1_empty(self):
         assert symmetry_basis(1) == []
@@ -320,11 +320,12 @@ class TestGermIsomorphism:
         # Euler field transforms: E' = (s0+a) d_s0 + f'(g(s1)) (g(s1)+1) d_s1
         # with g the compositional inverse of f.
         inv1 = _series_inverse_1d(sp, 4)
-        f_prime_at_inv = 1.0 + inv1.scale(2.0)
+        one = sp.constant(1.0)
+        f_prime_at_inv = one + inv1.scale(2.0)
         mult = [list(r) for r in base.structure]
-        euler0 = t0 + 0.3
-        euler1 = f_prime_at_inv * (inv1 + 1.0)
-        pushed = FManifoldModel(JetArray.from_jets(mult), base.unit, JetArray.from_jets(JetVector([euler0, euler1])))
+        euler0 = t0 + sp.constant(0.3)
+        euler1 = f_prime_at_inv * (inv1 + one)
+        pushed = FManifoldModel(JetArray.from_jets(mult), base.unit, JetArray.from_jets([euler0, euler1]))
         rep0 = check_fmanifold(pushed)
         assert rep0.passes(1e-9), rep0.worst()
         iso = germ_isomorphism(base, pushed)
@@ -352,11 +353,12 @@ def _pushed_nilpotent_block(a, order):
     sp = base.space
     t0 = sp.variable(0)
     inv1 = _series_inverse_1d(sp, order)
-    euler1 = (1.0 + inv1.scale(2.0)) * (inv1 + 1.0)
+    one = sp.constant(1.0)
+    euler1 = (one + inv1.scale(2.0)) * (inv1 + one)
     return FManifoldModel(
         JetArray.from_jets([list(r) for r in base.structure]),
         base.unit,
-        JetArray.from_jets(JetVector([t0 + a, euler1])),
+        JetArray.from_jets([t0 + sp.constant(a), euler1]),
         blocks=base.blocks,
     )
 

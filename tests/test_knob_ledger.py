@@ -25,12 +25,8 @@ LEDGER = (
     "frob.frobenius_verdict(run_oracle)",
     "frob.frobenius_verdict(tolerance)",
     "frob.frobenius_verdict(weight)",
-    "frob.psi_from_metric(branch_anchors)",
-    "jets.Jet.sqrt(branch_anchor)",
+    "jets.Jet.from_coeffs(eff)",
     "jets.JetArray.from_coeffs(eff)",
-    "jets.JetArray.sqrt(branch_anchors)",
-    "jets.JetSpace.from_coeffs(eff_order)",
-    "jets.JetSpace.zero(eff_order)",
     "malgrange.initial_condition_extend(tolerance)",
     "malgrange.initial_condition_extend(validation_tolerance)",
     "malgrange.integrate_chart(order)",

@@ -41,7 +41,7 @@ class TestB0At:
         sp = jet_space(1, 3)
         got = b0_at(spec, JetArray.from_jets([[sp.variable(0)]]))
         # scalars commute: B0 = a - Gamma
-        assert (got[0, 0] - (0.7 - sp.variable(0))).residual_norm() < 1e-14
+        assert (got[0, 0] - (sp.constant(0.7) - sp.variable(0))).residual_norm() < 1e-14
 
     def test_binf_zero(self):
         spec = DeformationSpec(jordan_block(0.0, 2), np.zeros((2, 2)))
@@ -149,8 +149,8 @@ class TestCanonicalConnection:
         chart = integrate_chart(DeformationSpec(np.array([[0.9]]), np.array([[0.0]])), order=3)
         conn = canonical_connection(chart)
         sp = conn.space
-        assert (conn.b0[0, 0] - (0.9 - sp.variable(0))).residual_norm() < 1e-13
-        assert (conn.c[0][0, 0] - 1.0).residual_norm() < 1e-13
+        assert (conn.b0[0, 0] - (sp.constant(0.9) - sp.variable(0))).residual_norm() < 1e-13
+        assert (conn.c[0][0, 0] - sp.constant(1.0)).residual_norm() < 1e-13
 
     def test_restriction_to_zero_slice(self):
         spec = DeformationSpec(jordan_block(0.5, 2), np.array([[0.0, 0.2], [0.0, 0.0]]))
@@ -178,7 +178,7 @@ class TestFManifoldOnChart:
         model = fmanifold_on_chart(chart)
         sp = model.space
         # E_can = (0.6 + u) d_u: the one-dimensional block with eigenvalue 0.6
-        assert (model.euler[0] - (sp.variable(0) + 0.6)).residual_norm() < 1e-12
+        assert (model.euler[0] - (sp.variable(0) + sp.constant(0.6))).residual_norm() < 1e-12
 
     @pytest.mark.parametrize(
         "b0o,binf",
@@ -384,7 +384,7 @@ class TestExtension:
         data = InitialData(model, np.array([[2.5]]), np.array([[0.0]]), 2.0)
         res = initial_condition_extend(data)
         eta = res.metric.eta[0][0]
-        assert (eta - 2.5).residual_norm() < 1e-9
+        assert (eta - model.space.constant(2.5)).residual_norm() < 1e-9
         assert res.verdict.passed
         assert res.report["origin_match"].value < 1e-9
 

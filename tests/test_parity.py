@@ -1,5 +1,6 @@
 """The dump of tools/parity.py: equal exactly when the bits are."""
 
+import hashlib
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +30,26 @@ def test_jet_arrays_differ_in_one_bit_or_one_effective_order():
     nudged = [[np.nextafter(1.0, 2.0), *coeffs[0][1:]], coeffs[1]]
     assert parity.digest(_array(nudged, [2, 2])) != base
     assert parity.digest(_array(coeffs, [2, 1])) != base
+
+
+def test_a_single_jet_is_digested_in_the_form_of_an_object_jet():
+    # {"jet": SHA-1 of the full-width coefficients, "eff": the order capped
+    # at the jet order}, whether a constructor, an index or a product made it
+    def want(coeffs, eff):
+        return {"jet": hashlib.sha1(np.ascontiguousarray(coeffs).tobytes()).hexdigest(), "eff": eff}
+
+    sp = jet_space(2, 2)
+    jet = sp.from_coeffs(np.arange(6.0) + 1j)
+    assert parity.digest(jet) == want(jet.coeffs, 2)
+    assert parity.digest(jet * jet) == want((jet * jet).coeffs, 2)
+    arr = _array([[1.0, 0.5, 0.0, 0.0, 0.0, 0.25], [-0.0, 0.0, 0.0, 0.0, 0.0, 0.0]], [1, 2])
+    assert parity.digest(arr[0]) == want(arr.coeffs[0], 1)
+    assert parity.digest(arr[1], zero_signs=False) == want(arr.coeffs[1] + 0.0, 2)
+    assert parity.digest(arr[1]) != parity.digest(arr[1], zero_signs=False)
+    exact = arr.exact_zeros()[1]
+    assert int(exact.eff) > sp.order and parity.digest(exact) == want(arr.coeffs[1], 2)
+    # a batch, even of one jet, keeps the array form
+    assert parity.digest(arr[:1]) == {"jets": want(arr.coeffs[:1], 0)["jet"], "eff": [1]}
 
 
 def test_floats_reports_and_exceptions():

@@ -1,14 +1,16 @@
-"""Ledger of the public surface, and of the one door from jets into arrays.
+"""Ledger of the public surface, and of the one door from nested jets into
+arrays.
 
 The package exports the names below and nothing else, so adding or removing
 an export is a deliberate edit here.  Every stage of the pipeline takes
-``JetArray`` inputs; ``JetArray.from_jets`` stacks nested ``Jet`` inputs,
-and ``src/`` calls it only where jets are built: in the object kernel's own
-wrappers and in the metric and one-form families (which accept one family of
-jets per block).  Outside ``jets.py`` no module names ``Jet`` or
-``JetMatrix`` but the package's export of ``Jet``; the CLI decodes and
-encodes arrays.  ``JetMatrix`` keeps only the members the benchmark's kernel
-grid uses.  README's quick start runs as written.
+``JetArray`` inputs; ``JetArray.from_jets`` stacks nested jets, and ``src/``
+calls it only where jets are built: in ``Jet.compose`` and in the metric and
+one-form families (which accept one family of jets per block).  ``Jet``, a
+single jet, is a ``JetArray`` subclass with one member of its own.  Outside
+``jets.py`` no module names ``Jet`` or ``JetMatrix`` but the package's
+export of ``Jet``; the CLI decodes and encodes arrays.  ``JetMatrix`` keeps
+only the members the benchmark's kernel grid uses.  README's quick start
+runs as written.
 """
 
 import ast
@@ -18,7 +20,7 @@ import re
 from pathlib import Path
 
 import regfman
-from regfman.jets import JetMatrix
+from regfman.jets import Jet, JetArray, JetMatrix
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "regfman"
@@ -158,6 +160,12 @@ def test_the_object_kernel_is_named_only_in_jets_and_the_export():
     assert named == {"__init__": ["Jet"]}
 
 
+def test_a_single_jet_is_an_array_with_compose_its_only_member():
+    assert Jet.__mro__[1] is JetArray
+    assert set(vars(Jet)) - {"__module__", "__doc__", "__slots__", "__annotations__"} == {"compose"}
+    assert Jet.__slots__ == ()
+
+
 def test_the_jet_matrix_stub_keeps_only_the_members_perfbench_uses():
     members = {name for name, value in vars(JetMatrix).items() if not name.startswith("__") or callable(value)}
     assert members == JET_MATRIX_MEMBERS
@@ -175,4 +183,4 @@ def test_readme_quick_start_runs():
     assert namespace["verdict"].passed
     # the extended metric component is 1 + t1
     sp = namespace["result"].metric.space
-    assert (namespace["result"].metric.eta[0][1] - (1.0 + sp.variable(1))).residual_norm() < 1e-12
+    assert (namespace["result"].metric.eta[0][1] - (sp.constant(1.0) + sp.variable(1))).residual_norm() < 1e-12

@@ -31,7 +31,9 @@ process with one BLAS thread, runs with its own ``src/`` and ``perfbench/``:
   ``kernels.grid`` draws them.
 
 Each output is dumped with every float as ``float.hex``, every jet array
-(and jet) as a SHA-1 of its coefficients together with its effective orders,
+as a SHA-1 of its coefficients together with its effective orders (a single
+jet, whether a 0-dimensional array or an object ``Jet`` of an older tree,
+in one form: its effective order capped at the jet order),
 every other numpy array as a SHA-1 of its bytes, every report text as a
 SHA-1 of its bytes, and every exception as its repr.  Each case is dumped
 twice: its ``bits``, and its ``values``, the same dump with every -0 read
@@ -101,10 +103,12 @@ def digest(obj, _seen=(), zero_signs=True):
         return obj if len(obj) <= TEXT_INLINE else "sha1:" + _sha1(obj.encode())
     if isinstance(obj, JetSpace):
         return {"space": [obj.num_vars, obj.order]}
+    if isinstance(obj, JetArray) and obj.shape == ():
+        return _jet_digest(obj.coeffs, min(int(obj.eff), obj.space.order), unsigned)
     if isinstance(obj, JetArray):
         return {"jets": _sha1(np.ascontiguousarray(unsigned(obj.coeffs)).tobytes()), "eff": obj.eff.tolist()}
-    if isinstance(obj, Jet):
-        return {"jet": _sha1(np.ascontiguousarray(unsigned(obj.coeffs)).tobytes()), "eff": int(obj.eff_order)}
+    if isinstance(obj, Jet):  # the object kernel of an older tree
+        return _jet_digest(obj.coeffs, int(obj.eff_order), unsigned)
     if isinstance(obj, np.ndarray):
         data = unsigned(obj) if obj.dtype.kind in "fc" else obj
         return {"array": _sha1(np.ascontiguousarray(data).tobytes()), "dtype": str(obj.dtype),
@@ -125,6 +129,14 @@ def digest(obj, _seen=(), zero_signs=True):
     else:
         names = [k for k in getattr(type(obj), "__slots__", ()) if not k.startswith("_")]
     return {"type": type(obj).__name__, **{k: digest(getattr(obj, k), seen, zero_signs) for k in names}}
+
+
+def _jet_digest(coeffs, eff: int, unsigned) -> dict:
+    """One jet: its full-width coefficients and its effective order, capped
+    at the jet order as indexing an array down to one entry once capped it."""
+    import numpy as np
+
+    return {"jet": _sha1(np.ascontiguousarray(unsigned(coeffs)).tobytes()), "eff": eff}
 
 
 def dump_case(obj) -> dict:
